@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry2d import Curve2D, CurvePoint2D, curve_grid, grid_nodes, point_inside
+from .geometry2d import Curve2D, CurvePoint2D, curve_grid, point_inside
+
+MIN_NODES = 16  # smallest (even) Nystrom node count
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,8 @@ def kernel_matrix(curve: Curve2D, n: int) -> np.ndarray:
 
 def assemble_nystrom(curve: Curve2D, n: int) -> np.ndarray:
     """Dense system matrix for (K - 1/2 I) mu = f at the PTR nodes."""
-    if n < 16 or n % 2:
-        raise ValueError("node count must be even and at least 16")
+    if n < MIN_NODES or n % 2:
+        raise ValueError(f"node count must be even and at least {MIN_NODES}")
     return kernel_matrix(curve, n)/n - 0.5*np.eye(n)
 
 
@@ -87,22 +89,27 @@ def solve_density(curve: Curve2D, f: np.ndarray, n: int) -> DensityGrid2D:
     return DensityGrid2D(curve, n, mu, f, curve_grid(curve, n))
 
 
+def dlp_sum(geometry: CurvePoint2D, x, mu) -> float:
+    """PTR sum of the double-layer potential at x for density samples mu
+    (an array over the grid nodes, or a constant):
+
+        (1/n) sum_j nu_j . (x - y_j) / |x - y_j|^2 J_j mu_j.
+
+    No treatment of the near-singularity; every 2D quadrature of the
+    potential is this sum with a different density."""
+    diff = np.asarray(x, dtype=float) - geometry.position
+    r2 = np.sum(diff*diff, axis=-1)
+    K = np.sum(geometry.normal*diff, axis=-1)/r2
+    return float(np.sum(K*geometry.jacobian*mu)/geometry.jacobian.size)
+
+
 def dlp_plain(density: DensityGrid2D, x) -> float:
     """Plain PTR quadrature of the double-layer potential at an interior
     point x; the baseline with no treatment of near-boundary breakdown."""
-    g = density.geometry
-    x = np.asarray(x, dtype=float)
-    diff = x - g.position
-    r2 = np.sum(diff*diff, axis=-1)
-    K = np.sum(g.normal*diff, axis=-1)/r2
-    return float(np.sum(K*g.jacobian*density.mu)/density.n)
+    return dlp_sum(density.geometry, x, density.mu)
 
 
 def gauss_interior_value(curve: Curve2D, x, n: int) -> float:
     """PTR quadrature of the unit-density double-layer potential at x;
     equals -1 for interior points, up to quadrature error."""
-    g = curve_grid(curve, n)
-    x = np.asarray(x, dtype=float)
-    diff = x - g.position
-    r2 = np.sum(diff*diff, axis=-1)
-    return float(np.sum(np.sum(g.normal*diff, axis=-1)/r2*g.jacobian)/n)
+    return dlp_sum(curve_grid(curve, n), x, 1.0)

@@ -18,14 +18,18 @@ colatitudes so that analysis is exact for band-limited columns.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .geometry3d import Surface3D, direction, rotated_frame, surface_point_and_normal
-from .spectral import (SphericalCoeffs, analysis_grid, mapped_rule,
+from .spectral import (SphericalCoeffs, analysis_operator, mapped_rule,
                        periodic_nodes, sph_basis_matrix, sph_synthesis)
+
+# Largest Galerkin degree; assembly costs O(n^6).
+MAX_DEGREE = 32
 
 
 @dataclass
@@ -46,22 +50,40 @@ class Density3D:
         return np.real(sph_synthesis(self.coeffs, theta, phi))
 
     def save(self, path: str) -> None:
+        """Write the coefficients as JSON, atomically: a temporary file in
+        the same directory replaces path only once it is complete."""
         rows = []
         for n in range(self.N):
             for m in range(-n, n + 1):
                 c = self.coeffs.get(n, m)
                 rows.append([n, m, float(c.real), float(c.imag)])
-        with open(path, "w") as fh:
-            json.dump({"N": self.N, "coeffs": rows}, fh)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                json.dump({"N": self.N, "coeffs": rows}, fh)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     @classmethod
     def load(cls, path: str, surface: Surface3D,
              data: Callable = None) -> "Density3D":
+        """Read a file written by save; raises ValueError when its content
+        is not a complete table of finite coefficients."""
         with open(path) as fh:
             payload = json.load(fh)
-        out = SphericalCoeffs.zeros(int(payload["N"]))
-        for n, m, re, im in payload["coeffs"]:
-            out.c[SphericalCoeffs.index(int(n), int(m))] = re + 1j*im
+        try:
+            out = SphericalCoeffs.zeros(int(payload["N"]))
+            rows = payload["coeffs"]
+            if len(rows) != out.N*out.N:
+                raise ValueError("coefficient count does not match N")
+            for n, m, re, im in rows:
+                out.c[SphericalCoeffs.index(int(n), int(m))] = re + 1j*im
+        except (KeyError, TypeError, IndexError) as exc:
+            raise ValueError(f"malformed density file: {exc!r}") from None
+        if not np.all(np.isfinite(out.c)):
+            raise ValueError("density coefficients must be finite")
         return cls(surface, out, data)
 
 
@@ -71,20 +93,32 @@ def quadrature_nodes(n: int):
     return rule.nodes, rule.weights, periodic_nodes(2*n)
 
 
+def dlp_weights(surface: Surface3D, x, theta0: float, phi0: float, n: int):
+    """Double-layer quadrature row for the point x on the grid rotated so
+    that its pole sits at (theta0, phi0): entries w_j K(x, y_jk) W_jk, plus
+    the node parameters needed to sample densities there.
+
+    (1/4n) sum w_j K W g approximates (1/4pi) oint K(x, y) g(y) dsigma; the
+    callers apply the 1/4n factor to their own sums, so no rounding is added
+    when 4n is not a power of two.
+    """
+    s, ws, t = quadrature_nodes(n)
+    y, W, nu, theta, phi = rotated_frame(surface, theta0, phi0,
+                                         s[:, None], t[None, :])
+    diff = np.asarray(x, dtype=float) - y
+    r2 = np.sum(diff*diff, axis=-1)
+    kern = np.sum(nu*diff, axis=-1)/r2**1.5
+    return ws[:, None]*kern*W, theta, phi
+
+
 def subtracted_weights(surface: Surface3D, theta0: float, phi0: float,
                        n: int):
     """Kernel-times-area quadrature row for the rotated grid about a
     boundary target: entries (1/4pi) w_j dt K(y0, y_jk) W_jk, plus the node
     parameters needed to sample densities there."""
-    s, ws, t = quadrature_nodes(n)
-    y, W, nu, theta, phi = rotated_frame(surface, theta0, phi0,
-                                         s[:, None], t[None, :])
     y0, _ = surface_point_and_normal(surface, theta0, phi0)
-    diff = y0 - y
-    r2 = np.sum(diff*diff, axis=-1)
-    kern = np.sum(nu*diff, axis=-1)/r2**1.5
-    kw = (1.0/(4*n))*(ws[:, None]*kern*W)
-    return kw, theta, phi
+    w, theta, phi = dlp_weights(surface, y0, theta0, phi0, n)
+    return (1.0/(4*n))*w, theta, phi
 
 
 def apply_K_subtracted(surface: Surface3D, g: Callable, theta0: float,
@@ -109,12 +143,10 @@ def assemble_galerkin(surface: Surface3D, n: int) -> np.ndarray:
     produced by applying the boundary operator to Y_{n'm'} and subtracting
     half the harmonic again.
     """
-    if n > 32:
+    if n > MAX_DEGREE:
         raise ValueError("coefficient degree beyond desk scale")
-    theta_g, wth, phi_g = analysis_grid(n)
-    TH, PH = np.meshgrid(theta_g, phi_g, indexing="ij")
+    TH, PH, G, P = analysis_operator(n)  # basis at the projection nodes
     nb = n*n
-    G = sph_basis_matrix(TH, PH, n)  # basis at the projection nodes
     V = np.empty((n*2*n, nb), dtype=complex)
     flat_th, flat_ph = TH.ravel(), PH.ravel()
     for row in range(n*2*n):
@@ -125,18 +157,13 @@ def assemble_galerkin(surface: Surface3D, n: int) -> np.ndarray:
         # operator applied to every basis column at once:
         # sum kw (Y - Y0)  -  Y0/2  -  Y0/2
         V[row, :] = B.T @ kwf - G[row, :]*(np.sum(kwf) + 1.0)
-    wrow = np.repeat(wth, 2*n)*(np.pi/n)
-    return (np.conj(G)*wrow[:, None]).T @ V
+    return P @ V
 
 
 def project_boundary_data(f: Callable, n: int) -> SphericalCoeffs:
     """Spherical analysis of boundary data sampled on the projection grid."""
-    theta_g, wth, phi_g = analysis_grid(n)
-    TH, PH = np.meshgrid(theta_g, phi_g, indexing="ij")
-    G = sph_basis_matrix(TH, PH, n)
-    wrow = np.repeat(wth, 2*n)*(np.pi/n)
-    vals = np.asarray(f(TH, PH)).ravel()
-    return SphericalCoeffs(n, (np.conj(G)*wrow[:, None]).T @ vals)
+    TH, PH, _, P = analysis_operator(n)
+    return SphericalCoeffs(n, P @ np.asarray(f(TH, PH)).ravel())
 
 
 def solve_density3d(surface: Surface3D, f: Callable, n: int,
@@ -173,30 +200,17 @@ def exact_point_source_3d(x, source) -> np.ndarray:
     return 1.0/np.linalg.norm(x - np.asarray(source, dtype=float), axis=-1)
 
 
-def dlp_far_3d(density: Density3D, x, n: int = 32,
-               pole=(0.9, 0.3)) -> float:
+def dlp_far_3d(density: Density3D, x, n: int = 32) -> float:
     """Plain three-step quadrature of the double-layer potential at an
-    interior point well separated from the boundary."""
-    s, ws, t = quadrature_nodes(n)
-    y, W, nu, theta, phi = rotated_frame(density.surface, pole[0], pole[1],
-                                         s[:, None], t[None, :])
-    mu = density(theta, phi)
-    x = np.asarray(x, dtype=float)
-    diff = x - y
-    r2 = np.sum(diff*diff, axis=-1)
-    kern = np.sum(nu*diff, axis=-1)/r2**1.5
-    return float((1.0/(4*n))*np.sum(ws[:, None]*kern*W*mu))
+    interior point well separated from the boundary (any grid pole serves;
+    this one is fixed at (0.9, 0.3))."""
+    w, theta, phi = dlp_weights(density.surface, x, 0.9, 0.3, n)
+    return float((1.0/(4*n))*np.sum(w*density(theta, phi)))
 
 
-def gauss_interior_value_3d(surface: Surface3D, x, n: int,
-                            pole=(1.0, 0.5)) -> float:
+def gauss_interior_value_3d(surface: Surface3D, x, n: int) -> float:
     """Three-step quadrature of the unit-density double-layer potential at
-    an interior point; equals -1 up to quadrature error."""
-    s, ws, t = quadrature_nodes(n)
-    y, W, nu, _, _ = rotated_frame(surface, pole[0], pole[1],
-                                   s[:, None], t[None, :])
-    x = np.asarray(x, dtype=float)
-    diff = x - y
-    r2 = np.sum(diff*diff, axis=-1)
-    kern = np.sum(nu*diff, axis=-1)/r2**1.5
-    return float((1.0/(4*n))*np.sum(ws[:, None]*kern*W))
+    an interior point, on the grid with its pole at (1.0, 0.5); equals -1
+    up to quadrature error."""
+    w, _, _ = dlp_weights(surface, x, 1.0, 0.5, n)
+    return float((1.0/(4*n))*np.sum(w))

@@ -7,12 +7,11 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .harness import (ConfigError, NumericalError, apply_overrides,
-                      fit_results, load_config, parse_eps_range,
+                      dump_fits, fit_results, load_config, parse_eps_range,
                       read_results_csv, run_error_map, run_hg_study)
 
 
@@ -79,17 +78,14 @@ def _cmd_fit(args) -> int:
         lo, hi = min(grid), max(grid)
     fits = fit_results(read_results_csv(args.csv), lo=lo, hi=hi)
     fits.sort(key=lambda f: (f.target, f.method))
-    payload = {"fits": [vars(f) for f in fits]}
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "fits.json")
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            dump_fits(fits, fh)
         print(f"wrote {path}")
     else:
-        json.dump(payload, sys.stdout, indent=2)
-        print()
+        dump_fits(fits, sys.stdout)
     return 0
 
 

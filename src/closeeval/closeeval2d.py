@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bie2d import DensityGrid2D
+from .bie2d import DensityGrid2D, dlp_sum
 from .geometry2d import Curve2D, curve_eval, point_inside
 from .spectral import periodic_derivative
 
@@ -54,56 +54,55 @@ class CloseEvalRequest2D:
 def dlp_ptr(request: CloseEvalRequest2D) -> float:
     """Plain PTR evaluation at x; exhibits O(1) error once eps is smaller
     than the node spacing."""
-    g = request.density.geometry
-    diff = request.point() - g.position
-    r2 = np.sum(diff*diff, axis=-1)
-    K = np.sum(g.normal*diff, axis=-1)/r2
-    return float(np.sum(K*g.jacobian*request.density.mu)/request.density.n)
+    return dlp_sum(request.density.geometry, request.point(),
+                   request.density.mu)
 
 
 def dlp_subtraction(request: CloseEvalRequest2D) -> float:
     """Subtracted quadrature: u = -mu* + PTR of K(x, y) [mu - mu*]."""
-    g = request.density.geometry
     mu = request.density.mu
     mustar = mu[request.k]
-    diff = request.point() - g.position
-    r2 = np.sum(diff*diff, axis=-1)
-    K = np.sum(g.normal*diff, axis=-1)/r2
-    return float(-mustar + np.sum(K*g.jacobian*(mu - mustar))/request.density.n)
+    return float(-mustar + dlp_sum(request.density.geometry, request.point(),
+                                   mu - mustar))
+
+
+def _kernels(y, nu, ystar, nustar, ell: float):
+    """K1 and K2 at boundary points y with normals nu for the target
+    (y*, nu*); the arrays broadcast over leading axes."""
+    yd = ystar - y
+    r2 = np.sum(yd*yd, axis=-1)
+    if np.any(r2 < 1e-28):
+        raise ValueError("kernel evaluated at the coincidence point")
+    nd = np.sum(nu*yd, axis=-1)
+    nsd = np.sum(nustar*yd, axis=-1)
+    ndot = np.sum(nu*nustar, axis=-1)
+    K1 = ell*(2*nd*nsd - ndot*r2)/r2**2
+    K2 = ell*ell*(nd*(4*nsd*nsd - r2) - 2*r2*ndot*nsd)/r2**3
+    return K1, K2
+
+
+def _kernels_at(curve: Curve2D, t, t_star: float, ell: float):
+    gt = curve_eval(curve, t)
+    gs = curve_eval(curve, np.asarray(t_star))
+    return _kernels(gt.position, gt.normal, gs.position, gs.normal, ell)
 
 
 def kernel_K1_2d(curve: Curve2D, t, t_star: float, ell: float = 1.0):
     """First expansion kernel at parameters t for the target y(t_star)."""
-    gt = curve_eval(curve, t)
-    gs = curve_eval(curve, np.asarray(t_star))
-    yd = gs.position - gt.position
-    r2 = np.sum(yd*yd, axis=-1)
-    if np.any(r2 < 1e-28):
-        raise ValueError("kernel evaluated at the coincidence point")
-    nd = np.sum(gt.normal*yd, axis=-1)
-    nsd = np.sum(gs.normal*yd, axis=-1)
-    ndot = np.sum(gt.normal*gs.normal, axis=-1)
-    return ell*(2*nd*nsd - ndot*r2)/r2**2
+    return _kernels_at(curve, t, t_star, ell)[0]
 
 def kernel_K2_2d(curve: Curve2D, t, t_star: float, ell: float = 1.0):
     """Second expansion kernel at parameters t for the target y(t_star)."""
-    gt = curve_eval(curve, t)
-    gs = curve_eval(curve, np.asarray(t_star))
-    yd = gs.position - gt.position
-    r2 = np.sum(yd*yd, axis=-1)
-    if np.any(r2 < 1e-28):
-        raise ValueError("kernel evaluated at the coincidence point")
-    nd = np.sum(gt.normal*yd, axis=-1)
-    nsd = np.sum(gs.normal*yd, axis=-1)
-    ndot = np.sum(gt.normal*gs.normal, axis=-1)
-    return ell*ell*(nd*(4*nsd*nsd - r2) - 2*r2*ndot*nsd)/r2**3
+    return _kernels_at(curve, t, t_star, ell)[1]
 
 
-def _correction_sums(density: DensityGrid2D, k: int, ell: float,
-                     second_order: bool):
-    """Corrected trapezoid sums U1 (and U2 with local terms when requested).
+def asym_coefficients(density: DensityGrid2D, k: int, ell: float = 1.0):
+    """(f*, U1, U2+local) for one target: the eps-independent pieces of both
+    asymptotic methods, U1 and U2 being the corrected trapezoid sums of
+    K1 [mu - mu*] and K2 [mu - mu*] with their local derivative terms.
 
-    Both are independent of eps, so the harness reuses them across a sweep.
+    The harness computes them once per target and reuses them across a
+    sweep.
     """
     g = density.geometry
     n = density.n
@@ -113,43 +112,25 @@ def _correction_sums(density: DensityGrid2D, k: int, ell: float,
     J_k = g.jacobian[k]
 
     mask = np.arange(n) != k
-    ystar = g.position[k]
-    nustar = g.normal[k]
-    yd = ystar - g.position[mask]
-    r2 = np.sum(yd*yd, axis=-1)
-    nd = np.sum(g.normal[mask]*yd, axis=-1)
-    nsd = nustar[0]*yd[:, 0] + nustar[1]*yd[:, 1]
-    ndot = np.sum(g.normal[mask]*nustar, axis=-1)
-
-    K1 = ell*(2*nd*nsd - ndot*r2)/r2**2
+    K1, K2 = _kernels(g.position[mask], g.normal[mask], g.position[k],
+                      g.normal[k], ell)
     dmu = mu[mask] - mu[k]
     U1 = np.sum(K1*g.jacobian[mask]*dmu)/n - ell*mupp[k]/(2*n*J_k)
-    if not second_order:
-        return U1, None
-
-    K2 = ell*ell*(nd*(4*nsd*nsd - r2) - 2*r2*ndot*nsd)/r2**3
     U2 = np.sum(K2*g.jacobian[mask]*dmu)/n \
         - ell*ell*g.curvature[k]*mupp[k]/(4*n*J_k)
     local = -ell*ell*np.dot(g.d1[k], g.d2[k])/(4*J_k**4)*mup[k] \
         + ell*ell*mupp[k]/(4*J_k**2)
-    return U1, U2 + local
+    return float(density.f[k]), float(U1), float(U2 + local)
 
 
 def asym_eps2(request: CloseEvalRequest2D) -> float:
     """First asymptotic approximation u ~ f(y*) + eps*U1."""
-    U1, _ = _correction_sums(request.density, request.k, request.ell, False)
-    return float(request.density.f[request.k] + request.eps*U1)
+    fstar, U1, _ = asym_coefficients(request.density, request.k, request.ell)
+    return float(fstar + request.eps*U1)
 
 def asym_eps3(request: CloseEvalRequest2D) -> float:
     """Second asymptotic approximation u ~ f(y*) + eps*U1 + eps^2*(U2 + local
     derivative terms)."""
-    U1, U2loc = _correction_sums(request.density, request.k, request.ell, True)
-    return float(request.density.f[request.k] + request.eps*U1
-                 + request.eps**2*U2loc)
-
-
-def asym_coefficients(density: DensityGrid2D, k: int, ell: float = 1.0):
-    """(f*, U1, U2+local) for one target; the eps-independent pieces of both
-    asymptotic methods, exposed for sweep reuse."""
-    U1, U2loc = _correction_sums(density, k, ell, True)
-    return float(density.f[k]), float(U1), float(U2loc)
+    fstar, U1, U2loc = asym_coefficients(request.density, request.k,
+                                         request.ell)
+    return float(fstar + request.eps*U1 + request.eps**2*U2loc)

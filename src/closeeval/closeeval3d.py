@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bie3d import Density3D, quadrature_nodes
+from .bie3d import Density3D, dlp_weights, quadrature_nodes
 from .geometry3d import Surface3D, rotated_frame, surface_point_and_normal
 
 
@@ -56,35 +56,22 @@ class CloseEvalRequest3D:
         return ystar - self.eps*self.ell*nustar
 
 
-def _rotated_density(request: CloseEvalRequest3D):
-    surface = request.density.surface
-    s, ws, t = quadrature_nodes(request.n)
-    y, W, nu, theta, phi = rotated_frame(surface, request.theta_star,
-                                         request.phi_star,
-                                         s[:, None], t[None, :])
-    mu = request.density(theta, phi)
-    mustar = float(request.density(np.full(1, request.theta_star),
-                                   np.full(1, request.phi_star))[0])
-    return s, ws, y, W, nu, mu, mustar
+def _mu_star(request: CloseEvalRequest3D) -> float:
+    return float(request.density(np.full(1, request.theta_star),
+                                 np.full(1, request.phi_star))[0])
 
 
 def dlp_numerical_3d(request: CloseEvalRequest3D) -> float:
     """Subtracted three-step quadrature at the interior point."""
     n = request.n
-    _, ws, y, W, nu, mu, mustar = _rotated_density(request)
-    x = request.point()
-    diff = x - y
-    r2 = np.sum(diff*diff, axis=-1)
-    kern = np.sum(nu*diff, axis=-1)/r2**1.5
-    return float(-mustar
-                 + (1.0/(4*n))*np.sum(ws[:, None]*kern*W*(mu - mustar)))
+    w, theta, phi = dlp_weights(request.density.surface, request.point(),
+                                request.theta_star, request.phi_star, n)
+    mu, mustar = request.density(theta, phi), _mu_star(request)
+    return float(-mustar + (1.0/(4*n))*np.sum(w*(mu - mustar)))
 
 
-def kernel_K1_3d(surface: Surface3D, s, t, theta_star: float,
-                 phi_star: float, ell: float = 1.0):
-    """First expansion kernel on the rotated grid about the target."""
-    y, W, nu, _, _ = rotated_frame(surface, theta_star, phi_star, s, t)
-    ystar, nustar = surface_point_and_normal(surface, theta_star, phi_star)
+def _kernel_K1(y, nu, ystar, nustar, ell: float):
+    """K1 at boundary points y with normals nu for the target (y*, nu*)."""
     yd = ystar - y
     r2 = np.sum(yd*yd, axis=-1)
     if np.any(r2 < 1e-28):
@@ -95,34 +82,39 @@ def kernel_K1_3d(surface: Surface3D, s, t, theta_star: float,
     return ell*(3*nd*nsd - r2*ndot)/r2**2.5
 
 
+def kernel_K1_3d(surface: Surface3D, s, t, theta_star: float,
+                 phi_star: float, ell: float = 1.0):
+    """First expansion kernel on the rotated grid about the target."""
+    y, _, nu, _, _ = rotated_frame(surface, theta_star, phi_star, s, t)
+    ystar, nustar = surface_point_and_normal(surface, theta_star, phi_star)
+    return _kernel_K1(y, nu, ystar, nustar, ell)
+
+
+def _correction_terms(request: CloseEvalRequest3D):
+    """Polar weights and the factors K1, W and mu - mu* of the U1
+    integrand on the rotated grid about the target."""
+    s, ws, t = quadrature_nodes(request.n)
+    y, W, nu, theta, phi = rotated_frame(request.density.surface,
+                                         request.theta_star,
+                                         request.phi_star,
+                                         s[:, None], t[None, :])
+    ystar, nustar = request.target()
+    K1 = _kernel_K1(y, nu, ystar, nustar, request.ell)
+    return ws, K1, W, request.density(theta, phi) - _mu_star(request)
+
+
 def asym_correction_3d(request: CloseEvalRequest3D) -> float:
     """The eps-independent correction U1: rotated quadrature of
     K1 [mu - mu*] with the pole cell regularized by the subtraction."""
-    n = request.n
-    s, ws, y, W, nu, mu, mustar = _rotated_density(request)
-    ystar, nustar = request.target()
-    yd = ystar - y
-    r2 = np.sum(yd*yd, axis=-1)
-    nd = np.sum(nu*yd, axis=-1)
-    nsd = np.sum(nustar*yd, axis=-1)
-    ndot = np.sum(nu*nustar, axis=-1)
-    K1 = request.ell*(3*nd*nsd - r2*ndot)/r2**2.5
-    return float((1.0/(4*n))*np.sum(ws[:, None]*K1*W*(mu - mustar)))
+    ws, K1, W, dmu = _correction_terms(request)
+    return float((1.0/(4*request.n))*np.sum(ws[:, None]*K1*W*dmu))
 
 
 def azimuthal_average_profile(request: CloseEvalRequest3D) -> np.ndarray:
     """Azimuth-averaged integrand of U1 at each polar node, diagnostic for
     its continuous extension to the pole."""
-    n = request.n
-    s, ws, y, W, nu, mu, mustar = _rotated_density(request)
-    ystar, nustar = request.target()
-    yd = ystar - y
-    r2 = np.sum(yd*yd, axis=-1)
-    nd = np.sum(nu*yd, axis=-1)
-    nsd = np.sum(nustar*yd, axis=-1)
-    ndot = np.sum(nu*nustar, axis=-1)
-    K1 = request.ell*(3*nd*nsd - r2*ndot)/r2**2.5
-    return np.mean(K1*W*(mu - mustar), axis=1)
+    _, K1, W, dmu = _correction_terms(request)
+    return np.mean(K1*W*dmu, axis=1)
 
 
 def asym_eps2_3d(request: CloseEvalRequest3D, f_star: float = None) -> float:

@@ -12,10 +12,12 @@ with this orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import json
 import numpy as np
+
+from .spectral import periodic_nodes
 
 _DEGENERACY_TOL = 1e-14
 
@@ -36,14 +38,12 @@ class Curve2D:
     sin2: np.ndarray
 
     def __post_init__(self):
-        arrs = {}
         K = max(len(np.atleast_1d(a)) for a in
                 (self.cos1, self.sin1, self.cos2, self.sin2))
         for name in ("cos1", "sin1", "cos2", "sin2"):
             a = np.zeros(K)
             src = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             a[:src.size] = src
-            arrs[name] = a
             object.__setattr__(self, name, a)
 
     def _coord(self, t, which: int, deriv: int):
@@ -143,18 +143,13 @@ def curve_grid(curve: Curve2D, n: int) -> CurvePoint2D:
     """Geometry at the N equispaced nodes t_j = -pi + 2*pi*j/n."""
     if n < 4 or n % 2:
         raise ValueError("node count must be even and at least 4")
-    t = -np.pi + 2*np.pi*np.arange(n)/n
-    return curve_eval(curve, t)
-
-
-def grid_nodes(n: int) -> np.ndarray:
-    return -np.pi + 2*np.pi*np.arange(n)/n
+    return curve_eval(curve, periodic_nodes(n))
 
 
 def point_inside(curve: Curve2D, x, samples: int = 2048) -> bool:
     """Even-odd ray test against a fine polygonal sampling of the curve."""
     x = np.asarray(x, dtype=float)
-    p = curve.position(grid_nodes(samples))
+    p = curve.position(periodic_nodes(samples))
     x1, y1 = p[:, 0], p[:, 1]
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
     cond = (y1 > x[1]) != (y2 > x[1])

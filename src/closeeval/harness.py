@@ -16,17 +16,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bie2d import dirichlet_data, harmonic_source, solve_density
-from .bie3d import (Density3D, exact_point_source_3d,
+from .bie2d import MIN_NODES, dirichlet_data, harmonic_source, solve_density
+from .bie3d import (MAX_DEGREE, Density3D, exact_point_source_3d,
                     harmonic_point_source_3d, solve_density3d)
 from .closeeval2d import (CloseEvalRequest2D, asym_coefficients, dlp_ptr,
                           dlp_subtraction)
 from .closeeval3d import (CloseEvalRequest3D, asym_correction_3d,
                           dlp_numerical_3d)
-from .geometry2d import grid_nodes, kite, star
+from .geometry2d import kite, star
 from .geometry3d import mushroom, unit_sphere
 from .hgscatter import IntensityField, apply_L_asymptotic, apply_L_direct
-from .spectral import SphericalCoeffs
+from .spectral import SphericalCoeffs, periodic_nodes
 
 
 class ConfigError(Exception):
@@ -111,6 +111,11 @@ class StudyConfig:
         if not self.eps:
             object.__setattr__(self, "eps", eps_grid(*_EPS_DEFAULTS[fam]))
         eps = tuple(float(e) for e in self.eps)
+        for name, values in (("eps", eps), ("x0", self.x0),
+                             ("source", self.source),
+                             ("hg_omega", self.hg_omega)):
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigError(f"{name} values must be finite")
         if any(e <= 0 for e in eps):
             raise ConfigError("eps values must be positive")
         if any(a <= b for a, b in zip(eps, eps[1:])):
@@ -126,8 +131,13 @@ class StudyConfig:
             object.__setattr__(self, "methods", tuple(self.methods))
         if self.n < 4:
             raise ConfigError("resolution n too small")
-        if self.ell <= 0:
-            raise ConfigError("ell must be positive")
+        if fam == "2d" and (self.n < MIN_NODES or self.n % 2):
+            raise ConfigError(f"2D resolution n must be even and at least "
+                              f"{MIN_NODES}")
+        if fam == "3d" and self.n > MAX_DEGREE:
+            raise ConfigError(f"3D resolution n must be at most {MAX_DEGREE}")
+        if not (math.isfinite(self.ell) and self.ell > 0):
+            raise ConfigError("ell must be positive and finite")
         if not self.fit_lo or not self.fit_hi:
             lo, hi = _FIT_DEFAULTS[fam]
             object.__setattr__(self, "fit_lo", self.fit_lo or lo)
@@ -333,7 +343,7 @@ def _targets_2d(config: StudyConfig, n: int):
             ks.append(int(round((t + np.pi)*n/(2*np.pi))) % n)
     else:
         raise ConfigError(f"bad targets spec {config.targets!r}")
-    nodes = grid_nodes(n)
+    nodes = periodic_nodes(n)
     return [(_fmt(nodes[k]), k) for k in ks]
 
 
@@ -387,10 +397,15 @@ def _density_cache_path(config: StudyConfig) -> str:
 
 def _solve_3d(config: StudyConfig, surface, data) -> Density3D:
     if config.cache_dir:
+        # a cache file that cannot be read or does not match is a miss:
+        # the density is solved again and the file rewritten
         path = _density_cache_path(config)
         if os.path.exists(path):
-            density = Density3D.load(path, surface, data)
-            if density.N == config.n:
+            try:
+                density = Density3D.load(path, surface, data)
+            except (OSError, ValueError):
+                density = None
+            if density is not None and density.N == config.n:
                 return density
     try:
         density = solve_density3d(surface, data, config.n)
@@ -459,24 +474,6 @@ def _sweep_3d(config: StudyConfig, rows, rejections):
                                       abs(value - exact)))
 
 
-def _fit_all(config: StudyConfig, rows) -> list:
-    """Fit every (target, method) group that has enough usable points."""
-    groups = {}
-    for r in rows:
-        groups.setdefault((r.target, r.method), []).append((r.eps,
-                                                            r.abs_error))
-    fits = []
-    for (target, method), pairs in groups.items():
-        eps = [p[0] for p in pairs]
-        err = [p[1] for p in pairs]
-        try:
-            fits.append(fit_order(eps, err, method, lo=config.fit_lo,
-                                  hi=config.fit_hi, target=target))
-        except InsufficientDataError:
-            continue
-    return fits
-
-
 def run_error_map(config: StudyConfig) -> ErrorStudyResult:
     """Sweep all methods over the (target, eps) set for a 2D or 3D problem.
 
@@ -491,7 +488,7 @@ def run_error_map(config: StudyConfig) -> ErrorStudyResult:
     else:
         _sweep_3d(config, rows, rejections)
     result = ErrorStudyResult(config, rows, rejections,
-                              _fit_all(config, rows))
+                              fit_results(rows, config.fit_lo, config.fit_hi))
     if config.out_dir:
         write_outputs(result)
     return result
@@ -532,7 +529,7 @@ def run_hg_study(config: StudyConfig) -> ErrorStudyResult:
         rows.append(ResultRow("hg", eps, "hg_asym", value, direct,
                               abs(value - direct)))
     result = ErrorStudyResult(config, rows, rejections,
-                              _fit_all(config, rows))
+                              fit_results(rows, config.fit_lo, config.fit_hi))
     if config.out_dir:
         write_outputs(result)
     return result
@@ -563,11 +560,10 @@ def write_outputs(result: ErrorStudyResult) -> dict:
                                _fmt(r.value), _fmt(r.exact),
                                _fmt(r.abs_error)]) + "\n")
 
-    fits = sorted(result.fits, key=lambda f: (order[f.target], f.method))
     paths["fits"] = os.path.join(out, "fits.json")
     with open(paths["fits"], "w") as fh:
-        json.dump({"fits": [vars(f) for f in fits]}, fh, indent=2)
-        fh.write("\n")
+        dump_fits(sorted(result.fits,
+                         key=lambda f: (order[f.target], f.method)), fh)
 
     if result.rejections:
         rej = sorted(result.rejections,
@@ -584,6 +580,12 @@ def write_outputs(result: ErrorStudyResult) -> dict:
     with open(paths["plot"], "w") as fh:
         fh.write(_gnuplot_script(methods))
     return paths
+
+
+def dump_fits(fits, fh) -> None:
+    """Write fits as the fits.json document to an open text file."""
+    json.dump({"fits": [vars(f) for f in fits]}, fh, indent=2)
+    fh.write("\n")
 
 
 def _gnuplot_script(methods) -> str:

@@ -30,6 +30,9 @@ from .geometry3d import rotated_angles
 from .spectral import (SphericalCoeffs, mapped_rule, periodic_nodes,
                        spherical_laplacian, sph_synthesis)
 
+# Polar nodes of the L32 quadrature, whose pole-subtracted integrand is smooth.
+_L32_POLAR_NODES = 64
+
 
 @dataclass(frozen=True)
 class HGParams:
@@ -72,30 +75,27 @@ def p_hg(cos_theta, g: float):
     return (1.0 - g*g)/(1.0 + g*g - 2.0*g*np.clip(c, -1.0, 1.0))**1.5
 
 
-def _ring_average(psi: IntensityField, omega, s_nodes, n_azimuth: int):
-    """Azimuthal means of psi on polar rings about omega, and psi(omega)."""
+def _azimuth_count(psi: IntensityField) -> int:
+    return max(16, 2*psi.N)
+
+
+def _ring_average(psi: IntensityField, omega, s_nodes):
+    """Azimuthal means of psi - psi(omega) on polar rings about omega."""
     theta0, phi0 = float(omega[0]), float(omega[1])
-    t = periodic_nodes(n_azimuth)
+    t = periodic_nodes(_azimuth_count(psi))
     th, ph = rotated_angles(s_nodes[:, None], t[None, :], theta0, phi0)
     vals = psi(th, ph)
     psi0 = float(psi(np.full(1, theta0), np.full(1, phi0))[0])
-    return vals.mean(axis=1), psi0
+    return vals.mean(axis=1) - psi0
 
-
-def _ring_average_sub(psi, omega, s_nodes, n_azimuth):
-    az, psi0 = _ring_average(psi, omega, s_nodes, n_azimuth)
-    return az - psi0, psi0
 
 def _polar_default(psi: IntensityField, peak_eps: float):
     # enough polar nodes to resolve both the field and the kernel peak
     return max(64, 2*psi.N, int(np.ceil(8.0/max(peak_eps, 1e-6))))
 
-def _azimuth_default(psi: IntensityField) -> int:
-    return max(16, 2*psi.N)
-
 
 def apply_L_direct(psi: IntensityField, omega, g: float,
-                   n_polar: int = None, n_azimuth: int = None) -> float:
+                   n_polar: int = None) -> float:
     """Scattering operator by quadrature in the frame with omega at the pole.
 
     Spectrally accurate for band-limited psi once the polar rule resolves
@@ -108,16 +108,13 @@ def apply_L_direct(psi: IntensityField, omega, g: float,
     elif g > 1.0 - 2.0/n_polar:
         warnings.warn("polar rule too coarse for the phase-function peak",
                       RuntimeWarning)
-    if n_azimuth is None:
-        n_azimuth = _azimuth_default(psi)
     rule = mapped_rule(n_polar)
-    az, _ = _ring_average_sub(psi, omega, rule.nodes, n_azimuth)
+    az = _ring_average(psi, omega, rule.nodes)
     kern = p_hg(np.cos(rule.nodes), g)
     return float(0.5*np.sum(rule.weights*kern*az*np.sin(rule.nodes)))
 
 
-def apply_L32(psi: IntensityField, omega, n_polar: int = 64,
-              n_azimuth: int = None) -> float:
+def apply_L32(psi: IntensityField, omega) -> float:
     """Nonlocal leading-order operator: integral of the azimuth-averaged,
     pole-subtracted field against (1 - cos s)^{-3/2} sin s / (2 sqrt 2).
 
@@ -125,43 +122,32 @@ def apply_L32(psi: IntensityField, omega, n_polar: int = 64,
     a multiple of the spherical Laplacian), and the open polar rule never
     places a node at s = 0.
     """
-    if n_azimuth is None:
-        n_azimuth = _azimuth_default(psi)
-    rule = mapped_rule(n_polar)
-    az, _ = _ring_average_sub(psi, omega, rule.nodes, n_azimuth)
+    rule = mapped_rule(_L32_POLAR_NODES)
+    az = _ring_average(psi, omega, rule.nodes)
     kern = (1.0 - np.cos(rule.nodes))**-1.5
     return float(np.sum(rule.weights*kern*az*np.sin(rule.nodes))
                  / (2.0*np.sqrt(2.0)))
 
 
-def apply_L_asymptotic(psi: IntensityField, omega, eps: float,
-                       n_polar: int = 64) -> float:
+def apply_L_asymptotic(psi: IntensityField, omega, eps: float) -> float:
     """Two-term forward-peaked expansion (eps + eps^2) L32 - (eps^2/2) Lap."""
     if not 0 < eps < 0.5:
         raise ValueError("expansion parameter must lie in (0, 0.5)")
     lap = IntensityField(spherical_laplacian(psi.coeffs))
     lap0 = float(lap(np.full(1, omega[0]), np.full(1, omega[1]))[0])
-    l32 = apply_L32(psi, omega, n_polar=n_polar)
-    return float((eps + eps*eps)*l32 - 0.5*eps*eps*lap0)
+    return float((eps + eps*eps)*apply_L32(psi, omega) - 0.5*eps*eps*lap0)
 
 
-def poisson_close_eval(f: SphericalCoeffs, ystar, eps: float,
-                       n_polar: int = None, n_azimuth: int = None) -> float:
+def poisson_close_eval(f: SphericalCoeffs, ystar, eps: float) -> float:
     """Harmonic extension of boundary data f on the unit sphere, evaluated
     at radius 1 - eps along the direction ystar = (theta*, phi*).
 
-    The Poisson kernel equals the HG phase function at g = 1 - eps, so this
-    is the same ring quadrature as the scattering operator, without the
-    pole subtraction.  Equals sum c_nm (1-eps)^n Y_nm(ystar).
+    The Poisson kernel equals the HG phase function at g = 1 - eps and has
+    unit mass, so the extension is f(ystar) plus the scattering operator
+    at that g.  Equals sum c_nm (1-eps)^n Y_nm(ystar).
     """
     if not 0 < eps < 1:
         raise ValueError("depth parameter must lie in (0, 1)")
     field = IntensityField(f)
-    if n_polar is None:
-        n_polar = _polar_default(field, eps)
-    if n_azimuth is None:
-        n_azimuth = _azimuth_default(field)
-    rule = mapped_rule(n_polar)
-    az, _ = _ring_average(field, ystar, rule.nodes, n_azimuth)
-    kern = p_hg(np.cos(rule.nodes), 1.0 - eps)
-    return float(0.5*np.sum(rule.weights*kern*az*np.sin(rule.nodes)))
+    f0 = float(field(np.full(1, ystar[0]), np.full(1, ystar[1]))[0])
+    return f0 + apply_L_direct(field, ystar, 1.0 - eps)

@@ -192,6 +192,21 @@ def analysis_grid(N: int):
     theta = np.arccos(rule.nodes[::-1])
     return theta, rule.weights[::-1].copy(), periodic_nodes(2*N)
 
+def analysis_operator(N: int):
+    """The analysis_grid(N) mesh, the basis on it, and the projection onto
+    Y_nm, n < N.
+
+    Returns (theta, phi, B, P): mesh angles of shape (N, 2N), theta index
+    first; B = sph_basis_matrix(theta, phi, N) of shape (2N^2, N^2); and
+    P = B^H diag(w) of shape (N^2, 2N^2), which maps flattened mesh samples
+    to coefficients, exactly for fields band-limited below degree N.
+    """
+    theta, wth, phi = analysis_grid(N)
+    TH, PH = np.meshgrid(theta, phi, indexing="ij")
+    B = sph_basis_matrix(TH, PH, N)
+    wrow = np.repeat(wth, 2*N)*(np.pi/N)
+    return TH, PH, B, (np.conj(B)*wrow[:, None]).T
+
 def sph_analysis(values: np.ndarray, N: int) -> SphericalCoeffs:
     """Project samples on the analysis_grid(N) mesh onto Y_nm, n < N.
 
@@ -201,11 +216,8 @@ def sph_analysis(values: np.ndarray, N: int) -> SphericalCoeffs:
     v = np.asarray(values)
     if v.shape != (N, 2*N):
         raise ValueError("values must be sampled on the (N, 2N) analysis grid")
-    theta, wth, phi = analysis_grid(N)
-    TH, PH = np.meshgrid(theta, phi, indexing="ij")
-    B = sph_basis_matrix(TH, PH, N)
-    wrow = np.repeat(wth, 2*N)*(np.pi/N)
-    return SphericalCoeffs(N, (np.conj(B)*wrow[:, None]).T @ v.ravel())
+    P = analysis_operator(N)[3]
+    return SphericalCoeffs(N, P @ v.ravel())
 
 def sph_synthesis(coeffs: SphericalCoeffs, theta, phi) -> np.ndarray:
     """Evaluate the truncated expansion at arbitrary angles (complex output)."""

@@ -5,6 +5,8 @@ import subprocess
 import pytest
 
 from closeeval import cli
+from closeeval.bie3d import Density3D
+from closeeval.geometry3d import unit_sphere
 from closeeval.harness import NumericalError
 
 
@@ -53,6 +55,40 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
 def test_run_missing_config_exits_2(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path/"none.json")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem,n", [("3d-sphere", 40), ("2d-kite", 65),
+                                       ("2d-kite", 14)])
+def test_run_unsupported_resolution_exits_2(tmp_path, capsys, problem, n):
+    # beyond the Galerkin degree cap; an odd node count; too few nodes
+    cfg = _write_config(tmp_path, {"problem": problem})
+    assert cli.main(["run", cfg, "--n", str(n)]) == 2
+    assert "resolution n" in capsys.readouterr().err
+
+
+def test_run_nan_eps_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"problem": "2d-kite", "n": 64,
+                                   "eps": [1e-2, "nan", 1e-3]})
+    assert cli.main(["run", cfg]) == 2
+    assert "eps values must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt", ['{"N": 8, "coeffs": [[0, 0, 1.0',
+                                     '{"N": 8, "coeffs": []}'])
+def test_run_replaces_corrupt_density_cache(tmp_path, capsys, corrupt):
+    cache = tmp_path/"cache"
+    payload = {"problem": "3d-sphere", "n": 8, "targets": [[0.9, 0.4]],
+               "eps_range": "1e-3:1e-1:2", "cache": str(cache)}
+    cfg = _write_config(tmp_path, dict(payload, out=str(tmp_path/"a")))
+    assert cli.main(["run", cfg]) == 0
+    (path,) = cache.glob("density_*.json")
+    path.write_text(corrupt)
+    cfg = _write_config(tmp_path, dict(payload, out=str(tmp_path/"b")))
+    assert cli.main(["run", cfg]) == 0
+    assert Density3D.load(str(path), unit_sphere()).N == 8
+    assert [p.name for p in cache.iterdir()] == [path.name]
+    assert (tmp_path/"a"/"results.csv").read_text() \
+        == (tmp_path/"b"/"results.csv").read_text()
 
 
 def test_run_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):

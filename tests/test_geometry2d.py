@@ -3,8 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from closeeval.geometry2d import (Curve2D, circle, curve_eval, curve_grid,
-                                  fourier_custom, grid_nodes, kite,
-                                  load_curve, point_inside, star)
+                                  fourier_custom, kite, load_curve,
+                                  point_inside, star)
+from closeeval.spectral import periodic_nodes
 
 CURVES = {"kite": kite(), "star": star(), "circle": circle()}
 
@@ -96,7 +97,7 @@ def test_point_inside_reference_points():
 def test_curve_grid_layout():
     g = curve_grid(kite(), 8)
     assert g.position.shape == (8, 2)
-    t = grid_nodes(8)
+    t = periodic_nodes(8)
     assert_allclose(t, -np.pi + 2*np.pi*np.arange(8)/8, atol=1e-15)
     assert_allclose(g.position[0], curve_eval(kite(), -np.pi).position,
                     atol=1e-14)
