@@ -96,7 +96,8 @@ def quadrature_nodes(n: int):
 def dlp_weights(surface: Surface3D, x, theta0: float, phi0: float, n: int):
     """Double-layer quadrature row for the point x on the grid rotated so
     that its pole sits at (theta0, phi0): entries w_j K(x, y_jk) W_jk, plus
-    the node parameters needed to sample densities there.
+    the node parameters needed to sample densities there; x of shape
+    (..., 1, 1, 3) stacks points, one row each.
 
     (1/4n) sum w_j K W g approximates (1/4pi) oint K(x, y) g(y) dsigma; the
     callers apply the 1/4n factor to their own sums, so no rounding is added
@@ -108,6 +109,7 @@ def dlp_weights(surface: Surface3D, x, theta0: float, phi0: float, n: int):
     diff = np.asarray(x, dtype=float) - y
     r2 = np.sum(diff*diff, axis=-1)
     kern = np.sum(nu*diff, axis=-1)/r2**1.5
+    del diff, r2  # the largest arrays for stacked x: let the row reuse them
     return ws[:, None]*kern*W, theta, phi
 
 

@@ -29,22 +29,24 @@ from .geometry3d import Surface3D, rotated_frame, surface_point_and_normal
 
 @dataclass(frozen=True)
 class CloseEvalRequest3D:
-    """One close evaluation: target parameters, distance eps, scale ell,
-    and the polar quadrature size n (defaults to the density degree)."""
+    """Close evaluation at one target over distances eps, a number or an
+    array sharing one rotated grid; n defaults to the density degree."""
 
     density: Density3D
     theta_star: float
     phi_star: float
-    eps: float
+    eps: float | np.ndarray
     ell: float = 1.0
     n: int = 0
 
     def __post_init__(self):
-        if self.eps <= 0 or self.ell <= 0:
+        eps = np.asarray(self.eps, dtype=float)
+        if np.any(eps <= 0) or self.ell <= 0:
             raise ValueError("eps and ell must be positive")
+        object.__setattr__(self, "eps", float(eps) if eps.ndim == 0 else eps)
         if self.n == 0:
             object.__setattr__(self, "n", self.density.N)
-        if not self.density.surface.contains(self.point()):
+        if not np.all(self.density.surface.contains(self.point())):
             raise ValueError("evaluation point falls outside the domain")
 
     def target(self):
@@ -52,8 +54,15 @@ class CloseEvalRequest3D:
                                         self.theta_star, self.phi_star)
 
     def point(self) -> np.ndarray:
-        ystar, nustar = self.target()
-        return ystar - self.eps*self.ell*nustar
+        return _points(self.density.surface, self.theta_star, self.phi_star,
+                       self.eps, self.ell)
+
+
+def _points(surface: Surface3D, theta_star: float, phi_star: float, eps,
+            ell: float) -> np.ndarray:
+    """Evaluation points y* - eps*ell*nu*, one row per entry of eps."""
+    ystar, nustar = surface_point_and_normal(surface, theta_star, phi_star)
+    return ystar - np.multiply.outer(np.asarray(eps)*ell, nustar)
 
 
 def _mu_star(request: CloseEvalRequest3D) -> float:
@@ -61,13 +70,14 @@ def _mu_star(request: CloseEvalRequest3D) -> float:
                                  np.full(1, request.phi_star))[0])
 
 
-def dlp_numerical_3d(request: CloseEvalRequest3D) -> float:
-    """Subtracted three-step quadrature at the interior point."""
+def dlp_numerical_3d(request: CloseEvalRequest3D):
+    """Subtracted three-step quadrature at the interior points, one per eps."""
     n = request.n
-    w, theta, phi = dlp_weights(request.density.surface, request.point(),
+    x = request.point()[..., None, None, :]
+    w, theta, phi = dlp_weights(request.density.surface, x,
                                 request.theta_star, request.phi_star, n)
     mu, mustar = request.density(theta, phi), _mu_star(request)
-    return float(-mustar + (1.0/(4*n))*np.sum(w*(mu - mustar)))
+    return -mustar + (1.0/(4*n))*np.sum(w*(mu - mustar), axis=(-2, -1))
 
 
 def _kernel_K1(y, nu, ystar, nustar, ell: float):
@@ -117,16 +127,12 @@ def azimuthal_average_profile(request: CloseEvalRequest3D) -> np.ndarray:
     return np.mean(K1*W*dmu, axis=1)
 
 
-def asym_eps2_3d(request: CloseEvalRequest3D, f_star: float = None) -> float:
-    """Asymptotic approximation u ~ f(y*) + eps*U1.
-
-    f_star overrides the boundary datum at the target; by default it comes
-    from the data sampler attached to the density.
-    """
-    if f_star is None:
-        if request.density.data is None:
-            raise ValueError("density carries no data sampler; pass f_star")
-        f_star = float(np.asarray(
-            request.density.data(np.full(1, request.theta_star),
-                                 np.full(1, request.phi_star))).ravel()[0])
-    return float(f_star + request.eps*asym_correction_3d(request))
+def asym_eps2_3d(request: CloseEvalRequest3D):
+    """Asymptotic approximation u ~ f(y*) + eps*U1, with the boundary datum
+    f(y*) read from the data sampler attached to the density."""
+    if request.density.data is None:
+        raise ValueError("density carries no data sampler")
+    f_star = float(np.asarray(
+        request.density.data(np.full(1, request.theta_star),
+                             np.full(1, request.phi_star))).ravel()[0])
+    return f_star + request.eps*asym_correction_3d(request)

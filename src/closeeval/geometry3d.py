@@ -80,14 +80,14 @@ class Surface3D:
             nu = np.where(deg[..., None], crf, nu)
         return self.point_of_direction(d), y1, y2, W, nu
 
-    def contains(self, x) -> bool:
+    def contains(self, x):
         """Interiority test for these star-shaped surfaces: in stretched
-        coordinates z = x/axes the boundary is the radial graph |z| = P."""
+        coordinates z = x/axes the boundary is the radial graph |z| = P.
+        x may stack points along leading axes; the answer has their shape."""
         z = np.asarray(x, dtype=float)/self.axes
-        r = np.linalg.norm(z)
-        if r < _POLE_TOL:
-            return True
-        return r < float(self.profile(np.asarray(z[2]/r)))
+        r = np.linalg.norm(z, axis=-1)
+        centre = r < _POLE_TOL
+        return centre | (r < self.profile(z[..., 2]/np.where(centre, 1.0, r)))
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,6 @@ class SurfacePoint3D:
     y_phi: np.ndarray
     normal: Optional[np.ndarray]
     area_element: np.ndarray
-
-
-@dataclass(frozen=True)
-class SphereRotation:
-    theta_star: float
-    phi_star: float
-    matrix: np.ndarray
 
 
 def unit_sphere() -> Surface3D:
@@ -183,14 +176,13 @@ def surface_eval(surface: Surface3D, theta, phi,
     return SurfacePoint3D(y, y_th, y_ph, nu, W)
 
 
-def rotation_matrix(theta_star: float, phi_star: float) -> SphereRotation:
+def rotation_matrix(theta_star: float, phi_star: float) -> np.ndarray:
     """Proper rotation with third column d(theta*, phi*)."""
     ct, st = np.cos(theta_star), np.sin(theta_star)
     cp, sp = np.cos(phi_star), np.sin(phi_star)
-    R = np.array([[ct*cp, -sp, st*cp],
-                  [ct*sp, cp, st*sp],
-                  [-st, 0.0, ct]])
-    return SphereRotation(float(theta_star), float(phi_star), R)
+    return np.array([[ct*cp, -sp, st*cp],
+                     [ct*sp, cp, st*sp],
+                     [-st, 0.0, ct]])
 
 
 def rotated_angles(s, t, theta_star: float, phi_star: float):
@@ -224,7 +216,7 @@ def rotated_frame(surface: Surface3D, theta_star: float, phi_star: float,
     """
     S, T = np.broadcast_arrays(np.asarray(s, dtype=float),
                                np.asarray(t, dtype=float))
-    R = rotation_matrix(theta_star, phi_star).matrix
+    R = rotation_matrix(theta_star, phi_star)
     d = direction(S, T) @ R.T
     e_s, e_t = _angle_tangents(S, T)
     y, y_s, y_t, W, nu = surface.frame_of_direction(d, e_s @ R.T, e_t @ R.T)
@@ -241,7 +233,7 @@ def surface_point_and_normal(surface: Surface3D, theta_star: float,
     frame instead of the (theta, phi) coordinate basis, so the result is
     well defined at the parameter poles too.
     """
-    R = rotation_matrix(theta_star, phi_star).matrix
+    R = rotation_matrix(theta_star, phi_star)
     y, y1, y2, W, nu = surface.frame_of_direction(R[:, 2], R[:, 0], R[:, 1])
     if W < _POLE_TOL:
         raise ValueError("degenerate surface frame")

@@ -21,7 +21,7 @@ from .bie3d import (MAX_DEGREE, Density3D, exact_point_source_3d,
                     harmonic_point_source_3d, solve_density3d)
 from .closeeval2d import (CloseEvalRequest2D, asym_coefficients, dlp_ptr,
                           dlp_subtraction)
-from .closeeval3d import (CloseEvalRequest3D, asym_correction_3d,
+from .closeeval3d import (CloseEvalRequest3D, _points, asym_eps2_3d,
                           dlp_numerical_3d)
 from .geometry2d import kite, star
 from .geometry3d import mushroom, unit_sphere
@@ -116,6 +116,11 @@ class StudyConfig:
                              ("hg_omega", self.hg_omega)):
             if not all(math.isfinite(v) for v in values):
                 raise ConfigError(f"{name} values must be finite")
+        for name, values, size in (("x0", self.x0, 2),
+                                   ("source", self.source, 3),
+                                   ("hg_omega", self.hg_omega, 2)):
+            if len(values) != size:
+                raise ConfigError(f"{name} must have {size} values")
         if any(e <= 0 for e in eps):
             raise ConfigError("eps values must be positive")
         if any(a <= b for a, b in zip(eps, eps[1:])):
@@ -419,7 +424,10 @@ def _solve_3d(config: StudyConfig, surface, data) -> Density3D:
 
 def _sweep_2d(config: StudyConfig, rows, rejections):
     curve = _curve_for(config.problem)
-    f = dirichlet_data(curve, config.x0, config.n)
+    try:
+        f = dirichlet_data(curve, config.x0, config.n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     try:
         density = solve_density(curve, f, config.n)
     except RuntimeError as exc:
@@ -448,30 +456,31 @@ def _sweep_2d(config: StudyConfig, rows, rejections):
 
 
 def _sweep_3d(config: StudyConfig, rows, rejections):
+    """One request per target, over the eps whose points lie inside."""
     surface = _surface_for(config.problem)
-    data = harmonic_point_source_3d(surface, config.source)
+    try:
+        data = harmonic_point_source_3d(surface, config.source)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     density = _solve_3d(config, surface, data)
+    evaluators = {"numerical": dlp_numerical_3d, "asym2": asym_eps2_3d}
+    eps = np.array(config.eps)
     for label, th, ph in _targets_3d(config):
-        fstar = float(np.asarray(
-            data(np.full(1, th), np.full(1, ph))).ravel()[0])
-        U1 = None
-        for eps in config.eps:
-            try:
-                req = CloseEvalRequest3D(density, th, ph, eps, config.ell)
-            except ValueError as exc:
-                for m in config.methods:
-                    rejections.append(Rejection(label, eps, m, str(exc)))
-                continue
-            if U1 is None and "asym2" in config.methods:
-                U1 = asym_correction_3d(req)
-            exact = float(exact_point_source_3d(req.point(), config.source))
+        inside = surface.contains(_points(surface, th, ph, eps, config.ell))
+        rejections.extend(
+            Rejection(label, float(e), m,
+                      "evaluation point falls outside the domain")
+            for e in eps[~inside] for m in config.methods)
+        if not np.any(inside):
+            continue
+        req = CloseEvalRequest3D(density, th, ph, eps[inside], config.ell)
+        exact = exact_point_source_3d(req.point(), config.source)
+        values = {m: evaluators[m](req) for m in config.methods}
+        for i, e in enumerate(req.eps):
             for m in config.methods:
-                if m == "numerical":
-                    value = dlp_numerical_3d(req)
-                else:
-                    value = fstar + eps*U1
-                rows.append(ResultRow(label, eps, m, value, exact,
-                                      abs(value - exact)))
+                value, ex = float(values[m][i]), float(exact[i])
+                rows.append(ResultRow(label, float(e), m, value, ex,
+                                      abs(value - ex)))
 
 
 def run_error_map(config: StudyConfig) -> ErrorStudyResult:
@@ -502,6 +511,8 @@ def _hg_field(config: StudyConfig) -> IntensityField:
                    for n, m, re, im in config.hg_field]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad hg_field entry: {exc}") from None
+    if not all(math.isfinite(v) for *_, re, im in entries for v in (re, im)):
+        raise ConfigError("hg_field coefficients must be finite")
     N = max(n for n, _, _, _ in entries) + 1
     coeffs = SphericalCoeffs.zeros(N)
     for n, m, re, im in entries:

@@ -281,7 +281,7 @@ def test_criterion_10_property_suite(tmp_path):
     for _ in range(20):
         s, tp = rng.uniform(0.05, np.pi - 0.05, 2)
         t, pp = rng.uniform(0.0, 2*np.pi, 2)
-        R = rotation_matrix(tp, pp).matrix
+        R = rotation_matrix(tp, pp)
         th2, ph2 = rotated_angles(np.full(1, s), np.full(1, t), tp, pp)
         assert np.linalg.norm(direction(th2, ph2)[0]
                               - R @ direction(s, t)) <= 1e-12

@@ -1,6 +1,8 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -91,6 +93,29 @@ def test_run_replaces_corrupt_density_cache(tmp_path, capsys, corrupt):
         == (tmp_path/"b"/"results.csv").read_text()
 
 
+_KITE = {"problem": "2d-kite", "n": 64, "targets": [0.7853981633974483],
+         "eps_range": "1e-3:1e-2:2"}
+_SPHERE = {"problem": "3d-sphere", "n": 8, "targets": [[0.9, 0.4]],
+           "eps_range": "1e-3:1e-2:2"}
+_HG = {"problem": "hg", "hg_field": [[1, 0, 1.0, 0.0]],
+       "eps_range": "1e-3:1e-2:2"}
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("run", dict(_KITE, x0=[1.0])),
+    ("run", dict(_KITE, x0=[0, 0])),  # source inside the curve
+    ("run", dict(_SPHERE, source=[5, 4])),
+    ("run", dict(_SPHERE, source=[0.1, 0, 0])),  # source inside
+    ("hg", dict(_HG, hg_omega=[1.0])),
+    ("hg", dict(_HG, hg_field=[[1, 0, "nan", 0.0]])),
+], ids=["x0-length", "x0-inside", "source-length", "source-inside",
+        "omega-length", "field-nan"])
+def test_bad_source_or_field_exits_2(tmp_path, capsys, command, payload):
+    cfg = _write_config(tmp_path, payload)
+    assert cli.main([command, cfg, "--out", str(tmp_path/"out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_run_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     cfg = _write_config(tmp_path, _kite_payload(None))
 
@@ -153,10 +178,16 @@ def test_hg_on_2d_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.skipif(shutil.which("closeeval") is None,
-                    reason="console script not on PATH")
 def test_console_script_help():
-    proc = subprocess.run(["closeeval", "--help"], capture_output=True,
-                          text=True)
+    # without an installed console script, run the module it points at
+    env = None
+    command = ["closeeval", "--help"]
+    if shutil.which("closeeval") is None:
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        command = [sys.executable, "-m", "closeeval.cli", "--help"]
+    proc = subprocess.run(command, capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "run" in proc.stdout and "fit" in proc.stdout

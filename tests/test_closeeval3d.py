@@ -76,12 +76,13 @@ def test_kernel_coincidence_raises():
 
 def test_constant_density_is_exact():
     c = 2.3
-    d = Density3D(unit_sphere(), SphericalCoeffs.single(8, 0, 0, c))
     mu0 = c/np.sqrt(4*np.pi)
+    d = Density3D(unit_sphere(), SphericalCoeffs.single(8, 0, 0, c),
+                  lambda th, ph: np.full(np.shape(th), -mu0))
     r = CloseEvalRequest3D(d, 1.0, 0.5, 1e-3)
     assert abs(dlp_numerical_3d(r) + mu0) < 1e-14
     assert abs(asym_correction_3d(r)) < 1e-15
-    assert_allclose(asym_eps2_3d(r, f_star=-mu0), -mu0, rtol=1e-15)
+    assert_allclose(asym_eps2_3d(r), -mu0, rtol=1e-15)
 
 
 def test_methods_agree_on_degree_one_field():
@@ -146,6 +147,26 @@ def test_request_defaults_and_validation(sphere_source_density):
         CloseEvalRequest3D(d, 1.0, 0.5, 1e-2, ell=0.0)
     with pytest.raises(ValueError):
         CloseEvalRequest3D(d, 1.0, 0.5, 2.5)  # exits through the far side
+
+
+def test_eps_vector_matches_scalar_requests():
+    # one request over several eps shares the rotated grid and the density
+    # samples, and gives exactly the values of one request per eps
+    surf = mushroom()
+    rng = np.random.default_rng(3)
+    coeffs = SphericalCoeffs(8, rng.normal(size=64) + 1j*rng.normal(size=64))
+    d = Density3D(surf, coeffs, harmonic_point_source_3d(surf, SOURCE))
+    eps = [1e-1, 1e-2, 1e-3, 1e-4]
+    vec = CloseEvalRequest3D(d, 1.3, 0.9, np.array(eps))
+    assert vec.point().shape == (4, 3)
+    for evaluate in (dlp_numerical_3d, asym_eps2_3d):
+        scalars = [evaluate(CloseEvalRequest3D(d, 1.3, 0.9, e)) for e in eps]
+        assert all(isinstance(v, float) for v in scalars)
+        values = evaluate(vec)
+        assert values.shape == (4,)
+        assert values.tolist() == scalars
+    with pytest.raises(ValueError):
+        CloseEvalRequest3D(d, 1.3, 0.9, np.array([1e-2, 5.0]))  # outside
 
 
 def test_asym_requires_data_or_override():

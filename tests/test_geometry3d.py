@@ -34,14 +34,14 @@ def test_mushroom_anchor_points():
 
 
 def test_rotation_matrix_basics():
-    assert_allclose(rotation_matrix(0.0, 0.0).matrix, np.eye(3), atol=1e-15)
-    R = rotation_matrix(np.pi/2, 0.0).matrix
+    assert_allclose(rotation_matrix(0.0, 0.0), np.eye(3), atol=1e-15)
+    R = rotation_matrix(np.pi/2, 0.0)
     assert_allclose(R, [[0, 0, 1], [0, 1, 0], [-1, 0, 0]], atol=1e-15)
 
 
 @pytest.mark.parametrize("theta,phi", [(0.7, -2.1), (2.9, 0.4), (1.5708, 3.1)])
 def test_rotation_matrix_proper_orthogonal(theta, phi):
-    R = rotation_matrix(theta, phi).matrix
+    R = rotation_matrix(theta, phi)
     assert_allclose(R.T @ R, np.eye(3), atol=1e-14)
     assert_allclose(np.linalg.det(R), 1.0, atol=1e-14)
     assert_allclose(R[:, 2], direction(theta, phi), atol=1e-14)
@@ -62,7 +62,7 @@ def test_rotated_angles_round_trip():
         s, t = rng.uniform(0.05, np.pi - 0.05), rng.uniform(-np.pi, np.pi)
         ts, ps = rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi)
         th, ph = rotated_angles(s, t, ts, ps)
-        R = rotation_matrix(ts, ps).matrix
+        R = rotation_matrix(ts, ps)
         assert_allclose(direction(th, ph), R @ direction(s, t), atol=1e-12)
         assert 0 <= th <= np.pi
 

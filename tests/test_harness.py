@@ -322,6 +322,19 @@ def test_3d_sweep_with_cache(tmp_path):
         assert r.abs_error < 1e-4
 
 
+def test_3d_sweep_rejects_points_outside():
+    cfg = StudyConfig(problem="3d-sphere", n=8,
+                      methods=("numerical", "asym2"),
+                      eps=(2.5, 1e-1, 1e-2), targets=((0.9, 0.4),))
+    res = run_error_map(cfg)
+    assert sorted(r.method for r in res.rejections) == ["asym2", "numerical"]
+    assert all(r.eps == 2.5 for r in res.rejections)
+    assert all("outside" in r.reason for r in res.rejections)
+    assert sorted((r.eps, r.method) for r in res.rows) == [
+        (1e-2, "asym2"), (1e-2, "numerical"),
+        (1e-1, "asym2"), (1e-1, "numerical")]
+
+
 def test_3d_slice_targets():
     cfg = StudyConfig(problem="3d-sphere", n=8, methods=("asym2",),
                       eps=(1e-2,), slice_count=4)
