@@ -1,0 +1,8 @@
+"""``python -m closeeval``: the entry point of the ``closeeval`` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,6 +13,12 @@ a function g at a boundary point y0 is
 Each Galerkin column applies the operator to one basis harmonic, which is
 evaluable anywhere in closed form; the projection grid uses Gauss-Legendre
 colatitudes so that analysis is exact for band-limited columns.
+
+The rows of the Galerkin matrix are the 2N^2 nodes of that grid, each with
+its own rotated quadrature grid.  The 2N rows of one colatitude differ only
+by a turn about the x3-axis, under which Y_nm gains a phase e^{im phi}, so
+the assembly evaluates the basis once per colatitude (N times in all) and
+phases it for the other rows of that colatitude.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from .geometry3d import Surface3D, direction, rotated_frame, surface_point_and_n
 from .spectral import (SphericalCoeffs, analysis_operator, mapped_rule,
                        periodic_nodes, sph_basis_matrix, sph_synthesis)
 
-# Largest Galerkin degree; assembly costs O(n^6).
+# Largest Galerkin degree.  Assembly evaluates the basis at n grids of
+# 2n^2 nodes (O(n^5) values) and spends O(n^6) flops in dense products.
 MAX_DEGREE = 32
 
 
@@ -148,18 +155,29 @@ def assemble_galerkin(surface: Surface3D, n: int) -> np.ndarray:
     if n > MAX_DEGREE:
         raise ValueError("coefficient degree beyond desk scale")
     TH, PH, G, P = analysis_operator(n)  # basis at the projection nodes
-    nb = n*n
-    V = np.empty((n*2*n, nb), dtype=complex)
-    flat_th, flat_ph = TH.ravel(), PH.ravel()
-    for row in range(n*2*n):
-        kw, theta, phi = subtracted_weights(surface, flat_th[row],
-                                            flat_ph[row], n)
-        B = sph_basis_matrix(theta, phi, n)
-        kwf = kw.ravel()
+    nphi = 2*n
+    # rotation_matrix(theta, phi) = R_z(phi) rotation_matrix(theta, 0), so
+    # the grid about (theta_i, phi_k) is the grid about (theta_i, phi_0)
+    # turned by phi_k - phi_0, where Y_nm gains e^{im(phi_k - phi_0)}
+    m = np.concatenate([np.arange(-d, d + 1) for d in range(n)])
+    turn = np.exp(1j*np.outer(PH[0] - PH[0, 0], m))
+    A = np.zeros((n*n, n*n), dtype=complex)
+    KW = np.empty((nphi, 2*n*n))
+    for i in range(n):
+        for k in range(nphi):
+            kw, theta, phi = subtracted_weights(surface, TH[i, k], PH[i, k],
+                                                n)
+            KW[k] = kw.ravel()
+            if k == 0:
+                base = theta, phi
+        rows = slice(i*nphi, (i + 1)*nphi)
         # operator applied to every basis column at once:
-        # sum kw (Y - Y0)  -  Y0/2  -  Y0/2
-        V[row, :] = B.T @ kwf - G[row, :]*(np.sum(kwf) + 1.0)
-    return P @ V
+        # sum kw (Y - Y0)  -  Y0/2  -  Y0/2; the basis on the base grid is
+        # a temporary, so only one colatitude's copy is ever held
+        V = (turn*(KW @ sph_basis_matrix(*base, n))
+             - G[rows]*(KW.sum(axis=1) + 1.0)[:, None])
+        A += P[:, rows] @ V  # P @ V by colatitude: no (2n^2, n^2) V is held
+    return A
 
 
 def project_boundary_data(f: Callable, n: int) -> SphericalCoeffs:

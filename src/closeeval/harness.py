@@ -141,6 +141,10 @@ class StudyConfig:
                               f"{MIN_NODES}")
         if fam == "3d" and self.n > MAX_DEGREE:
             raise ConfigError(f"3D resolution n must be at most {MAX_DEGREE}")
+        if not self.targets:
+            raise ConfigError("targets must not be empty")
+        if self.slice_count < 1:
+            raise ConfigError("slice_count must be at least 1")
         if not (math.isfinite(self.ell) and self.ell > 0):
             raise ConfigError("ell must be positive and finite")
         if not self.fit_lo or not self.fit_hi:

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from closeeval import bie3d
 from closeeval.bie3d import (Density3D, apply_K_subtracted, assemble_galerkin,
                              dlp_far_3d, exact_point_source_3d,
                              gauss_interior_value_3d,
                              harmonic_point_source_3d, project_boundary_data,
-                             solve_density3d)
+                             solve_density3d, subtracted_weights)
 from closeeval.geometry3d import mushroom, unit_sphere
-from closeeval.spectral import SphericalCoeffs, sph_harm_eval
+from closeeval.spectral import (SphericalCoeffs, analysis_operator,
+                                sph_basis_matrix, sph_harm_eval)
 
 SOURCE = (5.0, 4.0, 3.0)
 
@@ -65,6 +67,44 @@ def test_galerkin_sphere_is_nearly_diagonal(sphere_matrix):
             # the subtracted quadrature resolves low degrees to roundoff
             # and degree ~N/2 to a few digits at this resolution
             assert dev < (1e-8 if n <= 2 else 1e-5)
+
+
+def _per_row_galerkin(surface, n):
+    # the assembly with one basis evaluation per analysis-grid row
+    TH, PH, G, P = analysis_operator(n)
+    V = np.empty((2*n*n, n*n), dtype=complex)
+    for row, (th, ph) in enumerate(zip(TH.ravel(), PH.ravel())):
+        kw, theta, phi = subtracted_weights(surface, th, ph, n)
+        B = sph_basis_matrix(theta, phi, n)
+        V[row] = kw.ravel() @ B - G[row]*(np.sum(kw) + 1.0)
+    return P @ V
+
+
+@pytest.mark.parametrize("name,n", [("unit_sphere", 8), ("mushroom", 8),
+                                    ("mushroom", 12)])
+def test_galerkin_matches_per_row_reference(name, n):
+    surface = {"unit_sphere": unit_sphere, "mushroom": mushroom}[name]()
+    diff = assemble_galerkin(surface, n) - _per_row_galerkin(surface, n)
+    assert np.max(np.abs(diff)) <= 1e-12
+
+
+def test_galerkin_evaluates_basis_once_per_colatitude(monkeypatch):
+    calls = {"subtracted_weights": 0, "sph_basis_matrix": 0}
+
+    def counted(name):
+        fn = getattr(bie3d, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(bie3d, name, counted(name))
+    assemble_galerkin(mushroom(), 8)
+    # one quadrature row per node of the 8 x 16 analysis grid, one basis
+    # evaluation per colatitude
+    assert calls == {"subtracted_weights": 128, "sph_basis_matrix": 8}
 
 
 def test_galerkin_degree_cap():

@@ -116,6 +116,17 @@ def test_bad_source_or_field_exits_2(tmp_path, capsys, command, payload):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", [
+    dict(_KITE, targets=[]),
+    dict(_SPHERE, targets="all-nodes", slice_count=0),
+    dict(_SPHERE, targets="all-nodes", slice_count=-3),
+], ids=["no-targets", "slice-count-0", "slice-count-negative"])
+def test_empty_study_exits_2(tmp_path, capsys, payload):
+    cfg = _write_config(tmp_path, payload)
+    assert cli.main(["run", cfg, "--out", str(tmp_path/"out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_run_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     cfg = _write_config(tmp_path, _kite_payload(None))
 
@@ -178,16 +189,28 @@ def test_hg_on_2d_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def _src_env():
+    # the environment with this checkout's src first on PYTHONPATH
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_console_script_help():
     # without an installed console script, run the module it points at
     env = None
     command = ["closeeval", "--help"]
     if shutil.which("closeeval") is None:
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = _src_env()
         command = [sys.executable, "-m", "closeeval.cli", "--help"]
     proc = subprocess.run(command, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert "run" in proc.stdout and "fit" in proc.stdout
+
+
+def test_python_m_closeeval_help():
+    proc = subprocess.run([sys.executable, "-m", "closeeval", "--help"],
+                          capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0
     assert "run" in proc.stdout and "fit" in proc.stdout
