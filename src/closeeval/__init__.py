@@ -26,8 +26,8 @@ from .harness import (ConfigError, ErrorStudyResult, InsufficientDataError,
                       fit_order, fit_results, load_config, read_results_csv,
                       run_error_map, run_hg_study, write_outputs)
 from .hgscatter import (HGParams, IntensityField, apply_L32,
-                        apply_L_asymptotic, apply_L_direct, p_hg,
-                        poisson_close_eval)
+                        apply_L_asymptotic, apply_L_direct, apply_L_spectral,
+                        p_hg, poisson_close_eval)
 from .spectral import (QuadratureRule1D, SphericalCoeffs, analysis_grid,
                        analysis_operator, gauss_legendre, mapped_rule,
                        periodic_derivative, periodic_nodes,
@@ -64,7 +64,7 @@ __all__ = [
     "write_outputs",
     # hgscatter
     "HGParams", "IntensityField", "apply_L32", "apply_L_asymptotic",
-    "apply_L_direct", "p_hg", "poisson_close_eval",
+    "apply_L_direct", "apply_L_spectral", "p_hg", "poisson_close_eval",
     # spectral
     "QuadratureRule1D", "SphericalCoeffs", "analysis_grid",
     "analysis_operator", "gauss_legendre", "mapped_rule",

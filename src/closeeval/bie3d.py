@@ -152,6 +152,12 @@ def assemble_galerkin(surface: Surface3D, n: int) -> np.ndarray:
     produced by applying the boundary operator to Y_{n'm'} and subtracting
     half the harmonic again.
     """
+    return _assemble(surface, n)[0]
+
+
+def _assemble(surface: Surface3D, n: int):
+    """The Galerkin matrix and the analysis_operator(n) it was built on,
+    which a solve reuses to project its data."""
     if n > MAX_DEGREE:
         raise ValueError("coefficient degree beyond desk scale")
     TH, PH, G, P = analysis_operator(n)  # basis at the projection nodes
@@ -177,13 +183,17 @@ def assemble_galerkin(surface: Surface3D, n: int) -> np.ndarray:
         V = (turn*(KW @ sph_basis_matrix(*base, n))
              - G[rows]*(KW.sum(axis=1) + 1.0)[:, None])
         A += P[:, rows] @ V  # P @ V by colatitude: no (2n^2, n^2) V is held
-    return A
+    return A, (TH, PH, G, P)
 
 
 def project_boundary_data(f: Callable, n: int) -> SphericalCoeffs:
     """Spherical analysis of boundary data sampled on the projection grid."""
-    TH, PH, _, P = analysis_operator(n)
-    return SphericalCoeffs(n, P @ np.asarray(f(TH, PH)).ravel())
+    return _project(f, analysis_operator(n))
+
+
+def _project(f: Callable, operator) -> SphericalCoeffs:
+    TH, PH, _, P = operator
+    return SphericalCoeffs(TH.shape[0], P @ np.asarray(f(TH, PH)).ravel())
 
 
 def solve_density3d(surface: Surface3D, f: Callable, n: int,
@@ -193,8 +203,12 @@ def solve_density3d(surface: Surface3D, f: Callable, n: int,
     f(theta, phi) samples the Dirichlet data at surface parameters.  Pass a
     precomputed Galerkin matrix to skip assembly (it dominates the cost).
     """
-    A = assemble_galerkin(surface, n) if matrix is None else matrix
-    fhat = project_boundary_data(f, n)
+    if matrix is None:
+        A, operator = _assemble(surface, n)  # one analysis_operator per solve
+    else:
+        A, operator = matrix, analysis_operator(n)
+    fhat = _project(f, operator)
+    del operator  # its basis and projection, 21 MB at n=24, before the solve
     muhat = np.linalg.solve(A, fhat.c)
     resid = np.max(np.abs(A @ muhat - fhat.c))
     if resid > 1e-10*max(np.max(np.abs(fhat.c)), 1.0):

@@ -17,6 +17,9 @@ where L32 (eigenvalues -n) integrates the pole-even part of psi against
 kernel for the unit ball at radius 1 - eps coincides with p at g = 1 - eps,
 which is what connects the scattering expansion to close evaluation of
 harmonic functions.
+
+On a band-limited field the eigenvalues give L psi in closed form
+(apply_L_spectral); the quadrature apply_L_direct is its independent check.
 """
 
 from __future__ import annotations
@@ -28,10 +31,13 @@ import numpy as np
 
 from .geometry3d import rotated_angles
 from .spectral import (SphericalCoeffs, mapped_rule, periodic_nodes,
-                       spherical_laplacian, sph_synthesis)
+                       sph_basis_matrix, spherical_laplacian, sph_synthesis)
 
 # Polar nodes of the L32 quadrature, whose pole-subtracted integrand is smooth.
 _L32_POLAR_NODES = 64
+# Largest field degree of an HG study.  The L32 rings hold 64*max(16, 2N)
+# nodes times N^2 complex basis values: 74 MB at degree 32, ~55 GB at 300.
+MAX_DEGREE = 32
 
 
 @dataclass(frozen=True)
@@ -90,8 +96,10 @@ def _ring_average(psi: IntensityField, omega, s_nodes):
 
 
 def _polar_default(psi: IntensityField, peak_eps: float):
-    # enough polar nodes to resolve both the field and the kernel peak
-    return max(64, 2*psi.N, int(np.ceil(8.0/max(peak_eps, 1e-6))))
+    # enough polar nodes to resolve both the field and the kernel peak,
+    # rounded up to a power of two so that a sweep reuses a few cached rules
+    n = max(64, 2*psi.N, int(np.ceil(8.0/max(peak_eps, 1e-6))))
+    return 1 << (n - 1).bit_length()
 
 
 def apply_L_direct(psi: IntensityField, omega, g: float,
@@ -114,6 +122,21 @@ def apply_L_direct(psi: IntensityField, omega, g: float,
     return float(0.5*np.sum(rule.weights*kern*az*np.sin(rule.nodes)))
 
 
+def apply_L_spectral(psi: IntensityField, omega, g):
+    """Exact scattering operator from its eigen-action,
+    sum c_nm (g^n - 1) Y_nm(omega), for a number g (returns a float) or an
+    array of g (returns one value per g).
+    """
+    gs = np.asarray(g, dtype=float)
+    if not np.all(np.abs(gs) < 1):
+        raise ValueError("anisotropy factor must satisfy |g| < 1")
+    row = sph_basis_matrix(np.full(1, omega[0]), np.full(1, omega[1]),
+                           psi.N)[0]
+    lam = gs.reshape(-1, 1)**psi.coeffs.degrees() - 1.0
+    out = np.real(lam @ (row*psi.coeffs.c))
+    return float(out[0]) if gs.ndim == 0 else out.reshape(gs.shape)
+
+
 def apply_L32(psi: IntensityField, omega) -> float:
     """Nonlocal leading-order operator: integral of the azimuth-averaged,
     pole-subtracted field against (1 - cos s)^{-3/2} sin s / (2 sqrt 2).
@@ -129,13 +152,17 @@ def apply_L32(psi: IntensityField, omega) -> float:
                  / (2.0*np.sqrt(2.0)))
 
 
-def apply_L_asymptotic(psi: IntensityField, omega, eps: float) -> float:
-    """Two-term forward-peaked expansion (eps + eps^2) L32 - (eps^2/2) Lap."""
-    if not 0 < eps < 0.5:
+def apply_L_asymptotic(psi: IntensityField, omega, eps):
+    """Two-term forward-peaked expansion (eps + eps^2) L32 - (eps^2/2) Lap
+    for a number eps (returns a float) or an array of eps (returns one value
+    per eps); L32 and Lap at omega are computed once for all of them."""
+    e = np.asarray(eps, dtype=float)
+    if not np.all((0 < e) & (e < 0.5)):
         raise ValueError("expansion parameter must lie in (0, 0.5)")
     lap = IntensityField(spherical_laplacian(psi.coeffs))
     lap0 = float(lap(np.full(1, omega[0]), np.full(1, omega[1]))[0])
-    return float((eps + eps*eps)*apply_L32(psi, omega) - 0.5*eps*eps*lap0)
+    out = (e + e*e)*apply_L32(psi, omega) - 0.5*e*e*lap0
+    return float(out) if e.ndim == 0 else out
 
 
 def poisson_close_eval(f: SphericalCoeffs, ystar, eps: float) -> float:
@@ -144,10 +171,11 @@ def poisson_close_eval(f: SphericalCoeffs, ystar, eps: float) -> float:
 
     The Poisson kernel equals the HG phase function at g = 1 - eps and has
     unit mass, so the extension is f(ystar) plus the scattering operator
-    at that g.  Equals sum c_nm (1-eps)^n Y_nm(ystar).
+    at that g, taken here from its eigen-action.  Equals
+    sum c_nm (1-eps)^n Y_nm(ystar).
     """
     if not 0 < eps < 1:
         raise ValueError("depth parameter must lie in (0, 1)")
     field = IntensityField(f)
     f0 = float(field(np.full(1, ystar[0]), np.full(1, ystar[1]))[0])
-    return f0 + apply_L_direct(field, ystar, 1.0 - eps)
+    return f0 + apply_L_spectral(field, ystar, 1.0 - eps)

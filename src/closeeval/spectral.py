@@ -36,8 +36,9 @@ class QuadratureRule1D:
 
 @lru_cache(maxsize=128)
 def _gl_cached(n: int):
-    # scipy's Golub-Welsch nodes; cached because 3D studies request rules
-    # with thousands of nodes repeatedly.
+    # scipy's Golub-Welsch nodes; cached because the 3D grids reuse a few
+    # small rules and the HG quadrature check (apply_L_direct) asks for
+    # rules of up to thousands of nodes, in power-of-two sizes that repeat.
     return roots_legendre(n)
 
 def gauss_legendre(n: int) -> QuadratureRule1D:

@@ -107,6 +107,21 @@ def test_galerkin_evaluates_basis_once_per_colatitude(monkeypatch):
     assert calls == {"subtracted_weights": 128, "sph_basis_matrix": 8}
 
 
+def test_solve_builds_analysis_operator_once(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return build(n)
+
+    build = bie3d.analysis_operator
+    monkeypatch.setattr(bie3d, "analysis_operator", counted)
+    d = solve_density3d(unit_sphere(), lambda th, ph: np.ones_like(th), 8)
+    # the assembly's basis and projection also project the data
+    assert calls == [8]
+    assert_allclose(d.coeffs.get(0, 0), -np.sqrt(4*np.pi), atol=1e-12)
+
+
 def test_galerkin_degree_cap():
     with pytest.raises(ValueError):
         assemble_galerkin(unit_sphere(), 33)

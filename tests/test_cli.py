@@ -108,8 +108,11 @@ _HG = {"problem": "hg", "hg_field": [[1, 0, 1.0, 0.0]],
     ("run", dict(_SPHERE, source=[0.1, 0, 0])),  # source inside
     ("hg", dict(_HG, hg_omega=[1.0])),
     ("hg", dict(_HG, hg_field=[[1, 0, "nan", 0.0]])),
+    # one large eps keeps the study small should the degree cap be missing
+    ("hg", {"problem": "hg", "hg_field": [[33, 0, 1.0, 0.0]],
+            "eps": [0.1]}),
 ], ids=["x0-length", "x0-inside", "source-length", "source-inside",
-        "omega-length", "field-nan"])
+        "omega-length", "field-nan", "field-degree-33"])
 def test_bad_source_or_field_exits_2(tmp_path, capsys, command, payload):
     cfg = _write_config(tmp_path, payload)
     assert cli.main([command, cfg, "--out", str(tmp_path/"out")]) == 2

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 
@@ -5,12 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from closeeval import spectral
 from closeeval.harness import (ConfigError, InsufficientDataError,
                                NumericalError, StudyConfig, apply_overrides,
                                config_from_dict, eps_grid, fit_order,
                                fit_results, load_config, parse_eps_range,
                                read_results_csv, run_error_map, run_hg_study,
                                write_outputs)
+from closeeval.hgscatter import IntensityField, apply_L_direct
 
 EPS_2D = eps_grid(1e-5, 0.5, 5)
 TARGETS_2D = (5*np.pi/4, np.pi/4)
@@ -248,12 +251,64 @@ def test_run_hg_study_slope_and_rejections():
     assert abs(res.fit_for("hg", "hg_asym").slope - 3.0) < 0.3
 
 
+def _real_hg_field(rng, degree):
+    # [n, m, re, im] rows with c_{n,-m} = (-1)^m conj(c_nm)
+    rows = []
+    for n in range(degree + 1):
+        rows.append((n, 0, rng.normal(), 0.0))
+        for m in range(1, n + 1):
+            re, im = rng.normal(), rng.normal()
+            rows += [(n, m, re, im), (n, -m, (-1)**m*re, -(-1)**m*im)]
+    return tuple(rows)
+
+
+def test_run_hg_study_exact_matches_quadrature():
+    # the closed-form exact column against the independent quadrature; eps
+    # in [1e-2, 1e-1] keeps every polar rule at or below 1024 nodes
+    rows = _real_hg_field(np.random.default_rng(5), 6)
+    omega = (1.3, -0.4)
+    res = run_hg_study(StudyConfig(problem="hg", n=8, hg_field=rows,
+                                   hg_omega=omega,
+                                   eps=tuple(eps_grid(1e-2, 1e-1, 10))))
+    coeffs = spectral.SphericalCoeffs.zeros(7)
+    for n, m, re, im in rows:
+        coeffs.c[spectral.SphericalCoeffs.index(n, m)] = re + 1j*im
+    psi = IntensityField(coeffs)
+    assert len(res.rows) == 11
+    for row in res.rows:
+        direct = apply_L_direct(psi, omega, 1.0 - row.eps)
+        assert abs(row.exact - direct) <= 1e-13, row.eps
+
+
+def test_run_hg_study_builds_no_large_rule(monkeypatch):
+    built = []
+
+    def counted(n):
+        built.append(n)
+        return roots(n)
+
+    roots = spectral.roots_legendre
+    monkeypatch.setattr(spectral, "roots_legendre", counted)
+    # an empty rule cache of its own, so every rule the study uses is built
+    monkeypatch.setattr(spectral, "_gl_cached", functools.lru_cache(
+        maxsize=128)(spectral._gl_cached.__wrapped__))
+    rows = _real_hg_field(np.random.default_rng(6), 6)
+    res = run_hg_study(StudyConfig(problem="hg", n=8, hg_field=rows,
+                                   eps=tuple(eps_grid(1e-3, 1e-1, 25))))
+    assert len(res.rows) == 51
+    # only the L32 rule: the exact column comes from the eigen-action
+    assert max(built, default=0) <= 64
+
+
 def test_hg_field_validation():
     with pytest.raises(ConfigError):
         run_hg_study(StudyConfig(problem="hg", n=8))
     with pytest.raises(ConfigError):
         run_hg_study(StudyConfig(problem="hg", n=8,
                                  hg_field=((1, 5, 1.0, 0.0),)))
+    with pytest.raises(ConfigError):  # one large eps keeps any rule small
+        run_hg_study(StudyConfig(problem="hg", n=8, eps=(0.1,),
+                                 hg_field=((33, 0, 1.0, 0.0),)))
 
 
 def test_write_outputs_deterministic(tmp_path, kite_result):

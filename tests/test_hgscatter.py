@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from closeeval.hgscatter import (HGParams, IntensityField, apply_L32,
                                  apply_L_asymptotic, apply_L_direct,
-                                 p_hg, poisson_close_eval, _ring_average)
+                                 apply_L_spectral, p_hg, poisson_close_eval,
+                                 _polar_default, _ring_average)
 from closeeval.spectral import (SphericalCoeffs, mapped_rule, sph_harm_eval,
                                 spherical_laplacian)
 
@@ -94,6 +95,35 @@ def test_coarse_polar_rule_warns():
         apply_L_direct(psi, OMEGA, 0.95, n_polar=32)
 
 
+def test_default_polar_rule_is_a_power_of_two():
+    psi = _field(2, 0)
+    assert _polar_default(psi, 0.5) == 64
+    assert _polar_default(psi, 1e-2) == 1024
+    assert _polar_default(psi, 1e-3) == 8192
+    sizes = {_polar_default(psi, eps) for eps in np.logspace(-3, -1, 51)}
+    assert sizes == {128, 256, 512, 1024, 2048, 4096, 8192}
+
+
+@pytest.mark.parametrize("g", [-0.4, 0.0, 0.5, 0.9])
+def test_spectral_action_matches_quadrature(g):
+    psi = IntensityField(_random_band_limited(np.random.default_rng(3), 6))
+    assert_allclose(apply_L_spectral(psi, OMEGA, g),
+                    apply_L_direct(psi, OMEGA, g), atol=1e-12)
+
+
+def test_spectral_action_over_a_g_array():
+    psi = IntensityField(_random_band_limited(np.random.default_rng(8), 5))
+    gs = np.array([[0.1, 0.5], [0.9, 0.99]])
+    v = apply_L_spectral(psi, OMEGA, gs)
+    assert v.shape == (2, 2)
+    for g, got in zip(gs.ravel(), v.ravel()):
+        assert isinstance(apply_L_spectral(psi, OMEGA, g), float)
+        assert_allclose(got, apply_L_spectral(psi, OMEGA, g), atol=1e-14)
+    for bad in (1.0, -1.0, [0.5, 1.2]):
+        with pytest.raises(ValueError):
+            apply_L_spectral(psi, OMEGA, bad)
+
+
 def test_leading_operator_eigenvalues():
     for n in range(5):
         psi = _field(n, 1 if n else 0)
@@ -136,9 +166,18 @@ def test_asymptotic_residual_is_third_order():
 
 def test_asymptotic_validation():
     psi = _field(1, 0)
-    for eps in (0.0, 0.5, -0.1):
+    for eps in (0.0, 0.5, -0.1, [0.1, 0.5]):
         with pytest.raises(ValueError):
             apply_L_asymptotic(psi, OMEGA, eps)
+
+
+def test_asymptotic_eps_array_equals_scalar_calls():
+    psi = IntensityField(_random_band_limited(np.random.default_rng(12), 7))
+    epss = np.logspace(-3, np.log10(0.45), 17)
+    values = apply_L_asymptotic(psi, OMEGA, epss)
+    assert values.shape == epss.shape
+    assert values.tolist() == [apply_L_asymptotic(psi, OMEGA, float(eps))
+                               for eps in epss]
 
 
 def test_operator_equivariant_under_azimuth_shift():
@@ -176,6 +215,17 @@ def test_poisson_matches_harmonic_extension():
         scaled = SphericalCoeffs(5, c.c*(1 - eps)**c.degrees())
         ref = _at(IntensityField(scaled))
         assert_allclose(poisson_close_eval(c, OMEGA, eps), ref, atol=1e-9)
+
+
+def test_poisson_is_data_plus_phase_function_quadrature():
+    # the Poisson kernel at radius 1 - eps is the HG phase function at
+    # g = 1 - eps, so the quadrature of L reproduces the closed form
+    rng = np.random.default_rng(23)
+    c = _random_band_limited(rng, 6)
+    psi = IntensityField(c)
+    for eps in (0.05, 0.3):
+        ref = _at(psi) + apply_L_direct(psi, OMEGA, 1.0 - eps)
+        assert abs(poisson_close_eval(c, OMEGA, eps) - ref) <= 1e-10
 
 
 def test_poisson_kernel_is_phase_function():
