@@ -21,6 +21,9 @@ import numpy as np
 from .geometry2d import Curve2D, CurvePoint2D, curve_grid, point_inside
 
 MIN_NODES = 16  # smallest (even) Nystrom node count
+# Largest Nystrom node count.  Assembly holds (n, n, 2) kernel differences,
+# about 48 n^2 bytes: a 2d-kite run peaks at 824 MB at n = 4096.
+MAX_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -71,8 +74,9 @@ def kernel_matrix(curve: Curve2D, n: int) -> np.ndarray:
 
 def assemble_nystrom(curve: Curve2D, n: int) -> np.ndarray:
     """Dense system matrix for (K - 1/2 I) mu = f at the PTR nodes."""
-    if n < MIN_NODES or n % 2:
-        raise ValueError(f"node count must be even and at least {MIN_NODES}")
+    if n < MIN_NODES or n > MAX_NODES or n % 2:
+        raise ValueError(f"node count must be even and in [{MIN_NODES}, "
+                         f"{MAX_NODES}]")
     return kernel_matrix(curve, n)/n - 0.5*np.eye(n)
 
 
@@ -89,18 +93,22 @@ def solve_density(curve: Curve2D, f: np.ndarray, n: int) -> DensityGrid2D:
     return DensityGrid2D(curve, n, mu, f, curve_grid(curve, n))
 
 
-def dlp_sum(geometry: CurvePoint2D, x, mu) -> float:
+def dlp_sum(geometry: CurvePoint2D, x, mu):
     """PTR sum of the double-layer potential at x for density samples mu
     (an array over the grid nodes, or a constant):
 
         (1/n) sum_j nu_j . (x - y_j) / |x - y_j|^2 J_j mu_j.
 
-    No treatment of the near-singularity; every 2D quadrature of the
-    potential is this sum with a different density."""
-    diff = np.asarray(x, dtype=float) - geometry.position
+    x is one point (returns a float) or stacked points of shape (k, 2)
+    (returns one value per point).  No treatment of the near-singularity;
+    every 2D quadrature of the potential is this sum with a different
+    density."""
+    x = np.asarray(x, dtype=float)
+    diff = x[..., None, :] - geometry.position
     r2 = np.sum(diff*diff, axis=-1)
     K = np.sum(geometry.normal*diff, axis=-1)/r2
-    return float(np.sum(K*geometry.jacobian*mu)/geometry.jacobian.size)
+    out = np.sum(K*geometry.jacobian*mu, axis=-1)/geometry.jacobian.size
+    return float(out) if x.ndim == 1 else out
 
 
 def dlp_plain(density: DensityGrid2D, x) -> float:

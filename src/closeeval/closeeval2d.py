@@ -60,10 +60,14 @@ def dlp_ptr(request: CloseEvalRequest2D) -> float:
 
 def dlp_subtraction(request: CloseEvalRequest2D) -> float:
     """Subtracted quadrature: u = -mu* + PTR of K(x, y) [mu - mu*]."""
-    mu = request.density.mu
-    mustar = mu[request.k]
-    return float(-mustar + dlp_sum(request.density.geometry, request.point(),
-                                   mu - mustar))
+    return float(_subtracted(request.density, request.k, request.point()))
+
+
+def _subtracted(density: DensityGrid2D, k: int, points):
+    """The subtracted quadrature for target k at one point (a float) or at
+    stacked points of shape (m, 2) (one value per point)."""
+    mustar = density.mu[k]
+    return -mustar + dlp_sum(density.geometry, points, density.mu - mustar)
 
 
 def _kernels(y, nu, ystar, nustar, ell: float):

@@ -44,7 +44,9 @@ class Curve2D:
             a = np.zeros(K)
             src = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             a[:src.size] = src
+            a.flags.writeable = False
             object.__setattr__(self, name, a)
+        object.__setattr__(self, "_polygons", {})
 
     def _coord(self, t, which: int, deriv: int):
         c = self.cos1 if which == 0 else self.cos2
@@ -146,13 +148,22 @@ def curve_grid(curve: Curve2D, n: int) -> CurvePoint2D:
     return curve_eval(curve, periodic_nodes(n))
 
 
+def _polygon(curve: Curve2D, samples: int):
+    """(x1, y1, y2, x2 - x1, y2 - y1) over the edges of the closed polygon
+    through `samples` equispaced curve points, built once per curve."""
+    edges = curve._polygons.get(samples)
+    if edges is None:
+        p = curve.position(periodic_nodes(samples))
+        x1, y1 = p[:, 0], p[:, 1]
+        x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+        edges = curve._polygons[samples] = (x1, y1, y2, x2 - x1, y2 - y1)
+    return edges
+
+
 def point_inside(curve: Curve2D, x, samples: int = 2048) -> bool:
     """Even-odd ray test against a fine polygonal sampling of the curve."""
     x = np.asarray(x, dtype=float)
-    p = curve.position(periodic_nodes(samples))
-    x1, y1 = p[:, 0], p[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    x1, y1, y2, dx, dy = _polygon(curve, samples)
     cond = (y1 > x[1]) != (y2 > x[1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xint = x1 + (x[1] - y1)*(x2 - x1)/(y2 - y1)
-    return bool(np.sum(cond & (xint > x[0])) % 2)
+    xint = x1[cond] + (x[1] - y1[cond])*dx[cond]/dy[cond]
+    return bool(np.count_nonzero(xint > x[0]) % 2)

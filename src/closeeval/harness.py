@@ -16,11 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bie2d import MIN_NODES, dirichlet_data, harmonic_source, solve_density
+from .bie2d import (MAX_NODES, MIN_NODES, dirichlet_data, dlp_sum,
+                    harmonic_source, solve_density)
 from .bie3d import (MAX_DEGREE, Density3D, exact_point_source_3d,
                     harmonic_point_source_3d, solve_density3d)
-from .closeeval2d import (CloseEvalRequest2D, asym_coefficients, dlp_ptr,
-                          dlp_subtraction)
+from .closeeval2d import CloseEvalRequest2D, _subtracted, asym_coefficients
 from .closeeval3d import (CloseEvalRequest3D, _points, asym_eps2_3d,
                           dlp_numerical_3d)
 from .geometry2d import kite, star
@@ -137,9 +137,10 @@ class StudyConfig:
             object.__setattr__(self, "methods", tuple(self.methods))
         if self.n < 4:
             raise ConfigError("resolution n too small")
-        if fam == "2d" and (self.n < MIN_NODES or self.n % 2):
-            raise ConfigError(f"2D resolution n must be even and at least "
-                              f"{MIN_NODES}")
+        if fam == "2d" and (self.n < MIN_NODES or self.n > MAX_NODES
+                            or self.n % 2):
+            raise ConfigError(f"2D resolution n must be even and in "
+                              f"[{MIN_NODES}, {MAX_NODES}]")
         if fam == "3d" and self.n > MAX_DEGREE:
             raise ConfigError(f"3D resolution n must be at most {MAX_DEGREE}")
         if not self.targets:
@@ -437,27 +438,35 @@ def _sweep_2d(config: StudyConfig, rows, rejections):
         density = solve_density(curve, f, config.n)
     except RuntimeError as exc:
         raise NumericalError(str(exc)) from None
+    sums = {"ptr": lambda k, x: dlp_sum(density.geometry, x, density.mu),
+            "sub": lambda k, x: _subtracted(density, k, x)}
     for label, k in _targets_2d(config, config.n):
         fstar, U1, U2loc = asym_coefficients(density, k, config.ell)
+        requests = []
         for eps in config.eps:
             try:
-                req = CloseEvalRequest2D(density, k, eps, config.ell)
+                requests.append(CloseEvalRequest2D(density, k, eps,
+                                                   config.ell))
             except ValueError as exc:
-                for m in config.methods:
-                    rejections.append(Rejection(label, eps, m, str(exc)))
-                continue
-            exact = float(harmonic_source(req.point(), config.x0))
+                rejections.extend(Rejection(label, eps, m, str(exc))
+                                  for m in config.methods)
+        if not requests:
+            continue
+        # the quadratures and the exact solution once over every kept eps
+        x = np.array([req.point() for req in requests])
+        exact = harmonic_source(x, config.x0)
+        values = {m: sums[m](k, x) for m in config.methods if m in sums}
+        for i, req in enumerate(requests):
+            eps, ex = req.eps, float(exact[i])
             for m in config.methods:
-                if m == "ptr":
-                    value = dlp_ptr(req)
-                elif m == "sub":
-                    value = dlp_subtraction(req)
-                elif m == "asym2":
+                if m == "asym2":
                     value = fstar + eps*U1
-                else:
+                elif m == "asym3":
                     value = fstar + eps*U1 + eps*eps*U2loc
-                rows.append(ResultRow(label, eps, m, value, exact,
-                                      abs(value - exact)))
+                else:
+                    value = float(values[m][i])
+                rows.append(ResultRow(label, eps, m, value, ex,
+                                      abs(value - ex)))
 
 
 def _sweep_3d(config: StudyConfig, rows, rejections):

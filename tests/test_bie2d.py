@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from closeeval.bie2d import (DensityGrid2D, assemble_nystrom, dirichlet_data,
-                             dlp_plain, gauss_interior_value, harmonic_source,
+from closeeval.bie2d import (MAX_NODES, DensityGrid2D, assemble_nystrom,
+                             dirichlet_data, dlp_plain, dlp_sum,
+                             gauss_interior_value, harmonic_source,
                              kernel_matrix, solve_density)
 from closeeval.geometry2d import circle, kite, star
 
@@ -86,6 +87,22 @@ def test_assemble_rejects_bad_node_counts():
         assemble_nystrom(kite(), 15)
     with pytest.raises(ValueError):
         assemble_nystrom(kite(), 8)
+    with pytest.raises(ValueError):
+        assemble_nystrom(kite(), MAX_NODES + 2)  # raises before allocating
+
+
+def test_stacked_dlp_sum_equals_point_calls():
+    d = _solved(kite(), 200)
+    g = d.geometry
+    eps = np.array([1e-1, 1e-3, 1e-6])
+    x = g.position[::9, None] - eps[:, None]*g.normal[::9, None]
+    x = x.reshape(-1, 2)  # 23 targets x 3 eps
+    for mu in (d.mu, 1.0, d.mu - d.mu[3]):
+        stacked = dlp_sum(g, x, mu)
+        assert stacked.shape == (len(x),)
+        single = [dlp_sum(g, xi, mu) for xi in x]
+        assert all(type(v) is float for v in single)
+        assert all(stacked[i] == v for i, v in enumerate(single))
 
 
 def test_solve_rejects_mismatched_data():

@@ -60,9 +60,11 @@ def test_run_missing_config_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("problem,n", [("3d-sphere", 40), ("2d-kite", 65),
-                                       ("2d-kite", 14)])
+                                       ("2d-kite", 14),
+                                       ("2d-kite", 1000000)])
 def test_run_unsupported_resolution_exits_2(tmp_path, capsys, problem, n):
-    # beyond the Galerkin degree cap; an odd node count; too few nodes
+    # beyond the Galerkin degree cap; an odd node count; too few nodes;
+    # beyond the Nystrom node cap, checked before anything is allocated
     cfg = _write_config(tmp_path, {"problem": problem})
     assert cli.main(["run", cfg, "--n", str(n)]) == 2
     assert "resolution n" in capsys.readouterr().err

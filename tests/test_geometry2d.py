@@ -94,6 +94,61 @@ def test_point_inside_reference_points():
     assert not point_inside(star(), (2.0, 0.0))
 
 
+def _fresh_polygon_inside(curve, x, samples=2048):
+    """Reference even-odd test that builds its polygon on every call."""
+    p = curve.position(periodic_nodes(samples))
+    x1, y1 = p[:, 0], p[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    cond = (y1 > x[1]) != (y2 > x[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xint = x1 + (x[1] - y1)*(x2 - x1)/(y2 - y1)
+    return bool(np.sum(cond & (xint > x[0])) % 2)
+
+
+@pytest.mark.parametrize("name", ["kite", "star"])
+def test_memoised_polygon_matches_fresh_reference(name):
+    crv = CURVES[name]
+    g = curve_grid(crv, 200)
+    decisions = []
+    for d in (-0.3, -1e-3, -1e-6, 1e-6, 1e-3, 0.3):  # negative is inward
+        for y, nu in zip(g.position, g.normal):
+            x = y + d*nu
+            inside = point_inside(crv, x)
+            assert inside == _fresh_polygon_inside(crv, x)
+            decisions.append(inside)
+    assert 0 < sum(decisions) < len(decisions)
+
+
+def test_polygon_built_once_per_curve(monkeypatch):
+    sizes = []
+    position = Curve2D.position
+
+    def counted(self, t):
+        sizes.append(np.size(t))
+        return position(self, t)
+
+    monkeypatch.setattr(Curve2D, "position", counted)
+    crv = kite()
+    for x1 in np.linspace(-1.0, 1.0, 50):
+        point_inside(crv, (x1, 0.1))
+    assert sizes == [2048]
+    point_inside(crv, (0.0, 0.0), samples=512)
+    point_inside(crv, (0.5, 0.0), samples=512)
+    assert sizes == [2048, 512]
+    point_inside(kite(), (0.0, 0.0))  # a new curve builds its own
+    assert sizes == [2048, 512, 2048]
+
+
+def test_coefficients_are_read_only():
+    cos1 = np.array([-0.65, 1.0, 0.65])
+    crv = Curve2D("kite", cos1, [0.0], [0.0], [0.0, 1.5])
+    for name in ("cos1", "sin1", "cos2", "sin2"):
+        with pytest.raises(ValueError):
+            getattr(crv, name)[0] = 1.0
+    cos1[0] = 0.0  # the caller's table stays its own
+    assert crv.cos1[0] == -0.65
+
+
 def test_curve_grid_layout():
     g = curve_grid(kite(), 8)
     assert g.position.shape == (8, 2)

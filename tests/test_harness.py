@@ -7,12 +7,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from closeeval import spectral
+from closeeval.bie2d import (MAX_NODES, dirichlet_data, harmonic_source,
+                             solve_density)
+from closeeval.closeeval2d import (CloseEvalRequest2D, asym_eps2, asym_eps3,
+                                   dlp_ptr, dlp_subtraction)
+from closeeval.geometry2d import kite
 from closeeval.harness import (ConfigError, InsufficientDataError,
                                NumericalError, StudyConfig, apply_overrides,
                                config_from_dict, eps_grid, fit_order,
                                fit_results, load_config, parse_eps_range,
                                read_results_csv, run_error_map, run_hg_study,
-                               write_outputs)
+                               write_outputs, _targets_2d)
 from closeeval.hgscatter import IntensityField, apply_L_direct
 
 EPS_2D = eps_grid(1e-5, 0.5, 5)
@@ -68,6 +73,9 @@ def test_config_validation():
         _kite_config(methods=("numerical",))  # 3D-only method
     with pytest.raises(ConfigError):
         _kite_config(n=2)
+    with pytest.raises(ConfigError):
+        _kite_config(n=MAX_NODES + 2)
+    assert _kite_config(n=MAX_NODES).n == MAX_NODES
     with pytest.raises(ConfigError):
         _kite_config(ell=0.0)
     with pytest.raises(ConfigError):
@@ -226,6 +234,32 @@ def test_rejections_recorded_not_fatal():
     assert all("outside" in rej.reason for rej in res.rejections)
     total = len(cfg.eps)*len(cfg.methods)*2
     assert len(res.rows) + len(res.rejections) == total
+
+
+def test_2d_sweep_equals_per_request_methods():
+    cfg = _kite_config(n=64, eps=(3.0, 1.2, 0.7) + EPS_2D)
+    res = run_error_map(cfg)
+    density = solve_density(kite(), dirichlet_data(kite(), cfg.x0, cfg.n),
+                            cfg.n)
+    methods = {"ptr": dlp_ptr, "sub": dlp_subtraction, "asym2": asym_eps2,
+               "asym3": asym_eps3}
+    rows, rejections = [], []
+    for label, k in _targets_2d(cfg, cfg.n):
+        for eps in cfg.eps:
+            try:
+                req = CloseEvalRequest2D(density, k, eps, cfg.ell)
+            except ValueError as exc:
+                rejections += [(label, eps, m, str(exc)) for m in cfg.methods]
+                continue
+            exact = float(harmonic_source(req.point(), cfg.x0))
+            for m in cfg.methods:
+                value = methods[m](req)
+                rows.append((label, eps, m, value, exact, abs(value - exact)))
+    assert rejections and len(rows) > 2*len(cfg.methods)
+    assert [(r.target, r.eps, r.method, r.value, r.exact, r.abs_error)
+            for r in res.rows] == rows
+    assert [(r.target, r.eps, r.method, r.reason)
+            for r in res.rejections] == rejections
 
 
 def test_string_targets_rejected_for_2d():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from closeeval import hgscatter
 from closeeval.hgscatter import (HGParams, IntensityField, apply_L32,
                                  apply_L_asymptotic, apply_L_direct,
                                  apply_L_spectral, p_hg, poisson_close_eval,
@@ -139,6 +140,17 @@ def test_leading_integrand_extends_to_pole():
     integrand = (1 - np.cos(rule.nodes))**-1.5*az*np.sin(rule.nodes)
     lap0 = _at(IntensityField(spherical_laplacian(psi.coeffs)))
     assert_allclose(integrand[0], lap0/np.sqrt(2), rtol=1e-4)
+
+
+def test_ring_average_in_blocks_matches_one_block(monkeypatch):
+    psi = IntensityField(_random_band_limited(np.random.default_rng(3), 9))
+    rule = mapped_rule(100)
+    whole = _ring_average(psi, OMEGA, rule.nodes)
+    # 7 polar rings per block: 15 blocks, the last one partial
+    monkeypatch.setattr(hgscatter, "_RING_BLOCK_VALUES", 7*18*81 + 5)
+    blocked = _ring_average(psi, OMEGA, rule.nodes)
+    assert np.max(np.abs(blocked - whole)) <= 1e-15
+    assert np.max(np.abs(whole)) > 0.1
 
 
 def test_asymptotic_exact_through_degree_two():
