@@ -8,7 +8,7 @@ from .bie2d import (DensityGrid2D, assemble_nystrom, dirichlet_data,
 from .bie3d import (Density3D, apply_K_subtracted, assemble_galerkin,
                     dlp_far_3d, dlp_weights, exact_point_source_3d,
                     gauss_interior_value_3d, harmonic_point_source_3d,
-                    solve_density3d)
+                    rotated_grid, solve_density3d)
 from .closeeval2d import (CloseEvalRequest2D, asym_coefficients, asym_eps2,
                           asym_eps3, dlp_ptr, dlp_subtraction, kernel_K1_2d,
                           kernel_K2_2d)
@@ -42,7 +42,7 @@ __all__ = [
     # bie3d
     "Density3D", "apply_K_subtracted", "assemble_galerkin", "dlp_far_3d",
     "dlp_weights", "exact_point_source_3d", "gauss_interior_value_3d",
-    "harmonic_point_source_3d", "solve_density3d",
+    "harmonic_point_source_3d", "rotated_grid", "solve_density3d",
     # closeeval2d
     "CloseEvalRequest2D", "asym_coefficients", "asym_eps2", "asym_eps3",
     "dlp_ptr", "dlp_subtraction", "kernel_K1_2d", "kernel_K2_2d",

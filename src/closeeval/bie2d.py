@@ -26,7 +26,7 @@ MIN_NODES = 16  # smallest (even) Nystrom node count
 MAX_NODES = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityGrid2D:
     """Density samples on the N-node periodic grid, with the data that
     produced them and the curve geometry at the nodes."""

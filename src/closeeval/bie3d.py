@@ -39,7 +39,7 @@ from .spectral import (SphericalCoeffs, analysis_operator, mapped_rule,
 MAX_DEGREE = 32
 
 
-@dataclass
+@dataclass(eq=False)
 class Density3D:
     """Spherical-harmonic density representation tied to a surface, with
     the Dirichlet data sampler that produced it (None when unknown)."""
@@ -94,30 +94,31 @@ class Density3D:
         return cls(surface, out, data)
 
 
-def quadrature_nodes(n: int):
-    """Polar Gauss-Legendre nodes/weights on [0, pi] and 2n azimuth nodes."""
+def rotated_grid(surface: Surface3D, theta0: float, phi0: float, n: int):
+    """The three-step quadrature grid whose pole sits at (theta0, phi0):
+    the polar weights, shape (n, 1), then rotated_frame's (y, W, nu, theta,
+    phi) on the mapped Gauss-Legendre x 2n-azimuth nodes."""
     rule = mapped_rule(n)
-    return rule.nodes, rule.weights, periodic_nodes(2*n)
+    return (rule.weights[:, None],) + rotated_frame(
+        surface, theta0, phi0, rule.nodes[:, None],
+        periodic_nodes(2*n)[None, :])
 
 
-def dlp_weights(surface: Surface3D, x, theta0: float, phi0: float, n: int):
-    """Double-layer quadrature row for the point x on the grid rotated so
-    that its pole sits at (theta0, phi0): entries w_j K(x, y_jk) W_jk, plus
-    the node parameters needed to sample densities there; x of shape
-    (..., 1, 1, 3) stacks points, one row each.
+def dlp_weights(grid, x):
+    """Double-layer quadrature row for the point x on a rotated_grid:
+    entries w_j K(x, y_jk) W_jk; x of shape (..., 1, 1, 3) stacks points,
+    one row each.
 
     (1/4n) sum w_j K W g approximates (1/4pi) oint K(x, y) g(y) dsigma; the
     callers apply the 1/4n factor to their own sums, so no rounding is added
     when 4n is not a power of two.
     """
-    s, ws, t = quadrature_nodes(n)
-    y, W, nu, theta, phi = rotated_frame(surface, theta0, phi0,
-                                         s[:, None], t[None, :])
+    w, y, W, nu, _, _ = grid
     diff = np.asarray(x, dtype=float) - y
     r2 = np.sum(diff*diff, axis=-1)
     kern = np.sum(nu*diff, axis=-1)/r2**1.5
     del diff, r2  # the largest arrays for stacked x: let the row reuse them
-    return ws[:, None]*kern*W, theta, phi
+    return w*kern*W
 
 
 def subtracted_weights(surface: Surface3D, theta0: float, phi0: float,
@@ -125,9 +126,9 @@ def subtracted_weights(surface: Surface3D, theta0: float, phi0: float,
     """Kernel-times-area quadrature row for the rotated grid about a
     boundary target: entries (1/4pi) w_j dt K(y0, y_jk) W_jk, plus the node
     parameters needed to sample densities there."""
+    grid = rotated_grid(surface, theta0, phi0, n)
     y0, _ = surface_point_and_normal(surface, theta0, phi0)
-    w, theta, phi = dlp_weights(surface, y0, theta0, phi0, n)
-    return (1.0/(4*n))*w, theta, phi
+    return (1.0/(4*n))*dlp_weights(grid, y0), grid[4], grid[5]
 
 
 def apply_K_subtracted(surface: Surface3D, g: Callable, theta0: float,
@@ -238,13 +239,13 @@ def dlp_far_3d(density: Density3D, x, n: int = 32) -> float:
     """Plain three-step quadrature of the double-layer potential at an
     interior point well separated from the boundary (any grid pole serves;
     this one is fixed at (0.9, 0.3))."""
-    w, theta, phi = dlp_weights(density.surface, x, 0.9, 0.3, n)
-    return float((1.0/(4*n))*np.sum(w*density(theta, phi)))
+    grid = rotated_grid(density.surface, 0.9, 0.3, n)
+    return float((1.0/(4*n))*np.sum(dlp_weights(grid, x)*density(*grid[4:])))
 
 
 def gauss_interior_value_3d(surface: Surface3D, x, n: int) -> float:
     """Three-step quadrature of the unit-density double-layer potential at
     an interior point, on the grid with its pole at (1.0, 0.5); equals -1
     up to quadrature error."""
-    w, _, _ = dlp_weights(surface, x, 1.0, 0.5, n)
+    w = dlp_weights(rotated_grid(surface, 1.0, 0.5, n), x)
     return float((1.0/(4*n))*np.sum(w))

@@ -25,7 +25,7 @@ from .geometry2d import Curve2D, curve_eval, point_inside
 from .spectral import periodic_derivative
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CloseEvalRequest2D:
     """One close evaluation: target node index k, distance eps, scale ell."""
 

@@ -20,17 +20,19 @@ averages extend continuously to the pole.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .bie3d import Density3D, dlp_weights, quadrature_nodes
+from .bie3d import Density3D, dlp_weights, rotated_grid
 from .geometry3d import Surface3D, rotated_frame, surface_point_and_normal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CloseEvalRequest3D:
     """Close evaluation at one target over distances eps, a number or an
-    array sharing one rotated grid; n defaults to the density degree."""
+    array; n defaults to the density degree.  The rotated grid, mu* and
+    mu - mu* on it are built on first use and shared by every method."""
 
     density: Density3D
     theta_star: float
@@ -57,6 +59,23 @@ class CloseEvalRequest3D:
         return _points(self.density.surface, self.theta_star, self.phi_star,
                        self.eps, self.ell)
 
+    @cached_property
+    def grid(self):
+        """The rotated_grid about the target, at resolution n."""
+        return rotated_grid(self.density.surface, self.theta_star,
+                            self.phi_star, self.n)
+
+    @cached_property
+    def mu_star(self) -> float:
+        """The density at the target."""
+        return float(self.density(np.full(1, self.theta_star),
+                                  np.full(1, self.phi_star))[0])
+
+    @cached_property
+    def dmu(self) -> np.ndarray:
+        """mu - mu* on the grid."""
+        return self.density(*self.grid[4:]) - self.mu_star
+
 
 def _points(surface: Surface3D, theta_star: float, phi_star: float, eps,
             ell: float) -> np.ndarray:
@@ -65,19 +84,11 @@ def _points(surface: Surface3D, theta_star: float, phi_star: float, eps,
     return ystar - np.multiply.outer(np.asarray(eps)*ell, nustar)
 
 
-def _mu_star(request: CloseEvalRequest3D) -> float:
-    return float(request.density(np.full(1, request.theta_star),
-                                 np.full(1, request.phi_star))[0])
-
-
 def dlp_numerical_3d(request: CloseEvalRequest3D):
     """Subtracted three-step quadrature at the interior points, one per eps."""
-    n = request.n
-    x = request.point()[..., None, None, :]
-    w, theta, phi = dlp_weights(request.density.surface, x,
-                                request.theta_star, request.phi_star, n)
-    mu, mustar = request.density(theta, phi), _mu_star(request)
-    return -mustar + (1.0/(4*n))*np.sum(w*(mu - mustar), axis=(-2, -1))
+    w = dlp_weights(request.grid, request.point()[..., None, None, :])
+    return -request.mu_star + (1.0/(4*request.n))*np.sum(w*request.dmu,
+                                                           axis=(-2, -1))
 
 
 def _kernel_K1(y, nu, ystar, nustar, ell: float):
@@ -102,22 +113,17 @@ def kernel_K1_3d(surface: Surface3D, s, t, theta_star: float,
 
 def _correction_terms(request: CloseEvalRequest3D):
     """Polar weights and the factors K1, W and mu - mu* of the U1
-    integrand on the rotated grid about the target."""
-    s, ws, t = quadrature_nodes(request.n)
-    y, W, nu, theta, phi = rotated_frame(request.density.surface,
-                                         request.theta_star,
-                                         request.phi_star,
-                                         s[:, None], t[None, :])
+    integrand on the request's grid."""
+    w, y, W, nu, _, _ = request.grid
     ystar, nustar = request.target()
-    K1 = _kernel_K1(y, nu, ystar, nustar, request.ell)
-    return ws, K1, W, request.density(theta, phi) - _mu_star(request)
+    return w, _kernel_K1(y, nu, ystar, nustar, request.ell), W, request.dmu
 
 
 def asym_correction_3d(request: CloseEvalRequest3D) -> float:
     """The eps-independent correction U1: rotated quadrature of
     K1 [mu - mu*] with the pole cell regularized by the subtraction."""
-    ws, K1, W, dmu = _correction_terms(request)
-    return float((1.0/(4*request.n))*np.sum(ws[:, None]*K1*W*dmu))
+    w, K1, W, dmu = _correction_terms(request)
+    return float((1.0/(4*request.n))*np.sum(w*K1*W*dmu))
 
 
 def azimuthal_average_profile(request: CloseEvalRequest3D) -> np.ndarray:

@@ -22,7 +22,7 @@ from .spectral import periodic_nodes
 _DEGENERACY_TOL = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Curve2D:
     """Closed curve given by cosine/sine coefficient tables per coordinate.
 
@@ -76,7 +76,7 @@ class Curve2D:
                          self._coord(t, 1, order)], axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvePoint2D:
     position: np.ndarray
     d1: np.ndarray

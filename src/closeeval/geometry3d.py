@@ -25,7 +25,7 @@ import numpy as np
 _POLE_TOL = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Surface3D:
     """Radial surface profile over the stretched unit sphere.
 
@@ -90,7 +90,7 @@ class Surface3D:
         return centre | (r < self.profile(z[..., 2]/np.where(centre, 1.0, r)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfacePoint3D:
     position: np.ndarray
     y_theta: np.ndarray

@@ -13,6 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -49,9 +50,12 @@ METHODS_3D = ("numerical", "asym2")
 ASYM_METHODS = frozenset({"asym2", "asym3", "hg_asym"})
 ERROR_FLOOR = 1e-14
 
-_FIT_DEFAULTS = {"2d": (1e-6, 1e-2), "3d": (1e-4, 1e-1), "hg": (1e-3, 1e-1)}
-_EPS_DEFAULTS = {"2d": (1e-6, 1e-1, 25), "3d": (1e-4, 1e-1, 25),
-                 "hg": (1e-3, 1e-1, 25)}
+# Study defaults per family: the method list, the resolution n, the eps
+# grid (lo, hi, points per decade) and the fit window (lo, hi).
+_DEFAULTS = {"2d": (METHODS_2D, 128, (1e-6, 1e-1, 25), (1e-6, 1e-2)),
+             "3d": (METHODS_3D, 16, (1e-4, 1e-1, 25), (1e-4, 1e-1)),
+             "hg": (("hg_asym",), 16, (1e-3, 1e-1, 25), (1e-3, 1e-1))}
+SLICES_3D = ("x1x3-slice", "x1x2-slice")
 
 
 def _family(problem: str) -> str:
@@ -85,13 +89,24 @@ def parse_eps_range(text: str) -> tuple:
     return eps_grid(lo, hi, per)
 
 
+def _valid_target(family: str, spec) -> bool:
+    """A finite 2D parameter, or a 3D slice name or finite (theta, phi)."""
+    if family == "3d" and isinstance(spec, str):
+        return spec in SLICES_3D
+    values, size = ((spec,), 1) if family == "2d" else (spec, 2)
+    return (isinstance(values, tuple) and len(values) == size
+            and all(isinstance(v, float) and math.isfinite(v)
+                    for v in values))
+
+
 @dataclass(frozen=True)
 class StudyConfig:
-    """One study: a problem, a resolution, methods, eps values, targets."""
+    """One study: a problem, a resolution, methods, eps values, targets;
+    n, methods, eps and the fit window left unset take family defaults."""
 
     problem: str
-    n: int
-    methods: tuple = ()
+    n: int = None
+    methods: tuple = None
     eps: tuple = ()
     targets: object = "all-nodes"
     out_dir: str = None
@@ -99,22 +114,28 @@ class StudyConfig:
     x0: tuple = (1.85, 1.65)
     source: tuple = (5.0, 4.0, 3.0)
     ell: float = 1.0
-    fit_lo: float = 0.0
-    fit_hi: float = 0.0
+    fit_lo: float = None
+    fit_hi: float = None
     slice_count: int = 16
     hg_field: tuple = ()
     hg_omega: tuple = (1.0, 0.7)
 
     def __post_init__(self):
-        fam = _family(self.problem)
         if self.problem not in PROBLEMS_2D + PROBLEMS_3D + ("hg",):
             raise ConfigError(f"unknown problem {self.problem!r}")
+        fam = _family(self.problem)
+        every, n, eps_range, (fit_lo, fit_hi) = _DEFAULTS[fam]
+        for name, default in (("methods", every), ("n", n),
+                              ("fit_lo", fit_lo), ("fit_hi", fit_hi)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         if not self.eps:
-            object.__setattr__(self, "eps", eps_grid(*_EPS_DEFAULTS[fam]))
+            object.__setattr__(self, "eps", eps_grid(*eps_range))
         eps = tuple(float(e) for e in self.eps)
         for name, values in (("eps", eps), ("x0", self.x0),
                              ("source", self.source),
-                             ("hg_omega", self.hg_omega)):
+                             ("hg_omega", self.hg_omega),
+                             ("fit window", (self.fit_lo, self.fit_hi))):
             if not all(math.isfinite(v) for v in values):
                 raise ConfigError(f"{name} values must be finite")
         for name, values, size in (("x0", self.x0, 2),
@@ -127,14 +148,12 @@ class StudyConfig:
         if any(a <= b for a, b in zip(eps, eps[1:])):
             raise ConfigError("eps values must be strictly descending")
         object.__setattr__(self, "eps", eps)
-        if fam != "hg":
-            valid = METHODS_2D if fam == "2d" else METHODS_3D
-            if not self.methods:
-                raise ConfigError("method list must not be empty")
-            bad = [m for m in self.methods if m not in valid]
-            if bad:
-                raise ConfigError(f"methods {bad} invalid for {self.problem}")
-            object.__setattr__(self, "methods", tuple(self.methods))
+        if not self.methods:
+            raise ConfigError("method list must not be empty")
+        bad = [m for m in self.methods if m not in every]
+        if bad:
+            raise ConfigError(f"methods {bad} invalid for {self.problem}")
+        object.__setattr__(self, "methods", tuple(self.methods))
         if self.n < 4:
             raise ConfigError("resolution n too small")
         if fam == "2d" and (self.n < MIN_NODES or self.n > MAX_NODES
@@ -145,88 +164,102 @@ class StudyConfig:
             raise ConfigError(f"3D resolution n must be at most {MAX_DEGREE}")
         if not self.targets:
             raise ConfigError("targets must not be empty")
+        specs = self.targets
+        if fam == "3d" and specs in SLICES_3D:
+            specs = (specs,)
+        if fam != "hg" and specs != "all-nodes" and not (
+                isinstance(specs, tuple)
+                and all(_valid_target(fam, t) for t in specs)):
+            raise ConfigError(
+                f"bad targets {self.targets!r}: 2D targets are 'all-nodes' "
+                "or finite parameters; 3D targets are 'all-nodes', slice "
+                "names or finite [theta, phi] pairs")
         if self.slice_count < 1:
             raise ConfigError("slice_count must be at least 1")
         if not (math.isfinite(self.ell) and self.ell > 0):
             raise ConfigError("ell must be positive and finite")
-        if not self.fit_lo or not self.fit_hi:
-            lo, hi = _FIT_DEFAULTS[fam]
-            object.__setattr__(self, "fit_lo", self.fit_lo or lo)
-            object.__setattr__(self, "fit_hi", self.fit_hi or hi)
         if self.fit_lo >= self.fit_hi:
             raise ConfigError("fit range needs lo < hi")
 
 
-_CONFIG_KEYS = {"problem", "n", "methods", "eps", "eps_range", "targets",
-                "out", "cache", "x0", "source", "ell", "fit_lo", "fit_hi",
-                "slice_count", "hg_field", "hg_omega"}
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
+def _eps_range(value) -> tuple:
+    if isinstance(value, str):
+        return parse_eps_range(value)
+    return eps_grid(float(value["lo"]), float(value["hi"]),
+                    int(value["per_decade"]))
+
+
+def _methods(value) -> tuple:
+    if isinstance(value, str):  # the --methods flag: names joined by commas
+        return tuple(m.strip() for m in value.split(",") if m.strip())
+    return tuple(value)
+
+
+def _targets(value):
+    """A targets string as given; a list as a tuple of 2D parameters, 3D
+    slice names and (theta, phi) pairs."""
+    if isinstance(value, str):
+        return value
+    return tuple(t if isinstance(t, str) else
+                 _floats(t) if isinstance(t, list) else float(t)
+                 for t in value)
+
+
+def _path(value):
+    return None if value is None else os.fspath(value)
+
+
+# Each config key (and command-line flag): its StudyConfig field and the
+# conversion of its JSON or flag value.
+_KEYS = {
+    "problem": ("problem", lambda v: v),
+    "n": ("n", int),
+    "methods": ("methods", _methods),
+    "eps": ("eps", lambda v: tuple(sorted(_floats(v), reverse=True))),
+    "eps_range": ("eps", _eps_range),
+    "targets": ("targets", _targets),
+    "out": ("out_dir", _path),
+    "cache": ("cache_dir", _path),
+    "x0": ("x0", _floats),
+    "source": ("source", _floats),
+    "ell": ("ell", float),
+    "fit_lo": ("fit_lo", float),
+    "fit_hi": ("fit_hi", float),
+    "slice_count": ("slice_count", int),
+    "hg_field": ("hg_field", lambda v: tuple(tuple(row) for row in v)),
+    "hg_omega": ("hg_omega", _floats),
+}
+
+
+def _build(make, values: dict) -> StudyConfig:
+    """make(**fields), each field converted from its config key and value
+    through _KEYS; a value of the wrong type or form is a ConfigError."""
+    fields = {}
+    for key, value in values.items():
+        field, convert = _KEYS[key]
+        try:
+            fields[field] = convert(value)
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
+            raise ConfigError(f"bad value for {key!r}: {exc}") from None
+    return make(**fields)
 
 
 def config_from_dict(data: dict) -> StudyConfig:
     """Build and validate a StudyConfig from parsed JSON."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "problem" not in data:
         raise ConfigError("config requires a 'problem' key")
-    problem = data["problem"]
-    fam = _family(problem) if isinstance(problem, str) else "2d"
-    eps = ()
     if "eps" in data and "eps_range" in data:
         raise ConfigError("give either 'eps' or 'eps_range', not both")
-    if "eps" in data:
-        try:
-            eps = tuple(sorted((float(e) for e in data["eps"]), reverse=True))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad eps list: {exc}") from None
-    elif "eps_range" in data:
-        rng = data["eps_range"]
-        if isinstance(rng, str):
-            eps = parse_eps_range(rng)
-        elif isinstance(rng, dict):
-            try:
-                eps = eps_grid(float(rng["lo"]), float(rng["hi"]),
-                               int(rng["per_decade"]))
-            except KeyError as exc:
-                raise ConfigError(f"eps_range missing key {exc}") from None
-        else:
-            raise ConfigError("eps_range must be a string or an object")
-    methods = tuple(data.get("methods", ()))
-    if fam != "hg" and not methods and isinstance(problem, str):
-        methods = METHODS_2D if fam == "2d" else METHODS_3D
-    targets = data.get("targets", "all-nodes")
-    if isinstance(targets, list):
-        def _target(t):
-            if isinstance(t, list):
-                return tuple(float(v) for v in t)
-            return t if isinstance(t, str) else float(t)
-        try:
-            targets = tuple(_target(t) for t in targets)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad target entry: {exc}") from None
-    hg_field = tuple(tuple(row) for row in data.get("hg_field", ()))
-    try:
-        return StudyConfig(
-            problem=problem,
-            n=int(data.get("n", 128 if fam == "2d" else 16)),
-            methods=methods,
-            eps=eps,
-            targets=targets,
-            out_dir=data.get("out"),
-            cache_dir=data.get("cache"),
-            x0=tuple(float(v) for v in data.get("x0", (1.85, 1.65))),
-            source=tuple(float(v) for v in data.get("source", (5.0, 4.0, 3.0))),
-            ell=float(data.get("ell", 1.0)),
-            fit_lo=float(data.get("fit_lo", 0.0)),
-            fit_hi=float(data.get("fit_hi", 0.0)),
-            slice_count=int(data.get("slice_count", 16)),
-            hg_field=hg_field,
-            hg_omega=tuple(float(v) for v in data.get("hg_omega", (1.0, 0.7))),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
+    return _build(StudyConfig, data)
 
 
 def load_config(path: str) -> StudyConfig:
@@ -242,23 +275,13 @@ def load_config(path: str) -> StudyConfig:
 
 def apply_overrides(config: StudyConfig, n=None, eps_range=None,
                     methods=None, out=None, cache=None) -> StudyConfig:
-    """Fold command-line flag values into a parsed config."""
-    kwargs = {}
-    if n is not None:
-        kwargs["n"] = int(n)
-    if eps_range is not None:
-        kwargs["eps"] = parse_eps_range(eps_range)
-    if methods is not None:
-        kwargs["methods"] = tuple(m.strip() for m in methods.split(",")
-                                  if m.strip())
-    if out is not None:
-        kwargs["out_dir"] = out
-    if cache is not None:
-        kwargs["cache_dir"] = cache
-    try:
-        return replace(config, **kwargs) if kwargs else config
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad override: {exc}") from None
+    """Fold command-line flag values into a parsed config; each flag is
+    converted as the config key of the same name."""
+    flags = {key: value for key, value in (("n", n), ("eps_range", eps_range),
+                                           ("methods", methods), ("out", out),
+                                           ("cache", cache))
+             if value is not None}
+    return _build(partial(replace, config), flags) if flags else config
 
 
 @dataclass(frozen=True)
@@ -346,14 +369,8 @@ def _targets_2d(config: StudyConfig, n: int):
     the grid nodes t_j = -pi + 2*pi*j/n, and the label records the node."""
     if config.targets == "all-nodes":
         ks = range(n)
-    elif isinstance(config.targets, tuple):
-        ks = []
-        for t in config.targets:
-            if not isinstance(t, float):
-                raise ConfigError("2D targets must be scalar parameters")
-            ks.append(int(round((t + np.pi)*n/(2*np.pi))) % n)
     else:
-        raise ConfigError(f"bad targets spec {config.targets!r}")
+        ks = [int(round((t + np.pi)*n/(2*np.pi))) % n for t in config.targets]
     nodes = periodic_nodes(n)
     return [(_fmt(nodes[k]), k) for k in ks]
 
@@ -370,7 +387,7 @@ def _targets_3d(config: StudyConfig):
     count = config.slice_count
     specs = config.targets
     if specs == "all-nodes":
-        specs = ("x1x3-slice", "x1x2-slice")
+        specs = SLICES_3D
     if isinstance(specs, str):
         specs = (specs,)
     out = []
@@ -384,11 +401,9 @@ def _targets_3d(config: StudyConfig):
             for j in range(count):
                 t0 = (j + 0.5)*2*np.pi/count
                 out.append((f"x1x2:{_fmt(t0)}", np.pi/2, t0))
-        elif isinstance(spec, tuple) and len(spec) == 2:
-            th, ph = float(spec[0]), float(spec[1])
-            out.append((f"{_fmt(th)};{_fmt(ph)}", th, ph))
         else:
-            raise ConfigError(f"bad 3D target spec {spec!r}")
+            th, ph = spec
+            out.append((f"{_fmt(th)};{_fmt(ph)}", th, ph))
     return out
 
 

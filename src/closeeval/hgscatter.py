@@ -59,7 +59,7 @@ class HGParams:
         return 1.0 - self.g
 
 
-@dataclass
+@dataclass(eq=False)
 class IntensityField:
     """Direction-dependent intensity as a truncated harmonic expansion."""
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule1D:
     """Nodes and weights of a 1D quadrature rule on the tagged domain."""
 
@@ -89,7 +89,7 @@ def periodic_derivative(values: np.ndarray, order: int) -> np.ndarray:
 # spherical harmonics
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class SphericalCoeffs:
     """Coefficients c_nm for degrees n < N, stored in the flat order
     (0,0), (1,-1), (1,0), (1,1), (2,-2), ... of length N^2."""

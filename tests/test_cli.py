@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from closeeval import cli
+from closeeval import cli, harness
 from closeeval.bie3d import Density3D
 from closeeval.geometry3d import unit_sphere
 from closeeval.harness import NumericalError
@@ -110,11 +110,14 @@ _HG = {"problem": "hg", "hg_field": [[1, 0, 1.0, 0.0]],
     ("run", dict(_SPHERE, source=[0.1, 0, 0])),  # source inside
     ("hg", dict(_HG, hg_omega=[1.0])),
     ("hg", dict(_HG, hg_field=[[1, 0, "nan", 0.0]])),
+    ("hg", dict(_HG, hg_field=5)),
+    ("hg", dict(_HG, hg_field=[5])),
     # one large eps keeps the study small should the degree cap be missing
     ("hg", {"problem": "hg", "hg_field": [[33, 0, 1.0, 0.0]],
             "eps": [0.1]}),
 ], ids=["x0-length", "x0-inside", "source-length", "source-inside",
-        "omega-length", "field-nan", "field-degree-33"])
+        "omega-length", "field-nan", "field-int", "field-row-int",
+        "field-degree-33"])
 def test_bad_source_or_field_exits_2(tmp_path, capsys, command, payload):
     cfg = _write_config(tmp_path, payload)
     assert cli.main([command, cfg, "--out", str(tmp_path/"out")]) == 2
@@ -130,6 +133,63 @@ def test_empty_study_exits_2(tmp_path, capsys, payload):
     cfg = _write_config(tmp_path, payload)
     assert cli.main(["run", cfg, "--out", str(tmp_path/"out")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [
+    dict(_KITE, methods=5),
+    dict(_KITE, methods=[]),
+    dict(_KITE, eps_range={"lo": "a", "hi": 1, "per_decade": 1}),
+    dict(_KITE, n=float("inf")),
+    dict(_KITE, targets=[float("nan")]),
+    dict(_KITE, targets=[float("inf")]),
+    dict(_SPHERE, targets=5),
+    dict(_SPHERE, targets=[[float("inf"), 0.3]]),
+    dict(_KITE, fit_lo=float("nan")),
+    dict(_KITE, out=5),
+], ids=["methods-int", "methods-empty", "eps-range-text", "n-infinite",
+        "target-nan", "target-infinite", "targets-int",
+        "target-pair-infinite", "fit-lo-nan", "out-int"])
+def test_bad_value_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
+                                            payload):
+    # each of these once ended in a traceback, or in a study that ran
+    def no_solve(*args):
+        raise AssertionError("solved a study with a bad config")
+
+    monkeypatch.setattr(harness, "solve_density", no_solve)
+    monkeypatch.setattr(harness, "_solve_3d", no_solve)
+    cfg = _write_config(tmp_path, payload)
+    assert cli.main(["run", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload,targets", [
+    ({"problem": "2d-kite", "n": 64, "eps": [1.2, 0.9]},
+     [1.5707963267948966, 0.0]),
+    ({"problem": "3d-mushroom", "n": 8, "eps": [3.0, 2.5]},
+     [[0.364, 0.0], [1.155, 0.0]]),
+], ids=["2d", "3d"])
+def test_target_losing_every_eps(tmp_path, payload, targets):
+    # the first target's points all fall outside the domain; it leaves one
+    # rejection per (eps, method) and no rows, and the other target's rows
+    # are those of a study without it
+    both, alone = tmp_path/"both", tmp_path/"alone"
+    for out, kept in ((both, targets), (alone, targets[1:])):
+        cfg = _write_config(tmp_path, dict(payload, targets=kept,
+                                           out=str(out)))
+        assert cli.main(["run", cfg]) == 0
+    assert (both/"results.csv").read_text() \
+        == (alone/"results.csv").read_text()
+    lines = (both/"rejections.csv").read_text().splitlines()[1:]
+    rejected = [line.split(",")[:3] for line in lines]
+    labels = {target for target, _, _ in rejected}
+    assert len(labels) == 1
+    assert all(label not in (both/"results.csv").read_text()
+               for label in labels)
+    methods = {"2d-kite": ("ptr", "sub", "asym2", "asym3"),
+               "3d-mushroom": ("numerical", "asym2")}[payload["problem"]]
+    assert sorted((float(e), m) for _, e, m in rejected) == sorted(
+        (e, m) for e in payload["eps"] for m in methods)
+    assert not (alone/"rejections.csv").exists()
 
 
 def test_run_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from closeeval import closeeval3d
 from closeeval.bie3d import (Density3D, assemble_galerkin,
                              exact_point_source_3d,
                              harmonic_point_source_3d, solve_density3d)
@@ -174,3 +175,29 @@ def test_asym_requires_data_or_override():
     r = CloseEvalRequest3D(d, 1.0, 0.5, 1e-2)
     with pytest.raises(ValueError):
         asym_eps2_3d(r)
+
+
+def test_request_builds_one_grid_for_every_method(monkeypatch):
+    # the grid, mu* and mu - mu* are built once per request, whichever
+    # methods read them, and the values are those of a fresh request each
+    d = _y10_density(8)
+    fresh = lambda: CloseEvalRequest3D(d, 0.9, 0.4, np.array([1e-1, 1e-3]))
+    methods = (dlp_numerical_3d, asym_eps2_3d, azimuthal_average_profile)
+    expected = [method(fresh()) for method in methods]
+    calls = {"grid": 0, "synthesis": 0}
+    grid, synthesis = closeeval3d.rotated_grid, Density3D.__call__
+
+    def counted_grid(*args):
+        calls["grid"] += 1
+        return grid(*args)
+
+    def counted_synthesis(self, theta, phi):
+        calls["synthesis"] += 1
+        return synthesis(self, theta, phi)
+
+    monkeypatch.setattr(closeeval3d, "rotated_grid", counted_grid)
+    monkeypatch.setattr(Density3D, "__call__", counted_synthesis)
+    r = fresh()
+    for method, values in zip(methods, expected):
+        assert method(r).tolist() == values.tolist()
+    assert calls == {"grid": 1, "synthesis": 2}

@@ -12,7 +12,9 @@ from closeeval.bie2d import (MAX_NODES, dirichlet_data, harmonic_source,
 from closeeval.closeeval2d import (CloseEvalRequest2D, asym_eps2, asym_eps3,
                                    dlp_ptr, dlp_subtraction)
 from closeeval.geometry2d import kite
-from closeeval.harness import (ConfigError, InsufficientDataError,
+from closeeval.harness import (METHODS_2D, METHODS_3D, PROBLEMS_2D,
+                               PROBLEMS_3D, ConfigError,
+                               InsufficientDataError,
                                NumericalError, StudyConfig, apply_overrides,
                                config_from_dict, eps_grid, fit_order,
                                fit_results, load_config, parse_eps_range,
@@ -84,6 +86,10 @@ def test_config_validation():
         _kite_config(eps=(1e-2, 0.0))
     with pytest.raises(ConfigError):
         _kite_config(fit_lo=1e-2, fit_hi=1e-4)
+    with pytest.raises(ConfigError):
+        _kite_config(fit_lo=float("nan"))
+    with pytest.raises(ConfigError):
+        _kite_config(targets=(0.5, float("inf")))
 
 
 def test_config_defaults_per_family():
@@ -95,6 +101,16 @@ def test_config_defaults_per_family():
     assert c3.eps[0] == pytest.approx(1e-1)
     chg = StudyConfig(problem="hg", n=8, hg_field=((1, 0, 1.0, 0.0),))
     assert chg.fit_lo == 1e-3 and chg.fit_hi == 1e-1
+
+
+@pytest.mark.parametrize("problem", PROBLEMS_2D + PROBLEMS_3D + ("hg",))
+def test_config_from_dict_defaults_are_study_config_defaults(problem):
+    c = config_from_dict({"problem": problem})
+    assert c == StudyConfig(problem=problem)
+    assert c.n == (128 if problem in PROBLEMS_2D else 16)
+    assert c.methods == (METHODS_2D if problem in PROBLEMS_2D else
+                         METHODS_3D if problem in PROBLEMS_3D else
+                         ("hg_asym",))
 
 
 def test_config_from_dict_minimal():

@@ -2,6 +2,8 @@ import re
 import types
 from pathlib import Path
 
+import pytest
+
 import closeeval
 
 
@@ -16,3 +18,40 @@ def test_version_matches_pyproject():
     text = (Path(__file__).parents[1]/"pyproject.toml").read_text()
     version = re.search(r'^version = "([^"]+)"', text, re.M).group(1)
     assert closeeval.__version__ == version
+
+
+def _array_dataclasses():
+    # one factory per dataclass whose fields hold arrays
+    sphere_density = lambda: closeeval.Density3D(
+        closeeval.unit_sphere(), closeeval.SphericalCoeffs.zeros(2))
+    kite_density = lambda: closeeval.solve_density(
+        closeeval.kite(), closeeval.dirichlet_data(closeeval.kite(),
+                                                   (1.85, 1.65), 16), 16)
+    return {
+        "Curve2D": closeeval.kite,
+        "CurvePoint2D": lambda: closeeval.curve_eval(closeeval.kite(), 0.3),
+        "Surface3D": closeeval.unit_sphere,
+        "SurfacePoint3D": lambda: closeeval.surface_eval(
+            closeeval.unit_sphere(), 1.0, 0.5),
+        "QuadratureRule1D": lambda: closeeval.mapped_rule(4),
+        "SphericalCoeffs": lambda: closeeval.SphericalCoeffs.zeros(2),
+        "IntensityField": lambda: closeeval.IntensityField(
+            closeeval.SphericalCoeffs.zeros(2)),
+        "DensityGrid2D": kite_density,
+        "Density3D": sphere_density,
+        "CloseEvalRequest2D": lambda: closeeval.CloseEvalRequest2D(
+            kite_density(), 3, 1e-2),
+        "CloseEvalRequest3D": lambda: closeeval.CloseEvalRequest3D(
+            sphere_density(), 1.0, 0.5, 1e-2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_array_dataclasses()))
+def test_array_dataclasses_compare_by_identity(name):
+    # == between two equal-valued instances is a bool, not an elementwise
+    # array comparison, and every instance is hashable
+    make = _array_dataclasses()[name]
+    a, b = make(), make()
+    assert type(a).__name__ == name
+    assert (a == b) is False and (a == a) is True and (a != b) is True
+    assert len({a, b, a}) == 2
