@@ -38,6 +38,10 @@ _L32_POLAR_NODES = 64
 # Largest field degree of an HG study.  The L32 rings take 64*max(16, 2N)
 # nodes times N^2 basis values: 4.6e6 at degree 32, 3.5e9 at 300.
 MAX_DEGREE = 32
+# Largest polar rule of apply_L_direct.  Its default count 8/(1 - |g|),
+# rounded up to a power of two, reaches it at |g| = 0.999.  The rule build is
+# O(n^2): 0.7 s at 8192 nodes, minutes at the 2^17 that g = 0.9999 asks for.
+MAX_POLAR_NODES = 8192
 # Ring nodes times N^2 basis values that _ring_average synthesises at once,
 # 16 MB of complex basis, so its memory does not grow with the polar rule.
 _RING_BLOCK_VALUES = 1 << 20
@@ -106,7 +110,7 @@ def _ring_average(psi: IntensityField, omega, s_nodes):
 def _polar_default(psi: IntensityField, peak_eps: float):
     # enough polar nodes to resolve both the field and the kernel peak,
     # rounded up to a power of two so that a sweep reuses a few cached rules
-    n = max(64, 2*psi.N, int(np.ceil(8.0/max(peak_eps, 1e-6))))
+    n = max(64, 2*psi.N, int(np.ceil(8.0/peak_eps)))
     return 1 << (n - 1).bit_length()
 
 
@@ -115,7 +119,8 @@ def apply_L_direct(psi: IntensityField, omega, g: float,
     """Scattering operator by quadrature in the frame with omega at the pole.
 
     Spectrally accurate for band-limited psi once the polar rule resolves
-    the kernel peak of width 1 - g.
+    the kernel peak of width 1 - g.  Raises ValueError when that would take
+    more than MAX_POLAR_NODES polar nodes (|g| > 0.999 by default).
     """
     if not -1 < g < 1:
         raise ValueError("anisotropy factor must satisfy |g| < 1")
@@ -124,6 +129,9 @@ def apply_L_direct(psi: IntensityField, omega, g: float,
     elif g > 1.0 - 2.0/n_polar:
         warnings.warn("polar rule too coarse for the phase-function peak",
                       RuntimeWarning)
+    if n_polar > MAX_POLAR_NODES:
+        raise ValueError(f"{n_polar} polar nodes exceed MAX_POLAR_NODES = "
+                         f"{MAX_POLAR_NODES} (g = {g})")
     rule = mapped_rule(n_polar)
     az = _ring_average(psi, omega, rule.nodes)
     kern = p_hg(np.cos(rule.nodes), g)

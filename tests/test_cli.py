@@ -279,3 +279,33 @@ def test_python_m_closeeval_help():
                           capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0
     assert "run" in proc.stdout and "fit" in proc.stdout
+
+
+_SCIPY_LOADED = """
+import runpy, sys
+import closeeval
+loaded = ["scipy" in sys.modules]
+for argv in (["run", sys.argv[1]], ["hg", sys.argv[2]]):
+    sys.argv = ["closeeval", *argv]
+    try:
+        runpy.run_module("closeeval", run_name="__main__", alter_sys=True)
+    except SystemExit as done:
+        assert done.code == 0, argv
+    loaded.append("scipy" in sys.modules)
+print(loaded)
+"""
+
+
+def test_no_study_imports_scipy(tmp_path):
+    # closeeval needs numpy alone: importing it and running a study of each
+    # family, as ``python -m closeeval`` does, loads no scipy
+    sphere = _write_config(tmp_path, dict(_SPHERE, out=str(tmp_path/"3d")),
+                           "sphere.json")
+    hg = _write_config(tmp_path, dict(_HG, n=8, out=str(tmp_path/"hg")),
+                       "hg.json")
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_LOADED, sphere, hg],
+                          capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, False, False]"
+    assert (tmp_path/"3d"/"results.csv").exists()
+    assert (tmp_path/"hg"/"results.csv").exists()

@@ -335,10 +335,10 @@ def test_run_hg_study_builds_no_large_rule(monkeypatch):
 
     def counted(n):
         built.append(n)
-        return roots(n)
+        return build(n)
 
-    roots = spectral.roots_legendre
-    monkeypatch.setattr(spectral, "roots_legendre", counted)
+    build = spectral._legendre_rule
+    monkeypatch.setattr(spectral, "_legendre_rule", counted)
     # an empty rule cache of its own, so every rule the study uses is built
     monkeypatch.setattr(spectral, "_gl_cached", functools.lru_cache(
         maxsize=128)(spectral._gl_cached.__wrapped__))

@@ -1,8 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from closeeval import hgscatter
+from closeeval import hgscatter, spectral
 from closeeval.hgscatter import (HGParams, IntensityField, apply_L32,
                                  apply_L_asymptotic, apply_L_direct,
                                  apply_L_spectral, p_hg, poisson_close_eval,
@@ -103,6 +105,19 @@ def test_default_polar_rule_is_a_power_of_two():
     assert _polar_default(psi, 1e-3) == 8192
     sizes = {_polar_default(psi, eps) for eps in np.logspace(-3, -1, 51)}
     assert sizes == {128, 256, 512, 1024, 2048, 4096, 8192}
+
+
+def test_polar_rule_above_the_cap_raises_before_it_is_built():
+    # g = 0.9999 asks for 2^17 polar nodes, a rule that takes minutes
+    psi = _field(2, 0)
+    built = spectral._gl_cached.cache_info().misses
+    start = time.perf_counter()
+    for g, n_polar in ((0.9999, None), (-0.9999, None),
+                       (0.5, hgscatter.MAX_POLAR_NODES + 1)):
+        with pytest.raises(ValueError, match="MAX_POLAR_NODES"):
+            apply_L_direct(psi, OMEGA, g, n_polar=n_polar)
+    assert time.perf_counter() - start < 1.0
+    assert spectral._gl_cached.cache_info().misses == built
 
 
 @pytest.mark.parametrize("g", [-0.4, 0.0, 0.5, 0.9])
