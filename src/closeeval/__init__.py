@@ -32,8 +32,8 @@ from .spectral import (QuadratureRule1D, SphericalCoeffs, analysis_grid,
                        analysis_operator, gauss_legendre, mapped_rule,
                        periodic_derivative, periodic_nodes,
                        pole_second_derivative_average, sph_analysis,
-                       sph_basis_matrix, sph_harm_eval, sph_synthesis,
-                       spherical_laplacian)
+                       sph_basis_matrix, sph_half_basis, sph_harm_eval,
+                       sph_synthesis, spherical_laplacian)
 
 __all__ = [
     # bie2d
@@ -70,6 +70,6 @@ __all__ = [
     "analysis_operator", "gauss_legendre", "mapped_rule",
     "periodic_derivative", "periodic_nodes",
     "pole_second_derivative_average", "sph_analysis", "sph_basis_matrix",
-    "sph_harm_eval", "sph_synthesis", "spherical_laplacian",
+    "sph_half_basis", "sph_harm_eval", "sph_synthesis", "spherical_laplacian",
 ]
 __version__ = "0.1.0"

@@ -18,7 +18,10 @@ The rows of the Galerkin matrix are the 2N^2 nodes of that grid, each with
 its own rotated quadrature grid.  The 2N rows of one colatitude differ only
 by a turn about the x3-axis, under which Y_nm gains a phase e^{im phi}, so
 the assembly evaluates the basis once per colatitude (N times in all) and
-phases it for the other rows of that colatitude.
+phases it for the other rows of that colatitude.  The quadrature grids of a
+colatitude's rows are built in a few stacked blocks.  Only the m >= 0
+columns are assembled: the kernel is real, so the others are their
+conjugates (DECISIONS.md D10).
 """
 
 from __future__ import annotations
@@ -32,11 +35,13 @@ import numpy as np
 
 from .geometry3d import Surface3D, direction, rotated_frame, surface_point_and_normal
 from .spectral import (SphericalCoeffs, analysis_operator, mapped_rule,
-                       periodic_nodes, sph_basis_matrix, sph_synthesis)
+                       periodic_nodes, sph_half_basis, sph_synthesis)
 
 # Largest Galerkin degree.  Assembly evaluates the basis at n grids of
 # 2n^2 nodes (O(n^5) values) and spends O(n^6) flops in dense products.
 MAX_DEGREE = 32
+# Quadrature nodes per stacked block of Galerkin rows (see _row_block).
+_BLOCK_NODES = 2**14
 
 
 @dataclass(eq=False)
@@ -94,10 +99,11 @@ class Density3D:
         return cls(surface, out, data)
 
 
-def rotated_grid(surface: Surface3D, theta0: float, phi0: float, n: int):
+def rotated_grid(surface: Surface3D, theta0, phi0, n: int):
     """The three-step quadrature grid whose pole sits at (theta0, phi0):
     the polar weights, shape (n, 1), then rotated_frame's (y, W, nu, theta,
-    phi) on the mapped Gauss-Legendre x 2n-azimuth nodes."""
+    phi) on the mapped Gauss-Legendre x 2n-azimuth nodes.  Stacked poles
+    (theta0, phi0 of shape (k,)) give k grids along a leading axis."""
     rule = mapped_rule(n)
     return (rule.weights[:, None],) + rotated_frame(
         surface, theta0, phi0, rule.nodes[:, None],
@@ -121,14 +127,15 @@ def dlp_weights(grid, x):
     return w*kern*W
 
 
-def subtracted_weights(surface: Surface3D, theta0: float, phi0: float,
-                       n: int):
+def subtracted_weights(surface: Surface3D, theta0, phi0, n: int):
     """Kernel-times-area quadrature row for the rotated grid about a
     boundary target: entries (1/4pi) w_j dt K(y0, y_jk) W_jk, plus the node
-    parameters needed to sample densities there."""
+    parameters needed to sample densities there.  Stacked targets (theta0,
+    phi0 of shape (k,)) give one row each along a leading axis."""
     grid = rotated_grid(surface, theta0, phi0, n)
     y0, _ = surface_point_and_normal(surface, theta0, phi0)
-    return (1.0/(4*n))*dlp_weights(grid, y0), grid[4], grid[5]
+    kw = (1.0/(4*n))*dlp_weights(grid, y0[..., None, None, :])
+    return kw, grid[4], grid[5]
 
 
 def apply_K_subtracted(surface: Surface3D, g: Callable, theta0: float,
@@ -163,28 +170,51 @@ def _assemble(surface: Surface3D, n: int):
         raise ValueError("coefficient degree beyond desk scale")
     TH, PH, G, P = analysis_operator(n)  # basis at the projection nodes
     nphi = 2*n
+    m = np.concatenate([np.arange(-d, d + 1) for d in range(n)])
+    half = np.flatnonzero(m >= 0)  # sph_half_basis's columns, in its order
     # rotation_matrix(theta, phi) = R_z(phi) rotation_matrix(theta, 0), so
     # the grid about (theta_i, phi_k) is the grid about (theta_i, phi_0)
     # turned by phi_k - phi_0, where Y_nm gains e^{im(phi_k - phi_0)}
-    m = np.concatenate([np.arange(-d, d + 1) for d in range(n)])
-    turn = np.exp(1j*np.outer(PH[0] - PH[0, 0], m))
-    A = np.zeros((n*n, n*n), dtype=complex)
+    turn = np.exp(1j*np.outer(PH[0] - PH[0, 0], m[half]))
+    block = _row_block(n)
+    Ah = np.zeros((n*n, half.size), dtype=complex)
     KW = np.empty((nphi, 2*n*n))
     for i in range(n):
-        for k in range(nphi):
-            kw, theta, phi = subtracted_weights(surface, TH[i, k], PH[i, k],
-                                                n)
-            KW[k] = kw.ravel()
+        for k in range(0, nphi, block):
+            kw, theta, phi = subtracted_weights(surface, TH[i, k:k + block],
+                                                PH[i, k:k + block], n)
+            KW[k:k + block] = kw.reshape(len(kw), -1)
             if k == 0:
-                base = theta, phi
+                base = theta[0], phi[0]
         rows = slice(i*nphi, (i + 1)*nphi)
-        # operator applied to every basis column at once:
-        # sum kw (Y - Y0)  -  Y0/2  -  Y0/2; the basis on the base grid is
-        # a temporary, so only one colatitude's copy is ever held
-        V = (turn*(KW @ sph_basis_matrix(*base, n))
-             - G[rows]*(KW.sum(axis=1) + 1.0)[:, None])
-        A += P[:, rows] @ V  # P @ V by colatitude: no (2n^2, n^2) V is held
+        # operator applied to every m >= 0 basis column at once:
+        # sum kw (Y - Y0)  -  Y0/2  -  Y0/2
+        V = (turn*(KW @ sph_half_basis(*base, n))
+             - G[rows, half]*(KW.sum(axis=1) + 1.0)[:, None])
+        Ah += P[:, rows] @ V  # P @ V by colatitude: no (2n^2, n^2/2) V
+    A = np.empty((n*n, n*n), dtype=complex)
+    A[:, half] = Ah
+    del Ah
+    # a real kernel maps the real fields Y_nm + (-1)^m conj(Y_nm) to real
+    # fields, so A[(n',m'), (n,-m)] = (-1)^(m+m') conj(A[(n',-m'), (n,m)])
+    neg = np.flatnonzero(m < 0)
+    mirror = np.arange(n*n) - 2*m  # flat slot of (n, -m)
+    sign = (-1.0)**m
+    mirrored = A[np.ix_(mirror, mirror[neg])]
+    np.conj(mirrored, out=mirrored)
+    mirrored *= np.outer(sign, sign[neg])
+    A[:, neg] = mirrored
     return A, (TH, PH, G, P)
+
+
+def _row_block(n: int) -> int:
+    """Rows of one colatitude whose quadrature grids one stacked
+    subtracted_weights call builds: equal blocks of at most _BLOCK_NODES
+    grid nodes, so the geometry temporaries stay small beside the basis
+    and projection that the assembly holds (DECISIONS.md D10)."""
+    nphi, nodes = 2*n, 2*n*n
+    blocks = -(-nphi*nodes//_BLOCK_NODES)
+    return -(-nphi//blocks)
 
 
 def project_boundary_data(f: Callable, n: int) -> SphericalCoeffs:

@@ -176,13 +176,19 @@ def surface_eval(surface: Surface3D, theta, phi,
     return SurfacePoint3D(y, y_th, y_ph, nu, W)
 
 
-def rotation_matrix(theta_star: float, phi_star: float) -> np.ndarray:
-    """Proper rotation with third column d(theta*, phi*)."""
+def rotation_matrix(theta_star, phi_star) -> np.ndarray:
+    """Proper rotation with third column d(theta*, phi*).
+
+    theta* and phi* broadcast against each other; their shape leads the
+    result, so stacked angles give stacked (..., 3, 3) matrices.
+    """
     ct, st = np.cos(theta_star), np.sin(theta_star)
     cp, sp = np.cos(phi_star), np.sin(phi_star)
-    return np.array([[ct*cp, -sp, st*cp],
-                     [ct*sp, cp, st*sp],
-                     [-st, 0.0, ct]])
+    R = np.zeros(np.broadcast(ct, cp).shape + (3, 3))
+    R[..., 0, 0], R[..., 0, 1], R[..., 0, 2] = ct*cp, -sp, st*cp
+    R[..., 1, 0], R[..., 1, 1], R[..., 1, 2] = ct*sp, cp, st*sp
+    R[..., 2, 0], R[..., 2, 2] = -st, ct
+    return R
 
 
 def rotated_angles(s, t, theta_star: float, phi_star: float):
@@ -205,36 +211,44 @@ def rotated_angles(s, t, theta_star: float, phi_star: float):
     return theta, phi
 
 
-def rotated_frame(surface: Surface3D, theta_star: float, phi_star: float,
-                  s, t):
+def rotated_frame(surface: Surface3D, theta_star, phi_star, s, t):
     """Quadrature geometry on the grid whose pole sits at (theta*, phi*).
 
     s and t are broadcast to a common shape; returns (position, W, normal,
     theta, phi) where W = |y_s x y_t| is the area element of the rotated
     parameterization (it absorbs the sin(s) pole factor) and (theta, phi)
     are the unrotated parameters of each node, for density synthesis.
+
+    Stacked poles (theta*, phi* of shape (k,)) give one grid per pole along
+    a leading axis.  The directions and tangents on the fixed (s, t) grid
+    are built once and rotated by each pole's matrix.
     """
     S, T = np.broadcast_arrays(np.asarray(s, dtype=float),
                                np.asarray(t, dtype=float))
     R = rotation_matrix(theta_star, phi_star)
-    d = direction(S, T) @ R.T
+    RT = np.swapaxes(R, -1, -2)
+    shape = R.shape[:-2] + S.shape + (3,)
     e_s, e_t = _angle_tangents(S, T)
-    y, y_s, y_t, W, nu = surface.frame_of_direction(d, e_s @ R.T, e_t @ R.T)
+    d, e_s, e_t = ((v.reshape(-1, 3) @ RT).reshape(shape)
+                   for v in (direction(S, T), e_s, e_t))
+    y, y_s, y_t, W, nu = surface.frame_of_direction(d, e_s, e_t)
     theta = np.arctan2(np.hypot(d[..., 0], d[..., 1]), d[..., 2])
     phi = np.arctan2(d[..., 1], d[..., 0])
     return y, W, nu, theta, phi
 
 
-def surface_point_and_normal(surface: Surface3D, theta_star: float,
-                             phi_star: float):
-    """Position and outward unit normal at one surface point.
+def surface_point_and_normal(surface: Surface3D, theta_star, phi_star):
+    """Position and outward unit normal at one surface point, or at each of
+    stacked points (leading axes of theta*, phi*).
 
     Pushes forward the orthonormal tangent pair (u, v) of the rotation
     frame instead of the (theta, phi) coordinate basis, so the result is
-    well defined at the parameter poles too.
+    well defined at the parameter poles too.  Raises ValueError when the
+    frame degenerates at any of the points.
     """
     R = rotation_matrix(theta_star, phi_star)
-    y, y1, y2, W, nu = surface.frame_of_direction(R[:, 2], R[:, 0], R[:, 1])
-    if W < _POLE_TOL:
+    y, y1, y2, W, nu = surface.frame_of_direction(R[..., 2], R[..., 0],
+                                                  R[..., 1])
+    if np.any(W < _POLE_TOL):
         raise ValueError("degenerate surface frame")
     return y, nu

@@ -171,23 +171,30 @@ class SphericalCoeffs:
         return np.repeat(np.arange(self.N), 2*np.arange(self.N) + 1)
 
 
-def _legendre_table(x: np.ndarray, sx: np.ndarray, nmax: int) -> dict:
-    """Normalized associated Legendre values Pbar_n^m(x) for 0<=m<=n<nmax.
+def _tri(n: int) -> int:
+    """Offset of degree n in the (n, m >= 0) triangular order."""
+    return n*(n + 1)//2
 
-    Three-term recurrence in n for each order m, with the normalization
-    carried through every step so no intermediate overflows for n up to
-    a few hundred.  sx = sin(theta) >= 0 accompanies x = cos(theta).
+def _legendre_table(x: np.ndarray, sx: np.ndarray, nmax: int) -> np.ndarray:
+    """Normalized associated Legendre values Pbar_n^m(x) for 0<=m<=n<nmax,
+    shape (nmax(nmax+1)/2, x.size), row _tri(n) + m.
+
+    Three-term recurrence in n, run for every order m at once, so it takes
+    nmax steps; the normalization is carried through every step so no
+    intermediate overflows for n up to a few hundred.  x = cos(theta) and
+    sx = sin(theta) >= 0 are flat arrays.
     """
-    P = {(0, 0): np.full(x.shape, 0.5/np.sqrt(np.pi))}
-    for m in range(1, nmax):
-        P[(m, m)] = -np.sqrt((2*m + 1)/(2.0*m))*sx*P[(m - 1, m - 1)]
-    for m in range(nmax - 1):
-        P[(m + 1, m)] = np.sqrt(2*m + 3.0)*x*P[(m, m)]
-    for m in range(nmax):
-        for n in range(m + 2, nmax):
-            a = np.sqrt((4.0*n*n - 1)/(n*n - m*m))
-            b = np.sqrt(((n - 1.0)**2 - m*m)*(2*n + 1)/((n*n - m*m)*(2*n - 3.0)))
-            P[(n, m)] = a*x*P[(n - 1, m)] - b*P[(n - 2, m)]
+    P = np.empty((_tri(nmax), x.size))
+    P[0] = 0.5/np.sqrt(np.pi)
+    for n in range(1, nmax):
+        row, prev, prev2 = _tri(n), _tri(n - 1), _tri(n - 2)
+        P[row + n] = -np.sqrt((2*n + 1)/(2.0*n))*sx*P[prev + n - 1]
+        P[row + n - 1] = np.sqrt(2*n + 1.0)*x*P[prev + n - 1]
+        m = np.arange(n - 1)[:, None]
+        a = np.sqrt((4.0*n*n - 1)/(n*n - m*m))
+        b = np.sqrt(((n - 1.0)**2 - m*m)*(2*n + 1)/((n*n - m*m)*(2*n - 3.0)))
+        P[row:row + n - 1] = ((a*x)*P[prev:prev + n - 1]
+                              - b*P[prev2:prev2 + n - 1])
     return P
 
 def sph_harm_eval(n: int, m: int, theta, phi):
@@ -196,33 +203,57 @@ def sph_harm_eval(n: int, m: int, theta, phi):
         raise ValueError("require |m| <= n")
     th = np.asarray(theta, dtype=float)
     ph = np.asarray(phi, dtype=float)
-    P = _legendre_table(np.cos(th), np.sin(th), n + 1)
-    val = P[(n, abs(m))]*np.exp(1j*abs(m)*ph)
+    P = _legendre_table(np.cos(th).ravel(), np.sin(th).ravel(), n + 1)
+    val = P[_tri(n) + abs(m)].reshape(th.shape)*np.exp(1j*abs(m)*ph)
     if m < 0:
         val = (-1)**(-m)*np.conj(val)
     return val
 
+def _legendre_phases(theta, phi, N: int):
+    """_legendre_table at the flattened angles, and e^{im phi} for m < N,
+    shape (N, npoints), each the m-th repeated product of e^{i phi}."""
+    th = np.asarray(theta, dtype=float).ravel()
+    ph = np.asarray(phi, dtype=float).ravel()
+    powers = np.empty((N, th.size), dtype=complex)
+    powers[0] = 1.0
+    eip = np.exp(1j*ph)
+    for m in range(1, N):
+        powers[m] = powers[m - 1]*eip
+    return _legendre_table(np.cos(th), np.sin(th), N), powers
+
+def sph_half_basis(theta, phi, N: int) -> np.ndarray:
+    """The Y_nm with 0 <= m <= n < N at the given angles, shape (npoints,
+    N(N+1)/2), in the order (0,0), (1,0), (1,1), (2,0), ...
+
+    The m < 0 harmonics follow as Y_{n,-m} = (-1)^m conj(Y_nm).  The result
+    is the transpose of a harmonic-major array, so .T gives each harmonic's
+    values contiguously without a copy.
+    """
+    P, powers = _legendre_phases(theta, phi, N)
+    out = np.empty(P.shape, dtype=complex)
+    for n in range(N):
+        rows = slice(_tri(n), _tri(n + 1))
+        np.multiply(P[rows], powers[:n + 1], out=out[rows])
+    return out.T
+
 def sph_basis_matrix(theta, phi, N: int) -> np.ndarray:
     """All Y_nm for n < N at the given angles, shape (npoints, N^2).
 
-    Column order matches SphericalCoeffs.  Shared by the transforms and by
-    the 3D solver, which evaluates every basis function on rotated grids.
+    Column order matches SphericalCoeffs.  Per degree, the m >= 0 slice is
+    sph_half_basis's, written in place, and the m < 0 slice its conjugate
+    copy.  Like sph_half_basis, the result is the transpose of a
+    harmonic-major array.  Shared by the transforms and by the 3D solver.
     """
-    th = np.asarray(theta, dtype=float).ravel()
-    ph = np.asarray(phi, dtype=float).ravel()
-    P = _legendre_table(np.cos(th), np.sin(th), N)
-    eip = np.exp(1j*ph)
-    powers = [np.ones(th.size, dtype=complex)]
-    for _ in range(1, N):
-        powers.append(powers[-1]*eip)
-    cols = np.empty((th.size, N*N), dtype=complex)
+    P, powers = _legendre_phases(theta, phi, N)
+    rows = np.empty((N*N, P.shape[1]), dtype=complex)
     for n in range(N):
-        for m in range(0, n + 1):
-            v = P[(n, m)]*powers[m]
-            cols[:, SphericalCoeffs.index(n, m)] = v
-            if m:
-                cols[:, SphericalCoeffs.index(n, -m)] = (-1)**m*np.conj(v)
-    return cols
+        h = rows[n*n + n:(n + 1)**2]
+        np.multiply(P[_tri(n):_tri(n + 1)], powers[:n + 1], out=h)
+        # m = -n .. -1 from m = n .. 1, then the sign on the odd m
+        np.conj(h[:0:-1], out=rows[n*n:n*n + n])
+        odd = rows[n*n + (n + 1) % 2:n*n + n:2]
+        np.negative(odd, out=odd)
+    return rows.T
 
 
 def analysis_grid(N: int):
@@ -264,11 +295,18 @@ def sph_analysis(values: np.ndarray, N: int) -> SphericalCoeffs:
     return SphericalCoeffs(N, P @ v.ravel())
 
 def sph_synthesis(coeffs: SphericalCoeffs, theta, phi) -> np.ndarray:
-    """Evaluate the truncated expansion at arbitrary angles (complex output)."""
+    """Evaluate the truncated expansion at arbitrary angles (complex output).
+
+    Sums over sph_half_basis alone: with b = (-1)^m c_{n,-m}, the m < 0
+    terms are c_{n,-m} Y_{n,-m} = conj(conj(b) Y_nm).
+    """
     th = np.asarray(theta, dtype=float)
-    sh = th.shape
-    B = sph_basis_matrix(theta, phi, coeffs.N)
-    return (B @ coeffs.c).reshape(sh)
+    n = np.repeat(np.arange(coeffs.N), np.arange(1, coeffs.N + 1))
+    m = np.arange(n.size) - n*(n + 1)//2
+    b = np.where(m > 0, (-1.0)**m*coeffs.c[n*n + n - m], 0.0)
+    both = sph_half_basis(theta, phi, coeffs.N) @ np.stack(
+        [coeffs.c[n*n + n + m], np.conj(b)], axis=1)
+    return (both[:, 0] + np.conj(both[:, 1])).reshape(th.shape)
 
 
 def spherical_laplacian(coeffs: SphericalCoeffs) -> SphericalCoeffs:

@@ -81,30 +81,51 @@ def _per_row_galerkin(surface, n):
 
 
 @pytest.mark.parametrize("name,n", [("unit_sphere", 8), ("mushroom", 8),
-                                    ("mushroom", 12)])
+                                    ("mushroom", 12), ("mushroom", 1),
+                                    ("mushroom", 9)])
 def test_galerkin_matches_per_row_reference(name, n):
+    # n = 1 has no m < 0 column to mirror; n = 9 has an odd degree count
     surface = {"unit_sphere": unit_sphere, "mushroom": mushroom}[name]()
     diff = assemble_galerkin(surface, n) - _per_row_galerkin(surface, n)
     assert np.max(np.abs(diff)) <= 1e-12
 
 
+def test_per_row_galerkin_has_the_mirror_symmetry():
+    # the premise of assembling only the m >= 0 columns, checked on the
+    # reference, which assembles every column
+    n = 8
+    A = _per_row_galerkin(mushroom(), n)
+    m = np.concatenate([np.arange(-d, d + 1) for d in range(n)])
+    mirror = np.arange(n*n) - 2*m
+    sign = (-1.0)**m
+    mirrored = np.outer(sign, sign)*np.conj(A[np.ix_(mirror, mirror)])
+    assert np.max(np.abs(A - mirrored)) <= 1e-13
+
+
 def test_galerkin_evaluates_basis_once_per_colatitude(monkeypatch):
-    calls = {"subtracted_weights": 0, "sph_basis_matrix": 0}
+    calls = {"subtracted_weights": [], "sph_half_basis": []}
 
     def counted(name):
         fn = getattr(bie3d, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name].append(np.size(args[1]))
             return fn(*args, **kwargs)
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(bie3d, name, counted(name))
-    assemble_galerkin(mushroom(), 8)
-    # one quadrature row per node of the 8 x 16 analysis grid, one basis
-    # evaluation per colatitude
-    assert calls == {"subtracted_weights": 128, "sph_basis_matrix": 8}
+    A = assemble_galerkin(mushroom(), 8)
+    # one half basis per colatitude of the 8 x 16 analysis grid, evaluated
+    # at the 8 x 16 nodes of its first row's grid; the 16 rows of a
+    # colatitude (2048 grid nodes) fit in one stacked geometry call
+    assert calls == {"subtracted_weights": [16]*8, "sph_half_basis": [128]*8}
+    # smaller blocks change the call pattern, not the matrix
+    calls["subtracted_weights"].clear()
+    monkeypatch.setattr(bie3d, "_BLOCK_NODES", 700)
+    blocked = assemble_galerkin(mushroom(), 8)
+    assert calls["subtracted_weights"] == [6, 6, 4]*8
+    assert np.max(np.abs(blocked - A)) <= 1e-15
 
 
 def test_solve_builds_analysis_operator_once(monkeypatch):

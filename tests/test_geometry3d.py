@@ -168,6 +168,49 @@ def test_rotated_frame_matches_rotated_angles():
     assert_allclose(wrapped, 0.0, atol=1e-12)
 
 
+# rows of a stack, poles included
+STACKED_POLES = (np.array([0.0, 0.7, np.pi, 2.2, 1.5]),
+                 np.array([0.4, -2.1, 1.0, 3.1, np.pi]))
+
+
+def test_stacked_rotation_matrix_matches_scalar_calls():
+    R = rotation_matrix(*STACKED_POLES)
+    assert R.shape == (5, 3, 3)
+    for r, (ts, ps) in enumerate(zip(*STACKED_POLES)):
+        assert_allclose(R[r], rotation_matrix(ts, ps), rtol=0, atol=1e-15)
+
+
+def test_stacked_point_and_normal_matches_scalar_calls():
+    y, nu = surface_point_and_normal(mushroom(), *STACKED_POLES)
+    assert y.shape == nu.shape == (5, 3)
+    for r, (ts, ps) in enumerate(zip(*STACKED_POLES)):
+        y1, nu1 = surface_point_and_normal(mushroom(), ts, ps)
+        assert_allclose(y[r], y1, rtol=0, atol=1e-15)
+        assert_allclose(nu[r], nu1, rtol=0, atol=1e-15)
+
+
+def test_stacked_rotated_frame_matches_scalar_calls():
+    rule = mapped_rule(8)
+    s, t = rule.nodes[:, None], periodic_nodes(16)[None, :]
+    stacked = rotated_frame(mushroom(), *STACKED_POLES, s, t)
+    assert stacked[0].shape == (5, 8, 16, 3)
+    assert stacked[1].shape == (5, 8, 16)
+    for r, (ts, ps) in enumerate(zip(*STACKED_POLES)):
+        for got, ref in zip(stacked, rotated_frame(mushroom(), ts, ps, s, t)):
+            assert_allclose(got[r], ref, rtol=0, atol=1e-15)
+
+
+def test_stacked_point_and_normal_raises_on_one_degenerate_frame():
+    # the profile 1 - c vanishes at the north pole, where the frame's two
+    # pushed-forward tangents are parallel
+    cone = custom_radial(lambda c: 1.0 - c, lambda c: -np.ones_like(c))
+    surface_point_and_normal(cone, np.array([0.5, 2.0]), np.zeros(2))
+    # the normal rebuilt there is 0/0 before the check rejects the row
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        surface_point_and_normal(cone, np.array([0.5, 0.0, 2.0]),
+                                 np.zeros(3))
+
+
 def test_custom_radial_validation():
     one = lambda c: np.ones_like(np.asarray(c, float))
     zero = lambda c: np.zeros_like(np.asarray(c, float))

@@ -6,8 +6,9 @@ from closeeval.geometry3d import rotated_angles
 from closeeval.spectral import (SphericalCoeffs, analysis_grid, gauss_legendre,
                                 mapped_rule, periodic_derivative,
                                 periodic_nodes, pole_second_derivative_average,
-                                sph_analysis, sph_basis_matrix, sph_harm_eval,
-                                sph_synthesis, spherical_laplacian)
+                                sph_analysis, sph_basis_matrix,
+                                sph_half_basis, sph_harm_eval, sph_synthesis,
+                                spherical_laplacian)
 
 
 def _random_band_limited(rng, N):
@@ -156,6 +157,49 @@ def test_sph_harm_matches_scipy():
         got = sph_harm_eval(n, m, th, ph)
         ref = sph_harm_y(n, m, th, ph)
         assert_allclose(got, ref, atol=1e-12)
+
+
+def _nodes_with_poles(rng, k):
+    """k random nodes plus theta = 0 and pi, and phi = -pi and pi."""
+    th = np.concatenate([[0.0, np.pi, 0.0, np.pi, 1.0, 2.0],
+                         rng.uniform(0, np.pi, k)])
+    ph = np.concatenate([[0.3, -1.2, np.pi, -np.pi, np.pi, -np.pi],
+                         rng.uniform(-np.pi, np.pi, k)])
+    return th, ph
+
+
+def test_basis_matrix_matches_scipy_with_poles():
+    from scipy.special import sph_harm_y
+    N = 32
+    th, ph = _nodes_with_poles(np.random.default_rng(3), 40)
+    n = SphericalCoeffs.zeros(N).degrees()
+    m = np.concatenate([np.arange(-d, d + 1) for d in range(N)])
+    ref = sph_harm_y(n[None, :], m[None, :], th[:, None], ph[:, None])
+    assert_allclose(sph_basis_matrix(th, ph, N), ref, rtol=0, atol=1e-12)
+
+
+def test_basis_matrix_m_nonnegative_columns_are_the_half_basis():
+    N = 32
+    th, ph = _nodes_with_poles(np.random.default_rng(4), 40)
+    B = sph_basis_matrix(th, ph, N)
+    half = sph_half_basis(th, ph, N)
+    assert half.shape == (th.size, N*(N + 1)//2)
+    cols = [SphericalCoeffs.index(n, m) for n in range(N)
+            for m in range(n + 1)]
+    assert np.array_equal(B[:, cols], half)
+
+
+def test_synthesis_of_complex_coefficients_matches_the_basis():
+    # coefficients of no real field, so the m < 0 terms are independent
+    rng = np.random.default_rng(5)
+    N = 12
+    c = SphericalCoeffs(N, rng.standard_normal(N*N)
+                        + 1j*rng.standard_normal(N*N))
+    th, ph = _nodes_with_poles(rng, 30)
+    ref = sph_basis_matrix(th, ph, N) @ c.c
+    assert_allclose(sph_synthesis(c, th, ph), ref, rtol=0, atol=1e-13)
+    grid = sph_synthesis(c, th[:30].reshape(5, 6), ph[:30].reshape(5, 6))
+    assert_allclose(grid.ravel(), ref[:30], rtol=0, atol=1e-13)
 
 
 def test_sph_harm_rejects_bad_order():
