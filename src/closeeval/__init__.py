@@ -29,8 +29,8 @@ from .hgscatter import (HGParams, IntensityField, apply_L32,
                         apply_L_asymptotic, apply_L_direct, apply_L_spectral,
                         p_hg, poisson_close_eval)
 from .spectral import (QuadratureRule1D, SphericalCoeffs, analysis_grid,
-                       analysis_operator, gauss_legendre, mapped_rule,
-                       periodic_derivative, periodic_nodes,
+                       gauss_legendre, mapped_rule, periodic_derivative,
+                       periodic_nodes,
                        pole_second_derivative_average, sph_analysis,
                        sph_basis_matrix, sph_half_basis, sph_harm_eval,
                        sph_synthesis, spherical_laplacian)
@@ -67,8 +67,7 @@ __all__ = [
     "apply_L_direct", "apply_L_spectral", "p_hg", "poisson_close_eval",
     # spectral
     "QuadratureRule1D", "SphericalCoeffs", "analysis_grid",
-    "analysis_operator", "gauss_legendre", "mapped_rule",
-    "periodic_derivative", "periodic_nodes",
+    "gauss_legendre", "mapped_rule", "periodic_derivative", "periodic_nodes",
     "pole_second_derivative_average", "sph_analysis", "sph_basis_matrix",
     "sph_half_basis", "sph_harm_eval", "sph_synthesis", "spherical_laplacian",
 ]

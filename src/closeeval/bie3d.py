@@ -21,27 +21,45 @@ the assembly evaluates the basis once per colatitude (N times in all) and
 phases it for the other rows of that colatitude.  The quadrature grids of a
 colatitude's rows are built in a few stacked blocks.  Only the m >= 0
 columns are assembled: the kernel is real, so the others are their
-conjugates (DECISIONS.md D10).
+conjugates (DECISIONS.md D10).  A colatitude's rows are projected by the
+FFT-and-Legendre analysis that projects the data too (DECISIONS.md D11).
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .geometry3d import Surface3D, direction, rotated_frame, surface_point_and_normal
-from .spectral import (SphericalCoeffs, analysis_operator, mapped_rule,
-                       periodic_nodes, sph_half_basis, sph_synthesis)
+from .spectral import (SphericalCoeffs, _analysis, analysis_grid,
+                       mapped_rule, periodic_nodes, sph_analysis,
+                       sph_half_basis, sph_synthesis)
 
 # Largest Galerkin degree.  Assembly evaluates the basis at n grids of
-# 2n^2 nodes (O(n^5) values) and spends O(n^6) flops in dense products.
-MAX_DEGREE = 32
+# 2n^2 nodes (O(n^5) values) and spends O(n^6) flops in their products with
+# the rows; a mushroom solve at n = 48 takes about 20 s and 220 MB.
+MAX_DEGREE = 48
 # Quadrature nodes per stacked block of Galerkin rows (see _row_block).
 _BLOCK_NODES = 2**14
+
+
+@contextmanager
+def _atomic_write(path: str):
+    """Write path through a temporary file in its directory, which
+    replaces path only if the block completes; lines end in a bare LF."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 @dataclass(eq=False)
@@ -69,14 +87,8 @@ class Density3D:
             for m in range(-n, n + 1):
                 c = self.coeffs.get(n, m)
                 rows.append([n, m, float(c.real), float(c.imag)])
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w") as fh:
-                json.dump({"N": self.N, "coeffs": rows}, fh)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+        with _atomic_write(path) as fh:
+            json.dump({"N": self.N, "coeffs": rows}, fh)
 
     @classmethod
     def load(cls, path: str, surface: Surface3D,
@@ -160,22 +172,17 @@ def assemble_galerkin(surface: Surface3D, n: int) -> np.ndarray:
     produced by applying the boundary operator to Y_{n'm'} and subtracting
     half the harmonic again.
     """
-    return _assemble(surface, n)[0]
-
-
-def _assemble(surface: Surface3D, n: int):
-    """The Galerkin matrix and the analysis_operator(n) it was built on,
-    which a solve reuses to project its data."""
     if n > MAX_DEGREE:
         raise ValueError("coefficient degree beyond desk scale")
-    TH, PH, G, P = analysis_operator(n)  # basis at the projection nodes
+    th, wth, ph = analysis_grid(n)
+    TH, PH = np.meshgrid(th, ph, indexing="ij")
     nphi = 2*n
     m = np.concatenate([np.arange(-d, d + 1) for d in range(n)])
     half = np.flatnonzero(m >= 0)  # sph_half_basis's columns, in its order
     # rotation_matrix(theta, phi) = R_z(phi) rotation_matrix(theta, 0), so
     # the grid about (theta_i, phi_k) is the grid about (theta_i, phi_0)
     # turned by phi_k - phi_0, where Y_nm gains e^{im(phi_k - phi_0)}
-    turn = np.exp(1j*np.outer(PH[0] - PH[0, 0], m[half]))
+    turn = np.exp(1j*np.outer(ph - ph[0], m[half]))
     block = _row_block(n)
     Ah = np.zeros((n*n, half.size), dtype=complex)
     KW = np.empty((nphi, 2*n*n))
@@ -186,12 +193,12 @@ def _assemble(surface: Surface3D, n: int):
             KW[k:k + block] = kw.reshape(len(kw), -1)
             if k == 0:
                 base = theta[0], phi[0]
-        rows = slice(i*nphi, (i + 1)*nphi)
         # operator applied to every m >= 0 basis column at once:
-        # sum kw (Y - Y0)  -  Y0/2  -  Y0/2
-        V = (turn*(KW @ sph_half_basis(*base, n))
-             - G[rows, half]*(KW.sum(axis=1) + 1.0)[:, None])
-        Ah += P[:, rows] @ V  # P @ V by colatitude: no (2n^2, n^2/2) V
+        # sum kw (Y - Y0)  -  Y0/2  -  Y0/2, with Y0 turned like the grid
+        Y0 = sph_half_basis(TH[i, :1], PH[i, :1], n)
+        V = turn*(KW @ sph_half_basis(*base, n)
+                  - Y0*(KW.sum(axis=1) + 1.0)[:, None])
+        Ah += _analysis(V[None], th[i:i + 1], wth[i:i + 1])
     A = np.empty((n*n, n*n), dtype=complex)
     A[:, half] = Ah
     del Ah
@@ -204,14 +211,14 @@ def _assemble(surface: Surface3D, n: int):
     np.conj(mirrored, out=mirrored)
     mirrored *= np.outer(sign, sign[neg])
     A[:, neg] = mirrored
-    return A, (TH, PH, G, P)
+    return A
 
 
 def _row_block(n: int) -> int:
     """Rows of one colatitude whose quadrature grids one stacked
     subtracted_weights call builds: equal blocks of at most _BLOCK_NODES
-    grid nodes, so the geometry temporaries stay small beside the basis
-    and projection that the assembly holds (DECISIONS.md D10)."""
+    grid nodes, so the geometry temporaries stay small beside the matrix
+    that the assembly holds (DECISIONS.md D10)."""
     nphi, nodes = 2*n, 2*n*n
     blocks = -(-nphi*nodes//_BLOCK_NODES)
     return -(-nphi//blocks)
@@ -219,12 +226,9 @@ def _row_block(n: int) -> int:
 
 def project_boundary_data(f: Callable, n: int) -> SphericalCoeffs:
     """Spherical analysis of boundary data sampled on the projection grid."""
-    return _project(f, analysis_operator(n))
-
-
-def _project(f: Callable, operator) -> SphericalCoeffs:
-    TH, PH, _, P = operator
-    return SphericalCoeffs(TH.shape[0], P @ np.asarray(f(TH, PH)).ravel())
+    theta, _, phi = analysis_grid(n)
+    return sph_analysis(np.asarray(f(*np.meshgrid(theta, phi,
+                                                  indexing="ij"))), n)
 
 
 def solve_density3d(surface: Surface3D, f: Callable, n: int,
@@ -234,12 +238,8 @@ def solve_density3d(surface: Surface3D, f: Callable, n: int,
     f(theta, phi) samples the Dirichlet data at surface parameters.  Pass a
     precomputed Galerkin matrix to skip assembly (it dominates the cost).
     """
-    if matrix is None:
-        A, operator = _assemble(surface, n)  # one analysis_operator per solve
-    else:
-        A, operator = matrix, analysis_operator(n)
-    fhat = _project(f, operator)
-    del operator  # its basis and projection, 21 MB at n=24, before the solve
+    A = assemble_galerkin(surface, n) if matrix is None else matrix
+    fhat = project_boundary_data(f, n)
     muhat = np.linalg.solve(A, fhat.c)
     resid = np.max(np.abs(A @ muhat - fhat.c))
     if resid > 1e-10*max(np.max(np.abs(fhat.c)), 1.0):

@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 
+from .bie3d import _atomic_write
 from .harness import (ConfigError, NumericalError, apply_overrides,
                       dump_fits, fit_results, load_config, parse_eps_range,
                       read_results_csv, run_error_map, run_hg_study)
@@ -81,7 +82,7 @@ def _cmd_fit(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "fits.json")
-        with open(path, "w") as fh:
+        with _atomic_write(path) as fh:
             dump_fits(fits, fh)
         print(f"wrote {path}")
     else:

@@ -117,12 +117,18 @@ def custom_radial(profile, profile_prime, axes=(1.0, 1.0, 1.0)) -> Surface3D:
     """Star-shaped surface from an analytic profile of c = cos(theta).
 
     Both the profile and its c-derivative must be supplied in closed form;
-    the kernels need exact normals.
+    the kernels need exact normals.  The profile must be finite and
+    positive on [-1, 1], which is checked on a fixed grid there: where it
+    vanishes, the surface frame degenerates.
     """
     s = Surface3D("custom-radial", profile, profile_prime,
                   np.asarray(axes, dtype=float))
     if np.any(s.axes <= 0):
         raise ValueError("axis scales must be positive")
+    with np.errstate(all="ignore"):
+        values = np.asarray(profile(np.linspace(-1.0, 1.0, 129)), dtype=float)
+    if not np.all(np.isfinite(values) & (values > 0)):
+        raise ValueError("profile must be finite and positive on [-1, 1]")
     return _oriented(s)
 
 def _oriented(s: Surface3D) -> Surface3D:

@@ -242,7 +242,7 @@ def sph_basis_matrix(theta, phi, N: int) -> np.ndarray:
     Column order matches SphericalCoeffs.  Per degree, the m >= 0 slice is
     sph_half_basis's, written in place, and the m < 0 slice its conjugate
     copy.  Like sph_half_basis, the result is the transpose of a
-    harmonic-major array.  Shared by the transforms and by the 3D solver.
+    harmonic-major array.
     """
     P, powers = _legendre_phases(theta, phi, N)
     rows = np.empty((N*N, P.shape[1]), dtype=complex)
@@ -267,20 +267,19 @@ def analysis_grid(N: int):
     theta = np.arccos(rule.nodes[::-1])
     return theta, rule.weights[::-1].copy(), periodic_nodes(2*N)
 
-def analysis_operator(N: int):
-    """The analysis_grid(N) mesh, the basis on it, and the projection onto
-    Y_nm, n < N.
-
-    Returns (theta, phi, B, P): mesh angles of shape (N, 2N), theta index
-    first; B = sph_basis_matrix(theta, phi, N) of shape (2N^2, N^2); and
-    P = B^H diag(w) of shape (N^2, 2N^2), which maps flattened mesh samples
-    to coefficients, exactly for fields band-limited below degree N.
-    """
-    theta, wth, phi = analysis_grid(N)
-    TH, PH = np.meshgrid(theta, phi, indexing="ij")
-    B = sph_basis_matrix(TH, PH, N)
-    wrow = np.repeat(wth, 2*N)*(np.pi/N)
-    return TH, PH, B, (np.conj(B)*wrow[:, None]).T
+def _analysis(values: np.ndarray, theta, weights) -> np.ndarray:
+    """Coefficients (N^2, ...) of samples (k, 2N, ...) on k of the
+    analysis_grid(N) colatitudes, theta with their weights: an FFT over
+    longitude, whose phi_0 = -pi makes the sign (-1)^m, and one Legendre
+    table at theta (DECISIONS.md D11)."""
+    v = np.fft.fft(values, axis=1)
+    N = v.shape[1]//2
+    n = np.repeat(np.arange(N), 2*np.arange(N) + 1)
+    m = np.arange(N*N) - n*n - n
+    P = _legendre_table(np.cos(theta), np.sin(theta), N)[_tri(n) + np.abs(m)]
+    # conj(Y_nm) has a second (-1)^m when m < 0, so the signs cancel there
+    w = P*np.where(m > 0, (-1.0)**m, 1.0)[:, None]*(np.pi/N)*weights
+    return np.einsum("jk,kj...->j...", w, v[:, m % (2*N)])
 
 def sph_analysis(values: np.ndarray, N: int) -> SphericalCoeffs:
     """Project samples on the analysis_grid(N) mesh onto Y_nm, n < N.
@@ -291,8 +290,8 @@ def sph_analysis(values: np.ndarray, N: int) -> SphericalCoeffs:
     v = np.asarray(values)
     if v.shape != (N, 2*N):
         raise ValueError("values must be sampled on the (N, 2N) analysis grid")
-    P = analysis_operator(N)[3]
-    return SphericalCoeffs(N, P @ v.ravel())
+    theta, weights, _ = analysis_grid(N)
+    return SphericalCoeffs(N, _analysis(v, theta, weights))
 
 def sph_synthesis(coeffs: SphericalCoeffs, theta, phi) -> np.ndarray:
     """Evaluate the truncated expansion at arbitrary angles (complex output).

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,7 +11,7 @@ from closeeval.bie3d import (Density3D, apply_K_subtracted, assemble_galerkin,
                              harmonic_point_source_3d, project_boundary_data,
                              solve_density3d, subtracted_weights)
 from closeeval.geometry3d import mushroom, unit_sphere
-from closeeval.spectral import (SphericalCoeffs, analysis_operator,
+from closeeval.spectral import (SphericalCoeffs, analysis_grid,
                                 sph_basis_matrix, sph_harm_eval)
 
 SOURCE = (5.0, 4.0, 3.0)
@@ -70,8 +72,12 @@ def test_galerkin_sphere_is_nearly_diagonal(sphere_matrix):
 
 
 def _per_row_galerkin(surface, n):
-    # the assembly with one basis evaluation per analysis-grid row
-    TH, PH, G, P = analysis_operator(n)
+    # the assembly with one basis evaluation per analysis-grid row, and a
+    # dense basis G and projection P = G^H diag(w) on the analysis grid
+    theta, wth, phi = analysis_grid(n)
+    TH, PH = np.meshgrid(theta, phi, indexing="ij")
+    G = sph_basis_matrix(TH, PH, n)
+    P = (np.conj(G)*(np.repeat(wth, 2*n)*(np.pi/n))[:, None]).T
     V = np.empty((2*n*n, n*n), dtype=complex)
     for row, (th, ph) in enumerate(zip(TH.ravel(), PH.ravel())):
         kw, theta, phi = subtracted_weights(surface, th, ph, n)
@@ -116,10 +122,12 @@ def test_galerkin_evaluates_basis_once_per_colatitude(monkeypatch):
     for name in calls:
         monkeypatch.setattr(bie3d, name, counted(name))
     A = assemble_galerkin(mushroom(), 8)
-    # one half basis per colatitude of the 8 x 16 analysis grid, evaluated
-    # at the 8 x 16 nodes of its first row's grid; the 16 rows of a
-    # colatitude (2048 grid nodes) fit in one stacked geometry call
-    assert calls == {"subtracted_weights": [16]*8, "sph_half_basis": [128]*8}
+    # per colatitude of the 8 x 16 analysis grid, the half basis at its
+    # first row's node and at the 8 x 16 nodes of that row's grid; the 16
+    # rows of a colatitude (2048 grid nodes) fit in one stacked geometry
+    # call
+    assert calls == {"subtracted_weights": [16]*8,
+                     "sph_half_basis": [1, 128]*8}
     # smaller blocks change the call pattern, not the matrix
     calls["subtracted_weights"].clear()
     monkeypatch.setattr(bie3d, "_BLOCK_NODES", 700)
@@ -128,24 +136,24 @@ def test_galerkin_evaluates_basis_once_per_colatitude(monkeypatch):
     assert np.max(np.abs(blocked - A)) <= 1e-15
 
 
-def test_solve_builds_analysis_operator_once(monkeypatch):
-    calls = []
-
-    def counted(n):
-        calls.append(n)
-        return build(n)
-
-    build = bie3d.analysis_operator
-    monkeypatch.setattr(bie3d, "analysis_operator", counted)
-    d = solve_density3d(unit_sphere(), lambda th, ph: np.ones_like(th), 8)
-    # the assembly's basis and projection also project the data
-    assert calls == [8]
-    assert_allclose(d.coeffs.get(0, 0), -np.sqrt(4*np.pi), atol=1e-12)
+def test_solve_holds_no_dense_analysis_operator():
+    # a dense basis and projection on the 512-node analysis grid would be
+    # 2 MB each at n = 16; the solve peaks at about 5.7 MB without them
+    # and at 9.7 MB with them
+    f = harmonic_point_source_3d(mushroom(), SOURCE)
+    tracemalloc.start()
+    try:
+        d = solve_density3d(mushroom(), f, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7*2**20
+    assert d.N == 16
 
 
 def test_galerkin_degree_cap():
     with pytest.raises(ValueError):
-        assemble_galerkin(unit_sphere(), 33)
+        assemble_galerkin(unit_sphere(), 49)
 
 
 def test_projection_recovers_band_limited_data():

@@ -202,8 +202,10 @@ def test_stacked_rotated_frame_matches_scalar_calls():
 
 def test_stacked_point_and_normal_raises_on_one_degenerate_frame():
     # the profile 1 - c vanishes at the north pole, where the frame's two
-    # pushed-forward tangents are parallel
-    cone = custom_radial(lambda c: 1.0 - c, lambda c: -np.ones_like(c))
+    # pushed-forward tangents are parallel; custom_radial rejects it, so
+    # the surface is built directly
+    cone = Surface3D("cone", lambda c: 1.0 - c, lambda c: -np.ones_like(c),
+                     np.ones(3))
     surface_point_and_normal(cone, np.array([0.5, 2.0]), np.zeros(2))
     # the normal rebuilt there is 0/0 before the check rejects the row
     with pytest.raises(ValueError), np.errstate(invalid="ignore"):
@@ -216,3 +218,15 @@ def test_custom_radial_validation():
     zero = lambda c: np.zeros_like(np.asarray(c, float))
     with pytest.raises(ValueError):
         custom_radial(one, zero, axes=(1.0, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("profile", [
+    lambda c: 1.0 - c,                          # vanishes at c = 1
+    lambda c: 1.0 + c,                          # vanishes at c = -1
+    lambda c: 0.5 - c*c,                        # negative near the poles
+    lambda c: 1.0/(c - 0.5),                    # infinite at c = 0.5
+    lambda c: np.sqrt(c + 0.5),                 # NaN for c < -0.5
+])
+def test_custom_radial_rejects_a_profile_that_is_not_positive(profile):
+    with pytest.raises(ValueError, match="positive"):
+        custom_radial(profile, lambda c: np.zeros_like(c))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from closeeval import spectral
+from closeeval import harness, spectral
 from closeeval.bie2d import (MAX_NODES, dirichlet_data, harmonic_source,
                              solve_density)
 from closeeval.closeeval2d import (CloseEvalRequest2D, asym_eps2, asym_eps3,
@@ -18,8 +18,9 @@ from closeeval.harness import (METHODS_2D, METHODS_3D, PROBLEMS_2D,
                                NumericalError, StudyConfig, apply_overrides,
                                config_from_dict, eps_grid, fit_order,
                                fit_results, load_config, parse_eps_range,
-                               read_results_csv, run_error_map, run_hg_study,
-                               write_outputs, _targets_2d)
+                               ErrorStudyResult, read_results_csv,
+                               run_error_map, run_hg_study, write_outputs,
+                               _targets_2d)
 from closeeval.hgscatter import IntensityField, apply_L_direct
 
 EPS_2D = eps_grid(1e-5, 0.5, 5)
@@ -383,6 +384,30 @@ def test_outputs_written_once_by_run(tmp_path):
     assert {f["method"] for f in fits} <= {"ptr", "sub", "asym2", "asym3"}
     with open(out/"plot.gp") as fh:
         assert "set logscale xy" in fh.read()
+
+
+def test_interrupted_write_keeps_previous_outputs(tmp_path, kite_result,
+                                                  monkeypatch):
+    # a failure partway through results.csv leaves the file of the previous
+    # run whole, and no temporary file beside it
+    result = ErrorStudyResult(
+        StudyConfig(**{**vars(kite_result.config), "out_dir": str(tmp_path)}),
+        kite_result.rows, kite_result.rejections, kite_result.fits)
+    write_outputs(result)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    calls = []
+
+    def failing(x):
+        calls.append(x)
+        if len(calls) == 200:
+            raise OSError("No space left on device")
+        return repr(float(x))
+
+    monkeypatch.setattr(harness, "_fmt", failing)
+    with pytest.raises(OSError):
+        write_outputs(result)
+    assert len(result.rows) > 100  # the failure came after 50 rows
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_results_csv_round_trip(tmp_path, kite_result):

@@ -250,6 +250,26 @@ def test_round_trip_random_field():
     assert_allclose(got.c, c.c, atol=1e-10)
 
 
+@pytest.mark.parametrize("N", [1, 2, 9, 16])
+def test_analysis_matches_dense_projection(N):
+    # the FFT-and-Legendre analysis against the dense projection
+    # conj(B)^T diag(w) on the same grid, for a complex field with no
+    # conjugate symmetry
+    th, wth, ph = analysis_grid(N)
+    TH, PH = np.meshgrid(th, ph, indexing="ij")
+    w = np.repeat(wth, ph.size)*(np.pi/N)
+    P = (np.conj(sph_basis_matrix(TH, PH, N))*w[:, None]).T
+    rng = np.random.default_rng(N)
+    vals = rng.standard_normal((N, 2*N)) + 1j*rng.standard_normal((N, 2*N))
+    got = sph_analysis(vals, N)
+    assert np.max(np.abs(got.c - P @ vals.ravel())) <= 1e-14
+
+
+def test_analysis_rejects_a_grid_of_the_wrong_shape():
+    with pytest.raises(ValueError):
+        sph_analysis(np.ones((4, 6)), 4)
+
+
 def test_coeff_index_layout():
     assert SphericalCoeffs.index(0, 0) == 0
     assert SphericalCoeffs.index(1, -1) == 1
