@@ -2,16 +2,14 @@
 problem in 2D and 3D, with asymptotic near-boundary approximations, a
 forward-peaked scattering operator toolbox, and an error-study harness."""
 
-from .bie2d import (DensityGrid2D, assemble_nystrom, dirichlet_data,
-                    dlp_plain, dlp_sum, gauss_interior_value, harmonic_source,
-                    solve_density)
+from .bie2d import (DensityGrid2D, assemble_nystrom, dirichlet_data, dlp_sum,
+                    gauss_interior_value, harmonic_source, solve_density)
 from .bie3d import (Density3D, apply_K_subtracted, assemble_galerkin,
                     dlp_far_3d, dlp_weights, exact_point_source_3d,
                     gauss_interior_value_3d, harmonic_point_source_3d,
                     rotated_grid, solve_density3d)
 from .closeeval2d import (CloseEvalRequest2D, asym_coefficients, asym_eps2,
-                          asym_eps3, dlp_ptr, dlp_subtraction, kernel_K1_2d,
-                          kernel_K2_2d)
+                          asym_eps3, dlp_ptr, dlp_subtraction, kernel_K1_2d)
 from .closeeval3d import (CloseEvalRequest3D, asym_correction_3d,
                           asym_eps2_3d, azimuthal_average_profile,
                           dlp_numerical_3d, kernel_K1_3d)
@@ -37,15 +35,15 @@ from .spectral import (QuadratureRule1D, SphericalCoeffs, analysis_grid,
 
 __all__ = [
     # bie2d
-    "DensityGrid2D", "assemble_nystrom", "dirichlet_data", "dlp_plain",
-    "dlp_sum", "gauss_interior_value", "harmonic_source", "solve_density",
+    "DensityGrid2D", "assemble_nystrom", "dirichlet_data", "dlp_sum",
+    "gauss_interior_value", "harmonic_source", "solve_density",
     # bie3d
     "Density3D", "apply_K_subtracted", "assemble_galerkin", "dlp_far_3d",
     "dlp_weights", "exact_point_source_3d", "gauss_interior_value_3d",
     "harmonic_point_source_3d", "rotated_grid", "solve_density3d",
     # closeeval2d
     "CloseEvalRequest2D", "asym_coefficients", "asym_eps2", "asym_eps3",
-    "dlp_ptr", "dlp_subtraction", "kernel_K1_2d", "kernel_K2_2d",
+    "dlp_ptr", "dlp_subtraction", "kernel_K1_2d",
     # closeeval3d
     "CloseEvalRequest3D", "asym_correction_3d", "asym_eps2_3d",
     "azimuthal_average_profile", "dlp_numerical_3d", "kernel_K1_3d",

@@ -111,12 +111,6 @@ def dlp_sum(geometry: CurvePoint2D, x, mu):
     return float(out) if x.ndim == 1 else out
 
 
-def dlp_plain(density: DensityGrid2D, x) -> float:
-    """Plain PTR quadrature of the double-layer potential at an interior
-    point x; the baseline with no treatment of near-boundary breakdown."""
-    return dlp_sum(density.geometry, x, density.mu)
-
-
 def gauss_interior_value(curve: Curve2D, x, n: int) -> float:
     """PTR quadrature of the unit-density double-layer potential at x;
     equals -1 for interior points, up to quadrature error."""

@@ -3,15 +3,21 @@ boundary: the plain quadrature baseline, the singularity-subtracted
 quadrature, and two asymptotic approximations in the distance parameter.
 
 The evaluation point is x = y* - eps*ell*nu* for a boundary target
-y* = y(t_k) at a quadrature node.  Writing y_d = y* - y(t), the first two
-kernels of the distance expansion are
+y* = y(t_k) at a quadrature node, with nu* the outward normal, so that
+u(x) ~ f(y*) + eps U1 + eps^2 U2.  Writing y_d = y* - y(t), the first
+coefficient U1 = -ell d_nu u is the corrected trapezoid sum of
 
     K1 = ell * [2 (nu . y_d)(nu* . y_d) - (nu . nu*) |y_d|^2] / |y_d|^4
-    K2 = ell^2 * [(nu . y_d)(4 (nu* . y_d)^2 - |y_d|^2)
-                  - 2 |y_d|^2 (nu . nu*)(nu* . y_d)] / |y_d|^6
 
-and the corrected trapezoid sums replace the singular quadrature cell at
-t_k by its analytic limit, contributing the local derivative terms below.
+times mu - mu*, whose singular cell at t_k is replaced by its analytic
+limit, a local term in mu''.  The second coefficient is the normal Taylor
+coefficient (ell^2/2) d_nu^2 u.  In normal coordinates Laplace's equation
+reads d_nu^2 u = -f_ss - kappa d_nu u on the boundary, so
+
+    U2 = -(ell^2/2) f_ss + (ell/2) kappa U1,
+
+with f_ss the second arclength derivative of the Dirichlet data and kappa
+the signed curvature, +1 on the counterclockwise unit circle.
 """
 
 from __future__ import annotations
@@ -70,9 +76,9 @@ def _subtracted(density: DensityGrid2D, k: int, points):
     return -mustar + dlp_sum(density.geometry, points, density.mu - mustar)
 
 
-def _kernels(y, nu, ystar, nustar, ell: float):
-    """K1 and K2 at boundary points y with normals nu for the target
-    (y*, nu*); the arrays broadcast over leading axes."""
+def _kernel_K1(y, nu, ystar, nustar, ell: float):
+    """K1 at boundary points y with normals nu for the target (y*, nu*);
+    the arrays broadcast over leading axes."""
     yd = ystar - y
     r2 = np.sum(yd*yd, axis=-1)
     if np.any(r2 < 1e-28):
@@ -80,30 +86,20 @@ def _kernels(y, nu, ystar, nustar, ell: float):
     nd = np.sum(nu*yd, axis=-1)
     nsd = np.sum(nustar*yd, axis=-1)
     ndot = np.sum(nu*nustar, axis=-1)
-    K1 = ell*(2*nd*nsd - ndot*r2)/r2**2
-    K2 = ell*ell*(nd*(4*nsd*nsd - r2) - 2*r2*ndot*nsd)/r2**3
-    return K1, K2
-
-
-def _kernels_at(curve: Curve2D, t, t_star: float, ell: float):
-    gt = curve_eval(curve, t)
-    gs = curve_eval(curve, np.asarray(t_star))
-    return _kernels(gt.position, gt.normal, gs.position, gs.normal, ell)
+    return ell*(2*nd*nsd - ndot*r2)/r2**2
 
 
 def kernel_K1_2d(curve: Curve2D, t, t_star: float, ell: float = 1.0):
     """First expansion kernel at parameters t for the target y(t_star)."""
-    return _kernels_at(curve, t, t_star, ell)[0]
-
-def kernel_K2_2d(curve: Curve2D, t, t_star: float, ell: float = 1.0):
-    """Second expansion kernel at parameters t for the target y(t_star)."""
-    return _kernels_at(curve, t, t_star, ell)[1]
+    gt = curve_eval(curve, t)
+    gs = curve_eval(curve, np.asarray(t_star))
+    return _kernel_K1(gt.position, gt.normal, gs.position, gs.normal, ell)
 
 
 def asym_coefficients(density: DensityGrid2D, k: int, ell: float = 1.0):
-    """(f*, U1, U2+local) for one target: the eps-independent pieces of both
-    asymptotic methods, U1 and U2 being the corrected trapezoid sums of
-    K1 [mu - mu*] and K2 [mu - mu*] with their local derivative terms.
+    """(f*, U1, U2) for one target: the eps-independent pieces of both
+    asymptotic methods.  U1 is the corrected trapezoid sum of K1 [mu - mu*]
+    and U2 follows from f and U1 by Laplace's equation.
 
     The harness computes them once per target and reuses them across a
     sweep.
@@ -111,20 +107,19 @@ def asym_coefficients(density: DensityGrid2D, k: int, ell: float = 1.0):
     g = density.geometry
     n = density.n
     mu = density.mu
-    mup = periodic_derivative(mu, 1)
     mupp = periodic_derivative(mu, 2)
     J_k = g.jacobian[k]
 
     mask = np.arange(n) != k
-    K1, K2 = _kernels(g.position[mask], g.normal[mask], g.position[k],
-                      g.normal[k], ell)
+    K1 = _kernel_K1(g.position[mask], g.normal[mask], g.position[k],
+                    g.normal[k], ell)
     dmu = mu[mask] - mu[k]
     U1 = np.sum(K1*g.jacobian[mask]*dmu)/n - ell*mupp[k]/(2*n*J_k)
-    U2 = np.sum(K2*g.jacobian[mask]*dmu)/n \
-        - ell*ell*g.curvature[k]*mupp[k]/(4*n*J_k)
-    local = -ell*ell*np.dot(g.d1[k], g.d2[k])/(4*J_k**4)*mup[k] \
-        + ell*ell*mupp[k]/(4*J_k**2)
-    return float(density.f[k]), float(U1), float(U2 + local)
+    ft = periodic_derivative(density.f, 1)[k]
+    ftt = periodic_derivative(density.f, 2)[k]
+    fss = (ftt - np.dot(g.d1[k], g.d2[k])/J_k**2*ft)/J_k**2
+    U2 = -ell*ell*fss/2 + ell*g.curvature[k]*U1/2
+    return float(density.f[k]), float(U1), float(U2)
 
 
 def asym_eps2(request: CloseEvalRequest2D) -> float:
@@ -133,8 +128,6 @@ def asym_eps2(request: CloseEvalRequest2D) -> float:
     return float(fstar + request.eps*U1)
 
 def asym_eps3(request: CloseEvalRequest2D) -> float:
-    """Second asymptotic approximation u ~ f(y*) + eps*U1 + eps^2*(U2 + local
-    derivative terms)."""
-    fstar, U1, U2loc = asym_coefficients(request.density, request.k,
-                                         request.ell)
-    return float(fstar + request.eps*U1 + request.eps**2*U2loc)
+    """Second asymptotic approximation u ~ f(y*) + eps*U1 + eps^2*U2."""
+    fstar, U1, U2 = asym_coefficients(request.density, request.k, request.ell)
+    return float(fstar + request.eps*U1 + request.eps**2*U2)

@@ -459,7 +459,7 @@ def _sweep_2d(config: StudyConfig, rows, rejections):
     sums = {"ptr": lambda k, x: dlp_sum(density.geometry, x, density.mu),
             "sub": lambda k, x: _subtracted(density, k, x)}
     for label, k in _targets_2d(config, config.n):
-        fstar, U1, U2loc = asym_coefficients(density, k, config.ell)
+        fstar, U1, U2 = asym_coefficients(density, k, config.ell)
         requests = []
         for eps in config.eps:
             try:
@@ -480,7 +480,7 @@ def _sweep_2d(config: StudyConfig, rows, rejections):
                 if m == "asym2":
                     value = fstar + eps*U1
                 elif m == "asym3":
-                    value = fstar + eps*U1 + eps*eps*U2loc
+                    value = fstar + eps*U1 + eps*eps*U2
                 else:
                     value = float(values[m][i])
                 rows.append(ResultRow(label, eps, m, value, ex,
@@ -582,9 +582,10 @@ CSV_HEADER = "target_param,eps,method,value,exact,abs_error"
 
 
 def write_outputs(result: ErrorStudyResult) -> dict:
-    """Write results.csv, fits.json, plot.gp, and rejections.csv (if any);
-    returns the path of each written file.  Each file is replaced whole,
-    so an interrupted run leaves it as it was."""
+    """Write results.csv, fits.json, plot.gp, and rejections.csv (if any,
+    else an earlier rejections.csv is removed); returns the path of each
+    written file.  Each file is replaced whole, so an interrupted run
+    leaves it as it was."""
     out = result.config.out_dir
     if not out:
         raise ConfigError("no output directory configured")
@@ -623,6 +624,11 @@ def write_outputs(result: ErrorStudyResult) -> dict:
     paths["plot"] = os.path.join(out, "plot.gp")
     with _atomic_write(paths["plot"]) as fh:
         fh.write(_gnuplot_script(methods))
+
+    # an earlier run's rejections must not pass for this run's
+    stale = os.path.join(out, "rejections.csv")
+    if not result.rejections and os.path.exists(stale):
+        os.remove(stale)
     return paths
 
 

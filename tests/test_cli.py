@@ -190,6 +190,12 @@ def test_target_losing_every_eps(tmp_path, payload, targets):
     assert sorted((float(e), m) for _, e, m in rejected) == sorted(
         (e, m) for e in payload["eps"] for m in methods)
     assert not (alone/"rejections.csv").exists()
+    # rerunning without the lost target into the same directory removes
+    # the earlier run's rejections
+    cfg = _write_config(tmp_path, dict(payload, targets=targets[1:],
+                                       out=str(both)))
+    assert cli.main(["run", cfg]) == 0
+    assert not (both/"rejections.csv").exists()
 
 
 def test_run_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):

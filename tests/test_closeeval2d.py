@@ -6,9 +6,10 @@ from closeeval.bie2d import (DensityGrid2D, assemble_nystrom, dirichlet_data,
                              harmonic_source, solve_density)
 from closeeval.closeeval2d import (CloseEvalRequest2D, asym_coefficients,
                                    asym_eps2, asym_eps3, dlp_ptr,
-                                   dlp_subtraction, kernel_K1_2d,
-                                   kernel_K2_2d)
-from closeeval.geometry2d import CurvePoint2D, circle, curve_grid, kite
+                                   dlp_subtraction, kernel_K1_2d)
+from closeeval.geometry2d import (CurvePoint2D, circle, curve_eval,
+                                  curve_grid, kite, star)
+from closeeval.spectral import periodic_derivative
 
 X0 = np.array([1.85, 1.65])
 N = 128
@@ -17,9 +18,55 @@ K_CONVEX = 80   # node t = pi/4, the convex-side reference target
 METHODS = (dlp_ptr, dlp_subtraction, asym_eps2, asym_eps3)
 
 
+def _solved(curve, n):
+    return solve_density(curve, dirichlet_data(curve, X0, n), n)
+
+
 @pytest.fixture(scope="module")
 def kite_density():
-    return solve_density(kite(), dirichlet_data(kite(), X0, N), N)
+    return _solved(kite(), N)
+
+
+def _kernel_K2(y, nu, ystar, nustar):
+    # the second kernel of the distance expansion at ell = 1, with
+    # y_d = y* - y:
+    # K2 = [(nu . y_d)(4 (nu* . y_d)^2 - |y_d|^2)
+    #       - 2 |y_d|^2 (nu . nu*)(nu* . y_d)] / |y_d|^6
+    yd = ystar - y
+    r2 = np.sum(yd*yd, axis=-1)
+    nd = np.sum(nu*yd, axis=-1)
+    nsd = np.sum(nustar*yd, axis=-1)
+    ndot = np.sum(nu*nustar, axis=-1)
+    return (nd*(4*nsd*nsd - r2) - 2*r2*ndot*nsd)/r2**3
+
+
+def _k2_reference(density, k):
+    # U2 at ell = 1 the long way, independent of Laplace's equation: the
+    # corrected trapezoid sum of K2 [mu - mu*] and the local derivative
+    # terms of its singular cell
+    g = density.geometry
+    n = density.n
+    mu = density.mu
+    mup = periodic_derivative(mu, 1)
+    mupp = periodic_derivative(mu, 2)
+    J_k = g.jacobian[k]
+    mask = np.arange(n) != k
+    K2 = _kernel_K2(g.position[mask], g.normal[mask], g.position[k],
+                    g.normal[k])
+    U2 = np.sum(K2*g.jacobian[mask]*(mu[mask] - mu[k]))/n \
+        - g.curvature[k]*mupp[k]/(4*n*J_k)
+    local = -np.dot(g.d1[k], g.d2[k])/(4*J_k**4)*mup[k] \
+        + mupp[k]/(4*J_k**2)
+    return U2 + local
+
+
+def _exact_U2(density, k):
+    # (1/2) nu . Hess(u) nu at y* for u = -(1/2pi) log|x - x0|
+    g = density.geometry
+    r = g.position[k] - X0
+    r2 = np.dot(r, r)
+    nr = np.dot(g.normal[k], r)
+    return -(1/r2 - 2*nr*nr/r2**2)/(4*np.pi)
 
 
 def _errors(density, k, eps):
@@ -31,7 +78,9 @@ def _errors(density, k, eps):
 def test_kernel_values_on_circle():
     # antipodal target on the unit circle: closed forms -1/4 and -1/8
     assert_allclose(kernel_K1_2d(circle(), np.pi, 0.0), -0.25, atol=1e-15)
-    assert_allclose(kernel_K2_2d(circle(), np.pi, 0.0), -0.125, atol=1e-15)
+    gt, gs = curve_eval(circle(), np.pi), curve_eval(circle(), 0.0)
+    assert_allclose(_kernel_K2(gt.position, gt.normal, gs.position,
+                               gs.normal), -0.125, atol=1e-15)
 
 
 def test_kernels_shift_invariant_on_circle():
@@ -42,22 +91,16 @@ def test_kernels_shift_invariant_on_circle():
             continue
         assert_allclose(kernel_K1_2d(circle(), t + s, ts + s),
                         kernel_K1_2d(circle(), t, ts), atol=1e-12)
-        assert_allclose(kernel_K2_2d(circle(), t + s, ts + s),
-                        kernel_K2_2d(circle(), t, ts), atol=1e-12)
 
 
 def test_kernels_scale_with_ell():
     k1 = kernel_K1_2d(kite(), 1.0, 2.0, ell=1.0)
-    k2 = kernel_K2_2d(kite(), 1.0, 2.0, ell=1.0)
     assert_allclose(kernel_K1_2d(kite(), 1.0, 2.0, ell=3.0), 3*k1, rtol=1e-14)
-    assert_allclose(kernel_K2_2d(kite(), 1.0, 2.0, ell=3.0), 9*k2, rtol=1e-14)
 
 
 def test_kernel_coincidence_raises():
     with pytest.raises(ValueError):
         kernel_K1_2d(kite(), 0.7, 0.7)
-    with pytest.raises(ValueError):
-        kernel_K2_2d(kite(), np.array([0.1, 0.7]), 0.7)
 
 
 def test_constant_density_is_exact(kite_density):
@@ -161,14 +204,13 @@ def test_correction_sums_order_independent(kite_density):
     nodes = np.delete(np.arange(N), K_CONVEX)
     t = -np.pi + 2*np.pi*nodes/N
     ts = float(-np.pi + 2*np.pi*K_CONVEX/N)
-    for kernel in (kernel_K1_2d, kernel_K2_2d):
-        terms = kernel(kite(), t, ts)*kite_density.geometry.jacobian[nodes] \
-            * (kite_density.mu[nodes] - kite_density.mu[K_CONVEX])
-        assert np.all(np.isfinite(terms))
-        rng = np.random.default_rng(11)
-        forward = np.sum(terms)
-        for _ in range(5):
-            assert abs(np.sum(rng.permutation(terms)) - forward) < 1e-13
+    terms = kernel_K1_2d(kite(), t, ts)*kite_density.geometry.jacobian[nodes] \
+        * (kite_density.mu[nodes] - kite_density.mu[K_CONVEX])
+    assert np.all(np.isfinite(terms))
+    rng = np.random.default_rng(11)
+    forward = np.sum(terms)
+    for _ in range(5):
+        assert abs(np.sum(rng.permutation(terms)) - forward) < 1e-13
 
 
 def test_shift_equivariance(kite_density):
@@ -198,6 +240,31 @@ def test_asym_coefficients_recompose(kite_density):
             assert_allclose(asym_eps2(r), fstar + eps*u1, rtol=1e-15)
             assert_allclose(asym_eps3(r), fstar + eps*u1 + eps**2*u2,
                             rtol=1e-15)
+
+
+@pytest.mark.parametrize("curve,n", [(kite, 200), (star, 256)])
+def test_U2_is_the_normal_taylor_coefficient(curve, n):
+    # U2 = (ell^2/2) d_nu^2 u, here against the source's exact Hessian
+    d = _solved(curve(), n)
+    err = [abs(asym_coefficients(d, k)[2] - _exact_U2(d, k))
+           for k in range(n)]
+    assert max(err) <= 5e-12
+
+
+def test_U2_scales_with_ell_squared(kite_density):
+    for k in (K_CONCAVE, K_CONVEX):
+        assert_allclose(asym_coefficients(kite_density, k, 2.0)[2],
+                        4*asym_coefficients(kite_density, k)[2], rtol=1e-13)
+
+
+@pytest.mark.parametrize("curve,n,tol", [(kite, 128, 2e-11),
+                                         (star, 256, 3e-11)])
+def test_U2_matches_the_K2_sum(curve, n, tol):
+    # Laplace's equation and the K2 correction sum give the same coefficient
+    d = _solved(curve(), n)
+    diff = [abs(asym_coefficients(d, k)[2] - _k2_reference(d, k))
+            for k in range(n)]
+    assert max(diff) <= tol
 
 
 def test_request_geometry(kite_density):

@@ -12,6 +12,11 @@ def test_all_lists_public_objects_not_modules():
     for name in closeeval.__all__:
         obj = getattr(closeeval, name)
         assert not isinstance(obj, types.ModuleType), name
+    # every public object bound in the package is listed, and no more
+    bound = {name for name, obj in vars(closeeval).items()
+             if not name.startswith("_")
+             and not isinstance(obj, types.ModuleType)}
+    assert bound == set(closeeval.__all__)
 
 
 def test_version_matches_pyproject():
