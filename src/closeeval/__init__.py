@@ -19,10 +19,11 @@ from .geometry3d import (Surface3D, custom_radial, direction, mushroom,
                          rotated_angles, rotated_frame, rotation_matrix,
                          surface_eval, surface_point_and_normal, unit_sphere)
 from .harness import (ConfigError, ErrorStudyResult, InsufficientDataError,
-                      NumericalError, OrderFit, Rejection, ResultRow,
-                      StudyConfig, config_from_dict, dump_fits, eps_grid,
-                      fit_order, fit_results, load_config, read_results_csv,
-                      run_error_map, run_hg_study, write_outputs)
+                      NumericalError, OrderFit, Rejection, ResultBlock,
+                      ResultRow, StudyConfig, config_from_dict, dump_fits,
+                      eps_grid, fit_order, fit_results, load_config,
+                      read_results_csv, run_error_map, run_hg_study,
+                      write_outputs)
 from .hgscatter import (HGParams, IntensityField, apply_L32,
                         apply_L_asymptotic, apply_L_direct, apply_L_spectral,
                         p_hg, poisson_close_eval)
@@ -56,10 +57,10 @@ __all__ = [
     "surface_point_and_normal", "unit_sphere",
     # harness
     "ConfigError", "ErrorStudyResult", "InsufficientDataError",
-    "NumericalError", "OrderFit", "Rejection", "ResultRow", "StudyConfig",
-    "config_from_dict", "dump_fits", "eps_grid", "fit_order", "fit_results",
-    "load_config", "read_results_csv", "run_error_map", "run_hg_study",
-    "write_outputs",
+    "NumericalError", "OrderFit", "Rejection", "ResultBlock", "ResultRow",
+    "StudyConfig", "config_from_dict", "dump_fits", "eps_grid", "fit_order",
+    "fit_results", "load_config", "read_results_csv", "run_error_map",
+    "run_hg_study", "write_outputs",
     # hgscatter
     "HGParams", "IntensityField", "apply_L32", "apply_L_asymptotic",
     "apply_L_direct", "apply_L_spectral", "p_hg", "poisson_close_eval",

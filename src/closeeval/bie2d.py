@@ -15,10 +15,12 @@ spectrally accurate for analytic curves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .geometry2d import Curve2D, CurvePoint2D, curve_grid, point_inside
+from .spectral import periodic_derivative
 
 MIN_NODES = 16  # smallest (even) Nystrom node count
 # Largest Nystrom node count.  Assembly holds (n, n, 2) kernel differences,
@@ -36,6 +38,15 @@ class DensityGrid2D:
     mu: np.ndarray
     f: np.ndarray
     geometry: CurvePoint2D
+
+    @cached_property
+    def derivatives(self):
+        """(mu'', f', f'') at the nodes, spectral derivatives in the grid
+        parameter; built on first use and kept, since every target's
+        asymptotic coefficients read them."""
+        return (periodic_derivative(self.mu, 2),
+                periodic_derivative(self.f, 1),
+                periodic_derivative(self.f, 2))
 
 
 def dirichlet_data(curve: Curve2D, x0, n: int) -> np.ndarray:
@@ -94,21 +105,28 @@ def solve_density(curve: Curve2D, f: np.ndarray, n: int) -> DensityGrid2D:
 
 
 def dlp_sum(geometry: CurvePoint2D, x, mu):
-    """PTR sum of the double-layer potential at x for density samples mu
-    (an array over the grid nodes, or a constant):
+    """PTR sum of the double-layer potential at x for density samples mu:
 
         (1/n) sum_j nu_j . (x - y_j) / |x - y_j|^2 J_j mu_j.
 
-    x is one point (returns a float) or stacked points of shape (k, 2)
-    (returns one value per point).  No treatment of the near-singularity;
-    every 2D quadrature of the potential is this sum with a different
-    density."""
+    x is one point or stacked points of shape (k, 2).  mu is a constant,
+    one density (an array over the grid nodes) or stacked densities of
+    shape (d, n), which share the kernel.  The result has one value per
+    density and point, shape (d, k) when both are stacked; a single
+    density at a single point gives a float.  Each value is reduced as a
+    one-point, one-density call reduces it, so stacking does not change
+    a bit.  No treatment of the near-singularity; every 2D quadrature of
+    the potential is this sum with a different density."""
     x = np.asarray(x, dtype=float)
-    diff = x[..., None, :] - geometry.position
-    r2 = np.sum(diff*diff, axis=-1)
-    K = np.sum(geometry.normal*diff, axis=-1)/r2
+    mu = np.asarray(mu, dtype=float)
+    if mu.ndim > 1:  # one axis per point axis between density and node
+        mu = mu.reshape(mu.shape[:-1] + (1,)*(x.ndim - 1) + mu.shape[-1:])
+    pos, nu = geometry.position, geometry.normal
+    dx = x[..., 0, None] - pos[:, 0]
+    dy = x[..., 1, None] - pos[:, 1]
+    K = (nu[:, 0]*dx + nu[:, 1]*dy)/(dx*dx + dy*dy)
     out = np.sum(K*geometry.jacobian*mu, axis=-1)/geometry.jacobian.size
-    return float(out) if x.ndim == 1 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def gauss_interior_value(curve: Curve2D, x, n: int) -> float:

@@ -53,7 +53,7 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _print_result(result) -> None:
-    print(f"rows: {len(result.rows)}  rejections: {len(result.rejections)}")
+    print(f"rows: {result.row_count}  rejections: {len(result.rejections)}")
     if result.config.out_dir:
         print(f"output: {os.path.abspath(result.config.out_dir)}")
     for f in result.fits:

@@ -28,7 +28,6 @@ import numpy as np
 
 from .bie2d import DensityGrid2D, dlp_sum
 from .geometry2d import Curve2D, curve_eval, point_inside
-from .spectral import periodic_derivative
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,14 +65,18 @@ def dlp_ptr(request: CloseEvalRequest2D) -> float:
 
 def dlp_subtraction(request: CloseEvalRequest2D) -> float:
     """Subtracted quadrature: u = -mu* + PTR of K(x, y) [mu - mu*]."""
-    return float(_subtracted(request.density, request.k, request.point()))
+    return float(_ptr_and_sub(request.density, request.k, request.point())[1])
 
 
-def _subtracted(density: DensityGrid2D, k: int, points):
-    """The subtracted quadrature for target k at one point (a float) or at
-    stacked points of shape (m, 2) (one value per point)."""
+def _ptr_and_sub(density: DensityGrid2D, k: int, points):
+    """(ptr, sub) for target k at one point or at stacked points of shape
+    (m, 2): one kernel sum over the two densities mu and mu - mu*, with
+    sub = -mu* + PTR of K [mu - mu*].  Each value equals the one-point
+    call of its method bit for bit."""
     mustar = density.mu[k]
-    return -mustar + dlp_sum(density.geometry, points, density.mu - mustar)
+    ptr, dsub = dlp_sum(density.geometry, points,
+                        np.stack([density.mu, density.mu - mustar]))
+    return ptr, -mustar + dsub
 
 
 def _kernel_K1(y, nu, ystar, nustar, ell: float):
@@ -102,12 +105,13 @@ def asym_coefficients(density: DensityGrid2D, k: int, ell: float = 1.0):
     and U2 follows from f and U1 by Laplace's equation.
 
     The harness computes them once per target and reuses them across a
-    sweep.
+    sweep.  The three spectral derivatives they read (mu'', f', f'') are
+    computed once per density (`DensityGrid2D.derivatives`).
     """
     g = density.geometry
     n = density.n
     mu = density.mu
-    mupp = periodic_derivative(mu, 2)
+    mupp, f_t, f_tt = density.derivatives
     J_k = g.jacobian[k]
 
     mask = np.arange(n) != k
@@ -115,8 +119,7 @@ def asym_coefficients(density: DensityGrid2D, k: int, ell: float = 1.0):
                     g.normal[k], ell)
     dmu = mu[mask] - mu[k]
     U1 = np.sum(K1*g.jacobian[mask]*dmu)/n - ell*mupp[k]/(2*n*J_k)
-    ft = periodic_derivative(density.f, 1)[k]
-    ftt = periodic_derivative(density.f, 2)[k]
+    ft, ftt = f_t[k], f_tt[k]
     fss = (ftt - np.dot(g.d1[k], g.d2[k])/J_k**2*ft)/J_k**2
     U2 = -ell*ell*fss/2 + ell*g.curvature[k]*U1/2
     return float(density.f[k]), float(U1), float(U2)

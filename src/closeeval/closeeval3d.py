@@ -19,7 +19,7 @@ averages extend continuously to the pole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,7 +32,11 @@ from .geometry3d import Surface3D, rotated_frame, surface_point_and_normal
 class CloseEvalRequest3D:
     """Close evaluation at one target over distances eps, a number or an
     array; n defaults to the density degree.  The rotated grid, mu* and
-    mu - mu* on it are built on first use and shared by every method."""
+    mu - mu* on it are built on first use and shared by every method.
+
+    A point outside the surface is a ValueError.  inside=True tells the
+    request that its caller has already found every point inside, so the
+    containment test is not repeated."""
 
     density: Density3D
     theta_star: float
@@ -40,15 +44,16 @@ class CloseEvalRequest3D:
     eps: float | np.ndarray
     ell: float = 1.0
     n: int = 0
+    inside: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, inside):
         eps = np.asarray(self.eps, dtype=float)
         if np.any(eps <= 0) or self.ell <= 0:
             raise ValueError("eps and ell must be positive")
         object.__setattr__(self, "eps", float(eps) if eps.ndim == 0 else eps)
         if self.n == 0:
             object.__setattr__(self, "n", self.density.N)
-        if not np.all(self.density.surface.contains(self.point())):
+        if not (inside or np.all(self.density.surface.contains(self.point()))):
             raise ValueError("evaluation point falls outside the domain")
 
     def target(self):

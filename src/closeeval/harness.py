@@ -17,12 +17,12 @@ from functools import partial
 
 import numpy as np
 
-from .bie2d import (MAX_NODES, MIN_NODES, dirichlet_data, dlp_sum,
-                    harmonic_source, solve_density)
+from .bie2d import (MAX_NODES, MIN_NODES, dirichlet_data, harmonic_source,
+                    solve_density)
 from .bie3d import (MAX_DEGREE, Density3D, _atomic_write,
                     exact_point_source_3d, harmonic_point_source_3d,
                     solve_density3d)
-from .closeeval2d import CloseEvalRequest2D, _subtracted, asym_coefficients
+from .closeeval2d import CloseEvalRequest2D, _ptr_and_sub, asym_coefficients
 from .closeeval3d import (CloseEvalRequest3D, _points, asym_eps2_3d,
                           dlp_numerical_3d)
 from .geometry2d import kite, star
@@ -315,29 +315,80 @@ class OrderFit:
     n_points: int
 
 
+@dataclass(frozen=True, eq=False)
+class ResultBlock:
+    """One swept target's rows as columns: the kept eps (descending), the
+    exact solution at each, and one value column per method, in the
+    order of the config's methods."""
+
+    target: str
+    eps: np.ndarray
+    exact: np.ndarray
+    values: dict
+
+
 @dataclass
 class ErrorStudyResult:
-    """All rows, rejections, and fitted slopes from one study run."""
+    """The result blocks, rejections, and fitted slopes of one study run."""
 
     config: StudyConfig
-    rows: list
+    blocks: list
     rejections: list
     fits: list
 
+    @property
+    def rows(self) -> list:
+        """Every row as a ResultRow, in sweep order: target, eps, then
+        method.  Built on each access; the study itself keeps columns."""
+        rows = []
+        for b in self.blocks:
+            values = [(m, v.tolist()) for m, v in b.values.items()]
+            for i, (e, x) in enumerate(zip(b.eps.tolist(), b.exact.tolist())):
+                rows.extend(ResultRow(b.target, e, m, v[i], x, abs(v[i] - x))
+                            for m, v in values)
+        return rows
+
+    @property
+    def row_count(self) -> int:
+        """len(rows), without building them."""
+        return sum(len(b.eps)*len(b.values) for b in self.blocks)
+
     def errors_for(self, target: str, method: str):
-        """(eps, abs_error) arrays for one target/method, eps descending."""
-        pairs = [(r.eps, r.abs_error) for r in self.rows
-                 if r.target == target and r.method == method]
-        pairs.sort(key=lambda p: -p[0])
-        eps = np.array([p[0] for p in pairs])
-        err = np.array([p[1] for p in pairs])
-        return eps, err
+        """(eps, abs_error) arrays for one target/method, eps descending;
+        empty if the study has no such rows."""
+        columns = _by_target(self.blocks)
+        if method not in columns.get(target, (0, 0, {}))[2]:
+            return np.empty(0), np.empty(0)
+        eps, exact, values = columns[target]
+        order = _descending(eps)
+        return eps[order], np.abs(values[method][order] - exact[order])
 
     def fit_for(self, target: str, method: str) -> OrderFit:
         for f in self.fits:
             if f.target == target and f.method == method:
                 return f
         raise KeyError(f"no fit for {target!r}/{method!r}")
+
+
+def _by_target(blocks) -> dict:
+    """label -> (eps, exact, {method: value}): the columns of every block
+    with that label (two targets may snap to one node), joined in sweep
+    order."""
+    groups = {}
+    for b in blocks:
+        if len(b.eps):
+            groups.setdefault(b.target, []).append(b)
+    return {label: (np.concatenate([b.eps for b in group]),
+                    np.concatenate([b.exact for b in group]),
+                    {m: np.concatenate([b.values[m] for b in group])
+                     for m in group[0].values})
+            for label, group in groups.items()}
+
+
+def _descending(eps) -> np.ndarray:
+    """Stable order of eps from largest to smallest, as sorting rows by
+    -eps orders them."""
+    return np.argsort(-eps, kind="stable")
 
 
 def fit_order(eps_values, errors, method: str, lo: float = 1e-6,
@@ -446,7 +497,9 @@ def _solve_3d(config: StudyConfig, surface, data) -> Density3D:
     return density
 
 
-def _sweep_2d(config: StudyConfig, rows, rejections):
+def _sweep_2d(config: StudyConfig, blocks, rejections):
+    """One kernel sum per target gives ptr and sub at every kept eps; the
+    asymptotic methods need only the target's (f*, U1, U2)."""
     curve = _curve_for(config.problem)
     try:
         f = dirichlet_data(curve, config.x0, config.n)
@@ -456,39 +509,33 @@ def _sweep_2d(config: StudyConfig, rows, rejections):
         density = solve_density(curve, f, config.n)
     except RuntimeError as exc:
         raise NumericalError(str(exc)) from None
-    sums = {"ptr": lambda k, x: dlp_sum(density.geometry, x, density.mu),
-            "sub": lambda k, x: _subtracted(density, k, x)}
+    g = density.geometry
+    all_eps = np.array(config.eps)
     for label, k in _targets_2d(config, config.n):
-        fstar, U1, U2 = asym_coefficients(density, k, config.ell)
-        requests = []
-        for eps in config.eps:
+        kept = np.ones(len(all_eps), dtype=bool)
+        for i, eps in enumerate(config.eps):
             try:
-                requests.append(CloseEvalRequest2D(density, k, eps,
-                                                   config.ell))
+                CloseEvalRequest2D(density, k, eps, config.ell)
             except ValueError as exc:
+                kept[i] = False
                 rejections.extend(Rejection(label, eps, m, str(exc))
                                   for m in config.methods)
-        if not requests:
+        if not kept.any():
             continue
-        # the quadratures and the exact solution once over every kept eps
-        x = np.array([req.point() for req in requests])
-        exact = harmonic_source(x, config.x0)
-        values = {m: sums[m](k, x) for m in config.methods if m in sums}
-        for i, req in enumerate(requests):
-            eps, ex = req.eps, float(exact[i])
-            for m in config.methods:
-                if m == "asym2":
-                    value = fstar + eps*U1
-                elif m == "asym3":
-                    value = fstar + eps*U1 + eps*eps*U2
-                else:
-                    value = float(values[m][i])
-                rows.append(ResultRow(label, eps, m, value, ex,
-                                      abs(value - ex)))
+        eps = all_eps[kept]
+        x = g.position[k] - np.multiply.outer(eps*config.ell, g.normal[k])
+        fstar, U1, U2 = asym_coefficients(density, k, config.ell)
+        values = {"asym2": fstar + eps*U1,
+                  "asym3": fstar + eps*U1 + eps*eps*U2}
+        if {"ptr", "sub"} & set(config.methods):
+            values["ptr"], values["sub"] = _ptr_and_sub(density, k, x)
+        blocks.append(ResultBlock(label, eps, harmonic_source(x, config.x0),
+                                  {m: values[m] for m in config.methods}))
 
 
-def _sweep_3d(config: StudyConfig, rows, rejections):
-    """One request per target, over the eps whose points lie inside."""
+def _sweep_3d(config: StudyConfig, blocks, rejections):
+    """One request per target, over the eps whose points lie inside; each
+    point is tested once."""
     surface = _surface_for(config.problem)
     try:
         data = harmonic_point_source_3d(surface, config.source)
@@ -498,21 +545,20 @@ def _sweep_3d(config: StudyConfig, rows, rejections):
     evaluators = {"numerical": dlp_numerical_3d, "asym2": asym_eps2_3d}
     eps = np.array(config.eps)
     for label, th, ph in _targets_3d(config):
-        inside = surface.contains(_points(surface, th, ph, eps, config.ell))
+        points = _points(surface, th, ph, eps, config.ell)
+        inside = surface.contains(points)
         rejections.extend(
             Rejection(label, float(e), m,
                       "evaluation point falls outside the domain")
             for e in eps[~inside] for m in config.methods)
         if not np.any(inside):
             continue
-        req = CloseEvalRequest3D(density, th, ph, eps[inside], config.ell)
-        exact = exact_point_source_3d(req.point(), config.source)
-        values = {m: evaluators[m](req) for m in config.methods}
-        for i, e in enumerate(req.eps):
-            for m in config.methods:
-                value, ex = float(values[m][i]), float(exact[i])
-                rows.append(ResultRow(label, float(e), m, value, ex,
-                                      abs(value - ex)))
+        req = CloseEvalRequest3D(density, th, ph, eps[inside], config.ell,
+                                 inside=True)
+        blocks.append(ResultBlock(
+            label, req.eps,
+            exact_point_source_3d(points[inside], config.source),
+            {m: evaluators[m](req) for m in config.methods}))
 
 
 def run_error_map(config: StudyConfig) -> ErrorStudyResult:
@@ -523,13 +569,13 @@ def run_error_map(config: StudyConfig) -> ErrorStudyResult:
     """
     if config.problem == "hg":
         raise ConfigError("use run_hg_study for the hg problem")
-    rows, rejections = [], []
+    blocks, rejections = [], []
     if _family(config.problem) == "2d":
-        _sweep_2d(config, rows, rejections)
+        _sweep_2d(config, blocks, rejections)
     else:
-        _sweep_3d(config, rows, rejections)
-    result = ErrorStudyResult(config, rows, rejections,
-                              fit_results(rows, config.fit_lo, config.fit_hi))
+        _sweep_3d(config, blocks, rejections)
+    result = ErrorStudyResult(config, blocks, rejections,
+                              _fit_blocks(blocks, config))
     if config.out_dir:
         write_outputs(result)
     return result
@@ -567,12 +613,12 @@ def run_hg_study(config: StudyConfig) -> ErrorStudyResult:
     kept = [eps for eps in config.eps if 0 < eps < 0.5]
     rejections = [Rejection("hg", eps, "hg_asym", "eps outside (0, 0.5)")
                   for eps in config.eps if not 0 < eps < 0.5]
-    values = apply_L_asymptotic(psi, omega, np.array(kept)).tolist()
-    exact = apply_L_spectral(psi, omega, 1.0 - np.array(kept)).tolist()
-    rows = [ResultRow("hg", eps, "hg_asym", v, x, abs(v - x))
-            for eps, v, x in zip(kept, values, exact)]
-    result = ErrorStudyResult(config, rows, rejections,
-                              fit_results(rows, config.fit_lo, config.fit_hi))
+    eps = np.array(kept)
+    values = apply_L_asymptotic(psi, omega, eps)
+    exact = apply_L_spectral(psi, omega, 1.0 - eps)
+    blocks = [ResultBlock("hg", eps, exact, {"hg_asym": values})]
+    result = ErrorStudyResult(config, blocks, rejections,
+                              _fit_blocks(blocks, config))
     if config.out_dir:
         write_outputs(result)
     return result
@@ -590,20 +636,17 @@ def write_outputs(result: ErrorStudyResult) -> dict:
     if not out:
         raise ConfigError("no output directory configured")
     os.makedirs(out, exist_ok=True)
+    columns = _by_target(result.blocks)
     order = {}
-    for r in result.rows + result.rejections:
-        order.setdefault(r.target, len(order))
+    for label in [*columns, *(r.target for r in result.rejections)]:
+        order.setdefault(label, len(order))
     paths = {}
 
-    rows = sorted(result.rows,
-                  key=lambda r: (order[r.target], r.method, -r.eps))
     paths["results"] = os.path.join(out, "results.csv")
     with _atomic_write(paths["results"]) as fh:
         fh.write(CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(",".join([r.target, _fmt(r.eps), r.method,
-                               _fmt(r.value), _fmt(r.exact),
-                               _fmt(r.abs_error)]) + "\n")
+        for label, (eps, exact, values) in columns.items():
+            fh.write(_csv_block(label, eps, exact, values))
 
     paths["fits"] = os.path.join(out, "fits.json")
     with _atomic_write(paths["fits"]) as fh:
@@ -620,7 +663,7 @@ def write_outputs(result: ErrorStudyResult) -> dict:
                 fh.write(",".join([r.target, _fmt(r.eps), r.method,
                                    json.dumps(r.reason)]) + "\n")
 
-    methods = sorted({r.method for r in result.rows})
+    methods = sorted({m for _, _, values in columns.values() for m in values})
     paths["plot"] = os.path.join(out, "plot.gp")
     with _atomic_write(paths["plot"]) as fh:
         fh.write(_gnuplot_script(methods))
@@ -632,10 +675,30 @@ def write_outputs(result: ErrorStudyResult) -> dict:
     return paths
 
 
+def _fmt_column(values) -> list:
+    """_fmt of every entry of a float array."""
+    return list(map(repr, values.tolist()))
+
+
+def _csv_block(label: str, eps, exact, values: dict) -> str:
+    """One target's results.csv lines: methods by name, eps descending.
+    eps and exact are formatted once for all the methods."""
+    order = _descending(eps)
+    exact = exact[order]
+    eps_s, exact_s = _fmt_column(eps[order]), _fmt_column(exact)
+    lines = []
+    for m in sorted(values):
+        value = values[m][order]
+        lines.extend(f"{label},{e},{m},{v},{x},{a}\n" for e, v, x, a in zip(
+            eps_s, _fmt_column(value), exact_s,
+            _fmt_column(np.abs(value - exact))))
+    return "".join(lines)
+
+
 def dump_fits(fits, fh) -> None:
     """Write fits as the fits.json document to an open text file."""
-    json.dump({"fits": [vars(f) for f in fits]}, fh, indent=2)
-    fh.write("\n")
+    # one write of the whole document: json.dump writes each token apart
+    fh.write(json.dumps({"fits": [vars(f) for f in fits]}, indent=2) + "\n")
 
 
 def _gnuplot_script(methods) -> str:
@@ -680,12 +743,27 @@ def fit_results(rows, lo: float = 1e-6, hi: float = 1e-2) -> list:
     for r in rows:
         groups.setdefault((r.target, r.method), []).append((r.eps,
                                                             r.abs_error))
+    return _fit_groups(((target, method, *zip(*pairs))
+                        for (target, method), pairs in groups.items()),
+                       lo, hi)
+
+
+def _fit_blocks(blocks, config: StudyConfig) -> list:
+    """fit_results of the blocks' rows, read from their columns."""
+    return _fit_groups(((label, m, eps, np.abs(value - exact))
+                        for label, (eps, exact, values)
+                        in _by_target(blocks).items()
+                        for m, value in values.items()),
+                       config.fit_lo, config.fit_hi)
+
+
+def _fit_groups(groups, lo: float, hi: float) -> list:
+    """Fit each (target, method, eps, abs_error) group that qualifies."""
     fits = []
-    for (target, method), pairs in groups.items():
+    for target, method, eps, err in groups:
         try:
-            fits.append(fit_order([p[0] for p in pairs],
-                                  [p[1] for p in pairs],
-                                  method, lo=lo, hi=hi, target=target))
+            fits.append(fit_order(eps, err, method, lo=lo, hi=hi,
+                                  target=target))
         except InsufficientDataError:
             continue
     return fits

@@ -107,6 +107,24 @@ def test_stacked_dlp_sum_equals_point_calls():
         assert all(stacked[i] == v for i, v in enumerate(single))
 
 
+def test_stacked_densities_equal_separate_calls():
+    # (d, n) densities share one kernel; each value is bitwise the value of
+    # a call with that density alone, at stacked points and at one point
+    d = _solved(kite(), 200)
+    g = d.geometry
+    eps = np.array([1e-1, 1e-3, 1e-6])
+    x = (g.position[::9, None] - eps[:, None]*g.normal[::9, None]).reshape(
+        -1, 2)
+    mus = np.stack([d.mu, d.mu - d.mu[3], np.ones(200), -2.0*d.mu])
+    stacked = dlp_sum(g, x, mus)
+    assert stacked.shape == (4, len(x))
+    for mu, row in zip(mus, stacked):
+        assert np.array_equal(row, dlp_sum(g, x, mu))
+    one = dlp_sum(g, x[5], mus)
+    assert one.shape == (4,)
+    assert [float(v) for v in one] == [dlp_sum(g, x[5], mu) for mu in mus]
+
+
 def test_solve_rejects_mismatched_data():
     with pytest.raises(ValueError):
         solve_density(kite(), np.zeros(64), 128)

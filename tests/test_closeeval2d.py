@@ -242,6 +242,28 @@ def test_asym_coefficients_recompose(kite_density):
                             rtol=1e-15)
 
 
+def test_asym_coefficients_differentiate_once_per_density(monkeypatch):
+    # mu'', f' and f'' are taken once per density, not once per target
+    orders = []
+    monkeypatch.setattr("closeeval.bie2d.periodic_derivative",
+                        lambda v, k: orders.append(k) or
+                        periodic_derivative(v, k))
+    d = _solved(kite(), 64)
+    for k in range(64):
+        fstar, u1, u2 = asym_coefficients(d, k)
+        assert u2 == (-_fss(d, k)/2 + d.geometry.curvature[k]*u1/2)
+    assert sorted(orders) == [1, 2, 2]
+
+
+def _fss(d, k):
+    """f_ss at node k from freshly taken derivatives of the data."""
+    g = d.geometry
+    J = g.jacobian[k]
+    ft = periodic_derivative(d.f, 1)[k]
+    ftt = periodic_derivative(d.f, 2)[k]
+    return (ftt - np.dot(g.d1[k], g.d2[k])/J**2*ft)/J**2
+
+
 @pytest.mark.parametrize("curve,n", [(kite, 200), (star, 256)])
 def test_U2_is_the_normal_taylor_coefficient(curve, n):
     # U2 = (ell^2/2) d_nu^2 u, here against the source's exact Hessian

@@ -1,6 +1,9 @@
 import functools
 import json
+import math
 import os
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from closeeval.bie2d import (MAX_NODES, dirichlet_data, harmonic_source,
 from closeeval.closeeval2d import (CloseEvalRequest2D, asym_eps2, asym_eps3,
                                    dlp_ptr, dlp_subtraction)
 from closeeval.geometry2d import kite
+from closeeval.geometry3d import Surface3D
 from closeeval.harness import (METHODS_2D, METHODS_3D, PROBLEMS_2D,
                                PROBLEMS_3D, ConfigError,
                                InsufficientDataError,
@@ -392,22 +396,130 @@ def test_interrupted_write_keeps_previous_outputs(tmp_path, kite_result,
     # run whole, and no temporary file beside it
     result = ErrorStudyResult(
         StudyConfig(**{**vars(kite_result.config), "out_dir": str(tmp_path)}),
-        kite_result.rows, kite_result.rejections, kite_result.fits)
+        kite_result.blocks, kite_result.rejections, kite_result.fits)
     write_outputs(result)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     calls = []
+    fmt_column = harness._fmt_column
 
-    def failing(x):
-        calls.append(x)
-        if len(calls) == 200:
+    def failing(values):
+        calls.append(len(values))
+        if len(calls) == 15:
             raise OSError("No space left on device")
-        return repr(float(x))
+        return fmt_column(values)
 
-    monkeypatch.setattr(harness, "_fmt", failing)
+    # a block formats eps and exact once, then value and abs_error per
+    # method: the 15th column is inside the second target's block, after
+    # the first block has been written
+    monkeypatch.setattr(harness, "_fmt_column", failing)
     with pytest.raises(OSError):
         write_outputs(result)
-    assert len(result.rows) > 100  # the failure came after 50 rows
+    per_block = 2 + 2*len(result.config.methods)
+    assert len(result.blocks) == 2 and per_block < len(calls) < 2*per_block
+    assert len(result.rows) > 100
+    assert len(result.blocks[0].eps)*len(result.config.methods) > 50
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def _row_by_row_outputs(result, out):
+    """The writer that formatted results.csv one ResultRow at a time,
+    kept as the reference the column writer must match byte for byte.
+    Its fits come from fit_results over the rows."""
+    fmt = lambda x: repr(float(x))
+    os.makedirs(out)
+    order = {}
+    for r in result.rows + result.rejections:
+        order.setdefault(r.target, len(order))
+    rows = sorted(result.rows,
+                  key=lambda r: (order[r.target], r.method, -r.eps))
+    with open(os.path.join(out, "results.csv"), "w") as fh:
+        fh.write(harness.CSV_HEADER + "\n")
+        for r in rows:
+            fh.write(",".join([r.target, fmt(r.eps), r.method, fmt(r.value),
+                               fmt(r.exact), fmt(r.abs_error)]) + "\n")
+    fits = fit_results(result.rows, result.config.fit_lo,
+                       result.config.fit_hi)
+    fits.sort(key=lambda f: (order[f.target], f.method))
+    with open(os.path.join(out, "fits.json"), "w") as fh:
+        json.dump({"fits": [vars(f) for f in fits]}, fh, indent=2)
+        fh.write("\n")
+    if result.rejections:
+        rej = sorted(result.rejections,
+                     key=lambda r: (order[r.target], r.method, -r.eps))
+        with open(os.path.join(out, "rejections.csv"), "w") as fh:
+            fh.write("target_param,eps,method,reason\n")
+            for r in rej:
+                fh.write(",".join([r.target, fmt(r.eps), r.method,
+                                   json.dumps(r.reason)]) + "\n")
+    with open(os.path.join(out, "plot.gp"), "w") as fh:
+        fh.write(harness._gnuplot_script(sorted({r.method
+                                                 for r in result.rows})))
+
+
+_WRITER_STUDIES = {
+    # rejections at eps = 3; the last two targets snap to one node
+    "2d-rejections": lambda: _kite_config(
+        n=64, eps=(3.0,) + EPS_2D,
+        targets=(5*np.pi/4, np.pi/4, np.pi/4 + 1e-3)),
+    # 14 of the 64 nodes reject every eps
+    "2d-all-rejected": lambda: _kite_config(n=64, eps=(3.0, 1.2, 0.7),
+                                            targets="all-nodes"),
+    # rejections at eps = 2.5 (3D) and 0.7 (hg)
+    "3d-sphere": lambda: StudyConfig(
+        problem="3d-sphere", n=8, eps=(2.5, 1e-1, 1e-2, 1e-3, 1e-4),
+        targets=((0.9, 0.4), "x1x2-slice"), slice_count=3),
+    "hg": lambda: StudyConfig(
+        problem="hg", n=8, hg_field=((3, 1, 1.0, 0.0), (1, 0, 0.5, 0.0)),
+        eps=(0.7,) + tuple(np.logspace(-1, -3, 11))),
+}
+
+
+@pytest.mark.parametrize("study", _WRITER_STUDIES)
+def test_column_writer_matches_row_by_row_writer(tmp_path, study):
+    cfg = replace(_WRITER_STUDIES[study](), out_dir=str(tmp_path/"columns"))
+    run = run_hg_study if cfg.problem == "hg" else run_error_map
+    result = run(cfg)
+    assert result.rejections and result.row_count == len(result.rows) > 0
+    _row_by_row_outputs(result, tmp_path/"rows")
+    names = ["fits.json", "plot.gp", "rejections.csv", "results.csv"]
+    for name in names:
+        assert ((tmp_path/"columns"/name).read_bytes()
+                == (tmp_path/"rows"/name).read_bytes()), name
+    assert sorted(os.listdir(tmp_path/"columns")) == names
+
+
+def test_all_node_study_holds_no_rows_or_file_in_memory(tmp_path):
+    # the sweep keeps columns and results.csv is written one target at a
+    # time.  At n = 200 the study peaks at 3.6 MiB of traced allocations;
+    # with a ResultRow per row it peaked at 28.2 MiB, and the 10.1 MiB
+    # results.csv held whole as one string would exceed the bound alone
+    cfg = StudyConfig(problem="2d-kite", n=200, targets="all-nodes",
+                      out_dir=str(tmp_path))
+    tracemalloc.start()
+    try:
+        result = run_error_map(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8*2**20
+    assert result.row_count > 90000
+
+
+def test_3d_sweep_tests_each_point_once(monkeypatch):
+    tested = []
+    contains = Surface3D.contains
+
+    def counted(self, x):
+        tested.append(math.prod(np.shape(x)[:-1]))
+        return contains(self, x)
+
+    monkeypatch.setattr(Surface3D, "contains", counted)
+    cfg = StudyConfig(problem="3d-sphere", n=8, eps=(2.5, 1e-1, 1e-2),
+                      targets=((0.9, 0.4), (1.2, -0.3)))
+    res = run_error_map(cfg)
+    # the source check, then each target's three points once
+    assert tested == [1, 3, 3]
+    assert len(res.rejections) == 2*2 and res.row_count == 2*2*2
 
 
 def test_results_csv_round_trip(tmp_path, kite_result):

@@ -2,6 +2,7 @@ import re
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import closeeval
@@ -48,6 +49,8 @@ def _array_dataclasses():
             kite_density(), 3, 1e-2),
         "CloseEvalRequest3D": lambda: closeeval.CloseEvalRequest3D(
             sphere_density(), 1.0, 0.5, 1e-2),
+        "ResultBlock": lambda: closeeval.ResultBlock(
+            "t", np.ones(2), np.ones(2), {"ptr": np.ones(2)}),
     }
 
 
