@@ -15,14 +15,16 @@ evaluable anywhere in closed form; the projection grid uses Gauss-Legendre
 colatitudes so that analysis is exact for band-limited columns.
 
 The rows of the Galerkin matrix are the 2N^2 nodes of that grid, each with
-its own rotated quadrature grid.  The 2N rows of one colatitude differ only
-by a turn about the x3-axis, under which Y_nm gains a phase e^{im phi}, so
-the assembly evaluates the basis once per colatitude (N times in all) and
-phases it for the other rows of that colatitude.  The quadrature grids of a
-colatitude's rows are built in a few stacked blocks.  Only the m >= 0
-columns are assembled: the kernel is real, so the others are their
-conjugates (DECISIONS.md D10).  A colatitude's rows are projected by the
-FFT-and-Legendre analysis that projects the data too (DECISIONS.md D11).
+its own rotated quadrature grid, built in a few stacked blocks per
+colatitude.  Every row's grid is the same local (s, t) grid, rotated by
+R_z(phi_k) R_y(theta_i).  So a row's kernel weights are projected onto
+local harmonics (an FFT over t and one Legendre table at the N polar
+nodes), turned to global harmonics by the Wigner matrices d^l(theta_i),
+and phased by e^{im phi_k}; the basis is evaluated only at the N row poles
+(theta_i, 0) (DECISIONS.md D14).  Only the m >= 0 columns are assembled:
+the kernel is real, so the others are their conjugates (DECISIONS.md D10).
+Each colatitude's longitude FFT is kept, and the projection contracts them
+over colatitudes once per order (DECISIONS.md D11, D14).
 """
 
 from __future__ import annotations
@@ -36,14 +38,21 @@ from typing import Callable
 import numpy as np
 
 from .geometry3d import Surface3D, direction, rotated_frame, surface_point_and_normal
-from .spectral import (SphericalCoeffs, _analysis, analysis_grid,
+from .spectral import (SphericalCoeffs, _analysis, _jy_eigenvectors,
+                       _legendre_table, _tri, _wigner_d, analysis_grid,
                        mapped_rule, periodic_nodes, sph_analysis,
                        sph_half_basis, sph_synthesis)
 
-# Largest Galerkin degree.  Assembly evaluates the basis at n grids of
-# 2n^2 nodes (O(n^5) values) and spends O(n^6) flops in their products with
-# the rows; a mushroom solve at n = 48 takes about 20 s and 220 MB.
-MAX_DEGREE = 48
+# Largest Galerkin degree.  Assembly builds 2n^2 rotated grids of 2n^2
+# nodes (O(n^4) geometry) and reaches the basis through local harmonics and
+# Wigner rotations (O(n^5) flops); it holds the matrix and the rows' spectra,
+# n^4 complex values each.  A mushroom solve at n = 64 takes about 25 s and
+# 560 MB on one BLAS thread.
+MAX_DEGREE = 64
+# Revision of the Galerkin solver that saved densities record; raise it
+# whenever the assembled matrix changes, so that densities solved by
+# earlier code are solved again instead of trusted.
+SOLVER_REVISION = 1
 # Quadrature nodes per stacked block of Galerkin rows (see _row_block).
 _BLOCK_NODES = 2**14
 
@@ -79,24 +88,37 @@ class Density3D:
         """Real density values at arbitrary parameters."""
         return np.real(sph_synthesis(self.coeffs, theta, phi))
 
-    def save(self, path: str) -> None:
+    def save(self, path: str, record: dict = None) -> None:
         """Write the coefficients as JSON, atomically: a temporary file in
-        the same directory replaces path only once it is complete."""
+        the same directory replaces path only once it is complete.  A record
+        (JSON values, such as the problem and the source) is stored with
+        SOLVER_REVISION, for load to check."""
         rows = []
         for n in range(self.N):
             for m in range(-n, n + 1):
                 c = self.coeffs.get(n, m)
                 rows.append([n, m, float(c.real), float(c.imag)])
+        payload = {"N": self.N, "coeffs": rows}
+        if record is not None:
+            payload["record"] = dict(record, solver=SOLVER_REVISION)
         with _atomic_write(path) as fh:
-            json.dump({"N": self.N, "coeffs": rows}, fh)
+            json.dump(payload, fh)
 
     @classmethod
-    def load(cls, path: str, surface: Surface3D,
-             data: Callable = None) -> "Density3D":
+    def load(cls, path: str, surface: Surface3D, data: Callable = None,
+             record: dict = None) -> "Density3D":
         """Read a file written by save; raises ValueError when its content
-        is not a complete table of finite coefficients."""
+        is not a complete table of finite coefficients, or, given a record,
+        when the file's record is missing or is not that record with this
+        SOLVER_REVISION."""
         with open(path) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError("malformed density file: not a JSON object")
+        if record is not None and payload.get("record") != dict(
+                record, solver=SOLVER_REVISION):
+            raise ValueError("density file was solved for another problem, "
+                             "source or solver revision")
         try:
             out = SphericalCoeffs.zeros(int(payload["N"]))
             rows = payload["coeffs"]
@@ -113,9 +135,10 @@ class Density3D:
 
 def rotated_grid(surface: Surface3D, theta0, phi0, n: int):
     """The three-step quadrature grid whose pole sits at (theta0, phi0):
-    the polar weights, shape (n, 1), then rotated_frame's (y, W, nu, theta,
-    phi) on the mapped Gauss-Legendre x 2n-azimuth nodes.  Stacked poles
-    (theta0, phi0 of shape (k,)) give k grids along a leading axis."""
+    the polar weights, shape (n, 1), then rotated_frame's (y, area-weighted
+    normal, theta, phi) on the mapped Gauss-Legendre x 2n-azimuth nodes.
+    Stacked poles (theta0, phi0 of shape (k,)) give k grids along a leading
+    axis."""
     rule = mapped_rule(n)
     return (rule.weights[:, None],) + rotated_frame(
         surface, theta0, phi0, rule.nodes[:, None],
@@ -131,12 +154,17 @@ def dlp_weights(grid, x):
     callers apply the 1/4n factor to their own sums, so no rounding is added
     when 4n is not a power of two.
     """
-    w, y, W, nu, _, _ = grid
+    w, y, area_normal, _, _ = grid
     diff = np.asarray(x, dtype=float) - y
-    r2 = np.sum(diff*diff, axis=-1)
-    kern = np.sum(nu*diff, axis=-1)/r2**1.5
+    r2 = _dot(diff, diff)
+    kern = _dot(area_normal, diff)/(r2*np.sqrt(r2))
     del diff, r2  # the largest arrays for stacked x: let the row reuse them
-    return w*kern*W
+    return w*kern
+
+
+def _dot(a, b):
+    """Dot products of 3-vectors along the last axis."""
+    return np.einsum("...i,...i->...", a, b)
 
 
 def subtracted_weights(surface: Surface3D, theta0, phi0, n: int):
@@ -147,7 +175,7 @@ def subtracted_weights(surface: Surface3D, theta0, phi0, n: int):
     grid = rotated_grid(surface, theta0, phi0, n)
     y0, _ = surface_point_and_normal(surface, theta0, phi0)
     kw = (1.0/(4*n))*dlp_weights(grid, y0[..., None, None, :])
-    return kw, grid[4], grid[5]
+    return kw, grid[3], grid[4]
 
 
 def apply_K_subtracted(surface: Surface3D, g: Callable, theta0: float,
@@ -173,32 +201,36 @@ def assemble_galerkin(surface: Surface3D, n: int) -> np.ndarray:
     half the harmonic again.
     """
     if n > MAX_DEGREE:
-        raise ValueError("coefficient degree beyond desk scale")
+        raise ValueError(f"coefficient degree {n} beyond desk scale: the "
+                         f"Galerkin assembly supports n <= {MAX_DEGREE}")
     th, wth, ph = analysis_grid(n)
-    TH, PH = np.meshgrid(th, ph, indexing="ij")
     nphi = 2*n
     m = np.concatenate([np.arange(-d, d + 1) for d in range(n)])
     half = np.flatnonzero(m >= 0)  # sph_half_basis's columns, in its order
-    # rotation_matrix(theta, phi) = R_z(phi) rotation_matrix(theta, 0), so
-    # the grid about (theta_i, phi_k) is the grid about (theta_i, phi_0)
-    # turned by phi_k - phi_0, where Y_nm gains e^{im(phi_k - phi_0)}
-    turn = np.exp(1j*np.outer(ph - ph[0], m[half]))
+    # rotation_matrix(theta, phi) = R_z(phi) R_y(theta): the grid about
+    # (theta_i, phi_k) is the grid about (theta_i, 0) turned by phi_k, where
+    # Y_nm gains e^{im phi_k}
+    turn = np.exp(1j*np.outer(ph, m[half]))
+    rule = mapped_rule(n)
+    local = _legendre_table(np.cos(rule.nodes), np.sin(rule.nodes), n)
+    eigvecs = [_jy_eigenvectors(d) for d in range(n)]
     block = _row_block(n)
-    Ah = np.zeros((n*n, half.size), dtype=complex)
-    KW = np.empty((nphi, 2*n*n))
+    spectra = np.empty((n, nphi, half.size), dtype=complex)
+    KW = np.empty((nphi, n, nphi))
     for i in range(n):
         for k in range(0, nphi, block):
-            kw, theta, phi = subtracted_weights(surface, TH[i, k:k + block],
-                                                PH[i, k:k + block], n)
-            KW[k:k + block] = kw.reshape(len(kw), -1)
-            if k == 0:
-                base = theta[0], phi[0]
+            phi = ph[k:k + block]
+            KW[k:k + block] = subtracted_weights(
+                surface, np.full(phi.size, th[i]), phi, n)[0]
         # operator applied to every m >= 0 basis column at once:
         # sum kw (Y - Y0)  -  Y0/2  -  Y0/2, with Y0 turned like the grid
-        Y0 = sph_half_basis(TH[i, :1], PH[i, :1], n)
-        V = turn*(KW @ sph_half_basis(*base, n)
-                  - Y0*(KW.sum(axis=1) + 1.0)[:, None])
-        Ah += _analysis(V[None], th[i:i + 1], wth[i:i + 1])
+        Y0 = sph_half_basis(th[i:i + 1], np.zeros(1), n)
+        V = turn*(_rotated_sums(KW, local, th[i], eigvecs).T
+                  - Y0*(KW.sum(axis=(1, 2)) + 1.0)[:, None])
+        spectra[i] = np.fft.fft(V, axis=0)
+    del V, KW
+    Ah = _analysis(spectra, th, wth)
+    del spectra
     A = np.empty((n*n, n*n), dtype=complex)
     A[:, half] = Ah
     del Ah
@@ -212,6 +244,39 @@ def assemble_galerkin(surface: Surface3D, n: int) -> np.ndarray:
     mirrored *= np.outer(sign, sign[neg])
     A[:, neg] = mirrored
     return A
+
+
+def _rotated_sums(KW, local, beta, eigvecs):
+    """sum_jq kw_jq Y_lm(R_y(beta) d(s_j, t_q)) for every row kw of KW
+    (rows, n, 2n) and every 0 <= m <= l < n, shape (n(n+1)/2, rows).
+
+    Each row's local coefficients c_lm' = sum_jq kw_jq Y_lm'(s_j, t_q) come
+    from an FFT over the 2n azimuths t_q = -pi + pi q/n, where
+    sum_q kw_q e^{im't_q} = (-1)^m' conj(rfft(kw)[m']), and one product per
+    order m' with the Legendre table local at the polar nodes s_j.  kw is
+    real, so c_{l,-m'} = (-1)^m' conj(c_lm').  The Wigner matrices d^l(beta)
+    carry them to Y_lm(R_y(beta) .) (DECISIONS.md D14)."""
+    rows, n = KW.shape[0], KW.shape[1]
+    # (m', j, row), contiguous, so each order is one real product
+    F = np.ascontiguousarray(np.fft.rfft(KW)[..., :n].transpose(2, 1, 0))
+    out = np.empty((local.shape[0], rows), dtype=complex)
+    for mp in range(n):
+        slots = _tri(np.arange(mp, n)) + mp
+        out[slots] = (local[slots] @ F[mp].view(float)).view(complex)
+    for l in range(n):
+        # X = out[l's slots] = sum_j Pbar rfft(kw), so c_lm' is
+        # (-1)^m' conj(X_m') and c_{l,-m'} is X_m'.  With d_+ the columns
+        # m' >= 0 of d^l, d_- the columns -m' <= 0 with m' = 0 zeroed, and
+        # S = diag((-1)^m'),
+        # sum_m' d_mm' c_lm' = (d_+ S + d_-) Re X - i (d_+ S - d_-) Im X
+        X = out[_tri(l):_tri(l + 1)]
+        d = _wigner_d(eigvecs[l], beta, l)
+        plus, minus = d[:, l:]*(-1.0)**np.arange(l + 1), d[:, l::-1]
+        minus[:, 0] = 0.0
+        re = (plus + minus) @ X.real
+        im = (plus - minus) @ X.imag
+        X.real, X.imag = re, -im
+    return out
 
 
 def _row_block(n: int) -> int:
@@ -270,7 +335,7 @@ def dlp_far_3d(density: Density3D, x, n: int = 32) -> float:
     interior point well separated from the boundary (any grid pole serves;
     this one is fixed at (0.9, 0.3))."""
     grid = rotated_grid(density.surface, 0.9, 0.3, n)
-    return float((1.0/(4*n))*np.sum(dlp_weights(grid, x)*density(*grid[4:])))
+    return float((1.0/(4*n))*np.sum(dlp_weights(grid, x)*density(*grid[3:])))
 
 
 def gauss_interior_value_3d(surface: Surface3D, x, n: int) -> float:

@@ -44,6 +44,25 @@ class Surface3D:
         P = self.profile(d[..., 2])
         return P[..., None]*(self.axes*d)
 
+    def area_normal(self, d, jacobian):
+        """Position at the directions d, and the area-weighted normal
+        orient*(y_1 x y_2) for a tangent pair (e1, e2) of the unit sphere at
+        d with e1 x e2 = jacobian*d; it points outward where jacobian > 0.
+
+        For y = P(d_3) S d with S = diag(axes), the cross product of the
+        pushed-forward pair is
+        det(S) jacobian P S^-1 ((P + P' d_3) d - P' e_3),
+        so neither the tangents nor their pushforwards are formed, and the
+        profile is evaluated once per node.  It is 0 where jacobian is.
+        """
+        P = self.profile(d[..., 2])[..., None]
+        dP = self.profile_prime(d[..., 2])[..., None]
+        g = (P + dP*d[..., 2:3])*d
+        g[..., 2] -= dP[..., 0]
+        g *= P*jacobian[..., None]
+        g *= (self.orient*np.prod(self.axes))/self.axes
+        return P*(self.axes*d), g
+
     def frame_of_direction(self, d, e1, e2):
         """Position, tangents along directions e1/e2, area element, normal.
 
@@ -53,12 +72,12 @@ class Surface3D:
         but the normal direction is still well defined; it is rebuilt there
         from an orthonormal tangent pair.
         """
-        P = self.profile(d[..., 2])
-        dP = self.profile_prime(d[..., 2])
+        P = self.profile(d[..., 2])[..., None]
+        dP = self.profile_prime(d[..., 2])[..., None]
         Sd = self.axes*d
 
         def push(e):
-            return dP[..., None]*e[..., 2:3]*Sd + P[..., None]*(self.axes*e)
+            return dP*e[..., 2:3]*Sd + P*(self.axes*e)
 
         y1, y2 = push(e1), push(e2)
         cr = np.cross(y1, y2)
@@ -78,7 +97,7 @@ class Surface3D:
             crf = np.cross(push(a), push(np.cross(d, a)))
             crf = self.orient*crf/np.linalg.norm(crf, axis=-1, keepdims=True)
             nu = np.where(deg[..., None], crf, nu)
-        return self.point_of_direction(d), y1, y2, W, nu
+        return P*Sd, y1, y2, W, nu
 
     def contains(self, x):
         """Interiority test for these star-shaped surfaces: in stretched
@@ -220,27 +239,26 @@ def rotated_angles(s, t, theta_star: float, phi_star: float):
 def rotated_frame(surface: Surface3D, theta_star, phi_star, s, t):
     """Quadrature geometry on the grid whose pole sits at (theta*, phi*).
 
-    s and t are broadcast to a common shape; returns (position, W, normal,
-    theta, phi) where W = |y_s x y_t| is the area element of the rotated
-    parameterization (it absorbs the sin(s) pole factor) and (theta, phi)
-    are the unrotated parameters of each node, for density synthesis.
+    s and t are broadcast to a common shape; returns (position, area-weighted
+    normal, theta, phi).  The area-weighted normal orient*(y_s x y_t) is the
+    outward unit normal times the area element of the rotated
+    parameterization, which absorbs the sin(s) pole factor; (theta, phi) are
+    the unrotated parameters of each node, for density synthesis.
 
     Stacked poles (theta*, phi* of shape (k,)) give one grid per pole along
-    a leading axis.  The directions and tangents on the fixed (s, t) grid
-    are built once and rotated by each pole's matrix.
+    a leading axis.  The directions on the fixed (s, t) grid are built once
+    and rotated by each pole's matrix.
     """
     S, T = np.broadcast_arrays(np.asarray(s, dtype=float),
                                np.asarray(t, dtype=float))
     R = rotation_matrix(theta_star, phi_star)
-    RT = np.swapaxes(R, -1, -2)
-    shape = R.shape[:-2] + S.shape + (3,)
-    e_s, e_t = _angle_tangents(S, T)
-    d, e_s, e_t = ((v.reshape(-1, 3) @ RT).reshape(shape)
-                   for v in (direction(S, T), e_s, e_t))
-    y, y_s, y_t, W, nu = surface.frame_of_direction(d, e_s, e_t)
+    d = (direction(S, T).reshape(-1, 3) @ np.swapaxes(R, -1, -2)).reshape(
+        R.shape[:-2] + S.shape + (3,))
+    # the rotated tangents d_s and d_t have d_s x d_t = sin(s) d
+    y, area_normal = surface.area_normal(d, np.sin(S))
     theta = np.arctan2(np.hypot(d[..., 0], d[..., 1]), d[..., 2])
     phi = np.arctan2(d[..., 1], d[..., 0])
-    return y, W, nu, theta, phi
+    return y, area_normal, theta, phi
 
 
 def surface_point_and_normal(surface: Surface3D, theta_star, phi_star):

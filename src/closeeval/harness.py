@@ -163,8 +163,8 @@ class StudyConfig:
                               f"[{MIN_NODES}, {MAX_NODES}]")
         if fam == "3d" and self.n > MAX_DEGREE:
             raise ConfigError(f"3D resolution n must be at most {MAX_DEGREE}"
-                              " (a mushroom solve at n = 48 takes about 20 s"
-                              " and 220 MB on a 2-core host)")
+                              " (a mushroom solve at n = 64 takes about 25 s"
+                              " and 560 MB on a 2-core host)")
         if not self.targets:
             raise ConfigError("targets must not be empty")
         specs = self.targets
@@ -410,7 +410,11 @@ def fit_order(eps_values, errors, method: str, lo: float = 1e-6,
     if count < 4:
         raise InsufficientDataError(
             f"only {count} points survive filtering for {method!r}")
-    slope = np.polyfit(np.log10(eps[sel]), np.log10(err[sel]), 1)[0]
+    # the least-squares line's slope, in closed form about the centroid
+    x = np.log10(eps[sel])
+    y = np.log10(err[sel])
+    x -= x.mean()
+    slope = (x @ (y - y.mean()))/(x @ x)
     return OrderFit(target, method, float(slope), lo, hi, count)
 
 
@@ -475,14 +479,23 @@ def _density_cache_path(config: StudyConfig) -> str:
     return os.path.join(config.cache_dir, name)
 
 
+def _density_record(config: StudyConfig) -> dict:
+    """What a cached density was solved for, besides n and the solver
+    revision that Density3D.save adds."""
+    return {"problem": config.problem,
+            "source": [float(v) for v in config.source]}
+
+
 def _solve_3d(config: StudyConfig, surface, data) -> Density3D:
     if config.cache_dir:
-        # a cache file that cannot be read or does not match is a miss:
-        # the density is solved again and the file rewritten
+        # a cache file that cannot be read or does not match, including one
+        # without the record of its problem, source and solver revision, is
+        # a miss: the density is solved again and the file rewritten
         path = _density_cache_path(config)
         if os.path.exists(path):
             try:
-                density = Density3D.load(path, surface, data)
+                density = Density3D.load(path, surface, data,
+                                         _density_record(config))
             except (OSError, ValueError):
                 density = None
             if density is not None and density.N == config.n:
@@ -493,7 +506,7 @@ def _solve_3d(config: StudyConfig, surface, data) -> Density3D:
         raise NumericalError(str(exc)) from None
     if config.cache_dir:
         os.makedirs(config.cache_dir, exist_ok=True)
-        density.save(_density_cache_path(config))
+        density.save(_density_cache_path(config), _density_record(config))
     return density
 
 

@@ -267,19 +267,21 @@ def analysis_grid(N: int):
     theta = np.arccos(rule.nodes[::-1])
     return theta, rule.weights[::-1].copy(), periodic_nodes(2*N)
 
-def _analysis(values: np.ndarray, theta, weights) -> np.ndarray:
-    """Coefficients (N^2, ...) of samples (k, 2N, ...) on k of the
-    analysis_grid(N) colatitudes, theta with their weights: an FFT over
-    longitude, whose phi_0 = -pi makes the sign (-1)^m, and one Legendre
-    table at theta (DECISIONS.md D11)."""
-    v = np.fft.fft(values, axis=1)
-    N = v.shape[1]//2
-    n = np.repeat(np.arange(N), 2*np.arange(N) + 1)
-    m = np.arange(N*N) - n*n - n
-    P = _legendre_table(np.cos(theta), np.sin(theta), N)[_tri(n) + np.abs(m)]
-    # conj(Y_nm) has a second (-1)^m when m < 0, so the signs cancel there
-    w = P*np.where(m > 0, (-1.0)**m, 1.0)[:, None]*(np.pi/N)*weights
-    return np.einsum("jk,kj...->j...", w, v[:, m % (2*N)])
+def _analysis(spectra: np.ndarray, theta, weights) -> np.ndarray:
+    """Coefficients (N^2, ...) from the longitude FFTs (k, 2N, ...) of
+    samples on k of the analysis_grid(N) colatitudes, theta with their
+    weights.  phi_0 = -pi makes the sign (-1)^m; each order m is one product
+    of its Legendre rows at theta with its FFT bin (DECISIONS.md D11)."""
+    N = spectra.shape[1]//2
+    v = spectra.reshape(len(theta), 2*N, -1)
+    P = _legendre_table(np.cos(theta), np.sin(theta), N)*((np.pi/N)*weights)
+    out = np.empty((N*N, v.shape[2]), dtype=complex)
+    for m in range(1 - N, N):
+        n = np.arange(abs(m), N)
+        # conj(Y_nm) has a second (-1)^m when m < 0, so the signs cancel there
+        sign = (-1.0)**m if m > 0 else 1.0
+        out[n*n + n + m] = (sign*P[_tri(n) + abs(m)]) @ v[:, m % (2*N)]
+    return out.reshape((N*N,) + spectra.shape[2:])
 
 def sph_analysis(values: np.ndarray, N: int) -> SphericalCoeffs:
     """Project samples on the analysis_grid(N) mesh onto Y_nm, n < N.
@@ -291,7 +293,8 @@ def sph_analysis(values: np.ndarray, N: int) -> SphericalCoeffs:
     if v.shape != (N, 2*N):
         raise ValueError("values must be sampled on the (N, 2N) analysis grid")
     theta, weights, _ = analysis_grid(N)
-    return SphericalCoeffs(N, _analysis(v, theta, weights))
+    return SphericalCoeffs(N, _analysis(np.fft.fft(v, axis=1), theta,
+                                        weights))
 
 def sph_synthesis(coeffs: SphericalCoeffs, theta, phi) -> np.ndarray:
     """Evaluate the truncated expansion at arbitrary angles (complex output).
@@ -306,6 +309,36 @@ def sph_synthesis(coeffs: SphericalCoeffs, theta, phi) -> np.ndarray:
     both = sph_half_basis(theta, phi, coeffs.N) @ np.stack(
         [coeffs.c[n*n + n + m], np.conj(b)], axis=1)
     return (both[:, 0] + np.conj(both[:, 1])).reshape(th.shape)
+
+
+def _jy_eigenvectors(l: int) -> np.ndarray:
+    """Real orthogonal eigenvectors of J_y for degree l, in the order
+    m = -l..l, with eigenvalues -l..l ascending.
+
+    J_y = (J_+ - J_-)/2i is Hermitian and purely imaginary; with
+    T = diag(i^m), T^-1 J_y T is the real symmetric tridiagonal matrix with
+    off-diagonal -sqrt(l(l+1) - m(m+1))/2, whose eigenvectors U are real.
+    The eigenvectors of J_y are T U (DECISIONS.md D14)."""
+    m = np.arange(-l, l)
+    off = -0.5*np.sqrt(l*(l + 1.0) - m*(m + 1.0))
+    return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))[1]
+
+def _wigner_d(U: np.ndarray, beta: float, rows: int = 0) -> np.ndarray:
+    """Wigner d^l(beta) = exp(-i beta J_y) from U = _jy_eigenvectors(l):
+    the rows m = rows - l .. l and every column m' = -l .. l.
+
+    Y_lm(R_y(beta) p) = sum_m' d_mm' Y_lm'(p), with R_y = rotation_matrix(
+    beta, 0).  d_mm' = Re(i^(m-m') sum_k U_mk U_m'k e^{-ik beta}), and the
+    eigenvalues k = -l..l are used exactly."""
+    l = (len(U) - 1)//2
+    k = np.arange(-l, l + 1)
+    top = U[rows:]
+    C = (top*np.cos(beta*k)) @ U.T
+    S = (top*np.sin(beta*k)) @ U.T
+    # i^(m-m') (C - iS) is real: C where m - m' is even, S where it is odd,
+    # with the sign of the power of i
+    gap = (k[rows:, None] - k[None, :]) % 4
+    return np.choose(gap, (C, S, -C, -S))
 
 
 def spherical_laplacian(coeffs: SphericalCoeffs) -> SphericalCoeffs:

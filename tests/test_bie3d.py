@@ -108,7 +108,7 @@ def test_per_row_galerkin_has_the_mirror_symmetry():
     assert np.max(np.abs(A - mirrored)) <= 1e-13
 
 
-def test_galerkin_evaluates_basis_once_per_colatitude(monkeypatch):
+def test_galerkin_evaluates_basis_only_at_row_poles(monkeypatch):
     calls = {"subtracted_weights": [], "sph_half_basis": []}
 
     def counted(name):
@@ -123,11 +123,11 @@ def test_galerkin_evaluates_basis_once_per_colatitude(monkeypatch):
         monkeypatch.setattr(bie3d, name, counted(name))
     A = assemble_galerkin(mushroom(), 8)
     # per colatitude of the 8 x 16 analysis grid, the half basis at its
-    # first row's node and at the 8 x 16 nodes of that row's grid; the 16
-    # rows of a colatitude (2048 grid nodes) fit in one stacked geometry
-    # call
+    # pole (theta_i, 0) alone: the rows' grids reach the basis through
+    # local harmonics and Wigner rotation; the 16 rows of a colatitude
+    # (2048 grid nodes) fit in one stacked geometry call
     assert calls == {"subtracted_weights": [16]*8,
-                     "sph_half_basis": [1, 128]*8}
+                     "sph_half_basis": [1]*8}
     # smaller blocks change the call pattern, not the matrix
     calls["subtracted_weights"].clear()
     monkeypatch.setattr(bie3d, "_BLOCK_NODES", 700)
@@ -153,7 +153,7 @@ def test_solve_holds_no_dense_analysis_operator():
 
 def test_galerkin_degree_cap():
     with pytest.raises(ValueError):
-        assemble_galerkin(unit_sphere(), 49)
+        assemble_galerkin(unit_sphere(), 65)
 
 
 def test_projection_recovers_band_limited_data():

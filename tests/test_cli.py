@@ -59,7 +59,7 @@ def test_run_missing_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("problem,n", [("3d-sphere", 49), ("2d-kite", 65),
+@pytest.mark.parametrize("problem,n", [("3d-sphere", 65), ("2d-kite", 65),
                                        ("2d-kite", 14),
                                        ("2d-kite", 1000000)])
 def test_run_unsupported_resolution_exits_2(tmp_path, capsys, problem, n):

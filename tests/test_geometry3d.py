@@ -145,23 +145,42 @@ def test_point_and_normal_is_pole_safe():
 def test_rotated_frame_shapes_and_area():
     rule = mapped_rule(24)
     t = periodic_nodes(48)
-    y, W, nu, th, ph = rotated_frame(unit_sphere(), 0.9, 0.4,
-                                     rule.nodes[:, None], t[None, :])
-    assert y.shape == (24, 48, 3) and nu.shape == (24, 48, 3)
-    assert W.shape == (24, 48) and th.shape == (24, 48)
+    y, area_normal, th, ph = rotated_frame(unit_sphere(), 0.9, 0.4,
+                                           rule.nodes[:, None], t[None, :])
+    assert y.shape == (24, 48, 3) and area_normal.shape == (24, 48, 3)
+    assert th.shape == (24, 48) and ph.shape == (24, 48)
+    W = np.linalg.norm(area_normal, axis=-1)
     area = (2*np.pi/48)*np.sum(rule.weights @ W)
     assert_allclose(area, 4*np.pi, rtol=1e-12)
     # on the sphere the rotated position is its own normal, and the
     # reported angles re-synthesize it
-    assert_allclose(nu, y, atol=1e-13)
+    assert_allclose(area_normal/W[..., None], y, atol=1e-13)
     assert_allclose(direction(th, ph), y, atol=1e-12)
+
+
+@pytest.mark.parametrize("surface", [
+    mushroom(), custom_radial(lambda c: 1.5 + 0.3*c**3,
+                              lambda c: 0.9*c**2, axes=(0.7, 1.0, 1.8))])
+def test_area_normal_is_the_cross_product_of_the_pushed_tangents(surface):
+    # the closed form against orient*(y_1 x y_2) = W*nu from the pushed
+    # forward pair, for random tangent pairs of either handedness
+    rng = np.random.default_rng(3)
+    d = direction(np.arccos(rng.uniform(-1, 1, 50)),
+                  rng.uniform(-np.pi, np.pi, 50))
+    e1, e2 = (a - np.sum(a*d, axis=-1, keepdims=True)*d
+              for a in rng.standard_normal((2, 50, 3)))
+    jacobian = np.sum(np.cross(e1, e2)*d, axis=-1)
+    y, area_normal = surface.area_normal(d, jacobian)
+    y_ref, _, _, W, nu = surface.frame_of_direction(d, e1, e2)
+    assert_allclose(y, y_ref, rtol=0, atol=1e-15)
+    assert_allclose(area_normal, W[:, None]*nu, rtol=0, atol=1e-13)
 
 
 def test_rotated_frame_matches_rotated_angles():
     rule = mapped_rule(8)
     t = periodic_nodes(8)
-    _, _, _, th, ph = rotated_frame(mushroom(), 1.1, -0.7,
-                                    rule.nodes[:, None], t[None, :])
+    _, _, th, ph = rotated_frame(mushroom(), 1.1, -0.7,
+                                 rule.nodes[:, None], t[None, :])
     th2, ph2 = rotated_angles(rule.nodes[:, None], t[None, :], 1.1, -0.7)
     assert_allclose(th, th2, atol=1e-12)
     wrapped = np.mod(ph - ph2 + np.pi, 2*np.pi) - np.pi
@@ -193,8 +212,8 @@ def test_stacked_rotated_frame_matches_scalar_calls():
     rule = mapped_rule(8)
     s, t = rule.nodes[:, None], periodic_nodes(16)[None, :]
     stacked = rotated_frame(mushroom(), *STACKED_POLES, s, t)
-    assert stacked[0].shape == (5, 8, 16, 3)
-    assert stacked[1].shape == (5, 8, 16)
+    assert stacked[0].shape == stacked[1].shape == (5, 8, 16, 3)
+    assert stacked[2].shape == (5, 8, 16)
     for r, (ts, ps) in enumerate(zip(*STACKED_POLES)):
         for got, ref in zip(stacked, rotated_frame(mushroom(), ts, ps, s, t)):
             assert_allclose(got[r], ref, rtol=0, atol=1e-15)

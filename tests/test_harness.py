@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from closeeval import harness, spectral
 from closeeval.bie2d import (MAX_NODES, dirichlet_data, harmonic_source,
                              solve_density)
+from closeeval.bie3d import SOLVER_REVISION
 from closeeval.closeeval2d import (CloseEvalRequest2D, asym_eps2, asym_eps3,
                                    dlp_ptr, dlp_subtraction)
 from closeeval.geometry2d import kite
@@ -562,6 +563,35 @@ def test_3d_sweep_with_cache(tmp_path):
     assert {r.target for r in res1.rows} == {label}
     for r in res1.rows:
         assert r.abs_error < 1e-4
+
+
+@pytest.mark.parametrize("record", [None, {"solver": 0}])
+def test_3d_cache_file_from_another_solver_is_solved_again(tmp_path, record,
+                                                          monkeypatch):
+    # a complete, readable density file without the record of its problem,
+    # source and solver revision (the format of earlier versions), or with
+    # another revision, is a miss: the study re-solves and rewrites it
+    cfg = StudyConfig(problem="3d-sphere", n=8, methods=("numerical",),
+                      eps=(1e-1, 1e-2), targets=((0.9, 0.4),),
+                      cache_dir=str(tmp_path))
+    path = harness._density_cache_path(cfg)
+    payload = {"N": 8, "coeffs": [[n, m, 1.0, 0.0] for n in range(8)
+                                  for m in range(-n, n + 1)]}
+    if record is not None:
+        payload["record"] = dict(harness._density_record(cfg), **record)
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    res = run_error_map(cfg)
+    assert res.rows == run_error_map(replace(cfg, cache_dir=None)).rows
+    with open(path) as fh:
+        saved = json.load(fh)
+    assert saved["record"] == {"problem": "3d-sphere",
+                               "source": [5.0, 4.0, 3.0],
+                               "solver": SOLVER_REVISION}
+    assert saved["coeffs"] != payload["coeffs"]
+    # the rewritten file is a hit
+    monkeypatch.setattr(harness, "solve_density3d", None)
+    assert run_error_map(cfg).rows == res.rows
 
 
 def test_3d_sweep_rejects_points_outside():

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from closeeval.geometry3d import rotated_angles
-from closeeval.spectral import (SphericalCoeffs, analysis_grid, gauss_legendre,
+from closeeval.spectral import (SphericalCoeffs, _jy_eigenvectors, _wigner_d,
+                                analysis_grid, gauss_legendre,
                                 mapped_rule, periodic_derivative,
                                 periodic_nodes, pole_second_derivative_average,
                                 sph_analysis, sph_basis_matrix,
@@ -268,6 +269,45 @@ def test_analysis_matches_dense_projection(N):
 def test_analysis_rejects_a_grid_of_the_wrong_shape():
     with pytest.raises(ValueError):
         sph_analysis(np.ones((4, 6)), 4)
+
+
+# ------------------------------------------------------------------ wigner
+
+WIGNER_DEGREES = 64
+
+
+def test_wigner_d_at_zero_is_the_identity():
+    for l in range(WIGNER_DEGREES):
+        d = _wigner_d(_jy_eigenvectors(l), 0.0)
+        assert np.max(np.abs(d - np.eye(2*l + 1))) <= 1e-14
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.7, np.pi])
+def test_wigner_d_is_orthogonal(beta):
+    for l in range(WIGNER_DEGREES):
+        d = _wigner_d(_jy_eigenvectors(l), beta)
+        assert np.max(np.abs(d @ d.T - np.eye(2*l + 1))) <= 1e-14
+
+
+@pytest.mark.parametrize("beta", [0.4, 1.9, 2.9])
+def test_wigner_d_rotates_the_harmonics(beta):
+    # Y_lm(R_y(beta) p) = sum_m' d_mm'(beta) Y_lm'(p) at random points p,
+    # with R_y(beta) = rotation_matrix(beta, 0); the m >= 0 columns of
+    # sph_basis_matrix are sph_half_basis
+    rng = np.random.default_rng(int(10*beta))
+    th = np.arccos(rng.uniform(-1, 1, 40))
+    ph = rng.uniform(-np.pi, np.pi, 40)
+    N = WIGNER_DEGREES
+    B = sph_basis_matrix(th, ph, N)
+    rotated = sph_basis_matrix(*rotated_angles(th, ph, beta, 0.0), N)
+    for l in range(N):
+        U = _jy_eigenvectors(l)
+        d = _wigner_d(U, beta)
+        cols = slice(l*l, (l + 1)**2)
+        assert np.max(np.abs(rotated[:, cols] - B[:, cols] @ d.T)) <= 1e-13
+        # the rows m >= 0 alone, as the Galerkin assembly asks for them
+        # (the same sums, blocked differently)
+        assert np.max(np.abs(_wigner_d(U, beta, l) - d[l:])) <= 1e-15
 
 
 def test_coeff_index_layout():
