@@ -37,7 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry3d import Surface3D, direction, rotated_frame, surface_point_and_normal
+from .geometry3d import (Surface3D, direction, direction_angles, rotated_frame,
+                         surface_point_and_normal)
 from .spectral import (SphericalCoeffs, _analysis, _jy_eigenvectors,
                        _legendre_table, _tri, _wigner_d, analysis_grid,
                        mapped_rule, periodic_nodes, sph_analysis,
@@ -136,7 +137,7 @@ class Density3D:
 def rotated_grid(surface: Surface3D, theta0, phi0, n: int):
     """The three-step quadrature grid whose pole sits at (theta0, phi0):
     the polar weights, shape (n, 1), then rotated_frame's (y, area-weighted
-    normal, theta, phi) on the mapped Gauss-Legendre x 2n-azimuth nodes.
+    normal, direction) on the mapped Gauss-Legendre x 2n-azimuth nodes.
     Stacked poles (theta0, phi0 of shape (k,)) give k grids along a leading
     axis."""
     rule = mapped_rule(n)
@@ -154,7 +155,7 @@ def dlp_weights(grid, x):
     callers apply the 1/4n factor to their own sums, so no rounding is added
     when 4n is not a power of two.
     """
-    w, y, area_normal, _, _ = grid
+    w, y, area_normal, _ = grid
     diff = np.asarray(x, dtype=float) - y
     r2 = _dot(diff, diff)
     kern = _dot(area_normal, diff)/(r2*np.sqrt(r2))
@@ -170,12 +171,12 @@ def _dot(a, b):
 def subtracted_weights(surface: Surface3D, theta0, phi0, n: int):
     """Kernel-times-area quadrature row for the rotated grid about a
     boundary target: entries (1/4pi) w_j dt K(y0, y_jk) W_jk, plus the node
-    parameters needed to sample densities there.  Stacked targets (theta0,
-    phi0 of shape (k,)) give one row each along a leading axis."""
+    directions, where a density is sampled.  Stacked targets (theta0, phi0
+    of shape (k,)) give one row each along a leading axis."""
     grid = rotated_grid(surface, theta0, phi0, n)
     y0, _ = surface_point_and_normal(surface, theta0, phi0)
     kw = (1.0/(4*n))*dlp_weights(grid, y0[..., None, None, :])
-    return kw, grid[3], grid[4]
+    return kw, grid[3]
 
 
 def apply_K_subtracted(surface: Surface3D, g: Callable, theta0: float,
@@ -186,9 +187,9 @@ def apply_K_subtracted(surface: Surface3D, g: Callable, theta0: float,
     integrand vanishes when g is constant, so constants map to -g/2 exactly
     up to roundoff.
     """
-    kw, theta, phi = subtracted_weights(surface, theta0, phi0, n)
+    kw, d = subtracted_weights(surface, theta0, phi0, n)
     g0 = complex(np.asarray(g(np.full(1, theta0), np.full(1, phi0))).ravel()[0])
-    vals = np.asarray(g(theta, phi))
+    vals = np.asarray(g(*direction_angles(d, phi0)))
     out = np.sum(kw*(vals - g0)) - 0.5*g0
     return out if np.iscomplexobj(vals) else float(np.real(out))
 
@@ -328,14 +329,6 @@ def harmonic_point_source_3d(surface: Surface3D, source) -> Callable:
 def exact_point_source_3d(x, source) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     return 1.0/np.linalg.norm(x - np.asarray(source, dtype=float), axis=-1)
-
-
-def dlp_far_3d(density: Density3D, x, n: int = 32) -> float:
-    """Plain three-step quadrature of the double-layer potential at an
-    interior point well separated from the boundary (any grid pole serves;
-    this one is fixed at (0.9, 0.3))."""
-    grid = rotated_grid(density.surface, 0.9, 0.3, n)
-    return float((1.0/(4*n))*np.sum(dlp_weights(grid, x)*density(*grid[3:])))
 
 
 def gauss_interior_value_3d(surface: Surface3D, x, n: int) -> float:

@@ -11,9 +11,10 @@ import os
 import sys
 
 from .bie3d import _atomic_write
-from .harness import (ConfigError, NumericalError, apply_overrides,
-                      dump_fits, fit_results, load_config, parse_eps_range,
-                      read_results_csv, run_error_map, run_hg_study)
+from .harness import (ConfigError, NumericalError, _make_dir,
+                      apply_overrides, dump_fits, fit_results, load_config,
+                      parse_eps_range, read_results_csv, run_error_map,
+                      run_hg_study)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,7 +81,7 @@ def _cmd_fit(args) -> int:
     fits = fit_results(read_results_csv(args.csv), lo=lo, hi=hi)
     fits.sort(key=lambda f: (f.target, f.method))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        _make_dir(args.out)
         path = os.path.join(args.out, "fits.json")
         with _atomic_write(path) as fh:
             dump_fits(fits, fh)

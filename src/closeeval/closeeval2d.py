@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bie2d import DensityGrid2D, dlp_sum
-from .geometry2d import Curve2D, curve_eval, point_inside
+from .geometry2d import point_inside
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,13 +90,6 @@ def _kernel_K1(y, nu, ystar, nustar, ell: float):
     nsd = np.sum(nustar*yd, axis=-1)
     ndot = np.sum(nu*nustar, axis=-1)
     return ell*(2*nd*nsd - ndot*r2)/r2**2
-
-
-def kernel_K1_2d(curve: Curve2D, t, t_star: float, ell: float = 1.0):
-    """First expansion kernel at parameters t for the target y(t_star)."""
-    gt = curve_eval(curve, t)
-    gs = curve_eval(curve, np.asarray(t_star))
-    return _kernel_K1(gt.position, gt.normal, gs.position, gs.normal, ell)
 
 
 def asym_coefficients(density: DensityGrid2D, k: int, ell: float = 1.0):

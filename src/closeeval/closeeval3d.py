@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .bie3d import Density3D, _dot, dlp_weights, rotated_grid
-from .geometry3d import Surface3D, rotated_angles, surface_point_and_normal
+from .geometry3d import Surface3D, direction_angles, surface_point_and_normal
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +79,8 @@ class CloseEvalRequest3D:
     @cached_property
     def dmu(self) -> np.ndarray:
         """mu - mu* on the grid."""
-        return self.density(*self.grid[3:]) - self.mu_star
+        theta, phi = direction_angles(self.grid[3], self.phi_star)
+        return self.density(theta, phi) - self.mu_star
 
 
 def _points(surface: Surface3D, theta_star: float, phi_star: float, eps,
@@ -110,38 +111,13 @@ def _kernel_K1(y, nu, ystar, nustar, ell: float):
     return ell*(3*nd*nsd - r2*ndot)/r2**2.5
 
 
-def kernel_K1_3d(surface: Surface3D, s, t, theta_star: float,
-                 phi_star: float, ell: float = 1.0):
-    """First expansion kernel on the rotated grid about the target, with
-    the unit normal, which stays defined where the rotated grid meets a
-    parameter pole."""
-    y, nu = surface_point_and_normal(
-        surface, *rotated_angles(s, t, theta_star, phi_star))
-    ystar, nustar = surface_point_and_normal(surface, theta_star, phi_star)
-    return _kernel_K1(y, nu, ystar, nustar, ell)
-
-
-def _correction_terms(request: CloseEvalRequest3D):
-    """Polar weights and the factors K1 W and mu - mu* of the U1 integrand
-    on the request's grid."""
-    w, y, area_normal, _, _ = request.grid
-    ystar, nustar = request.target()
-    return w, _kernel_K1(y, area_normal, ystar, nustar, request.ell), \
-        request.dmu
-
-
 def asym_correction_3d(request: CloseEvalRequest3D) -> float:
     """The eps-independent correction U1: rotated quadrature of
     K1 [mu - mu*] with the pole cell regularized by the subtraction."""
-    w, K1W, dmu = _correction_terms(request)
-    return float((1.0/(4*request.n))*np.sum(w*K1W*dmu))
-
-
-def azimuthal_average_profile(request: CloseEvalRequest3D) -> np.ndarray:
-    """Azimuth-averaged integrand of U1 at each polar node, diagnostic for
-    its continuous extension to the pole."""
-    _, K1W, dmu = _correction_terms(request)
-    return np.mean(K1W*dmu, axis=1)
+    w, y, area_normal, _ = request.grid
+    ystar, nustar = request.target()
+    K1W = _kernel_K1(y, area_normal, ystar, nustar, request.ell)
+    return float((1.0/(4*request.n))*np.sum(w*K1W*request.dmu))
 
 
 def asym_eps2_3d(request: CloseEvalRequest3D):

@@ -12,13 +12,15 @@ sin(s).
 
 The rotation R(theta*, phi*) maps the coordinate north pole to the direction
 d(theta*, phi*); its columns are the unit vectors (u, v, w) obtained by
-differentiating d with respect to theta and phi at the target.
+differentiating d with respect to theta and phi at the target.  Positions
+and normals all come from Surface3D.area_normal, and every rotated grid
+from one rotation of the directions d(s, t).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -63,42 +65,6 @@ class Surface3D:
         g *= (self.orient*np.prod(self.axes))/self.axes
         return P*(self.axes*d), g
 
-    def frame_of_direction(self, d, e1, e2):
-        """Position, tangents along directions e1/e2, area element, normal.
-
-        e1 and e2 are tangent vectors to the unit sphere at d (the pushforward
-        arguments); the area element is |y_1 x y_2| for that pair.  Where the
-        pair degenerates (a parameter pole) the area element is genuinely 0,
-        but the normal direction is still well defined; it is rebuilt there
-        from an orthonormal tangent pair.
-        """
-        P = self.profile(d[..., 2])[..., None]
-        dP = self.profile_prime(d[..., 2])[..., None]
-        Sd = self.axes*d
-
-        def push(e):
-            return dP*e[..., 2:3]*Sd + P*(self.axes*e)
-
-        y1, y2 = push(e1), push(e2)
-        cr = np.cross(y1, y2)
-        W = np.linalg.norm(cr, axis=-1)
-        safe = np.where(W[..., None] < _POLE_TOL, 1.0, W[..., None])
-        nu = self.orient*cr/safe
-        deg = W < _POLE_TOL
-        if np.any(deg):
-            n1 = np.linalg.norm(e1, axis=-1, keepdims=True)
-            seed = np.where(np.abs(d[..., 2:3]) < 0.9,
-                            np.array([0.0, 0.0, 1.0]),
-                            np.array([1.0, 0.0, 0.0]))
-            a = np.cross(d, seed)
-            a = a/np.linalg.norm(a, axis=-1, keepdims=True)
-            ok = n1 > _POLE_TOL
-            a = np.where(ok, e1/np.where(ok, n1, 1.0), a)
-            crf = np.cross(push(a), push(np.cross(d, a)))
-            crf = self.orient*crf/np.linalg.norm(crf, axis=-1, keepdims=True)
-            nu = np.where(deg[..., None], crf, nu)
-        return P*Sd, y1, y2, W, nu
-
     def contains(self, x):
         """Interiority test for these star-shaped surfaces: in stretched
         coordinates z = x/axes the boundary is the radial graph |z| = P.
@@ -107,15 +73,6 @@ class Surface3D:
         r = np.linalg.norm(z, axis=-1)
         centre = r < _POLE_TOL
         return centre | (r < self.profile(z[..., 2]/np.where(centre, 1.0, r)))
-
-
-@dataclass(frozen=True, eq=False)
-class SurfacePoint3D:
-    position: np.ndarray
-    y_theta: np.ndarray
-    y_phi: np.ndarray
-    normal: Optional[np.ndarray]
-    area_element: np.ndarray
 
 
 def unit_sphere() -> Surface3D:
@@ -152,10 +109,8 @@ def custom_radial(profile, profile_prime, axes=(1.0, 1.0, 1.0)) -> Surface3D:
 
 def _oriented(s: Surface3D) -> Surface3D:
     """Fix the normal orientation outward by a ray test from the origin."""
-    d = direction(np.array(1.1), np.array(0.3))
-    e1, e2 = _angle_tangents(np.array(1.1), np.array(0.3))
-    y, _, _, _, nu = s.frame_of_direction(d, e1, e2)
-    if float(np.sum(y*nu)) < 0:
+    y, area_normal = s.area_normal(direction(1.1, 0.3), np.ones(()))
+    if float(np.sum(y*area_normal)) < 0:
         return Surface3D(s.kind, s.profile, s.profile_prime, s.axes, -s.orient)
     return s
 
@@ -170,35 +125,16 @@ def direction(theta, phi) -> np.ndarray:
     return np.stack([np.sin(th)*np.cos(ph), np.sin(th)*np.sin(ph),
                      np.cos(th)], axis=-1)
 
-def _angle_tangents(theta, phi):
-    """Partial derivatives of d with respect to theta and phi (the phi one
-    carries its sin(theta) factor, so area elements vanish like sin at poles)."""
-    th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float),
-                                 np.asarray(phi, dtype=float))
-    e_th = np.stack([np.cos(th)*np.cos(ph), np.cos(th)*np.sin(ph),
-                     -np.sin(th)], axis=-1)
-    e_ph = np.stack([-np.sin(th)*np.sin(ph), np.sin(th)*np.cos(ph),
-                     np.zeros_like(th)], axis=-1)
-    return e_th, e_ph
 
-
-def surface_eval(surface: Surface3D, theta, phi,
-                 want_normal: bool = True) -> SurfacePoint3D:
-    """Surface geometry at (theta, phi): position, both partials, the area
-    element W = |y_theta x y_phi|, and the unit outward normal.
-
-    The normal is undefined where W vanishes (the parameter poles); asking
-    for it there raises.
+def direction_angles(d, phi_pole: float):
+    """Angles (theta, phi) of the unit directions d, the inverse of
+    direction: quadrant-aware arctangents keep theta in [0, pi] and phi in
+    (-pi, pi], and phi falls back to phi_pole where d is a coordinate pole.
     """
-    d = direction(theta, phi)
-    e_th, e_ph = _angle_tangents(theta, phi)
-    y, y_th, y_ph, W, nu = surface.frame_of_direction(d, e_th, e_ph)
-    if want_normal:
-        if np.any(W < _POLE_TOL):
-            raise ValueError("unit normal requested at a parameter pole")
-    else:
-        nu = None
-    return SurfacePoint3D(y, y_th, y_ph, nu, W)
+    rho = np.hypot(d[..., 0], d[..., 1])
+    theta = np.arctan2(rho, d[..., 2])
+    phi = np.where(rho < _POLE_TOL, phi_pole, np.arctan2(d[..., 1], d[..., 0]))
+    return theta, phi
 
 
 def rotation_matrix(theta_star, phi_star) -> np.ndarray:
@@ -216,63 +152,58 @@ def rotation_matrix(theta_star, phi_star) -> np.ndarray:
     return R
 
 
-def rotated_angles(s, t, theta_star: float, phi_star: float):
-    """Angles (theta, phi) of the direction R(theta*, phi*) d(s, t).
+def _rotated_directions(theta_star, phi_star, s, t):
+    """The (s, t) grid broadcast to one shape, and the directions
+    R(theta*, phi*) d(s, t) on it; stacked poles (theta*, phi* of shape
+    (k,)) give one grid per pole along a leading axis.  The directions on
+    the fixed grid are built once and rotated by each pole's matrix."""
+    S, T = np.broadcast_arrays(np.asarray(s, dtype=float),
+                               np.asarray(t, dtype=float))
+    R = rotation_matrix(theta_star, phi_star)
+    d = (direction(S, T).reshape(-1, 3) @ np.swapaxes(R, -1, -2)).reshape(
+        R.shape[:-2] + S.shape + (3,))
+    return S, d
 
-    Quadrant-aware arctangents keep theta in [0, pi] and phi in (-pi, pi];
-    at the rotated pole (s = 0) phi falls back to phi* by convention.
-    """
-    s = np.asarray(s, dtype=float); t = np.asarray(t, dtype=float)
-    ct, st = np.cos(theta_star), np.sin(theta_star)
-    cp, sp = np.cos(phi_star), np.sin(phi_star)
-    ss, cs = np.sin(s), np.cos(s)
-    stt, ctt = np.sin(t), np.cos(t)
-    xi = ct*cp*ss*ctt - sp*ss*stt + st*cp*cs
-    eta = ct*sp*ss*ctt + cp*ss*stt + st*sp*cs
-    zeta = -st*ss*ctt + ct*cs
-    rho = np.hypot(xi, eta)
-    theta = np.arctan2(rho, zeta)
-    phi = np.where(rho < _POLE_TOL, phi_star, np.arctan2(eta, xi))
-    return theta, phi
+
+def rotated_angles(s, t, theta_star: float, phi_star: float):
+    """Angles (theta, phi) of the direction R(theta*, phi*) d(s, t), by
+    direction_angles; where the node is a coordinate pole phi is phi*."""
+    return direction_angles(
+        _rotated_directions(theta_star, phi_star, s, t)[1], phi_star)
 
 
 def rotated_frame(surface: Surface3D, theta_star, phi_star, s, t):
     """Quadrature geometry on the grid whose pole sits at (theta*, phi*).
 
     s and t are broadcast to a common shape; returns (position, area-weighted
-    normal, theta, phi).  The area-weighted normal orient*(y_s x y_t) is the
+    normal, direction).  The area-weighted normal orient*(y_s x y_t) is the
     outward unit normal times the area element of the rotated
-    parameterization, which absorbs the sin(s) pole factor; (theta, phi) are
-    the unrotated parameters of each node, for density synthesis.
+    parameterization, which absorbs the sin(s) pole factor; the direction
+    R(theta*, phi*) d(s, t) of each node is what a density is sampled at
+    (direction_angles turns it into the unrotated parameters).
 
     Stacked poles (theta*, phi* of shape (k,)) give one grid per pole along
-    a leading axis.  The directions on the fixed (s, t) grid are built once
-    and rotated by each pole's matrix.
+    a leading axis.
     """
-    S, T = np.broadcast_arrays(np.asarray(s, dtype=float),
-                               np.asarray(t, dtype=float))
-    R = rotation_matrix(theta_star, phi_star)
-    d = (direction(S, T).reshape(-1, 3) @ np.swapaxes(R, -1, -2)).reshape(
-        R.shape[:-2] + S.shape + (3,))
+    S, d = _rotated_directions(theta_star, phi_star, s, t)
     # the rotated tangents d_s and d_t have d_s x d_t = sin(s) d
     y, area_normal = surface.area_normal(d, np.sin(S))
-    theta = np.arctan2(np.hypot(d[..., 0], d[..., 1]), d[..., 2])
-    phi = np.arctan2(d[..., 1], d[..., 0])
-    return y, area_normal, theta, phi
+    return y, area_normal, d
 
 
 def surface_point_and_normal(surface: Surface3D, theta_star, phi_star):
     """Position and outward unit normal at one surface point, or at each of
     stacked points (leading axes of theta*, phi*).
 
-    Pushes forward the orthonormal tangent pair (u, v) of the rotation
-    frame instead of the (theta, phi) coordinate basis, so the result is
-    well defined at the parameter poles too.  Raises ValueError when the
-    frame degenerates at any of the points.
+    The area-weighted normal is taken for the rotation frame's orthonormal
+    tangent pair (u, v), whose u x v is the direction d itself, instead of
+    the (theta, phi) coordinate basis, so the result is well defined at the
+    parameter poles too.  Raises ValueError when the frame degenerates at
+    any of the points.
     """
-    R = rotation_matrix(theta_star, phi_star)
-    y, y1, y2, W, nu = surface.frame_of_direction(R[..., 2], R[..., 0],
-                                                  R[..., 1])
+    d = direction(theta_star, phi_star)
+    y, area_normal = surface.area_normal(d, np.ones(d.shape[:-1]))
+    W = np.linalg.norm(area_normal, axis=-1, keepdims=True)
     if np.any(W < _POLE_TOL):
         raise ValueError("degenerate surface frame")
-    return y, nu
+    return y, area_normal/W

@@ -505,9 +505,18 @@ def _solve_3d(config: StudyConfig, surface, data) -> Density3D:
     except RuntimeError as exc:
         raise NumericalError(str(exc)) from None
     if config.cache_dir:
-        os.makedirs(config.cache_dir, exist_ok=True)
         density.save(_density_cache_path(config), _density_record(config))
     return density
+
+
+def _make_dir(path: str) -> None:
+    """Create the directory path and its parents where missing; a path
+    that names a file, or that cannot be created, is a ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create directory {path!r}: "
+                          f"{exc.strerror or exc}") from None
 
 
 def _sweep_2d(config: StudyConfig, blocks, rejections):
@@ -582,8 +591,13 @@ def run_error_map(config: StudyConfig) -> ErrorStudyResult:
     """
     if config.problem == "hg":
         raise ConfigError("use run_hg_study for the hg problem")
+    # the output and cache directories are made before any solve
+    family = _family(config.problem)
+    for path in (config.out_dir, config.cache_dir if family == "3d" else None):
+        if path:
+            _make_dir(path)
     blocks, rejections = [], []
-    if _family(config.problem) == "2d":
+    if family == "2d":
         _sweep_2d(config, blocks, rejections)
     else:
         _sweep_3d(config, blocks, rejections)
@@ -621,6 +635,8 @@ def run_hg_study(config: StudyConfig) -> ErrorStudyResult:
     eps, with a slope fit.  Both are evaluated once over every eps."""
     if config.problem != "hg":
         raise ConfigError("run_hg_study requires problem 'hg'")
+    if config.out_dir:
+        _make_dir(config.out_dir)
     psi = _hg_field(config)
     omega = config.hg_omega
     kept = [eps for eps in config.eps if 0 < eps < 0.5]
@@ -648,7 +664,7 @@ def write_outputs(result: ErrorStudyResult) -> dict:
     out = result.config.out_dir
     if not out:
         raise ConfigError("no output directory configured")
-    os.makedirs(out, exist_ok=True)
+    _make_dir(out)
     columns = _by_target(result.blocks)
     order = {}
     for label in [*columns, *(r.target for r in result.rejections)]:

@@ -1,9 +1,10 @@
-"""Forward-peaked scattering toolbox: the Henyey-Greenstein phase function,
-the scattering operator L, its nonlocal leading-order operator, the
+"""Forward-peaked scattering toolbox: the scattering operator L of the
+Henyey-Greenstein phase function, its nonlocal leading-order operator, the
 two-term asymptotic expansion in eps = 1 - g, and the Poisson-kernel
 connection on the unit sphere.
 
-With p the HG phase function and Omega' . Omega = cos(s),
+With p(c) = (1 - g^2)/(1 + g^2 - 2gc)^{3/2} the HG phase function and
+Omega' . Omega = cos(s),
 
     L psi (Omega) = (1/4pi) int p(Omega . Omega') [psi(Omega') - psi(Omega)] dsigma'
 
@@ -19,12 +20,12 @@ which is what connects the scattering expansion to close evaluation of
 harmonic functions.
 
 On a band-limited field the eigenvalues give L psi in closed form
-(apply_L_spectral); the quadrature apply_L_direct is its independent check.
+(apply_L_spectral).  Its independent check, a direct quadrature of L in the
+frame with omega at the pole, lives with the tests (tests/references.py).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,29 +39,9 @@ _L32_POLAR_NODES = 64
 # Largest field degree of an HG study.  The L32 rings take 64*max(16, 2N)
 # nodes times N^2 basis values: 4.6e6 at degree 32, 3.5e9 at 300.
 MAX_DEGREE = 32
-# Largest polar rule of apply_L_direct.  Its default count 8/(1 - |g|),
-# rounded up to a power of two, reaches it at |g| = 0.999.  The rule build is
-# O(n^2): 0.7 s at 8192 nodes, minutes at the 2^17 that g = 0.9999 asks for.
-MAX_POLAR_NODES = 8192
 # Ring nodes times N^2 basis values that _ring_average synthesises at once,
 # 16 MB of complex basis, so its memory does not grow with the polar rule.
 _RING_BLOCK_VALUES = 1 << 20
-
-
-@dataclass(frozen=True)
-class HGParams:
-    """Anisotropy factor g in (-1, 1); eps = 1 - g in the forward-peaked
-    regime."""
-
-    g: float
-
-    def __post_init__(self):
-        if not -1 < self.g < 1:
-            raise ValueError("anisotropy factor must satisfy |g| < 1")
-
-    @property
-    def eps(self) -> float:
-        return 1.0 - self.g
 
 
 @dataclass(eq=False)
@@ -75,17 +56,6 @@ class IntensityField:
 
     def __call__(self, theta, phi) -> np.ndarray:
         return np.real(sph_synthesis(self.coeffs, theta, phi))
-
-
-def p_hg(cos_theta, g: float):
-    """Henyey-Greenstein phase function (1-g^2)/(1+g^2-2g cos)^{3/2},
-    normalized so that (1/2) int_0^pi p sin = 1."""
-    if not -1 < g < 1:
-        raise ValueError("anisotropy factor must satisfy |g| < 1")
-    c = np.asarray(cos_theta, dtype=float)
-    if np.any(np.abs(c) > 1 + 1e-12):
-        raise ValueError("cosine argument outside [-1, 1]")
-    return (1.0 - g*g)/(1.0 + g*g - 2.0*g*np.clip(c, -1.0, 1.0))**1.5
 
 
 def _azimuth_count(psi: IntensityField) -> int:
@@ -105,37 +75,6 @@ def _ring_average(psi: IntensityField, omega, s_nodes):
         means[i:i + rows] = psi(th, ph).mean(axis=1)
     psi0 = float(psi(np.full(1, theta0), np.full(1, phi0))[0])
     return means - psi0
-
-
-def _polar_default(psi: IntensityField, peak_eps: float):
-    # enough polar nodes to resolve both the field and the kernel peak,
-    # rounded up to a power of two so that a sweep reuses a few cached rules
-    n = max(64, 2*psi.N, int(np.ceil(8.0/peak_eps)))
-    return 1 << (n - 1).bit_length()
-
-
-def apply_L_direct(psi: IntensityField, omega, g: float,
-                   n_polar: int = None) -> float:
-    """Scattering operator by quadrature in the frame with omega at the pole.
-
-    Spectrally accurate for band-limited psi once the polar rule resolves
-    the kernel peak of width 1 - g.  Raises ValueError when that would take
-    more than MAX_POLAR_NODES polar nodes (|g| > 0.999 by default).
-    """
-    if not -1 < g < 1:
-        raise ValueError("anisotropy factor must satisfy |g| < 1")
-    if n_polar is None:
-        n_polar = _polar_default(psi, 1.0 - abs(g))
-    elif g > 1.0 - 2.0/n_polar:
-        warnings.warn("polar rule too coarse for the phase-function peak",
-                      RuntimeWarning)
-    if n_polar > MAX_POLAR_NODES:
-        raise ValueError(f"{n_polar} polar nodes exceed MAX_POLAR_NODES = "
-                         f"{MAX_POLAR_NODES} (g = {g})")
-    rule = mapped_rule(n_polar)
-    az = _ring_average(psi, omega, rule.nodes)
-    kern = p_hg(np.cos(rule.nodes), g)
-    return float(0.5*np.sum(rule.weights*kern*az*np.sin(rule.nodes)))
 
 
 def apply_L_spectral(psi: IntensityField, omega, g):

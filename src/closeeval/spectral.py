@@ -80,7 +80,7 @@ def _legendre_rule(n: int):
 @lru_cache(maxsize=128)
 def _gl_cached(n: int):
     # cached because the 3D grids reuse a few small rules and the HG
-    # quadrature check (apply_L_direct) asks for rules of up to thousands of
+    # quadrature check of the tests asks for rules of up to thousands of
     # nodes, in power-of-two sizes that repeat.
     return _legendre_rule(n)
 
@@ -345,25 +345,3 @@ def spherical_laplacian(coeffs: SphericalCoeffs) -> SphericalCoeffs:
     """Laplace-Beltrami operator on the sphere: multiplies c_nm by -n(n+1)."""
     n = coeffs.degrees()
     return SphericalCoeffs(coeffs.N, coeffs.c*(-n*(n + 1.0)))
-
-
-def pole_second_derivative_average(sampler, h: float = 1e-3,
-                                   n_azimuth: int = 64) -> float:
-    """Azimuthal average of the second polar derivative at a rotated pole,
-    (1/pi) * int_0^pi  d^2/ds^2 psi(s, t)|_{s=0} dt.
-
-    sampler(s, t) evaluates the field in a frame whose pole is the point of
-    interest; both arguments are arrays of equal shape.  Central differences
-    in s (the reflection psi(-h, t) = psi(h, t + pi) is built into the full
-    2*pi azimuth average) with one Richardson step (h, h/2).  The result
-    equals half the spherical Laplacian of the field at the pole.
-    """
-    t = periodic_nodes(n_azimuth)
-    pole = float(np.asarray(sampler(np.zeros(1), np.zeros(1))).ravel()[0])
-
-    def avg(step):
-        ring = np.asarray(sampler(np.full(n_azimuth, step), t), dtype=float)
-        return 2.0*(ring.mean() - pole)/step**2
-
-    a1, a2 = avg(h), avg(h/2)
-    return (4.0*a2 - a1)/3.0

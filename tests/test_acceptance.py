@@ -23,12 +23,12 @@ from closeeval.geometry2d import curve_grid, kite, star
 from closeeval.geometry3d import (direction, mushroom, rotated_angles,
                                   rotation_matrix, unit_sphere)
 from closeeval.harness import StudyConfig, eps_grid, fit_order, run_error_map
-from closeeval.hgscatter import (IntensityField, apply_L_asymptotic,
-                                 apply_L_direct)
-from closeeval.spectral import (SphericalCoeffs, analysis_grid,
-                                pole_second_derivative_average, sph_analysis,
+from closeeval.hgscatter import IntensityField, apply_L_asymptotic
+from closeeval.spectral import (SphericalCoeffs, analysis_grid, sph_analysis,
                                 sph_harm_eval, sph_synthesis,
                                 spherical_laplacian)
+
+from references import apply_L_direct, pole_second_derivative_average
 
 EPS_FINE = eps_grid(1e-6, 1e-1, 25)
 TARGETS_2D = (5*np.pi/4, np.pi/4)  # concave-side and convex-side targets

@@ -162,6 +162,53 @@ def test_bad_value_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
     assert "config error" in capsys.readouterr().err
 
 
+def _blocker(tmp_path):
+    # a file where a directory is asked for
+    path = tmp_path/"blocker"
+    path.write_text("not a directory")
+    return path
+
+
+@pytest.mark.parametrize("command,payload,flags", [
+    ("run", _KITE, ["--out", "FILE"]),
+    ("run", _KITE, ["--out", "FILE/sub"]),
+    ("run", dict(_SPHERE, cache="FILE"), []),
+    ("hg", _HG, ["--out", "FILE"]),
+], ids=["run-out", "run-out-below-a-file", "3d-cache", "hg-out"])
+def test_directory_path_that_is_a_file_exits_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, payload, flags):
+    # each once ended in a traceback, the 3D cache only after the solve
+    def no_solve(*args):
+        raise AssertionError("solved a study whose files cannot be written")
+
+    monkeypatch.setattr(harness, "solve_density", no_solve)
+    monkeypatch.setattr(harness, "solve_density3d", no_solve)
+    blocker = _blocker(tmp_path)
+
+    def fill(value):
+        return value.replace("FILE", str(blocker)) \
+            if isinstance(value, str) else value
+
+    cfg = _write_config(tmp_path, {k: fill(v) for k, v in payload.items()})
+    assert cli.main([command, cfg, *map(fill, flags)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(blocker) in err
+    assert blocker.read_text() == "not a directory"
+
+
+def test_fit_out_that_is_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path/"out"
+    cfg = _write_config(tmp_path, _kite_payload(str(out)))
+    assert cli.main(["run", cfg]) == 0
+    capsys.readouterr()
+    blocker = _blocker(tmp_path)
+    assert cli.main(["fit", str(out/"results.csv"), "--out",
+                     str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(blocker) in err
+    assert blocker.read_text() == "not a directory"
+
+
 @pytest.mark.parametrize("payload,targets", [
     ({"problem": "2d-kite", "n": 64, "eps": [1.2, 0.9]},
      [1.5707963267948966, 0.0]),

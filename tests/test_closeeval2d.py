@@ -4,9 +4,9 @@ from numpy.testing import assert_allclose
 
 from closeeval.bie2d import (DensityGrid2D, assemble_nystrom, dirichlet_data,
                              harmonic_source, solve_density)
-from closeeval.closeeval2d import (CloseEvalRequest2D, asym_coefficients,
-                                   asym_eps2, asym_eps3, dlp_ptr,
-                                   dlp_subtraction, kernel_K1_2d)
+from closeeval.closeeval2d import (CloseEvalRequest2D, _kernel_K1,
+                                   asym_coefficients, asym_eps2, asym_eps3,
+                                   dlp_ptr, dlp_subtraction)
 from closeeval.geometry2d import (CurvePoint2D, circle, curve_eval,
                                   curve_grid, kite, star)
 from closeeval.spectral import periodic_derivative
@@ -25,6 +25,14 @@ def _solved(curve, n):
 @pytest.fixture(scope="module")
 def kite_density():
     return _solved(kite(), N)
+
+
+def _kernel_K1_2d(curve, t, t_star, ell=1.0):
+    # the first kernel of the distance expansion at parameters t for the
+    # target y(t_star)
+    gt = curve_eval(curve, t)
+    gs = curve_eval(curve, np.asarray(t_star))
+    return _kernel_K1(gt.position, gt.normal, gs.position, gs.normal, ell)
 
 
 def _kernel_K2(y, nu, ystar, nustar):
@@ -77,7 +85,7 @@ def _errors(density, k, eps):
 
 def test_kernel_values_on_circle():
     # antipodal target on the unit circle: closed forms -1/4 and -1/8
-    assert_allclose(kernel_K1_2d(circle(), np.pi, 0.0), -0.25, atol=1e-15)
+    assert_allclose(_kernel_K1_2d(circle(), np.pi, 0.0), -0.25, atol=1e-15)
     gt, gs = curve_eval(circle(), np.pi), curve_eval(circle(), 0.0)
     assert_allclose(_kernel_K2(gt.position, gt.normal, gs.position,
                                gs.normal), -0.125, atol=1e-15)
@@ -89,18 +97,18 @@ def test_kernels_shift_invariant_on_circle():
         t, ts, s = rng.uniform(-np.pi, np.pi, 3)
         if abs(t - ts) < 0.1:
             continue
-        assert_allclose(kernel_K1_2d(circle(), t + s, ts + s),
-                        kernel_K1_2d(circle(), t, ts), atol=1e-12)
+        assert_allclose(_kernel_K1_2d(circle(), t + s, ts + s),
+                        _kernel_K1_2d(circle(), t, ts), atol=1e-12)
 
 
 def test_kernels_scale_with_ell():
-    k1 = kernel_K1_2d(kite(), 1.0, 2.0, ell=1.0)
-    assert_allclose(kernel_K1_2d(kite(), 1.0, 2.0, ell=3.0), 3*k1, rtol=1e-14)
+    k1 = _kernel_K1_2d(kite(), 1.0, 2.0, ell=1.0)
+    assert_allclose(_kernel_K1_2d(kite(), 1.0, 2.0, ell=3.0), 3*k1, rtol=1e-14)
 
 
 def test_kernel_coincidence_raises():
     with pytest.raises(ValueError):
-        kernel_K1_2d(kite(), 0.7, 0.7)
+        _kernel_K1_2d(kite(), 0.7, 0.7)
 
 
 def test_constant_density_is_exact(kite_density):
@@ -204,7 +212,8 @@ def test_correction_sums_order_independent(kite_density):
     nodes = np.delete(np.arange(N), K_CONVEX)
     t = -np.pi + 2*np.pi*nodes/N
     ts = float(-np.pi + 2*np.pi*K_CONVEX/N)
-    terms = kernel_K1_2d(kite(), t, ts)*kite_density.geometry.jacobian[nodes] \
+    terms = _kernel_K1_2d(kite(), t, ts) \
+        * kite_density.geometry.jacobian[nodes] \
         * (kite_density.mu[nodes] - kite_density.mu[K_CONVEX])
     assert np.all(np.isfinite(terms))
     rng = np.random.default_rng(11)

@@ -6,13 +6,33 @@ from closeeval import closeeval3d
 from closeeval.bie3d import (Density3D, assemble_galerkin,
                              exact_point_source_3d,
                              harmonic_point_source_3d, solve_density3d)
-from closeeval.closeeval3d import (CloseEvalRequest3D, asym_correction_3d,
-                                   asym_eps2_3d, azimuthal_average_profile,
-                                   dlp_numerical_3d, kernel_K1_3d)
-from closeeval.geometry3d import mushroom, unit_sphere
+from closeeval.closeeval3d import (CloseEvalRequest3D, _kernel_K1,
+                                   asym_correction_3d, asym_eps2_3d,
+                                   dlp_numerical_3d)
+from closeeval.geometry3d import (mushroom, rotated_angles,
+                                  surface_point_and_normal, unit_sphere)
 from closeeval.spectral import SphericalCoeffs, sph_harm_eval
 
 SOURCE = (5.0, 4.0, 3.0)
+
+
+def _kernel_K1_3d(surface, s, t, theta_star, phi_star, ell=1.0):
+    # the first expansion kernel on the rotated grid about the target, with
+    # the unit normal, which stays defined where the rotated grid meets a
+    # parameter pole
+    y, nu = surface_point_and_normal(
+        surface, *rotated_angles(s, t, theta_star, phi_star))
+    ystar, nustar = surface_point_and_normal(surface, theta_star, phi_star)
+    return _kernel_K1(y, nu, ystar, nustar, ell)
+
+
+def _azimuthal_average_profile(request):
+    # the azimuth-averaged integrand K1 W [mu - mu*] of U1 at each polar
+    # node, diagnostic for its continuous extension to the pole
+    _, y, area_normal, _ = request.grid
+    ystar, nustar = request.target()
+    K1W = _kernel_K1(y, area_normal, ystar, nustar, request.ell)
+    return np.mean(K1W*request.dmu, axis=1)
 
 
 def sphere_kernel_closed_form(s):
@@ -40,39 +60,39 @@ def test_kernel_antipode_value():
     # the antipodal node of the rotated grid sits at a parameter pole;
     # the closed form there is exactly -1/4
     for ts, ps in [(0.0, 0.0), (1.1, 0.7), (np.pi, -0.2)]:
-        v = kernel_K1_3d(unit_sphere(), np.pi, 0.3, ts, ps)
+        v = _kernel_K1_3d(unit_sphere(), np.pi, 0.3, ts, ps)
         assert_allclose(v, -0.25, atol=1e-13)
 
 
 def test_kernel_azimuth_independence_on_sphere():
     s = np.array([0.4, 1.3, 2.8])[:, None]
     t = np.linspace(-np.pi, np.pi, 9)[None, :]
-    v = kernel_K1_3d(unit_sphere(), s, t, 0.9, 0.4)
+    v = _kernel_K1_3d(unit_sphere(), s, t, 0.9, 0.4)
     assert np.max(np.ptp(v, axis=1)) < 1e-13
 
 
 def test_kernel_closed_form_on_sphere():
     s = np.linspace(0.2, 3.0, 15)
-    v = kernel_K1_3d(unit_sphere(), s, 0.0, 1.2, -0.6)
+    v = _kernel_K1_3d(unit_sphere(), s, 0.0, 1.2, -0.6)
     assert_allclose(v, sphere_kernel_closed_form(s), atol=1e-13)
 
 
 def test_kernel_scales_with_ell():
-    v1 = kernel_K1_3d(mushroom(), 1.0, 0.5, 0.8, 0.3, ell=1.0)
-    v3 = kernel_K1_3d(mushroom(), 1.0, 0.5, 0.8, 0.3, ell=3.0)
+    v1 = _kernel_K1_3d(mushroom(), 1.0, 0.5, 0.8, 0.3, ell=1.0)
+    v3 = _kernel_K1_3d(mushroom(), 1.0, 0.5, 0.8, 0.3, ell=3.0)
     assert_allclose(v3, 3*v1, rtol=1e-14)
 
 
 def test_kernel_finite_on_mushroom():
     s = np.linspace(0.05, np.pi, 40)[:, None]
     t = np.linspace(-np.pi, np.pi, 16)[None, :]
-    v = kernel_K1_3d(mushroom(), s, t, 1.3, 0.9)
+    v = _kernel_K1_3d(mushroom(), s, t, 1.3, 0.9)
     assert np.all(np.isfinite(v))
 
 
 def test_kernel_coincidence_raises():
     with pytest.raises(ValueError):
-        kernel_K1_3d(unit_sphere(), 0.0, 0.0, 0.9, 0.4)
+        _kernel_K1_3d(unit_sphere(), 0.0, 0.0, 0.9, 0.4)
 
 
 def test_constant_density_is_exact():
@@ -120,7 +140,7 @@ def test_numerical_error_stays_small_near_boundary(sphere_source_density):
 
 def test_azimuthal_profile_extends_to_pole(sphere_source_density):
     r = CloseEvalRequest3D(sphere_source_density, 1.1, 0.6, 1e-2, n=24)
-    prof = azimuthal_average_profile(r)
+    prof = _azimuthal_average_profile(r)
     assert prof.shape == (24,)
     assert np.all(np.isfinite(prof))
     scale = np.max(np.abs(prof))
@@ -182,7 +202,7 @@ def test_request_builds_one_grid_for_every_method(monkeypatch):
     # methods read them, and the values are those of a fresh request each
     d = _y10_density(8)
     fresh = lambda: CloseEvalRequest3D(d, 0.9, 0.4, np.array([1e-1, 1e-3]))
-    methods = (dlp_numerical_3d, asym_eps2_3d, azimuthal_average_profile)
+    methods = (dlp_numerical_3d, asym_eps2_3d, _azimuthal_average_profile)
     expected = [method(fresh()) for method in methods]
     calls = {"grid": 0, "synthesis": 0}
     grid, synthesis = closeeval3d.rotated_grid, Density3D.__call__

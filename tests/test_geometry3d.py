@@ -3,26 +3,46 @@ import pytest
 from numpy.testing import assert_allclose
 
 from closeeval.geometry3d import (Surface3D, custom_radial, direction,
-                                  mushroom, rotated_angles, rotated_frame,
-                                  rotation_matrix, surface_eval,
+                                  direction_angles, mushroom, rotated_angles,
+                                  rotated_frame, rotation_matrix,
                                   surface_point_and_normal, unit_sphere)
 from closeeval.spectral import mapped_rule, periodic_nodes
 
 SURFACES = {"sphere": unit_sphere(), "mushroom": mushroom()}
 
 
+def _pushed_cross(surface, d, e1, e2):
+    # position and orient*(y_1 x y_2) from the pushed-forward tangents
+    # y_i = P'(d_3) (e_i)_3 S d + P S e_i of a tangent pair (e1, e2) of the
+    # unit sphere at d, with S = diag(axes)
+    P = surface.profile(d[..., 2])[..., None]
+    dP = surface.profile_prime(d[..., 2])[..., None]
+    Sd = surface.axes*d
+
+    def push(e):
+        return dP*e[..., 2:3]*Sd + P*(surface.axes*e)
+
+    return P*Sd, surface.orient*np.cross(push(e1), push(e2))
+
+
+def _unrotated_frame(surface, theta, phi):
+    # the grid about the pole (0, 0) is the unrotated (theta, phi) grid
+    return rotated_frame(surface, 0.0, 0.0, theta, phi)
+
+
 def test_sphere_anchor_points():
-    p = surface_eval(unit_sphere(), np.pi/2, 0.0)
-    assert_allclose(p.position, [1.0, 0.0, 0.0], atol=1e-15)
-    assert_allclose(p.normal, [1.0, 0.0, 0.0], atol=1e-15)
-    assert_allclose(p.area_element, 1.0, atol=1e-15)
+    y, nu = surface_point_and_normal(unit_sphere(), np.pi/2, 0.0)
+    assert_allclose(y, [1.0, 0.0, 0.0], atol=1e-15)
+    assert_allclose(nu, [1.0, 0.0, 0.0], atol=1e-15)
+    _, area_normal, _ = _unrotated_frame(unit_sphere(), np.pi/2, 0.0)
+    assert_allclose(np.linalg.norm(area_normal), 1.0, atol=1e-15)
 
 
 def test_mushroom_anchor_points():
     # equator: profile(0) = 2 - 1/101, stretched by 2 along the second axis
     P0 = 2.0 - 1.0/101.0
-    p = surface_eval(mushroom(), np.pi/2, np.pi/2)
-    assert_allclose(p.position, [0.0, 2*P0, 0.0], atol=1e-13)
+    y, _ = surface_point_and_normal(mushroom(), np.pi/2, np.pi/2)
+    assert_allclose(y, [0.0, 2*P0, 0.0], atol=1e-13)
     # dimple center: profile(1) = 1 exactly
     y, nu = surface_point_and_normal(mushroom(), 0.0, 0.0)
     assert_allclose(y, [0.0, 0.0, 1.0], atol=1e-15)
@@ -77,9 +97,10 @@ def test_rotated_angles_broadcasts():
 def _patch_area(surface, n_polar=32, n_azimuth=64):
     rule = mapped_rule(n_polar)
     t = periodic_nodes(n_azimuth)
-    p = surface_eval(surface, rule.nodes[:, None], t[None, :],
-                     want_normal=False)
-    return (2*np.pi/n_azimuth)*np.sum(rule.weights @ p.area_element)
+    _, area_normal, _ = _unrotated_frame(surface, rule.nodes[:, None],
+                                         t[None, :])
+    W = np.linalg.norm(area_normal, axis=-1)
+    return (2*np.pi/n_azimuth)*np.sum(rule.weights @ W)
 
 
 def test_sphere_area():
@@ -94,8 +115,9 @@ def test_stretched_sphere_volume_via_divergence():
                          axes=(1.0, 2.0, 1.0))
     rule = mapped_rule(48)
     t = periodic_nodes(96)
-    p = surface_eval(surf, rule.nodes[:, None], t[None, :])
-    flux = np.sum(p.position*p.normal, axis=-1)*p.area_element
+    y, area_normal, _ = _unrotated_frame(surf, rule.nodes[:, None],
+                                         t[None, :])
+    flux = np.sum(y*area_normal, axis=-1)
     vol = (2*np.pi/96)*np.sum(rule.weights @ flux)/3.0
     assert_allclose(vol, 2*(4*np.pi/3), rtol=1e-10)
 
@@ -106,9 +128,9 @@ def test_normals_point_outward(name):
     rule = mapped_rule(6)
     for th in rule.nodes:
         for ph in periodic_nodes(6):
-            p = surface_eval(surf, th, ph)
-            assert surf.contains(p.position - 1e-4*p.normal)
-            assert not surf.contains(p.position + 1e-4*p.normal)
+            y, nu = surface_point_and_normal(surf, th, ph)
+            assert surf.contains(y - 1e-4*nu)
+            assert not surf.contains(y + 1e-4*nu)
 
 
 def test_contains_reference_points():
@@ -125,13 +147,11 @@ def test_contains_reference_points():
     assert not m.contains((5.0, 4.0, 3.0))  # the exterior source point
 
 
-def test_surface_eval_pole_raises_only_with_normal():
-    with pytest.raises(ValueError):
-        surface_eval(unit_sphere(), 0.0, 0.0)
-    p = surface_eval(unit_sphere(), 0.0, 0.0, want_normal=False)
-    assert_allclose(p.position, [0.0, 0.0, 1.0], atol=1e-15)
-    assert_allclose(p.area_element, 0.0, atol=1e-15)
-    assert p.normal is None
+def test_rotated_frame_has_zero_area_at_its_pole():
+    # the node s = 0 of the unrotated grid is the parameter pole
+    y, area_normal, _ = _unrotated_frame(unit_sphere(), 0.0, 0.0)
+    assert_allclose(y, [0.0, 0.0, 1.0], atol=1e-15)
+    assert_allclose(np.linalg.norm(area_normal), 0.0, atol=1e-15)
 
 
 def test_point_and_normal_is_pole_safe():
@@ -145,17 +165,17 @@ def test_point_and_normal_is_pole_safe():
 def test_rotated_frame_shapes_and_area():
     rule = mapped_rule(24)
     t = periodic_nodes(48)
-    y, area_normal, th, ph = rotated_frame(unit_sphere(), 0.9, 0.4,
-                                           rule.nodes[:, None], t[None, :])
+    y, area_normal, d = rotated_frame(unit_sphere(), 0.9, 0.4,
+                                      rule.nodes[:, None], t[None, :])
     assert y.shape == (24, 48, 3) and area_normal.shape == (24, 48, 3)
-    assert th.shape == (24, 48) and ph.shape == (24, 48)
+    assert d.shape == (24, 48, 3)
     W = np.linalg.norm(area_normal, axis=-1)
     area = (2*np.pi/48)*np.sum(rule.weights @ W)
     assert_allclose(area, 4*np.pi, rtol=1e-12)
-    # on the sphere the rotated position is its own normal, and the
-    # reported angles re-synthesize it
+    # on the sphere the rotated position is its own normal, and the angles
+    # of the reported directions re-synthesize it
     assert_allclose(area_normal/W[..., None], y, atol=1e-13)
-    assert_allclose(direction(th, ph), y, atol=1e-12)
+    assert_allclose(direction(*direction_angles(d, 0.4)), y, atol=1e-12)
 
 
 @pytest.mark.parametrize("surface", [
@@ -171,16 +191,17 @@ def test_area_normal_is_the_cross_product_of_the_pushed_tangents(surface):
               for a in rng.standard_normal((2, 50, 3)))
     jacobian = np.sum(np.cross(e1, e2)*d, axis=-1)
     y, area_normal = surface.area_normal(d, jacobian)
-    y_ref, _, _, W, nu = surface.frame_of_direction(d, e1, e2)
+    y_ref, area_normal_ref = _pushed_cross(surface, d, e1, e2)
     assert_allclose(y, y_ref, rtol=0, atol=1e-15)
-    assert_allclose(area_normal, W[:, None]*nu, rtol=0, atol=1e-13)
+    assert_allclose(area_normal, area_normal_ref, rtol=0, atol=1e-13)
 
 
 def test_rotated_frame_matches_rotated_angles():
     rule = mapped_rule(8)
     t = periodic_nodes(8)
-    _, _, th, ph = rotated_frame(mushroom(), 1.1, -0.7,
-                                 rule.nodes[:, None], t[None, :])
+    _, _, d = rotated_frame(mushroom(), 1.1, -0.7,
+                            rule.nodes[:, None], t[None, :])
+    th, ph = direction_angles(d, -0.7)
     th2, ph2 = rotated_angles(rule.nodes[:, None], t[None, :], 1.1, -0.7)
     assert_allclose(th, th2, atol=1e-12)
     wrapped = np.mod(ph - ph2 + np.pi, 2*np.pi) - np.pi
@@ -208,12 +229,24 @@ def test_stacked_point_and_normal_matches_scalar_calls():
         assert_allclose(nu[r], nu1, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_point_and_normal_matches_the_pushed_tangents(name):
+    # the rotation frame's (u, v) pushed forward, poles included
+    surface = SURFACES[name]
+    R = rotation_matrix(*STACKED_POLES)
+    y_ref, cross = _pushed_cross(surface, R[..., 2], R[..., 0], R[..., 1])
+    y, nu = surface_point_and_normal(surface, *STACKED_POLES)
+    assert_allclose(y, y_ref, rtol=0, atol=1e-15)
+    assert_allclose(nu, cross/np.linalg.norm(cross, axis=-1, keepdims=True),
+                    rtol=0, atol=1e-15)
+
+
 def test_stacked_rotated_frame_matches_scalar_calls():
     rule = mapped_rule(8)
     s, t = rule.nodes[:, None], periodic_nodes(16)[None, :]
     stacked = rotated_frame(mushroom(), *STACKED_POLES, s, t)
     assert stacked[0].shape == stacked[1].shape == (5, 8, 16, 3)
-    assert stacked[2].shape == (5, 8, 16)
+    assert stacked[2].shape == (5, 8, 16, 3)
     for r, (ts, ps) in enumerate(zip(*STACKED_POLES)):
         for got, ref in zip(stacked, rotated_frame(mushroom(), ts, ps, s, t)):
             assert_allclose(got[r], ref, rtol=0, atol=1e-15)
@@ -226,8 +259,7 @@ def test_stacked_point_and_normal_raises_on_one_degenerate_frame():
     cone = Surface3D("cone", lambda c: 1.0 - c, lambda c: -np.ones_like(c),
                      np.ones(3))
     surface_point_and_normal(cone, np.array([0.5, 2.0]), np.zeros(2))
-    # the normal rebuilt there is 0/0 before the check rejects the row
-    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+    with pytest.raises(ValueError):
         surface_point_and_normal(cone, np.array([0.5, 0.0, 2.0]),
                                  np.zeros(3))
 

@@ -26,7 +26,9 @@ from closeeval.harness import (METHODS_2D, METHODS_3D, PROBLEMS_2D,
                                ErrorStudyResult, read_results_csv,
                                run_error_map, run_hg_study, write_outputs,
                                _targets_2d)
-from closeeval.hgscatter import IntensityField, apply_L_direct
+from closeeval.hgscatter import IntensityField
+
+from references import apply_L_direct
 
 EPS_2D = eps_grid(1e-5, 0.5, 5)
 TARGETS_2D = (5*np.pi/4, np.pi/4)

@@ -5,12 +5,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from closeeval import hgscatter, spectral
-from closeeval.hgscatter import (HGParams, IntensityField, apply_L32,
-                                 apply_L_asymptotic, apply_L_direct,
-                                 apply_L_spectral, p_hg, poisson_close_eval,
-                                 _polar_default, _ring_average)
+from closeeval.hgscatter import (IntensityField, apply_L32,
+                                 apply_L_asymptotic, apply_L_spectral,
+                                 poisson_close_eval, _ring_average)
 from closeeval.spectral import (SphericalCoeffs, mapped_rule, sph_harm_eval,
                                 spherical_laplacian)
+
+from references import (MAX_POLAR_NODES, apply_L_direct, p_hg,
+                        _polar_default)
 
 OMEGA = (1.1, 0.7)
 
@@ -32,14 +34,6 @@ def _random_band_limited(rng, N):
             c.c[SphericalCoeffs.index(n, m)] = z
             c.c[SphericalCoeffs.index(n, -m)] = (-1)**m*np.conj(z)
     return c
-
-
-def test_params_validation():
-    assert HGParams(0.9).eps == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        HGParams(1.0)
-    with pytest.raises(ValueError):
-        HGParams(-1.0)
 
 
 def test_phase_function_values():
@@ -113,7 +107,7 @@ def test_polar_rule_above_the_cap_raises_before_it_is_built():
     built = spectral._gl_cached.cache_info().misses
     start = time.perf_counter()
     for g, n_polar in ((0.9999, None), (-0.9999, None),
-                       (0.5, hgscatter.MAX_POLAR_NODES + 1)):
+                       (0.5, MAX_POLAR_NODES + 1)):
         with pytest.raises(ValueError, match="MAX_POLAR_NODES"):
             apply_L_direct(psi, OMEGA, g, n_polar=n_polar)
     assert time.perf_counter() - start < 1.0

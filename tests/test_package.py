@@ -37,8 +37,6 @@ def _array_dataclasses():
         "Curve2D": closeeval.kite,
         "CurvePoint2D": lambda: closeeval.curve_eval(closeeval.kite(), 0.3),
         "Surface3D": closeeval.unit_sphere,
-        "SurfacePoint3D": lambda: closeeval.surface_eval(
-            closeeval.unit_sphere(), 1.0, 0.5),
         "QuadratureRule1D": lambda: closeeval.mapped_rule(4),
         "SphericalCoeffs": lambda: closeeval.SphericalCoeffs.zeros(2),
         "IntensityField": lambda: closeeval.IntensityField(

@@ -6,10 +6,12 @@ from closeeval.geometry3d import rotated_angles
 from closeeval.spectral import (SphericalCoeffs, _jy_eigenvectors, _wigner_d,
                                 analysis_grid, gauss_legendre,
                                 mapped_rule, periodic_derivative,
-                                periodic_nodes, pole_second_derivative_average,
-                                sph_analysis, sph_basis_matrix,
-                                sph_half_basis, sph_harm_eval, sph_synthesis,
+                                periodic_nodes, sph_analysis,
+                                sph_basis_matrix, sph_half_basis,
+                                sph_harm_eval, sph_synthesis,
                                 spherical_laplacian)
+
+from references import pole_second_derivative_average
 
 
 def _random_band_limited(rng, N):
