@@ -15,8 +15,8 @@ from .closeeval3d import (CloseEvalRequest3D, asym_correction_3d,
 from .geometry2d import (Curve2D, circle, curve_eval, curve_grid,
                          fourier_custom, kite, load_curve, point_inside, star)
 from .geometry3d import (Surface3D, custom_radial, direction,
-                         direction_angles, mushroom, rotated_angles,
-                         rotated_frame, rotation_matrix,
+                         direction_angles, mushroom, rotated_frame,
+                         rotation_matrix,
                          surface_point_and_normal, unit_sphere)
 from .harness import (ConfigError, ErrorStudyResult, InsufficientDataError,
                       NumericalError, OrderFit, Rejection, ResultBlock,
@@ -28,9 +28,8 @@ from .hgscatter import (IntensityField, apply_L32, apply_L_asymptotic,
                         apply_L_spectral, poisson_close_eval)
 from .spectral import (QuadratureRule1D, SphericalCoeffs, analysis_grid,
                        gauss_legendre, mapped_rule, periodic_derivative,
-                       periodic_nodes, sph_analysis, sph_basis_matrix,
-                       sph_half_basis, sph_harm_eval, sph_synthesis,
-                       spherical_laplacian)
+                       periodic_nodes, sph_analysis, sph_half_basis,
+                       sph_synthesis, spherical_laplacian)
 
 __all__ = [
     # bie2d
@@ -51,7 +50,7 @@ __all__ = [
     "kite", "load_curve", "point_inside", "star",
     # geometry3d
     "Surface3D", "custom_radial", "direction", "direction_angles",
-    "mushroom", "rotated_angles", "rotated_frame", "rotation_matrix",
+    "mushroom", "rotated_frame", "rotation_matrix",
     "surface_point_and_normal", "unit_sphere",
     # harness
     "ConfigError", "ErrorStudyResult", "InsufficientDataError",
@@ -65,7 +64,6 @@ __all__ = [
     # spectral
     "QuadratureRule1D", "SphericalCoeffs", "analysis_grid",
     "gauss_legendre", "mapped_rule", "periodic_derivative", "periodic_nodes",
-    "sph_analysis", "sph_basis_matrix", "sph_half_basis", "sph_harm_eval",
-    "sph_synthesis", "spherical_laplacian",
+    "sph_analysis", "sph_half_basis", "sph_synthesis", "spherical_laplacian",
 ]
 __version__ = "0.1.0"

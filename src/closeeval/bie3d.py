@@ -33,12 +33,13 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .geometry3d import (Surface3D, direction, direction_angles, rotated_frame,
-                         surface_point_and_normal)
+from .geometry3d import (Surface3D, _rotated_frame, direction,
+                         direction_angles, surface_point_and_normal)
 from .spectral import (SphericalCoeffs, _analysis, _jy_eigenvectors,
                        _legendre_table, _tri, _wigner_d, analysis_grid,
                        mapped_rule, periodic_nodes, sph_analysis,
@@ -134,16 +135,29 @@ class Density3D:
         return cls(surface, out, data)
 
 
+@lru_cache(maxsize=8)
+def _local_grid(n: int):
+    """rotated_grid's polar weights, shape (n, 1), and the directions
+    d(s, t) and area factor sin(s) of its unrotated (n, 2n) grid, built once
+    per n; read-only, since every call shares them."""
+    rule = mapped_rule(n)
+    S, T = np.broadcast_arrays(rule.nodes[:, None],
+                               periodic_nodes(2*n)[None, :])
+    out = (rule.weights[:, None], direction(S, T), np.sin(S))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def rotated_grid(surface: Surface3D, theta0, phi0, n: int):
     """The three-step quadrature grid whose pole sits at (theta0, phi0):
     the polar weights, shape (n, 1), then rotated_frame's (y, area-weighted
     normal, direction) on the mapped Gauss-Legendre x 2n-azimuth nodes.
     Stacked poles (theta0, phi0 of shape (k,)) give k grids along a leading
-    axis."""
-    rule = mapped_rule(n)
-    return (rule.weights[:, None],) + rotated_frame(
-        surface, theta0, phi0, rule.nodes[:, None],
-        periodic_nodes(2*n)[None, :])
+    axis.  The unrotated grid's directions are built once per n."""
+    weights, local, jacobian = _local_grid(n)
+    return (weights,) + _rotated_frame(surface, theta0, phi0, local,
+                                       jacobian)
 
 
 def dlp_weights(grid, x):

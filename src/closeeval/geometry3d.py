@@ -152,24 +152,16 @@ def rotation_matrix(theta_star, phi_star) -> np.ndarray:
     return R
 
 
-def _rotated_directions(theta_star, phi_star, s, t):
-    """The (s, t) grid broadcast to one shape, and the directions
-    R(theta*, phi*) d(s, t) on it; stacked poles (theta*, phi* of shape
-    (k,)) give one grid per pole along a leading axis.  The directions on
-    the fixed grid are built once and rotated by each pole's matrix."""
-    S, T = np.broadcast_arrays(np.asarray(s, dtype=float),
-                               np.asarray(t, dtype=float))
+def _rotated_frame(surface: Surface3D, theta_star, phi_star, local,
+                   jacobian):
+    """rotated_frame from the directions local = d(s, t) of the unrotated
+    grid and its area factor jacobian = sin(s): the directions are rotated
+    by each pole's matrix, and positions and normals built at them."""
     R = rotation_matrix(theta_star, phi_star)
-    d = (direction(S, T).reshape(-1, 3) @ np.swapaxes(R, -1, -2)).reshape(
-        R.shape[:-2] + S.shape + (3,))
-    return S, d
-
-
-def rotated_angles(s, t, theta_star: float, phi_star: float):
-    """Angles (theta, phi) of the direction R(theta*, phi*) d(s, t), by
-    direction_angles; where the node is a coordinate pole phi is phi*."""
-    return direction_angles(
-        _rotated_directions(theta_star, phi_star, s, t)[1], phi_star)
+    d = (local.reshape(-1, 3) @ np.swapaxes(R, -1, -2)).reshape(
+        R.shape[:-2] + local.shape)
+    y, area_normal = surface.area_normal(d, jacobian)
+    return y, area_normal, d
 
 
 def rotated_frame(surface: Surface3D, theta_star, phi_star, s, t):
@@ -180,15 +172,17 @@ def rotated_frame(surface: Surface3D, theta_star, phi_star, s, t):
     outward unit normal times the area element of the rotated
     parameterization, which absorbs the sin(s) pole factor; the direction
     R(theta*, phi*) d(s, t) of each node is what a density is sampled at
-    (direction_angles turns it into the unrotated parameters).
+    (direction_angles turns it into the unrotated parameters, with phi*
+    where a node is a coordinate pole).
 
     Stacked poles (theta*, phi* of shape (k,)) give one grid per pole along
     a leading axis.
     """
-    S, d = _rotated_directions(theta_star, phi_star, s, t)
+    S, T = np.broadcast_arrays(np.asarray(s, dtype=float),
+                               np.asarray(t, dtype=float))
     # the rotated tangents d_s and d_t have d_s x d_t = sin(s) d
-    y, area_normal = surface.area_normal(d, np.sin(S))
-    return y, area_normal, d
+    return _rotated_frame(surface, theta_star, phi_star, direction(S, T),
+                          np.sin(S))
 
 
 def surface_point_and_normal(surface: Surface3D, theta_star, phi_star):

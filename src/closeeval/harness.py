@@ -371,18 +371,10 @@ class ErrorStudyResult:
 
 
 def _by_target(blocks) -> dict:
-    """label -> (eps, exact, {method: value}): the columns of every block
-    with that label (two targets may snap to one node), joined in sweep
-    order."""
-    groups = {}
-    for b in blocks:
-        if len(b.eps):
-            groups.setdefault(b.target, []).append(b)
-    return {label: (np.concatenate([b.eps for b in group]),
-                    np.concatenate([b.exact for b in group]),
-                    {m: np.concatenate([b.values[m] for b in group])
-                     for m in group[0].values})
-            for label, group in groups.items()}
+    """label -> (eps, exact, {method: value}) of every nonempty block; a
+    study holds one block per label (_first_per_label)."""
+    return {b.target: (b.eps, b.exact, b.values) for b in blocks
+            if len(b.eps)}
 
 
 def _descending(eps) -> np.ndarray:
@@ -422,6 +414,15 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _first_per_label(targets) -> list:
+    """The targets, each label's first one only, in order: targets that
+    name one point are evaluated once."""
+    first = {}
+    for target in targets:
+        first.setdefault(target[0], target)
+    return list(first.values())
+
+
 def _targets_2d(config: StudyConfig, n: int):
     """(label, node index) pairs; free parameters snap to the nearest of
     the grid nodes t_j = -pi + 2*pi*j/n, and the label records the node."""
@@ -430,7 +431,7 @@ def _targets_2d(config: StudyConfig, n: int):
     else:
         ks = [int(round((t + np.pi)*n/(2*np.pi))) % n for t in config.targets]
     nodes = periodic_nodes(n)
-    return [(_fmt(nodes[k]), k) for k in ks]
+    return _first_per_label((_fmt(nodes[k]), k) for k in ks)
 
 
 def _slice_x1x3(s0: float):
@@ -462,7 +463,7 @@ def _targets_3d(config: StudyConfig):
         else:
             th, ph = spec
             out.append((f"{_fmt(th)};{_fmt(ph)}", th, ph))
-    return out
+    return _first_per_label(out)
 
 
 def _curve_for(problem: str):

@@ -19,9 +19,13 @@ kernel for the unit ball at radius 1 - eps coincides with p at g = 1 - eps,
 which is what connects the scattering expansion to close evaluation of
 harmonic functions.
 
-On a band-limited field the eigenvalues give L psi in closed form
-(apply_L_spectral).  Its independent check, a direct quadrature of L in the
-frame with omega at the pole, lives with the tests (tests/references.py).
+Every operator here is rotation invariant, so on a band-limited field it
+multiplies the degree-n part of psi by a number: the azimuthal mean of
+that part on the ring at angle s about omega is P_n(cos s) times its value
+at omega.  Each function evaluates the degree parts s_n(omega) once and
+dots them with its multipliers (DECISIONS.md D16).  The direct quadrature
+of L in the frame with omega at the pole, their independent check, lives
+with the tests (tests/references.py).
 """
 
 from __future__ import annotations
@@ -30,18 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry3d import rotated_angles
-from .spectral import (SphericalCoeffs, mapped_rule, periodic_nodes,
-                       sph_basis_matrix, spherical_laplacian, sph_synthesis)
+from .spectral import (SphericalCoeffs, _half_coefficients,
+                       _legendre_minus_one, mapped_rule, sph_half_basis,
+                       sph_synthesis)
 
 # Polar nodes of the L32 quadrature, whose pole-subtracted integrand is smooth.
 _L32_POLAR_NODES = 64
-# Largest field degree of an HG study.  The L32 rings take 64*max(16, 2N)
-# nodes times N^2 basis values: 4.6e6 at degree 32, 3.5e9 at 300.
+# Largest field degree of an HG study.  The 64-node polar rule gives the L32
+# multipliers lambda_n = -n to 7.1e-15 up to degree 32 and 1.4e-14 up to 48,
+# but only to 4.1e-9 up to 64 (DECISIONS.md D16).
 MAX_DEGREE = 32
-# Ring nodes times N^2 basis values that _ring_average synthesises at once,
-# 16 MB of complex basis, so its memory does not grow with the polar rule.
-_RING_BLOCK_VALUES = 1 << 20
 
 
 @dataclass(eq=False)
@@ -58,53 +60,49 @@ class IntensityField:
         return np.real(sph_synthesis(self.coeffs, theta, phi))
 
 
-def _azimuth_count(psi: IntensityField) -> int:
-    return max(16, 2*psi.N)
+def _degree_values(coeffs: SphericalCoeffs, omega) -> np.ndarray:
+    """s_n = Re sum_{|m|<=n} c_nm Y_nm(omega) for n < N, from one
+    sph_half_basis row; they sum to the field's value at omega, whether or
+    not the coefficients are conjugate symmetric."""
+    n, a, b = _half_coefficients(coeffs)
+    y = sph_half_basis(np.full(1, omega[0]), np.full(1, omega[1]),
+                       coeffs.N)[0]
+    return np.bincount(n, np.real(a*y + b*np.conj(y)), coeffs.N)
 
 
-def _ring_average(psi: IntensityField, omega, s_nodes):
-    """Azimuthal means of psi - psi(omega) on polar rings about omega,
-    synthesised a block of polar nodes at a time."""
-    theta0, phi0 = float(omega[0]), float(omega[1])
-    t = periodic_nodes(_azimuth_count(psi))
-    rows = max(1, _RING_BLOCK_VALUES//(t.size*psi.N**2))
-    means = np.empty(s_nodes.size)
-    for i in range(0, s_nodes.size, rows):
-        th, ph = rotated_angles(s_nodes[i:i + rows, None], t[None, :],
-                                theta0, phi0)
-        means[i:i + rows] = psi(th, ph).mean(axis=1)
-    psi0 = float(psi(np.full(1, theta0), np.full(1, phi0))[0])
-    return means - psi0
+def _l32_multipliers(N: int) -> np.ndarray:
+    """lambda_n for n < N: the paper's polar quadrature of L32 on a field
+    whose ring means about omega are P_n(cos s) - 1 times its value there,
+
+        lambda_n = (1/2 sqrt 2) sum_j w_j u_j^{-3/2} sin s_j (P_n(cos s_j) - 1),
+
+    with u = 1 - cos s = 2 sin^2(s/2).  The exact values are -n; lambda_0 is
+    exactly 0.  The open polar rule never places a node at s = 0."""
+    rule = mapped_rule(_L32_POLAR_NODES)
+    s = rule.nodes
+    kern = rule.weights*(2*np.sin(s/2)**2)**-1.5*np.sin(s)
+    return (_legendre_minus_one(N, s) @ kern)/(2.0*np.sqrt(2.0))
 
 
 def apply_L_spectral(psi: IntensityField, omega, g):
     """Exact scattering operator from its eigen-action,
-    sum c_nm (g^n - 1) Y_nm(omega), for a number g (returns a float) or an
+    sum_n (g^n - 1) s_n(omega), for a number g (returns a float) or an
     array of g (returns one value per g).
     """
     gs = np.asarray(g, dtype=float)
     if not np.all(np.abs(gs) < 1):
         raise ValueError("anisotropy factor must satisfy |g| < 1")
-    row = sph_basis_matrix(np.full(1, omega[0]), np.full(1, omega[1]),
-                           psi.N)[0]
-    lam = gs.reshape(-1, 1)**psi.coeffs.degrees() - 1.0
-    out = np.real(lam @ (row*psi.coeffs.c))
+    lam = gs.reshape(-1, 1)**np.arange(psi.N) - 1.0
+    out = lam @ _degree_values(psi.coeffs, omega)
     return float(out[0]) if gs.ndim == 0 else out.reshape(gs.shape)
 
 
 def apply_L32(psi: IntensityField, omega) -> float:
     """Nonlocal leading-order operator: integral of the azimuth-averaged,
-    pole-subtracted field against (1 - cos s)^{-3/2} sin s / (2 sqrt 2).
-
-    The averaged integrand extends continuously to the pole (it limits to
-    a multiple of the spherical Laplacian), and the open polar rule never
-    places a node at s = 0.
+    pole-subtracted field against (1 - cos s)^{-3/2} sin s / (2 sqrt 2),
+    taken degree by degree (_l32_multipliers).
     """
-    rule = mapped_rule(_L32_POLAR_NODES)
-    az = _ring_average(psi, omega, rule.nodes)
-    kern = (1.0 - np.cos(rule.nodes))**-1.5
-    return float(np.sum(rule.weights*kern*az*np.sin(rule.nodes))
-                 / (2.0*np.sqrt(2.0)))
+    return float(_l32_multipliers(psi.N) @ _degree_values(psi.coeffs, omega))
 
 
 def apply_L_asymptotic(psi: IntensityField, omega, eps):
@@ -114,9 +112,11 @@ def apply_L_asymptotic(psi: IntensityField, omega, eps):
     e = np.asarray(eps, dtype=float)
     if not np.all((0 < e) & (e < 0.5)):
         raise ValueError("expansion parameter must lie in (0, 0.5)")
-    lap = IntensityField(spherical_laplacian(psi.coeffs))
-    lap0 = float(lap(np.full(1, omega[0]), np.full(1, omega[1]))[0])
-    out = (e + e*e)*apply_L32(psi, omega) - 0.5*e*e*lap0
+    s = _degree_values(psi.coeffs, omega)
+    n = np.arange(psi.N)
+    l32 = float(_l32_multipliers(psi.N) @ s)
+    lap0 = float((-n*(n + 1.0)) @ s)
+    out = (e + e*e)*l32 - 0.5*e*e*lap0
     return float(out) if e.ndim == 0 else out
 
 
@@ -126,11 +126,8 @@ def poisson_close_eval(f: SphericalCoeffs, ystar, eps: float) -> float:
 
     The Poisson kernel equals the HG phase function at g = 1 - eps and has
     unit mass, so the extension is f(ystar) plus the scattering operator
-    at that g, taken here from its eigen-action.  Equals
-    sum c_nm (1-eps)^n Y_nm(ystar).
+    at that g: sum_n (1 - eps)^n s_n(ystar).
     """
     if not 0 < eps < 1:
         raise ValueError("depth parameter must lie in (0, 1)")
-    field = IntensityField(f)
-    f0 = float(field(np.full(1, ystar[0]), np.full(1, ystar[1]))[0])
-    return f0 + apply_L_spectral(field, ystar, 1.0 - eps)
+    return float((1.0 - eps)**np.arange(f.N) @ _degree_values(f, ystar))

@@ -48,6 +48,19 @@ def _legendre_pair(n: int, theta: np.ndarray):
         p = p + d
     return p, n*(u*p - d)
 
+def _legendre_minus_one(N: int, theta: np.ndarray) -> np.ndarray:
+    """P_n(cos theta) - 1 for n < N, shape (N, theta.size): _legendre_pair's
+    recurrence, accumulating q_k = P_k - 1 in place of P_k.  Row 0 is
+    exactly 0, and no row cancels near theta = 0, where every P_n is 1."""
+    u = 2*np.sin(theta/2)**2
+    out = np.zeros((N, theta.size))
+    if N > 1:
+        out[1] = d = -u
+    for k in range(1, N - 1):
+        d = (k*d - (2*k + 1)*u*(1 + out[k]))/(k + 1)
+        out[k + 1] = out[k] + d
+    return out
+
 def _legendre_rule(n: int):
     """N-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
@@ -197,21 +210,15 @@ def _legendre_table(x: np.ndarray, sx: np.ndarray, nmax: int) -> np.ndarray:
                               - b*P[prev2:prev2 + n - 1])
     return P
 
-def sph_harm_eval(n: int, m: int, theta, phi):
-    """Single orthonormal spherical harmonic Y_nm at the given angles."""
-    if abs(m) > n:
-        raise ValueError("require |m| <= n")
-    th = np.asarray(theta, dtype=float)
-    ph = np.asarray(phi, dtype=float)
-    P = _legendre_table(np.cos(th).ravel(), np.sin(th).ravel(), n + 1)
-    val = P[_tri(n) + abs(m)].reshape(th.shape)*np.exp(1j*abs(m)*ph)
-    if m < 0:
-        val = (-1)**(-m)*np.conj(val)
-    return val
+def sph_half_basis(theta, phi, N: int) -> np.ndarray:
+    """The Y_nm with 0 <= m <= n < N at the given angles, shape (npoints,
+    N(N+1)/2), in the order (0,0), (1,0), (1,1), (2,0), ...
 
-def _legendre_phases(theta, phi, N: int):
-    """_legendre_table at the flattened angles, and e^{im phi} for m < N,
-    shape (N, npoints), each the m-th repeated product of e^{i phi}."""
+    The m < 0 harmonics follow as Y_{n,-m} = (-1)^m conj(Y_nm).  The result
+    is the transpose of a harmonic-major array, so .T gives each harmonic's
+    values contiguously without a copy.  e^{im phi} is the m-th repeated
+    product of e^{i phi}.
+    """
     th = np.asarray(theta, dtype=float).ravel()
     ph = np.asarray(phi, dtype=float).ravel()
     powers = np.empty((N, th.size), dtype=complex)
@@ -219,41 +226,21 @@ def _legendre_phases(theta, phi, N: int):
     eip = np.exp(1j*ph)
     for m in range(1, N):
         powers[m] = powers[m - 1]*eip
-    return _legendre_table(np.cos(th), np.sin(th), N), powers
-
-def sph_half_basis(theta, phi, N: int) -> np.ndarray:
-    """The Y_nm with 0 <= m <= n < N at the given angles, shape (npoints,
-    N(N+1)/2), in the order (0,0), (1,0), (1,1), (2,0), ...
-
-    The m < 0 harmonics follow as Y_{n,-m} = (-1)^m conj(Y_nm).  The result
-    is the transpose of a harmonic-major array, so .T gives each harmonic's
-    values contiguously without a copy.
-    """
-    P, powers = _legendre_phases(theta, phi, N)
+    P = _legendre_table(np.cos(th), np.sin(th), N)
     out = np.empty(P.shape, dtype=complex)
     for n in range(N):
         rows = slice(_tri(n), _tri(n + 1))
         np.multiply(P[rows], powers[:n + 1], out=out[rows])
     return out.T
 
-def sph_basis_matrix(theta, phi, N: int) -> np.ndarray:
-    """All Y_nm for n < N at the given angles, shape (npoints, N^2).
-
-    Column order matches SphericalCoeffs.  Per degree, the m >= 0 slice is
-    sph_half_basis's, written in place, and the m < 0 slice its conjugate
-    copy.  Like sph_half_basis, the result is the transpose of a
-    harmonic-major array.
-    """
-    P, powers = _legendre_phases(theta, phi, N)
-    rows = np.empty((N*N, P.shape[1]), dtype=complex)
-    for n in range(N):
-        h = rows[n*n + n:(n + 1)**2]
-        np.multiply(P[_tri(n):_tri(n + 1)], powers[:n + 1], out=h)
-        # m = -n .. -1 from m = n .. 1, then the sign on the odd m
-        np.conj(h[:0:-1], out=rows[n*n:n*n + n])
-        odd = rows[n*n + (n + 1) % 2:n*n + n:2]
-        np.negative(odd, out=odd)
-    return rows.T
+def _half_coefficients(coeffs: SphericalCoeffs):
+    """The degree n of each sph_half_basis column and the two coefficients
+    a = c_nm and b = (-1)^m c_{n,-m} (0 when m = 0) that multiply it, so
+    that sum_{|m|<=n} c_nm Y_nm = sum_{m>=0} (a Y_nm + b conj(Y_nm))."""
+    n = np.repeat(np.arange(coeffs.N), np.arange(1, coeffs.N + 1))
+    m = np.arange(n.size) - n*(n + 1)//2
+    b = np.where(m > 0, (-1.0)**m*coeffs.c[n*n + n - m], 0.0)
+    return n, coeffs.c[n*n + n + m], b
 
 
 def analysis_grid(N: int):
@@ -299,15 +286,13 @@ def sph_analysis(values: np.ndarray, N: int) -> SphericalCoeffs:
 def sph_synthesis(coeffs: SphericalCoeffs, theta, phi) -> np.ndarray:
     """Evaluate the truncated expansion at arbitrary angles (complex output).
 
-    Sums over sph_half_basis alone: with b = (-1)^m c_{n,-m}, the m < 0
-    terms are c_{n,-m} Y_{n,-m} = conj(conj(b) Y_nm).
+    Sums over sph_half_basis alone: the m < 0 terms are
+    b conj(Y_nm) = conj(conj(b) Y_nm) (_half_coefficients).
     """
     th = np.asarray(theta, dtype=float)
-    n = np.repeat(np.arange(coeffs.N), np.arange(1, coeffs.N + 1))
-    m = np.arange(n.size) - n*(n + 1)//2
-    b = np.where(m > 0, (-1.0)**m*coeffs.c[n*n + n - m], 0.0)
-    both = sph_half_basis(theta, phi, coeffs.N) @ np.stack(
-        [coeffs.c[n*n + n + m], np.conj(b)], axis=1)
+    _, a, b = _half_coefficients(coeffs)
+    both = sph_half_basis(theta, phi, coeffs.N) @ np.stack([a, np.conj(b)],
+                                                           axis=1)
     return (both[:, 0] + np.conj(both[:, 1])).reshape(th.shape)
 
 

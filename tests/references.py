@@ -1,23 +1,112 @@
 """Independent references that several test files check the package
 against; no study runs them.
 
-apply_L_direct is the direct quadrature of the Henyey-Greenstein scattering
-operator, the check of hgscatter.apply_L_spectral's eigen-action.
+apply_L_direct and apply_L32_rings are the direct quadratures of the
+Henyey-Greenstein scattering operator and of its leading-order operator on
+rotated rings about omega, the checks of hgscatter's degree multipliers.
 pole_second_derivative_average is the finite-difference pole curvature
 that the two-term expansion's Laplacian term is checked against.
+sph_harm_eval and sph_basis_matrix give the harmonics one at a time and as
+the dense basis with the m < 0 columns, and rotated_angles the angles of a
+rotated grid's nodes.
 """
 
 import warnings
 
 import numpy as np
 
-from closeeval.hgscatter import IntensityField, _ring_average
-from closeeval.spectral import mapped_rule, periodic_nodes
+from closeeval.geometry3d import direction_angles, rotated_frame, unit_sphere
+from closeeval.hgscatter import _L32_POLAR_NODES, IntensityField
+from closeeval.spectral import (_legendre_table, _tri, mapped_rule,
+                                periodic_nodes)
 
 # Largest polar rule of apply_L_direct.  Its default count 8/(1 - |g|),
 # rounded up to a power of two, reaches it at |g| = 0.999.  The rule build is
 # O(n^2): 0.7 s at 8192 nodes, minutes at the 2^17 that g = 0.9999 asks for.
 MAX_POLAR_NODES = 8192
+# Ring nodes times N^2 basis values that _ring_average synthesises at once,
+# 16 MB of complex basis, so its memory does not grow with the polar rule.
+_RING_BLOCK_VALUES = 1 << 20
+
+
+def rotated_angles(s, t, theta_star: float, phi_star: float):
+    """Angles (theta, phi) of the direction R(theta*, phi*) d(s, t) that
+    rotated_frame gives each node; where a node is a coordinate pole phi is
+    phi*."""
+    return direction_angles(
+        rotated_frame(unit_sphere(), theta_star, phi_star, s, t)[2], phi_star)
+
+
+def sph_harm_eval(n: int, m: int, theta, phi):
+    """Single orthonormal spherical harmonic Y_nm at the given angles."""
+    if abs(m) > n:
+        raise ValueError("require |m| <= n")
+    th = np.asarray(theta, dtype=float)
+    ph = np.asarray(phi, dtype=float)
+    P = _legendre_table(np.cos(th).ravel(), np.sin(th).ravel(), n + 1)
+    val = P[_tri(n) + abs(m)].reshape(th.shape)*np.exp(1j*abs(m)*ph)
+    if m < 0:
+        val = (-1)**(-m)*np.conj(val)
+    return val
+
+
+def sph_basis_matrix(theta, phi, N: int) -> np.ndarray:
+    """All Y_nm for n < N at the given angles, shape (npoints, N^2), in
+    SphericalCoeffs' column order.  Per degree, the m >= 0 slice is
+    sph_half_basis's, written in place, and the m < 0 slice its conjugate
+    copy.  The result is the transpose of a harmonic-major array."""
+    th = np.asarray(theta, dtype=float).ravel()
+    ph = np.asarray(phi, dtype=float).ravel()
+    powers = np.empty((N, th.size), dtype=complex)
+    powers[0] = 1.0
+    eip = np.exp(1j*ph)
+    for m in range(1, N):
+        powers[m] = powers[m - 1]*eip
+    P = _legendre_table(np.cos(th), np.sin(th), N)
+    rows = np.empty((N*N, th.size), dtype=complex)
+    for n in range(N):
+        h = rows[n*n + n:(n + 1)**2]
+        np.multiply(P[_tri(n):_tri(n + 1)], powers[:n + 1], out=h)
+        # m = -n .. -1 from m = n .. 1, then the sign on the odd m
+        np.conj(h[:0:-1], out=rows[n*n:n*n + n])
+        odd = rows[n*n + (n + 1) % 2:n*n + n:2]
+        np.negative(odd, out=odd)
+    return rows.T
+
+
+def _azimuth_count(psi: IntensityField) -> int:
+    return max(16, 2*psi.N)
+
+
+def _ring_average(psi: IntensityField, omega, s_nodes):
+    """Azimuthal means of psi - psi(omega) on polar rings about omega,
+    synthesised a block of polar nodes at a time."""
+    theta0, phi0 = float(omega[0]), float(omega[1])
+    t = periodic_nodes(_azimuth_count(psi))
+    rows = max(1, _RING_BLOCK_VALUES//(t.size*psi.N**2))
+    means = np.empty(s_nodes.size)
+    for i in range(0, s_nodes.size, rows):
+        th, ph = rotated_angles(s_nodes[i:i + rows, None], t[None, :],
+                                theta0, phi0)
+        means[i:i + rows] = psi(th, ph).mean(axis=1)
+    psi0 = float(psi(np.full(1, theta0), np.full(1, phi0))[0])
+    return means - psi0
+
+
+def apply_L32_rings(psi: IntensityField, omega) -> float:
+    """Leading-order operator by the polar quadrature of the ring means of
+    psi - psi(omega) about omega against (1 - cos s)^{-3/2} sin s/(2 sqrt 2),
+    on the polar rule of hgscatter's L32 multipliers.
+
+    The averaged integrand extends continuously to the pole (it limits to
+    a multiple of the spherical Laplacian), and the open polar rule never
+    places a node at s = 0.
+    """
+    rule = mapped_rule(_L32_POLAR_NODES)
+    az = _ring_average(psi, omega, rule.nodes)
+    kern = (1.0 - np.cos(rule.nodes))**-1.5
+    return float(np.sum(rule.weights*kern*az*np.sin(rule.nodes))
+                 / (2.0*np.sqrt(2.0)))
 
 
 def p_hg(cos_theta, g: float):

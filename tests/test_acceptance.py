@@ -20,15 +20,15 @@ from closeeval.closeeval2d import (CloseEvalRequest2D, asym_eps2, asym_eps3,
 from closeeval.closeeval3d import (CloseEvalRequest3D, asym_eps2_3d,
                                    dlp_numerical_3d)
 from closeeval.geometry2d import curve_grid, kite, star
-from closeeval.geometry3d import (direction, mushroom, rotated_angles,
-                                  rotation_matrix, unit_sphere)
+from closeeval.geometry3d import (direction, mushroom, rotation_matrix,
+                                  unit_sphere)
 from closeeval.harness import StudyConfig, eps_grid, fit_order, run_error_map
 from closeeval.hgscatter import IntensityField, apply_L_asymptotic
 from closeeval.spectral import (SphericalCoeffs, analysis_grid, sph_analysis,
-                                sph_harm_eval, sph_synthesis,
-                                spherical_laplacian)
+                                sph_synthesis, spherical_laplacian)
 
-from references import apply_L_direct, pole_second_derivative_average
+from references import (apply_L_direct, pole_second_derivative_average,
+                        rotated_angles, sph_harm_eval)
 
 EPS_FINE = eps_grid(1e-6, 1e-1, 25)
 TARGETS_2D = (5*np.pi/4, np.pi/4)  # concave-side and convex-side targets

@@ -12,8 +12,9 @@ from closeeval.bie3d import (Density3D, apply_K_subtracted, assemble_galerkin,
                              rotated_grid, solve_density3d,
                              subtracted_weights)
 from closeeval.geometry3d import direction_angles, mushroom, unit_sphere
-from closeeval.spectral import (SphericalCoeffs, analysis_grid,
-                                sph_basis_matrix, sph_harm_eval)
+from closeeval.spectral import SphericalCoeffs, analysis_grid
+
+from references import sph_basis_matrix, sph_harm_eval
 
 SOURCE = (5.0, 4.0, 3.0)
 

@@ -9,9 +9,11 @@ from closeeval.bie3d import (Density3D, assemble_galerkin,
 from closeeval.closeeval3d import (CloseEvalRequest3D, _kernel_K1,
                                    asym_correction_3d, asym_eps2_3d,
                                    dlp_numerical_3d)
-from closeeval.geometry3d import (mushroom, rotated_angles,
-                                  surface_point_and_normal, unit_sphere)
-from closeeval.spectral import SphericalCoeffs, sph_harm_eval
+from closeeval.geometry3d import (mushroom, surface_point_and_normal,
+                                  unit_sphere)
+from closeeval.spectral import SphericalCoeffs
+
+from references import rotated_angles, sph_harm_eval
 
 SOURCE = (5.0, 4.0, 3.0)
 

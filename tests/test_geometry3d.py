@@ -3,10 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from closeeval.geometry3d import (Surface3D, custom_radial, direction,
-                                  direction_angles, mushroom, rotated_angles,
-                                  rotated_frame, rotation_matrix,
-                                  surface_point_and_normal, unit_sphere)
+                                  direction_angles, mushroom, rotated_frame,
+                                  rotation_matrix, surface_point_and_normal,
+                                  unit_sphere)
 from closeeval.spectral import mapped_rule, periodic_nodes
+
+from references import rotated_angles
 
 SURFACES = {"sphere": unit_sphere(), "mushroom": mushroom()}
 

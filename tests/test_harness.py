@@ -235,6 +235,26 @@ def test_run_targets_snap_to_grid_nodes(kite_result):
     assert labels == [repr(-3*np.pi/4), repr(np.pi/4)]
 
 
+@pytest.mark.parametrize("config", [
+    # 1.0 and 1.01 snap to one node at n = 64
+    _kite_config(n=64, eps=eps_grid(1e-4, 1e-2, 3), targets=(1.0, 1.01)),
+    # the second angle pair repeats the first
+    StudyConfig(problem="3d-sphere", n=8, methods=("asym2",),
+                eps=eps_grid(1e-4, 1e-2, 3),
+                targets=((0.9, 0.4), (1.2, 0.3), (0.9, 0.4)))],
+    ids=["2d", "3d"])
+def test_targets_naming_one_point_are_evaluated_once(tmp_path, config):
+    result = run_error_map(replace(config, out_dir=str(tmp_path)))
+    labels = [b.target for b in result.blocks]
+    assert len(labels) == len(set(labels)) == len(config.targets) - 1
+    lines = (tmp_path/"results.csv").read_text().splitlines()[1:]
+    assert len(lines) == len(set(lines)) == result.row_count
+    assert result.row_count == len(labels)*len(config.eps)*len(config.methods)
+    # each eps counts once (the asymptotic fits may floor a point)
+    assert result.fits
+    assert max(f.n_points for f in result.fits) == len(config.eps)
+
+
 def test_run_fits_recover_known_orders(kite_result):
     lbl = repr(np.pi/4)
     assert abs(kite_result.fit_for(lbl, "sub").slope - 1.0) < 0.15

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import references
 from closeeval import hgscatter, spectral
 from closeeval.hgscatter import (IntensityField, apply_L32,
                                  apply_L_asymptotic, apply_L_spectral,
-                                 poisson_close_eval, _ring_average)
-from closeeval.spectral import (SphericalCoeffs, mapped_rule, sph_harm_eval,
+                                 poisson_close_eval)
+from closeeval.spectral import (SphericalCoeffs, mapped_rule,
                                 spherical_laplacian)
 
-from references import (MAX_POLAR_NODES, apply_L_direct, p_hg,
-                        _polar_default)
+from references import (MAX_POLAR_NODES, apply_L32_rings, apply_L_direct,
+                        p_hg, sph_harm_eval, _polar_default, _ring_average)
 
 OMEGA = (1.1, 0.7)
 
@@ -135,10 +136,41 @@ def test_spectral_action_over_a_g_array():
 
 
 def test_leading_operator_eigenvalues():
-    for n in range(5):
-        psi = _field(n, 1 if n else 0)
+    for n in (0, 1, 2, 3, 4, 16, hgscatter.MAX_DEGREE):
+        psi = _field(n, 1 if n else 0, N=max(6, n + 1))
         v = apply_L32(psi, OMEGA)
         assert abs(v - (-n)*_at(psi)) < 1e-10
+
+
+def test_leading_operator_multipliers():
+    # the 64-node polar rule's lambda_n against the exact -n, up to the
+    # degree cap of an HG study
+    lam = hgscatter._l32_multipliers(hgscatter.MAX_DEGREE + 1)
+    assert lam[0] == 0.0
+    n = np.arange(lam.size)
+    assert np.max(np.abs(lam + n)) <= 1e-13
+
+
+def test_degree_multipliers_match_rings_without_conjugate_symmetry():
+    # a degree-32 field whose coefficients have no conjugate symmetry: its
+    # value is the real part of the synthesis, and each degree part the
+    # real part of that degree's sum
+    rng = np.random.default_rng(32)
+    N = hgscatter.MAX_DEGREE + 1
+    c = SphericalCoeffs(N, rng.standard_normal(N*N)
+                        + 1j*rng.standard_normal(N*N))
+    psi = IntensityField(c)
+    parts = hgscatter._degree_values(c, OMEGA)
+    assert_allclose(parts.sum(), _at(psi), rtol=1e-13)
+    for g in (0.3, 0.8):
+        assert_allclose(apply_L_spectral(psi, OMEGA, g),
+                        apply_L_direct(psi, OMEGA, g), rtol=1e-10)
+    l32 = apply_L32_rings(psi, OMEGA)
+    assert_allclose(apply_L32(psi, OMEGA), l32, rtol=1e-10)
+    lap0 = _at(IntensityField(spherical_laplacian(c)))
+    for eps in (1e-3, 0.1):
+        assert_allclose(apply_L_asymptotic(psi, OMEGA, eps),
+                        (eps + eps*eps)*l32 - 0.5*eps*eps*lap0, rtol=1e-10)
 
 
 def test_leading_integrand_extends_to_pole():
@@ -156,7 +188,7 @@ def test_ring_average_in_blocks_matches_one_block(monkeypatch):
     rule = mapped_rule(100)
     whole = _ring_average(psi, OMEGA, rule.nodes)
     # 7 polar rings per block: 15 blocks, the last one partial
-    monkeypatch.setattr(hgscatter, "_RING_BLOCK_VALUES", 7*18*81 + 5)
+    monkeypatch.setattr(references, "_RING_BLOCK_VALUES", 7*18*81 + 5)
     blocked = _ring_average(psi, OMEGA, rule.nodes)
     assert np.max(np.abs(blocked - whole)) <= 1e-15
     assert np.max(np.abs(whole)) > 0.1

@@ -1,3 +1,4 @@
+import ast
 import re
 import types
 from pathlib import Path
@@ -18,6 +19,41 @@ def test_all_lists_public_objects_not_modules():
              if not name.startswith("_")
              and not isinstance(obj, types.ModuleType)}
     assert bound == set(closeeval.__all__)
+
+
+PACKAGE = Path(closeeval.__file__).parent
+
+
+def test_hgscatter_imports_from_spectral_alone():
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE/"hgscatter.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names
+                            if a.name.startswith("closeeval"))
+    assert imported == {"spectral"}
+
+
+def test_no_module_names_the_deleted_duplicates():
+    # the ring rotation and the dense and single-harmonic bases live only
+    # in tests/references.py
+    deleted = {"rotated_angles", "sph_basis_matrix", "sph_harm_eval"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.alias):
+                names.update((node.name, node.asname))
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                names.add(node.value)
+        assert not names & deleted, (path.name, names & deleted)
 
 
 def test_version_matches_pyproject():

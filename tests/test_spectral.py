@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from closeeval.geometry3d import rotated_angles
 from closeeval.spectral import (SphericalCoeffs, _jy_eigenvectors, _wigner_d,
                                 analysis_grid, gauss_legendre,
                                 mapped_rule, periodic_derivative,
-                                periodic_nodes, sph_analysis,
-                                sph_basis_matrix, sph_half_basis,
-                                sph_harm_eval, sph_synthesis,
-                                spherical_laplacian)
+                                periodic_nodes, sph_analysis, sph_half_basis,
+                                sph_synthesis, spherical_laplacian)
 
-from references import pole_second_derivative_average
+from references import (pole_second_derivative_average, rotated_angles,
+                        sph_basis_matrix, sph_harm_eval)
 
 
 def _random_band_limited(rng, N):
