@@ -23,8 +23,8 @@ from .geometry2d import Curve2D, CurvePoint2D, curve_grid, point_inside
 from .spectral import periodic_derivative
 
 MIN_NODES = 16  # smallest (even) Nystrom node count
-# Largest Nystrom node count.  Assembly holds (n, n, 2) kernel differences,
-# about 48 n^2 bytes: a 2d-kite run peaks at 824 MB at n = 4096.
+# Largest Nystrom node count.  Assembly holds five (n, n) arrays, 40 n^2
+# bytes: a one-target 2d-kite run peaks at 687 MB (VmHWM) at n = 4096.
 MAX_NODES = 4096
 
 
@@ -56,10 +56,9 @@ def dirichlet_data(curve: Curve2D, x0, n: int) -> np.ndarray:
     if point_inside(curve, x0):
         raise ValueError("source point must lie outside the curve")
     pos = curve_grid(curve, n).position
-    r = np.linalg.norm(pos - x0, axis=-1)
-    if np.min(r) < 1e-12:
+    if np.min(np.linalg.norm(pos - x0, axis=-1)) < 1e-12:
         raise ValueError("source point coincides with the boundary")
-    return -np.log(r)/(2*np.pi)
+    return harmonic_source(pos, x0)
 
 
 def harmonic_source(x, x0) -> np.ndarray:
@@ -69,6 +68,16 @@ def harmonic_source(x, x0) -> np.ndarray:
     return -np.log(np.linalg.norm(x - x0, axis=-1))/(2*np.pi)
 
 
+def _kernel(geometry: CurvePoint2D, x) -> np.ndarray:
+    """nu_j . (x - y_j) / |x - y_j|^2 J_j at points x of shape (..., 2), with
+    a trailing axis over the nodes j; x and y components are taken apart, so
+    nu_x dx + nu_y dy and dx^2 + dy^2 are single additions."""
+    pos, nu = geometry.position, geometry.normal
+    dx = x[..., 0, None] - pos[:, 0]
+    dy = x[..., 1, None] - pos[:, 1]
+    return (nu[:, 0]*dx + nu[:, 1]*dy)/(dx*dx + dy*dy)*geometry.jacobian
+
+
 def kernel_matrix(curve: Curve2D, n: int) -> np.ndarray:
     """PTR samples of the double-layer kernel times the Jacobian.
 
@@ -76,10 +85,8 @@ def kernel_matrix(curve: Curve2D, n: int) -> np.ndarray:
     i != j, and the analytic coincidence limit -kappa J / 2 on the diagonal.
     """
     g = curve_grid(curve, n)
-    diff = g.position[:, None, :] - g.position[None, :, :]
-    r2 = np.sum(diff*diff, axis=-1)
-    np.fill_diagonal(r2, 1.0)
-    K = np.sum(g.normal[None, :, :]*diff, axis=-1)/r2*g.jacobian[None, :]
+    with np.errstate(invalid="ignore"):  # 0/0 on the diagonal
+        K = _kernel(g, g.position)
     np.fill_diagonal(K, -0.5*g.curvature*g.jacobian)
     return K
 
@@ -121,11 +128,7 @@ def dlp_sum(geometry: CurvePoint2D, x, mu):
     mu = np.asarray(mu, dtype=float)
     if mu.ndim > 1:  # one axis per point axis between density and node
         mu = mu.reshape(mu.shape[:-1] + (1,)*(x.ndim - 1) + mu.shape[-1:])
-    pos, nu = geometry.position, geometry.normal
-    dx = x[..., 0, None] - pos[:, 0]
-    dy = x[..., 1, None] - pos[:, 1]
-    K = (nu[:, 0]*dx + nu[:, 1]*dy)/(dx*dx + dy*dy)
-    out = np.sum(K*geometry.jacobian*mu, axis=-1)/geometry.jacobian.size
+    out = np.sum(_kernel(geometry, x)*mu, axis=-1)/geometry.jacobian.size
     return float(out) if out.ndim == 0 else out
 
 

@@ -334,8 +334,8 @@ def harmonic_point_source_3d(surface: Surface3D, source) -> Callable:
         raise ValueError("source point must lie outside the surface")
 
     def data(theta, phi):
-        y = surface.point_of_direction(direction(theta, phi))
-        return 1.0/np.linalg.norm(y - src, axis=-1)
+        return exact_point_source_3d(
+            surface.point_of_direction(direction(theta, phi)), src)
 
     return data
 

@@ -7,14 +7,14 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 from .bie3d import _atomic_write
 from .harness import (ConfigError, NumericalError, _make_dir,
                       apply_overrides, dump_fits, fit_results, load_config,
-                      parse_eps_range, read_results_csv, run_error_map,
-                      run_hg_study)
+                      read_results_csv, run_error_map, run_hg_study)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,14 +70,22 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _fit_window(text: str) -> tuple:
+    """(lo, hi) read from 'LO:HI' or 'LO:HI:K'; K is ignored."""
+    parts = text.split(":")
+    if len(parts) not in (2, 3):
+        raise ConfigError("fit window must look like LO:HI[:K]")
+    try:
+        lo, hi = float(parts[0]), float(parts[1])
+    except ValueError as exc:
+        raise ConfigError(f"bad fit window {text!r}: {exc}") from None
+    if not (math.isfinite(hi) and 0 < lo < hi):
+        raise ConfigError("fit window needs finite 0 < LO < HI")
+    return lo, hi
+
+
 def _cmd_fit(args) -> int:
-    lo, hi = 1e-6, 1e-2
-    if args.eps_range:
-        parts = args.eps_range.split(":")
-        if len(parts) == 2:
-            parts.append("25")
-        grid = parse_eps_range(":".join(parts))
-        lo, hi = min(grid), max(grid)
+    lo, hi = _fit_window(args.eps_range) if args.eps_range else (1e-6, 1e-2)
     fits = fit_results(read_results_csv(args.csv), lo=lo, hi=hi)
     fits.sort(key=lambda f: (f.target, f.method))
     if args.out:

@@ -59,24 +59,42 @@ class CloseEvalRequest2D:
 def dlp_ptr(request: CloseEvalRequest2D) -> float:
     """Plain PTR evaluation at x; exhibits O(1) error once eps is smaller
     than the node spacing."""
-    return dlp_sum(request.density.geometry, request.point(),
-                   request.density.mu)
+    return _method(request, "ptr")
 
 
 def dlp_subtraction(request: CloseEvalRequest2D) -> float:
     """Subtracted quadrature: u = -mu* + PTR of K(x, y) [mu - mu*]."""
-    return float(_ptr_and_sub(request.density, request.k, request.point())[1])
+    return _method(request, "sub")
 
 
-def _ptr_and_sub(density: DensityGrid2D, k: int, points):
-    """(ptr, sub) for target k at one point or at stacked points of shape
-    (m, 2): one kernel sum over the two densities mu and mu - mu*, with
-    sub = -mu* + PTR of K [mu - mu*].  Each value equals the one-point
-    call of its method bit for bit."""
-    mustar = density.mu[k]
-    ptr, dsub = dlp_sum(density.geometry, points,
-                        np.stack([density.mu, density.mu - mustar]))
-    return ptr, -mustar + dsub
+def _method(request: CloseEvalRequest2D, method: str) -> float:
+    """One method's value at the request's point."""
+    return float(_columns(request.density, request.k, request.eps,
+                          request.ell, (method,))[method])
+
+
+def _eval_points(density: DensityGrid2D, k: int, eps, ell: float):
+    """y* - eps*ell*nu* of target k at each eps, as point() gives it."""
+    g = density.geometry
+    return g.position[k] - np.multiply.outer(eps*ell, g.normal[k])
+
+
+def _columns(density: DensityGrid2D, k: int, eps, ell: float, methods) -> dict:
+    """{method: value at each eps} for target k, eps a number or a vector.
+    ptr and sub share one kernel sum over mu and mu - mu*; the asymptotic
+    methods share the target's (f*, U1, U2)."""
+    values = {}
+    if {"ptr", "sub"} & set(methods):
+        mustar = density.mu[k]
+        values["ptr"], dsub = dlp_sum(
+            density.geometry, _eval_points(density, k, eps, ell),
+            np.stack([density.mu, density.mu - mustar]))
+        values["sub"] = -mustar + dsub
+    if {"asym2", "asym3"} & set(methods):
+        fstar, U1, U2 = asym_coefficients(density, k, ell)
+        values["asym2"] = fstar + eps*U1
+        values["asym3"] = fstar + eps*U1 + eps*eps*U2
+    return {m: values[m] for m in methods}
 
 
 def _kernel_K1(y, nu, ystar, nustar, ell: float):
@@ -120,10 +138,9 @@ def asym_coefficients(density: DensityGrid2D, k: int, ell: float = 1.0):
 
 def asym_eps2(request: CloseEvalRequest2D) -> float:
     """First asymptotic approximation u ~ f(y*) + eps*U1."""
-    fstar, U1, _ = asym_coefficients(request.density, request.k, request.ell)
-    return float(fstar + request.eps*U1)
+    return _method(request, "asym2")
+
 
 def asym_eps3(request: CloseEvalRequest2D) -> float:
     """Second asymptotic approximation u ~ f(y*) + eps*U1 + eps^2*U2."""
-    fstar, U1, U2 = asym_coefficients(request.density, request.k, request.ell)
-    return float(fstar + request.eps*U1 + request.eps**2*U2)
+    return _method(request, "asym3")

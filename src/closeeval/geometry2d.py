@@ -48,32 +48,8 @@ class Curve2D:
             object.__setattr__(self, name, a)
         object.__setattr__(self, "_polygons", {})
 
-    def _coord(self, t, which: int, deriv: int):
-        c = self.cos1 if which == 0 else self.cos2
-        s = self.sin1 if which == 0 else self.sin2
-        k = np.arange(c.size, dtype=float)
-        t = np.asarray(t, dtype=float)
-        kt = np.multiply.outer(t, k)
-        ck, sk = np.cos(kt), np.sin(kt)
-        if deriv == 0:
-            basis_c, basis_s = ck, sk
-            fac = np.ones_like(k)
-        elif deriv == 1:
-            basis_c, basis_s = -sk, ck
-            fac = k
-        elif deriv == 2:
-            basis_c, basis_s = -ck, -sk
-            fac = k*k
-        else:
-            raise ValueError("deriv must be 0, 1 or 2")
-        return basis_c @ (fac*c) + basis_s @ (fac*s)
-
     def position(self, t):
-        return np.stack([self._coord(t, 0, 0), self._coord(t, 1, 0)], axis=-1)
-
-    def derivative(self, t, order: int = 1):
-        return np.stack([self._coord(t, 0, order),
-                         self._coord(t, 1, order)], axis=-1)
+        return _series(self, t)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,15 +100,30 @@ def load_curve(path: str) -> Curve2D:
                           data["cos2"], data["sin2"])
 
 
+def _series(curve: Curve2D, t):
+    """(y, y', y'') at t, each of shape t.shape + (2,), from one table of
+    cos(k t) and sin(k t).  A coordinate with cosine and sine coefficients
+    (c, s) has (k s, -k c) for y' and (-k^2 c, -k^2 s) for y''."""
+    k = np.arange(curve.cos1.size, dtype=float)
+    kt = np.multiply.outer(np.asarray(t, dtype=float), k)
+    ck, sk = np.cos(kt), np.sin(kt)
+
+    def coords(c1, s1, c2, s2):
+        return np.stack([ck @ c1 + sk @ s1, ck @ c2 + sk @ s2], axis=-1)
+
+    c1, s1, c2, s2 = curve.cos1, curve.sin1, curve.cos2, curve.sin2
+    return (coords(c1, s1, c2, s2),
+            coords(k*s1, -k*c1, k*s2, -k*c2),
+            coords(-k*k*c1, -k*k*s1, -k*k*c2, -k*k*s2))
+
+
 def curve_eval(curve: Curve2D, t) -> CurvePoint2D:
     """Position, derivatives, outward normal, Jacobian and curvature at t.
 
     Accepts scalar or array parameters; raises if the parameterization
     degenerates (J below 1e-14) anywhere in the batch.
     """
-    pos = curve.position(t)
-    d1 = curve.derivative(t, 1)
-    d2 = curve.derivative(t, 2)
+    pos, d1, d2 = _series(curve, t)
     J = np.linalg.norm(d1, axis=-1)
     if np.any(J <= _DEGENERACY_TOL):
         raise ValueError("degenerate parameterization: |y'| vanishes")

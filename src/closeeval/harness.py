@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from functools import partial
@@ -22,7 +23,7 @@ from .bie2d import (MAX_NODES, MIN_NODES, dirichlet_data, harmonic_source,
 from .bie3d import (MAX_DEGREE, Density3D, _atomic_write,
                     exact_point_source_3d, harmonic_point_source_3d,
                     solve_density3d)
-from .closeeval2d import CloseEvalRequest2D, _ptr_and_sub, asym_coefficients
+from .closeeval2d import CloseEvalRequest2D, _columns, _eval_points
 from .closeeval3d import (CloseEvalRequest3D, _points, asym_eps2_3d,
                           dlp_numerical_3d)
 from .geometry2d import kite, star
@@ -69,8 +70,8 @@ def _family(problem: str) -> str:
 
 def eps_grid(lo: float, hi: float, per_decade: int) -> tuple:
     """Descending log-uniform grid with per_decade points per factor of 10."""
-    if not 0 < lo < hi:
-        raise ConfigError("eps range needs 0 < lo < hi")
+    if not (math.isfinite(hi) and 0 < lo < hi):
+        raise ConfigError("eps range needs finite 0 < lo < hi")
     if per_decade < 1:
         raise ConfigError("per-decade count must be positive")
     count = int(round(math.log10(hi/lo)*per_decade)) + 1
@@ -154,7 +155,9 @@ class StudyConfig:
         bad = [m for m in self.methods if m not in every]
         if bad:
             raise ConfigError(f"methods {bad} invalid for {self.problem}")
-        object.__setattr__(self, "methods", tuple(self.methods))
+        # a method named twice is run, written and rejected once
+        object.__setattr__(self, "methods",
+                           tuple(dict.fromkeys(self.methods)))
         if self.n < 4:
             raise ConfigError("resolution n too small")
         if fam == "2d" and (self.n < MIN_NODES or self.n > MAX_NODES
@@ -189,11 +192,21 @@ def _floats(values) -> tuple:
     return tuple(float(v) for v in values)
 
 
+def _integer(value) -> int:
+    """An integral number as an int; a bool, a string or a number with a
+    fractional part is refused, not truncated."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _eps_range(value) -> tuple:
     if isinstance(value, str):
         return parse_eps_range(value)
     return eps_grid(float(value["lo"]), float(value["hi"]),
-                    int(value["per_decade"]))
+                    _integer(value["per_decade"]))
 
 
 def _methods(value) -> tuple:
@@ -220,7 +233,7 @@ def _path(value):
 # conversion of its JSON or flag value.
 _KEYS = {
     "problem": ("problem", lambda v: v),
-    "n": ("n", int),
+    "n": ("n", _integer),
     "methods": ("methods", _methods),
     "eps": ("eps", lambda v: tuple(sorted(_floats(v), reverse=True))),
     "eps_range": ("eps", _eps_range),
@@ -232,7 +245,7 @@ _KEYS = {
     "ell": ("ell", float),
     "fit_lo": ("fit_lo", float),
     "fit_hi": ("fit_hi", float),
-    "slice_count": ("slice_count", int),
+    "slice_count": ("slice_count", _integer),
     "hg_field": ("hg_field", lambda v: tuple(tuple(row) for row in v)),
     "hg_omega": ("hg_omega", _floats),
 }
@@ -360,8 +373,7 @@ class ErrorStudyResult:
         if method not in columns.get(target, (0, 0, {}))[2]:
             return np.empty(0), np.empty(0)
         eps, exact, values = columns[target]
-        order = _descending(eps)
-        return eps[order], np.abs(values[method][order] - exact[order])
+        return eps, np.abs(values[method] - exact)
 
     def fit_for(self, target: str, method: str) -> OrderFit:
         for f in self.fits:
@@ -371,16 +383,9 @@ class ErrorStudyResult:
 
 
 def _by_target(blocks) -> dict:
-    """label -> (eps, exact, {method: value}) of every nonempty block; a
-    study holds one block per label (_first_per_label)."""
-    return {b.target: (b.eps, b.exact, b.values) for b in blocks
-            if len(b.eps)}
-
-
-def _descending(eps) -> np.ndarray:
-    """Stable order of eps from largest to smallest, as sorting rows by
-    -eps orders them."""
-    return np.argsort(-eps, kind="stable")
+    """label -> (eps, exact, {method: value}) of every block; a study
+    holds one block per label (_first_per_label)."""
+    return {b.target: (b.eps, b.exact, b.values) for b in blocks}
 
 
 def fit_order(eps_values, errors, method: str, lo: float = 1e-6,
@@ -521,8 +526,8 @@ def _make_dir(path: str) -> None:
 
 
 def _sweep_2d(config: StudyConfig, blocks, rejections):
-    """One kernel sum per target gives ptr and sub at every kept eps; the
-    asymptotic methods need only the target's (f*, U1, U2)."""
+    """One request per (target, eps) tests its point; every kept eps of a
+    target is then evaluated in one _columns call."""
     curve = _curve_for(config.problem)
     try:
         f = dirichlet_data(curve, config.x0, config.n)
@@ -532,7 +537,6 @@ def _sweep_2d(config: StudyConfig, blocks, rejections):
         density = solve_density(curve, f, config.n)
     except RuntimeError as exc:
         raise NumericalError(str(exc)) from None
-    g = density.geometry
     all_eps = np.array(config.eps)
     for label, k in _targets_2d(config, config.n):
         kept = np.ones(len(all_eps), dtype=bool)
@@ -546,14 +550,10 @@ def _sweep_2d(config: StudyConfig, blocks, rejections):
         if not kept.any():
             continue
         eps = all_eps[kept]
-        x = g.position[k] - np.multiply.outer(eps*config.ell, g.normal[k])
-        fstar, U1, U2 = asym_coefficients(density, k, config.ell)
-        values = {"asym2": fstar + eps*U1,
-                  "asym3": fstar + eps*U1 + eps*eps*U2}
-        if {"ptr", "sub"} & set(config.methods):
-            values["ptr"], values["sub"] = _ptr_and_sub(density, k, x)
-        blocks.append(ResultBlock(label, eps, harmonic_source(x, config.x0),
-                                  {m: values[m] for m in config.methods}))
+        exact = harmonic_source(_eval_points(density, k, eps, config.ell),
+                                config.x0)
+        blocks.append(ResultBlock(label, eps, exact, _columns(
+            density, k, eps, config.ell, config.methods)))
 
 
 def _sweep_3d(config: StudyConfig, blocks, rejections):
@@ -613,7 +613,7 @@ def _hg_field(config: StudyConfig) -> IntensityField:
     if not config.hg_field:
         raise ConfigError("hg study requires a nonempty hg_field list")
     try:
-        entries = [(int(n), int(m), float(re), float(im))
+        entries = [(_integer(n), _integer(m), float(re), float(im))
                    for n, m, re, im in config.hg_field]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad hg_field entry: {exc}") from None
@@ -646,7 +646,9 @@ def run_hg_study(config: StudyConfig) -> ErrorStudyResult:
     eps = np.array(kept)
     values = apply_L_asymptotic(psi, omega, eps)
     exact = apply_L_spectral(psi, omega, 1.0 - eps)
-    blocks = [ResultBlock("hg", eps, exact, {"hg_asym": values})]
+    # like a 2D or 3D target, a study that rejects every eps has no block
+    blocks = ([ResultBlock("hg", eps, exact, {"hg_asym": values})]
+              if kept else [])
     result = ErrorStudyResult(config, blocks, rejections,
                               _fit_blocks(blocks, config))
     if config.out_dir:
@@ -713,12 +715,10 @@ def _fmt_column(values) -> list:
 def _csv_block(label: str, eps, exact, values: dict) -> str:
     """One target's results.csv lines: methods by name, eps descending.
     eps and exact are formatted once for all the methods."""
-    order = _descending(eps)
-    exact = exact[order]
-    eps_s, exact_s = _fmt_column(eps[order]), _fmt_column(exact)
+    eps_s, exact_s = _fmt_column(eps), _fmt_column(exact)
     lines = []
     for m in sorted(values):
-        value = values[m][order]
+        value = values[m]
         lines.extend(f"{label},{e},{m},{v},{x},{a}\n" for e, v, x, a in zip(
             eps_s, _fmt_column(value), exact_s,
             _fmt_column(np.abs(value - exact))))

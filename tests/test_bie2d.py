@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from closeeval.bie2d import (MAX_NODES, DensityGrid2D, assemble_nystrom,
                              dirichlet_data, dlp_sum, gauss_interior_value,
                              harmonic_source, kernel_matrix, solve_density)
-from closeeval.geometry2d import circle, kite, star
+from closeeval.geometry2d import circle, curve_grid, kite, star
 
 X0 = np.array([1.85, 1.65])
 
@@ -82,6 +82,26 @@ def test_kernel_matrix_diagonal_is_curvature_limit():
     # on the unit circle kappa = J = 1, so the diagonal is -1/2 everywhere
     K = kernel_matrix(circle(), 64)
     assert_allclose(np.diag(K), -0.5, atol=1e-13)
+
+
+def _kernel_matrix_reference(curve, n):
+    """The kernel matrix from one (n, n, 2) array of node differences, as
+    kernel_matrix built it before it shared dlp_sum's kernel."""
+    g = curve_grid(curve, n)
+    diff = g.position[:, None, :] - g.position[None, :, :]
+    r2 = np.sum(diff*diff, axis=-1)
+    np.fill_diagonal(r2, 1.0)
+    K = np.sum(g.normal[None, :, :]*diff, axis=-1)/r2*g.jacobian[None, :]
+    np.fill_diagonal(K, -0.5*g.curvature*g.jacobian)
+    return K
+
+
+@pytest.mark.parametrize("n", [64, 200, 1024])
+@pytest.mark.parametrize("curve", [kite(), star(), circle()],
+                         ids=["kite", "star", "circle"])
+def test_kernel_matrix_equals_difference_array_reference(curve, n):
+    assert np.array_equal(kernel_matrix(curve, n),
+                          _kernel_matrix_reference(curve, n))
 
 
 def test_assemble_rejects_bad_node_counts():

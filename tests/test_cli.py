@@ -146,9 +146,21 @@ def test_empty_study_exits_2(tmp_path, capsys, payload):
     dict(_SPHERE, targets=[[float("inf"), 0.3]]),
     dict(_KITE, fit_lo=float("nan")),
     dict(_KITE, out=5),
+    dict(_KITE, n=64.7),
+    dict(_KITE, n="64"),
+    dict(_KITE, n=True),
+    dict(_SPHERE, targets="all-nodes", slice_count=2.9),
+    dict(_KITE, eps_range={"lo": 1e-3, "hi": 1e-2, "per_decade": 2.5}),
+    dict(_KITE, eps_range={"lo": 1e-3, "hi": 1e-2, "per_decade": "2"}),
+    dict(_HG, hg_field=[[1.5, 0.9, 1.0, 0.0]]),
+    dict(_HG, hg_field=[[1, False, 1.0, 0.0]]),
+    dict(_HG, hg_field=[[10**400, 0, 1.0, 0.0]]),
 ], ids=["methods-int", "methods-empty", "eps-range-text", "n-infinite",
         "target-nan", "target-infinite", "targets-int",
-        "target-pair-infinite", "fit-lo-nan", "out-int"])
+        "target-pair-infinite", "fit-lo-nan", "out-int", "n-fraction",
+        "n-string", "n-bool", "slice-count-fraction",
+        "per-decade-fraction", "per-decade-string", "field-row-fraction",
+        "field-row-bool", "field-row-huge"])
 def test_bad_value_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
                                             payload):
     # each of these once ended in a traceback, or in a study that ran
@@ -157,8 +169,10 @@ def test_bad_value_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(harness, "solve_density", no_solve)
     monkeypatch.setattr(harness, "_solve_3d", no_solve)
+    monkeypatch.setattr(harness, "apply_L_asymptotic", no_solve)
     cfg = _write_config(tmp_path, payload)
-    assert cli.main(["run", cfg]) == 2
+    command = "hg" if payload["problem"] == "hg" else "run"
+    assert cli.main([command, cfg]) == 2
     assert "config error" in capsys.readouterr().err
 
 
@@ -268,6 +282,33 @@ def test_fit_stdout(tmp_path, capsys):
     assert {"sub", "asym2", "asym3"} <= methods
     sub = next(f for f in payload["fits"] if f["method"] == "sub")
     assert 0.7 < sub["slope"] < 1.3
+
+
+def test_fit_window_is_read_as_given(tmp_path, capsys):
+    # LO and HI are recorded as written, and K is ignored, even 0
+    out = tmp_path/"out"
+    cfg = _write_config(tmp_path, _kite_payload(str(out)))
+    assert cli.main(["run", cfg]) == 0
+    capsys.readouterr()
+    for window in ("3e-5:7e-2", "3e-5:7e-2:0"):
+        assert cli.main(["fit", str(out/"results.csv"),
+                         "--eps-range", window]) == 0
+        fits = json.loads(capsys.readouterr().out)["fits"]
+        assert fits and all((f["fit_lo"], f["fit_hi"]) == (3e-5, 7e-2)
+                            for f in fits)
+
+
+@pytest.mark.parametrize("window", ["1e-3:inf", "nan:1e-2", "1e-2:1e-3",
+                                    "0:1e-2", "1e-3", "1e-3:1e-2:5:7",
+                                    "a:1e-2"])
+def test_fit_bad_window_exits_2(tmp_path, capsys, window):
+    out = tmp_path/"out"
+    cfg = _write_config(tmp_path, _kite_payload(str(out)))
+    assert cli.main(["run", cfg]) == 0
+    capsys.readouterr()
+    assert cli.main(["fit", str(out/"results.csv"),
+                     "--eps-range", window]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_fit_to_directory(tmp_path, capsys):

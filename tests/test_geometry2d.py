@@ -87,6 +87,35 @@ def test_normal_points_outward(name):
         assert not point_inside(crv, p.position + 1e-3*p.normal)
 
 
+def _coord_reference(curve, t, which, deriv):
+    """One coordinate's derivative of order deriv, from its own trig table,
+    as Curve2D evaluated each of the six before they shared one."""
+    c = curve.cos1 if which == 0 else curve.cos2
+    s = curve.sin1 if which == 0 else curve.sin2
+    k = np.arange(c.size, dtype=float)
+    kt = np.multiply.outer(np.asarray(t, dtype=float), k)
+    ck, sk = np.cos(kt), np.sin(kt)
+    basis_c, basis_s, fac = {0: (ck, sk, np.ones_like(k)),
+                             1: (-sk, ck, k),
+                             2: (-ck, -sk, k*k)}[deriv]
+    return basis_c @ (fac*c) + basis_s @ (fac*s)
+
+
+@pytest.mark.parametrize("t", [periodic_nodes(64), periodic_nodes(200),
+                               np.linspace(-3.0, 3.1, 37), 0.3, -np.pi],
+                         ids=["nodes-64", "nodes-200", "off-node", "scalar",
+                              "scalar-node"])
+@pytest.mark.parametrize("name", ["kite", "star", "circle"])
+def test_curve_eval_equals_per_coordinate_reference(name, t):
+    crv = CURVES[name]
+    p = curve_eval(crv, t)
+    for got, deriv in ((p.position, 0), (p.d1, 1), (p.d2, 2)):
+        ref = np.stack([_coord_reference(crv, t, 0, deriv),
+                        _coord_reference(crv, t, 1, deriv)], axis=-1)
+        assert np.array_equal(got, ref), deriv
+    assert np.array_equal(crv.position(t), p.position)
+
+
 def test_point_inside_reference_points():
     assert point_inside(kite(), (0.0, 0.0))
     assert not point_inside(kite(), (1.85, 1.65))  # the 2D source location

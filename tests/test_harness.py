@@ -61,6 +61,10 @@ def test_eps_grid_validation():
         eps_grid(0.0, 1e-1, 5)
     with pytest.raises(ConfigError):
         eps_grid(1e-3, 1e-1, 0)
+    # a non-finite bound is refused, not an OverflowError
+    for lo, hi in ((1e-3, math.inf), (math.nan, 1e-1), (1e-3, math.nan)):
+        with pytest.raises(ConfigError):
+            eps_grid(lo, hi, 5)
 
 
 def test_parse_eps_range():
@@ -143,6 +147,26 @@ def test_config_from_dict_rejections():
     with pytest.raises(ConfigError):
         config_from_dict({"problem": "2d-kite",
                           "eps_range": {"lo": 1e-3, "hi": 1e-1}})
+
+
+def test_config_from_dict_integer_keys():
+    # an integral number is taken as its int; a fraction, a bool or a
+    # string is refused instead of truncated
+    cfg = config_from_dict({"problem": "3d-sphere", "n": 8.0,
+                            "slice_count": 3.0,
+                            "eps_range": {"lo": 1e-3, "hi": 1e-1,
+                                          "per_decade": 2.0}})
+    assert (cfg.n, cfg.slice_count) == (8, 3) and type(cfg.n) is int
+    assert cfg.eps == eps_grid(1e-3, 1e-1, 2)
+    assert config_from_dict({"problem": "2d-kite", "n": np.int64(64)}).n == 64
+    for key, value in (("n", 64.7), ("n", "64"), ("n", True),
+                       ("slice_count", 2.9), ("slice_count", "2"),
+                       ("eps_range", {"lo": 1e-3, "hi": 1e-1,
+                                      "per_decade": 2.5}),
+                       ("eps_range", {"lo": 1e-3, "hi": 1e-1,
+                                      "per_decade": True})):
+        with pytest.raises(ConfigError):
+            config_from_dict({"problem": "3d-sphere", key: value})
 
 
 def test_config_from_dict_eps_forms():
@@ -270,6 +294,26 @@ def test_errors_for_ordering(kite_result):
         kite_result.fit_for("nowhere", "sub")
 
 
+@pytest.mark.parametrize("config,methods", [
+    (_kite_config(n=64, methods=("asym2", "sub", "asym2"),
+                  eps=(3.0,) + EPS_2D), ("asym2", "sub")),
+    (StudyConfig(problem="3d-sphere", n=8, methods=("asym2", "asym2"),
+                 eps=(2.5, 1e-1, 1e-2, 1e-3, 1e-4), targets=((0.9, 0.4),)),
+     ("asym2",))],
+    ids=["2d", "3d"])
+def test_repeated_method_runs_once(tmp_path, config, methods):
+    # each method is kept once, in first-seen order, so no row, rejection
+    # or fit is written twice
+    assert config.methods == methods
+    run_error_map(replace(config, out_dir=str(tmp_path)))
+    for name in ("results.csv", "rejections.csv"):
+        lines = (tmp_path/name).read_text().splitlines()
+        assert len(lines) > 1 and len(lines) == len(set(lines)), name
+    fits = json.loads((tmp_path/"fits.json").read_text())["fits"]
+    keys = [(f["target"], f["method"]) for f in fits]
+    assert keys and len(keys) == len(set(keys))
+
+
 def test_rejections_recorded_not_fatal():
     cfg = _kite_config(eps=(3.0,) + EPS_2D)
     res = run_error_map(cfg)
@@ -327,6 +371,15 @@ def test_run_hg_study_slope_and_rejections():
     assert [r.method for r in res.rows] == ["hg_asym"]*11
     assert len(res.rejections) == 1 and res.rejections[0].eps == 0.7
     assert abs(res.fit_for("hg", "hg_asym").slope - 3.0) < 0.3
+
+
+def test_run_hg_study_rejecting_every_eps_keeps_no_block(tmp_path):
+    cfg = StudyConfig(problem="hg", n=8, hg_field=((1, 0, 1.0, 0.0),),
+                      eps=(0.9, 0.7), out_dir=str(tmp_path))
+    res = run_hg_study(cfg)
+    assert res.blocks == [] and res.fits == [] and res.row_count == 0
+    assert len(res.rejections) == 2
+    assert (tmp_path/"results.csv").read_text() == harness.CSV_HEADER + "\n"
 
 
 def _real_hg_field(rng, degree):

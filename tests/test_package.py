@@ -37,8 +37,10 @@ def test_hgscatter_imports_from_spectral_alone():
 
 def test_no_module_names_the_deleted_duplicates():
     # the ring rotation and the dense and single-harmonic bases live only
-    # in tests/references.py
-    deleted = {"rotated_angles", "sph_basis_matrix", "sph_harm_eval"}
+    # in tests/references.py; the 2D duplicates are folded into one
+    # function each (closeeval2d._columns, geometry2d._series) or deleted
+    deleted = {"rotated_angles", "sph_basis_matrix", "sph_harm_eval",
+               "_ptr_and_sub", "_coord", "_descending"}
     for path in sorted(PACKAGE.glob("*.py")):
         names = set()
         for node in ast.walk(ast.parse(path.read_text())):
@@ -54,6 +56,21 @@ def test_no_module_names_the_deleted_duplicates():
                                                                str):
                 names.add(node.value)
         assert not names & deleted, (path.name, names & deleted)
+
+
+def test_curve_has_no_derivative_method():
+    assert not hasattr(closeeval.Curve2D, "derivative")
+
+
+def test_harness_computes_no_2d_method():
+    # closeeval2d alone knows how a 2D method is computed; the harness
+    # makes its requests and asks for every method's column
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE/"harness.py").read_text())):
+        if (isinstance(node, ast.ImportFrom) and node.level
+                and node.module == "closeeval2d"):
+            imported.update(a.name for a in node.names)
+    assert imported == {"CloseEvalRequest2D", "_columns", "_eval_points"}
 
 
 def test_version_matches_pyproject():
