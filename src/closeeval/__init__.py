@@ -22,8 +22,7 @@ from .harness import (ConfigError, ErrorStudyResult, InsufficientDataError,
                       NumericalError, OrderFit, Rejection, ResultBlock,
                       ResultRow, StudyConfig, config_from_dict, dump_fits,
                       eps_grid, fit_order, fit_results, load_config,
-                      read_results_csv, run_error_map, run_hg_study,
-                      write_outputs)
+                      read_results_csv, run_error_map, write_outputs)
 from .hgscatter import (IntensityField, apply_L32, apply_L_asymptotic,
                         apply_L_spectral, poisson_close_eval)
 from .spectral import (QuadratureRule1D, SphericalCoeffs, analysis_grid,
@@ -57,7 +56,7 @@ __all__ = [
     "NumericalError", "OrderFit", "Rejection", "ResultBlock", "ResultRow",
     "StudyConfig", "config_from_dict", "dump_fits", "eps_grid", "fit_order",
     "fit_results", "load_config", "read_results_csv", "run_error_map",
-    "run_hg_study", "write_outputs",
+    "write_outputs",
     # hgscatter
     "IntensityField", "apply_L32", "apply_L_asymptotic", "apply_L_spectral",
     "poisson_close_eval",

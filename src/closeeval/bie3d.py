@@ -30,6 +30,7 @@ over colatitudes once per order (DECISIONS.md D11, D14).
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -73,6 +74,16 @@ def _atomic_write(path: str):
             os.remove(tmp)
 
 
+def _integer(value) -> int:
+    """An integral number as an int; a bool, a string or a number with a
+    fractional part is refused, not truncated."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(eq=False)
 class Density3D:
     """Spherical-harmonic density representation tied to a surface, with
@@ -110,7 +121,8 @@ class Density3D:
     def load(cls, path: str, surface: Surface3D, data: Callable = None,
              record: dict = None) -> "Density3D":
         """Read a file written by save; raises ValueError when its content
-        is not a complete table of finite coefficients, or, given a record,
+        is not a table of finite coefficients that gives each (n, m) of
+        degree below N once, with integral N, n and m, or, given a record,
         when the file's record is missing or is not that record with this
         SOLVER_REVISION."""
         with open(path) as fh:
@@ -122,12 +134,15 @@ class Density3D:
             raise ValueError("density file was solved for another problem, "
                              "source or solver revision")
         try:
-            out = SphericalCoeffs.zeros(int(payload["N"]))
-            rows = payload["coeffs"]
-            if len(rows) != out.N*out.N:
+            N, rows = _integer(payload["N"]), payload["coeffs"]
+            if len(rows) != N*N:
                 raise ValueError("coefficient count does not match N")
-            for n, m, re, im in rows:
-                out.c[SphericalCoeffs.index(int(n), int(m))] = re + 1j*im
+            slots = [SphericalCoeffs.index(_integer(n), _integer(m))
+                     for n, m, _, _ in rows]
+            if len(set(slots)) != len(slots):
+                raise ValueError("a coefficient (n, m) is given twice")
+            out = SphericalCoeffs.zeros(N)
+            out.c[slots] = [re + 1j*im for _, _, re, im in rows]
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"malformed density file: {exc!r}") from None
         if not np.all(np.isfinite(out.c)):

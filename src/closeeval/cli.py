@@ -14,7 +14,7 @@ import sys
 from .bie3d import _atomic_write
 from .harness import (ConfigError, NumericalError, _make_dir,
                       apply_overrides, dump_fits, fit_results, load_config,
-                      read_results_csv, run_error_map, run_hg_study)
+                      read_results_csv, run_error_map)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,6 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hg_p.add_argument("config", help="JSON study configuration")
     hg_p.add_argument("--eps-range", metavar="LO:HI:K")
     hg_p.add_argument("--out", metavar="DIR")
+    hg_p.set_defaults(n=None, methods=None, cache=None)
     return parser
 
 
@@ -62,11 +63,14 @@ def _print_result(result) -> None:
               f"points={f.n_points} range=[{f.fit_lo:g}, {f.fit_hi:g}]")
 
 
-def _cmd_run(args) -> int:
-    config = apply_overrides(load_config(args.config), n=args.n,
-                             eps_range=args.eps_range, methods=args.methods,
-                             out=args.out, cache=args.cache)
-    _print_result(run_error_map(config))
+def _cmd_study(args) -> int:
+    config = load_config(args.config)
+    if (args.command == "hg") != (config.problem == "hg"):
+        raise ConfigError(f"'closeeval {args.command}' does not run problem "
+                          f"{config.problem!r}")
+    _print_result(run_error_map(apply_overrides(
+        config, n=args.n, eps_range=args.eps_range, methods=args.methods,
+        out=args.out, cache=args.cache)))
     return 0
 
 
@@ -85,8 +89,8 @@ def _fit_window(text: str) -> tuple:
 
 
 def _cmd_fit(args) -> int:
-    lo, hi = _fit_window(args.eps_range) if args.eps_range else (1e-6, 1e-2)
-    fits = fit_results(read_results_csv(args.csv), lo=lo, hi=hi)
+    window = _fit_window(args.eps_range) if args.eps_range else ()
+    fits = fit_results(read_results_csv(args.csv), *window)
     fits.sort(key=lambda f: (f.target, f.method))
     if args.out:
         _make_dir(args.out)
@@ -99,16 +103,9 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_hg(args) -> int:
-    config = apply_overrides(load_config(args.config),
-                             eps_range=args.eps_range, out=args.out)
-    _print_result(run_hg_study(config))
-    return 0
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {"run": _cmd_run, "fit": _cmd_fit, "hg": _cmd_hg}
+    handlers = {"run": _cmd_study, "fit": _cmd_fit, "hg": _cmd_study}
     try:
         return handlers[args.command](args)
     except ConfigError as exc:

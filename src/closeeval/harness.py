@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, replace
 from functools import partial
@@ -20,7 +19,7 @@ import numpy as np
 
 from .bie2d import (MAX_NODES, MIN_NODES, dirichlet_data, harmonic_source,
                     solve_density)
-from .bie3d import (MAX_DEGREE, Density3D, _atomic_write,
+from .bie3d import (MAX_DEGREE, Density3D, _atomic_write, _integer,
                     exact_point_source_3d, harmonic_point_source_3d,
                     solve_density3d)
 from .closeeval2d import CloseEvalRequest2D, _columns, _eval_points
@@ -192,16 +191,6 @@ def _floats(values) -> tuple:
     return tuple(float(v) for v in values)
 
 
-def _integer(value) -> int:
-    """An integral number as an int; a bool, a string or a number with a
-    fractional part is refused, not truncated."""
-    if isinstance(value, bool) or not (
-            isinstance(value, numbers.Integral)
-            or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
 def _eps_range(value) -> tuple:
     if isinstance(value, str):
         return parse_eps_range(value)
@@ -369,23 +358,16 @@ class ErrorStudyResult:
     def errors_for(self, target: str, method: str):
         """(eps, abs_error) arrays for one target/method, eps descending;
         empty if the study has no such rows."""
-        columns = _by_target(self.blocks)
-        if method not in columns.get(target, (0, 0, {}))[2]:
-            return np.empty(0), np.empty(0)
-        eps, exact, values = columns[target]
-        return eps, np.abs(values[method] - exact)
+        for b in self.blocks:
+            if b.target == target and method in b.values:
+                return b.eps, np.abs(b.values[method] - b.exact)
+        return np.empty(0), np.empty(0)
 
     def fit_for(self, target: str, method: str) -> OrderFit:
         for f in self.fits:
             if f.target == target and f.method == method:
                 return f
         raise KeyError(f"no fit for {target!r}/{method!r}")
-
-
-def _by_target(blocks) -> dict:
-    """label -> (eps, exact, {method: value}) of every block; a study
-    holds one block per label (_first_per_label)."""
-    return {b.target: (b.eps, b.exact, b.values) for b in blocks}
 
 
 def fit_order(eps_values, errors, method: str, lo: float = 1e-6,
@@ -439,15 +421,8 @@ def _targets_2d(config: StudyConfig, n: int):
     return _first_per_label((_fmt(nodes[k]), k) for k in ks)
 
 
-def _slice_x1x3(s0: float):
-    # circle through both poles in the x1-x3 plane, parameterized by [0, 2pi)
-    if s0 <= np.pi:
-        return s0, 0.0
-    return 2*np.pi - s0, np.pi
-
-
 def _targets_3d(config: StudyConfig):
-    """(label, theta, phi) triples from slices or explicit angle pairs."""
+    """(label, (theta, phi)) pairs from slices or explicit angle pairs."""
     count = config.slice_count
     specs = config.targets
     if specs == "all-nodes":
@@ -458,16 +433,16 @@ def _targets_3d(config: StudyConfig):
     for spec in specs:
         if spec == "x1x3-slice":
             for j in range(count):
+                # the circle through both poles in the x1-x3 plane
                 s0 = (j + 0.5)*2*np.pi/count
-                th, ph = _slice_x1x3(s0)
-                out.append((f"x1x3:{_fmt(s0)}", th, ph))
+                out.append((f"x1x3:{_fmt(s0)}", (s0, 0.0) if s0 <= np.pi
+                            else (2*np.pi - s0, np.pi)))
         elif spec == "x1x2-slice":
             for j in range(count):
                 t0 = (j + 0.5)*2*np.pi/count
-                out.append((f"x1x2:{_fmt(t0)}", np.pi/2, t0))
+                out.append((f"x1x2:{_fmt(t0)}", (np.pi/2, t0)))
         else:
-            th, ph = spec
-            out.append((f"{_fmt(th)};{_fmt(ph)}", th, ph))
+            out.append((f"{_fmt(spec[0])};{_fmt(spec[1])}", spec))
     return _first_per_label(out)
 
 
@@ -525,9 +500,12 @@ def _make_dir(path: str) -> None:
                           f"{exc.strerror or exc}") from None
 
 
-def _sweep_2d(config: StudyConfig, blocks, rejections):
-    """One request per (target, eps) tests its point; every kept eps of a
-    target is then evaluated in one _columns call."""
+_OUTSIDE = "evaluation point falls outside the domain"
+
+
+def _study_2d(config: StudyConfig):
+    """The 2D hooks: one request per (target, eps) tests its point, and
+    every kept eps of a target is then evaluated in one _columns call."""
     curve = _curve_for(config.problem)
     try:
         f = dirichlet_data(curve, config.x0, config.n)
@@ -537,28 +515,27 @@ def _sweep_2d(config: StudyConfig, blocks, rejections):
         density = solve_density(curve, f, config.n)
     except RuntimeError as exc:
         raise NumericalError(str(exc)) from None
-    all_eps = np.array(config.eps)
-    for label, k in _targets_2d(config, config.n):
-        kept = np.ones(len(all_eps), dtype=bool)
-        for i, eps in enumerate(config.eps):
+
+    def inside(k, eps):
+        kept = np.ones(len(eps), dtype=bool)
+        for i, e in enumerate(eps.tolist()):
             try:
-                CloseEvalRequest2D(density, k, eps, config.ell)
-            except ValueError as exc:
+                CloseEvalRequest2D(density, k, e, config.ell)
+            except ValueError:
                 kept[i] = False
-                rejections.extend(Rejection(label, eps, m, str(exc))
-                                  for m in config.methods)
-        if not kept.any():
-            continue
-        eps = all_eps[kept]
+        return kept
+
+    def evaluate(k, eps):
         exact = harmonic_source(_eval_points(density, k, eps, config.ell),
                                 config.x0)
-        blocks.append(ResultBlock(label, eps, exact, _columns(
-            density, k, eps, config.ell, config.methods)))
+        return exact, _columns(density, k, eps, config.ell, config.methods)
+
+    return _targets_2d(config, config.n), _OUTSIDE, inside, evaluate
 
 
-def _sweep_3d(config: StudyConfig, blocks, rejections):
-    """One request per target, over the eps whose points lie inside; each
-    point is tested once."""
+def _study_3d(config: StudyConfig):
+    """The 3D hooks: each point is tested once, and one request over a
+    target's kept eps serves every method."""
     surface = _surface_for(config.problem)
     try:
         data = harmonic_point_source_3d(surface, config.source)
@@ -566,47 +543,17 @@ def _sweep_3d(config: StudyConfig, blocks, rejections):
         raise ConfigError(str(exc)) from None
     density = _solve_3d(config, surface, data)
     evaluators = {"numerical": dlp_numerical_3d, "asym2": asym_eps2_3d}
-    eps = np.array(config.eps)
-    for label, th, ph in _targets_3d(config):
-        points = _points(surface, th, ph, eps, config.ell)
-        inside = surface.contains(points)
-        rejections.extend(
-            Rejection(label, float(e), m,
-                      "evaluation point falls outside the domain")
-            for e in eps[~inside] for m in config.methods)
-        if not np.any(inside):
-            continue
-        req = CloseEvalRequest3D(density, th, ph, eps[inside], config.ell,
+
+    def inside(angles, eps):
+        return surface.contains(_points(surface, *angles, eps, config.ell))
+
+    def evaluate(angles, eps):
+        req = CloseEvalRequest3D(density, *angles, eps, config.ell,
                                  inside=True)
-        blocks.append(ResultBlock(
-            label, req.eps,
-            exact_point_source_3d(points[inside], config.source),
-            {m: evaluators[m](req) for m in config.methods}))
+        return (exact_point_source_3d(req.point(), config.source),
+                {m: evaluators[m](req) for m in config.methods})
 
-
-def run_error_map(config: StudyConfig) -> ErrorStudyResult:
-    """Sweep all methods over the (target, eps) set for a 2D or 3D problem.
-
-    Evaluation points fall outside the domain for large eps at concave
-    targets; those rows are recorded as rejections, not failures.
-    """
-    if config.problem == "hg":
-        raise ConfigError("use run_hg_study for the hg problem")
-    # the output and cache directories are made before any solve
-    family = _family(config.problem)
-    for path in (config.out_dir, config.cache_dir if family == "3d" else None):
-        if path:
-            _make_dir(path)
-    blocks, rejections = [], []
-    if family == "2d":
-        _sweep_2d(config, blocks, rejections)
-    else:
-        _sweep_3d(config, blocks, rejections)
-    result = ErrorStudyResult(config, blocks, rejections,
-                              _fit_blocks(blocks, config))
-    if config.out_dir:
-        write_outputs(result)
-    return result
+    return _targets_3d(config), _OUTSIDE, inside, evaluate
 
 
 def _hg_field(config: StudyConfig) -> IntensityField:
@@ -630,25 +577,43 @@ def _hg_field(config: StudyConfig) -> IntensityField:
     return IntensityField(coeffs)
 
 
-def run_hg_study(config: StudyConfig) -> ErrorStudyResult:
-    """Residual of the forward-peaked expansion against the exact
-    scattering operator (its eigen-action on the band-limited field), per
-    eps, with a slope fit.  Both are evaluated once over every eps."""
-    if config.problem != "hg":
-        raise ConfigError("run_hg_study requires problem 'hg'")
-    if config.out_dir:
-        _make_dir(config.out_dir)
-    psi = _hg_field(config)
-    omega = config.hg_omega
-    kept = [eps for eps in config.eps if 0 < eps < 0.5]
-    rejections = [Rejection("hg", eps, "hg_asym", "eps outside (0, 0.5)")
-                  for eps in config.eps if not 0 < eps < 0.5]
-    eps = np.array(kept)
-    values = apply_L_asymptotic(psi, omega, eps)
-    exact = apply_L_spectral(psi, omega, 1.0 - eps)
-    # like a 2D or 3D target, a study that rejects every eps has no block
-    blocks = ([ResultBlock("hg", eps, exact, {"hg_asym": values})]
-              if kept else [])
+def _study_hg(config: StudyConfig):
+    """The hg hooks: one target, whose eps in (0, 0.5) are kept, and the
+    expansion against the exact operator (its eigen-action on the field)."""
+    psi, omega = _hg_field(config), config.hg_omega
+    return ([("hg", None)], "eps outside (0, 0.5)",
+            lambda _, eps: (0 < eps) & (eps < 0.5),
+            lambda _, eps: (apply_L_spectral(psi, omega, 1.0 - eps),
+                            {"hg_asym": apply_L_asymptotic(psi, omega, eps)}))
+
+
+# Each family's setup checks the config and solves, then returns the hooks
+# of the one sweep: the (label, target) list, the reason a rejected eps is
+# recorded with, inside(target, eps), the mask of the eps kept, and
+# evaluate(target, kept eps), the exact column and one column per method.
+_STUDIES = {"2d": _study_2d, "3d": _study_3d, "hg": _study_hg}
+
+
+def run_error_map(config: StudyConfig) -> ErrorStudyResult:
+    """Sweep all methods over the (target, eps) set of any problem.  An eps
+    that inside drops, such as a point outside a concave domain, is a
+    rejection, not a failure; a target that keeps no eps has no block."""
+    # the output and cache directories are made before any solve
+    family = _family(config.problem)
+    for path in (config.out_dir, config.cache_dir if family == "3d" else None):
+        if path:
+            _make_dir(path)
+    targets, reason, inside, evaluate = _STUDIES[family](config)
+    all_eps = np.array(config.eps)
+    blocks, rejections = [], []
+    for label, target in targets:
+        kept = inside(target, all_eps)
+        rejections.extend(Rejection(label, e, m, reason)
+                          for e in all_eps[~kept].tolist()
+                          for m in config.methods)
+        if kept.any():
+            eps = all_eps[kept]
+            blocks.append(ResultBlock(label, eps, *evaluate(target, eps)))
     result = ErrorStudyResult(config, blocks, rejections,
                               _fit_blocks(blocks, config))
     if config.out_dir:
@@ -668,17 +633,17 @@ def write_outputs(result: ErrorStudyResult) -> dict:
     if not out:
         raise ConfigError("no output directory configured")
     _make_dir(out)
-    columns = _by_target(result.blocks)
     order = {}
-    for label in [*columns, *(r.target for r in result.rejections)]:
+    for label in [*(b.target for b in result.blocks),
+                  *(r.target for r in result.rejections)]:
         order.setdefault(label, len(order))
     paths = {}
 
     paths["results"] = os.path.join(out, "results.csv")
     with _atomic_write(paths["results"]) as fh:
         fh.write(CSV_HEADER + "\n")
-        for label, (eps, exact, values) in columns.items():
-            fh.write(_csv_block(label, eps, exact, values))
+        for b in result.blocks:
+            fh.write(_csv_block(b))
 
     paths["fits"] = os.path.join(out, "fits.json")
     with _atomic_write(paths["fits"]) as fh:
@@ -695,7 +660,7 @@ def write_outputs(result: ErrorStudyResult) -> dict:
                 fh.write(",".join([r.target, _fmt(r.eps), r.method,
                                    json.dumps(r.reason)]) + "\n")
 
-    methods = sorted({m for _, _, values in columns.values() for m in values})
+    methods = sorted({m for b in result.blocks for m in b.values})
     paths["plot"] = os.path.join(out, "plot.gp")
     with _atomic_write(paths["plot"]) as fh:
         fh.write(_gnuplot_script(methods))
@@ -712,16 +677,16 @@ def _fmt_column(values) -> list:
     return list(map(repr, values.tolist()))
 
 
-def _csv_block(label: str, eps, exact, values: dict) -> str:
+def _csv_block(b: ResultBlock) -> str:
     """One target's results.csv lines: methods by name, eps descending.
     eps and exact are formatted once for all the methods."""
-    eps_s, exact_s = _fmt_column(eps), _fmt_column(exact)
+    eps_s, exact_s = _fmt_column(b.eps), _fmt_column(b.exact)
     lines = []
-    for m in sorted(values):
-        value = values[m]
-        lines.extend(f"{label},{e},{m},{v},{x},{a}\n" for e, v, x, a in zip(
+    for m in sorted(b.values):
+        value = b.values[m]
+        lines.extend(f"{b.target},{e},{m},{v},{x},{a}\n" for e, v, x, a in zip(
             eps_s, _fmt_column(value), exact_s,
-            _fmt_column(np.abs(value - exact))))
+            _fmt_column(np.abs(value - b.exact))))
     return "".join(lines)
 
 
@@ -780,10 +745,8 @@ def fit_results(rows, lo: float = 1e-6, hi: float = 1e-2) -> list:
 
 def _fit_blocks(blocks, config: StudyConfig) -> list:
     """fit_results of the blocks' rows, read from their columns."""
-    return _fit_groups(((label, m, eps, np.abs(value - exact))
-                        for label, (eps, exact, values)
-                        in _by_target(blocks).items()
-                        for m, value in values.items()),
+    return _fit_groups(((b.target, m, b.eps, np.abs(value - b.exact))
+                        for b in blocks for m, value in b.values.items()),
                        config.fit_lo, config.fit_hi)
 
 

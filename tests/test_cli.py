@@ -348,6 +348,13 @@ def test_hg_on_2d_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_run_on_hg_config_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, dict(_HG, out=str(tmp_path/"out")))
+    assert cli.main(["run", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path/"out").exists()
+
+
 def _src_env():
     # the environment with this checkout's src first on PYTHONPATH
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)),

@@ -24,7 +24,7 @@ from closeeval.harness import (METHODS_2D, METHODS_3D, PROBLEMS_2D,
                                config_from_dict, eps_grid, fit_order,
                                fit_results, load_config, parse_eps_range,
                                ErrorStudyResult, read_results_csv,
-                               run_error_map, run_hg_study, write_outputs,
+                               run_error_map, write_outputs,
                                _targets_2d)
 from closeeval.hgscatter import IntensityField
 
@@ -355,19 +355,11 @@ def test_string_targets_rejected_for_2d():
         run_error_map(_kite_config(targets=("x1x3-slice",)))
 
 
-def test_hg_requires_run_hg_study():
-    cfg = StudyConfig(problem="hg", n=8, hg_field=((1, 0, 1.0, 0.0),))
-    with pytest.raises(ConfigError):
-        run_error_map(cfg)
-    with pytest.raises(ConfigError):
-        run_hg_study(_kite_config())
-
-
 def test_run_hg_study_slope_and_rejections():
     cfg = StudyConfig(problem="hg", n=8,
                       hg_field=((3, 1, 1.0, 0.0), (1, 0, 0.5, 0.0)),
                       eps=(0.7,) + tuple(np.logspace(-1, -3, 11)))
-    res = run_hg_study(cfg)
+    res = run_error_map(cfg)
     assert [r.method for r in res.rows] == ["hg_asym"]*11
     assert len(res.rejections) == 1 and res.rejections[0].eps == 0.7
     assert abs(res.fit_for("hg", "hg_asym").slope - 3.0) < 0.3
@@ -376,7 +368,7 @@ def test_run_hg_study_slope_and_rejections():
 def test_run_hg_study_rejecting_every_eps_keeps_no_block(tmp_path):
     cfg = StudyConfig(problem="hg", n=8, hg_field=((1, 0, 1.0, 0.0),),
                       eps=(0.9, 0.7), out_dir=str(tmp_path))
-    res = run_hg_study(cfg)
+    res = run_error_map(cfg)
     assert res.blocks == [] and res.fits == [] and res.row_count == 0
     assert len(res.rejections) == 2
     assert (tmp_path/"results.csv").read_text() == harness.CSV_HEADER + "\n"
@@ -398,9 +390,9 @@ def test_run_hg_study_exact_matches_quadrature():
     # in [1e-2, 1e-1] keeps every polar rule at or below 1024 nodes
     rows = _real_hg_field(np.random.default_rng(5), 6)
     omega = (1.3, -0.4)
-    res = run_hg_study(StudyConfig(problem="hg", n=8, hg_field=rows,
-                                   hg_omega=omega,
-                                   eps=tuple(eps_grid(1e-2, 1e-1, 10))))
+    res = run_error_map(StudyConfig(problem="hg", n=8, hg_field=rows,
+                                    hg_omega=omega,
+                                    eps=tuple(eps_grid(1e-2, 1e-1, 10))))
     coeffs = spectral.SphericalCoeffs.zeros(7)
     for n, m, re, im in rows:
         coeffs.c[spectral.SphericalCoeffs.index(n, m)] = re + 1j*im
@@ -424,8 +416,8 @@ def test_run_hg_study_builds_no_large_rule(monkeypatch):
     monkeypatch.setattr(spectral, "_gl_cached", functools.lru_cache(
         maxsize=128)(spectral._gl_cached.__wrapped__))
     rows = _real_hg_field(np.random.default_rng(6), 6)
-    res = run_hg_study(StudyConfig(problem="hg", n=8, hg_field=rows,
-                                   eps=tuple(eps_grid(1e-3, 1e-1, 25))))
+    res = run_error_map(StudyConfig(problem="hg", n=8, hg_field=rows,
+                                    eps=tuple(eps_grid(1e-3, 1e-1, 25))))
     assert len(res.rows) == 51
     # only the L32 rule: the exact column comes from the eigen-action
     assert max(built, default=0) <= 64
@@ -433,13 +425,13 @@ def test_run_hg_study_builds_no_large_rule(monkeypatch):
 
 def test_hg_field_validation():
     with pytest.raises(ConfigError):
-        run_hg_study(StudyConfig(problem="hg", n=8))
+        run_error_map(StudyConfig(problem="hg", n=8))
     with pytest.raises(ConfigError):
-        run_hg_study(StudyConfig(problem="hg", n=8,
-                                 hg_field=((1, 5, 1.0, 0.0),)))
+        run_error_map(StudyConfig(problem="hg", n=8,
+                                  hg_field=((1, 5, 1.0, 0.0),)))
     with pytest.raises(ConfigError):  # one large eps keeps any rule small
-        run_hg_study(StudyConfig(problem="hg", n=8, eps=(0.1,),
-                                 hg_field=((33, 0, 1.0, 0.0),)))
+        run_error_map(StudyConfig(problem="hg", n=8, eps=(0.1,),
+                                  hg_field=((33, 0, 1.0, 0.0),)))
 
 
 def test_write_outputs_deterministic(tmp_path, kite_result):
@@ -553,8 +545,7 @@ _WRITER_STUDIES = {
 @pytest.mark.parametrize("study", _WRITER_STUDIES)
 def test_column_writer_matches_row_by_row_writer(tmp_path, study):
     cfg = replace(_WRITER_STUDIES[study](), out_dir=str(tmp_path/"columns"))
-    run = run_hg_study if cfg.problem == "hg" else run_error_map
-    result = run(cfg)
+    result = run_error_map(cfg)
     assert result.rejections and result.row_count == len(result.rows) > 0
     _row_by_row_outputs(result, tmp_path/"rows")
     names = ["fits.json", "plot.gp", "rejections.csv", "results.csv"]
@@ -667,6 +658,38 @@ def test_3d_cache_file_from_another_solver_is_solved_again(tmp_path, record,
     # the rewritten file is a hit
     monkeypatch.setattr(harness, "solve_density3d", None)
     assert run_error_map(cfg).rows == res.rows
+
+
+@pytest.mark.parametrize("edit", ["slot-twice", "fractional-n", "bool-m"])
+def test_3d_cache_file_with_a_bad_slot_is_solved_again(tmp_path, monkeypatch,
+                                                       edit):
+    # a table that gives one (n, m) twice and leaves another out, or whose
+    # n or m is fractional or a bool, is a miss and is not truncated
+    cfg = StudyConfig(problem="3d-sphere", n=6, methods=("numerical",),
+                      eps=(1e-1, 1e-2), targets=((0.9, 0.4),),
+                      cache_dir=str(tmp_path))
+    res = run_error_map(cfg)
+    path = harness._density_cache_path(cfg)
+    with open(path) as fh:
+        payload = json.load(fh)
+    good = payload["coeffs"]
+    rows = [list(row) for row in good]
+    if edit == "slot-twice":  # (5, 5) replaced by a second (0, 0)
+        rows[-1] = list(rows[0])
+    elif edit == "fractional-n":  # (1, 0) as n = 1.5
+        rows[2][0] = 1.5
+    else:  # (1, 0) as (True, False)
+        rows[2][:2] = [True, False]
+    with open(path, "w") as fh:
+        json.dump(dict(payload, coeffs=rows), fh)
+    solves = []
+    solve = harness.solve_density3d
+    monkeypatch.setattr(harness, "solve_density3d",
+                        lambda *a: solves.append(a) or solve(*a))
+    assert run_error_map(cfg).rows == res.rows
+    assert len(solves) == 1
+    with open(path) as fh:
+        assert json.load(fh)["coeffs"] == good
 
 
 def test_3d_sweep_rejects_points_outside():

@@ -38,9 +38,11 @@ def test_hgscatter_imports_from_spectral_alone():
 def test_no_module_names_the_deleted_duplicates():
     # the ring rotation and the dense and single-harmonic bases live only
     # in tests/references.py; the 2D duplicates are folded into one
-    # function each (closeeval2d._columns, geometry2d._series) or deleted
+    # function each (closeeval2d._columns, geometry2d._series) or deleted;
+    # every study runs through the one sweep of harness.run_error_map
     deleted = {"rotated_angles", "sph_basis_matrix", "sph_harm_eval",
-               "_ptr_and_sub", "_coord", "_descending"}
+               "_ptr_and_sub", "_coord", "_descending", "run_hg_study",
+               "_sweep_2d", "_sweep_3d", "_by_target", "_cmd_hg"}
     for path in sorted(PACKAGE.glob("*.py")):
         names = set()
         for node in ast.walk(ast.parse(path.read_text())):
