@@ -14,17 +14,21 @@ Each Galerkin column applies the operator to one basis harmonic, which is
 evaluable anywhere in closed form; the projection grid uses Gauss-Legendre
 colatitudes so that analysis is exact for band-limited columns.
 
-The rows of the Galerkin matrix are the 2N^2 nodes of that grid, each with
-its own rotated quadrature grid, built in a few stacked blocks per
-colatitude.  Every row's grid is the same local (s, t) grid, rotated by
-R_z(phi_k) R_y(theta_i).  So a row's kernel weights are projected onto
-local harmonics (an FFT over t and one Legendre table at the N polar
-nodes), turned to global harmonics by the Wigner matrices d^l(theta_i),
-and phased by e^{im phi_k}; the basis is evaluated only at the N row poles
-(theta_i, 0) (DECISIONS.md D14).  Only the m >= 0 columns are assembled:
-the kernel is real, so the others are their conjugates (DECISIONS.md D10).
-Each colatitude's longitude FFT is kept, and the projection contracts them
-over colatitudes once per order (DECISIONS.md D11, D14).
+Every surface here maps to itself under x1 -> -x1 and x2 -> -x2, that is
+phi -> pi - phi and phi -> -phi, and the operator commutes with both.  So
+in the real harmonic basis (Y_n0, sqrt2 Re Y_nm, sqrt2 Im Y_nm) the matrix
+is four real blocks, (m even, m odd) x (cos, sin), each about N^2/4
+square; they are assembled, stored and solved apart (DECISIONS.md D19).
+The rows are the nodes (theta_i, phi_j) of that grid, each with its own
+rotated quadrature grid, but only those at 0 <= phi_j <= pi/2 are computed:
+the reflections give the others, and a row enters the longitude sums once
+per point of its orbit.  Every row's grid is the same local (s, t) grid,
+rotated by R_z(phi_j) R_y(theta_i).  So a row's kernel weights are
+projected onto local harmonics (an FFT over t and one Legendre table at the
+N polar nodes), turned to global harmonics by the Wigner matrices
+d^l(theta_i), built per degree for a block of colatitudes at once, and
+phased by e^{im phi_j}; the basis is evaluated only at the N row poles
+(theta_i, 0) (DECISIONS.md D14).
 """
 
 from __future__ import annotations
@@ -41,23 +45,26 @@ import numpy as np
 
 from .geometry3d import (Surface3D, _rotated_frame, direction,
                          direction_angles, surface_point_and_normal)
-from .spectral import (SphericalCoeffs, _analysis, _jy_eigenvectors,
-                       _legendre_table, _tri, _wigner_d, analysis_grid,
-                       mapped_rule, periodic_nodes, sph_analysis,
-                       sph_half_basis, sph_synthesis)
+from .spectral import (SphericalCoeffs, _jy_eigenvectors, _legendre_table,
+                       _tri, _wigner_d, analysis_grid, mapped_rule,
+                       periodic_nodes, sph_analysis, sph_half_basis,
+                       sph_synthesis)
 
-# Largest Galerkin degree.  Assembly builds 2n^2 rotated grids of 2n^2
-# nodes (O(n^4) geometry) and reaches the basis through local harmonics and
-# Wigner rotations (O(n^5) flops); it holds the matrix and the rows' spectra,
-# n^4 complex values each.  A mushroom solve at n = 64 takes about 25 s and
-# 560 MB on one BLAS thread.
-MAX_DEGREE = 64
+# Largest Galerkin degree.  Assembly builds N^2(N/2 + 1) rotated grids of
+# 2N^2 nodes (O(N^4) geometry) and reaches the basis through local
+# harmonics and Wigner rotations (O(N^5) flops); it holds the four real
+# blocks, N^4/4 values.  A mushroom solve on one BLAS thread takes about
+# 3.2 s and 144 MB at n = 64, and 19 s and 345 MB at n = 96.
+MAX_DEGREE = 96
 # Revision of the Galerkin solver that saved densities record; raise it
 # whenever the assembled matrix changes, so that densities solved by
 # earlier code are solved again instead of trusted.
-SOLVER_REVISION = 1
+SOLVER_REVISION = 2
 # Quadrature nodes per stacked block of Galerkin rows (see _row_block).
 _BLOCK_NODES = 2**14
+# Wigner-table and longitude-sum values per block of colatitudes (see
+# _colatitude_block).
+_COLATITUDE_VALUES = 2**22
 
 
 @contextmanager
@@ -223,62 +230,102 @@ def apply_K_subtracted(surface: Surface3D, g: Callable, theta0: float,
     return out if np.iscomplexobj(vals) else float(np.real(out))
 
 
-def assemble_galerkin(surface: Surface3D, n: int) -> np.ndarray:
-    """Dense coefficient-space matrix of (K - 1/2 I), size n^2 by n^2.
+def assemble_galerkin(surface: Surface3D, n: int) -> tuple:
+    """(K - 1/2 I) in the real harmonic basis: four real square blocks, one
+    per block of _real_basis(n), which the operator does not couple
+    (DECISIONS.md D19).
 
-    Column (n', m') holds the spherical analysis of the grid function
-    produced by applying the boundary operator to Y_{n'm'} and subtracting
-    half the harmonic again.
+    Entry ((n', m'), (n, m)) of a block is the real analysis, onto the
+    n'm' function, of the grid function produced by applying the boundary
+    operator to the nm function and subtracting half of it again.
     """
     if n > MAX_DEGREE:
         raise ValueError(f"coefficient degree {n} beyond desk scale: the "
                          f"Galerkin assembly supports n <= {MAX_DEGREE}")
     th, wth, ph = analysis_grid(n)
-    nphi = 2*n
-    m = np.concatenate([np.arange(-d, d + 1) for d in range(n)])
-    half = np.flatnonzero(m >= 0)  # sph_half_basis's columns, in its order
+    # the rows at 0 <= phi_j = pi j/n <= pi/2 stand for the others: each is
+    # counted once per point of its orbit under phi -> -phi, phi -> pi - phi
+    quarter = ph[n:n + n//2 + 1]
+    j = np.arange(quarter.size)
+    orbit = 4.0 - 2*(j == 0) - 2*(2*j == n)
+    waves = np.arange(n)[:, None]*quarter
+    cos_sum, sin_sum = orbit*np.cos(waves), orbit*np.sin(waves)
+    # the order m of each sph_half_basis column
+    order = np.concatenate([np.arange(d + 1) for d in range(n)])
     # rotation_matrix(theta, phi) = R_z(phi) R_y(theta): the grid about
-    # (theta_i, phi_k) is the grid about (theta_i, 0) turned by phi_k, where
-    # Y_nm gains e^{im phi_k}
-    turn = np.exp(1j*np.outer(ph, m[half]))
+    # (theta_i, phi_j) is the grid about (theta_i, 0) turned by phi_j, where
+    # Y_nm gains e^{im phi_j}
+    turn = np.exp(1j*np.outer(quarter, order))
     rule = mapped_rule(n)
     local = _legendre_table(np.cos(rule.nodes), np.sin(rule.nodes), n)
-    eigvecs = [_jy_eigenvectors(d) for d in range(n)]
-    block = _row_block(n)
-    spectra = np.empty((n, nphi, half.size), dtype=complex)
-    KW = np.empty((nphi, n, nphi))
-    for i in range(n):
-        for k in range(0, nphi, block):
-            phi = ph[k:k + block]
-            KW[k:k + block] = subtracted_weights(
-                surface, np.full(phi.size, th[i]), phi, n)[0]
-        # operator applied to every m >= 0 basis column at once:
-        # sum kw (Y - Y0)  -  Y0/2  -  Y0/2, with Y0 turned like the grid
-        Y0 = sph_half_basis(th[i:i + 1], np.zeros(1), n)
-        V = turn*(_rotated_sums(KW, local, th[i], eigvecs).T
-                  - Y0*(KW.sum(axis=(1, 2)) + 1.0)[:, None])
-        spectra[i] = np.fft.fft(V, axis=0)
-    del V, KW
-    Ah = _analysis(spectra, th, wth)
-    del spectra
-    A = np.empty((n*n, n*n), dtype=complex)
-    A[:, half] = Ah
-    del Ah
-    # a real kernel maps the real fields Y_nm + (-1)^m conj(Y_nm) to real
-    # fields, so A[(n',m'), (n,-m)] = (-1)^(m+m') conj(A[(n',-m'), (n,m)])
-    neg = np.flatnonzero(m < 0)
-    mirror = np.arange(n*n) - 2*m  # flat slot of (n, -m)
-    sign = (-1.0)**m
-    mirrored = A[np.ix_(mirror, mirror[neg])]
-    np.conj(mirrored, out=mirrored)
-    mirrored *= np.outer(sign, sign[neg])
-    A[:, neg] = mirrored
-    return A
+    poles = sph_half_basis(th, np.zeros(n), n)
+    wP = _legendre_table(np.cos(th), np.sin(th), n)*((np.pi/n)*wth)
+    # per block: its functions' sph_half_basis columns, their orders and the
+    # rows of each order (the functions run by order, then by degree)
+    basis = []
+    for dn, dm in _real_basis(n):
+        orders = np.unique(dm)
+        basis.append((_tri(dn) + dm, orders,
+                       np.append(np.searchsorted(dm, orders), dm.size)))
+    blocks = [np.zeros((cols.size, cols.size)) for cols, _, _ in basis]
+    step = _row_block(quarter.size, n)
+    KW = np.empty((quarter.size, n, 2*n))
+    chunk = _colatitude_block(n)
+    for first in range(0, n, chunk):
+        part = slice(first, min(first + chunk, n))
+        rotations = _wigner_tables(th[part], n)
+        sums = [np.empty((orders.size, part.stop - first, cols.size))
+                for cols, orders, _ in basis]
+        for c, i in enumerate(range(first, part.stop)):
+            for k in range(0, quarter.size, step):
+                phi = quarter[k:k + step]
+                KW[k:k + step] = subtracted_weights(
+                    surface, np.full(phi.size, th[i]), phi, n)[0]
+            # operator applied to every m >= 0 harmonic at once:
+            # sum kw (Y - Y0)  -  Y0/2  -  Y0/2, with Y0 turned like the grid
+            V = turn*(_rotated_sums(KW, local, [r[c] for r in rotations]).T
+                      - poles[i]*(KW.sum(axis=(1, 2)) + 1.0)[:, None])
+            # longitude sums of Re V (cos functions) and Im V (sin
+            # functions) against cos m'phi and sin m'phi
+            for (cols, orders, _), T, weights, field in zip(
+                    basis, sums, (cos_sum, sin_sum)*2, (V.real, V.imag)*2):
+                T[:, c] = weights[orders] @ field[:, cols]
+        # the sums against the Legendre rows over these colatitudes, one
+        # product per order
+        for B, (cols, _, edges), T in zip(blocks, basis, sums):
+            for k, Tm in enumerate(T):
+                r = slice(edges[k], edges[k + 1])
+                B[r] += wP[cols[r], part] @ Tm
+    # the cos and sin functions with m > 0 are sqrt2 Re Y and sqrt2 Im Y
+    for B, (cols, _, _) in zip(blocks, basis):
+        scale = np.where(order[cols] > 0, np.sqrt(2.0), 1.0)
+        B *= np.outer(scale, scale)
+    return tuple(blocks)
 
 
-def _rotated_sums(KW, local, beta, eigvecs):
+def _wigner_tables(theta, n: int) -> list:
+    """Per degree l < n, the Wigner matrices d^l(theta_i) of every
+    colatitude folded for _rotated_sums, shape (len(theta), 2, l+1, l+1).
+
+    A row's local coefficients c_lm' are X_m' = sum_j Pbar rfft(kw) with
+    c_lm' = (-1)^m' conj(X_m') and c_{l,-m'} = X_m'.  With d_+ the columns
+    m' >= 0 of d^l, d_- the columns -m' <= 0 with m' = 0 zeroed, and
+    S = diag((-1)^m'), the rows m >= 0 of the rotation are
+    sum_m' d_mm' c_lm' = (d_+ S + d_-) Re X - i (d_+ S - d_-) Im X; the two
+    matrices are stacked."""
+    out = []
+    for l in range(n):
+        d = _wigner_d(_jy_eigenvectors(l), theta, l)
+        plus, minus = d[..., l:]*(-1.0)**np.arange(l + 1), d[..., l::-1]
+        minus[..., 0] = 0.0
+        out.append(np.stack([plus + minus, plus - minus], axis=1))
+    return out
+
+
+def _rotated_sums(KW, local, rotation):
     """sum_jq kw_jq Y_lm(R_y(beta) d(s_j, t_q)) for every row kw of KW
-    (rows, n, 2n) and every 0 <= m <= l < n, shape (n(n+1)/2, rows).
+    (rows, n, 2n) and every 0 <= m <= l < n, shape (n(n+1)/2, rows), with
+    rotation the _wigner_tables of beta, one (2, l+1, l+1) array per l.
 
     Each row's local coefficients c_lm' = sum_jq kw_jq Y_lm'(s_j, t_q) come
     from an FFT over the 2n azimuths t_q = -pi + pi q/n, where
@@ -293,30 +340,70 @@ def _rotated_sums(KW, local, beta, eigvecs):
     for mp in range(n):
         slots = _tri(np.arange(mp, n)) + mp
         out[slots] = (local[slots] @ F[mp].view(float)).view(complex)
-    for l in range(n):
-        # X = out[l's slots] = sum_j Pbar rfft(kw), so c_lm' is
-        # (-1)^m' conj(X_m') and c_{l,-m'} is X_m'.  With d_+ the columns
-        # m' >= 0 of d^l, d_- the columns -m' <= 0 with m' = 0 zeroed, and
-        # S = diag((-1)^m'),
-        # sum_m' d_mm' c_lm' = (d_+ S + d_-) Re X - i (d_+ S - d_-) Im X
+    for l, (even, odd) in enumerate(rotation):
         X = out[_tri(l):_tri(l + 1)]
-        d = _wigner_d(eigvecs[l], beta, l)
-        plus, minus = d[:, l:]*(-1.0)**np.arange(l + 1), d[:, l::-1]
-        minus[:, 0] = 0.0
-        re = (plus + minus) @ X.real
-        im = (plus - minus) @ X.imag
+        re = even @ X.real
+        im = odd @ X.imag
         X.real, X.imag = re, -im
     return out
 
 
-def _row_block(n: int) -> int:
+def _colatitude_block(n: int) -> int:
+    """Colatitudes whose Wigner tables and longitude sums the assembly
+    holds at once, about 7n^3/6 values each: equal blocks of at most
+    _COLATITUDE_VALUES values, so they stay small beside the four blocks
+    (n^4/4 values) at high degree (DECISIONS.md D19)."""
+    blocks = -(-n*(7*n**3//6)//_COLATITUDE_VALUES)
+    return -(-n//blocks)
+
+
+def _row_block(rows: int, n: int) -> int:
     """Rows of one colatitude whose quadrature grids one stacked
     subtracted_weights call builds: equal blocks of at most _BLOCK_NODES
-    grid nodes, so the geometry temporaries stay small beside the matrix
+    grid nodes, so the geometry temporaries stay small beside the blocks
     that the assembly holds (DECISIONS.md D10)."""
-    nphi, nodes = 2*n, 2*n*n
-    blocks = -(-nphi*nodes//_BLOCK_NODES)
-    return -(-nphi//blocks)
+    blocks = -(-rows*2*n*n//_BLOCK_NODES)
+    return -(-rows//blocks)
+
+
+def _real_basis(N: int) -> list:
+    """The real orthonormal harmonics of degree below N in four blocks:
+    (m even, cos), (m even, sin), (m odd, cos), (m odd, sin).  The cos
+    functions are Y_n0 and sqrt2 Re Y_nm, the sin functions sqrt2 Im Y_nm
+    (m >= 1).  Per block, the degree n and order m >= 0 of each function,
+    by ascending m and then n."""
+    out = []
+    for parity in (0, 1):
+        for first in (parity, parity or 2):
+            pairs = [(d, m) for m in range(first, N, 2) for d in range(m, N)]
+            out.append(tuple(np.array(pairs, dtype=int).reshape(-1, 2).T))
+    return out
+
+
+def _to_real(c: np.ndarray, N: int) -> list:
+    """Complex coefficients c (N^2,) in the real basis, one vector per
+    block of _real_basis(N): <f, C_nm> = (c_nm + (-1)^m c_{n,-m})/sqrt2 and
+    <f, S_nm> = i (c_nm - (-1)^m c_{n,-m})/sqrt2, and <f, Y_n0> = c_n0 as
+    the half sum of c_n0 twice.  The vectors are complex when f is not
+    real."""
+    out = []
+    for (n, m), sin in zip(_real_basis(N), (False, True)*2):
+        w = np.where(m > 0, np.sqrt(0.5), 0.5)
+        plus, minus = c[n*n + n + m], (-1.0)**m*c[n*n + n - m]
+        out.append(1j*w*(plus - minus) if sin else w*(plus + minus))
+    return out
+
+
+def _from_real(parts: list, N: int) -> np.ndarray:
+    """The inverse of _to_real: c_nm = (a_cos - i a_sin)/sqrt2 and
+    (-1)^m c_{n,-m} = (a_cos + i a_sin)/sqrt2, and c_n0 = a_cos as the sum
+    of two halves."""
+    c = np.zeros(N*N, dtype=complex)
+    for (n, m), a, sin in zip(_real_basis(N), parts, (False, True)*2):
+        w = np.where(m > 0, np.sqrt(0.5), 0.5)
+        c[n*n + n + m] += -1j*w*a if sin else w*a
+        c[n*n + n - m] += (-1.0)**m*(1j*w*a if sin else w*a)
+    return c
 
 
 def project_boundary_data(f: Callable, n: int) -> SphericalCoeffs:
@@ -327,19 +414,28 @@ def project_boundary_data(f: Callable, n: int) -> SphericalCoeffs:
 
 
 def solve_density3d(surface: Surface3D, f: Callable, n: int,
-                    matrix: np.ndarray = None) -> Density3D:
+                    matrix: tuple = None) -> Density3D:
     """Solve (K - 1/2 I) mu = f for the density coefficients.
 
-    f(theta, phi) samples the Dirichlet data at surface parameters.  Pass a
-    precomputed Galerkin matrix to skip assembly (it dominates the cost).
+    f(theta, phi) samples the Dirichlet data at surface parameters.  Pass
+    precomputed assemble_galerkin blocks to skip assembly (it dominates the
+    cost).  The data's coefficients are carried into the real basis, each
+    block is solved with its real and imaginary parts as two right-hand
+    sides, and the density is carried back.
     """
-    A = assemble_galerkin(surface, n) if matrix is None else matrix
+    blocks = assemble_galerkin(surface, n) if matrix is None else matrix
     fhat = project_boundary_data(f, n)
-    muhat = np.linalg.solve(A, fhat.c)
-    resid = np.max(np.abs(A @ muhat - fhat.c))
-    if resid > 1e-10*max(np.max(np.abs(fhat.c)), 1.0):
-        raise RuntimeError(f"Galerkin solve residual too large: {resid:.3e}")
-    return Density3D(surface, SphericalCoeffs(n, muhat), f)
+    tol = 1e-10*max(np.max(np.abs(fhat.c)), 1.0)
+    parts = []
+    for B, rhs in zip(blocks, _to_real(fhat.c, n)):
+        rhs = np.stack([rhs.real, rhs.imag], axis=1)
+        x = np.linalg.solve(B, rhs)
+        resid = np.max(np.abs(B @ x - rhs), initial=0.0)
+        if resid > tol:
+            raise RuntimeError(f"Galerkin solve residual too large: "
+                               f"{resid:.3e}")
+        parts.append(x[:, 0] + 1j*x[:, 1])
+    return Density3D(surface, SphericalCoeffs(n, _from_real(parts, n)), f)
 
 
 def harmonic_point_source_3d(surface: Surface3D, source) -> Callable:

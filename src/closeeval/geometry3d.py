@@ -34,6 +34,12 @@ class Surface3D:
     profile/profile_prime are functions of c = cos(theta); axes scales the
     three coordinates.  orient is +1 when the (theta, phi) cross product
     already points outward, fixed once by a ray test at construction.
+
+    Since the profile depends on cos(theta) alone, every such surface maps
+    to itself under x1 -> -x1 and x2 -> -x2.  The Galerkin solver relies on
+    both reflections: it computes a quarter of the rows and splits the
+    matrix into four real blocks (DECISIONS.md D19).  A surface class
+    without them would need the full assembly back.
     """
 
     kind: str

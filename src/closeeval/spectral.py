@@ -254,34 +254,27 @@ def analysis_grid(N: int):
     theta = np.arccos(rule.nodes[::-1])
     return theta, rule.weights[::-1].copy(), periodic_nodes(2*N)
 
-def _analysis(spectra: np.ndarray, theta, weights) -> np.ndarray:
-    """Coefficients (N^2, ...) from the longitude FFTs (k, 2N, ...) of
-    samples on k of the analysis_grid(N) colatitudes, theta with their
-    weights.  phi_0 = -pi makes the sign (-1)^m; each order m is one product
-    of its Legendre rows at theta with its FFT bin (DECISIONS.md D11)."""
-    N = spectra.shape[1]//2
-    v = spectra.reshape(len(theta), 2*N, -1)
-    P = _legendre_table(np.cos(theta), np.sin(theta), N)*((np.pi/N)*weights)
-    out = np.empty((N*N, v.shape[2]), dtype=complex)
-    for m in range(1 - N, N):
-        n = np.arange(abs(m), N)
-        # conj(Y_nm) has a second (-1)^m when m < 0, so the signs cancel there
-        sign = (-1.0)**m if m > 0 else 1.0
-        out[n*n + n + m] = (sign*P[_tri(n) + abs(m)]) @ v[:, m % (2*N)]
-    return out.reshape((N*N,) + spectra.shape[2:])
-
 def sph_analysis(values: np.ndarray, N: int) -> SphericalCoeffs:
     """Project samples on the analysis_grid(N) mesh onto Y_nm, n < N.
 
     values has shape (N, 2N), theta index first.  Exact (to roundoff) for
-    fields band-limited below degree N.
+    fields band-limited below degree N.  phi_0 = -pi makes the longitude
+    sums an FFT times (-1)^m; each order m is one product of its Legendre
+    rows with its FFT bin (DECISIONS.md D11).
     """
     v = np.asarray(values)
     if v.shape != (N, 2*N):
         raise ValueError("values must be sampled on the (N, 2N) analysis grid")
     theta, weights, _ = analysis_grid(N)
-    return SphericalCoeffs(N, _analysis(np.fft.fft(v, axis=1), theta,
-                                        weights))
+    spectra = np.fft.fft(v, axis=1)
+    P = _legendre_table(np.cos(theta), np.sin(theta), N)*((np.pi/N)*weights)
+    out = np.empty(N*N, dtype=complex)
+    for m in range(1 - N, N):
+        n = np.arange(abs(m), N)
+        # conj(Y_nm) has a second (-1)^m when m < 0, so the signs cancel there
+        sign = (-1.0)**m if m > 0 else 1.0
+        out[n*n + n + m] = (sign*P[_tri(n) + abs(m)]) @ spectra[:, m % (2*N)]
+    return SphericalCoeffs(N, out)
 
 def sph_synthesis(coeffs: SphericalCoeffs, theta, phi) -> np.ndarray:
     """Evaluate the truncated expansion at arbitrary angles (complex output).
@@ -308,9 +301,10 @@ def _jy_eigenvectors(l: int) -> np.ndarray:
     off = -0.5*np.sqrt(l*(l + 1.0) - m*(m + 1.0))
     return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))[1]
 
-def _wigner_d(U: np.ndarray, beta: float, rows: int = 0) -> np.ndarray:
+def _wigner_d(U: np.ndarray, beta, rows: int = 0) -> np.ndarray:
     """Wigner d^l(beta) = exp(-i beta J_y) from U = _jy_eigenvectors(l):
-    the rows m = rows - l .. l and every column m' = -l .. l.
+    the rows m = rows - l .. l and every column m' = -l .. l.  An array of
+    angles gives one matrix per angle along leading axes.
 
     Y_lm(R_y(beta) p) = sum_m' d_mm' Y_lm'(p), with R_y = rotation_matrix(
     beta, 0).  d_mm' = Re(i^(m-m') sum_k U_mk U_m'k e^{-ik beta}), and the
@@ -318,8 +312,9 @@ def _wigner_d(U: np.ndarray, beta: float, rows: int = 0) -> np.ndarray:
     l = (len(U) - 1)//2
     k = np.arange(-l, l + 1)
     top = U[rows:]
-    C = (top*np.cos(beta*k)) @ U.T
-    S = (top*np.sin(beta*k)) @ U.T
+    angle = np.asarray(beta, dtype=float)[..., None, None]*k
+    C = (top*np.cos(angle)) @ U.T
+    S = (top*np.sin(angle)) @ U.T
     # i^(m-m') (C - iS) is real: C where m - m' is even, S where it is odd,
     # with the sign of the power of i
     gap = (k[rows:, None] - k[None, :]) % 4

@@ -8,13 +8,15 @@ pole_second_derivative_average is the finite-difference pole curvature
 that the two-term expansion's Laplacian term is checked against.
 sph_harm_eval and sph_basis_matrix give the harmonics one at a time and as
 the dense basis with the m < 0 columns, and rotated_angles the angles of a
-rotated grid's nodes.
+rotated grid's nodes.  galerkin_matrix turns the Galerkin assembly's real
+blocks back into the complex n^2 x n^2 matrix.
 """
 
 import warnings
 
 import numpy as np
 
+from closeeval.bie3d import _from_real, _to_real
 from closeeval.geometry3d import direction_angles, rotated_frame, unit_sphere
 from closeeval.hgscatter import _L32_POLAR_NODES, IntensityField
 from closeeval.spectral import (_legendre_table, _tri, mapped_rule,
@@ -35,6 +37,17 @@ def rotated_angles(s, t, theta_star: float, phi_star: float):
     phi*."""
     return direction_angles(
         rotated_frame(unit_sphere(), theta_star, phi_star, s, t)[2], phi_star)
+
+
+def galerkin_matrix(blocks, n: int) -> np.ndarray:
+    """The complex Galerkin matrix in SphericalCoeffs' order from
+    assemble_galerkin's four real blocks: column j is the unit coefficient
+    vector e_j carried into the real basis, through the blocks and back."""
+    A = np.empty((n*n, n*n), dtype=complex)
+    for j, e in enumerate(np.eye(n*n)):
+        A[:, j] = _from_real([B @ a for B, a in zip(blocks, _to_real(e, n))],
+                             n)
+    return A
 
 
 def sph_harm_eval(n: int, m: int, theta, phi):

@@ -11,12 +11,24 @@ from closeeval.bie3d import (Density3D, apply_K_subtracted, assemble_galerkin,
                              harmonic_point_source_3d, project_boundary_data,
                              rotated_grid, solve_density3d,
                              subtracted_weights)
-from closeeval.geometry3d import direction_angles, mushroom, unit_sphere
+from closeeval.geometry3d import (custom_radial, direction_angles, mushroom,
+                                  unit_sphere)
 from closeeval.spectral import SphericalCoeffs, analysis_grid
 
-from references import sph_basis_matrix, sph_harm_eval
+from references import galerkin_matrix, sph_basis_matrix, sph_harm_eval
 
 SOURCE = (5.0, 4.0, 3.0)
+
+
+def three_axis():
+    # a radial surface with three different axes: it keeps only the two
+    # reflections x1 -> -x1 and x2 -> -x2 that the assembly relies on
+    return custom_radial(lambda c: 1.5 + 0.3*c - 0.2*c*c,
+                         lambda c: 0.3 - 0.4*c, axes=(1.0, 1.7, 0.8))
+
+
+SURFACES = {"unit_sphere": unit_sphere, "mushroom": mushroom,
+            "custom_radial": three_axis}
 
 
 def sphere_eigenvalue(n):
@@ -58,7 +70,7 @@ def test_operator_resolution_agreement_on_mushroom():
 
 
 def test_galerkin_sphere_is_nearly_diagonal(sphere_matrix):
-    A = sphere_matrix
+    A = galerkin_matrix(sphere_matrix, 8)
     assert A.shape == (64, 64)
     off = A - np.diag(np.diag(A))
     assert np.max(np.abs(off)) < 1e-12
@@ -90,11 +102,13 @@ def _per_row_galerkin(surface, n):
 
 @pytest.mark.parametrize("name,n", [("unit_sphere", 8), ("mushroom", 8),
                                     ("mushroom", 12), ("mushroom", 1),
-                                    ("mushroom", 9)])
+                                    ("mushroom", 9), ("custom_radial", 8)])
 def test_galerkin_matches_per_row_reference(name, n):
-    # n = 1 has no m < 0 column to mirror; n = 9 has an odd degree count
-    surface = {"unit_sphere": unit_sphere, "mushroom": mushroom}[name]()
-    diff = assemble_galerkin(surface, n) - _per_row_galerkin(surface, n)
+    # n = 1 has a single harmonic and three empty blocks; n = 9 has an odd
+    # degree count, so no longitude at pi/2
+    surface = SURFACES[name]()
+    diff = (galerkin_matrix(assemble_galerkin(surface, n), n)
+            - _per_row_galerkin(surface, n))
     assert np.max(np.abs(diff)) <= 1e-12
 
 
@@ -108,6 +122,18 @@ def test_per_row_galerkin_has_the_mirror_symmetry():
     sign = (-1.0)**m
     mirrored = np.outer(sign, sign)*np.conj(A[np.ix_(mirror, mirror)])
     assert np.max(np.abs(A - mirrored)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+@pytest.mark.parametrize("n", [8, 9])
+def test_per_row_galerkin_is_real_and_keeps_the_order_parity(name, n):
+    # the premise of the four real blocks, checked on the reference, which
+    # assembles every row and column: the reflections x2 -> -x2 and
+    # x1 -> -x1 make the matrix real and decouple orders of different parity
+    A = _per_row_galerkin(SURFACES[name](), n)
+    m = np.concatenate([np.arange(-d, d + 1) for d in range(n)])
+    assert np.max(np.abs(A.imag)) <= 1e-13
+    assert np.max(np.abs(A[(m[:, None] - m[None, :]) % 2 == 1])) <= 1e-13
 
 
 def test_galerkin_evaluates_basis_only_at_row_poles(monkeypatch):
@@ -124,24 +150,47 @@ def test_galerkin_evaluates_basis_only_at_row_poles(monkeypatch):
     for name in calls:
         monkeypatch.setattr(bie3d, name, counted(name))
     A = assemble_galerkin(mushroom(), 8)
-    # per colatitude of the 8 x 16 analysis grid, the half basis at its
-    # pole (theta_i, 0) alone: the rows' grids reach the basis through
-    # local harmonics and Wigner rotation; the 16 rows of a colatitude
-    # (2048 grid nodes) fit in one stacked geometry call
-    assert calls == {"subtracted_weights": [16]*8,
-                     "sph_half_basis": [1]*8}
+    # the half basis once, at the 8 row poles (theta_i, 0): the rows' grids
+    # reach the basis through local harmonics and Wigner rotation.  Per
+    # colatitude of the 8 x 16 analysis grid, only the 5 rows at
+    # 0 <= phi <= pi/2 are computed (the reflections give the others), and
+    # they (640 grid nodes) fit in one stacked geometry call
+    assert calls == {"subtracted_weights": [5]*8,
+                     "sph_half_basis": [8]}
     # smaller blocks change the call pattern, not the matrix
     calls["subtracted_weights"].clear()
-    monkeypatch.setattr(bie3d, "_BLOCK_NODES", 700)
+    monkeypatch.setattr(bie3d, "_BLOCK_NODES", 400)
     blocked = assemble_galerkin(mushroom(), 8)
-    assert calls["subtracted_weights"] == [6, 6, 4]*8
-    assert np.max(np.abs(blocked - A)) <= 1e-15
+    assert calls["subtracted_weights"] == [3, 2]*8
+    assert max(np.max(np.abs(b - a)) for a, b in zip(A, blocked)) <= 1e-15
+
+
+def test_galerkin_colatitude_blocks_change_the_pattern_not_the_matrix(
+        monkeypatch):
+    # at high degree the Wigner tables and longitude sums are built for a
+    # block of colatitudes at a time; a small budget splits the 8
+    # colatitudes of n = 8 into blocks of 3, 3 and 2
+    angles = []
+    wigner_d = bie3d._wigner_d
+
+    def counted(U, beta, rows=0):
+        angles.append(np.size(beta))
+        return wigner_d(U, beta, rows)
+
+    monkeypatch.setattr(bie3d, "_wigner_d", counted)
+    A = assemble_galerkin(mushroom(), 8)
+    assert angles == [8]*8
+    angles.clear()
+    monkeypatch.setattr(bie3d, "_COLATITUDE_VALUES", 2000)
+    blocked = assemble_galerkin(mushroom(), 8)
+    assert angles == [3]*8 + [3]*8 + [2]*8
+    assert max(np.max(np.abs(b - a)) for a, b in zip(A, blocked)) <= 1e-15
 
 
 def test_solve_holds_no_dense_analysis_operator():
     # a dense basis and projection on the 512-node analysis grid would be
-    # 2 MB each at n = 16; the solve peaks at about 5.7 MB without them
-    # and at 9.7 MB with them
+    # 2 MB each at n = 16; the solve peaks at about 1.5 MB without them
+    # (5.7 MB when it held the complex matrix) and at 9.7 MB with them
     f = harmonic_point_source_3d(mushroom(), SOURCE)
     tracemalloc.start()
     try:
@@ -155,7 +204,7 @@ def test_solve_holds_no_dense_analysis_operator():
 
 def test_galerkin_degree_cap():
     with pytest.raises(ValueError):
-        assemble_galerkin(unit_sphere(), 65)
+        assemble_galerkin(unit_sphere(), 97)
 
 
 def test_projection_recovers_band_limited_data():

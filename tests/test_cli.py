@@ -59,7 +59,7 @@ def test_run_missing_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("problem,n", [("3d-sphere", 65), ("2d-kite", 65),
+@pytest.mark.parametrize("problem,n", [("3d-sphere", 97), ("2d-kite", 65),
                                        ("2d-kite", 14),
                                        ("2d-kite", 1000000)])
 def test_run_unsupported_resolution_exits_2(tmp_path, capsys, problem, n):
@@ -332,7 +332,7 @@ def test_fit_missing_csv_exits_2(tmp_path, capsys):
 def test_hg_command(tmp_path, capsys):
     out = tmp_path/"hg"
     cfg = _write_config(tmp_path, {
-        "problem": "hg", "n": 8,
+        "problem": "hg",
         "hg_field": [[3, 1, 1.0, 0.0]],
         "eps_range": "1e-3:1e-1:5",
         "out": str(out)})
@@ -346,6 +346,14 @@ def test_hg_on_2d_config_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, _kite_payload(None))
     assert cli.main(["hg", cfg]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_hg_config_with_a_resolution_exits_2(tmp_path, capsys):
+    # no hg code reads n: the field's degree comes from hg_field alone
+    cfg = _write_config(tmp_path, dict(_HG, n=8, out=str(tmp_path/"out")))
+    assert cli.main(["hg", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path/"out").exists()
 
 
 def test_run_on_hg_config_exits_2(tmp_path, capsys):
@@ -402,7 +410,7 @@ def test_no_study_imports_scipy(tmp_path):
     # family, as ``python -m closeeval`` does, loads no scipy
     sphere = _write_config(tmp_path, dict(_SPHERE, out=str(tmp_path/"3d")),
                            "sphere.json")
-    hg = _write_config(tmp_path, dict(_HG, n=8, out=str(tmp_path/"hg")),
+    hg = _write_config(tmp_path, dict(_HG, out=str(tmp_path/"hg")),
                        "hg.json")
     proc = subprocess.run([sys.executable, "-c", _SCIPY_LOADED, sphere, hg],
                           capture_output=True, text=True, env=_src_env())

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from closeeval import harness, spectral
+from closeeval import bie3d, harness, spectral
 from closeeval.bie2d import (MAX_NODES, dirichlet_data, harmonic_source,
                              solve_density)
 from closeeval.bie3d import SOLVER_REVISION
@@ -111,7 +111,7 @@ def test_config_defaults_per_family():
     c3 = StudyConfig(problem="3d-sphere", n=8, methods=("numerical",))
     assert c3.fit_lo == 1e-4 and c3.fit_hi == 1e-1
     assert c3.eps[0] == pytest.approx(1e-1)
-    chg = StudyConfig(problem="hg", n=8, hg_field=((1, 0, 1.0, 0.0),))
+    chg = StudyConfig(problem="hg", hg_field=((1, 0, 1.0, 0.0),))
     assert chg.fit_lo == 1e-3 and chg.fit_hi == 1e-1
 
 
@@ -119,7 +119,8 @@ def test_config_defaults_per_family():
 def test_config_from_dict_defaults_are_study_config_defaults(problem):
     c = config_from_dict({"problem": problem})
     assert c == StudyConfig(problem=problem)
-    assert c.n == (128 if problem in PROBLEMS_2D else 16)
+    assert c.n == (128 if problem in PROBLEMS_2D else
+                   16 if problem in PROBLEMS_3D else None)
     assert c.methods == (METHODS_2D if problem in PROBLEMS_2D else
                          METHODS_3D if problem in PROBLEMS_3D else
                          ("hg_asym",))
@@ -356,7 +357,7 @@ def test_string_targets_rejected_for_2d():
 
 
 def test_run_hg_study_slope_and_rejections():
-    cfg = StudyConfig(problem="hg", n=8,
+    cfg = StudyConfig(problem="hg",
                       hg_field=((3, 1, 1.0, 0.0), (1, 0, 0.5, 0.0)),
                       eps=(0.7,) + tuple(np.logspace(-1, -3, 11)))
     res = run_error_map(cfg)
@@ -366,7 +367,7 @@ def test_run_hg_study_slope_and_rejections():
 
 
 def test_run_hg_study_rejecting_every_eps_keeps_no_block(tmp_path):
-    cfg = StudyConfig(problem="hg", n=8, hg_field=((1, 0, 1.0, 0.0),),
+    cfg = StudyConfig(problem="hg", hg_field=((1, 0, 1.0, 0.0),),
                       eps=(0.9, 0.7), out_dir=str(tmp_path))
     res = run_error_map(cfg)
     assert res.blocks == [] and res.fits == [] and res.row_count == 0
@@ -390,7 +391,7 @@ def test_run_hg_study_exact_matches_quadrature():
     # in [1e-2, 1e-1] keeps every polar rule at or below 1024 nodes
     rows = _real_hg_field(np.random.default_rng(5), 6)
     omega = (1.3, -0.4)
-    res = run_error_map(StudyConfig(problem="hg", n=8, hg_field=rows,
+    res = run_error_map(StudyConfig(problem="hg", hg_field=rows,
                                     hg_omega=omega,
                                     eps=tuple(eps_grid(1e-2, 1e-1, 10))))
     coeffs = spectral.SphericalCoeffs.zeros(7)
@@ -416,7 +417,7 @@ def test_run_hg_study_builds_no_large_rule(monkeypatch):
     monkeypatch.setattr(spectral, "_gl_cached", functools.lru_cache(
         maxsize=128)(spectral._gl_cached.__wrapped__))
     rows = _real_hg_field(np.random.default_rng(6), 6)
-    res = run_error_map(StudyConfig(problem="hg", n=8, hg_field=rows,
+    res = run_error_map(StudyConfig(problem="hg", hg_field=rows,
                                     eps=tuple(eps_grid(1e-3, 1e-1, 25))))
     assert len(res.rows) == 51
     # only the L32 rule: the exact column comes from the eigen-action
@@ -425,12 +426,12 @@ def test_run_hg_study_builds_no_large_rule(monkeypatch):
 
 def test_hg_field_validation():
     with pytest.raises(ConfigError):
-        run_error_map(StudyConfig(problem="hg", n=8))
+        run_error_map(StudyConfig(problem="hg"))
     with pytest.raises(ConfigError):
-        run_error_map(StudyConfig(problem="hg", n=8,
+        run_error_map(StudyConfig(problem="hg",
                                   hg_field=((1, 5, 1.0, 0.0),)))
     with pytest.raises(ConfigError):  # one large eps keeps any rule small
-        run_error_map(StudyConfig(problem="hg", n=8, eps=(0.1,),
+        run_error_map(StudyConfig(problem="hg", eps=(0.1,),
                                   hg_field=((33, 0, 1.0, 0.0),)))
 
 
@@ -537,7 +538,7 @@ _WRITER_STUDIES = {
         problem="3d-sphere", n=8, eps=(2.5, 1e-1, 1e-2, 1e-3, 1e-4),
         targets=((0.9, 0.4), "x1x2-slice"), slice_count=3),
     "hg": lambda: StudyConfig(
-        problem="hg", n=8, hg_field=((3, 1, 1.0, 0.0), (1, 0, 0.5, 0.0)),
+        problem="hg", hg_field=((3, 1, 1.0, 0.0), (1, 0, 0.5, 0.0)),
         eps=(0.7,) + tuple(np.logspace(-1, -3, 11))),
 }
 
@@ -658,6 +659,31 @@ def test_3d_cache_file_from_another_solver_is_solved_again(tmp_path, record,
     # the rewritten file is a hit
     monkeypatch.setattr(harness, "solve_density3d", None)
     assert run_error_map(cfg).rows == res.rows
+
+
+def test_3d_cache_file_of_solver_revision_1_is_solved_again(tmp_path,
+                                                           monkeypatch):
+    # revision 1 assembled the complex matrix; the real blocks of revision
+    # 2 move it at rounding level, so a density saved by revision 1 is a
+    # miss: the study solves it again and rewrites it with revision 2
+    assert SOLVER_REVISION == 2
+    cfg = StudyConfig(problem="3d-sphere", n=6, methods=("numerical",),
+                      eps=(1e-1, 1e-2), targets=((0.9, 0.4),),
+                      cache_dir=str(tmp_path))
+    path = harness._density_cache_path(cfg)
+    with monkeypatch.context() as old:
+        old.setattr(bie3d, "SOLVER_REVISION", 1)
+        res = run_error_map(cfg)
+    with open(path) as fh:
+        assert json.load(fh)["record"]["solver"] == 1
+    solves = []
+    solve = harness.solve_density3d
+    monkeypatch.setattr(harness, "solve_density3d",
+                        lambda *a: solves.append(a) or solve(*a))
+    assert run_error_map(cfg).rows == res.rows
+    assert len(solves) == 1
+    with open(path) as fh:
+        assert json.load(fh)["record"]["solver"] == 2
 
 
 @pytest.mark.parametrize("edit", ["slot-twice", "fractional-n", "bool-m"])

@@ -310,6 +310,18 @@ def test_wigner_d_rotates_the_harmonics(beta):
         assert np.max(np.abs(_wigner_d(U, beta, l) - d[l:])) <= 1e-15
 
 
+def test_wigner_d_of_stacked_angles_is_each_angle_alone():
+    # the Galerkin assembly builds a degree's matrices for a block of
+    # colatitudes in one call (the same sums, blocked differently)
+    betas = np.array([0.4, 1.9, 2.9])
+    for l in range(WIGNER_DEGREES):
+        U = _jy_eigenvectors(l)
+        stacked = _wigner_d(U, betas, l)
+        assert stacked.shape == (3, l + 1, 2*l + 1)
+        for beta, d in zip(betas, stacked):
+            assert np.max(np.abs(d - _wigner_d(U, beta, l))) <= 1e-15
+
+
 def test_coeff_index_layout():
     assert SphericalCoeffs.index(0, 0) == 0
     assert SphericalCoeffs.index(1, -1) == 1
