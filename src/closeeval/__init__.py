@@ -8,10 +8,8 @@ from .bie3d import (Density3D, apply_K_subtracted, assemble_galerkin,
                     dlp_weights, exact_point_source_3d,
                     gauss_interior_value_3d, harmonic_point_source_3d,
                     rotated_grid, solve_density3d)
-from .closeeval2d import (CloseEvalRequest2D, asym_coefficients, asym_eps2,
-                          asym_eps3, dlp_ptr, dlp_subtraction)
-from .closeeval3d import (CloseEvalRequest3D, asym_correction_3d,
-                          asym_eps2_3d, dlp_numerical_3d)
+from .closeeval2d import CloseEvalRequest2D, asym_coefficients, close_eval_2d
+from .closeeval3d import close_eval_3d
 from .geometry2d import (Curve2D, circle, curve_eval, curve_grid,
                          fourier_custom, kite, load_curve, point_inside, star)
 from .geometry3d import (Surface3D, custom_radial, direction,
@@ -23,8 +21,8 @@ from .harness import (ConfigError, ErrorStudyResult, InsufficientDataError,
                       ResultRow, StudyConfig, config_from_dict, dump_fits,
                       eps_grid, fit_order, fit_results, load_config,
                       read_results_csv, run_error_map, write_outputs)
-from .hgscatter import (IntensityField, apply_L32, apply_L_asymptotic,
-                        apply_L_spectral, poisson_close_eval)
+from .hgscatter import (apply_L32, apply_L_asymptotic, apply_L_spectral,
+                        poisson_close_eval)
 from .spectral import (QuadratureRule1D, SphericalCoeffs, analysis_grid,
                        gauss_legendre, mapped_rule, periodic_derivative,
                        periodic_nodes, sph_analysis, sph_half_basis,
@@ -39,11 +37,9 @@ __all__ = [
     "exact_point_source_3d", "gauss_interior_value_3d",
     "harmonic_point_source_3d", "rotated_grid", "solve_density3d",
     # closeeval2d
-    "CloseEvalRequest2D", "asym_coefficients", "asym_eps2", "asym_eps3",
-    "dlp_ptr", "dlp_subtraction",
+    "CloseEvalRequest2D", "asym_coefficients", "close_eval_2d",
     # closeeval3d
-    "CloseEvalRequest3D", "asym_correction_3d", "asym_eps2_3d",
-    "dlp_numerical_3d",
+    "close_eval_3d",
     # geometry2d
     "Curve2D", "circle", "curve_eval", "curve_grid", "fourier_custom",
     "kite", "load_curve", "point_inside", "star",
@@ -58,7 +54,7 @@ __all__ = [
     "fit_results", "load_config", "read_results_csv", "run_error_map",
     "write_outputs",
     # hgscatter
-    "IntensityField", "apply_L32", "apply_L_asymptotic", "apply_L_spectral",
+    "apply_L32", "apply_L_asymptotic", "apply_L_spectral",
     "poisson_close_eval",
     # spectral
     "QuadratureRule1D", "SphericalCoeffs", "analysis_grid",

@@ -1,6 +1,8 @@
 """Evaluation of the 2D double-layer potential at points close to the
 boundary: the plain quadrature baseline, the singularity-subtracted
 quadrature, and two asymptotic approximations in the distance parameter.
+close_eval_2d gives every method's value at one target, over one eps or a
+vector of them.
 
 The evaluation point is x = y* - eps*ell*nu* for a boundary target
 y* = y(t_k) at a quadrature node, with nu* the outward normal, so that
@@ -29,10 +31,15 @@ import numpy as np
 from .bie2d import DensityGrid2D, dlp_sum
 from .geometry2d import point_inside
 
+METHODS = ("ptr", "sub", "asym2", "asym3")
+
 
 @dataclass(frozen=True, eq=False)
 class CloseEvalRequest2D:
-    """One close evaluation: target node index k, distance eps, scale ell."""
+    """One close-evaluation point, target node index k, distance eps and
+    scale ell, checked on construction: a point outside the curve is a
+    ValueError.  The study tests its 2D points with it; close_eval_2d
+    computes the methods' values."""
 
     density: DensityGrid2D
     k: int
@@ -56,33 +63,29 @@ class CloseEvalRequest2D:
         return ystar - self.eps*self.ell*nustar
 
 
-def dlp_ptr(request: CloseEvalRequest2D) -> float:
-    """Plain PTR evaluation at x; exhibits O(1) error once eps is smaller
-    than the node spacing."""
-    return _method(request, "ptr")
-
-
-def dlp_subtraction(request: CloseEvalRequest2D) -> float:
-    """Subtracted quadrature: u = -mu* + PTR of K(x, y) [mu - mu*]."""
-    return _method(request, "sub")
-
-
-def _method(request: CloseEvalRequest2D, method: str) -> float:
-    """One method's value at the request's point."""
-    return float(_columns(request.density, request.k, request.eps,
-                          request.ell, (method,))[method])
-
-
 def _eval_points(density: DensityGrid2D, k: int, eps, ell: float):
     """y* - eps*ell*nu* of target k at each eps, as point() gives it."""
     g = density.geometry
     return g.position[k] - np.multiply.outer(eps*ell, g.normal[k])
 
 
-def _columns(density: DensityGrid2D, k: int, eps, ell: float, methods) -> dict:
-    """{method: value at each eps} for target k, eps a number or a vector.
-    ptr and sub share one kernel sum over mu and mu - mu*; the asymptotic
-    methods share the target's (f*, U1, U2)."""
+def close_eval_2d(density: DensityGrid2D, k: int, eps, ell: float = 1.0,
+                  methods=METHODS) -> dict:
+    """{method: value of u at y* - eps*ell*nu*} for target node k: a float
+    per method for a number eps, an array over a vector of eps.  ptr and
+    sub share one kernel sum over mu and mu - mu*; the asymptotic methods
+    share the target's (f*, U1, U2).
+
+    The points are not tested for interiority; the caller tests them
+    (geometry2d.point_inside, as CloseEvalRequest2D does)."""
+    eps = np.asarray(eps, dtype=float)
+    if np.any(eps <= 0) or ell <= 0:
+        raise ValueError("eps and ell must be positive")
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ValueError(f"unknown 2D methods {unknown}")
+    if not 0 <= k < density.n:
+        raise ValueError("target index out of range")
     values = {}
     if {"ptr", "sub"} & set(methods):
         mustar = density.mu[k]
@@ -94,6 +97,8 @@ def _columns(density: DensityGrid2D, k: int, eps, ell: float, methods) -> dict:
         fstar, U1, U2 = asym_coefficients(density, k, ell)
         values["asym2"] = fstar + eps*U1
         values["asym3"] = fstar + eps*U1 + eps*eps*U2
+    if eps.ndim == 0:
+        return {m: float(values[m]) for m in methods}
     return {m: values[m] for m in methods}
 
 
@@ -115,9 +120,9 @@ def asym_coefficients(density: DensityGrid2D, k: int, ell: float = 1.0):
     asymptotic methods.  U1 is the corrected trapezoid sum of K1 [mu - mu*]
     and U2 follows from f and U1 by Laplace's equation.
 
-    The harness computes them once per target and reuses them across a
-    sweep.  The three spectral derivatives they read (mu'', f', f'') are
-    computed once per density (`DensityGrid2D.derivatives`).
+    close_eval_2d computes them once per call, for every eps.  The three
+    spectral derivatives they read (mu'', f', f'') are computed once per
+    density (`DensityGrid2D.derivatives`).
     """
     g = density.geometry
     n = density.n
@@ -134,13 +139,3 @@ def asym_coefficients(density: DensityGrid2D, k: int, ell: float = 1.0):
     fss = (ftt - np.dot(g.d1[k], g.d2[k])/J_k**2*ft)/J_k**2
     U2 = -ell*ell*fss/2 + ell*g.curvature[k]*U1/2
     return float(density.f[k]), float(U1), float(U2)
-
-
-def asym_eps2(request: CloseEvalRequest2D) -> float:
-    """First asymptotic approximation u ~ f(y*) + eps*U1."""
-    return _method(request, "asym2")
-
-
-def asym_eps3(request: CloseEvalRequest2D) -> float:
-    """Second asymptotic approximation u ~ f(y*) + eps*U1 + eps^2*U2."""
-    return _method(request, "asym3")

@@ -1,6 +1,7 @@
 """Close evaluation of the 3D double-layer potential: the subtracted
 three-step quadrature at interior points and the first asymptotic
-approximation in the distance parameter.
+approximation in the distance parameter.  close_eval_3d gives every
+method's value at one target, over one eps or a vector of them.
 
 For a boundary target y* = y(theta*, phi*) and x = y* - eps*ell*nu*, the
 numerical method uses the interior Gauss identity,
@@ -19,68 +20,12 @@ averages extend continuously to the pole.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .bie3d import Density3D, _dot, dlp_weights, rotated_grid
 from .geometry3d import Surface3D, direction_angles, surface_point_and_normal
 
-
-@dataclass(frozen=True, eq=False)
-class CloseEvalRequest3D:
-    """Close evaluation at one target over distances eps, a number or an
-    array; n defaults to the density degree.  The rotated grid, mu* and
-    mu - mu* on it are built on first use and shared by every method.
-
-    A point outside the surface is a ValueError.  inside=True tells the
-    request that its caller has already found every point inside, so the
-    containment test is not repeated."""
-
-    density: Density3D
-    theta_star: float
-    phi_star: float
-    eps: float | np.ndarray
-    ell: float = 1.0
-    n: int = 0
-    inside: InitVar[bool] = False
-
-    def __post_init__(self, inside):
-        eps = np.asarray(self.eps, dtype=float)
-        if np.any(eps <= 0) or self.ell <= 0:
-            raise ValueError("eps and ell must be positive")
-        object.__setattr__(self, "eps", float(eps) if eps.ndim == 0 else eps)
-        if self.n == 0:
-            object.__setattr__(self, "n", self.density.N)
-        if not (inside or np.all(self.density.surface.contains(self.point()))):
-            raise ValueError("evaluation point falls outside the domain")
-
-    def target(self):
-        return surface_point_and_normal(self.density.surface,
-                                        self.theta_star, self.phi_star)
-
-    def point(self) -> np.ndarray:
-        return _points(self.density.surface, self.theta_star, self.phi_star,
-                       self.eps, self.ell)
-
-    @cached_property
-    def grid(self):
-        """The rotated_grid about the target, at resolution n."""
-        return rotated_grid(self.density.surface, self.theta_star,
-                            self.phi_star, self.n)
-
-    @cached_property
-    def mu_star(self) -> float:
-        """The density at the target."""
-        return float(self.density(np.full(1, self.theta_star),
-                                  np.full(1, self.phi_star))[0])
-
-    @cached_property
-    def dmu(self) -> np.ndarray:
-        """mu - mu* on the grid."""
-        theta, phi = direction_angles(self.grid[3], self.phi_star)
-        return self.density(theta, phi) - self.mu_star
+METHODS = ("numerical", "asym2")
 
 
 def _points(surface: Surface3D, theta_star: float, phi_star: float, eps,
@@ -88,13 +33,6 @@ def _points(surface: Surface3D, theta_star: float, phi_star: float, eps,
     """Evaluation points y* - eps*ell*nu*, one row per entry of eps."""
     ystar, nustar = surface_point_and_normal(surface, theta_star, phi_star)
     return ystar - np.multiply.outer(np.asarray(eps)*ell, nustar)
-
-
-def dlp_numerical_3d(request: CloseEvalRequest3D):
-    """Subtracted three-step quadrature at the interior points, one per eps."""
-    w = dlp_weights(request.grid, request.point()[..., None, None, :])
-    return -request.mu_star + (1.0/(4*request.n))*np.sum(w*request.dmu,
-                                                           axis=(-2, -1))
 
 
 def _kernel_K1(y, nu, ystar, nustar, ell: float):
@@ -111,21 +49,45 @@ def _kernel_K1(y, nu, ystar, nustar, ell: float):
     return ell*(3*nd*nsd - r2*ndot)/r2**2.5
 
 
-def asym_correction_3d(request: CloseEvalRequest3D) -> float:
-    """The eps-independent correction U1: rotated quadrature of
-    K1 [mu - mu*] with the pole cell regularized by the subtraction."""
-    w, y, area_normal, _ = request.grid
-    ystar, nustar = request.target()
-    K1W = _kernel_K1(y, area_normal, ystar, nustar, request.ell)
-    return float((1.0/(4*request.n))*np.sum(w*K1W*request.dmu))
+def close_eval_3d(density: Density3D, theta_star: float, phi_star: float,
+                  eps, ell: float = 1.0, methods=METHODS) -> dict:
+    """{method: value of u at y* - eps*ell*nu*} for the target
+    y* = y(theta*, phi*): a float per method for a number eps, an array
+    over a vector of eps.  One rotated grid at the density degree, mu* and
+    mu - mu* on it serve every method.  numerical is the subtracted
+    three-step quadrature; asym2 is f(y*) + eps*U1, with f(y*) read from
+    the data sampler attached to the density and U1 the rotated quadrature
+    of K1 [mu - mu*], whose pole cell the subtraction regularizes.
 
-
-def asym_eps2_3d(request: CloseEvalRequest3D):
-    """Asymptotic approximation u ~ f(y*) + eps*U1, with the boundary datum
-    f(y*) read from the data sampler attached to the density."""
-    if request.density.data is None:
+    The points are not tested for interiority; the caller tests them
+    (Surface3D.contains)."""
+    eps = np.asarray(eps, dtype=float)
+    if np.any(eps <= 0) or ell <= 0:
+        raise ValueError("eps and ell must be positive")
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ValueError(f"unknown 3D methods {unknown}")
+    if "asym2" in methods and density.data is None:
         raise ValueError("density carries no data sampler")
-    f_star = float(np.asarray(
-        request.density.data(np.full(1, request.theta_star),
-                             np.full(1, request.phi_star))).ravel()[0])
-    return f_star + request.eps*asym_correction_3d(request)
+    surface, n = density.surface, density.N
+    grid = rotated_grid(surface, theta_star, phi_star, n)
+    mu_star = float(density(np.full(1, theta_star), np.full(1, phi_star))[0])
+    dmu = density(*direction_angles(grid[3], phi_star)) - mu_star
+    values = {}
+    if "numerical" in methods:
+        x = _points(surface, theta_star, phi_star, eps, ell)
+        w = dlp_weights(grid, x[..., None, None, :])
+        values["numerical"] = -mu_star + (1.0/(4*n))*np.sum(w*dmu,
+                                                            axis=(-2, -1))
+    if "asym2" in methods:
+        w, y, area_normal, _ = grid
+        ystar, nustar = surface_point_and_normal(surface, theta_star,
+                                                 phi_star)
+        K1W = _kernel_K1(y, area_normal, ystar, nustar, ell)
+        U1 = float((1.0/(4*n))*np.sum(w*K1W*dmu))
+        f_star = float(np.asarray(density.data(
+            np.full(1, theta_star), np.full(1, phi_star))).ravel()[0])
+        values["asym2"] = f_star + eps*U1
+    if eps.ndim == 0:
+        return {m: float(values[m]) for m in methods}
+    return {m: values[m] for m in methods}

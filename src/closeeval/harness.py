@@ -22,13 +22,13 @@ from .bie2d import (MAX_NODES, MIN_NODES, dirichlet_data, harmonic_source,
 from .bie3d import (MAX_DEGREE, Density3D, _atomic_write, _integer,
                     exact_point_source_3d, harmonic_point_source_3d,
                     solve_density3d)
-from .closeeval2d import CloseEvalRequest2D, _columns, _eval_points
-from .closeeval3d import (CloseEvalRequest3D, _points, asym_eps2_3d,
-                          dlp_numerical_3d)
+from .closeeval2d import (METHODS as METHODS_2D, CloseEvalRequest2D,
+                          _eval_points, close_eval_2d)
+from .closeeval3d import METHODS as METHODS_3D, _points, close_eval_3d
 from .geometry2d import kite, star
 from .geometry3d import mushroom, unit_sphere
-from .hgscatter import (MAX_DEGREE as HG_MAX_DEGREE, IntensityField,
-                        apply_L_asymptotic, apply_L_spectral)
+from .hgscatter import (MAX_DEGREE as HG_MAX_DEGREE, apply_L_asymptotic,
+                        apply_L_spectral)
 from .spectral import SphericalCoeffs, periodic_nodes
 
 
@@ -46,8 +46,6 @@ class InsufficientDataError(NumericalError):
 
 PROBLEMS_2D = ("2d-kite", "2d-star")
 PROBLEMS_3D = ("3d-sphere", "3d-mushroom")
-METHODS_2D = ("ptr", "sub", "asym2", "asym3")
-METHODS_3D = ("numerical", "asym2")
 ASYM_METHODS = frozenset({"asym2", "asym3", "hg_asym"})
 ERROR_FLOOR = 1e-14
 
@@ -58,6 +56,13 @@ _DEFAULTS = {"2d": (METHODS_2D, 128, (1e-6, 1e-1, 25), (1e-6, 1e-2)),
              "3d": (METHODS_3D, 16, (1e-4, 1e-1, 25), (1e-4, 1e-1)),
              "hg": (("hg_asym",), None, (1e-3, 1e-1, 25), (1e-3, 1e-1))}
 SLICES_3D = ("x1x3-slice", "x1x2-slice")
+# The fit window of fit_order and fit_results: the 2D study's.
+_FIT_WINDOW = _DEFAULTS["2d"][3]
+# Config keys (and flags) that a family's study never reads: a config that
+# gives one is refused, not run as if the key were absent.
+_UNREAD = {"2d": ("cache", "source", "slice_count", "hg_field", "hg_omega"),
+           "3d": ("x0", "hg_field", "hg_omega"),
+           "hg": ("cache", "x0", "source", "slice_count", "targets", "ell")}
 
 
 def _family(problem: str) -> str:
@@ -247,7 +252,8 @@ _KEYS = {
 
 def _build(make, values: dict) -> StudyConfig:
     """make(**fields), each field converted from its config key and value
-    through _KEYS; a value of the wrong type or form is a ConfigError."""
+    through _KEYS; a value of the wrong type or form, or a key that the
+    problem's family never reads, is a ConfigError."""
     fields = {}
     for key, value in values.items():
         field, convert = _KEYS[key]
@@ -255,7 +261,13 @@ def _build(make, values: dict) -> StudyConfig:
             fields[field] = convert(value)
         except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from None
-    return make(**fields)
+    config = make(**fields)
+    unread = [key for key in values
+              if key in _UNREAD[_family(config.problem)]]
+    if unread:
+        raise ConfigError(f"the {config.problem} problem does not read "
+                          + ", ".join(map(repr, unread)))
+    return config
 
 
 def config_from_dict(data: dict) -> StudyConfig:
@@ -375,8 +387,8 @@ class ErrorStudyResult:
         raise KeyError(f"no fit for {target!r}/{method!r}")
 
 
-def fit_order(eps_values, errors, method: str, lo: float = 1e-6,
-              hi: float = 1e-2, target: str = "") -> OrderFit:
+def fit_order(eps_values, errors, method: str, lo: float = _FIT_WINDOW[0],
+              hi: float = _FIT_WINDOW[1], target: str = "") -> OrderFit:
     """Least-squares slope of log10(error) against log10(eps).
 
     Points outside [lo, hi] are dropped; asymptotic methods additionally
@@ -510,7 +522,8 @@ _OUTSIDE = "evaluation point falls outside the domain"
 
 def _study_2d(config: StudyConfig):
     """The 2D hooks: one request per (target, eps) tests its point, and
-    every kept eps of a target is then evaluated in one _columns call."""
+    every kept eps of a target is then evaluated in one close_eval_2d
+    call."""
     curve = _curve_for(config.problem)
     try:
         f = dirichlet_data(curve, config.x0, config.n)
@@ -533,35 +546,35 @@ def _study_2d(config: StudyConfig):
     def evaluate(k, eps):
         exact = harmonic_source(_eval_points(density, k, eps, config.ell),
                                 config.x0)
-        return exact, _columns(density, k, eps, config.ell, config.methods)
+        return exact, close_eval_2d(density, k, eps, config.ell,
+                                    config.methods)
 
     return _targets_2d(config, config.n), _OUTSIDE, inside, evaluate
 
 
 def _study_3d(config: StudyConfig):
-    """The 3D hooks: each point is tested once, and one request over a
-    target's kept eps serves every method."""
+    """The 3D hooks: each point is tested once, and every kept eps of a
+    target is then evaluated in one close_eval_3d call."""
     surface = _surface_for(config.problem)
     try:
         data = harmonic_point_source_3d(surface, config.source)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     density = _solve_3d(config, surface, data)
-    evaluators = {"numerical": dlp_numerical_3d, "asym2": asym_eps2_3d}
 
     def inside(angles, eps):
         return surface.contains(_points(surface, *angles, eps, config.ell))
 
     def evaluate(angles, eps):
-        req = CloseEvalRequest3D(density, *angles, eps, config.ell,
-                                 inside=True)
-        return (exact_point_source_3d(req.point(), config.source),
-                {m: evaluators[m](req) for m in config.methods})
+        exact = exact_point_source_3d(
+            _points(surface, *angles, eps, config.ell), config.source)
+        return exact, close_eval_3d(density, *angles, eps, config.ell,
+                                    config.methods)
 
     return _targets_3d(config), _OUTSIDE, inside, evaluate
 
 
-def _hg_field(config: StudyConfig) -> IntensityField:
+def _hg_field(config: StudyConfig) -> SphericalCoeffs:
     if not config.hg_field:
         raise ConfigError("hg study requires a nonempty hg_field list")
     try:
@@ -579,7 +592,7 @@ def _hg_field(config: StudyConfig) -> IntensityField:
         if n < 0 or abs(m) > n:
             raise ConfigError(f"bad harmonic order (n={n}, m={m})")
         coeffs.c[SphericalCoeffs.index(n, m)] += re + 1j*im
-    return IntensityField(coeffs)
+    return coeffs
 
 
 def _study_hg(config: StudyConfig):
@@ -737,7 +750,8 @@ def read_results_csv(path: str) -> list:
     return rows
 
 
-def fit_results(rows, lo: float = 1e-6, hi: float = 1e-2) -> list:
+def fit_results(rows, lo: float = _FIT_WINDOW[0],
+                hi: float = _FIT_WINDOW[1]) -> list:
     """Group rows by (target, method) and fit each group that qualifies."""
     groups = {}
     for r in rows:

@@ -30,13 +30,10 @@ with the tests (tests/references.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .spectral import (SphericalCoeffs, _half_coefficients,
-                       _legendre_minus_one, mapped_rule, sph_half_basis,
-                       sph_synthesis)
+                       _legendre_minus_one, mapped_rule, sph_half_basis)
 
 # Polar nodes of the L32 quadrature, whose pole-subtracted integrand is smooth.
 _L32_POLAR_NODES = 64
@@ -44,20 +41,6 @@ _L32_POLAR_NODES = 64
 # multipliers lambda_n = -n to 7.1e-15 up to degree 32 and 1.4e-14 up to 48,
 # but only to 4.1e-9 up to 64 (DECISIONS.md D16).
 MAX_DEGREE = 32
-
-
-@dataclass(eq=False)
-class IntensityField:
-    """Direction-dependent intensity as a truncated harmonic expansion."""
-
-    coeffs: SphericalCoeffs
-
-    @property
-    def N(self) -> int:
-        return self.coeffs.N
-
-    def __call__(self, theta, phi) -> np.ndarray:
-        return np.real(sph_synthesis(self.coeffs, theta, phi))
 
 
 def _degree_values(coeffs: SphericalCoeffs, omega) -> np.ndarray:
@@ -84,8 +67,9 @@ def _l32_multipliers(N: int) -> np.ndarray:
     return (_legendre_minus_one(N, s) @ kern)/(2.0*np.sqrt(2.0))
 
 
-def apply_L_spectral(psi: IntensityField, omega, g):
-    """Exact scattering operator from its eigen-action,
+def apply_L_spectral(psi: SphericalCoeffs, omega, g):
+    """Exact scattering operator on the field with harmonic coefficients
+    psi, from its eigen-action,
     sum_n (g^n - 1) s_n(omega), for a number g (returns a float) or an
     array of g (returns one value per g).
     """
@@ -93,26 +77,26 @@ def apply_L_spectral(psi: IntensityField, omega, g):
     if not np.all(np.abs(gs) < 1):
         raise ValueError("anisotropy factor must satisfy |g| < 1")
     lam = gs.reshape(-1, 1)**np.arange(psi.N) - 1.0
-    out = lam @ _degree_values(psi.coeffs, omega)
+    out = lam @ _degree_values(psi, omega)
     return float(out[0]) if gs.ndim == 0 else out.reshape(gs.shape)
 
 
-def apply_L32(psi: IntensityField, omega) -> float:
+def apply_L32(psi: SphericalCoeffs, omega) -> float:
     """Nonlocal leading-order operator: integral of the azimuth-averaged,
     pole-subtracted field against (1 - cos s)^{-3/2} sin s / (2 sqrt 2),
     taken degree by degree (_l32_multipliers).
     """
-    return float(_l32_multipliers(psi.N) @ _degree_values(psi.coeffs, omega))
+    return float(_l32_multipliers(psi.N) @ _degree_values(psi, omega))
 
 
-def apply_L_asymptotic(psi: IntensityField, omega, eps):
+def apply_L_asymptotic(psi: SphericalCoeffs, omega, eps):
     """Two-term forward-peaked expansion (eps + eps^2) L32 - (eps^2/2) Lap
     for a number eps (returns a float) or an array of eps (returns one value
     per eps); L32 and Lap at omega are computed once for all of them."""
     e = np.asarray(eps, dtype=float)
     if not np.all((0 < e) & (e < 0.5)):
         raise ValueError("expansion parameter must lie in (0, 0.5)")
-    s = _degree_values(psi.coeffs, omega)
+    s = _degree_values(psi, omega)
     n = np.arange(psi.N)
     l32 = float(_l32_multipliers(psi.N) @ s)
     lap0 = float((-n*(n + 1.0)) @ s)

@@ -18,9 +18,9 @@ import numpy as np
 
 from closeeval.bie3d import _from_real, _to_real
 from closeeval.geometry3d import direction_angles, rotated_frame, unit_sphere
-from closeeval.hgscatter import _L32_POLAR_NODES, IntensityField
-from closeeval.spectral import (_legendre_table, _tri, mapped_rule,
-                                periodic_nodes)
+from closeeval.hgscatter import _L32_POLAR_NODES
+from closeeval.spectral import (SphericalCoeffs, _legendre_table, _tri,
+                                mapped_rule, periodic_nodes, sph_synthesis)
 
 # Largest polar rule of apply_L_direct.  Its default count 8/(1 - |g|),
 # rounded up to a power of two, reaches it at |g| = 0.999.  The rule build is
@@ -87,13 +87,14 @@ def sph_basis_matrix(theta, phi, N: int) -> np.ndarray:
     return rows.T
 
 
-def _azimuth_count(psi: IntensityField) -> int:
+def _azimuth_count(psi: SphericalCoeffs) -> int:
     return max(16, 2*psi.N)
 
 
-def _ring_average(psi: IntensityField, omega, s_nodes):
-    """Azimuthal means of psi - psi(omega) on polar rings about omega,
-    synthesised a block of polar nodes at a time."""
+def _ring_average(psi: SphericalCoeffs, omega, s_nodes):
+    """Azimuthal means of psi - psi(omega) on polar rings about omega, for
+    the real field with harmonic coefficients psi, synthesised a block of
+    polar nodes at a time."""
     theta0, phi0 = float(omega[0]), float(omega[1])
     t = periodic_nodes(_azimuth_count(psi))
     rows = max(1, _RING_BLOCK_VALUES//(t.size*psi.N**2))
@@ -101,12 +102,13 @@ def _ring_average(psi: IntensityField, omega, s_nodes):
     for i in range(0, s_nodes.size, rows):
         th, ph = rotated_angles(s_nodes[i:i + rows, None], t[None, :],
                                 theta0, phi0)
-        means[i:i + rows] = psi(th, ph).mean(axis=1)
-    psi0 = float(psi(np.full(1, theta0), np.full(1, phi0))[0])
+        means[i:i + rows] = np.real(sph_synthesis(psi, th, ph)).mean(axis=1)
+    psi0 = float(np.real(sph_synthesis(psi, np.full(1, theta0),
+                                       np.full(1, phi0))[0]))
     return means - psi0
 
 
-def apply_L32_rings(psi: IntensityField, omega) -> float:
+def apply_L32_rings(psi: SphericalCoeffs, omega) -> float:
     """Leading-order operator by the polar quadrature of the ring means of
     psi - psi(omega) about omega against (1 - cos s)^{-3/2} sin s/(2 sqrt 2),
     on the polar rule of hgscatter's L32 multipliers.
@@ -133,14 +135,14 @@ def p_hg(cos_theta, g: float):
     return (1.0 - g*g)/(1.0 + g*g - 2.0*g*np.clip(c, -1.0, 1.0))**1.5
 
 
-def _polar_default(psi: IntensityField, peak_eps: float):
+def _polar_default(psi: SphericalCoeffs, peak_eps: float):
     # enough polar nodes to resolve both the field and the kernel peak,
     # rounded up to a power of two so that a sweep reuses a few cached rules
     n = max(64, 2*psi.N, int(np.ceil(8.0/peak_eps)))
     return 1 << (n - 1).bit_length()
 
 
-def apply_L_direct(psi: IntensityField, omega, g: float,
+def apply_L_direct(psi: SphericalCoeffs, omega, g: float,
                    n_polar: int = None) -> float:
     """Scattering operator by quadrature in the frame with omega at the pole.
 

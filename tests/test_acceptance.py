@@ -15,15 +15,13 @@ from closeeval.bie2d import (DensityGrid2D, assemble_nystrom,
 from closeeval.bie3d import (Density3D, apply_K_subtracted,
                              exact_point_source_3d, gauss_interior_value_3d,
                              harmonic_point_source_3d, solve_density3d)
-from closeeval.closeeval2d import (CloseEvalRequest2D, asym_eps2, asym_eps3,
-                                   dlp_ptr, dlp_subtraction)
-from closeeval.closeeval3d import (CloseEvalRequest3D, asym_eps2_3d,
-                                   dlp_numerical_3d)
+from closeeval.closeeval2d import close_eval_2d
+from closeeval.closeeval3d import _points, close_eval_3d
 from closeeval.geometry2d import curve_grid, kite, star
 from closeeval.geometry3d import (direction, mushroom, rotation_matrix,
                                   unit_sphere)
 from closeeval.harness import StudyConfig, eps_grid, fit_order, run_error_map
-from closeeval.hgscatter import IntensityField, apply_L_asymptotic
+from closeeval.hgscatter import apply_L_asymptotic
 from closeeval.spectral import (SphericalCoeffs, analysis_grid, sph_analysis,
                                 sph_synthesis, spherical_laplacian)
 
@@ -163,12 +161,12 @@ def test_criterion_07_sphere_close_eval_and_mushroom_decay():
     grid = eps_grid(1e-4, 1e-1, 25)
     errs = []
     for eps in grid:
-        req = CloseEvalRequest3D(density, ts, ps, eps)
-        errs.append(abs(asym_eps2_3d(req) - (1 - eps)**2*fstar))
+        asym = close_eval_3d(density, ts, ps, eps)["asym2"]
+        errs.append(abs(asym - (1 - eps)**2*fstar))
     fit = fit_order(grid, errs, "asym2", lo=1e-4, hi=1e-1)
     assert abs(fit.slope - 2.0) <= 0.4
-    req = CloseEvalRequest3D(density, ts, ps, 0.3)
-    assert abs(dlp_numerical_3d(req) - 0.49*fstar) <= 1e-6
+    num = close_eval_3d(density, ts, ps, 0.3)["numerical"]
+    assert abs(num - 0.49*fstar) <= 1e-6
 
     # mushroom run at n = 32: at both reference targets the asymptotic
     # error has order 2 on [1e-3, 1e-1] and decays monotonically over the
@@ -177,15 +175,18 @@ def test_criterion_07_sphere_close_eval_and_mushroom_decay():
     source = np.array([5.0, 4.0, 3.0])
     d32 = solve_density3d(surf, harmonic_point_source_3d(surf, source), 32)
     grid = np.array(eps_grid(1e-3, 1e-1, 25))
+
+    def asym_errors(ts2, ps2, eps):
+        points = _points(surf, ts2, ps2, eps, 1.0)
+        assert np.all(surf.contains(points))
+        return np.abs(close_eval_3d(d32, ts2, ps2, eps)["asym2"]
+                      - exact_point_source_3d(points, source))
+
     for ts2, ps2 in MUSHROOM_TARGETS:
-        req = CloseEvalRequest3D(d32, ts2, ps2, grid)
-        exact = exact_point_source_3d(req.point(), source)
-        fit = fit_order(grid, np.abs(asym_eps2_3d(req) - exact), "asym2",
+        fit = fit_order(grid, asym_errors(ts2, ps2, grid), "asym2",
                         lo=1e-3, hi=1e-1)
         assert abs(fit.slope - 2.0) <= 0.4, (ts2, ps2, fit.slope)
-        req = CloseEvalRequest3D(d32, ts2, ps2, [1e-1, 1e-2, 1e-3, 1e-4])
-        exact = exact_point_source_3d(req.point(), source)
-        errs = np.abs(asym_eps2_3d(req) - exact)
+        errs = asym_errors(ts2, ps2, np.array([1e-1, 1e-2, 1e-3, 1e-4]))
         assert np.all(np.diff(errs) <= 0), errs
 
 
@@ -195,14 +196,14 @@ def test_criterion_08_scattering_eigenvalues_and_degree_one_cancellation():
         for n in range(5):
             lam = g**n - 1.0
             for m in range(-n, n + 1):
-                psi = IntensityField(SphericalCoeffs.single(8, n, m))
+                psi = SphericalCoeffs.single(8, n, m)
                 for omega in omegas:
-                    want = lam*float(psi(np.full(1, omega[0]),
-                                         np.full(1, omega[1]))[0])
+                    want = lam*float(np.real(sph_synthesis(
+                        psi, np.full(1, omega[0]), np.full(1, omega[1]))[0]))
                     got = apply_L_direct(psi, omega, g)
                     assert abs(got - want) <= 1e-7, (n, m, g, omega)
     # degree-1 field: the two-term expansion cancels the operator exactly
-    psi = IntensityField(SphericalCoeffs.single(4, 1, 0))
+    psi = SphericalCoeffs.single(4, 1, 0)
     omega = (1.2, 0.7)
     for eps in (1e-1, 1e-2, 1e-3):
         resid = abs(apply_L_asymptotic(psi, omega, eps)
@@ -217,7 +218,7 @@ def test_criterion_08_scattering_eigenvalues_and_degree_one_cancellation():
                           "third-order decay appears from degree 3 up (see "
                           "the module suite and the decision ledger)")
 def test_criterion_08_quadratic_field_residual_slope():
-    psi = IntensityField(SphericalCoeffs.single(8, 2, 0))
+    psi = SphericalCoeffs.single(8, 2, 0)
     omega = (1.2, 0.7)
     grid = eps_grid(1e-3, 1e-1, 25)
     resid = [abs(apply_L_asymptotic(psi, omega, eps)
@@ -242,17 +243,18 @@ def test_criterion_09_pole_curvature_identity():
     worst = 0.0
     for _ in range(5):
         coeffs = _random_real_field(rng, 8)
-        psi = IntensityField(coeffs)
-        lap = IntensityField(spherical_laplacian(coeffs))
+        lap = spherical_laplacian(coeffs)
         for _ in range(3):
             tp = rng.uniform(0.2, np.pi - 0.2)
             pp = rng.uniform(0.0, 2*np.pi)
 
             def sampler(s, t, tp=tp, pp=pp):
-                return psi(*rotated_angles(s, t, tp, pp))
+                return np.real(sph_synthesis(coeffs,
+                                             *rotated_angles(s, t, tp, pp)))
 
             got = pole_second_derivative_average(sampler)
-            want = 0.5*float(lap(np.full(1, tp), np.full(1, pp))[0])
+            want = 0.5*float(np.real(sph_synthesis(
+                lap, np.full(1, tp), np.full(1, pp))[0]))
             worst = max(worst, abs(got - want))
     assert worst <= 1e-6
 
@@ -264,11 +266,11 @@ def test_criterion_10_property_suite(tmp_path):
     ones = np.ones(128)
     d2 = DensityGrid2D(kite(), 128, ones, A @ ones, curve_grid(kite(), 128))
     k = 80
-    req = CloseEvalRequest2D(d2, k, 1e-3)
-    assert abs(dlp_subtraction(req) + 1.0) <= 1e-13
-    assert abs(asym_eps2(req) - d2.f[k]) <= 1e-13
-    assert abs(asym_eps3(req) - d2.f[k]) <= 1e-13
-    assert abs(dlp_ptr(CloseEvalRequest2D(d2, k, 0.7)) + 1.0) <= 1e-13
+    v = close_eval_2d(d2, k, 1e-3)
+    assert abs(v["sub"] + 1.0) <= 1e-13
+    assert abs(v["asym2"] - d2.f[k]) <= 1e-13
+    assert abs(v["asym3"] - d2.f[k]) <= 1e-13
+    assert abs(close_eval_2d(d2, k, 0.7)["ptr"] + 1.0) <= 1e-13
 
     # constant-density exactness, 3D
     coeffs = SphericalCoeffs.single(8, 0, 0, np.sqrt(4*np.pi))
@@ -277,9 +279,9 @@ def test_criterion_10_property_suite(tmp_path):
         return np.ones_like(np.asarray(theta, dtype=float))
 
     d3 = Density3D(unit_sphere(), coeffs, unit_data)
-    req3 = CloseEvalRequest3D(d3, 1.0, 0.5, 1e-2)
-    assert abs(dlp_numerical_3d(req3) + 1.0) <= 1e-13
-    assert abs(asym_eps2_3d(req3) - 1.0) <= 1e-13
+    v3 = close_eval_3d(d3, 1.0, 0.5, 1e-2)
+    assert abs(v3["numerical"] + 1.0) <= 1e-13
+    assert abs(v3["asym2"] - 1.0) <= 1e-13
 
     # rotation round-trip
     rng = np.random.default_rng(5)

@@ -176,6 +176,39 @@ def test_bad_value_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
     assert "config error" in capsys.readouterr().err
 
 
+_UNREAD_VALUES = {"x0": [1.85, 1.65], "source": [5.0, 4.0, 3.0],
+                  "slice_count": 4, "hg_field": [[1, 0, 1.0, 0.0]],
+                  "hg_omega": [1.0, 0.7], "targets": "all-nodes", "ell": 1.0}
+
+
+@pytest.mark.parametrize("family,key", [
+    ("2d", "cache"), ("2d", "--cache"), ("2d", "source"),
+    ("2d", "slice_count"), ("2d", "hg_field"), ("2d", "hg_omega"),
+    ("3d", "x0"), ("3d", "hg_field"), ("3d", "hg_omega"),
+    ("hg", "cache"), ("hg", "x0"), ("hg", "source"), ("hg", "slice_count"),
+    ("hg", "targets"), ("hg", "ell")])
+def test_key_the_family_never_reads_exits_2(tmp_path, capsys, monkeypatch,
+                                            family, key):
+    # each of these once ran as if the key were absent
+    def no_solve(*args):
+        raise AssertionError("solved a study with a key it never reads")
+
+    monkeypatch.setattr(harness, "solve_density", no_solve)
+    monkeypatch.setattr(harness, "_solve_3d", no_solve)
+    monkeypatch.setattr(harness, "apply_L_asymptotic", no_solve)
+    cache = str(tmp_path/"cache")
+    payload = dict({"2d": _KITE, "3d": _SPHERE, "hg": _HG}[family])
+    flags = [key, cache] if key == "--cache" else []
+    if not flags:
+        payload[key] = cache if key == "cache" else _UNREAD_VALUES[key]
+    cfg = _write_config(tmp_path, payload)
+    command = "hg" if family == "hg" else "run"
+    assert cli.main([command, cfg, *flags]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(key.lstrip("-")) in err
+    assert not os.path.exists(cache)
+
+
 def _blocker(tmp_path):
     # a file where a directory is asked for
     path = tmp_path/"blocker"

@@ -4,9 +4,9 @@ from numpy.testing import assert_allclose
 
 from closeeval.bie2d import (DensityGrid2D, assemble_nystrom, dirichlet_data,
                              harmonic_source, solve_density)
-from closeeval.closeeval2d import (CloseEvalRequest2D, _kernel_K1,
-                                   asym_coefficients, asym_eps2, asym_eps3,
-                                   dlp_ptr, dlp_subtraction)
+from closeeval.closeeval2d import (METHODS, CloseEvalRequest2D, _eval_points,
+                                   _kernel_K1, asym_coefficients,
+                                   close_eval_2d)
 from closeeval.geometry2d import (CurvePoint2D, circle, curve_eval,
                                   curve_grid, kite, star)
 from closeeval.spectral import periodic_derivative
@@ -15,7 +15,6 @@ X0 = np.array([1.85, 1.65])
 N = 128
 K_CONCAVE = 16  # node t = -3*pi/4, the concave-side reference target
 K_CONVEX = 80   # node t = pi/4, the convex-side reference target
-METHODS = (dlp_ptr, dlp_subtraction, asym_eps2, asym_eps3)
 
 
 def _solved(curve, n):
@@ -78,9 +77,10 @@ def _exact_U2(density, k):
 
 
 def _errors(density, k, eps):
-    r = CloseEvalRequest2D(density, k, eps)
-    exact = harmonic_source(r.point(), X0)
-    return {m: abs(m(r) - exact) for m in METHODS}
+    CloseEvalRequest2D(density, k, eps)  # the point is inside the kite
+    exact = harmonic_source(_eval_points(density, k, eps, 1.0), X0)
+    return {m: abs(v - exact)
+            for m, v in close_eval_2d(density, k, eps).items()}
 
 
 def test_kernel_values_on_circle():
@@ -118,20 +118,19 @@ def test_constant_density_is_exact(kite_density):
     ones = np.ones(N)
     d = DensityGrid2D(kite(), N, ones, A @ ones, curve_grid(kite(), N))
     for k in (K_CONCAVE, K_CONVEX):
-        r = CloseEvalRequest2D(d, k, 1e-3)
-        assert abs(dlp_subtraction(r) + 1) < 1e-14
-        assert abs(asym_eps2(r) + 1) < 1e-13
-        assert abs(asym_eps3(r) + 1) < 1e-13
+        v = close_eval_2d(d, k, 1e-3)
+        assert abs(v["sub"] + 1) < 1e-14
+        assert abs(v["asym2"] + 1) < 1e-13
+        assert abs(v["asym3"] + 1) < 1e-13
     # far from the boundary even the plain rule is exact
-    r = CloseEvalRequest2D(d, K_CONVEX, 0.5)
-    assert abs(dlp_ptr(r) + 1) < 1e-12
+    assert abs(close_eval_2d(d, K_CONVEX, 0.5)["ptr"] + 1) < 1e-12
 
 
 def test_far_field_quadratures_are_spectral(kite_density):
     # eps = 0.5 from the convex-side target is a deep interior point
     e = _errors(kite_density, K_CONVEX, 0.5)
-    assert e[dlp_ptr] < 1e-13
-    assert e[dlp_subtraction] < 1e-13
+    assert e["ptr"] < 1e-13
+    assert e["sub"] < 1e-13
 
 
 @pytest.mark.xfail(strict=True,
@@ -140,8 +139,7 @@ def test_far_field_quadratures_are_spectral(kite_density):
                           "only match the quadratures in the small-eps "
                           "regime (see the decision ledger)")
 def test_far_field_all_methods_agree(kite_density):
-    r = CloseEvalRequest2D(kite_density, K_CONVEX, 0.5)
-    vals = [m(r) for m in METHODS]
+    vals = list(close_eval_2d(kite_density, K_CONVEX, 0.5).values())
     assert np.max(vals) - np.min(vals) < 1e-10
 
 
@@ -153,24 +151,24 @@ def test_far_field_all_methods_agree(kite_density):
                           "whose inward ray stays deep (see the decision "
                           "ledger)")
 def test_far_field_plain_rule_at_concave_target(kite_density):
-    assert _errors(kite_density, K_CONCAVE, 0.5)[dlp_ptr] < 1e-10
+    assert _errors(kite_density, K_CONCAVE, 0.5)["ptr"] < 1e-10
 
 
 def test_plain_rule_breaks_down_at_tiny_eps(kite_density):
-    assert _errors(kite_density, K_CONCAVE, 1e-6)[dlp_ptr] >= 1e-2
+    assert _errors(kite_density, K_CONCAVE, 1e-6)["ptr"] >= 1e-2
 
 
 def test_regression_error_value_convex_target(kite_density):
     # frozen from the first verified run; guards against silent drift in
     # the correction-sum arithmetic
-    err = _errors(kite_density, K_CONVEX, 1e-3)[asym_eps2]
+    err = _errors(kite_density, K_CONVEX, 1e-3)["asym2"]
     assert err == pytest.approx(8.2431900e-10, rel=1e-3)
 
 
 def test_subtraction_error_peaks_at_intermediate_distance(kite_density):
     grid = np.logspace(-5, -0.5, 46)
     for k in (K_CONCAVE, K_CONVEX):
-        errs = [_errors(kite_density, k, eps)[dlp_subtraction] for eps in grid]
+        errs = [_errors(kite_density, k, eps)["sub"] for eps in grid]
         peak = grid[int(np.argmax(errs))]
         assert 3e-3 <= peak <= 1e-1
 
@@ -178,7 +176,7 @@ def test_subtraction_error_peaks_at_intermediate_distance(kite_density):
 def test_subtraction_beats_plain_near_boundary(kite_density):
     for k in (K_CONCAVE, K_CONVEX):
         e = _errors(kite_density, k, 1e-4)
-        assert e[dlp_subtraction] < 1e-3*e[dlp_ptr]
+        assert e["sub"] < 1e-3*e["ptr"]
 
 
 def test_method_ordering_near_boundary(kite_density):
@@ -186,12 +184,11 @@ def test_method_ordering_near_boundary(kite_density):
     for k in (K_CONCAVE, K_CONVEX):
         for eps in (1e-3, 1e-4):
             e = _errors(kite_density, k, eps)
-            assert e[asym_eps3] <= e[asym_eps2] <= e[dlp_subtraction] \
-                <= e[dlp_ptr]
+            assert e["asym3"] <= e["asym2"] <= e["sub"] <= e["ptr"]
 
 
 def test_errors_decay_by_decades(kite_density):
-    for m in (dlp_subtraction, asym_eps2):
+    for m in ("sub", "asym2"):
         errs = [_errors(kite_density, K_CONVEX, eps)[m]
                 for eps in (1e-3, 1e-4, 1e-5)]
         assert errs[0] > errs[1] > errs[2]
@@ -200,7 +197,7 @@ def test_errors_decay_by_decades(kite_density):
 def test_asym_errors_monotone_over_decade_grid(kite_density):
     # non-increasing from 1e-1 down to 1e-6, except below the roundoff floor
     decades = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-    for m in (asym_eps2, asym_eps3):
+    for m in ("asym2", "asym3"):
         for k in (K_CONCAVE, K_CONVEX):
             errs = [_errors(kite_density, k, eps)[m] for eps in decades]
             for a, b in zip(errs, errs[1:]):
@@ -235,19 +232,19 @@ def test_shift_equivariance(kite_density):
                           np.roll(g.curvature, s))
     dr = DensityGrid2D(d.curve, d.n, np.roll(d.mu, s), np.roll(d.f, s), rolled)
     for k in (K_CONCAVE, K_CONVEX):
-        r = CloseEvalRequest2D(d, k, 1e-3)
-        rr = CloseEvalRequest2D(dr, (k + s) % N, 1e-3)
+        v = close_eval_2d(d, k, 1e-3)
+        vr = close_eval_2d(dr, (k + s) % N, 1e-3)
         for m in METHODS:
-            assert_allclose(m(rr), m(r), atol=1e-13)
+            assert_allclose(vr[m], v[m], atol=1e-13)
 
 
 def test_asym_coefficients_recompose(kite_density):
     for k in (K_CONCAVE, K_CONVEX):
         fstar, u1, u2 = asym_coefficients(kite_density, k)
         for eps in (1e-2, 1e-4):
-            r = CloseEvalRequest2D(kite_density, k, eps)
-            assert_allclose(asym_eps2(r), fstar + eps*u1, rtol=1e-15)
-            assert_allclose(asym_eps3(r), fstar + eps*u1 + eps**2*u2,
+            v = close_eval_2d(kite_density, k, eps)
+            assert_allclose(v["asym2"], fstar + eps*u1, rtol=1e-15)
+            assert_allclose(v["asym3"], fstar + eps*u1 + eps**2*u2,
                             rtol=1e-15)
 
 
@@ -316,3 +313,28 @@ def test_request_validation(kite_density):
         CloseEvalRequest2D(kite_density, -1, 1e-3)
     with pytest.raises(ValueError):
         CloseEvalRequest2D(kite_density, K_CONVEX, 5.0)
+
+
+def test_evaluator_validation(kite_density):
+    # the evaluator refuses what CloseEvalRequest2D refuses, except a point
+    # outside the curve: interiority is the caller's test
+    for kw in ({"eps": 0.0}, {"eps": [1e-2, -1e-3]}, {"ell": 0.0},
+               {"k": N}, {"k": -1}, {"methods": ("ptr", "asym4")}):
+        args = {"density": kite_density, "k": K_CONVEX, "eps": 1e-3, **kw}
+        with pytest.raises(ValueError):
+            close_eval_2d(**args)
+    assert set(close_eval_2d(kite_density, K_CONVEX, 5.0)) == set(METHODS)
+
+
+def test_eps_vector_matches_scalar_requests(kite_density):
+    # one call over several eps gives exactly the values of one call per
+    # eps, as floats, for every method and any subset of them
+    eps = [1e-1, 1e-2, 1e-3, 1e-4]
+    for methods in (METHODS, ("asym3", "ptr"), ("sub",)):
+        vec = close_eval_2d(kite_density, K_CONCAVE, np.array(eps), 2.0,
+                            methods)
+        assert tuple(vec) == methods
+        for i, e in enumerate(eps):
+            one = close_eval_2d(kite_density, K_CONCAVE, e, 2.0, methods)
+            assert all(isinstance(v, float) for v in one.values())
+            assert [vec[m][i] for m in methods] == list(one.values())

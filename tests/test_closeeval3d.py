@@ -5,12 +5,12 @@ from numpy.testing import assert_allclose
 from closeeval import closeeval3d
 from closeeval.bie3d import (Density3D, assemble_galerkin,
                              exact_point_source_3d,
-                             harmonic_point_source_3d, solve_density3d)
-from closeeval.closeeval3d import (CloseEvalRequest3D, _kernel_K1,
-                                   asym_correction_3d, asym_eps2_3d,
-                                   dlp_numerical_3d)
-from closeeval.geometry3d import (mushroom, surface_point_and_normal,
-                                  unit_sphere)
+                             harmonic_point_source_3d, rotated_grid,
+                             solve_density3d)
+from closeeval.closeeval3d import (METHODS, _kernel_K1, _points,
+                                   close_eval_3d)
+from closeeval.geometry3d import (direction_angles, mushroom,
+                                  surface_point_and_normal, unit_sphere)
 from closeeval.spectral import SphericalCoeffs
 
 from references import rotated_angles, sph_harm_eval
@@ -28,13 +28,26 @@ def _kernel_K1_3d(surface, s, t, theta_star, phi_star, ell=1.0):
     return _kernel_K1(y, nu, ystar, nustar, ell)
 
 
-def _azimuthal_average_profile(request):
+def _azimuthal_average_profile(density, theta_star, phi_star, ell=1.0):
     # the azimuth-averaged integrand K1 W [mu - mu*] of U1 at each polar
-    # node, diagnostic for its continuous extension to the pole
-    _, y, area_normal, _ = request.grid
-    ystar, nustar = request.target()
-    K1W = _kernel_K1(y, area_normal, ystar, nustar, request.ell)
-    return np.mean(K1W*request.dmu, axis=1)
+    # node of the grid at the density degree, diagnostic for its
+    # continuous extension to the pole
+    _, y, area_normal, d = rotated_grid(density.surface, theta_star,
+                                        phi_star, density.N)
+    ystar, nustar = surface_point_and_normal(density.surface, theta_star,
+                                             phi_star)
+    K1W = _kernel_K1(y, area_normal, ystar, nustar, ell)
+    mu_star = density(np.full(1, theta_star), np.full(1, phi_star))[0]
+    dmu = density(*direction_angles(d, phi_star)) - mu_star
+    return np.mean(K1W*dmu, axis=1)
+
+
+def _padded(density, N):
+    # the same function with zero coefficients up to degree N - 1, whose
+    # evaluation grid has N polar nodes
+    c = np.zeros(N*N, dtype=complex)
+    c[:density.N**2] = density.coeffs.c
+    return Density3D(density.surface, SphericalCoeffs(N, c), density.data)
 
 
 def sphere_kernel_closed_form(s):
@@ -102,10 +115,12 @@ def test_constant_density_is_exact():
     mu0 = c/np.sqrt(4*np.pi)
     d = Density3D(unit_sphere(), SphericalCoeffs.single(8, 0, 0, c),
                   lambda th, ph: np.full(np.shape(th), -mu0))
-    r = CloseEvalRequest3D(d, 1.0, 0.5, 1e-3)
-    assert abs(dlp_numerical_3d(r) + mu0) < 1e-14
-    assert abs(asym_correction_3d(r)) < 1e-15
-    assert_allclose(asym_eps2_3d(r), -mu0, rtol=1e-15)
+    v = close_eval_3d(d, 1.0, 0.5, 1e-3)
+    assert abs(v["numerical"] + mu0) < 1e-14
+    assert_allclose(v["asym2"], -mu0, rtol=1e-15)
+    # U1 is zero: the asymptotic value does not move with eps
+    u1 = (close_eval_3d(d, 1.0, 0.5, 0.3)["asym2"] - v["asym2"])/(0.3 - 1e-3)
+    assert abs(u1) < 1e-15
 
 
 def test_methods_agree_on_degree_one_field():
@@ -113,10 +128,8 @@ def test_methods_agree_on_degree_one_field():
     # both evaluations track the exact value to quadrature precision
     d = _y10_density(24)
     for ts, ps in [(0.9, 0.4), (2.0, -2.0)]:
-        r = CloseEvalRequest3D(d, ts, ps, 0.3)
         exact = 0.7*np.real(sph_harm_eval(1, 0, ts, ps))
-        num = dlp_numerical_3d(r)
-        asym = asym_eps2_3d(r)
+        num, asym = close_eval_3d(d, ts, ps, 0.3).values()
         assert abs(num - exact) < 1e-6
         assert abs(asym - exact) < 1e-6
         assert abs(num - asym) < 1e-6
@@ -125,24 +138,26 @@ def test_methods_agree_on_degree_one_field():
 def test_asymptotic_error_is_second_order(sphere_source_density):
     errs = []
     for eps in (1e-1, 1e-2, 1e-3):
-        r = CloseEvalRequest3D(sphere_source_density, 1.1, 0.6, eps)
-        errs.append(abs(asym_eps2_3d(r)
-                        - exact_point_source_3d(r.point(), SOURCE)))
+        asym = close_eval_3d(sphere_source_density, 1.1, 0.6, eps)["asym2"]
+        errs.append(abs(asym - exact_point_source_3d(
+            _points(sphere_source_density.surface, 1.1, 0.6, eps, 1.0),
+            SOURCE)))
     assert 50 < errs[0]/errs[1] < 200
     assert 50 < errs[1]/errs[2] < 200
 
 
 def test_numerical_error_stays_small_near_boundary(sphere_source_density):
+    d = _padded(sphere_source_density, 24)
     for eps in (1e-1, 1e-2, 1e-3):
-        r = CloseEvalRequest3D(sphere_source_density, 1.1, 0.6, eps, n=24)
-        err = abs(dlp_numerical_3d(r)
-                  - exact_point_source_3d(r.point(), SOURCE))
+        num = close_eval_3d(d, 1.1, 0.6, eps, methods=("numerical",))
+        err = abs(num["numerical"] - exact_point_source_3d(
+            _points(d.surface, 1.1, 0.6, eps, 1.0), SOURCE))
         assert err < 1e-6
 
 
 def test_azimuthal_profile_extends_to_pole(sphere_source_density):
-    r = CloseEvalRequest3D(sphere_source_density, 1.1, 0.6, 1e-2, n=24)
-    prof = _azimuthal_average_profile(r)
+    prof = _azimuthal_average_profile(_padded(sphere_source_density, 24),
+                                      1.1, 0.6)
     assert prof.shape == (24,)
     assert np.all(np.isfinite(prof))
     scale = np.max(np.abs(prof))
@@ -153,59 +168,67 @@ def test_azimuthal_profile_extends_to_pole(sphere_source_density):
 
 
 def test_correction_matches_asym_recomposition(sphere_source_density):
-    r = CloseEvalRequest3D(sphere_source_density, 0.7, -0.3, 2e-2)
-    u1 = asym_correction_3d(r)
+    # the asymptotic value is f* + eps U1 with one U1 for every eps
     fstar = float(sphere_source_density.data(np.full(1, 0.7),
                                              np.full(1, -0.3))[0])
-    assert_allclose(asym_eps2_3d(r), fstar + 2e-2*u1, rtol=1e-15)
+    eps = np.array([2e-2, 1e-3])
+    asym = close_eval_3d(sphere_source_density, 0.7, -0.3, eps)["asym2"]
+    u1 = (asym[0] - fstar)/2e-2
+    assert u1 != 0
+    assert_allclose(asym, fstar + eps*u1, rtol=1e-15)
 
 
 def test_request_defaults_and_validation(sphere_source_density):
     d = sphere_source_density
-    r = CloseEvalRequest3D(d, 1.0, 0.5, 1e-2)
-    assert r.n == d.N
-    with pytest.raises(ValueError):
-        CloseEvalRequest3D(d, 1.0, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        CloseEvalRequest3D(d, 1.0, 0.5, 1e-2, ell=0.0)
-    with pytest.raises(ValueError):
-        CloseEvalRequest3D(d, 1.0, 0.5, 2.5)  # exits through the far side
+    v = close_eval_3d(d, 1.0, 0.5, 1e-2)
+    assert tuple(v) == METHODS
+    assert v == close_eval_3d(d, 1.0, 0.5, 1e-2, 1.0, METHODS)
+    for kw in ({"eps": 0.0}, {"eps": [1e-2, -1e-3]}, {"ell": 0.0},
+               {"methods": ("numerical", "asym3")}):
+        args = {"density": d, "theta_star": 1.0, "phi_star": 0.5,
+                "eps": 1e-2, **kw}
+        with pytest.raises(ValueError):
+            close_eval_3d(**args)
+    # interiority is the caller's test: a point that exits through the far
+    # side of the sphere is evaluated, and contains finds it outside
+    assert set(close_eval_3d(d, 1.0, 0.5, 2.5)) == set(METHODS)
+    assert not d.surface.contains(_points(d.surface, 1.0, 0.5, 2.5, 1.0))
 
 
 def test_eps_vector_matches_scalar_requests():
-    # one request over several eps shares the rotated grid and the density
-    # samples, and gives exactly the values of one request per eps
+    # one call over several eps shares the rotated grid and the density
+    # samples, and gives exactly the values of one call per eps
     surf = mushroom()
     rng = np.random.default_rng(3)
     coeffs = SphericalCoeffs(8, rng.normal(size=64) + 1j*rng.normal(size=64))
     d = Density3D(surf, coeffs, harmonic_point_source_3d(surf, SOURCE))
     eps = [1e-1, 1e-2, 1e-3, 1e-4]
-    vec = CloseEvalRequest3D(d, 1.3, 0.9, np.array(eps))
-    assert vec.point().shape == (4, 3)
-    for evaluate in (dlp_numerical_3d, asym_eps2_3d):
-        scalars = [evaluate(CloseEvalRequest3D(d, 1.3, 0.9, e)) for e in eps]
+    vec = close_eval_3d(d, 1.3, 0.9, np.array(eps))
+    for method in METHODS:
+        scalars = [close_eval_3d(d, 1.3, 0.9, e, methods=(method,))[method]
+                   for e in eps]
         assert all(isinstance(v, float) for v in scalars)
-        values = evaluate(vec)
-        assert values.shape == (4,)
-        assert values.tolist() == scalars
-    with pytest.raises(ValueError):
-        CloseEvalRequest3D(d, 1.3, 0.9, np.array([1e-2, 5.0]))  # outside
+        assert vec[method].shape == (4,)
+        assert vec[method].tolist() == scalars
 
 
 def test_asym_requires_data_or_override():
     d = Density3D(unit_sphere(), SphericalCoeffs.single(8, 0, 0, 1.0))
-    r = CloseEvalRequest3D(d, 1.0, 0.5, 1e-2)
     with pytest.raises(ValueError):
-        asym_eps2_3d(r)
+        close_eval_3d(d, 1.0, 0.5, 1e-2)
+    with pytest.raises(ValueError):
+        close_eval_3d(d, 1.0, 0.5, 1e-2, methods=("asym2",))
+    num = close_eval_3d(d, 1.0, 0.5, 1e-2, methods=("numerical",))
+    assert list(num) == ["numerical"]
 
 
 def test_request_builds_one_grid_for_every_method(monkeypatch):
-    # the grid, mu* and mu - mu* are built once per request, whichever
-    # methods read them, and the values are those of a fresh request each
+    # one call builds the grid, mu* and mu - mu* once for both methods,
+    # and its values are those of one call per method
     d = _y10_density(8)
-    fresh = lambda: CloseEvalRequest3D(d, 0.9, 0.4, np.array([1e-1, 1e-3]))
-    methods = (dlp_numerical_3d, asym_eps2_3d, _azimuthal_average_profile)
-    expected = [method(fresh()) for method in methods]
+    eps = np.array([1e-1, 1e-3])
+    expected = [close_eval_3d(d, 0.9, 0.4, eps, methods=(m,))[m]
+                for m in METHODS]
     calls = {"grid": 0, "synthesis": 0}
     grid, synthesis = closeeval3d.rotated_grid, Density3D.__call__
 
@@ -219,7 +242,7 @@ def test_request_builds_one_grid_for_every_method(monkeypatch):
 
     monkeypatch.setattr(closeeval3d, "rotated_grid", counted_grid)
     monkeypatch.setattr(Density3D, "__call__", counted_synthesis)
-    r = fresh()
-    for method, values in zip(methods, expected):
-        assert method(r).tolist() == values.tolist()
+    values = close_eval_3d(d, 0.9, 0.4, eps)
     assert calls == {"grid": 1, "synthesis": 2}
+    for method, want in zip(METHODS, expected):
+        assert values[method].tolist() == want.tolist()

@@ -13,12 +13,11 @@ from closeeval import bie3d, harness, spectral
 from closeeval.bie2d import (MAX_NODES, dirichlet_data, harmonic_source,
                              solve_density)
 from closeeval.bie3d import SOLVER_REVISION
-from closeeval.closeeval2d import (CloseEvalRequest2D, asym_eps2, asym_eps3,
-                                   dlp_ptr, dlp_subtraction)
+from closeeval import closeeval2d, closeeval3d
+from closeeval.closeeval2d import CloseEvalRequest2D, close_eval_2d
 from closeeval.geometry2d import kite
 from closeeval.geometry3d import Surface3D
-from closeeval.harness import (METHODS_2D, METHODS_3D, PROBLEMS_2D,
-                               PROBLEMS_3D, ConfigError,
+from closeeval.harness import (PROBLEMS_2D, PROBLEMS_3D, ConfigError,
                                InsufficientDataError,
                                NumericalError, StudyConfig, apply_overrides,
                                config_from_dict, eps_grid, fit_order,
@@ -26,7 +25,6 @@ from closeeval.harness import (METHODS_2D, METHODS_3D, PROBLEMS_2D,
                                ErrorStudyResult, read_results_csv,
                                run_error_map, write_outputs,
                                _targets_2d)
-from closeeval.hgscatter import IntensityField
 
 from references import apply_L_direct
 
@@ -121,8 +119,8 @@ def test_config_from_dict_defaults_are_study_config_defaults(problem):
     assert c == StudyConfig(problem=problem)
     assert c.n == (128 if problem in PROBLEMS_2D else
                    16 if problem in PROBLEMS_3D else None)
-    assert c.methods == (METHODS_2D if problem in PROBLEMS_2D else
-                         METHODS_3D if problem in PROBLEMS_3D else
+    assert c.methods == (closeeval2d.METHODS if problem in PROBLEMS_2D else
+                         closeeval3d.METHODS if problem in PROBLEMS_3D else
                          ("hg_asym",))
 
 
@@ -208,13 +206,18 @@ def test_load_config(tmp_path):
 def test_apply_overrides():
     c = _kite_config()
     c2 = apply_overrides(c, n=128, eps_range="1e-3:1e-1:5",
-                         methods="ptr, sub", out="/tmp/x", cache="/tmp/c")
+                         methods="ptr, sub", out="/tmp/x")
     assert c2.n == 128 and len(c2.eps) == 11
     assert c2.methods == ("ptr", "sub")
-    assert c2.out_dir == "/tmp/x" and c2.cache_dir == "/tmp/c"
+    assert c2.out_dir == "/tmp/x"
     assert apply_overrides(c) is c
     with pytest.raises(ConfigError):
         apply_overrides(c, methods="bogus")
+    # only a 3D study reads the density cache
+    with pytest.raises(ConfigError, match="'cache'"):
+        apply_overrides(c, cache="/tmp/c")
+    c3 = apply_overrides(StudyConfig(problem="3d-sphere"), cache="/tmp/c")
+    assert c3.cache_dir == "/tmp/c"
 
 
 def test_fit_order_synthetic():
@@ -330,8 +333,6 @@ def test_2d_sweep_equals_per_request_methods():
     res = run_error_map(cfg)
     density = solve_density(kite(), dirichlet_data(kite(), cfg.x0, cfg.n),
                             cfg.n)
-    methods = {"ptr": dlp_ptr, "sub": dlp_subtraction, "asym2": asym_eps2,
-               "asym3": asym_eps3}
     rows, rejections = [], []
     for label, k in _targets_2d(cfg, cfg.n):
         for eps in cfg.eps:
@@ -341,8 +342,9 @@ def test_2d_sweep_equals_per_request_methods():
                 rejections += [(label, eps, m, str(exc)) for m in cfg.methods]
                 continue
             exact = float(harmonic_source(req.point(), cfg.x0))
+            values = close_eval_2d(density, k, eps, cfg.ell, cfg.methods)
             for m in cfg.methods:
-                value = methods[m](req)
+                value = values[m]
                 rows.append((label, eps, m, value, exact, abs(value - exact)))
     assert rejections and len(rows) > 2*len(cfg.methods)
     assert [(r.target, r.eps, r.method, r.value, r.exact, r.abs_error)
@@ -397,10 +399,9 @@ def test_run_hg_study_exact_matches_quadrature():
     coeffs = spectral.SphericalCoeffs.zeros(7)
     for n, m, re, im in rows:
         coeffs.c[spectral.SphericalCoeffs.index(n, m)] = re + 1j*im
-    psi = IntensityField(coeffs)
     assert len(res.rows) == 11
     for row in res.rows:
-        direct = apply_L_direct(psi, omega, 1.0 - row.eps)
+        direct = apply_L_direct(coeffs, omega, 1.0 - row.eps)
         assert abs(row.exact - direct) <= 1e-13, row.eps
 
 

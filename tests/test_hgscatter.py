@@ -6,10 +6,9 @@ from numpy.testing import assert_allclose
 
 import references
 from closeeval import hgscatter, spectral
-from closeeval.hgscatter import (IntensityField, apply_L32,
-                                 apply_L_asymptotic, apply_L_spectral,
-                                 poisson_close_eval)
-from closeeval.spectral import (SphericalCoeffs, mapped_rule,
+from closeeval.hgscatter import (apply_L32, apply_L_asymptotic,
+                                 apply_L_spectral, poisson_close_eval)
+from closeeval.spectral import (SphericalCoeffs, mapped_rule, sph_synthesis,
                                 spherical_laplacian)
 
 from references import (MAX_POLAR_NODES, apply_L32_rings, apply_L_direct,
@@ -19,11 +18,13 @@ OMEGA = (1.1, 0.7)
 
 
 def _field(n, m, value=1.0, N=6):
-    return IntensityField(SphericalCoeffs.single(N, n, m, value))
+    return SphericalCoeffs.single(N, n, m, value)
 
 
 def _at(psi, omega=OMEGA):
-    return float(psi(np.full(1, omega[0]), np.full(1, omega[1]))[0])
+    # the real field's value at omega
+    return float(np.real(sph_synthesis(psi, np.full(1, omega[0]),
+                                       np.full(1, omega[1]))[0]))
 
 
 def _random_band_limited(rng, N):
@@ -80,9 +81,8 @@ def test_operator_eigenvalues(g):
 def test_isotropic_limit():
     # g = 0 scatters to the mean: L psi = mean(psi) - psi
     rng = np.random.default_rng(11)
-    c = _random_band_limited(rng, 5)
-    psi = IntensityField(c)
-    mean = float(np.real(c.get(0, 0)))/np.sqrt(4*np.pi)
+    psi = _random_band_limited(rng, 5)
+    mean = float(np.real(psi.get(0, 0)))/np.sqrt(4*np.pi)
     v = apply_L_direct(psi, OMEGA, 0.0)
     assert_allclose(v, mean - _at(psi), atol=1e-12)
 
@@ -117,13 +117,13 @@ def test_polar_rule_above_the_cap_raises_before_it_is_built():
 
 @pytest.mark.parametrize("g", [-0.4, 0.0, 0.5, 0.9])
 def test_spectral_action_matches_quadrature(g):
-    psi = IntensityField(_random_band_limited(np.random.default_rng(3), 6))
+    psi = _random_band_limited(np.random.default_rng(3), 6)
     assert_allclose(apply_L_spectral(psi, OMEGA, g),
                     apply_L_direct(psi, OMEGA, g), atol=1e-12)
 
 
 def test_spectral_action_over_a_g_array():
-    psi = IntensityField(_random_band_limited(np.random.default_rng(8), 5))
+    psi = _random_band_limited(np.random.default_rng(8), 5)
     gs = np.array([[0.1, 0.5], [0.9, 0.99]])
     v = apply_L_spectral(psi, OMEGA, gs)
     assert v.shape == (2, 2)
@@ -157,17 +157,16 @@ def test_degree_multipliers_match_rings_without_conjugate_symmetry():
     # real part of that degree's sum
     rng = np.random.default_rng(32)
     N = hgscatter.MAX_DEGREE + 1
-    c = SphericalCoeffs(N, rng.standard_normal(N*N)
-                        + 1j*rng.standard_normal(N*N))
-    psi = IntensityField(c)
-    parts = hgscatter._degree_values(c, OMEGA)
+    psi = SphericalCoeffs(N, rng.standard_normal(N*N)
+                          + 1j*rng.standard_normal(N*N))
+    parts = hgscatter._degree_values(psi, OMEGA)
     assert_allclose(parts.sum(), _at(psi), rtol=1e-13)
     for g in (0.3, 0.8):
         assert_allclose(apply_L_spectral(psi, OMEGA, g),
                         apply_L_direct(psi, OMEGA, g), rtol=1e-10)
     l32 = apply_L32_rings(psi, OMEGA)
     assert_allclose(apply_L32(psi, OMEGA), l32, rtol=1e-10)
-    lap0 = _at(IntensityField(spherical_laplacian(c)))
+    lap0 = _at(spherical_laplacian(psi))
     for eps in (1e-3, 0.1):
         assert_allclose(apply_L_asymptotic(psi, OMEGA, eps),
                         (eps + eps*eps)*l32 - 0.5*eps*eps*lap0, rtol=1e-10)
@@ -179,12 +178,12 @@ def test_leading_integrand_extends_to_pole():
     rule = mapped_rule(64)
     az = _ring_average(psi, OMEGA, rule.nodes)  # 16 azimuth nodes
     integrand = (1 - np.cos(rule.nodes))**-1.5*az*np.sin(rule.nodes)
-    lap0 = _at(IntensityField(spherical_laplacian(psi.coeffs)))
+    lap0 = _at(spherical_laplacian(psi))
     assert_allclose(integrand[0], lap0/np.sqrt(2), rtol=1e-4)
 
 
 def test_ring_average_in_blocks_matches_one_block(monkeypatch):
-    psi = IntensityField(_random_band_limited(np.random.default_rng(3), 9))
+    psi = _random_band_limited(np.random.default_rng(3), 9)
     rule = mapped_rule(100)
     whole = _ring_average(psi, OMEGA, rule.nodes)
     # 7 polar rings per block: 15 blocks, the last one partial
@@ -205,7 +204,7 @@ def test_asymptotic_exact_through_degree_two():
 
 def test_asymptotic_residual_is_third_order():
     rng = np.random.default_rng(4)
-    fields = [_field(3, 1), IntensityField(_random_band_limited(rng, 5))]
+    fields = [_field(3, 1), _random_band_limited(rng, 5)]
     epss = np.logspace(-1, -3, 9)
     for psi in fields:
         errs = []
@@ -225,7 +224,7 @@ def test_asymptotic_validation():
 
 
 def test_asymptotic_eps_array_equals_scalar_calls():
-    psi = IntensityField(_random_band_limited(np.random.default_rng(12), 7))
+    psi = _random_band_limited(np.random.default_rng(12), 7)
     epss = np.logspace(-3, np.log10(0.45), 17)
     values = apply_L_asymptotic(psi, OMEGA, epss)
     assert values.shape == epss.shape
@@ -242,9 +241,8 @@ def test_operator_equivariant_under_azimuth_shift():
         for m in range(-n, n + 1):
             shifted.c[SphericalCoeffs.index(n, m)] = \
                 np.exp(-1j*m*alpha)*c.get(n, m)
-    v0 = apply_L_direct(IntensityField(c), OMEGA, 0.7)
-    v1 = apply_L_direct(IntensityField(shifted), (OMEGA[0], OMEGA[1] + alpha),
-                        0.7)
+    v0 = apply_L_direct(c, OMEGA, 0.7)
+    v1 = apply_L_direct(shifted, (OMEGA[0], OMEGA[1] + alpha), 0.7)
     assert_allclose(v1, v0, atol=1e-9)
 
 
@@ -266,7 +264,7 @@ def test_poisson_matches_harmonic_extension():
     c = _random_band_limited(rng, 5)
     for eps in (0.05, 0.3):
         scaled = SphericalCoeffs(5, c.c*(1 - eps)**c.degrees())
-        ref = _at(IntensityField(scaled))
+        ref = _at(scaled)
         assert_allclose(poisson_close_eval(c, OMEGA, eps), ref, atol=1e-9)
 
 
@@ -275,9 +273,8 @@ def test_poisson_is_data_plus_phase_function_quadrature():
     # g = 1 - eps, so the quadrature of L reproduces the closed form
     rng = np.random.default_rng(23)
     c = _random_band_limited(rng, 6)
-    psi = IntensityField(c)
     for eps in (0.05, 0.3):
-        ref = _at(psi) + apply_L_direct(psi, OMEGA, 1.0 - eps)
+        ref = _at(c) + apply_L_direct(c, OMEGA, 1.0 - eps)
         assert abs(poisson_close_eval(c, OMEGA, eps) - ref) <= 1e-10
 
 
@@ -297,10 +294,3 @@ def test_poisson_validation():
         with pytest.raises(ValueError):
             poisson_close_eval(c, OMEGA, eps)
 
-
-def test_intensity_field_basics():
-    psi = _field(2, 1, 1.5, N=7)
-    assert psi.N == 7
-    th = np.linspace(0.2, 3.0, 5)
-    vals = psi(th, 0.3*th)
-    assert vals.dtype == np.float64 and vals.shape == (5,)

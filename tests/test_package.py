@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 import types
 from pathlib import Path
@@ -38,11 +39,17 @@ def test_hgscatter_imports_from_spectral_alone():
 def test_no_module_names_the_deleted_duplicates():
     # the ring rotation and the dense and single-harmonic bases live only
     # in tests/references.py; the 2D duplicates are folded into one
-    # function each (closeeval2d._columns, geometry2d._series) or deleted;
-    # every study runs through the one sweep of harness.run_error_map
+    # function each (closeeval2d.close_eval_2d, geometry2d._series) or
+    # deleted; every study runs through the one sweep of
+    # harness.run_error_map; each family has one close-evaluation function
+    # and the HG operators take coefficients
     deleted = {"rotated_angles", "sph_basis_matrix", "sph_harm_eval",
                "_ptr_and_sub", "_coord", "_descending", "run_hg_study",
-               "_sweep_2d", "_sweep_3d", "_by_target", "_cmd_hg"}
+               "_sweep_2d", "_sweep_3d", "_by_target", "_cmd_hg",
+               "CloseEvalRequest3D", "dlp_numerical_3d", "asym_correction_3d",
+               "asym_eps2_3d", "dlp_ptr", "dlp_subtraction", "asym_eps2",
+               "asym_eps3", "_method", "_columns", "IntensityField",
+               "evaluators"}
     for path in sorted(PACKAGE.glob("*.py")):
         names = set()
         for node in ast.walk(ast.parse(path.read_text())):
@@ -64,15 +71,42 @@ def test_curve_has_no_derivative_method():
     assert not hasattr(closeeval.Curve2D, "derivative")
 
 
-def test_harness_computes_no_2d_method():
-    # closeeval2d alone knows how a 2D method is computed; the harness
-    # makes its requests and asks for every method's column
+def _harness_imports(module: str) -> set:
     imported = set()
     for node in ast.walk(ast.parse((PACKAGE/"harness.py").read_text())):
         if (isinstance(node, ast.ImportFrom) and node.level
-                and node.module == "closeeval2d"):
+                and node.module == module):
             imported.update(a.name for a in node.names)
-    assert imported == {"CloseEvalRequest2D", "_columns", "_eval_points"}
+    return imported
+
+
+def test_harness_computes_no_2d_method():
+    # closeeval2d alone knows how a 2D method is computed and which methods
+    # there are; the harness makes its requests and asks for every
+    # method's column
+    assert _harness_imports("closeeval2d") == {
+        "METHODS", "CloseEvalRequest2D", "_eval_points", "close_eval_2d"}
+
+
+def test_harness_computes_no_3d_method():
+    # closeeval3d alone knows how a 3D method is computed and which methods
+    # there are; the harness tests the points and asks for every method's
+    # column
+    assert _harness_imports("closeeval3d") == {"METHODS", "_points",
+                                               "close_eval_3d"}
+
+
+@pytest.mark.parametrize("module", ["closeeval2d", "closeeval3d"])
+def test_one_close_evaluation_function_per_family(module):
+    # a family's public functions are its one evaluator, plus, in 2D, the
+    # asymptotic coefficients that it reads
+    mod = importlib.import_module(f"closeeval.{module}")
+    public = {name for name, obj in vars(mod).items()
+              if not name.startswith("_")
+              and isinstance(obj, types.FunctionType)
+              and obj.__module__ == mod.__name__}
+    assert public == ({"close_eval_2d", "asym_coefficients"}
+                      if module == "closeeval2d" else {"close_eval_3d"})
 
 
 def test_version_matches_pyproject():
@@ -94,14 +128,10 @@ def _array_dataclasses():
         "Surface3D": closeeval.unit_sphere,
         "QuadratureRule1D": lambda: closeeval.mapped_rule(4),
         "SphericalCoeffs": lambda: closeeval.SphericalCoeffs.zeros(2),
-        "IntensityField": lambda: closeeval.IntensityField(
-            closeeval.SphericalCoeffs.zeros(2)),
         "DensityGrid2D": kite_density,
         "Density3D": sphere_density,
         "CloseEvalRequest2D": lambda: closeeval.CloseEvalRequest2D(
             kite_density(), 3, 1e-2),
-        "CloseEvalRequest3D": lambda: closeeval.CloseEvalRequest3D(
-            sphere_density(), 1.0, 0.5, 1e-2),
         "ResultBlock": lambda: closeeval.ResultBlock(
             "t", np.ones(2), np.ones(2), {"ptr": np.ones(2)}),
     }
