@@ -12,6 +12,7 @@ with this orientation.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import json
@@ -140,21 +141,47 @@ def curve_grid(curve: Curve2D, n: int) -> CurvePoint2D:
 
 
 def _polygon(curve: Curve2D, samples: int):
-    """(x1, y1, y2, x2 - x1, y2 - y1) over the edges of the closed polygon
-    through `samples` equispaced curve points, built once per curve."""
-    edges = curve._polygons.get(samples)
-    if edges is None:
+    """The closed polygon through `samples` equispaced curve points, split
+    into its maximal y-monotone chains, built once per curve and samples.
+
+    Each chain is (rising, y, x): whether y rises along its edges as the
+    curve runs, then its vertex coordinates in ascending y, as memoryviews
+    of float arrays (8 bytes a vertex, read as Python floats).  Horizontal
+    edges, which no horizontal ray crosses, belong to no chain.
+    """
+    chains = curve._polygons.get(samples)
+    if chains is None:
         p = curve.position(periodic_nodes(samples))
-        x1, y1 = p[:, 0], p[:, 1]
-        x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-        edges = curve._polygons[samples] = (x1, y1, y2, x2 - x1, y2 - y1)
-    return edges
+        rise = np.sign(np.roll(p[:, 1], -1) - p[:, 1])  # of edge i to i + 1
+        starts = np.flatnonzero(rise != np.roll(rise, 1))
+        ends = np.append(starts[1:], starts[:1] + samples)
+        chains = []
+        for a, b, up in zip(starts.tolist(), ends.tolist(),
+                            rise[starts].tolist()):
+            if up:  # edges a..b-1, as vertices a..b in ascending y
+                v = np.arange(a, b + 1) % samples
+                v = v if up > 0 else v[::-1]
+                chains.append((up > 0, memoryview(p[v, 1]),
+                               memoryview(p[v, 0])))
+        chains = curve._polygons[samples] = tuple(chains)
+    return chains
 
 
 def point_inside(curve: Curve2D, x, samples: int = 2048) -> bool:
-    """Even-odd ray test against a fine polygonal sampling of the curve."""
+    """Even-odd ray test against a fine polygonal sampling of the curve.
+
+    The ray runs from x in +x.  An edge whose end heights satisfy
+    y_lo <= x[1] < y_hi is crossed where it meets the ray, and at most one
+    edge of each y-monotone chain qualifies, found by bisection.  The
+    crossing is computed from the edge's start vertex as the curve runs.
+    """
     x = np.asarray(x, dtype=float)
-    x1, y1, y2, dx, dy = _polygon(curve, samples)
-    cond = (y1 > x[1]) != (y2 > x[1])
-    xint = x1[cond] + (x[1] - y1[cond])*dx[cond]/dy[cond]
-    return bool(np.count_nonzero(xint > x[0]) % 2)
+    px, py = float(x[0]), float(x[1])
+    inside = False
+    for rising, ys, xs in _polygon(curve, samples):
+        j = bisect_right(ys, py)  # ys[j - 1] <= py < ys[j]
+        if 0 < j < len(ys):
+            i, k = (j - 1, j) if rising else (j, j - 1)
+            if xs[i] + (py - ys[i])*(xs[k] - xs[i])/(ys[k] - ys[i]) > px:
+                inside = not inside
+    return inside

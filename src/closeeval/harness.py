@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from functools import partial
@@ -59,10 +60,20 @@ SLICES_3D = ("x1x3-slice", "x1x2-slice")
 # The fit window of fit_order and fit_results: the 2D study's.
 _FIT_WINDOW = _DEFAULTS["2d"][3]
 # Config keys (and flags) that a family's study never reads: a config that
-# gives one is refused, not run as if the key were absent.
+# gives one, like a StudyConfig that sets its field, is refused, not run
+# as if the key were absent.
 _UNREAD = {"2d": ("cache", "source", "slice_count", "hg_field", "hg_omega"),
            "3d": ("x0", "hg_field", "hg_omega"),
            "hg": ("cache", "x0", "source", "slice_count", "targets", "ell")}
+# Defaults of the StudyConfig fields that only some families read; a
+# family that does not read a field leaves it None.
+_READ_DEFAULTS = {"x0": (1.85, 1.65), "source": (5.0, 4.0, 3.0),
+                  "targets": "all-nodes", "ell": 1.0, "slice_count": 16,
+                  "hg_field": (), "hg_omega": (1.0, 0.7)}
+# Largest slice_count: each of the two 3D slices sweeps this many targets.
+# A mushroom target at n = 16 and 76 eps costs about 4 ms (256 of them:
+# 1.1 s on a 2-core host, one BLAS thread), so the cap's 2048 take ~9 s.
+MAX_SLICE_COUNT = 1024
 
 
 def _family(problem: str) -> str:
@@ -109,45 +120,55 @@ def _valid_target(family: str, spec) -> bool:
 @dataclass(frozen=True)
 class StudyConfig:
     """One study: a problem, a resolution, methods, eps values, targets;
-    n, methods, eps and the fit window left unset take family defaults."""
+    n, methods, eps and the fit window left unset take family defaults.
+    A field that the problem's family never reads must be left unset
+    (None); the fields it reads take the defaults of _READ_DEFAULTS."""
 
     problem: str
     n: int = None
     methods: tuple = None
     eps: tuple = ()
-    targets: object = "all-nodes"
+    targets: object = None
     out_dir: str = None
     cache_dir: str = None
-    x0: tuple = (1.85, 1.65)
-    source: tuple = (5.0, 4.0, 3.0)
-    ell: float = 1.0
+    x0: tuple = None
+    source: tuple = None
+    ell: float = None
     fit_lo: float = None
     fit_hi: float = None
-    slice_count: int = 16
-    hg_field: tuple = ()
-    hg_omega: tuple = (1.0, 0.7)
+    slice_count: int = None
+    hg_field: tuple = None
+    hg_omega: tuple = None
 
     def __post_init__(self):
         if self.problem not in PROBLEMS_2D + PROBLEMS_3D + ("hg",):
             raise ConfigError(f"unknown problem {self.problem!r}")
         fam = _family(self.problem)
+        unread = [key for key in _UNREAD[fam]
+                  if getattr(self, _KEYS[key][0]) is not None]
+        if unread:
+            raise ConfigError(f"the {self.problem} problem does not read "
+                              + ", ".join(map(repr, unread)))
         every, n, eps_range, (fit_lo, fit_hi) = _DEFAULTS[fam]
+        read = [(name, default) for name, default in _READ_DEFAULTS.items()
+                if name not in _UNREAD[fam]]
         for name, default in (("methods", every), ("n", n),
-                              ("fit_lo", fit_lo), ("fit_hi", fit_hi)):
+                              ("fit_lo", fit_lo), ("fit_hi", fit_hi), *read):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, default)
         if not self.eps:
             object.__setattr__(self, "eps", eps_grid(*eps_range))
         eps = tuple(float(e) for e in self.eps)
-        for name, values in (("eps", eps), ("x0", self.x0),
-                             ("source", self.source),
-                             ("hg_omega", self.hg_omega),
+        for name, values in (("eps", eps),
                              ("fit window", (self.fit_lo, self.fit_hi))):
             if not all(math.isfinite(v) for v in values):
                 raise ConfigError(f"{name} values must be finite")
-        for name, values, size in (("x0", self.x0, 2),
-                                   ("source", self.source, 3),
-                                   ("hg_omega", self.hg_omega, 2)):
+        for name, size in (("x0", 2), ("source", 3), ("hg_omega", 2)):
+            values = getattr(self, name)
+            if values is None:
+                continue
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigError(f"{name} values must be finite")
             if len(values) != size:
                 raise ConfigError(f"{name} must have {size} values")
         if any(e <= 0 for e in eps):
@@ -177,34 +198,43 @@ class StudyConfig:
             raise ConfigError(f"3D resolution n must be at most {MAX_DEGREE}"
                               " (a mushroom solve at n = 96 takes about 19 s"
                               " and 345 MB on a 2-core host)")
-        if not self.targets:
-            raise ConfigError("targets must not be empty")
-        specs = self.targets
-        if fam == "3d" and specs in SLICES_3D:
-            specs = (specs,)
-        if fam != "hg" and specs != "all-nodes" and not (
-                isinstance(specs, tuple)
-                and all(_valid_target(fam, t) for t in specs)):
-            raise ConfigError(
-                f"bad targets {self.targets!r}: 2D targets are 'all-nodes' "
-                "or finite parameters; 3D targets are 'all-nodes', slice "
-                "names or finite [theta, phi] pairs")
-        if self.slice_count < 1:
-            raise ConfigError("slice_count must be at least 1")
-        if not (math.isfinite(self.ell) and self.ell > 0):
-            raise ConfigError("ell must be positive and finite")
+        if fam != "hg":
+            specs = self.targets
+            if not specs:
+                raise ConfigError("targets must not be empty")
+            if fam == "3d" and specs in SLICES_3D:
+                specs = (specs,)
+            if specs != "all-nodes" and not (
+                    isinstance(specs, tuple)
+                    and all(_valid_target(fam, t) for t in specs)):
+                raise ConfigError(
+                    f"bad targets {self.targets!r}: 2D targets are "
+                    "'all-nodes' or finite parameters; 3D targets are "
+                    "'all-nodes', slice names or finite [theta, phi] pairs")
+            if not (math.isfinite(self.ell) and self.ell > 0):
+                raise ConfigError("ell must be positive and finite")
+        if fam == "3d" and not 1 <= self.slice_count <= MAX_SLICE_COUNT:
+            raise ConfigError(f"slice_count must be in [1, {MAX_SLICE_COUNT}]")
         if self.fit_lo >= self.fit_hi:
             raise ConfigError("fit range needs lo < hi")
 
 
+def _real(value) -> float:
+    """A real number as a float; a bool or a string is refused, not read
+    as 0.0, 1.0 or the number it spells."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+    return tuple(map(_real, values))
 
 
 def _eps_range(value) -> tuple:
     if isinstance(value, str):
         return parse_eps_range(value)
-    return eps_grid(float(value["lo"]), float(value["hi"]),
+    return eps_grid(_real(value["lo"]), _real(value["hi"]),
                     _integer(value["per_decade"]))
 
 
@@ -220,7 +250,7 @@ def _targets(value):
     if isinstance(value, str):
         return value
     return tuple(t if isinstance(t, str) else
-                 _floats(t) if isinstance(t, list) else float(t)
+                 _floats(t) if isinstance(t, list) else _real(t)
                  for t in value)
 
 
@@ -241,9 +271,9 @@ _KEYS = {
     "cache": ("cache_dir", _path),
     "x0": ("x0", _floats),
     "source": ("source", _floats),
-    "ell": ("ell", float),
-    "fit_lo": ("fit_lo", float),
-    "fit_hi": ("fit_hi", float),
+    "ell": ("ell", _real),
+    "fit_lo": ("fit_lo", _real),
+    "fit_hi": ("fit_hi", _real),
     "slice_count": ("slice_count", _integer),
     "hg_field": ("hg_field", lambda v: tuple(tuple(row) for row in v)),
     "hg_omega": ("hg_omega", _floats),
@@ -252,8 +282,7 @@ _KEYS = {
 
 def _build(make, values: dict) -> StudyConfig:
     """make(**fields), each field converted from its config key and value
-    through _KEYS; a value of the wrong type or form, or a key that the
-    problem's family never reads, is a ConfigError."""
+    through _KEYS; a value of the wrong type or form is a ConfigError."""
     fields = {}
     for key, value in values.items():
         field, convert = _KEYS[key]
@@ -261,13 +290,7 @@ def _build(make, values: dict) -> StudyConfig:
             fields[field] = convert(value)
         except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from None
-    config = make(**fields)
-    unread = [key for key in values
-              if key in _UNREAD[_family(config.problem)]]
-    if unread:
-        raise ConfigError(f"the {config.problem} problem does not read "
-                          + ", ".join(map(repr, unread)))
-    return config
+    return make(**fields)
 
 
 def config_from_dict(data: dict) -> StudyConfig:
@@ -578,9 +601,9 @@ def _hg_field(config: StudyConfig) -> SphericalCoeffs:
     if not config.hg_field:
         raise ConfigError("hg study requires a nonempty hg_field list")
     try:
-        entries = [(_integer(n), _integer(m), float(re), float(im))
+        entries = [(_integer(n), _integer(m), _real(re), _real(im))
                    for n, m, re, im in config.hg_field]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad hg_field entry: {exc}") from None
     if not all(math.isfinite(v) for *_, re, im in entries for v in (re, im)):
         raise ConfigError("hg_field coefficients must be finite")
@@ -673,10 +696,12 @@ def write_outputs(result: ErrorStudyResult) -> dict:
                      key=lambda r: (order[r.target], r.method, -r.eps))
         paths["rejections"] = os.path.join(out, "rejections.csv")
         with _atomic_write(paths["rejections"]) as fh:
+            # a study records few distinct reasons: each is quoted once
+            quoted = {reason: json.dumps(reason)
+                      for reason in {r.reason for r in rej}}
             fh.write("target_param,eps,method,reason\n")
-            for r in rej:
-                fh.write(",".join([r.target, _fmt(r.eps), r.method,
-                                   json.dumps(r.reason)]) + "\n")
+            fh.writelines(f"{r.target},{_fmt(r.eps)},{r.method},"
+                          f"{quoted[r.reason]}\n" for r in rej)
 
     methods = sorted({m for b in result.blocks for m in b.values})
     paths["plot"] = os.path.join(out, "plot.gp")

@@ -72,7 +72,7 @@ def test_run_unsupported_resolution_exits_2(tmp_path, capsys, problem, n):
 
 def test_run_nan_eps_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"problem": "2d-kite", "n": 64,
-                                   "eps": [1e-2, "nan", 1e-3]})
+                                   "eps": [1e-2, float("nan"), 1e-3]})
     assert cli.main(["run", cfg]) == 2
     assert "eps values must be finite" in capsys.readouterr().err
 
@@ -101,6 +101,7 @@ _SPHERE = {"problem": "3d-sphere", "n": 8, "targets": [[0.9, 0.4]],
            "eps_range": "1e-3:1e-2:2"}
 _HG = {"problem": "hg", "hg_field": [[1, 0, 1.0, 0.0]],
        "eps_range": "1e-3:1e-2:2"}
+_KITE_EPS = {k: v for k, v in _KITE.items() if k != "eps_range"}
 
 
 @pytest.mark.parametrize("command,payload", [
@@ -174,6 +175,58 @@ def test_bad_value_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
     command = "hg" if payload["problem"] == "hg" else "run"
     assert cli.main([command, cfg]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [
+    dict(_KITE_EPS, eps=[True, 0.5]),
+    dict(_KITE_EPS, eps=["0.5", 0.1]),
+    dict(_KITE, eps_range={"lo": True, "hi": 2.0, "per_decade": 2}),
+    dict(_KITE, eps_range={"lo": 1e-3, "hi": "1e-2", "per_decade": 2}),
+    dict(_KITE, x0=["1.85", True]),
+    dict(_KITE, ell=True),
+    dict(_KITE, ell="1"),
+    dict(_KITE, fit_lo=False),
+    dict(_KITE, fit_hi="1e-2"),
+    dict(_KITE, targets=[True]),
+    dict(_SPHERE, source=[5.0, 4.0, True]),
+    dict(_SPHERE, targets=[[0.9, "0.4"]]),
+    dict(_HG, hg_omega=[True, 0.7]),
+    dict(_HG, hg_field=[[0, 0, True, "2"]]),
+    dict(_HG, hg_field=[[1, 0, 10**400, 0.0]]),
+], ids=["eps-bool", "eps-string", "eps-range-lo-bool", "eps-range-hi-string",
+        "x0-string-and-bool", "ell-bool", "ell-string", "fit-lo-bool",
+        "fit-hi-string", "target-bool", "source-bool", "target-pair-string",
+        "omega-bool", "field-row-bool-and-string", "field-row-huge-real"])
+def test_float_key_refuses_bool_or_string(tmp_path, capsys, monkeypatch,
+                                          payload):
+    # each once ran, reading true as 1.0 and "2" as 2.0, or (a real too
+    # large for a float) ended in a traceback
+    def no_solve(*args):
+        raise AssertionError("solved a study with a bad config")
+
+    monkeypatch.setattr(harness, "solve_density", no_solve)
+    monkeypatch.setattr(harness, "_solve_3d", no_solve)
+    monkeypatch.setattr(harness, "apply_L_asymptotic", no_solve)
+    cfg = _write_config(tmp_path, payload)
+    command = "hg" if payload["problem"] == "hg" else "run"
+    assert cli.main([command, cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [harness.MAX_SLICE_COUNT + 1, 1e9])
+def test_slice_count_above_cap_exits_2_before_any_target(tmp_path, capsys,
+                                                         monkeypatch, count):
+    # 1e9 once ran without end; the refusal comes before any target is made
+    def no_study(*args):
+        raise AssertionError("began a study above the slice_count cap")
+
+    monkeypatch.setattr(harness, "_targets_3d", no_study)
+    monkeypatch.setattr(harness, "_solve_3d", no_study)
+    cfg = _write_config(tmp_path, dict(_SPHERE, targets="all-nodes",
+                                       slice_count=count))
+    assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "slice_count" in err
 
 
 _UNREAD_VALUES = {"x0": [1.85, 1.65], "source": [5.0, 4.0, 3.0],

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from closeeval.geometry2d import (Curve2D, circle, curve_eval, curve_grid,
-                                  fourier_custom, kite, load_curve,
-                                  point_inside, star)
+from closeeval.geometry2d import (Curve2D, _polygon, circle, curve_eval,
+                                  curve_grid, fourier_custom, kite,
+                                  load_curve, point_inside, star)
 from closeeval.spectral import periodic_nodes
 
 CURVES = {"kite": kite(), "star": star(), "circle": circle()}
@@ -146,6 +148,57 @@ def test_memoised_polygon_matches_fresh_reference(name):
             assert inside == _fresh_polygon_inside(crv, x)
             decisions.append(inside)
     assert 0 < sum(decisions) < len(decisions)
+
+
+class _Vertices:
+    """A curve whose position at the sample nodes is computed once, so the
+    reference scans every edge without resampling the curve each call."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def position(self, t):
+        return self.p
+
+
+@pytest.mark.parametrize("samples", [6, 14, 18, 64, 2048])
+@pytest.mark.parametrize("name", ["kite", "star", "circle"])
+def test_chain_test_matches_fresh_reference_at_vertex_heights(name, samples):
+    # a ray through a vertex meets two edges at their shared end, and the
+    # kite sampled at 6, 14 or 18 points has horizontal edges
+    crv = CURVES[name]
+    p = crv.position(periodic_nodes(samples))
+    vertices = _Vertices(p)
+    for vx, vy in p:
+        for x in (vx - 1e-3, vx, vx + 1e-3):
+            assert point_inside(crv, (x, vy), samples) \
+                == _fresh_polygon_inside(vertices, (x, vy), samples), (x, vy)
+    # every edge that rises or falls lies on exactly one chain
+    chains = _polygon(crv, samples)
+    sloped = np.count_nonzero(np.roll(p[:, 1], -1) != p[:, 1])
+    assert sum(len(ys) - 1 for _, ys, _ in chains) == sloped
+    for _, ys, xs in chains:
+        assert len(xs) == len(ys) and all(np.diff(ys) > 0)
+
+
+@pytest.mark.parametrize("x", [(np.nan, 0.0), (0.0, np.nan),
+                               (np.nan, np.nan)])
+def test_nan_point_is_outside(x):
+    for crv in CURVES.values():
+        assert not point_inside(crv, x)
+        assert not _fresh_polygon_inside(crv, x)
+
+
+def test_kite_polygon_tables_are_compact():
+    crv = kite()
+    tracemalloc.start()
+    try:
+        chains = _polygon(crv, 2048)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(chains) == 2  # one chain up the kite, one down
+    assert held <= 200_000
 
 
 def test_polygon_built_once_per_curve(monkeypatch):

@@ -124,6 +124,52 @@ def test_config_from_dict_defaults_are_study_config_defaults(problem):
                          ("hg_asym",))
 
 
+@pytest.mark.parametrize("problem,field,value,key", [
+    ("2d-kite", "cache_dir", "c", "cache"),
+    ("2d-kite", "source", (1.0, 2.0, 3.0), "source"),
+    ("2d-kite", "slice_count", 4, "slice_count"),
+    ("2d-kite", "hg_field", ((1, 0, 1.0, 0.0),), "hg_field"),
+    ("2d-kite", "hg_omega", (1.0, 0.7), "hg_omega"),
+    ("3d-sphere", "x0", (1.85, 1.65), "x0"),
+    ("3d-sphere", "hg_field", ((1, 0, 1.0, 0.0),), "hg_field"),
+    ("3d-sphere", "hg_omega", (1.0, 0.7), "hg_omega"),
+    ("hg", "cache_dir", "c", "cache"),
+    ("hg", "x0", (1.85, 1.65), "x0"),
+    ("hg", "source", (5.0, 4.0, 3.0), "source"),
+    ("hg", "slice_count", 16, "slice_count"),
+    ("hg", "targets", "all-nodes", "targets"),
+    ("hg", "ell", 1.0, "ell")])
+def test_study_config_refuses_field_its_family_never_reads(problem, field,
+                                                           value, key):
+    # a StudyConfig built directly once ignored each of these, even at its
+    # default value
+    with pytest.raises(ConfigError, match=f"does not read '{key}'"):
+        StudyConfig(problem=problem, **{field: value})
+
+
+def test_study_config_fills_only_the_fields_its_family_reads():
+    c2, c3, chg = (StudyConfig(problem=p) for p in ("2d-kite", "3d-sphere",
+                                                    "hg"))
+    assert (c2.x0, c2.ell, c2.targets) == ((1.85, 1.65), 1.0, "all-nodes")
+    assert all(getattr(c2, f) is None for f in (
+        "cache_dir", "source", "slice_count", "hg_field", "hg_omega"))
+    assert (c3.source, c3.slice_count, c3.ell) == ((5.0, 4.0, 3.0), 16, 1.0)
+    assert all(getattr(c3, f) is None for f in ("x0", "hg_field", "hg_omega"))
+    assert (chg.hg_field, chg.hg_omega) == ((), (1.0, 0.7))
+    assert all(getattr(chg, f) is None for f in (
+        "cache_dir", "x0", "source", "slice_count", "targets", "ell"))
+    for c in (c2, c3, chg):
+        assert replace(c) == c
+
+
+def test_slice_count_cap():
+    cap = harness.MAX_SLICE_COUNT
+    assert StudyConfig(problem="3d-sphere", slice_count=cap).slice_count == cap
+    for count in (0, cap + 1, 10**9):
+        with pytest.raises(ConfigError, match="slice_count"):
+            StudyConfig(problem="3d-sphere", slice_count=count)
+
+
 def test_config_from_dict_minimal():
     c = config_from_dict({"problem": "2d-kite"})
     assert c.n == 128
