@@ -26,6 +26,11 @@ MIN_NODES = 16  # smallest (even) Nystrom node count
 # Largest Nystrom node count.  Assembly holds five (n, n) arrays, 40 n^2
 # bytes: a one-target 2d-kite run peaks at 687 MB (VmHWM) at n = 4096.
 MAX_NODES = 4096
+# Points per block of a stacked dlp_sum.  A block's kernel temporaries,
+# a few times 8*32*n bytes, then stay below glibc's mmap threshold at the
+# study sizes, so they are reused from the heap instead of being mapped
+# and returned to the OS on every call.
+_POINT_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,13 +127,21 @@ def dlp_sum(geometry: CurvePoint2D, x, mu):
     density and point, shape (d, k) when both are stacked; a single
     density at a single point gives a float.  Each value is reduced as a
     one-point, one-density call reduces it, so stacking does not change
-    a bit.  No treatment of the near-singularity; every 2D quadrature of
-    the potential is this sum with a different density."""
+    a bit.  The points are summed _POINT_BLOCK at a time, so the kernel
+    temporaries keep one small size whatever the number of points.  No
+    treatment of the near-singularity; every 2D quadrature of the
+    potential is this sum with a different density."""
     x = np.asarray(x, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    if mu.ndim > 1:  # one axis per point axis between density and node
-        mu = mu.reshape(mu.shape[:-1] + (1,)*(x.ndim - 1) + mu.shape[-1:])
-    out = np.sum(_kernel(geometry, x)*mu, axis=-1)/geometry.jacobian.size
+    lead = mu.shape[:-1]
+    points = x.reshape(-1, 2)
+    if mu.ndim > 1:  # a point axis between density and node
+        mu = mu[..., None, :]
+    out = np.empty(lead + (len(points),))
+    for i in range(0, len(points), _POINT_BLOCK):
+        part = slice(i, i + _POINT_BLOCK)
+        out[..., part] = np.sum(_kernel(geometry, points[part])*mu, axis=-1)
+    out = (out/geometry.jacobian.size).reshape(lead + x.shape[:-1])
     return float(out) if out.ndim == 0 else out
 
 

@@ -59,7 +59,7 @@ MAX_DEGREE = 96
 # Revision of the Galerkin solver that saved densities record; raise it
 # whenever the assembled matrix changes, so that densities solved by
 # earlier code are solved again instead of trusted.
-SOLVER_REVISION = 2
+SOLVER_REVISION = 3
 # Quadrature nodes per stacked block of Galerkin rows (see _row_block).
 _BLOCK_NODES = 2**14
 # Wigner-table and longitude-sum values per block of colatitudes (see
@@ -189,19 +189,18 @@ def dlp_weights(grid, x):
 
     (1/4n) sum w_j K W g approximates (1/4pi) oint K(x, y) g(y) dsigma; the
     callers apply the 1/4n factor to their own sums, so no rounding is added
-    when 4n is not a power of two.
+    when 4n is not a power of two.  The x, y and z components are taken
+    apart, as in the 2D kernel, so each dot product is two additions.
     """
     w, y, area_normal, _ = grid
-    diff = np.asarray(x, dtype=float) - y
-    r2 = _dot(diff, diff)
-    kern = _dot(area_normal, diff)/(r2*np.sqrt(r2))
-    del diff, r2  # the largest arrays for stacked x: let the row reuse them
+    x = np.asarray(x, dtype=float)
+    dx, dy, dz = (x[..., i] - y[..., i] for i in range(3))
+    r2 = dx*dx + dy*dy + dz*dz
+    kern = (area_normal[..., 0]*dx + area_normal[..., 1]*dy
+            + area_normal[..., 2]*dz)/(r2*np.sqrt(r2))
+    # the largest arrays for stacked x: let the row reuse them
+    del dx, dy, dz, r2
     return w*kern
-
-
-def _dot(a, b):
-    """Dot products of 3-vectors along the last axis."""
-    return np.einsum("...i,...i->...", a, b)
 
 
 def subtracted_weights(surface: Surface3D, theta0, phi0, n: int):
@@ -439,10 +438,15 @@ def solve_density3d(surface: Surface3D, f: Callable, n: int,
 
 
 def harmonic_point_source_3d(surface: Surface3D, source) -> Callable:
-    """Boundary sampler of u(x) = 1/|x - source| for an exterior source."""
+    """Boundary sampler of u(x) = 1/|x - source| for an exterior source.
+    A source inside the surface, or on it (within 1e-12 in the stretched
+    radial coordinate of Surface3D.contains), is refused."""
     src = np.asarray(source, dtype=float)
     if surface.contains(src):
         raise ValueError("source point must lie outside the surface")
+    r, P, _ = surface._radii(src)
+    if r - P < 1e-12:
+        raise ValueError("source point lies on the surface")
 
     def data(theta, phi):
         return exact_point_source_3d(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bie3d import Density3D, _dot, dlp_weights, rotated_grid
+from .bie3d import Density3D, dlp_weights, rotated_grid
 from .geometry3d import Surface3D, direction_angles, surface_point_and_normal
 
 METHODS = ("numerical", "asym2")
@@ -38,14 +38,16 @@ def _points(surface: Surface3D, theta_star: float, phi_star: float, eps,
 def _kernel_K1(y, nu, ystar, nustar, ell: float):
     """K1 at boundary points y with normals nu for the target (y*, nu*).
     K1 is linear in nu, so the area-weighted normal gives K1 times the area
-    element."""
-    yd = ystar - y
-    r2 = _dot(yd, yd)
+    element.  The x, y and z components are taken apart, so each dot
+    product is two additions, in the order x, y, z."""
+    dx, dy, dz = (ystar[i] - y[..., i] for i in range(3))
+    r2 = dx*dx + dy*dy + dz*dz
     if np.any(r2 < 1e-28):
         raise ValueError("kernel evaluated at the coincidence point")
-    nd = _dot(nu, yd)
-    nsd = _dot(nustar, yd)
-    ndot = _dot(nu, nustar)
+    nx, ny, nz = nu[..., 0], nu[..., 1], nu[..., 2]
+    nd = nx*dx + ny*dy + nz*dz
+    nsd = nustar[0]*dx + nustar[1]*dy + nustar[2]*dz
+    ndot = nx*nustar[0] + ny*nustar[1] + nz*nustar[2]
     return ell*(3*nd*nsd - r2*ndot)/r2**2.5
 
 
@@ -54,7 +56,8 @@ def close_eval_3d(density: Density3D, theta_star: float, phi_star: float,
     """{method: value of u at y* - eps*ell*nu*} for the target
     y* = y(theta*, phi*): a float per method for a number eps, an array
     over a vector of eps.  One rotated grid at the density degree, mu* and
-    mu - mu* on it serve every method.  numerical is the subtracted
+    mu - mu* on it serve every method; mu* and mu on the grid come from one
+    density synthesis.  numerical is the subtracted
     three-step quadrature; asym2 is f(y*) + eps*U1, with f(y*) read from
     the data sampler attached to the density and U1 the rotated quadrature
     of K1 [mu - mu*], whose pole cell the subtraction regularizes.
@@ -71,8 +74,11 @@ def close_eval_3d(density: Density3D, theta_star: float, phi_star: float,
         raise ValueError("density carries no data sampler")
     surface, n = density.surface, density.N
     grid = rotated_grid(surface, theta_star, phi_star, n)
-    mu_star = float(density(np.full(1, theta_star), np.full(1, phi_star))[0])
-    dmu = density(*direction_angles(grid[3], phi_star)) - mu_star
+    # one synthesis: the grid's angles with the target's appended last
+    theta, phi = direction_angles(grid[3], phi_star)
+    mu = density(np.append(theta, theta_star), np.append(phi, phi_star))
+    mu_star = float(mu[-1])
+    dmu = mu[:-1].reshape(theta.shape) - mu_star
     values = {}
     if "numerical" in methods:
         x = _points(surface, theta_star, phi_star, eps, ell)

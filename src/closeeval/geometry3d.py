@@ -75,10 +75,16 @@ class Surface3D:
         """Interiority test for these star-shaped surfaces: in stretched
         coordinates z = x/axes the boundary is the radial graph |z| = P.
         x may stack points along leading axes; the answer has their shape."""
+        r, P, centre = self._radii(x)
+        return centre | (r < P)
+
+    def _radii(self, x):
+        """|z| and the boundary radius P in the direction of z = x/axes,
+        and where |z| is too small for a direction (taken as the pole)."""
         z = np.asarray(x, dtype=float)/self.axes
         r = np.linalg.norm(z, axis=-1)
         centre = r < _POLE_TOL
-        return centre | (r < self.profile(z[..., 2]/np.where(centre, 1.0, r)))
+        return r, self.profile(z[..., 2]/np.where(centre, 1.0, r)), centre
 
 
 def unit_sphere() -> Surface3D:

@@ -71,8 +71,8 @@ _READ_DEFAULTS = {"x0": (1.85, 1.65), "source": (5.0, 4.0, 3.0),
                   "targets": "all-nodes", "ell": 1.0, "slice_count": 16,
                   "hg_field": (), "hg_omega": (1.0, 0.7)}
 # Largest slice_count: each of the two 3D slices sweeps this many targets.
-# A mushroom target at n = 16 and 76 eps costs about 4 ms (256 of them:
-# 1.1 s on a 2-core host, one BLAS thread), so the cap's 2048 take ~9 s.
+# A mushroom target at n = 16 and 76 eps costs about 2.8 ms (256 of them:
+# 0.7 s on a 2-core host, one BLAS thread), so the cap's 2048 take ~6 s.
 MAX_SLICE_COUNT = 1024
 
 
@@ -451,12 +451,14 @@ def _first_per_label(targets) -> list:
 
 
 def _targets_2d(config: StudyConfig, n: int):
-    """(label, node index) pairs; free parameters snap to the nearest of
-    the grid nodes t_j = -pi + 2*pi*j/n, and the label records the node."""
+    """(label, node index) pairs; free parameters, taken modulo 2*pi so
+    that a huge one cannot overflow, snap to the nearest of the grid nodes
+    t_j = -pi + 2*pi*j/n, and the label records the node."""
     if config.targets == "all-nodes":
         ks = range(n)
     else:
-        ks = [int(round((t + np.pi)*n/(2*np.pi))) % n for t in config.targets]
+        ks = [int(round((t + np.pi) % (2*np.pi)*n/(2*np.pi))) % n
+              for t in config.targets]
     nodes = periodic_nodes(n)
     return _first_per_label((_fmt(nodes[k]), k) for k in ks)
 
@@ -619,11 +621,13 @@ def _hg_field(config: StudyConfig) -> SphericalCoeffs:
 
 
 def _study_hg(config: StudyConfig):
-    """The hg hooks: one target, whose eps in (0, 0.5) are kept, and the
-    expansion against the exact operator (its eigen-action on the field)."""
+    """The hg hooks: one target, whose eps in (0, 0.5) are kept unless
+    g = 1 - eps rounds to 1, and the expansion against the exact operator
+    (its eigen-action on the field)."""
     psi, omega = _hg_field(config), config.hg_omega
-    return ([("hg", None)], "eps outside (0, 0.5)",
-            lambda _, eps: (0 < eps) & (eps < 0.5),
+    return ([("hg", None)], "eps outside (0, 0.5) or too small for "
+                            "g = 1 - eps to differ from 1",
+            lambda _, eps: (0 < eps) & (eps < 0.5) & (1.0 - eps < 1.0),
             lambda _, eps: (apply_L_spectral(psi, omega, 1.0 - eps),
                             {"hg_asym": apply_L_asymptotic(psi, omega, eps)}))
 

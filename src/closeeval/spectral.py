@@ -199,16 +199,31 @@ def _legendre_table(x: np.ndarray, sx: np.ndarray, nmax: int) -> np.ndarray:
     """
     P = np.empty((_tri(nmax), x.size))
     P[0] = 0.5/np.sqrt(np.pi)
-    for n in range(1, nmax):
+    for n, (sectoral, diagonal, a, b) in enumerate(
+            _legendre_coefficients(nmax), start=1):
         row, prev, prev2 = _tri(n), _tri(n - 1), _tri(n - 2)
-        P[row + n] = -np.sqrt((2*n + 1)/(2.0*n))*sx*P[prev + n - 1]
-        P[row + n - 1] = np.sqrt(2*n + 1.0)*x*P[prev + n - 1]
-        m = np.arange(n - 1)[:, None]
-        a = np.sqrt((4.0*n*n - 1)/(n*n - m*m))
-        b = np.sqrt(((n - 1.0)**2 - m*m)*(2*n + 1)/((n*n - m*m)*(2*n - 3.0)))
+        P[row + n] = sectoral*sx*P[prev + n - 1]
+        P[row + n - 1] = diagonal*x*P[prev + n - 1]
         P[row:row + n - 1] = ((a*x)*P[prev:prev + n - 1]
                               - b*P[prev2:prev2 + n - 1])
     return P
+
+@lru_cache(maxsize=32)
+def _legendre_coefficients(nmax: int) -> tuple:
+    """_legendre_table's factors for each degree 1 <= n < nmax: the
+    sectoral factor of Pbar_n^n, the diagonal factor of Pbar_n^{n-1}, and
+    the (n-1, 1) columns a and b of the three-term step for m < n - 1.
+    Built once per nmax and read-only, since every table of that size
+    shares them."""
+    out = []
+    for n in range(1, nmax):
+        m = np.arange(n - 1)[:, None]
+        a = np.sqrt((4.0*n*n - 1)/(n*n - m*m))
+        b = np.sqrt(((n - 1.0)**2 - m*m)*(2*n + 1)/((n*n - m*m)*(2*n - 3.0)))
+        a.setflags(write=False)
+        b.setflags(write=False)
+        out.append((-np.sqrt((2*n + 1)/(2.0*n)), np.sqrt(2*n + 1.0), a, b))
+    return tuple(out)
 
 def sph_half_basis(theta, phi, N: int) -> np.ndarray:
     """The Y_nm with 0 <= m <= n < N at the given angles, shape (npoints,

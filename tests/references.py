@@ -9,7 +9,9 @@ that the two-term expansion's Laplacian term is checked against.
 sph_harm_eval and sph_basis_matrix give the harmonics one at a time and as
 the dense basis with the m < 0 columns, and rotated_angles the angles of a
 rotated grid's nodes.  galerkin_matrix turns the Galerkin assembly's real
-blocks back into the complex n^2 x n^2 matrix.
+blocks back into the complex n^2 x n^2 matrix.  dlp_weights_einsum and
+kernel_K1_einsum are the 3D kernels with their dot products taken by
+einsum, the form the component-wise kernels replaced.
 """
 
 import warnings
@@ -37,6 +39,27 @@ def rotated_angles(s, t, theta_star: float, phi_star: float):
     phi*."""
     return direction_angles(
         rotated_frame(unit_sphere(), theta_star, phi_star, s, t)[2], phi_star)
+
+
+def _dot3(a, b):
+    """Dot products of 3-vectors along the last axis, by einsum."""
+    return np.einsum("...i,...i->...", a, b)
+
+
+def dlp_weights_einsum(grid, x):
+    """bie3d.dlp_weights with einsum dot products."""
+    w, y, area_normal, _ = grid
+    diff = np.asarray(x, dtype=float) - y
+    r2 = _dot3(diff, diff)
+    return w*(_dot3(area_normal, diff)/(r2*np.sqrt(r2)))
+
+
+def kernel_K1_einsum(y, nu, ystar, nustar, ell: float):
+    """closeeval3d._kernel_K1 with einsum dot products."""
+    yd = ystar - y
+    r2 = _dot3(yd, yd)
+    return ell*(3*_dot3(nu, yd)*_dot3(nustar, yd)
+                - r2*_dot3(nu, nustar))/r2**2.5
 
 
 def galerkin_matrix(blocks, n: int) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from closeeval import bie2d
 from closeeval.bie2d import (MAX_NODES, DensityGrid2D, assemble_nystrom,
                              dirichlet_data, dlp_sum, gauss_interior_value,
                              harmonic_source, kernel_matrix, solve_density)
@@ -143,6 +144,24 @@ def test_stacked_densities_equal_separate_calls():
     one = dlp_sum(g, x[5], mus)
     assert one.shape == (4,)
     assert [float(v) for v in one] == [dlp_sum(g, x[5], mu) for mu in mus]
+
+
+@pytest.mark.parametrize("k", [1, 31, 32, 33, 126])
+def test_blocked_dlp_sum_equals_one_block(monkeypatch, k):
+    # dlp_sum sums _POINT_BLOCK points at a time; every value is bitwise
+    # that of one block holding all the points, for one density, stacked
+    # densities and a constant
+    d = _solved(kite(), 200)
+    g = d.geometry
+    x = g.position[np.arange(k) % 200] \
+        - np.linspace(1e-6, 1e-1, k)[:, None]*g.normal[np.arange(k) % 200]
+    mus = (d.mu, np.stack([d.mu, d.mu - d.mu[3]]), 1.0)
+    blocked = [dlp_sum(g, x, mu) for mu in mus]
+    monkeypatch.setattr(bie2d, "_POINT_BLOCK", 1000)
+    for mu, got in zip(mus, blocked):
+        want = dlp_sum(g, x, mu)
+        assert got.shape == want.shape == np.shape(mu)[:-1] + (k,)
+        assert np.array_equal(got, want)
 
 
 def test_solve_rejects_mismatched_data():

@@ -15,7 +15,8 @@ from closeeval.geometry3d import (custom_radial, direction_angles, mushroom,
                                   unit_sphere)
 from closeeval.spectral import SphericalCoeffs, analysis_grid
 
-from references import galerkin_matrix, sph_basis_matrix, sph_harm_eval
+from references import (dlp_weights_einsum, galerkin_matrix,
+                        sph_basis_matrix, sph_harm_eval)
 
 SOURCE = (5.0, 4.0, 3.0)
 
@@ -307,3 +308,28 @@ def test_gauss_identity_3d():
     # exterior points integrate to zero
     assert abs(gauss_interior_value_3d(unit_sphere(), (3.0, 0.0, 0.0), 16)) \
         < 1e-6
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_component_kernel_matches_einsum_form(name):
+    # the component-wise dot products move a weight by a few ulps of the
+    # row's largest entry, at interior points near the surface, at stacked
+    # boundary targets and on stacked grids
+    surface = SURFACES[name]()
+    eps = np.array([1e-1, 1e-3, 1e-6])
+    for theta, phi in [(0.3, 0.0), (1.2, 2.0), (2.9, -1.0), (0.0, 0.4)]:
+        grid = rotated_grid(surface, theta, phi, 12)
+        y0, nu0 = bie3d.surface_point_and_normal(surface, theta, phi)
+        x = (y0 - np.multiply.outer(eps, nu0))[:, None, None, :]
+        for points in (x, y0[None, None, :]):
+            got = dlp_weights(grid, points)
+            want = dlp_weights_einsum(grid, points)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15*np.max(np.abs(want))
+    theta0, phi0 = np.full(3, 1.1), np.array([0.0, 0.7, 1.5])
+    grid = rotated_grid(surface, theta0, phi0, 12)
+    y0, _ = bie3d.surface_point_and_normal(surface, theta0, phi0)
+    got = dlp_weights(grid, y0[:, None, None, :])
+    want = dlp_weights_einsum(grid, y0[:, None, None, :])
+    for row, ref in zip(got, want):
+        assert np.max(np.abs(row - ref)) <= 1e-15*np.max(np.abs(ref))

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from closeeval import cli, harness
@@ -109,6 +110,11 @@ _KITE_EPS = {k: v for k, v in _KITE.items() if k != "eps_range"}
     ("run", dict(_KITE, x0=[0, 0])),  # source inside the curve
     ("run", dict(_SPHERE, source=[5, 4])),
     ("run", dict(_SPHERE, source=[0.1, 0, 0])),  # source inside
+    ("run", dict(_SPHERE, source=[1, 0, 0])),  # source on the surface
+    ("run", dict(_SPHERE, source=[0, 0.6, 0.8])),
+    # (1, 2, 1)*P(c)*d on the mushroom, P(0) = 2 - 1/101, d = (0, 1, 0)
+    ("run", dict(_SPHERE, problem="3d-mushroom",
+                 source=[0.0, 2*(2.0 - 1.0/101.0), 0.0])),
     ("hg", dict(_HG, hg_omega=[1.0])),
     ("hg", dict(_HG, hg_field=[[1, 0, "nan", 0.0]])),
     ("hg", dict(_HG, hg_field=5)),
@@ -117,6 +123,7 @@ _KITE_EPS = {k: v for k, v in _KITE.items() if k != "eps_range"}
     ("hg", {"problem": "hg", "hg_field": [[33, 0, 1.0, 0.0]],
             "eps": [0.1]}),
 ], ids=["x0-length", "x0-inside", "source-length", "source-inside",
+        "source-on-sphere-axis", "source-on-sphere", "source-on-mushroom",
         "omega-length", "field-nan", "field-int", "field-row-int",
         "field-degree-33"])
 def test_bad_source_or_field_exits_2(tmp_path, capsys, command, payload):
@@ -426,6 +433,41 @@ def test_hg_command(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "method=hg_asym" in text
     assert (out/"results.csv").exists()
+
+
+def test_hg_eps_whose_g_rounds_to_one_is_rejected(tmp_path, capsys):
+    # 1 - eps == 1 for eps below half an ulp of 1: such an eps is a
+    # rejection with its reason, not a traceback from the exact operator
+    out = tmp_path/"hg"
+    cfg = _write_config(tmp_path, {"problem": "hg",
+                                   "hg_field": [[3, 1, 1.0, 0.0]],
+                                   "out": str(out)})
+    assert cli.main(["hg", cfg, "--eps-range", "1e-18:1e-1:2"]) == 0
+    rows = harness.read_results_csv(str(out/"results.csv"))
+    lines = (out/"rejections.csv").read_text().splitlines()[1:]
+    rejected = sorted(float(line.split(",")[1]) for line in lines)
+    assert rejected and all(1.0 - e == 1.0 for e in rejected)
+    assert "g = 1 - eps" in lines[0]
+    assert all(1.0 - r.eps < 1.0 for r in rows)
+    # 17 decades at two eps per decade, and every eps below 1e-16
+    assert len(rows) + len(rejected) == 35 and len(rejected) == 4
+
+
+def test_huge_2d_target_snaps_to_a_node(tmp_path):
+    # a finite parameter of any size is taken modulo 2*pi before it snaps,
+    # so it cannot overflow the node index
+    out = tmp_path/"out"
+    cfg = _write_config(tmp_path, dict(_KITE, targets=[1e308, -1e308],
+                                       out=str(out)))
+    assert cli.main(["run", cfg]) == 0
+    rows = harness.read_results_csv(str(out/"results.csv"))
+    nodes = {float(r.target) for r in rows}
+    assert 1 <= len(nodes) <= 2
+    grid = -np.pi + 2*np.pi*np.arange(64)/64
+    assert nodes <= set(grid.tolist())
+    want = {grid[round((t + np.pi) % (2*np.pi)*64/(2*np.pi)) % 64]
+            for t in (1e308, -1e308)}
+    assert nodes == want
 
 
 def test_hg_on_2d_config_exits_2(tmp_path, capsys):

@@ -13,7 +13,7 @@ from closeeval.geometry3d import (direction_angles, mushroom,
                                   surface_point_and_normal, unit_sphere)
 from closeeval.spectral import SphericalCoeffs
 
-from references import rotated_angles, sph_harm_eval
+from references import kernel_K1_einsum, rotated_angles, sph_harm_eval
 
 SOURCE = (5.0, 4.0, 3.0)
 
@@ -223,8 +223,9 @@ def test_asym_requires_data_or_override():
 
 
 def test_request_builds_one_grid_for_every_method(monkeypatch):
-    # one call builds the grid, mu* and mu - mu* once for both methods,
-    # and its values are those of one call per method
+    # one call builds the grid once and makes one density synthesis, at
+    # the grid's nodes and the target together, for both methods; its
+    # values are those of one call per method
     d = _y10_density(8)
     eps = np.array([1e-1, 1e-3])
     expected = [close_eval_3d(d, 0.9, 0.4, eps, methods=(m,))[m]
@@ -243,6 +244,52 @@ def test_request_builds_one_grid_for_every_method(monkeypatch):
     monkeypatch.setattr(closeeval3d, "rotated_grid", counted_grid)
     monkeypatch.setattr(Density3D, "__call__", counted_synthesis)
     values = close_eval_3d(d, 0.9, 0.4, eps)
-    assert calls == {"grid": 1, "synthesis": 2}
+    assert calls == {"grid": 1, "synthesis": 1}
     for method, want in zip(METHODS, expected):
         assert values[method].tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("surface", [unit_sphere, mushroom],
+                         ids=["sphere", "mushroom"])
+def test_component_K1_matches_einsum_form(surface):
+    # K1 with the components taken apart is the einsum form to a few ulps
+    # of its largest value on the rotated grid
+    s = surface()
+    for theta, phi, ell in [(0.3, 0.0, 1.0), (1.2, 2.0, 0.5),
+                            (2.9, -1.0, 2.0), (0.0, 0.4, 1.0)]:
+        _, y, area_normal, _ = rotated_grid(s, theta, phi, 12)
+        ystar, nustar = surface_point_and_normal(s, theta, phi)
+        got = _kernel_K1(y, area_normal, ystar, nustar, ell)
+        want = kernel_K1_einsum(y, area_normal, ystar, nustar, ell)
+        assert np.max(np.abs(got - want)) <= 1e-15*np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("theta,phi", [(0.9, 0.4), (0.0, 1.3), (np.pi, 0.0),
+                                       (2.2, -2.5)])
+def test_joint_synthesis_matches_two_separate_calls(theta, phi):
+    # the grid's nodes with the target appended give, bitwise, the grid
+    # values of a synthesis at the nodes alone; the target's value is the
+    # one-point synthesis to rounding (a lone row's matrix product may sum
+    # in another order), and close_eval_3d reads mu* and mu - mu* from
+    # the joint call
+    d = solve_density3d(mushroom(), harmonic_point_source_3d(
+        mushroom(), SOURCE), 10)
+    grid = rotated_grid(d.surface, theta, phi, d.N)
+    th, ph = direction_angles(grid[3], phi)
+    joint = d(np.append(th, theta), np.append(ph, phi))
+    assert joint[:-1].tolist() == d(th, ph).ravel().tolist()
+    single = d(np.full(1, theta), np.full(1, phi))[0]
+    scale = np.sum(np.abs(d.coeffs.c))
+    assert abs(joint[-1] - single) <= 1e-15*scale
+    eps = np.array([1e-1, 1e-2, 1e-3])
+    x = _points(d.surface, theta, phi, eps, 1.0)
+    w = closeeval3d.dlp_weights(grid, x[..., None, None, :])
+    got = close_eval_3d(d, theta, phi, eps, methods=("numerical",))
+    for mu_star, exact in ((float(joint[-1]), True), (float(single), False)):
+        dmu = d(th, ph) - mu_star
+        numerical = -mu_star + (1.0/(4*d.N))*np.sum(w*dmu, axis=(-2, -1))
+        if exact:
+            assert got["numerical"].tolist() == numerical.tolist()
+        else:
+            assert_allclose(got["numerical"], numerical, rtol=0,
+                            atol=2e-15*scale)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from closeeval.spectral import (SphericalCoeffs, _jy_eigenvectors, _wigner_d,
+from closeeval.spectral import (SphericalCoeffs, _jy_eigenvectors,
+                                _legendre_coefficients, _legendre_table,
+                                _tri, _wigner_d,
                                 analysis_grid, gauss_legendre,
                                 mapped_rule, periodic_derivative,
                                 periodic_nodes, sph_analysis, sph_half_basis,
@@ -396,3 +398,40 @@ def test_pole_average_step_refinement():
             for h in (4e-2, 2e-2, 1e-2)]
     assert errs[2] < errs[0]
     assert errs[2] < 1e-6
+
+
+def _fresh_legendre_table(x, sx, nmax):
+    # _legendre_table with every step's factors computed in the step, as
+    # before they were kept per nmax
+    P = np.empty((_tri(nmax), x.size))
+    P[0] = 0.5/np.sqrt(np.pi)
+    for n in range(1, nmax):
+        row, prev, prev2 = _tri(n), _tri(n - 1), _tri(n - 2)
+        P[row + n] = -np.sqrt((2*n + 1)/(2.0*n))*sx*P[prev + n - 1]
+        P[row + n - 1] = np.sqrt(2*n + 1.0)*x*P[prev + n - 1]
+        m = np.arange(n - 1)[:, None]
+        a = np.sqrt((4.0*n*n - 1)/(n*n - m*m))
+        b = np.sqrt(((n - 1.0)**2 - m*m)*(2*n + 1)/((n*n - m*m)*(2*n - 3.0)))
+        P[row:row + n - 1] = ((a*x)*P[prev:prev + n - 1]
+                              - b*P[prev2:prev2 + n - 1])
+    return P
+
+
+@pytest.mark.parametrize("nmax", [1, 2, 3, 17, 64, 97])
+def test_cached_recurrence_matches_fresh_one_bitwise(nmax):
+    theta = np.concatenate([np.linspace(0.0, np.pi, 41), [1e-9, np.pi/2]])
+    x, sx = np.cos(theta), np.sin(theta)
+    fresh = _fresh_legendre_table(x, sx, nmax)
+    for _ in range(2):  # the first call builds the factors, the second reuses
+        assert np.array_equal(_legendre_table(x, sx, nmax), fresh)
+
+
+def test_recurrence_factors_built_once_per_size_and_read_only():
+    factors = _legendre_coefficients(24)
+    assert _legendre_coefficients(24) is factors
+    assert len(factors) == 23
+    for n, (_, _, a, b) in enumerate(factors, start=1):
+        assert a.shape == b.shape == (n - 1, 1)
+        for column in (a, b):
+            with pytest.raises(ValueError):
+                column[...] = 0.0
