@@ -10,12 +10,11 @@ from .bie3d import (Density3D, apply_K_subtracted, assemble_galerkin,
                     rotated_grid, solve_density3d)
 from .closeeval2d import CloseEvalRequest2D, asym_coefficients, close_eval_2d
 from .closeeval3d import close_eval_3d
-from .geometry2d import (Curve2D, circle, curve_eval, curve_grid,
-                         fourier_custom, kite, load_curve, point_inside, star)
-from .geometry3d import (Surface3D, custom_radial, direction,
-                         direction_angles, mushroom, rotated_frame,
-                         rotation_matrix,
-                         surface_point_and_normal, unit_sphere)
+from .geometry2d import (Curve2D, curve_eval, curve_grid, kite, point_inside,
+                         star)
+from .geometry3d import (Surface3D, direction, direction_angles, mushroom,
+                         rotation_matrix, surface_point_and_normal,
+                         unit_sphere)
 from .harness import (ConfigError, ErrorStudyResult, InsufficientDataError,
                       NumericalError, OrderFit, Rejection, ResultBlock,
                       ResultRow, StudyConfig, config_from_dict, dump_fits,
@@ -41,12 +40,10 @@ __all__ = [
     # closeeval3d
     "close_eval_3d",
     # geometry2d
-    "Curve2D", "circle", "curve_eval", "curve_grid", "fourier_custom",
-    "kite", "load_curve", "point_inside", "star",
+    "Curve2D", "curve_eval", "curve_grid", "kite", "point_inside", "star",
     # geometry3d
-    "Surface3D", "custom_radial", "direction", "direction_angles",
-    "mushroom", "rotated_frame", "rotation_matrix",
-    "surface_point_and_normal", "unit_sphere",
+    "Surface3D", "direction", "direction_angles", "mushroom",
+    "rotation_matrix", "surface_point_and_normal", "unit_sphere",
     # harness
     "ConfigError", "ErrorStudyResult", "InsufficientDataError",
     "NumericalError", "OrderFit", "Rejection", "ResultBlock", "ResultRow",

@@ -173,7 +173,7 @@ def _local_grid(n: int):
 
 def rotated_grid(surface: Surface3D, theta0, phi0, n: int):
     """The three-step quadrature grid whose pole sits at (theta0, phi0):
-    the polar weights, shape (n, 1), then rotated_frame's (y, area-weighted
+    the polar weights, shape (n, 1), then _rotated_frame's (y, area-weighted
     normal, direction) on the mapped Gauss-Legendre x 2n-azimuth nodes.
     Stacked poles (theta0, phi0 of shape (k,)) give k grids along a leading
     axis.  The unrotated grid's directions are built once per n."""
@@ -412,17 +412,15 @@ def project_boundary_data(f: Callable, n: int) -> SphericalCoeffs:
                                                   indexing="ij"))), n)
 
 
-def solve_density3d(surface: Surface3D, f: Callable, n: int,
-                    matrix: tuple = None) -> Density3D:
+def solve_density3d(surface: Surface3D, f: Callable, n: int) -> Density3D:
     """Solve (K - 1/2 I) mu = f for the density coefficients.
 
-    f(theta, phi) samples the Dirichlet data at surface parameters.  Pass
-    precomputed assemble_galerkin blocks to skip assembly (it dominates the
-    cost).  The data's coefficients are carried into the real basis, each
-    block is solved with its real and imaginary parts as two right-hand
-    sides, and the density is carried back.
+    f(theta, phi) samples the Dirichlet data at surface parameters.  The
+    data's coefficients are carried into the real basis, each block of
+    assemble_galerkin is solved with its real and imaginary parts as two
+    right-hand sides, and the density is carried back.
     """
-    blocks = assemble_galerkin(surface, n) if matrix is None else matrix
+    blocks = assemble_galerkin(surface, n)
     fhat = project_boundary_data(f, n)
     tol = 1e-10*max(np.max(np.abs(fhat.c)), 1.0)
     parts = []

@@ -23,15 +23,13 @@ from __future__ import annotations
 import numpy as np
 
 from .bie3d import Density3D, dlp_weights, rotated_grid
-from .geometry3d import Surface3D, direction_angles, surface_point_and_normal
+from .geometry3d import direction_angles, surface_point_and_normal
 
 METHODS = ("numerical", "asym2")
 
 
-def _points(surface: Surface3D, theta_star: float, phi_star: float, eps,
-            ell: float) -> np.ndarray:
+def _points(ystar, nustar, eps, ell: float) -> np.ndarray:
     """Evaluation points y* - eps*ell*nu*, one row per entry of eps."""
-    ystar, nustar = surface_point_and_normal(surface, theta_star, phi_star)
     return ystar - np.multiply.outer(np.asarray(eps)*ell, nustar)
 
 
@@ -55,9 +53,9 @@ def close_eval_3d(density: Density3D, theta_star: float, phi_star: float,
                   eps, ell: float = 1.0, methods=METHODS) -> dict:
     """{method: value of u at y* - eps*ell*nu*} for the target
     y* = y(theta*, phi*): a float per method for a number eps, an array
-    over a vector of eps.  One rotated grid at the density degree, mu* and
-    mu - mu* on it serve every method; mu* and mu on the grid come from one
-    density synthesis.  numerical is the subtracted
+    over a vector of eps.  One (y*, nu*), one rotated grid at the density
+    degree, and mu* and mu - mu* on it serve every method; mu* and mu on
+    the grid come from one density synthesis.  numerical is the subtracted
     three-step quadrature; asym2 is f(y*) + eps*U1, with f(y*) read from
     the data sampler attached to the density and U1 the rotated quadrature
     of K1 [mu - mu*], whose pole cell the subtraction regularizes.
@@ -73,6 +71,7 @@ def close_eval_3d(density: Density3D, theta_star: float, phi_star: float,
     if "asym2" in methods and density.data is None:
         raise ValueError("density carries no data sampler")
     surface, n = density.surface, density.N
+    ystar, nustar = surface_point_and_normal(surface, theta_star, phi_star)
     grid = rotated_grid(surface, theta_star, phi_star, n)
     # one synthesis: the grid's angles with the target's appended last
     theta, phi = direction_angles(grid[3], phi_star)
@@ -81,14 +80,12 @@ def close_eval_3d(density: Density3D, theta_star: float, phi_star: float,
     dmu = mu[:-1].reshape(theta.shape) - mu_star
     values = {}
     if "numerical" in methods:
-        x = _points(surface, theta_star, phi_star, eps, ell)
+        x = _points(ystar, nustar, eps, ell)
         w = dlp_weights(grid, x[..., None, None, :])
         values["numerical"] = -mu_star + (1.0/(4*n))*np.sum(w*dmu,
                                                             axis=(-2, -1))
     if "asym2" in methods:
         w, y, area_normal, _ = grid
-        ystar, nustar = surface_point_and_normal(surface, theta_star,
-                                                 phi_star)
         K1W = _kernel_K1(y, area_normal, ystar, nustar, ell)
         U1 = float((1.0/(4*n))*np.sum(w*K1W*dmu))
         f_star = float(np.asarray(density.data(

@@ -15,7 +15,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-import json
 import numpy as np
 
 from .spectral import periodic_nodes
@@ -32,7 +31,6 @@ class Curve2D:
     starting at 0 (the k=0 sine slot is inert).
     """
 
-    kind: str
     cos1: np.ndarray
     sin1: np.ndarray
     cos2: np.ndarray
@@ -65,40 +63,15 @@ class CurvePoint2D:
 
 def kite() -> Curve2D:
     """y(t) = (cos t + 0.65 cos 2t - 0.65, 1.5 sin t)."""
-    return Curve2D("kite",
-                   cos1=[-0.65, 1.0, 0.65], sin1=[0.0],
+    return Curve2D(cos1=[-0.65, 1.0, 0.65], sin1=[0.0],
                    cos2=[0.0], sin2=[0.0, 1.5])
 
-def star(amplitude: float = 0.3, frequency: int = 5) -> Curve2D:
-    """Polar curve r(t) = 1 + a cos(w t), expanded into trig coefficients.
-
-    r cos t and r sin t are exact trig polynomials:
-    r cos t = cos t + (a/2)(cos(w+1)t + cos(w-1)t) and similarly for sin.
-    """
-    w, a = int(frequency), float(amplitude)
-    if w < 1:
-        raise ValueError("frequency must be a positive integer")
-    c1 = np.zeros(w + 2); s2 = np.zeros(w + 2)
-    c1[1] += 1.0; s2[1] += 1.0
-    c1[w + 1] += a/2; c1[abs(w - 1)] += a/2
-    s2[w + 1] += a/2; s2[abs(w - 1)] -= a/2  # k=0 sine slot is inert
-    return Curve2D("star", cos1=c1, sin1=[0.0], cos2=[0.0], sin2=s2)
-
-def circle(radius: float = 1.0) -> Curve2D:
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    return Curve2D("circle", cos1=[0.0, radius], sin1=[0.0],
-                   cos2=[0.0], sin2=[0.0, radius])
-
-def fourier_custom(cos1, sin1, cos2, sin2) -> Curve2D:
-    return Curve2D("fourier-custom", cos1, sin1, cos2, sin2)
-
-def load_curve(path: str) -> Curve2D:
-    """Read a fourier-custom curve from a JSON coefficient file."""
-    with open(path) as fh:
-        data = json.load(fh)
-    return fourier_custom(data["cos1"], data["sin1"],
-                          data["cos2"], data["sin2"])
+def star() -> Curve2D:
+    """Polar curve r(t) = 1 + 0.3 cos(5t), expanded into trig coefficients:
+    r cos t = cos t + 0.15 (cos 6t + cos 4t) and
+    r sin t = sin t + 0.15 (sin 6t - sin 4t)."""
+    return Curve2D(cos1=[0.0, 1.0, 0.0, 0.0, 0.15, 0.0, 0.15], sin1=[0.0],
+                   cos2=[0.0], sin2=[0.0, 1.0, 0.0, 0.0, -0.15, 0.0, 0.15])
 
 
 def _series(curve: Curve2D, t):

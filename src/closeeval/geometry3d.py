@@ -19,7 +19,7 @@ from one rotation of the directions d(s, t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -42,7 +42,6 @@ class Surface3D:
     without them would need the full assembly back.
     """
 
-    kind: str
     profile: Callable[[np.ndarray], np.ndarray]
     profile_prime: Callable[[np.ndarray], np.ndarray]
     axes: np.ndarray
@@ -90,7 +89,7 @@ class Surface3D:
 def unit_sphere() -> Surface3D:
     one = lambda c: np.ones_like(np.asarray(c, dtype=float))
     zero = lambda c: np.zeros_like(np.asarray(c, dtype=float))
-    return _oriented(Surface3D("unit-sphere", one, zero, np.ones(3)))
+    return _oriented(Surface3D(one, zero, np.ones(3)))
 
 def mushroom() -> Surface3D:
     """Dimpled, axis-stretched test surface: profile 2 - 1/(1 + 100(1-c)^2)
@@ -99,31 +98,13 @@ def mushroom() -> Surface3D:
         return 2.0 - 1.0/(1.0 + 100.0*(1.0 - c)**2)
     def dprof(c):
         return -200.0*(1.0 - c)/(1.0 + 100.0*(1.0 - c)**2)**2
-    return _oriented(Surface3D("mushroom", prof, dprof, np.array([1.0, 2.0, 1.0])))
-
-def custom_radial(profile, profile_prime, axes=(1.0, 1.0, 1.0)) -> Surface3D:
-    """Star-shaped surface from an analytic profile of c = cos(theta).
-
-    Both the profile and its c-derivative must be supplied in closed form;
-    the kernels need exact normals.  The profile must be finite and
-    positive on [-1, 1], which is checked on a fixed grid there: where it
-    vanishes, the surface frame degenerates.
-    """
-    s = Surface3D("custom-radial", profile, profile_prime,
-                  np.asarray(axes, dtype=float))
-    if np.any(s.axes <= 0):
-        raise ValueError("axis scales must be positive")
-    with np.errstate(all="ignore"):
-        values = np.asarray(profile(np.linspace(-1.0, 1.0, 129)), dtype=float)
-    if not np.all(np.isfinite(values) & (values > 0)):
-        raise ValueError("profile must be finite and positive on [-1, 1]")
-    return _oriented(s)
+    return _oriented(Surface3D(prof, dprof, np.array([1.0, 2.0, 1.0])))
 
 def _oriented(s: Surface3D) -> Surface3D:
     """Fix the normal orientation outward by a ray test from the origin."""
     y, area_normal = s.area_normal(direction(1.1, 0.3), np.ones(()))
     if float(np.sum(y*area_normal)) < 0:
-        return Surface3D(s.kind, s.profile, s.profile_prime, s.axes, -s.orient)
+        return replace(s, orient=-s.orient)
     return s
 
 
@@ -166,35 +147,21 @@ def rotation_matrix(theta_star, phi_star) -> np.ndarray:
 
 def _rotated_frame(surface: Surface3D, theta_star, phi_star, local,
                    jacobian):
-    """rotated_frame from the directions local = d(s, t) of the unrotated
-    grid and its area factor jacobian = sin(s): the directions are rotated
-    by each pole's matrix, and positions and normals built at them."""
+    """(position, area-weighted normal, direction) at each node of the grid
+    whose pole sits at (theta*, phi*), from the directions local = d(s, t)
+    of the unrotated grid and its area factor jacobian = sin(s).
+
+    The area-weighted normal is the outward unit normal times the area
+    element of the rotated parameterization, which absorbs the sin(s) pole
+    factor; a density is sampled at the direction R(theta*, phi*) d(s, t).
+    Stacked poles (theta*, phi* of shape (k,)) give one grid per pole along
+    a leading axis.
+    """
     R = rotation_matrix(theta_star, phi_star)
     d = (local.reshape(-1, 3) @ np.swapaxes(R, -1, -2)).reshape(
         R.shape[:-2] + local.shape)
     y, area_normal = surface.area_normal(d, jacobian)
     return y, area_normal, d
-
-
-def rotated_frame(surface: Surface3D, theta_star, phi_star, s, t):
-    """Quadrature geometry on the grid whose pole sits at (theta*, phi*).
-
-    s and t are broadcast to a common shape; returns (position, area-weighted
-    normal, direction).  The area-weighted normal orient*(y_s x y_t) is the
-    outward unit normal times the area element of the rotated
-    parameterization, which absorbs the sin(s) pole factor; the direction
-    R(theta*, phi*) d(s, t) of each node is what a density is sampled at
-    (direction_angles turns it into the unrotated parameters, with phi*
-    where a node is a coordinate pole).
-
-    Stacked poles (theta*, phi* of shape (k,)) give one grid per pole along
-    a leading axis.
-    """
-    S, T = np.broadcast_arrays(np.asarray(s, dtype=float),
-                               np.asarray(t, dtype=float))
-    # the rotated tangents d_s and d_t have d_s x d_t = sin(s) d
-    return _rotated_frame(surface, theta_star, phi_star, direction(S, T),
-                          np.sin(S))
 
 
 def surface_point_and_normal(surface: Surface3D, theta_star, phi_star):

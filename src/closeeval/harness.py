@@ -27,7 +27,7 @@ from .closeeval2d import (METHODS as METHODS_2D, CloseEvalRequest2D,
                           _eval_points, close_eval_2d)
 from .closeeval3d import METHODS as METHODS_3D, _points, close_eval_3d
 from .geometry2d import kite, star
-from .geometry3d import mushroom, unit_sphere
+from .geometry3d import mushroom, surface_point_and_normal, unit_sphere
 from .hgscatter import (MAX_DEGREE as HG_MAX_DEGREE, apply_L_asymptotic,
                         apply_L_spectral)
 from .spectral import SphericalCoeffs, periodic_nodes
@@ -199,18 +199,22 @@ class StudyConfig:
                               " (a mushroom solve at n = 96 takes about 19 s"
                               " and 345 MB on a 2-core host)")
         if fam != "hg":
-            specs = self.targets
-            if not specs:
+            if not self.targets:
                 raise ConfigError("targets must not be empty")
-            if fam == "3d" and specs in SLICES_3D:
-                specs = (specs,)
-            if specs != "all-nodes" and not (
+            try:
+                targets = _targets(self.targets)
+            except (TypeError, ValueError):
+                targets = None
+            specs = ((targets,) if fam == "3d" and targets in SLICES_3D
+                     else targets)
+            if targets != "all-nodes" and not (
                     isinstance(specs, tuple)
                     and all(_valid_target(fam, t) for t in specs)):
                 raise ConfigError(
                     f"bad targets {self.targets!r}: 2D targets are "
                     "'all-nodes' or finite parameters; 3D targets are "
                     "'all-nodes', slice names or finite [theta, phi] pairs")
+            object.__setattr__(self, "targets", targets)
             if not (math.isfinite(self.ell) and self.ell > 0):
                 raise ConfigError("ell must be positive and finite")
         if fam == "3d" and not 1 <= self.slice_count <= MAX_SLICE_COUNT:
@@ -245,12 +249,12 @@ def _methods(value) -> tuple:
 
 
 def _targets(value):
-    """A targets string as given; a list as a tuple of 2D parameters, 3D
-    slice names and (theta, phi) pairs."""
+    """A targets string as given; a list or tuple as a tuple of 2D
+    parameters, 3D slice names and (theta, phi) pairs."""
     if isinstance(value, str):
         return value
     return tuple(t if isinstance(t, str) else
-                 _floats(t) if isinstance(t, list) else _real(t)
+                 _floats(t) if isinstance(t, (list, tuple)) else _real(t)
                  for t in value)
 
 
@@ -266,7 +270,7 @@ _KEYS = {
     "methods": ("methods", _methods),
     "eps": ("eps", lambda v: tuple(sorted(_floats(v), reverse=True))),
     "eps_range": ("eps", _eps_range),
-    "targets": ("targets", _targets),
+    "targets": ("targets", lambda v: v),
     "out": ("out_dir", _path),
     "cache": ("cache_dir", _path),
     "x0": ("x0", _floats),
@@ -546,7 +550,7 @@ _OUTSIDE = "evaluation point falls outside the domain"
 
 
 def _study_2d(config: StudyConfig):
-    """The 2D hooks: one request per (target, eps) tests its point, and
+    """The 2D hook: one request per (target, eps) tests its point, and
     every kept eps of a target is then evaluated in one close_eval_2d
     call."""
     curve = _curve_for(config.problem)
@@ -559,27 +563,26 @@ def _study_2d(config: StudyConfig):
     except RuntimeError as exc:
         raise NumericalError(str(exc)) from None
 
-    def inside(k, eps):
+    def sweep(k, eps):
         kept = np.ones(len(eps), dtype=bool)
         for i, e in enumerate(eps.tolist()):
             try:
                 CloseEvalRequest2D(density, k, e, config.ell)
             except ValueError:
                 kept[i] = False
-        return kept
-
-    def evaluate(k, eps):
+        eps = eps[kept]
         exact = harmonic_source(_eval_points(density, k, eps, config.ell),
                                 config.x0)
-        return exact, close_eval_2d(density, k, eps, config.ell,
-                                    config.methods)
+        return kept, exact, close_eval_2d(density, k, eps, config.ell,
+                                          config.methods)
 
-    return _targets_2d(config, config.n), _OUTSIDE, inside, evaluate
+    return _targets_2d(config, config.n), _OUTSIDE, sweep
 
 
 def _study_3d(config: StudyConfig):
-    """The 3D hooks: each point is tested once, and every kept eps of a
-    target is then evaluated in one close_eval_3d call."""
+    """The 3D hook: a target's points are built once from its (y*, nu*)
+    and tested, and every kept eps is then evaluated in one close_eval_3d
+    call."""
     surface = _surface_for(config.problem)
     try:
         data = harmonic_point_source_3d(surface, config.source)
@@ -587,16 +590,15 @@ def _study_3d(config: StudyConfig):
         raise ConfigError(str(exc)) from None
     density = _solve_3d(config, surface, data)
 
-    def inside(angles, eps):
-        return surface.contains(_points(surface, *angles, eps, config.ell))
+    def sweep(angles, eps):
+        x = _points(*surface_point_and_normal(surface, *angles), eps,
+                    config.ell)
+        kept = surface.contains(x)
+        return (kept, exact_point_source_3d(x[kept], config.source),
+                close_eval_3d(density, *angles, eps[kept], config.ell,
+                              config.methods))
 
-    def evaluate(angles, eps):
-        exact = exact_point_source_3d(
-            _points(surface, *angles, eps, config.ell), config.source)
-        return exact, close_eval_3d(density, *angles, eps, config.ell,
-                                    config.methods)
-
-    return _targets_3d(config), _OUTSIDE, inside, evaluate
+    return _targets_3d(config), _OUTSIDE, sweep
 
 
 def _hg_field(config: StudyConfig) -> SphericalCoeffs:
@@ -621,44 +623,45 @@ def _hg_field(config: StudyConfig) -> SphericalCoeffs:
 
 
 def _study_hg(config: StudyConfig):
-    """The hg hooks: one target, whose eps in (0, 0.5) are kept unless
-    g = 1 - eps rounds to 1, and the expansion against the exact operator
-    (its eigen-action on the field)."""
+    """The hg hook: one target, whose eps in (0, 0.5) are kept, and the
+    expansion against the exact operator (its eigen-action on the field)."""
     psi, omega = _hg_field(config), config.hg_omega
-    return ([("hg", None)], "eps outside (0, 0.5) or too small for "
-                            "g = 1 - eps to differ from 1",
-            lambda _, eps: (0 < eps) & (eps < 0.5) & (1.0 - eps < 1.0),
-            lambda _, eps: (apply_L_spectral(psi, omega, 1.0 - eps),
-                            {"hg_asym": apply_L_asymptotic(psi, omega, eps)}))
+
+    def sweep(_, eps):
+        kept = (0 < eps) & (eps < 0.5)
+        eps = eps[kept]
+        return (kept, apply_L_spectral(psi, omega, eps),
+                {"hg_asym": apply_L_asymptotic(psi, omega, eps)})
+
+    return [("hg", None)], "eps outside (0, 0.5)", sweep
 
 
-# Each family's setup checks the config and solves, then returns the hooks
+# Each family's setup checks the config and solves, then returns the hook
 # of the one sweep: the (label, target) list, the reason a rejected eps is
-# recorded with, inside(target, eps), the mask of the eps kept, and
-# evaluate(target, kept eps), the exact column and one column per method.
+# recorded with, and sweep(target, eps), which returns the mask of the eps
+# kept, then the exact column and one column per method at the kept eps.
 _STUDIES = {"2d": _study_2d, "3d": _study_3d, "hg": _study_hg}
 
 
 def run_error_map(config: StudyConfig) -> ErrorStudyResult:
     """Sweep all methods over the (target, eps) set of any problem.  An eps
-    that inside drops, such as a point outside a concave domain, is a
+    that the sweep drops, such as a point outside a concave domain, is a
     rejection, not a failure; a target that keeps no eps has no block."""
     # the output and cache directories are made before any solve
     family = _family(config.problem)
     for path in (config.out_dir, config.cache_dir if family == "3d" else None):
         if path:
             _make_dir(path)
-    targets, reason, inside, evaluate = _STUDIES[family](config)
+    targets, reason, sweep = _STUDIES[family](config)
     all_eps = np.array(config.eps)
     blocks, rejections = [], []
     for label, target in targets:
-        kept = inside(target, all_eps)
+        kept, exact, values = sweep(target, all_eps)
         rejections.extend(Rejection(label, e, m, reason)
                           for e in all_eps[~kept].tolist()
                           for m in config.methods)
         if kept.any():
-            eps = all_eps[kept]
-            blocks.append(ResultBlock(label, eps, *evaluate(target, eps)))
+            blocks.append(ResultBlock(label, all_eps[kept], exact, values))
     result = ErrorStudyResult(config, blocks, rejections,
                               _fit_blocks(blocks, config))
     if config.out_dir:

@@ -67,18 +67,23 @@ def _l32_multipliers(N: int) -> np.ndarray:
     return (_legendre_minus_one(N, s) @ kern)/(2.0*np.sqrt(2.0))
 
 
-def apply_L_spectral(psi: SphericalCoeffs, omega, g):
-    """Exact scattering operator on the field with harmonic coefficients
-    psi, from its eigen-action,
-    sum_n (g^n - 1) s_n(omega), for a number g (returns a float) or an
-    array of g (returns one value per g).
+def apply_L_spectral(psi: SphericalCoeffs, omega, eps):
+    """Exact scattering operator at g = 1 - eps on the field with harmonic
+    coefficients psi, from its eigen-action sum_n (g^n - 1) s_n(omega), for
+    a number eps (returns a float) or an array of eps (returns one value
+    per eps); |g| < 1 asks for eps in (0, 2).  For g > 0, g^n - 1 is
+    expm1(n log1p(-eps)), formed from eps itself: a rounded g = 1 - eps
+    would lose a small eps's low bits, and all of it below 1.1e-16.
     """
-    gs = np.asarray(g, dtype=float)
-    if not np.all(np.abs(gs) < 1):
-        raise ValueError("anisotropy factor must satisfy |g| < 1")
-    lam = gs.reshape(-1, 1)**np.arange(psi.N) - 1.0
+    e = np.asarray(eps, dtype=float)
+    if not np.all((0 < e) & (e < 2)):
+        raise ValueError("eps must lie in (0, 2), so that |1 - eps| < 1")
+    col, n = e.reshape(-1, 1), np.arange(psi.N)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        lam = np.where(col < 1, np.expm1(n*np.log1p(-col)),
+                       (1.0 - col)**n - 1.0)
     out = lam @ _degree_values(psi, omega)
-    return float(out[0]) if gs.ndim == 0 else out.reshape(gs.shape)
+    return float(out[0]) if e.ndim == 0 else out.reshape(e.shape)
 
 
 def apply_L32(psi: SphericalCoeffs, omega) -> float:

@@ -22,11 +22,10 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule1D:
-    """Nodes and weights of a 1D quadrature rule on the tagged domain."""
+    """Nodes and weights of a 1D quadrature rule."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: str  # "[-1,1]" or "[0,pi]"
 
     def __post_init__(self):
         if self.nodes.shape != self.weights.shape:
@@ -102,7 +101,7 @@ def gauss_legendre(n: int) -> QuadratureRule1D:
     if n < 1:
         raise ValueError("need at least one node")
     z, w = _gl_cached(int(n))
-    return QuadratureRule1D(z.copy(), w.copy(), "[-1,1]")
+    return QuadratureRule1D(z.copy(), w.copy())
 
 def mapped_rule(n: int) -> QuadratureRule1D:
     """Gauss-Legendre rule mapped to [0, pi] via s = pi*(z+1)/2.
@@ -110,8 +109,7 @@ def mapped_rule(n: int) -> QuadratureRule1D:
     The weights carry the pi/2 Jacobian, so they sum to pi.
     """
     base = gauss_legendre(n)
-    return QuadratureRule1D(np.pi*(base.nodes + 1)/2, (np.pi/2)*base.weights,
-                            "[0,pi]")
+    return QuadratureRule1D(np.pi*(base.nodes + 1)/2, (np.pi/2)*base.weights)
 
 
 def periodic_nodes(n: int) -> np.ndarray:

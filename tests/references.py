@@ -7,11 +7,13 @@ rotated rings about omega, the checks of hgscatter's degree multipliers.
 pole_second_derivative_average is the finite-difference pole curvature
 that the two-term expansion's Laplacian term is checked against.
 sph_harm_eval and sph_basis_matrix give the harmonics one at a time and as
-the dense basis with the m < 0 columns, and rotated_angles the angles of a
-rotated grid's nodes.  galerkin_matrix turns the Galerkin assembly's real
-blocks back into the complex n^2 x n^2 matrix.  dlp_weights_einsum and
-kernel_K1_einsum are the 3D kernels with their dot products taken by
-einsum, the form the component-wise kernels replaced.
+the dense basis with the m < 0 columns, rotated_frame a rotated grid's
+geometry at any (s, t), and rotated_angles the angles of its nodes.
+unit_circle and radial_surface build shapes that no study runs on.
+galerkin_matrix turns the Galerkin assembly's real blocks back into the
+complex n^2 x n^2 matrix.  dlp_weights_einsum and kernel_K1_einsum are
+the 3D kernels with their dot products taken by einsum, the form the
+component-wise kernels replaced.
 """
 
 import warnings
@@ -19,7 +21,9 @@ import warnings
 import numpy as np
 
 from closeeval.bie3d import _from_real, _to_real
-from closeeval.geometry3d import direction_angles, rotated_frame, unit_sphere
+from closeeval.geometry2d import Curve2D
+from closeeval.geometry3d import (Surface3D, _oriented, _rotated_frame,
+                                  direction, direction_angles, unit_sphere)
 from closeeval.hgscatter import _L32_POLAR_NODES
 from closeeval.spectral import (SphericalCoeffs, _legendre_table, _tri,
                                 mapped_rule, periodic_nodes, sph_synthesis)
@@ -31,6 +35,29 @@ MAX_POLAR_NODES = 8192
 # Ring nodes times N^2 basis values that _ring_average synthesises at once,
 # 16 MB of complex basis, so its memory does not grow with the polar rule.
 _RING_BLOCK_VALUES = 1 << 20
+
+
+def unit_circle() -> Curve2D:
+    """y(t) = (cos t, sin t)."""
+    return Curve2D(cos1=[0.0, 1.0], sin1=[0.0], cos2=[0.0], sin2=[0.0, 1.0])
+
+
+def radial_surface(profile, profile_prime, axes) -> Surface3D:
+    """The radial surface P(cos theta) diag(axes) d(theta, phi), oriented
+    outward as unit_sphere and mushroom are."""
+    return _oriented(Surface3D(profile, profile_prime,
+                               np.asarray(axes, dtype=float)))
+
+
+def rotated_frame(surface: Surface3D, theta_star, phi_star, s, t):
+    """(position, area-weighted normal, direction) at the nodes (s, t),
+    broadcast together, of the grid whose pole sits at (theta*, phi*);
+    stacked poles give one grid per pole along a leading axis."""
+    S, T = np.broadcast_arrays(np.asarray(s, dtype=float),
+                               np.asarray(t, dtype=float))
+    # the rotated tangents d_s and d_t have d_s x d_t = sin(s) d
+    return _rotated_frame(surface, theta_star, phi_star, direction(S, T),
+                          np.sin(S))
 
 
 def rotated_angles(s, t, theta_star: float, phi_star: float):

@@ -19,7 +19,7 @@ from closeeval.closeeval2d import close_eval_2d
 from closeeval.closeeval3d import _points, close_eval_3d
 from closeeval.geometry2d import curve_grid, kite, star
 from closeeval.geometry3d import (direction, mushroom, rotation_matrix,
-                                  unit_sphere)
+                                  surface_point_and_normal, unit_sphere)
 from closeeval.harness import StudyConfig, eps_grid, fit_order, run_error_map
 from closeeval.hgscatter import apply_L_asymptotic
 from closeeval.spectral import (SphericalCoeffs, analysis_grid, sph_analysis,
@@ -177,7 +177,8 @@ def test_criterion_07_sphere_close_eval_and_mushroom_decay():
     grid = np.array(eps_grid(1e-3, 1e-1, 25))
 
     def asym_errors(ts2, ps2, eps):
-        points = _points(surf, ts2, ps2, eps, 1.0)
+        points = _points(*surface_point_and_normal(surf, ts2, ps2), eps,
+                         1.0)
         assert np.all(surf.contains(points))
         return np.abs(close_eval_3d(d32, ts2, ps2, eps)["asym2"]
                       - exact_point_source_3d(points, source))

@@ -11,11 +11,10 @@ from closeeval.bie3d import (Density3D, apply_K_subtracted, assemble_galerkin,
                              harmonic_point_source_3d, project_boundary_data,
                              rotated_grid, solve_density3d,
                              subtracted_weights)
-from closeeval.geometry3d import (custom_radial, direction_angles, mushroom,
-                                  unit_sphere)
+from closeeval.geometry3d import direction_angles, mushroom, unit_sphere
 from closeeval.spectral import SphericalCoeffs, analysis_grid
 
-from references import (dlp_weights_einsum, galerkin_matrix,
+from references import (dlp_weights_einsum, galerkin_matrix, radial_surface,
                         sph_basis_matrix, sph_harm_eval)
 
 SOURCE = (5.0, 4.0, 3.0)
@@ -24,8 +23,8 @@ SOURCE = (5.0, 4.0, 3.0)
 def three_axis():
     # a radial surface with three different axes: it keeps only the two
     # reflections x1 -> -x1 and x2 -> -x2 that the assembly relies on
-    return custom_radial(lambda c: 1.5 + 0.3*c - 0.2*c*c,
-                         lambda c: 0.3 - 0.4*c, axes=(1.0, 1.7, 0.8))
+    return radial_surface(lambda c: 1.5 + 0.3*c - 0.2*c*c,
+                          lambda c: 0.3 - 0.4*c, axes=(1.0, 1.7, 0.8))
 
 
 SURFACES = {"unit_sphere": unit_sphere, "mushroom": mushroom,
@@ -35,11 +34,6 @@ SURFACES = {"unit_sphere": unit_sphere, "mushroom": mushroom,
 def sphere_eigenvalue(n):
     # double-layer operator eigenvalue on the unit sphere
     return -1.0/(2*(2*n + 1))
-
-
-@pytest.fixture(scope="module")
-def sphere_matrix():
-    return assemble_galerkin(unit_sphere(), 8)
 
 
 def test_operator_maps_constants_exactly():
@@ -70,8 +64,8 @@ def test_operator_resolution_agreement_on_mushroom():
     assert abs(k24 - k32) < 2e-6
 
 
-def test_galerkin_sphere_is_nearly_diagonal(sphere_matrix):
-    A = galerkin_matrix(sphere_matrix, 8)
+def test_galerkin_sphere_is_nearly_diagonal():
+    A = galerkin_matrix(assemble_galerkin(unit_sphere(), 8), 8)
     assert A.shape == (64, 64)
     off = A - np.diag(np.diag(A))
     assert np.max(np.abs(off)) < 1e-12
@@ -220,43 +214,43 @@ def test_projection_recovers_band_limited_data():
     assert abs(c.get(5, 0)) < 1e-13
 
 
-def test_solve_constant_data(sphere_matrix):
+def test_solve_constant_data():
     # f = 1 is sqrt(4 pi) Y00; the n = 0 system entry is -1
     f = lambda th, ph: np.ones_like(th)
-    d = solve_density3d(unit_sphere(), f, 8, matrix=sphere_matrix)
+    d = solve_density3d(unit_sphere(), f, 8)
     assert_allclose(d.coeffs.get(0, 0), -np.sqrt(4*np.pi), rtol=1e-12)
     assert np.max(np.abs(d.coeffs.c[1:])) < 1e-12
 
 
-def test_solve_harmonic_data_ratio(sphere_matrix):
+def test_solve_harmonic_data_ratio():
     # on the sphere each harmonic mode solves to -(2n+1)/(n+1) its datum
     for n, m in [(1, 0), (2, 1), (3, -2)]:
         g = lambda th, ph, n=n, m=m: sph_harm_eval(n, m, th, ph)
-        d = solve_density3d(unit_sphere(), g, 8, matrix=sphere_matrix)
+        d = solve_density3d(unit_sphere(), g, 8)
         assert_allclose(d.coeffs.get(n, m), -(2*n + 1)/(n + 1), rtol=1e-6)
 
 
-def test_solve_equivariant_under_azimuth_shift(sphere_matrix):
+def test_solve_equivariant_under_azimuth_shift():
     alpha = 0.6
     base = lambda th, ph: sph_harm_eval(3, 2, th, ph)
     shifted = lambda th, ph: sph_harm_eval(3, 2, th, ph - alpha)
-    d0 = solve_density3d(unit_sphere(), base, 8, matrix=sphere_matrix)
-    d1 = solve_density3d(unit_sphere(), shifted, 8, matrix=sphere_matrix)
+    d0 = solve_density3d(unit_sphere(), base, 8)
+    d1 = solve_density3d(unit_sphere(), shifted, 8)
     assert_allclose(d1.coeffs.get(3, 2),
                     np.exp(-2j*alpha)*d0.coeffs.get(3, 2), rtol=1e-10)
 
 
-def test_density_synthesis_is_real(sphere_matrix):
+def test_density_synthesis_is_real():
     f = harmonic_point_source_3d(unit_sphere(), SOURCE)
-    d = solve_density3d(unit_sphere(), f, 8, matrix=sphere_matrix)
+    d = solve_density3d(unit_sphere(), f, 8)
     th = np.linspace(0.1, 3.0, 7)
     vals = d(th, 0.5*th)
     assert vals.dtype == np.float64 and vals.shape == (7,)
 
 
-def test_density_save_load_round_trip(tmp_path, sphere_matrix):
+def test_density_save_load_round_trip(tmp_path):
     f = harmonic_point_source_3d(unit_sphere(), SOURCE)
-    d = solve_density3d(unit_sphere(), f, 8, matrix=sphere_matrix)
+    d = solve_density3d(unit_sphere(), f, 8)
     path = tmp_path/"density.json"
     d.save(str(path))
     d2 = Density3D.load(str(path), unit_sphere())
@@ -281,9 +275,9 @@ def _dlp_far_3d(density, x, n=32):
     return float((1.0/(4*n))*np.sum(dlp_weights(grid, x)*mu))
 
 
-def test_sphere_far_field_reconstruction(sphere_matrix):
+def test_sphere_far_field_reconstruction():
     f = harmonic_point_source_3d(unit_sphere(), SOURCE)
-    d = solve_density3d(unit_sphere(), f, 8, matrix=sphere_matrix)
+    d = solve_density3d(unit_sphere(), f, 8)
     for x in [np.array([0.2, 0.1, -0.3]), np.zeros(3)]:
         err = abs(_dlp_far_3d(d, x) - exact_point_source_3d(x, SOURCE))
         assert err < 1e-12

@@ -7,10 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from closeeval import cli, harness
+from closeeval import cli, harness, hgscatter
 from closeeval.bie3d import Density3D
 from closeeval.geometry3d import unit_sphere
 from closeeval.harness import NumericalError
+from closeeval.spectral import SphericalCoeffs
 
 
 def _write_config(tmp_path, payload, name="study.json"):
@@ -435,22 +436,27 @@ def test_hg_command(tmp_path, capsys):
     assert (out/"results.csv").exists()
 
 
-def test_hg_eps_whose_g_rounds_to_one_is_rejected(tmp_path, capsys):
-    # 1 - eps == 1 for eps below half an ulp of 1: such an eps is a
-    # rejection with its reason, not a traceback from the exact operator
+def test_hg_eps_whose_g_rounds_to_one_is_evaluated(tmp_path):
+    # 1 - eps == 1 for eps below half an ulp of 1: the exact operator forms
+    # its eigenvalue (1 - eps)^3 - 1 from eps, not from the rounded g, so
+    # such an eps is a row whose exact value keeps eps, not a rejection
     out = tmp_path/"hg"
     cfg = _write_config(tmp_path, {"problem": "hg",
                                    "hg_field": [[3, 1, 1.0, 0.0]],
                                    "out": str(out)})
     assert cli.main(["hg", cfg, "--eps-range", "1e-18:1e-1:2"]) == 0
+    assert not (out/"rejections.csv").exists()
     rows = harness.read_results_csv(str(out/"results.csv"))
-    lines = (out/"rejections.csv").read_text().splitlines()[1:]
-    rejected = sorted(float(line.split(",")[1]) for line in lines)
-    assert rejected and all(1.0 - e == 1.0 for e in rejected)
-    assert "g = 1 - eps" in lines[0]
-    assert all(1.0 - r.eps < 1.0 for r in rows)
-    # 17 decades at two eps per decade, and every eps below 1e-16
-    assert len(rows) + len(rejected) == 35 and len(rejected) == 4
+    # 17 decades at two eps per decade, four of them below 1e-16
+    assert len(rows) == 35
+    tiny = [r for r in rows if 1.0 - r.eps == 1.0]
+    assert len(tiny) == 4
+    s3 = hgscatter._degree_values(
+        SphericalCoeffs.single(4, 3, 1, 1.0), (1.0, 0.7))[3]
+    for r in tiny:
+        assert r.exact != 0.0
+        assert r.exact == pytest.approx(
+            np.expm1(3*np.log1p(-r.eps))*s3, rel=1e-15, abs=0)
 
 
 def test_huge_2d_target_snaps_to_a_node(tmp_path):

@@ -7,9 +7,11 @@ from closeeval.bie2d import (DensityGrid2D, assemble_nystrom, dirichlet_data,
 from closeeval.closeeval2d import (METHODS, CloseEvalRequest2D, _eval_points,
                                    _kernel_K1, asym_coefficients,
                                    close_eval_2d)
-from closeeval.geometry2d import (CurvePoint2D, circle, curve_eval,
-                                  curve_grid, kite, star)
+from closeeval.geometry2d import (CurvePoint2D, curve_eval, curve_grid, kite,
+                                  star)
 from closeeval.spectral import periodic_derivative
+
+from references import unit_circle
 
 X0 = np.array([1.85, 1.65])
 N = 128
@@ -85,8 +87,9 @@ def _errors(density, k, eps):
 
 def test_kernel_values_on_circle():
     # antipodal target on the unit circle: closed forms -1/4 and -1/8
-    assert_allclose(_kernel_K1_2d(circle(), np.pi, 0.0), -0.25, atol=1e-15)
-    gt, gs = curve_eval(circle(), np.pi), curve_eval(circle(), 0.0)
+    assert_allclose(_kernel_K1_2d(unit_circle(), np.pi, 0.0), -0.25,
+                    atol=1e-15)
+    gt, gs = curve_eval(unit_circle(), np.pi), curve_eval(unit_circle(), 0.0)
     assert_allclose(_kernel_K2(gt.position, gt.normal, gs.position,
                                gs.normal), -0.125, atol=1e-15)
 
@@ -97,8 +100,8 @@ def test_kernels_shift_invariant_on_circle():
         t, ts, s = rng.uniform(-np.pi, np.pi, 3)
         if abs(t - ts) < 0.1:
             continue
-        assert_allclose(_kernel_K1_2d(circle(), t + s, ts + s),
-                        _kernel_K1_2d(circle(), t, ts), atol=1e-12)
+        assert_allclose(_kernel_K1_2d(unit_circle(), t + s, ts + s),
+                        _kernel_K1_2d(unit_circle(), t, ts), atol=1e-12)
 
 
 def test_kernels_scale_with_ell():

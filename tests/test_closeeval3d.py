@@ -50,6 +50,11 @@ def _padded(density, N):
     return Density3D(density.surface, SphericalCoeffs(N, c), density.data)
 
 
+def _target_points(surface, theta, phi, eps):
+    """The evaluation points y* - eps*nu* of the target (theta, phi)."""
+    return _points(*surface_point_and_normal(surface, theta, phi), eps, 1.0)
+
+
 def sphere_kernel_closed_form(s):
     # on the unit sphere the first expansion kernel depends only on the
     # polar gap: (1 - c)(c - 3) / (2(1 - c))^(5/2) with c = cos s
@@ -60,9 +65,8 @@ def sphere_kernel_closed_form(s):
 @pytest.fixture(scope="module")
 def sphere_source_density():
     sph = unit_sphere()
-    A = assemble_galerkin(sph, 8)
     f = harmonic_point_source_3d(sph, SOURCE)
-    return solve_density3d(sph, f, 8, matrix=A)
+    return solve_density3d(sph, f, 8)
 
 
 def _y10_density(N=24):
@@ -140,7 +144,7 @@ def test_asymptotic_error_is_second_order(sphere_source_density):
     for eps in (1e-1, 1e-2, 1e-3):
         asym = close_eval_3d(sphere_source_density, 1.1, 0.6, eps)["asym2"]
         errs.append(abs(asym - exact_point_source_3d(
-            _points(sphere_source_density.surface, 1.1, 0.6, eps, 1.0),
+            _target_points(sphere_source_density.surface, 1.1, 0.6, eps),
             SOURCE)))
     assert 50 < errs[0]/errs[1] < 200
     assert 50 < errs[1]/errs[2] < 200
@@ -151,7 +155,7 @@ def test_numerical_error_stays_small_near_boundary(sphere_source_density):
     for eps in (1e-1, 1e-2, 1e-3):
         num = close_eval_3d(d, 1.1, 0.6, eps, methods=("numerical",))
         err = abs(num["numerical"] - exact_point_source_3d(
-            _points(d.surface, 1.1, 0.6, eps, 1.0), SOURCE))
+            _target_points(d.surface, 1.1, 0.6, eps), SOURCE))
         assert err < 1e-6
 
 
@@ -192,7 +196,7 @@ def test_request_defaults_and_validation(sphere_source_density):
     # interiority is the caller's test: a point that exits through the far
     # side of the sphere is evaluated, and contains finds it outside
     assert set(close_eval_3d(d, 1.0, 0.5, 2.5)) == set(METHODS)
-    assert not d.surface.contains(_points(d.surface, 1.0, 0.5, 2.5, 1.0))
+    assert not d.surface.contains(_target_points(d.surface, 1.0, 0.5, 2.5))
 
 
 def test_eps_vector_matches_scalar_requests():
@@ -282,7 +286,7 @@ def test_joint_synthesis_matches_two_separate_calls(theta, phi):
     scale = np.sum(np.abs(d.coeffs.c))
     assert abs(joint[-1] - single) <= 1e-15*scale
     eps = np.array([1e-1, 1e-2, 1e-3])
-    x = _points(d.surface, theta, phi, eps, 1.0)
+    x = _target_points(d.surface, theta, phi, eps)
     w = closeeval3d.dlp_weights(grid, x[..., None, None, :])
     got = close_eval_3d(d, theta, phi, eps, methods=("numerical",))
     for mu_star, exact in ((float(joint[-1]), True), (float(single), False)):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from closeeval.geometry2d import (Curve2D, _polygon, circle, curve_eval,
-                                  curve_grid, fourier_custom, kite,
-                                  load_curve, point_inside, star)
+from closeeval.geometry2d import (Curve2D, _polygon, curve_eval, curve_grid,
+                                  kite, point_inside, star)
 from closeeval.spectral import periodic_nodes
 
-CURVES = {"kite": kite(), "star": star(), "circle": circle()}
+from references import unit_circle
+
+CURVES = {"kite": kite(), "star": star(), "circle": unit_circle()}
 
 
 def test_kite_anchor_points():
@@ -37,7 +38,7 @@ def test_star_anchor_points():
 
 def test_circle_curvature_is_plus_one():
     for t in (0.0, 1.0, -2.2):
-        p = curve_eval(circle(), t)
+        p = curve_eval(unit_circle(), t)
         assert_allclose(p.curvature, 1.0, atol=1e-13)
         assert_allclose(p.normal, p.position, atol=1e-13)  # outward on unit circle
 
@@ -223,7 +224,7 @@ def test_polygon_built_once_per_curve(monkeypatch):
 
 def test_coefficients_are_read_only():
     cos1 = np.array([-0.65, 1.0, 0.65])
-    crv = Curve2D("kite", cos1, [0.0], [0.0], [0.0, 1.5])
+    crv = Curve2D(cos1, [0.0], [0.0], [0.0, 1.5])
     for name in ("cos1", "sin1", "cos2", "sin2"):
         with pytest.raises(ValueError):
             getattr(crv, name)[0] = 1.0
@@ -248,17 +249,6 @@ def test_curve_grid_rejects_odd_or_tiny():
 
 
 def test_degenerate_curve_rejected():
-    flat = fourier_custom([0.0], [0.0], [0.0], [0.0])
+    flat = Curve2D([0.0], [0.0], [0.0], [0.0])
     with pytest.raises(ValueError):
         curve_eval(flat, 0.5)
-
-
-def test_load_curve_round_trip(tmp_path):
-    path = tmp_path/"curve.json"
-    import json
-    spec = {"cos1": [0.0, 1.0], "sin1": [0.0],
-            "cos2": [0.0], "sin2": [0.0, 1.0]}
-    path.write_text(json.dumps(spec))
-    crv = load_curve(str(path))
-    p = curve_eval(crv, 0.7)
-    assert_allclose(p.position, [np.cos(0.7), np.sin(0.7)], atol=1e-14)

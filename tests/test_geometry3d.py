@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from closeeval.geometry3d import (Surface3D, custom_radial, direction,
-                                  direction_angles, mushroom, rotated_frame,
-                                  rotation_matrix, surface_point_and_normal,
-                                  unit_sphere)
+from closeeval.geometry3d import (Surface3D, direction, direction_angles,
+                                  mushroom, rotation_matrix,
+                                  surface_point_and_normal, unit_sphere)
 from closeeval.spectral import mapped_rule, periodic_nodes
 
-from references import rotated_angles
+from references import radial_surface, rotated_angles, rotated_frame
 
 SURFACES = {"sphere": unit_sphere(), "mushroom": mushroom()}
 
@@ -112,9 +111,9 @@ def test_sphere_area():
 def test_stretched_sphere_volume_via_divergence():
     # axes (1, 2, 1) triple the enclosed volume; divergence theorem:
     # 3V = integral of y . nu dA
-    surf = custom_radial(lambda c: np.ones_like(np.asarray(c, float)),
-                         lambda c: np.zeros_like(np.asarray(c, float)),
-                         axes=(1.0, 2.0, 1.0))
+    surf = radial_surface(lambda c: np.ones_like(np.asarray(c, float)),
+                          lambda c: np.zeros_like(np.asarray(c, float)),
+                          axes=(1.0, 2.0, 1.0))
     rule = mapped_rule(48)
     t = periodic_nodes(96)
     y, area_normal, _ = _unrotated_frame(surf, rule.nodes[:, None],
@@ -181,8 +180,8 @@ def test_rotated_frame_shapes_and_area():
 
 
 @pytest.mark.parametrize("surface", [
-    mushroom(), custom_radial(lambda c: 1.5 + 0.3*c**3,
-                              lambda c: 0.9*c**2, axes=(0.7, 1.0, 1.8))])
+    mushroom(), radial_surface(lambda c: 1.5 + 0.3*c**3,
+                               lambda c: 0.9*c**2, axes=(0.7, 1.0, 1.8))])
 def test_area_normal_is_the_cross_product_of_the_pushed_tangents(surface):
     # the closed form against orient*(y_1 x y_2) = W*nu from the pushed
     # forward pair, for random tangent pairs of either handedness
@@ -256,30 +255,10 @@ def test_stacked_rotated_frame_matches_scalar_calls():
 
 def test_stacked_point_and_normal_raises_on_one_degenerate_frame():
     # the profile 1 - c vanishes at the north pole, where the frame's two
-    # pushed-forward tangents are parallel; custom_radial rejects it, so
-    # the surface is built directly
-    cone = Surface3D("cone", lambda c: 1.0 - c, lambda c: -np.ones_like(c),
+    # pushed-forward tangents are parallel
+    cone = Surface3D(lambda c: 1.0 - c, lambda c: -np.ones_like(c),
                      np.ones(3))
     surface_point_and_normal(cone, np.array([0.5, 2.0]), np.zeros(2))
     with pytest.raises(ValueError):
         surface_point_and_normal(cone, np.array([0.5, 0.0, 2.0]),
                                  np.zeros(3))
-
-
-def test_custom_radial_validation():
-    one = lambda c: np.ones_like(np.asarray(c, float))
-    zero = lambda c: np.zeros_like(np.asarray(c, float))
-    with pytest.raises(ValueError):
-        custom_radial(one, zero, axes=(1.0, -1.0, 1.0))
-
-
-@pytest.mark.parametrize("profile", [
-    lambda c: 1.0 - c,                          # vanishes at c = 1
-    lambda c: 1.0 + c,                          # vanishes at c = -1
-    lambda c: 0.5 - c*c,                        # negative near the poles
-    lambda c: 1.0/(c - 0.5),                    # infinite at c = 0.5
-    lambda c: np.sqrt(c + 0.5),                 # NaN for c < -0.5
-])
-def test_custom_radial_rejects_a_profile_that_is_not_positive(profile):
-    with pytest.raises(ValueError, match="positive"):
-        custom_radial(profile, lambda c: np.zeros_like(c))

@@ -404,6 +404,36 @@ def test_string_targets_rejected_for_2d():
         run_error_map(_kite_config(targets=("x1x3-slice",)))
 
 
+@pytest.mark.parametrize("problem,targets,want", [
+    ("2d-kite", [1.0], (1.0,)),
+    ("2d-kite", (1,), (1.0,)),
+    ("2d-kite", [np.float64(0.5), 2], (0.5, 2.0)),
+    ("3d-mushroom", [[0.15, 0.0]], ((0.15, 0.0),)),
+    ("3d-mushroom", ["x1x2-slice", (1, 0.5)], ("x1x2-slice", (1.0, 0.5))),
+    ("3d-sphere", "x1x3-slice", "x1x3-slice"),
+    ("2d-kite", [True], None),
+    ("2d-kite", ["1.0"], None),
+    ("2d-kite", ["x1x3-slice"], None),
+    ("3d-mushroom", [[0.15, False]], None),
+    ("3d-mushroom", ["x1x4-slice"], None),
+    ("3d-mushroom", [0.15], None),
+], ids=["2d-list", "2d-int-tuple", "2d-mixed", "3d-pair-list",
+        "3d-slice-and-tuple", "3d-slice-name", "2d-bool", "2d-string",
+        "2d-slice-name", "3d-pair-bool", "3d-bad-slice", "3d-bare-number"])
+def test_directly_built_config_normalises_targets(problem, targets, want):
+    # a directly built StudyConfig takes the target lists that a JSON
+    # config gives, as floats, and refuses bools and strings that are not
+    # slice names
+    if want is None:
+        with pytest.raises(ConfigError, match="bad targets"):
+            StudyConfig(problem=problem, targets=targets)
+        return
+    targets = StudyConfig(problem=problem, targets=targets).targets
+    assert targets == want
+    assert all(type(v) is float for t in targets if not isinstance(t, str)
+               for v in (t if isinstance(t, tuple) else (t,)))
+
+
 def test_run_hg_study_slope_and_rejections():
     cfg = StudyConfig(problem="hg",
                       hg_field=((3, 1, 1.0, 0.0), (1, 0, 0.5, 0.0)),

@@ -118,21 +118,33 @@ def test_polar_rule_above_the_cap_raises_before_it_is_built():
 @pytest.mark.parametrize("g", [-0.4, 0.0, 0.5, 0.9])
 def test_spectral_action_matches_quadrature(g):
     psi = _random_band_limited(np.random.default_rng(3), 6)
-    assert_allclose(apply_L_spectral(psi, OMEGA, g),
+    assert_allclose(apply_L_spectral(psi, OMEGA, 1.0 - g),
                     apply_L_direct(psi, OMEGA, g), atol=1e-12)
 
 
 def test_spectral_action_over_a_g_array():
     psi = _random_band_limited(np.random.default_rng(8), 5)
-    gs = np.array([[0.1, 0.5], [0.9, 0.99]])
-    v = apply_L_spectral(psi, OMEGA, gs)
+    eps = 1.0 - np.array([[0.1, 0.5], [0.9, 0.99]])
+    v = apply_L_spectral(psi, OMEGA, eps)
     assert v.shape == (2, 2)
-    for g, got in zip(gs.ravel(), v.ravel()):
-        assert isinstance(apply_L_spectral(psi, OMEGA, g), float)
-        assert_allclose(got, apply_L_spectral(psi, OMEGA, g), atol=1e-14)
-    for bad in (1.0, -1.0, [0.5, 1.2]):
+    for e, got in zip(eps.ravel(), v.ravel()):
+        assert isinstance(apply_L_spectral(psi, OMEGA, e), float)
+        assert_allclose(got, apply_L_spectral(psi, OMEGA, e), atol=1e-14)
+    for bad in (0.0, 2.0, [0.5, -0.2]):  # g = 1, -1 and 1.2
         with pytest.raises(ValueError):
             apply_L_spectral(psi, OMEGA, bad)
+
+
+@pytest.mark.parametrize("eps", [1e-16, 1e-14, 1e-12, 1e-3])
+def test_spectral_action_at_small_eps_keeps_its_accuracy(eps):
+    # a degree-3 field at omega = (1, 0.7): forming g = 1 - eps first cost
+    # 1.1e-1 relative at eps = 1e-16 and 2.2e-5 at 1e-12; the eigenvalue
+    # (1 - eps)^3 - 1 is -3 eps + 3 eps^2 - eps^3 exactly
+    psi = _field(3, 1)
+    s3 = hgscatter._degree_values(psi, (1.0, 0.7))[3]
+    exact = (-3*eps + 3*eps*eps - eps**3)*s3
+    assert_allclose(apply_L_spectral(psi, (1.0, 0.7), eps), exact,
+                    rtol=1e-14)
 
 
 def test_leading_operator_eigenvalues():
@@ -162,7 +174,7 @@ def test_degree_multipliers_match_rings_without_conjugate_symmetry():
     parts = hgscatter._degree_values(psi, OMEGA)
     assert_allclose(parts.sum(), _at(psi), rtol=1e-13)
     for g in (0.3, 0.8):
-        assert_allclose(apply_L_spectral(psi, OMEGA, g),
+        assert_allclose(apply_L_spectral(psi, OMEGA, 1.0 - g),
                         apply_L_direct(psi, OMEGA, g), rtol=1e-10)
     l32 = apply_L32_rings(psi, OMEGA)
     assert_allclose(apply_L32(psi, OMEGA), l32, rtol=1e-10)

@@ -43,14 +43,17 @@ def test_no_module_names_the_deleted_duplicates():
     # deleted; every study runs through the one sweep of
     # harness.run_error_map; each family has one close-evaluation function
     # and the HG operators take coefficients; the 3D kernels take the
-    # vector components apart, so no einsum dot helper or call is left
+    # vector components apart, so no einsum dot helper or call is left;
+    # the constructors of shapes that no study runs on, and the public
+    # rotated-grid wrapper, are deleted
     deleted = {"rotated_angles", "sph_basis_matrix", "sph_harm_eval",
                "_ptr_and_sub", "_coord", "_descending", "run_hg_study",
                "_sweep_2d", "_sweep_3d", "_by_target", "_cmd_hg",
                "CloseEvalRequest3D", "dlp_numerical_3d", "asym_correction_3d",
                "asym_eps2_3d", "dlp_ptr", "dlp_subtraction", "asym_eps2",
                "asym_eps3", "_method", "_columns", "IntensityField",
-               "evaluators", "_dot", "einsum"}
+               "evaluators", "_dot", "einsum", "circle", "fourier_custom",
+               "load_curve", "custom_radial", "rotated_frame"}
     for path in sorted(PACKAGE.glob("*.py")):
         names = set()
         for node in ast.walk(ast.parse(path.read_text())):
