@@ -63,7 +63,10 @@ def dirichlet_data(curve: Curve2D, x0, n: int) -> np.ndarray:
     pos = curve_grid(curve, n).position
     if np.min(np.linalg.norm(pos - x0, axis=-1)) < 1e-12:
         raise ValueError("source point coincides with the boundary")
-    return harmonic_source(pos, x0)
+    data = harmonic_source(pos, x0)
+    if not np.all(np.isfinite(data)):
+        raise ValueError("source point too far away: the data overflow")
+    return data
 
 
 def harmonic_source(x, x0) -> np.ndarray:

@@ -85,9 +85,9 @@ def _integer(value) -> int:
     """An integral number as an int; a bool, a string or a number with a
     fractional part is refused, not truncated."""
     if isinstance(value, bool) or not (
-            isinstance(value, numbers.Integral)
+            isinstance(value, (int, numbers.Integral))
             or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"{value!r} is not an integer")
+        raise ValueError(f"must be an integer, not {value!r}")
     return int(value)
 
 

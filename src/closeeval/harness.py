@@ -49,27 +49,7 @@ PROBLEMS_2D = ("2d-kite", "2d-star")
 PROBLEMS_3D = ("3d-sphere", "3d-mushroom")
 ASYM_METHODS = frozenset({"asym2", "asym3", "hg_asym"})
 ERROR_FLOOR = 1e-14
-
-# Study defaults per family: the method list, the resolution n (hg has
-# none: its degree is hg_field's), the eps grid (lo, hi, points per decade)
-# and the fit window (lo, hi).
-_DEFAULTS = {"2d": (METHODS_2D, 128, (1e-6, 1e-1, 25), (1e-6, 1e-2)),
-             "3d": (METHODS_3D, 16, (1e-4, 1e-1, 25), (1e-4, 1e-1)),
-             "hg": (("hg_asym",), None, (1e-3, 1e-1, 25), (1e-3, 1e-1))}
 SLICES_3D = ("x1x3-slice", "x1x2-slice")
-# The fit window of fit_order and fit_results: the 2D study's.
-_FIT_WINDOW = _DEFAULTS["2d"][3]
-# Config keys (and flags) that a family's study never reads: a config that
-# gives one, like a StudyConfig that sets its field, is refused, not run
-# as if the key were absent.
-_UNREAD = {"2d": ("cache", "source", "slice_count", "hg_field", "hg_omega"),
-           "3d": ("x0", "hg_field", "hg_omega"),
-           "hg": ("cache", "x0", "source", "slice_count", "targets", "ell")}
-# Defaults of the StudyConfig fields that only some families read; a
-# family that does not read a field leaves it None.
-_READ_DEFAULTS = {"x0": (1.85, 1.65), "source": (5.0, 4.0, 3.0),
-                  "targets": "all-nodes", "ell": 1.0, "slice_count": 16,
-                  "hg_field": (), "hg_omega": (1.0, 0.7)}
 # Largest slice_count: each of the two 3D slices sweeps this many targets.
 # A mushroom target at n = 16 and 76 eps costs about 2.8 ms (256 of them:
 # 0.7 s on a 2-core host, one BLAS thread), so the cap's 2048 take ~6 s.
@@ -107,22 +87,113 @@ def parse_eps_range(text: str) -> tuple:
     return eps_grid(lo, hi, per)
 
 
-def _valid_target(family: str, spec) -> bool:
-    """A finite 2D parameter, or a 3D slice name or finite (theta, phi)."""
-    if family == "3d" and isinstance(spec, str):
-        return spec in SLICES_3D
-    values, size = ((spec,), 1) if family == "2d" else (spec, 2)
-    return (isinstance(values, tuple) and len(values) == size
-            and all(isinstance(v, float) and math.isfinite(v)
-                    for v in values))
+# The conversions below raise TypeError or ValueError with a message that
+# follows the name of the config key: "eps values must be finite, ...".
+def _real(value) -> float:
+    """A finite real number as a float; a bool or a string is refused, not
+    read as 0.0, 1.0 or the number it spells.  float and int are tested
+    before the slower numbers.Real."""
+    if isinstance(value, bool) or not isinstance(value, (float, int,
+                                                         numbers.Real)):
+        raise ValueError(f"values must be numbers, not {value!r}")
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"values must be finite, not {x!r}")
+    return x
+
+
+def _floats(values, size: int = None) -> tuple:
+    """A list of numbers as a tuple of floats, of length size if given."""
+    out = tuple(map(_real, values))
+    if size is not None and len(out) != size:
+        raise ValueError(f"must have {size} values, not {len(out)}")
+    return out
+
+
+def _methods(value) -> tuple:
+    """A list of method names, or the --methods flag's names joined by
+    commas; a method named twice is run, written and rejected once."""
+    if isinstance(value, str):
+        value = [m.strip() for m in value.split(",") if m.strip()]
+    return tuple(dict.fromkeys(value))
+
+
+def _targets(value, family: str):
+    """'all-nodes', a 3D slice name, or a nonempty list of 2D parameters
+    as floats, or of 3D slice names and (theta, phi) float pairs."""
+    names = ("all-nodes", *SLICES_3D) if family == "3d" else ("all-nodes",)
+    if isinstance(value, str) and value in names:
+        return value
+    try:
+        targets = tuple(_real(t) if family == "2d" else
+                        t if isinstance(t, str) and t in SLICES_3D else
+                        _floats(t, 2) for t in value)
+    except (TypeError, ValueError, OverflowError):
+        targets = ()
+    if not targets:
+        raise ConfigError(
+            f"bad targets {value!r}: 2D targets are 'all-nodes' or finite "
+            "parameters; 3D targets are 'all-nodes', slice names or finite "
+            "[theta, phi] pairs")
+    return targets
+
+
+def _hg_row(row) -> tuple:
+    """An hg_field row [n, m, re, im] as (int, int, float, float), with
+    |m| <= n <= hgscatter.MAX_DEGREE."""
+    n, m, re, im = row
+    n, m = _integer(n), _integer(m)
+    if not abs(m) <= n <= HG_MAX_DEGREE:
+        raise ValueError(f"rows need |m| <= n <= {HG_MAX_DEGREE}, "
+                         f"not n = {n}, m = {m}")
+    return n, m, _real(re), _real(im)
+
+
+# Each StudyConfig field's one conversion, which a value from a JSON
+# config, a flag or Python code goes through alike (targets also take
+# the family).
+_FIELDS = {"n": _integer, "methods": _methods, "eps": _floats,
+           "targets": _targets, "out_dir": os.fspath, "cache_dir": os.fspath,
+           "x0": partial(_floats, size=2), "source": partial(_floats, size=3),
+           "ell": _real, "fit_lo": _real, "fit_hi": _real,
+           "slice_count": _integer,
+           "hg_field": lambda rows: tuple(map(_hg_row, rows)),
+           "hg_omega": partial(_floats, size=2)}
+# The fields each family's study reads, with their defaults. A field left
+# None, or an eps left empty, takes its default; a field that is not
+# listed must be left None. The methods listed are every method allowed.
+_READS = {
+    "2d": {"n": 128, "methods": METHODS_2D, "eps": eps_grid(1e-6, 1e-1, 25),
+           "targets": "all-nodes", "out_dir": None, "x0": (1.85, 1.65),
+           "ell": 1.0, "fit_lo": 1e-6, "fit_hi": 1e-2},
+    "3d": {"n": 16, "methods": METHODS_3D, "eps": eps_grid(1e-4, 1e-1, 25),
+           "targets": "all-nodes", "out_dir": None, "cache_dir": None,
+           "source": (5.0, 4.0, 3.0), "ell": 1.0, "fit_lo": 1e-4,
+           "fit_hi": 1e-1, "slice_count": 16},
+    "hg": {"methods": ("hg_asym",), "eps": eps_grid(1e-3, 1e-1, 25),
+           "out_dir": None, "fit_lo": 1e-3, "fit_hi": 1e-1, "hg_field": (),
+           "hg_omega": (1.0, 0.7)}}
+# The fit window of fit_order and fit_results: the 2D study's.
+_FIT_WINDOW = _READS["2d"]["fit_lo"], _READS["2d"]["fit_hi"]
+# The fields whose config key (and flag) has another name; an error about
+# a field names its key.
+_KEY_OF = {"out_dir": "out", "cache_dir": "cache"}
+
+
+def _checked(key: str, convert, value):
+    """convert(value); a value of the wrong type or form is a ConfigError
+    that names its config key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} {exc}") from None
 
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """One study: a problem, a resolution, methods, eps values, targets;
-    n, methods, eps and the fit window left unset take family defaults.
-    A field that the problem's family never reads must be left unset
-    (None); the fields it reads take the defaults of _READ_DEFAULTS."""
+    """One study: a problem, a resolution, methods, eps values, targets.
+    Each field is converted and checked here alike, from a JSON config, a
+    flag or Python code; see _FIELDS and _READS."""
 
     problem: str
     n: int = None
@@ -144,157 +215,75 @@ class StudyConfig:
         if self.problem not in PROBLEMS_2D + PROBLEMS_3D + ("hg",):
             raise ConfigError(f"unknown problem {self.problem!r}")
         fam = _family(self.problem)
-        unread = [key for key in _UNREAD[fam]
-                  if getattr(self, _KEYS[key][0]) is not None]
+        reads = _READS[fam]
+        unread = [_KEY_OF.get(name, name) for name in _FIELDS
+                  if name not in reads and getattr(self, name) is not None]
         if unread:
             raise ConfigError(f"the {self.problem} problem does not read "
                               + ", ".join(map(repr, unread)))
-        every, n, eps_range, (fit_lo, fit_hi) = _DEFAULTS[fam]
-        read = [(name, default) for name, default in _READ_DEFAULTS.items()
-                if name not in _UNREAD[fam]]
-        for name, default in (("methods", every), ("n", n),
-                              ("fit_lo", fit_lo), ("fit_hi", fit_hi), *read):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, default)
-        if not self.eps:
-            object.__setattr__(self, "eps", eps_grid(*eps_range))
-        eps = tuple(float(e) for e in self.eps)
-        for name, values in (("eps", eps),
-                             ("fit window", (self.fit_lo, self.fit_hi))):
-            if not all(math.isfinite(v) for v in values):
-                raise ConfigError(f"{name} values must be finite")
-        for name, size in (("x0", 2), ("source", 3), ("hg_omega", 2)):
-            values = getattr(self, name)
-            if values is None:
-                continue
-            if not all(math.isfinite(v) for v in values):
-                raise ConfigError(f"{name} values must be finite")
-            if len(values) != size:
-                raise ConfigError(f"{name} must have {size} values")
-        if any(e <= 0 for e in eps):
-            raise ConfigError("eps values must be positive")
-        if any(a <= b for a, b in zip(eps, eps[1:])):
-            raise ConfigError("eps values must be strictly descending")
-        object.__setattr__(self, "eps", eps)
+        for name, default in reads.items():
+            value = getattr(self, name)
+            if value is not None:
+                convert = (partial(_targets, family=fam) if name == "targets"
+                           else _FIELDS[name])
+                value = _checked(_KEY_OF.get(name, name), convert, value)
+            if value is None or name == "eps" and not value:
+                value = default
+            object.__setattr__(self, name, value)
         if not self.methods:
             raise ConfigError("method list must not be empty")
-        bad = [m for m in self.methods if m not in every]
+        bad = [m for m in self.methods if m not in reads["methods"]]
         if bad:
             raise ConfigError(f"methods {bad} invalid for {self.problem}")
-        # a method named twice is run, written and rejected once
-        object.__setattr__(self, "methods",
-                           tuple(dict.fromkeys(self.methods)))
-        if fam == "hg":
-            if self.n is not None:
-                raise ConfigError("the hg problem takes no resolution n: "
-                                  "its degree is hg_field's")
-        elif self.n < 4:
-            raise ConfigError("resolution n too small")
-        if fam == "2d" and (self.n < MIN_NODES or self.n > MAX_NODES
-                            or self.n % 2):
+        if any(e <= 0 for e in self.eps):
+            raise ConfigError("eps values must be positive")
+        if any(a <= b for a, b in zip(self.eps, self.eps[1:])):
+            raise ConfigError("eps values must be strictly descending")
+        if fam == "2d" and not (MIN_NODES <= self.n <= MAX_NODES
+                                and self.n % 2 == 0):
             raise ConfigError(f"2D resolution n must be even and in "
                               f"[{MIN_NODES}, {MAX_NODES}]")
-        if fam == "3d" and self.n > MAX_DEGREE:
-            raise ConfigError(f"3D resolution n must be at most {MAX_DEGREE}"
-                              " (a mushroom solve at n = 96 takes about 19 s"
-                              " and 345 MB on a 2-core host)")
-        if fam != "hg":
-            if not self.targets:
-                raise ConfigError("targets must not be empty")
-            try:
-                targets = _targets(self.targets)
-            except (TypeError, ValueError):
-                targets = None
-            specs = ((targets,) if fam == "3d" and targets in SLICES_3D
-                     else targets)
-            if targets != "all-nodes" and not (
-                    isinstance(specs, tuple)
-                    and all(_valid_target(fam, t) for t in specs)):
-                raise ConfigError(
-                    f"bad targets {self.targets!r}: 2D targets are "
-                    "'all-nodes' or finite parameters; 3D targets are "
-                    "'all-nodes', slice names or finite [theta, phi] pairs")
-            object.__setattr__(self, "targets", targets)
-            if not (math.isfinite(self.ell) and self.ell > 0):
-                raise ConfigError("ell must be positive and finite")
+        if fam == "3d" and not 4 <= self.n <= MAX_DEGREE:
+            raise ConfigError(f"3D resolution n must be in [4, {MAX_DEGREE}]"
+                              " (n = 96: a 19 s, 345 MB mushroom solve)")
+        if fam != "hg" and self.ell <= 0:
+            raise ConfigError("ell must be positive")
         if fam == "3d" and not 1 <= self.slice_count <= MAX_SLICE_COUNT:
             raise ConfigError(f"slice_count must be in [1, {MAX_SLICE_COUNT}]")
         if self.fit_lo >= self.fit_hi:
             raise ConfigError("fit range needs lo < hi")
 
 
-def _real(value) -> float:
-    """A real number as a float; a bool or a string is refused, not read
-    as 0.0, 1.0 or the number it spells."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{value!r} is not a number")
-    return float(value)
-
-
-def _floats(values) -> tuple:
-    return tuple(map(_real, values))
-
-
 def _eps_range(value) -> tuple:
+    """The grid of an eps_range key: 'lo:hi:per-decade' or an object with
+    lo, hi and per_decade."""
     if isinstance(value, str):
         return parse_eps_range(value)
+    if not (isinstance(value, dict) and value.keys() >= {"lo", "hi",
+                                                         "per_decade"}):
+        raise ValueError("must be 'lo:hi:per-decade' or an object with lo, "
+                         "hi and per_decade")
     return eps_grid(_real(value["lo"]), _real(value["hi"]),
                     _integer(value["per_decade"]))
 
 
-def _methods(value) -> tuple:
-    if isinstance(value, str):  # the --methods flag: names joined by commas
-        return tuple(m.strip() for m in value.split(",") if m.strip())
-    return tuple(value)
+# Each config key (and command-line flag): the field it sets, and how its
+# value is reshaped before that field's conversion, if it is: a list of eps
+# is sorted, and an eps range becomes its grid.
+_KEYS = {_KEY_OF.get(name, name): (name, None)
+         for name in ("problem", *_FIELDS)}
+_KEYS.update(eps=("eps", partial(sorted, key=_real, reverse=True)),
+             eps_range=("eps", _eps_range))
 
 
-def _targets(value):
-    """A targets string as given; a list or tuple as a tuple of 2D
-    parameters, 3D slice names and (theta, phi) pairs."""
-    if isinstance(value, str):
-        return value
-    return tuple(t if isinstance(t, str) else
-                 _floats(t) if isinstance(t, (list, tuple)) else _real(t)
-                 for t in value)
-
-
-def _path(value):
-    return None if value is None else os.fspath(value)
-
-
-# Each config key (and command-line flag): its StudyConfig field and the
-# conversion of its JSON or flag value.
-_KEYS = {
-    "problem": ("problem", lambda v: v),
-    "n": ("n", _integer),
-    "methods": ("methods", _methods),
-    "eps": ("eps", lambda v: tuple(sorted(_floats(v), reverse=True))),
-    "eps_range": ("eps", _eps_range),
-    "targets": ("targets", lambda v: v),
-    "out": ("out_dir", _path),
-    "cache": ("cache_dir", _path),
-    "x0": ("x0", _floats),
-    "source": ("source", _floats),
-    "ell": ("ell", _real),
-    "fit_lo": ("fit_lo", _real),
-    "fit_hi": ("fit_hi", _real),
-    "slice_count": ("slice_count", _integer),
-    "hg_field": ("hg_field", lambda v: tuple(tuple(row) for row in v)),
-    "hg_omega": ("hg_omega", _floats),
-}
-
-
-def _build(make, values: dict) -> StudyConfig:
-    """make(**fields), each field converted from its config key and value
-    through _KEYS; a value of the wrong type or form is a ConfigError."""
+def _fields(values: dict) -> dict:
+    """The StudyConfig fields that config keys (or flags) set."""
     fields = {}
     for key, value in values.items():
-        field, convert = _KEYS[key]
-        try:
-            fields[field] = convert(value)
-        except (TypeError, ValueError, KeyError, OverflowError) as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}") from None
-    return make(**fields)
+        field, reshape = _KEYS[key]
+        fields[field] = value if reshape is None else _checked(key, reshape,
+                                                               value)
+    return fields
 
 
 def config_from_dict(data: dict) -> StudyConfig:
@@ -308,7 +297,7 @@ def config_from_dict(data: dict) -> StudyConfig:
         raise ConfigError("config requires a 'problem' key")
     if "eps" in data and "eps_range" in data:
         raise ConfigError("give either 'eps' or 'eps_range', not both")
-    return _build(StudyConfig, data)
+    return StudyConfig(**_fields(data))
 
 
 def load_config(path: str) -> StudyConfig:
@@ -325,12 +314,12 @@ def load_config(path: str) -> StudyConfig:
 def apply_overrides(config: StudyConfig, n=None, eps_range=None,
                     methods=None, out=None, cache=None) -> StudyConfig:
     """Fold command-line flag values into a parsed config; each flag is
-    converted as the config key of the same name."""
+    read as the config key of the same name."""
     flags = {key: value for key, value in (("n", n), ("eps_range", eps_range),
                                            ("methods", methods), ("out", out),
                                            ("cache", cache))
              if value is not None}
-    return _build(partial(replace, config), flags) if flags else config
+    return replace(config, **_fields(flags)) if flags else config
 
 
 @dataclass(frozen=True)
@@ -418,15 +407,17 @@ def fit_order(eps_values, errors, method: str, lo: float = _FIT_WINDOW[0],
               hi: float = _FIT_WINDOW[1], target: str = "") -> OrderFit:
     """Least-squares slope of log10(error) against log10(eps).
 
-    Points outside [lo, hi] are dropped; asymptotic methods additionally
-    drop errors at or below the roundoff floor so the fit reflects the
-    convergent regime.  Requires at least four surviving points.
+    Points outside [lo, hi], and errors that are zero or not finite, are
+    dropped; asymptotic methods additionally drop errors at or below the
+    roundoff floor so the fit reflects the convergent regime.  Requires
+    at least four surviving points.
     """
     eps = np.asarray(eps_values, dtype=float)
     err = np.asarray(errors, dtype=float)
     if eps.shape != err.shape or eps.ndim != 1:
         raise ValueError("eps and error lists must be 1D and equal length")
-    sel = (eps >= lo*(1 - 1e-9)) & (eps <= hi*(1 + 1e-9)) & (err > 0)
+    sel = ((eps >= lo*(1 - 1e-9)) & (eps <= hi*(1 + 1e-9)) & (err > 0)
+           & np.isfinite(err))
     if method in ASYM_METHODS:
         sel &= err > ERROR_FLOOR
     count = int(np.count_nonzero(sel))
@@ -604,20 +595,8 @@ def _study_3d(config: StudyConfig):
 def _hg_field(config: StudyConfig) -> SphericalCoeffs:
     if not config.hg_field:
         raise ConfigError("hg study requires a nonempty hg_field list")
-    try:
-        entries = [(_integer(n), _integer(m), _real(re), _real(im))
-                   for n, m, re, im in config.hg_field]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad hg_field entry: {exc}") from None
-    if not all(math.isfinite(v) for *_, re, im in entries for v in (re, im)):
-        raise ConfigError("hg_field coefficients must be finite")
-    degree = max(n for n, _, _, _ in entries)
-    if degree > HG_MAX_DEGREE:
-        raise ConfigError(f"hg_field degree must be at most {HG_MAX_DEGREE}")
-    coeffs = SphericalCoeffs.zeros(degree + 1)
-    for n, m, re, im in entries:
-        if n < 0 or abs(m) > n:
-            raise ConfigError(f"bad harmonic order (n={n}, m={m})")
+    coeffs = SphericalCoeffs.zeros(max(n for n, *_ in config.hg_field) + 1)
+    for n, m, re, im in config.hg_field:
         coeffs.c[SphericalCoeffs.index(n, m)] += re + 1j*im
     return coeffs
 
@@ -649,7 +628,7 @@ def run_error_map(config: StudyConfig) -> ErrorStudyResult:
     rejection, not a failure; a target that keeps no eps has no block."""
     # the output and cache directories are made before any solve
     family = _family(config.problem)
-    for path in (config.out_dir, config.cache_dir if family == "3d" else None):
+    for path in (config.out_dir, config.cache_dir):
         if path:
             _make_dir(path)
     targets, reason, sweep = _STUDIES[family](config)

@@ -106,31 +106,37 @@ _HG = {"problem": "hg", "hg_field": [[1, 0, 1.0, 0.0]],
 _KITE_EPS = {k: v for k, v in _KITE.items() if k != "eps_range"}
 
 
-@pytest.mark.parametrize("command,payload", [
-    ("run", dict(_KITE, x0=[1.0])),
-    ("run", dict(_KITE, x0=[0, 0])),  # source inside the curve
-    ("run", dict(_SPHERE, source=[5, 4])),
-    ("run", dict(_SPHERE, source=[0.1, 0, 0])),  # source inside
-    ("run", dict(_SPHERE, source=[1, 0, 0])),  # source on the surface
-    ("run", dict(_SPHERE, source=[0, 0.6, 0.8])),
+@pytest.mark.parametrize("command,payload,at_load", [
+    ("run", dict(_KITE, x0=[1.0]), True),
+    ("run", dict(_KITE, x0=[0, 0]), False),  # source inside the curve
+    # |y - x0|^2 overflows: the boundary data are -inf, not a study of NaN
+    ("run", dict(_KITE, x0=[1e200, 1e200]), False),
+    ("run", dict(_SPHERE, source=[5, 4]), True),
+    ("run", dict(_SPHERE, source=[0.1, 0, 0]), False),  # source inside
+    ("run", dict(_SPHERE, source=[1, 0, 0]), False),  # on the surface
+    ("run", dict(_SPHERE, source=[0, 0.6, 0.8]), False),
     # (1, 2, 1)*P(c)*d on the mushroom, P(0) = 2 - 1/101, d = (0, 1, 0)
     ("run", dict(_SPHERE, problem="3d-mushroom",
-                 source=[0.0, 2*(2.0 - 1.0/101.0), 0.0])),
-    ("hg", dict(_HG, hg_omega=[1.0])),
-    ("hg", dict(_HG, hg_field=[[1, 0, "nan", 0.0]])),
-    ("hg", dict(_HG, hg_field=5)),
-    ("hg", dict(_HG, hg_field=[5])),
+                 source=[0.0, 2*(2.0 - 1.0/101.0), 0.0]), False),
+    ("hg", dict(_HG, hg_omega=[1.0]), True),
+    ("hg", dict(_HG, hg_field=[[1, 0, "nan", 0.0]]), True),
+    ("hg", dict(_HG, hg_field=5), True),
+    ("hg", dict(_HG, hg_field=[5]), True),
     # one large eps keeps the study small should the degree cap be missing
     ("hg", {"problem": "hg", "hg_field": [[33, 0, 1.0, 0.0]],
-            "eps": [0.1]}),
-], ids=["x0-length", "x0-inside", "source-length", "source-inside",
-        "source-on-sphere-axis", "source-on-sphere", "source-on-mushroom",
-        "omega-length", "field-nan", "field-int", "field-row-int",
-        "field-degree-33"])
-def test_bad_source_or_field_exits_2(tmp_path, capsys, command, payload):
+            "eps": [0.1]}, True),
+], ids=["x0-length", "x0-inside", "x0-overflow", "source-length",
+        "source-inside", "source-on-sphere-axis", "source-on-sphere",
+        "source-on-mushroom", "omega-length", "field-nan", "field-int",
+        "field-row-int", "field-degree-33"])
+def test_bad_source_or_field_exits_2(tmp_path, capsys, command, payload,
+                                     at_load):
+    # a value refused when the config is loaded leaves no output directory;
+    # a source refused by the study's geometry comes after it is made
     cfg = _write_config(tmp_path, payload)
     assert cli.main([command, cfg, "--out", str(tmp_path/"out")]) == 2
     assert "config error" in capsys.readouterr().err
+    assert (tmp_path/"out").exists() != at_load
 
 
 @pytest.mark.parametrize("payload", [
@@ -403,6 +409,20 @@ def test_fit_bad_window_exits_2(tmp_path, capsys, window):
     assert cli.main(["fit", str(out/"results.csv"),
                      "--eps-range", window]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_fit_drops_non_finite_errors(tmp_path, capsys):
+    # four infinite errors once gave "slope": NaN, which is not JSON
+    csv = tmp_path/"results.csv"
+    csv.write_text(harness.CSV_HEADER + "\n" + "".join(
+        f"x,{eps!r},ptr,1.0,1.0,inf\n" for eps in (1e-1, 1e-2, 1e-3, 1e-4)))
+    assert cli.main(["fit", str(csv), "--eps-range", "1e-5:1"]) == 0
+    text = capsys.readouterr().out
+
+    def not_json(constant):
+        raise AssertionError(f"fits.json holds {constant}")
+
+    assert json.loads(text, parse_constant=not_json) == {"fits": []}
 
 
 def test_fit_to_directory(tmp_path, capsys):

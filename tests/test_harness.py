@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import os
+import pathlib
 import tracemalloc
 from dataclasses import replace
 
@@ -432,6 +433,92 @@ def test_directly_built_config_normalises_targets(problem, targets, want):
     assert targets == want
     assert all(type(v) is float for t in targets if not isinstance(t, str)
                for v in (t if isinstance(t, tuple) else (t,)))
+
+
+# (problem, config key, JSON value, the same value as Python code may give
+# it) for every config key; eps is given descending, since a JSON eps list
+# is sorted first
+_SAME_VALUES = [
+    ("2d-kite", "problem", "2d-kite", "2d-kite"),
+    ("2d-kite", "n", 64, np.int64(64)),
+    ("3d-sphere", "n", 8, 8.0),
+    ("2d-kite", "methods", ["ptr", "sub", "ptr"], ("ptr", "sub")),
+    ("2d-kite", "methods", "asym2,ptr", ["asym2", "ptr"]),
+    ("2d-kite", "eps", [0.1, 0.01], np.array([0.1, 0.01])),
+    ("hg", "eps", [0.5, 0.25], (np.float64(0.5), 0.25)),
+    ("2d-kite", "eps_range", "1e-2:1e-1:2", eps_grid(1e-2, 1e-1, 2)),
+    ("3d-sphere", "eps_range", {"lo": 1e-2, "hi": 1e-1, "per_decade": 2},
+     list(eps_grid(1e-2, 1e-1, 2))),
+    ("2d-kite", "targets", [1.0, 2], np.array([1.0, 2.0])),
+    ("3d-mushroom", "targets", [[0.15, 0], "x1x2-slice"],
+     (np.array([0.15, 0.0]), "x1x2-slice")),
+    ("3d-sphere", "targets", "x1x3-slice", "x1x3-slice"),
+    ("2d-kite", "out", "results", pathlib.Path("results")),
+    ("3d-sphere", "cache", "cache", pathlib.Path("cache")),
+    ("2d-kite", "x0", [1.85, 1.65], np.array([1.85, 1.65])),
+    ("3d-sphere", "source", [5, 4, 3], np.arange(5, 2, -1)),
+    ("2d-kite", "ell", 2, np.float64(2.0)),
+    ("2d-kite", "fit_lo", 1e-5, np.float64(1e-5)),
+    ("3d-sphere", "fit_hi", 1, np.int32(1)),
+    ("3d-sphere", "slice_count", 4, 4.0),
+    ("hg", "hg_field", [[1, 0, 1, 0.5]], np.array([[1, 0, 1.0, 0.5]])),
+    ("hg", "hg_omega", [1, 0.7], np.array([1.0, 0.7])),
+]
+
+
+@pytest.mark.parametrize("problem,key,json_value,value", _SAME_VALUES, ids=[
+    f"{problem}-{key}-{type(value).__name__}"
+    for problem, key, _, value in _SAME_VALUES])
+def test_directly_built_config_is_the_json_config(problem, key, json_value,
+                                                  value):
+    # one conversion per field: a StudyConfig built in Python from lists,
+    # numpy arrays or numpy scalars equals the config of the same JSON
+    field, _ = harness._KEYS[key]
+    want = config_from_dict(json.loads(json.dumps(
+        {"problem": problem, key: json_value})))
+    got = StudyConfig(**{"problem": problem, field: value})
+    assert got == want and hash(got) == hash(want)
+    assert replace(got) == got
+    leaves = [getattr(got, field)]
+    while leaves:
+        leaf = leaves.pop()
+        if isinstance(leaf, tuple):
+            leaves.extend(leaf)
+        else:
+            assert type(leaf) in (str, int, float), (field, leaf)
+
+
+def test_every_config_key_is_compared():
+    assert {key for _, key, _, _ in _SAME_VALUES} == set(harness._KEYS)
+
+
+@pytest.mark.parametrize("problem,key,value", [
+    ("2d-kite", "x0", "ab"),
+    ("2d-kite", "x0", [1.85]),
+    ("2d-kite", "ell", "1"),
+    ("2d-kite", "ell", float("inf")),
+    ("2d-kite", "fit_lo", "1e-6"),
+    ("2d-kite", "eps", ("0.1", "0.01")),
+    ("2d-kite", "eps", (True,)),
+    ("2d-kite", "eps", (0.1, float("nan"))),
+    ("2d-kite", "n", 64.5),
+    ("3d-sphere", "slice_count", 2.5),
+    ("3d-sphere", "targets", [[0.5, 1.0, 2.0]]),
+    ("hg", "hg_field", [[33, 0, 1.0, 0.0]]),
+    ("hg", "hg_field", [[1, 2, 1.0, 0.0]]),
+    ("hg", "hg_field", [[1, 0, True, 0.0]]),
+    ("hg", "hg_field", [[1, 0, 1.0]]),
+    ("hg", "hg_omega", ["1", 0.7]),
+    ("2d-kite", "out", 5),
+], ids=str)
+def test_directly_built_config_refuses_what_json_refuses(problem, key, value):
+    # a StudyConfig built in Python refuses what a JSON config refuses, and
+    # names the key; several of these were once accepted there, or ended in
+    # a TypeError
+    with pytest.raises(ConfigError):
+        config_from_dict({"problem": problem, key: value})
+    with pytest.raises(ConfigError, match=key):
+        StudyConfig(**{"problem": problem, harness._KEYS[key][0]: value})
 
 
 def test_run_hg_study_slope_and_rejections():
