@@ -61,9 +61,10 @@ def dirichlet_data(curve: Curve2D, x0, n: int) -> np.ndarray:
     if point_inside(curve, x0):
         raise ValueError("source point must lie outside the curve")
     pos = curve_grid(curve, n).position
-    if np.min(np.linalg.norm(pos - x0, axis=-1)) < 1e-12:
-        raise ValueError("source point coincides with the boundary")
-    data = harmonic_source(pos, x0)
+    with np.errstate(over="ignore"):  # a far source is refused just below
+        if np.min(np.linalg.norm(pos - x0, axis=-1)) < 1e-12:
+            raise ValueError("source point coincides with the boundary")
+        data = harmonic_source(pos, x0)
     if not np.all(np.isfinite(data)):
         raise ValueError("source point too far away: the data overflow")
     return data

@@ -440,9 +440,10 @@ def harmonic_point_source_3d(surface: Surface3D, source) -> Callable:
     A source inside the surface, or on it (within 1e-12 in the stretched
     radial coordinate of Surface3D.contains), is refused."""
     src = np.asarray(source, dtype=float)
-    if surface.contains(src):
-        raise ValueError("source point must lie outside the surface")
-    r, P, _ = surface._radii(src)
+    with np.errstate(over="ignore"):  # a far source is at radius inf
+        if surface.contains(src):
+            raise ValueError("source point must lie outside the surface")
+        r, P, _ = surface._radii(src)
     if r - P < 1e-12:
         raise ValueError("source point lies on the surface")
 
@@ -454,8 +455,9 @@ def harmonic_point_source_3d(surface: Surface3D, source) -> Callable:
 
 
 def exact_point_source_3d(x, source) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return 1.0/np.linalg.norm(x - np.asarray(source, dtype=float), axis=-1)
+    r = np.asarray(x, dtype=float) - np.asarray(source, dtype=float)
+    with np.errstate(over="ignore"):  # u = 1/inf = 0 at a far source
+        return 1.0/np.linalg.norm(r, axis=-1)
 
 
 def gauss_interior_value_3d(surface: Surface3D, x, n: int) -> float:

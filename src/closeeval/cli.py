@@ -1,5 +1,5 @@
-"""Command-line front end: run error studies, fit orders from saved CSVs,
-and run the forward-peaked scattering consistency study.
+"""Command-line front end: run an error study of any problem, 2D, 3D or hg
+(``hg`` is another name for ``run``), and fit orders from saved CSVs.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -24,34 +24,29 @@ def _build_parser() -> argparse.ArgumentParser:
                     "potentials in 2D and 3D.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run an error study from a config")
+    run_p = sub.add_parser("run", aliases=["hg"],
+                           help="run an error study from a config")
     run_p.add_argument("config", help="JSON study configuration")
-    _add_shared_flags(run_p)
+    run_p.add_argument("--n", type=int, metavar="N",
+                       help="override the solver resolution")
+    run_p.add_argument("--eps-range", metavar="LO:HI:K",
+                       help="override eps values: K points per decade")
+    run_p.add_argument("--methods", metavar="M1,M2,...",
+                       help="override the method list")
+    run_p.add_argument("--out", metavar="DIR", help="override the output dir")
+    run_p.add_argument("--cache", metavar="DIR", help="override the cache dir")
+    run_p.set_defaults(handler=_cmd_study)
 
     fit_p = sub.add_parser("fit", help="fit convergence orders from a CSV")
     fit_p.add_argument("csv", help="results.csv written by a previous run")
     fit_p.add_argument("--eps-range", metavar="LO:HI[:K]",
-                       help="fit window (per-decade part ignored)")
+                       help="fit window (per-decade part ignored); default "
+                            "1e-6:1e-2, the 2D study's: give 3D and hg "
+                            "results their run's window")
     fit_p.add_argument("--out", metavar="DIR",
                        help="write fits.json here instead of stdout")
-
-    hg_p = sub.add_parser("hg", help="run the scattering expansion study")
-    hg_p.add_argument("config", help="JSON study configuration")
-    hg_p.add_argument("--eps-range", metavar="LO:HI:K")
-    hg_p.add_argument("--out", metavar="DIR")
-    hg_p.set_defaults(n=None, methods=None, cache=None)
+    fit_p.set_defaults(handler=_cmd_fit)
     return parser
-
-
-def _add_shared_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, metavar="N",
-                   help="override the solver resolution")
-    p.add_argument("--eps-range", metavar="LO:HI:K",
-                   help="override eps values: K points per decade")
-    p.add_argument("--methods", metavar="M1,M2,...",
-                   help="override the method list")
-    p.add_argument("--out", metavar="DIR", help="override the output dir")
-    p.add_argument("--cache", metavar="DIR", help="override the cache dir")
 
 
 def _print_result(result) -> None:
@@ -64,13 +59,9 @@ def _print_result(result) -> None:
 
 
 def _cmd_study(args) -> int:
-    config = load_config(args.config)
-    if (args.command == "hg") != (config.problem == "hg"):
-        raise ConfigError(f"'closeeval {args.command}' does not run problem "
-                          f"{config.problem!r}")
     _print_result(run_error_map(apply_overrides(
-        config, n=args.n, eps_range=args.eps_range, methods=args.methods,
-        out=args.out, cache=args.cache)))
+        load_config(args.config), n=args.n, eps_range=args.eps_range,
+        methods=args.methods, out=args.out, cache=args.cache)))
     return 0
 
 
@@ -90,8 +81,8 @@ def _fit_window(text: str) -> tuple:
 
 def _cmd_fit(args) -> int:
     window = _fit_window(args.eps_range) if args.eps_range else ()
+    # fit_results keeps the file's order, the order the run wrote its fits in
     fits = fit_results(read_results_csv(args.csv), *window)
-    fits.sort(key=lambda f: (f.target, f.method))
     if args.out:
         _make_dir(args.out)
         path = os.path.join(args.out, "fits.json")
@@ -105,9 +96,8 @@ def _cmd_fit(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {"run": _cmd_study, "fit": _cmd_fit, "hg": _cmd_study}
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

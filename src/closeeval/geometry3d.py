@@ -19,7 +19,7 @@ from one rotation of the directions d(s, t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,8 +32,8 @@ class Surface3D:
     """Radial surface profile over the stretched unit sphere.
 
     profile/profile_prime are functions of c = cos(theta); axes scales the
-    three coordinates.  orient is +1 when the (theta, phi) cross product
-    already points outward, fixed once by a ray test at construction.
+    three coordinates.  The area normal points outward wherever the profile
+    and the axes are positive (area_normal), so no orientation is stored.
 
     Since the profile depends on cos(theta) alone, every such surface maps
     to itself under x1 -> -x1 and x2 -> -x2.  The Galerkin solver relies on
@@ -45,7 +45,6 @@ class Surface3D:
     profile: Callable[[np.ndarray], np.ndarray]
     profile_prime: Callable[[np.ndarray], np.ndarray]
     axes: np.ndarray
-    orient: float = 1.0
 
     def point_of_direction(self, d: np.ndarray) -> np.ndarray:
         P = self.profile(d[..., 2])
@@ -53,21 +52,22 @@ class Surface3D:
 
     def area_normal(self, d, jacobian):
         """Position at the directions d, and the area-weighted normal
-        orient*(y_1 x y_2) for a tangent pair (e1, e2) of the unit sphere at
-        d with e1 x e2 = jacobian*d; it points outward where jacobian > 0.
+        y_1 x y_2 for a tangent pair (e1, e2) of the unit sphere at d with
+        e1 x e2 = jacobian*d.
 
         For y = P(d_3) S d with S = diag(axes), the cross product of the
         pushed-forward pair is
-        det(S) jacobian P S^-1 ((P + P' d_3) d - P' e_3),
+        N = det(S) jacobian P S^-1 ((P + P' d_3) d - P' e_3),
         so neither the tangents nor their pushforwards are formed, and the
-        profile is evaluated once per node.  It is 0 where jacobian is.
+        profile is evaluated once per node.  It is 0 where jacobian is, and
+        y . N = det(S) jacobian P^3, so it points outward where jacobian > 0.
         """
         P = self.profile(d[..., 2])[..., None]
         dP = self.profile_prime(d[..., 2])[..., None]
         g = (P + dP*d[..., 2:3])*d
         g[..., 2] -= dP[..., 0]
         g *= P*jacobian[..., None]
-        g *= (self.orient*np.prod(self.axes))/self.axes
+        g *= np.prod(self.axes)/self.axes
         return P*(self.axes*d), g
 
     def contains(self, x):
@@ -89,7 +89,7 @@ class Surface3D:
 def unit_sphere() -> Surface3D:
     one = lambda c: np.ones_like(np.asarray(c, dtype=float))
     zero = lambda c: np.zeros_like(np.asarray(c, dtype=float))
-    return _oriented(Surface3D(one, zero, np.ones(3)))
+    return Surface3D(one, zero, np.ones(3))
 
 def mushroom() -> Surface3D:
     """Dimpled, axis-stretched test surface: profile 2 - 1/(1 + 100(1-c)^2)
@@ -98,14 +98,7 @@ def mushroom() -> Surface3D:
         return 2.0 - 1.0/(1.0 + 100.0*(1.0 - c)**2)
     def dprof(c):
         return -200.0*(1.0 - c)/(1.0 + 100.0*(1.0 - c)**2)**2
-    return _oriented(Surface3D(prof, dprof, np.array([1.0, 2.0, 1.0])))
-
-def _oriented(s: Surface3D) -> Surface3D:
-    """Fix the normal orientation outward by a ray test from the origin."""
-    y, area_normal = s.area_normal(direction(1.1, 0.3), np.ones(()))
-    if float(np.sum(y*area_normal)) < 0:
-        return replace(s, orient=-s.orient)
-    return s
+    return Surface3D(prof, dprof, np.array([1.0, 2.0, 1.0]))
 
 
 def direction(theta, phi) -> np.ndarray:

@@ -527,14 +527,20 @@ def _solve_3d(config: StudyConfig, surface, data) -> Density3D:
     return density
 
 
-def _make_dir(path: str) -> None:
-    """Create the directory path and its parents where missing; a path
-    that names a file, or that cannot be created, is a ConfigError."""
+def _make_dir(path: str) -> list:
+    """Create the directory path and its parents where missing, and return
+    the directories created, outermost first; a path that names a file, or
+    that cannot be created, is a ConfigError."""
+    made, head = [], os.path.abspath(path)
+    while not os.path.exists(head):
+        made.insert(0, head)
+        head = os.path.dirname(head)
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create directory {path!r}: "
                           f"{exc.strerror or exc}") from None
+    return made
 
 
 _OUTSIDE = "evaluation point falls outside the domain"
@@ -626,12 +632,17 @@ def run_error_map(config: StudyConfig) -> ErrorStudyResult:
     """Sweep all methods over the (target, eps) set of any problem.  An eps
     that the sweep drops, such as a point outside a concave domain, is a
     rejection, not a failure; a target that keeps no eps has no block."""
-    # the output and cache directories are made before any solve
-    family = _family(config.problem)
-    for path in (config.out_dir, config.cache_dir):
-        if path:
-            _make_dir(path)
-    targets, reason, sweep = _STUDIES[family](config)
+    # the output and cache directories are made before any solve, and
+    # removed again if the family's setup refuses the config
+    made = []
+    try:
+        for path in (config.out_dir, config.cache_dir):
+            made += _make_dir(path) if path else []
+        targets, reason, sweep = _STUDIES[_family(config.problem)](config)
+    except ConfigError:
+        for path in reversed(made):
+            os.rmdir(path)
+        raise
     all_eps = np.array(config.eps)
     blocks, rejections = [], []
     for label, target in targets:

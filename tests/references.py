@@ -22,8 +22,8 @@ import numpy as np
 
 from closeeval.bie3d import _from_real, _to_real
 from closeeval.geometry2d import Curve2D
-from closeeval.geometry3d import (Surface3D, _oriented, _rotated_frame,
-                                  direction, direction_angles, unit_sphere)
+from closeeval.geometry3d import (Surface3D, _rotated_frame, direction,
+                                  direction_angles, unit_sphere)
 from closeeval.hgscatter import _L32_POLAR_NODES
 from closeeval.spectral import (SphericalCoeffs, _legendre_table, _tri,
                                 mapped_rule, periodic_nodes, sph_synthesis)
@@ -43,10 +43,10 @@ def unit_circle() -> Curve2D:
 
 
 def radial_surface(profile, profile_prime, axes) -> Surface3D:
-    """The radial surface P(cos theta) diag(axes) d(theta, phi), oriented
-    outward as unit_sphere and mushroom are."""
-    return _oriented(Surface3D(profile, profile_prime,
-                               np.asarray(axes, dtype=float)))
+    """The radial surface P(cos theta) diag(axes) d(theta, phi); a positive
+    profile and positive axes make it outward, as unit_sphere and mushroom
+    are."""
+    return Surface3D(profile, profile_prime, np.asarray(axes, dtype=float))
 
 
 def rotated_frame(surface: Surface3D, theta_star, phi_star, s, t):

@@ -106,37 +106,61 @@ _HG = {"problem": "hg", "hg_field": [[1, 0, 1.0, 0.0]],
 _KITE_EPS = {k: v for k, v in _KITE.items() if k != "eps_range"}
 
 
-@pytest.mark.parametrize("command,payload,at_load", [
-    ("run", dict(_KITE, x0=[1.0]), True),
-    ("run", dict(_KITE, x0=[0, 0]), False),  # source inside the curve
+@pytest.mark.parametrize("command,payload", [
+    ("run", dict(_KITE, x0=[1.0])),
+    ("run", dict(_KITE, x0=[0, 0])),  # source inside the curve
     # |y - x0|^2 overflows: the boundary data are -inf, not a study of NaN
-    ("run", dict(_KITE, x0=[1e200, 1e200]), False),
-    ("run", dict(_SPHERE, source=[5, 4]), True),
-    ("run", dict(_SPHERE, source=[0.1, 0, 0]), False),  # source inside
-    ("run", dict(_SPHERE, source=[1, 0, 0]), False),  # on the surface
-    ("run", dict(_SPHERE, source=[0, 0.6, 0.8]), False),
+    ("run", dict(_KITE, x0=[1e200, 1e200])),
+    ("run", dict(_SPHERE, source=[5, 4])),
+    ("run", dict(_SPHERE, source=[0.1, 0, 0])),  # source inside
+    ("run", dict(_SPHERE, source=[1, 0, 0])),  # on the surface
+    ("run", dict(_SPHERE, source=[0, 0.6, 0.8])),
     # (1, 2, 1)*P(c)*d on the mushroom, P(0) = 2 - 1/101, d = (0, 1, 0)
     ("run", dict(_SPHERE, problem="3d-mushroom",
-                 source=[0.0, 2*(2.0 - 1.0/101.0), 0.0]), False),
-    ("hg", dict(_HG, hg_omega=[1.0]), True),
-    ("hg", dict(_HG, hg_field=[[1, 0, "nan", 0.0]]), True),
-    ("hg", dict(_HG, hg_field=5), True),
-    ("hg", dict(_HG, hg_field=[5]), True),
+                 source=[0.0, 2*(2.0 - 1.0/101.0), 0.0])),
+    ("hg", dict(_HG, hg_omega=[1.0])),
+    ("hg", dict(_HG, hg_field=[[1, 0, "nan", 0.0]])),
+    ("hg", dict(_HG, hg_field=5)),
+    ("hg", dict(_HG, hg_field=[5])),
     # one large eps keeps the study small should the degree cap be missing
     ("hg", {"problem": "hg", "hg_field": [[33, 0, 1.0, 0.0]],
-            "eps": [0.1]}, True),
+            "eps": [0.1]}),
+    ("hg", {"problem": "hg", "eps": [0.1]}),  # no field
 ], ids=["x0-length", "x0-inside", "x0-overflow", "source-length",
         "source-inside", "source-on-sphere-axis", "source-on-sphere",
         "source-on-mushroom", "omega-length", "field-nan", "field-int",
-        "field-row-int", "field-degree-33"])
-def test_bad_source_or_field_exits_2(tmp_path, capsys, command, payload,
-                                     at_load):
-    # a value refused when the config is loaded leaves no output directory;
-    # a source refused by the study's geometry comes after it is made
+        "field-row-int", "field-degree-33", "field-empty"])
+def test_bad_source_or_field_exits_2(tmp_path, capsys, command, payload):
+    # whether refused when the config is loaded or by the study's setup,
+    # the run leaves no output or cache directory, nor their parents
+    flags = ["--out", str(tmp_path/"new"/"out")]
+    if payload["problem"].startswith("3d"):
+        flags += ["--cache", str(tmp_path/"new"/"cache")]
     cfg = _write_config(tmp_path, payload)
-    assert cli.main([command, cfg, "--out", str(tmp_path/"out")]) == 2
+    assert cli.main([command, cfg, *flags]) == 2
     assert "config error" in capsys.readouterr().err
-    assert (tmp_path/"out").exists() != at_load
+    assert [p.name for p in tmp_path.iterdir()] == ["study.json"]
+
+
+def test_refused_setup_keeps_directories_that_existed(tmp_path, capsys):
+    out = tmp_path/"out"
+    out.mkdir()
+    cfg = _write_config(tmp_path, dict(_SPHERE, source=[0.1, 0, 0]))
+    assert cli.main(["run", cfg, "--out", str(out), "--cache",
+                     str(out/"cache")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert out.is_dir() and not any(out.iterdir())
+
+
+def test_far_3d_source_runs_without_a_warning(tmp_path, capsys):
+    # |y - source| overflows to inf, so the data and the exact values are
+    # exactly 0; numpy once warned of the overflow on the way
+    out = tmp_path/"out"
+    cfg = _write_config(tmp_path, dict(_SPHERE, source=[1e200]*3,
+                                       out=str(out)))
+    assert cli.main(["run", cfg]) == 0
+    rows = harness.read_results_csv(str(out/"results.csv"))
+    assert rows and all(r.exact == 0.0 for r in rows)
 
 
 @pytest.mark.parametrize("payload", [
@@ -496,12 +520,6 @@ def test_huge_2d_target_snaps_to_a_node(tmp_path):
     assert nodes == want
 
 
-def test_hg_on_2d_config_exits_2(tmp_path, capsys):
-    cfg = _write_config(tmp_path, _kite_payload(None))
-    assert cli.main(["hg", cfg]) == 2
-    assert "config error" in capsys.readouterr().err
-
-
 def test_hg_config_with_a_resolution_exits_2(tmp_path, capsys):
     # no hg code reads n: the field's degree comes from hg_field alone
     cfg = _write_config(tmp_path, dict(_HG, n=8, out=str(tmp_path/"out")))
@@ -510,11 +528,42 @@ def test_hg_config_with_a_resolution_exits_2(tmp_path, capsys):
     assert not (tmp_path/"out").exists()
 
 
-def test_run_on_hg_config_exits_2(tmp_path, capsys):
-    cfg = _write_config(tmp_path, dict(_HG, out=str(tmp_path/"out")))
-    assert cli.main(["run", cfg]) == 2
-    assert "config error" in capsys.readouterr().err
-    assert not (tmp_path/"out").exists()
+@pytest.mark.parametrize("payload", [_HG, _KITE, _SPHERE],
+                         ids=["hg", "2d", "3d"])
+def test_run_and_hg_are_one_command(tmp_path, capsys, payload):
+    # hg is another name for run: both write the same files for any problem
+    cfg = _write_config(tmp_path, payload)
+    for command in ("run", "hg"):
+        assert cli.main([command, cfg, "--out", str(tmp_path/command)]) == 0
+    assert capsys.readouterr().out.count("rows: ") == 2
+    names = sorted(p.name for p in (tmp_path/"run").iterdir())
+    assert names == sorted(p.name for p in (tmp_path/"hg").iterdir())
+    assert "results.csv" in names
+    for name in names:
+        assert (tmp_path/"run"/name).read_bytes() \
+            == (tmp_path/"hg"/name).read_bytes()
+
+
+@pytest.mark.parametrize("payload,window", [
+    (dict(_kite_payload(None), targets=[2.0, -0.7853981633974483]), None),
+    (dict(_SPHERE, problem="3d-mushroom", targets=[[1.2, 0.4], [0.9, 0.4]],
+          eps_range="1e-3:1e-1:4"), "1e-4:1e-1"),
+    (dict(_HG, hg_field=[[3, 1, 1.0, 0.0], [2, 0, 0.5, 0.0]],
+          eps_range="1e-3:1e-1:4"), "1e-3:1e-1"),
+], ids=["2d", "3d", "hg"])
+def test_fit_of_a_run_reproduces_its_fits(tmp_path, capsys, payload, window):
+    # fits come back in the order the run wrote them, its targets in sweep
+    # order, not sorted by label; over the run's window, since the default
+    # is the 2D study's
+    cfg = _write_config(tmp_path, dict(payload, out=str(tmp_path/"run")))
+    assert cli.main(["run", cfg]) == 0
+    argv = ["fit", str(tmp_path/"run"/"results.csv"), "--out",
+            str(tmp_path/"fit")]
+    assert cli.main(argv + (["--eps-range", window] if window else [])) == 0
+    capsys.readouterr()
+    written = (tmp_path/"run"/"fits.json").read_bytes()
+    assert json.loads(written)["fits"]
+    assert (tmp_path/"fit"/"fits.json").read_bytes() == written
 
 
 def _src_env():

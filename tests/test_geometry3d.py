@@ -13,7 +13,7 @@ SURFACES = {"sphere": unit_sphere(), "mushroom": mushroom()}
 
 
 def _pushed_cross(surface, d, e1, e2):
-    # position and orient*(y_1 x y_2) from the pushed-forward tangents
+    # position and y_1 x y_2 from the pushed-forward tangents
     # y_i = P'(d_3) (e_i)_3 S d + P S e_i of a tangent pair (e1, e2) of the
     # unit sphere at d, with S = diag(axes)
     P = surface.profile(d[..., 2])[..., None]
@@ -23,7 +23,7 @@ def _pushed_cross(surface, d, e1, e2):
     def push(e):
         return dP*e[..., 2:3]*Sd + P*(surface.axes*e)
 
-    return P*Sd, surface.orient*np.cross(push(e1), push(e2))
+    return P*Sd, np.cross(push(e1), push(e2))
 
 
 def _unrotated_frame(surface, theta, phi):
@@ -183,7 +183,7 @@ def test_rotated_frame_shapes_and_area():
     mushroom(), radial_surface(lambda c: 1.5 + 0.3*c**3,
                                lambda c: 0.9*c**2, axes=(0.7, 1.0, 1.8))])
 def test_area_normal_is_the_cross_product_of_the_pushed_tangents(surface):
-    # the closed form against orient*(y_1 x y_2) = W*nu from the pushed
+    # the closed form against y_1 x y_2 = W*nu from the pushed
     # forward pair, for random tangent pairs of either handedness
     rng = np.random.default_rng(3)
     d = direction(np.arccos(rng.uniform(-1, 1, 50)),
@@ -195,6 +195,24 @@ def test_area_normal_is_the_cross_product_of_the_pushed_tangents(surface):
     y_ref, area_normal_ref = _pushed_cross(surface, d, e1, e2)
     assert_allclose(y, y_ref, rtol=0, atol=1e-15)
     assert_allclose(area_normal, area_normal_ref, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("surface", [
+    unit_sphere(), mushroom(),
+    radial_surface(lambda c: 1.5 + 0.3*c**3, lambda c: 0.9*c**2,
+                   axes=(0.7, 1.0, 1.8))])
+def test_area_normal_points_outward_by_construction(surface):
+    # y . N = det(S) J P^3: outward wherever the jacobian is positive, for
+    # any positive profile and axes, so no surface needs an orientation test
+    rng = np.random.default_rng(5)
+    d = direction(np.arccos(rng.uniform(-1, 1, 50)),
+                  rng.uniform(-np.pi, np.pi, 50))
+    jacobian = rng.uniform(-2, 2, 50)
+    y, area_normal = surface.area_normal(d, jacobian)
+    flux = np.sum(y*area_normal, axis=-1)
+    want = np.prod(surface.axes)*jacobian*surface.profile(d[:, 2])**3
+    assert_allclose(flux, want, rtol=1e-13)
+    assert np.all(np.sign(flux) == np.sign(jacobian))
 
 
 def test_rotated_frame_matches_rotated_angles():
