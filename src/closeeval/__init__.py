@@ -20,12 +20,11 @@ from .harness import (ConfigError, ErrorStudyResult, InsufficientDataError,
                       ResultRow, StudyConfig, config_from_dict, dump_fits,
                       eps_grid, fit_order, fit_results, load_config,
                       read_results_csv, run_error_map, write_outputs)
-from .hgscatter import (apply_L32, apply_L_asymptotic, apply_L_spectral,
-                        poisson_close_eval)
+from .hgscatter import apply_L_asymptotic, apply_L_spectral
 from .spectral import (QuadratureRule1D, SphericalCoeffs, analysis_grid,
                        gauss_legendre, mapped_rule, periodic_derivative,
                        periodic_nodes, sph_analysis, sph_half_basis,
-                       sph_synthesis, spherical_laplacian)
+                       sph_synthesis)
 
 __all__ = [
     # bie2d
@@ -51,11 +50,10 @@ __all__ = [
     "fit_results", "load_config", "read_results_csv", "run_error_map",
     "write_outputs",
     # hgscatter
-    "apply_L32", "apply_L_asymptotic", "apply_L_spectral",
-    "poisson_close_eval",
+    "apply_L_asymptotic", "apply_L_spectral",
     # spectral
     "QuadratureRule1D", "SphericalCoeffs", "analysis_grid",
     "gauss_legendre", "mapped_rule", "periodic_derivative", "periodic_nodes",
-    "sph_analysis", "sph_half_basis", "sph_synthesis", "spherical_laplacian",
+    "sph_analysis", "sph_half_basis", "sph_synthesis",
 ]
 __version__ = "0.1.0"

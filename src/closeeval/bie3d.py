@@ -47,8 +47,7 @@ from .geometry3d import (Surface3D, _rotated_frame, direction,
                          direction_angles, surface_point_and_normal)
 from .spectral import (SphericalCoeffs, _jy_eigenvectors, _legendre_table,
                        _tri, _wigner_d, analysis_grid, mapped_rule,
-                       periodic_nodes, sph_analysis, sph_half_basis,
-                       sph_synthesis)
+                       periodic_nodes, sph_analysis, sph_synthesis)
 
 # Largest Galerkin degree.  Assembly builds N^2(N/2 + 1) rotated grids of
 # 2N^2 nodes (O(N^4) geometry) and reaches the basis through local
@@ -70,12 +69,15 @@ _COLATITUDE_VALUES = 2**22
 @contextmanager
 def _atomic_write(path: str):
     """Write path through a temporary file in its directory, which
-    replaces path only if the block completes; lines end in a bare LF."""
+    replaces path only if the block completes; lines end in a bare LF.
+    An OSError names path, not the temporary file."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror or str(exc), path) from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -249,7 +251,7 @@ def assemble_galerkin(surface: Surface3D, n: int) -> tuple:
     orbit = 4.0 - 2*(j == 0) - 2*(2*j == n)
     waves = np.arange(n)[:, None]*quarter
     cos_sum, sin_sum = orbit*np.cos(waves), orbit*np.sin(waves)
-    # the order m of each sph_half_basis column
+    # the order m of each column of the m >= 0 harmonics
     order = np.concatenate([np.arange(d + 1) for d in range(n)])
     # rotation_matrix(theta, phi) = R_z(phi) R_y(theta): the grid about
     # (theta_i, phi_j) is the grid about (theta_i, 0) turned by phi_j, where
@@ -257,9 +259,11 @@ def assemble_galerkin(surface: Surface3D, n: int) -> tuple:
     turn = np.exp(1j*np.outer(quarter, order))
     rule = mapped_rule(n)
     local = _legendre_table(np.cos(rule.nodes), np.sin(rule.nodes), n)
-    poles = sph_half_basis(th, np.zeros(n), n)
-    wP = _legendre_table(np.cos(th), np.sin(th), n)*((np.pi/n)*wth)
-    # per block: its functions' sph_half_basis columns, their orders and the
+    # the m >= 0 harmonics at the row poles (theta_i, 0) are the Legendre
+    # values there, which the analysis also weighs
+    P = _legendre_table(np.cos(th), np.sin(th), n)
+    poles, wP = P.T, P*((np.pi/n)*wth)
+    # per block: its functions' m >= 0 harmonic columns, their orders and the
     # rows of each order (the functions run by order, then by degree)
     basis = []
     for dn, dm in _real_basis(n):

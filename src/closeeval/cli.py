@@ -1,7 +1,8 @@
 """Command-line front end: run an error study of any problem, 2D, 3D or hg
 (``hg`` is another name for ``run``), and fit orders from saved CSVs.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error (an output that cannot be
+written is one), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -104,6 +105,12 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # every read reports its own ConfigError: this is an output file or
+        # directory that cannot be written or removed
+        print(f"config error: cannot write {exc.filename}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -54,6 +54,12 @@ SLICES_3D = ("x1x3-slice", "x1x2-slice")
 # A mushroom target at n = 16 and 76 eps costs about 2.8 ms (256 of them:
 # 0.7 s on a 2-core host, one BLAS thread), so the cap's 2048 take ~6 s.
 MAX_SLICE_COUNT = 1024
+# Largest number of eps values, from a list or a range; the largest grid
+# in use, the 2D default, has 126.  Time and output grow with the count: on
+# a 2-core host, one BLAS thread, an all-nodes 2d-kite study at n = 128
+# takes 1.7 s and writes 524288 rows at the cap (0.3 s at 126), and a
+# default 3d-mushroom study 1.0 s (0.2 s at its 76).
+MAX_EPS_COUNT = 1024
 
 
 def _family(problem: str) -> str:
@@ -70,7 +76,13 @@ def eps_grid(lo: float, hi: float, per_decade: int) -> tuple:
         raise ConfigError("eps range needs finite 0 < lo < hi")
     if per_decade < 1:
         raise ConfigError("per-decade count must be positive")
-    count = int(round(math.log10(hi/lo)*per_decade)) + 1
+    try:
+        count = int(round(math.log10(hi/lo)*per_decade)) + 1
+    except OverflowError:  # a per_decade or a hi/lo beyond the floats
+        count = math.inf
+    if count > MAX_EPS_COUNT:
+        raise ConfigError(f"eps range gives more than {MAX_EPS_COUNT} "
+                          "values")
     grid = np.logspace(math.log10(lo), math.log10(hi), count)
     return tuple(float(e) for e in grid[::-1])
 
@@ -235,6 +247,9 @@ class StudyConfig:
         bad = [m for m in self.methods if m not in reads["methods"]]
         if bad:
             raise ConfigError(f"methods {bad} invalid for {self.problem}")
+        if len(self.eps) > MAX_EPS_COUNT:
+            raise ConfigError(f"eps has {len(self.eps)} values; at most "
+                              f"{MAX_EPS_COUNT}")
         if any(e <= 0 for e in self.eps):
             raise ConfigError("eps values must be positive")
         if any(a <= b for a, b in zip(self.eps, self.eps[1:])):
@@ -302,11 +317,11 @@ def config_from_dict(data: dict) -> StudyConfig:
 
 def load_config(path: str) -> StudyConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return config_from_dict(data)
 
@@ -387,20 +402,6 @@ class ErrorStudyResult:
     def row_count(self) -> int:
         """len(rows), without building them."""
         return sum(len(b.eps)*len(b.values) for b in self.blocks)
-
-    def errors_for(self, target: str, method: str):
-        """(eps, abs_error) arrays for one target/method, eps descending;
-        empty if the study has no such rows."""
-        for b in self.blocks:
-            if b.target == target and method in b.values:
-                return b.eps, np.abs(b.values[method] - b.exact)
-        return np.empty(0), np.empty(0)
-
-    def fit_for(self, target: str, method: str) -> OrderFit:
-        for f in self.fits:
-            if f.target == target and f.method == method:
-                return f
-        raise KeyError(f"no fit for {target!r}/{method!r}")
 
 
 def fit_order(eps_values, errors, method: str, lo: float = _FIT_WINDOW[0],
@@ -633,13 +634,14 @@ def run_error_map(config: StudyConfig) -> ErrorStudyResult:
     that the sweep drops, such as a point outside a concave domain, is a
     rejection, not a failure; a target that keeps no eps has no block."""
     # the output and cache directories are made before any solve, and
-    # removed again if the family's setup refuses the config
+    # removed again if the family's setup refuses the config or cannot
+    # write the density cache
     made = []
     try:
         for path in (config.out_dir, config.cache_dir):
             made += _make_dir(path) if path else []
         targets, reason, sweep = _STUDIES[_family(config.problem)](config)
-    except ConfigError:
+    except (ConfigError, OSError):
         for path in reversed(made):
             os.rmdir(path)
         raise

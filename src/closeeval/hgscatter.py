@@ -1,7 +1,6 @@
 """Forward-peaked scattering toolbox: the scattering operator L of the
-Henyey-Greenstein phase function, its nonlocal leading-order operator, the
-two-term asymptotic expansion in eps = 1 - g, and the Poisson-kernel
-connection on the unit sphere.
+Henyey-Greenstein phase function and its two-term asymptotic expansion in
+eps = 1 - g, the two columns of an hg study.
 
 With p(c) = (1 - g^2)/(1 + g^2 - 2gc)^{3/2} the HG phase function and
 Omega' . Omega = cos(s),
@@ -17,15 +16,17 @@ where L32 (eigenvalues -n) integrates the pole-even part of psi against
 (1 - cos s)^{-3/2} and Lap_S2 is the spherical Laplacian.  The Poisson
 kernel for the unit ball at radius 1 - eps coincides with p at g = 1 - eps,
 which is what connects the scattering expansion to close evaluation of
-harmonic functions.
+harmonic functions: the extension at radius 1 - eps is psi(omega) plus
+L psi(omega) at that g.
 
 Every operator here is rotation invariant, so on a band-limited field it
 multiplies the degree-n part of psi by a number: the azimuthal mean of
 that part on the ring at angle s about omega is P_n(cos s) times its value
 at omega.  Each function evaluates the degree parts s_n(omega) once and
 dots them with its multipliers (DECISIONS.md D16).  The direct quadrature
-of L in the frame with omega at the pole, their independent check, lives
-with the tests (tests/references.py).
+of L in the frame with omega at the pole, their independent check, L32
+alone and that harmonic extension live with the tests
+(tests/references.py).
 """
 
 from __future__ import annotations
@@ -86,14 +87,6 @@ def apply_L_spectral(psi: SphericalCoeffs, omega, eps):
     return float(out[0]) if e.ndim == 0 else out.reshape(e.shape)
 
 
-def apply_L32(psi: SphericalCoeffs, omega) -> float:
-    """Nonlocal leading-order operator: integral of the azimuth-averaged,
-    pole-subtracted field against (1 - cos s)^{-3/2} sin s / (2 sqrt 2),
-    taken degree by degree (_l32_multipliers).
-    """
-    return float(_l32_multipliers(psi.N) @ _degree_values(psi, omega))
-
-
 def apply_L_asymptotic(psi: SphericalCoeffs, omega, eps):
     """Two-term forward-peaked expansion (eps + eps^2) L32 - (eps^2/2) Lap
     for a number eps (returns a float) or an array of eps (returns one value
@@ -108,15 +101,3 @@ def apply_L_asymptotic(psi: SphericalCoeffs, omega, eps):
     out = (e + e*e)*l32 - 0.5*e*e*lap0
     return float(out) if e.ndim == 0 else out
 
-
-def poisson_close_eval(f: SphericalCoeffs, ystar, eps: float) -> float:
-    """Harmonic extension of boundary data f on the unit sphere, evaluated
-    at radius 1 - eps along the direction ystar = (theta*, phi*).
-
-    The Poisson kernel equals the HG phase function at g = 1 - eps and has
-    unit mass, so the extension is f(ystar) plus the scattering operator
-    at that g: sum_n (1 - eps)^n s_n(ystar).
-    """
-    if not 0 < eps < 1:
-        raise ValueError("depth parameter must lie in (0, 1)")
-    return float((1.0 - eps)**np.arange(f.N) @ _degree_values(f, ystar))

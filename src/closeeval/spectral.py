@@ -166,20 +166,8 @@ class SphericalCoeffs:
     def zeros(cls, N: int) -> "SphericalCoeffs":
         return cls(N, np.zeros(N*N, dtype=complex))
 
-    @classmethod
-    def single(cls, N: int, n: int, m: int, value: complex = 1.0) -> "SphericalCoeffs":
-        if n >= N:
-            raise ValueError("degree exceeds table size")
-        out = cls.zeros(N)
-        out.c[cls.index(n, m)] = value
-        return out
-
     def get(self, n: int, m: int) -> complex:
         return self.c[self.index(n, m)]
-
-    def degrees(self) -> np.ndarray:
-        """Degree n of each flat slot."""
-        return np.repeat(np.arange(self.N), 2*np.arange(self.N) + 1)
 
 
 def _tri(n: int) -> int:
@@ -333,8 +321,3 @@ def _wigner_d(U: np.ndarray, beta, rows: int = 0) -> np.ndarray:
     gap = (k[rows:, None] - k[None, :]) % 4
     return np.choose(gap, (C, S, -C, -S))
 
-
-def spherical_laplacian(coeffs: SphericalCoeffs) -> SphericalCoeffs:
-    """Laplace-Beltrami operator on the sphere: multiplies c_nm by -n(n+1)."""
-    n = coeffs.degrees()
-    return SphericalCoeffs(coeffs.N, coeffs.c*(-n*(n + 1.0)))

@@ -1,5 +1,6 @@
 """Independent references that several test files check the package
-against; no study runs them.
+against, and the test-only helpers that left the package (DECISIONS.md
+D23, D26); no study runs them.
 
 apply_L_direct and apply_L32_rings are the direct quadratures of the
 Henyey-Greenstein scattering operator and of its leading-order operator on
@@ -14,6 +15,12 @@ galerkin_matrix turns the Galerkin assembly's real blocks back into the
 complex n^2 x n^2 matrix.  dlp_weights_einsum and kernel_K1_einsum are
 the 3D kernels with their dot products taken by einsum, the form the
 component-wise kernels replaced.
+single, degrees and spherical_laplacian build a one-harmonic field, list
+each coefficient slot's degree and apply the Laplace-Beltrami operator.
+apply_L32 and poisson_close_eval are hgscatter's leading-order operator and
+the Poisson-kernel harmonic extension, from its degree multipliers.
+errors_for and fit_for pick one target and method's errors and fit out of
+a study result.
 """
 
 import warnings
@@ -24,7 +31,8 @@ from closeeval.bie3d import _from_real, _to_real
 from closeeval.geometry2d import Curve2D
 from closeeval.geometry3d import (Surface3D, _rotated_frame, direction,
                                   direction_angles, unit_sphere)
-from closeeval.hgscatter import _L32_POLAR_NODES
+from closeeval.hgscatter import (_L32_POLAR_NODES, _degree_values,
+                                 _l32_multipliers)
 from closeeval.spectral import (SphericalCoeffs, _legendre_table, _tri,
                                 mapped_rule, periodic_nodes, sph_synthesis)
 
@@ -47,6 +55,43 @@ def radial_surface(profile, profile_prime, axes) -> Surface3D:
     profile and positive axes make it outward, as unit_sphere and mushroom
     are."""
     return Surface3D(profile, profile_prime, np.asarray(axes, dtype=float))
+
+
+def single(N: int, n: int, m: int, value: complex = 1.0) -> SphericalCoeffs:
+    """The degree < N coefficients of value times Y_nm alone."""
+    if n >= N:
+        raise ValueError("degree exceeds table size")
+    out = SphericalCoeffs.zeros(N)
+    out.c[SphericalCoeffs.index(n, m)] = value
+    return out
+
+
+def degrees(coeffs: SphericalCoeffs) -> np.ndarray:
+    """Degree n of each flat coefficient slot."""
+    return np.repeat(np.arange(coeffs.N), 2*np.arange(coeffs.N) + 1)
+
+
+def spherical_laplacian(coeffs: SphericalCoeffs) -> SphericalCoeffs:
+    """Laplace-Beltrami operator on the sphere: multiplies c_nm by -n(n+1)."""
+    n = degrees(coeffs)
+    return SphericalCoeffs(coeffs.N, coeffs.c*(-n*(n + 1.0)))
+
+
+def errors_for(result, target: str, method: str):
+    """(eps, abs_error) arrays for one target/method of a study result, eps
+    descending; empty if the study has no such rows."""
+    for b in result.blocks:
+        if b.target == target and method in b.values:
+            return b.eps, np.abs(b.values[method] - b.exact)
+    return np.empty(0), np.empty(0)
+
+
+def fit_for(result, target: str, method: str):
+    """The OrderFit of one target/method of a study result."""
+    for f in result.fits:
+        if f.target == target and f.method == method:
+            return f
+    raise KeyError(f"no fit for {target!r}/{method!r}")
 
 
 def rotated_frame(surface: Surface3D, theta_star, phi_star, s, t):
@@ -172,6 +217,26 @@ def apply_L32_rings(psi: SphericalCoeffs, omega) -> float:
     kern = (1.0 - np.cos(rule.nodes))**-1.5
     return float(np.sum(rule.weights*kern*az*np.sin(rule.nodes))
                  / (2.0*np.sqrt(2.0)))
+
+
+def apply_L32(psi: SphericalCoeffs, omega) -> float:
+    """Nonlocal leading-order operator: integral of the azimuth-averaged,
+    pole-subtracted field against (1 - cos s)^{-3/2} sin s / (2 sqrt 2),
+    taken degree by degree (hgscatter._l32_multipliers)."""
+    return float(_l32_multipliers(psi.N) @ _degree_values(psi, omega))
+
+
+def poisson_close_eval(f: SphericalCoeffs, ystar, eps: float) -> float:
+    """Harmonic extension of boundary data f on the unit sphere, evaluated
+    at radius 1 - eps along the direction ystar = (theta*, phi*).
+
+    The Poisson kernel equals the HG phase function at g = 1 - eps and has
+    unit mass, so the extension is f(ystar) plus the scattering operator
+    at that g: sum_n (1 - eps)^n s_n(ystar).
+    """
+    if not 0 < eps < 1:
+        raise ValueError("depth parameter must lie in (0, 1)")
+    return float((1.0 - eps)**np.arange(f.N) @ _degree_values(f, ystar))
 
 
 def p_hg(cos_theta, g: float):

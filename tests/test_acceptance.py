@@ -23,10 +23,11 @@ from closeeval.geometry3d import (direction, mushroom, rotation_matrix,
 from closeeval.harness import StudyConfig, eps_grid, fit_order, run_error_map
 from closeeval.hgscatter import apply_L_asymptotic
 from closeeval.spectral import (SphericalCoeffs, analysis_grid, sph_analysis,
-                                sph_synthesis, spherical_laplacian)
+                                sph_synthesis)
 
-from references import (apply_L_direct, pole_second_derivative_average,
-                        rotated_angles, sph_harm_eval)
+from references import (apply_L_direct, errors_for, fit_for,
+                        pole_second_derivative_average, rotated_angles,
+                        single, sph_harm_eval, spherical_laplacian)
 
 EPS_FINE = eps_grid(1e-6, 1e-1, 25)
 TARGETS_2D = (5*np.pi/4, np.pi/4)  # concave-side and convex-side targets
@@ -63,13 +64,13 @@ def _labels(result):
 def _check_orders(result):
     for label in _labels(result):
         for method, (want, tol) in SLOPES_2D.items():
-            fit = result.fit_for(label, method)
+            fit = fit_for(result, label, method)
             assert abs(fit.slope - want) <= tol, (label, method, fit.slope)
 
 
 def _check_third_order_floor(result):
     label_a = _labels(result)[0]
-    eps, err = result.errors_for(label_a, "asym3")
+    eps, err = errors_for(result, label_a, "asym3")
     sel = eps <= 1e-4*(1 + 1e-12)
     assert np.count_nonzero(sel) >= 50
     assert err[sel].max() <= 1e-12
@@ -149,7 +150,7 @@ def test_criterion_07_sphere_close_eval_and_mushroom_decay():
 
     # the coefficient density solves the boundary equation for this data
     # (spectral eigenrelation); checked pointwise before use
-    density = Density3D(sphere, SphericalCoeffs.single(24, 2, 0, -5.0/3.0),
+    density = Density3D(sphere, single(24, 2, 0, -5.0/3.0),
                         data)
     mu0 = float(density(np.full(1, 1.1), np.full(1, 0.6))[0])
     resid = (apply_K_subtracted(sphere, density, 1.1, 0.6, 24)
@@ -197,14 +198,14 @@ def test_criterion_08_scattering_eigenvalues_and_degree_one_cancellation():
         for n in range(5):
             lam = g**n - 1.0
             for m in range(-n, n + 1):
-                psi = SphericalCoeffs.single(8, n, m)
+                psi = single(8, n, m)
                 for omega in omegas:
                     want = lam*float(np.real(sph_synthesis(
                         psi, np.full(1, omega[0]), np.full(1, omega[1]))[0]))
                     got = apply_L_direct(psi, omega, g)
                     assert abs(got - want) <= 1e-7, (n, m, g, omega)
     # degree-1 field: the two-term expansion cancels the operator exactly
-    psi = SphericalCoeffs.single(4, 1, 0)
+    psi = single(4, 1, 0)
     omega = (1.2, 0.7)
     for eps in (1e-1, 1e-2, 1e-3):
         resid = abs(apply_L_asymptotic(psi, omega, eps)
@@ -219,7 +220,7 @@ def test_criterion_08_scattering_eigenvalues_and_degree_one_cancellation():
                           "third-order decay appears from degree 3 up (see "
                           "the module suite and the decision ledger)")
 def test_criterion_08_quadratic_field_residual_slope():
-    psi = SphericalCoeffs.single(8, 2, 0)
+    psi = single(8, 2, 0)
     omega = (1.2, 0.7)
     grid = eps_grid(1e-3, 1e-1, 25)
     resid = [abs(apply_L_asymptotic(psi, omega, eps)
@@ -274,7 +275,7 @@ def test_criterion_10_property_suite(tmp_path):
     assert abs(close_eval_2d(d2, k, 0.7)["ptr"] + 1.0) <= 1e-13
 
     # constant-density exactness, 3D
-    coeffs = SphericalCoeffs.single(8, 0, 0, np.sqrt(4*np.pi))
+    coeffs = single(8, 0, 0, np.sqrt(4*np.pi))
 
     def unit_data(theta, phi):
         return np.ones_like(np.asarray(theta, dtype=float))

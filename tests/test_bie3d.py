@@ -132,7 +132,7 @@ def test_per_row_galerkin_is_real_and_keeps_the_order_parity(name, n):
 
 
 def test_galerkin_evaluates_basis_only_at_row_poles(monkeypatch):
-    calls = {"subtracted_weights": [], "sph_half_basis": []}
+    calls = {"subtracted_weights": [], "_legendre_table": []}
 
     def counted(name):
         fn = getattr(bie3d, name)
@@ -145,13 +145,14 @@ def test_galerkin_evaluates_basis_only_at_row_poles(monkeypatch):
     for name in calls:
         monkeypatch.setattr(bie3d, name, counted(name))
     A = assemble_galerkin(mushroom(), 8)
-    # the half basis once, at the 8 row poles (theta_i, 0): the rows' grids
+    # the Legendre table once at the 8 local polar nodes and once at the 8
+    # row poles (theta_i, 0), where it is the m >= 0 basis: the rows' grids
     # reach the basis through local harmonics and Wigner rotation.  Per
     # colatitude of the 8 x 16 analysis grid, only the 5 rows at
     # 0 <= phi <= pi/2 are computed (the reflections give the others), and
     # they (640 grid nodes) fit in one stacked geometry call
     assert calls == {"subtracted_weights": [5]*8,
-                     "sph_half_basis": [8]}
+                     "_legendre_table": [8, 8]}
     # smaller blocks change the call pattern, not the matrix
     calls["subtracted_weights"].clear()
     monkeypatch.setattr(bie3d, "_BLOCK_NODES", 400)

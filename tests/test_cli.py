@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -11,7 +12,8 @@ from closeeval import cli, harness, hgscatter
 from closeeval.bie3d import Density3D
 from closeeval.geometry3d import unit_sphere
 from closeeval.harness import NumericalError
-from closeeval.spectral import SphericalCoeffs
+
+import references
 
 
 def _write_config(tmp_path, payload, name="study.json"):
@@ -77,6 +79,14 @@ def test_run_nan_eps_exits_2(tmp_path, capsys):
                                    "eps": [1e-2, float("nan"), 1e-3]})
     assert cli.main(["run", cfg]) == 2
     assert "eps values must be finite" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # a UnicodeDecodeError once escaped as a traceback
+    cfg = tmp_path/"c.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    assert cli.main(["run", str(cfg)]) == 2
+    assert "config is not valid JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("corrupt", ['{"N": 8, "coeffs": [[0, 0, 1.0',
@@ -347,6 +357,54 @@ def test_fit_out_that_is_a_file_exits_2(tmp_path, capsys):
     assert blocker.read_text() == "not a directory"
 
 
+@pytest.mark.parametrize("source", ["flag", "range-key", "list"])
+def test_eps_count_above_cap_exits_2_without_an_out_directory(
+        tmp_path, capsys, source):
+    # 1e11 per decade once ended in numpy's "Unable to allocate 3.64 TiB"
+    out = tmp_path/"out"
+    payload, flags = dict(_KITE_EPS, out=str(out)), []
+    if source == "flag":
+        flags = ["--eps-range", "1e-6:1e-1:100000000000"]
+    elif source == "range-key":
+        payload["eps_range"] = {"lo": 1e-6, "hi": 1e-1, "per_decade": 10**11}
+    else:
+        payload["eps"] = np.logspace(-1, -4, harness.MAX_EPS_COUNT
+                                     + 1).tolist()
+    assert cli.main(["run", _write_config(tmp_path, payload), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(harness.MAX_EPS_COUNT) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("blocked", ["results", "density-cache", "fits"])
+def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys, blocked):
+    # each once ended in an IsADirectoryError traceback from os.replace
+    out = tmp_path/"out"
+    args = ["run", _write_config(tmp_path, _kite_payload(str(out)))]
+    if blocked == "results":
+        in_the_way = out/"results.csv"
+    elif blocked == "density-cache":
+        args = ["run", _write_config(tmp_path, dict(
+            _SPHERE, cache=str(tmp_path/"cache")))]
+        in_the_way = pathlib.Path(
+            harness._density_cache_path(harness.load_config(args[1])))
+    else:
+        assert cli.main(args) == 0
+        args = ["fit", str(out/"results.csv"), "--out", str(tmp_path/"f")]
+        in_the_way = tmp_path/"f"/"fits.json"
+    in_the_way.mkdir(parents=True)
+    (in_the_way/"kept").write_text("kept")
+    capsys.readouterr()
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {in_the_way}: ")
+    assert "Traceback" not in err
+    # the directory is untouched, and no temporary file is left beside it
+    assert [p.name for p in in_the_way.iterdir()] == ["kept"]
+    assert (in_the_way/"kept").read_text() == "kept"
+    assert [p.name for p in in_the_way.parent.iterdir()] == [in_the_way.name]
+
+
 @pytest.mark.parametrize("payload,targets", [
     ({"problem": "2d-kite", "n": 64, "eps": [1.2, 0.9]},
      [1.5707963267948966, 0.0]),
@@ -496,7 +554,7 @@ def test_hg_eps_whose_g_rounds_to_one_is_evaluated(tmp_path):
     tiny = [r for r in rows if 1.0 - r.eps == 1.0]
     assert len(tiny) == 4
     s3 = hgscatter._degree_values(
-        SphericalCoeffs.single(4, 3, 1, 1.0), (1.0, 0.7))[3]
+        references.single(4, 3, 1, 1.0), (1.0, 0.7))[3]
     for r in tiny:
         assert r.exact != 0.0
         assert r.exact == pytest.approx(

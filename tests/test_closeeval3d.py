@@ -13,7 +13,8 @@ from closeeval.geometry3d import (direction_angles, mushroom,
                                   surface_point_and_normal, unit_sphere)
 from closeeval.spectral import SphericalCoeffs
 
-from references import kernel_K1_einsum, rotated_angles, sph_harm_eval
+from references import (kernel_K1_einsum, rotated_angles, single,
+                        sph_harm_eval)
 
 SOURCE = (5.0, 4.0, 3.0)
 
@@ -71,7 +72,7 @@ def sphere_source_density():
 
 def _y10_density(N=24):
     data = lambda th, ph: np.real(sph_harm_eval(1, 0, th, ph))
-    return Density3D(unit_sphere(), SphericalCoeffs.single(N, 1, 0, -1.5),
+    return Density3D(unit_sphere(), single(N, 1, 0, -1.5),
                      data)
 
 
@@ -117,7 +118,7 @@ def test_kernel_coincidence_raises():
 def test_constant_density_is_exact():
     c = 2.3
     mu0 = c/np.sqrt(4*np.pi)
-    d = Density3D(unit_sphere(), SphericalCoeffs.single(8, 0, 0, c),
+    d = Density3D(unit_sphere(), single(8, 0, 0, c),
                   lambda th, ph: np.full(np.shape(th), -mu0))
     v = close_eval_3d(d, 1.0, 0.5, 1e-3)
     assert abs(v["numerical"] + mu0) < 1e-14
@@ -217,7 +218,7 @@ def test_eps_vector_matches_scalar_requests():
 
 
 def test_asym_requires_data_or_override():
-    d = Density3D(unit_sphere(), SphericalCoeffs.single(8, 0, 0, 1.0))
+    d = Density3D(unit_sphere(), single(8, 0, 0, 1.0))
     with pytest.raises(ValueError):
         close_eval_3d(d, 1.0, 0.5, 1e-2)
     with pytest.raises(ValueError):

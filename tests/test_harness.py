@@ -21,13 +21,14 @@ from closeeval.geometry3d import Surface3D
 from closeeval.harness import (PROBLEMS_2D, PROBLEMS_3D, ConfigError,
                                InsufficientDataError,
                                NumericalError, StudyConfig, apply_overrides,
-                               config_from_dict, eps_grid, fit_order,
+                               MAX_EPS_COUNT, config_from_dict, eps_grid,
+                               fit_order,
                                fit_results, load_config, parse_eps_range,
                                ErrorStudyResult, read_results_csv,
                                run_error_map, write_outputs,
                                _targets_2d)
 
-from references import apply_L_direct
+from references import apply_L_direct, errors_for, fit_for
 
 EPS_2D = eps_grid(1e-5, 0.5, 5)
 TARGETS_2D = (5*np.pi/4, np.pi/4)
@@ -64,6 +65,27 @@ def test_eps_grid_validation():
     for lo, hi in ((1e-3, math.inf), (math.nan, 1e-1), (1e-3, math.nan)):
         with pytest.raises(ConfigError):
             eps_grid(lo, hi, 5)
+
+
+def test_eps_count_cap(monkeypatch):
+    # three decades at 341 per decade give exactly the cap, 342 exceed it
+    assert len(eps_grid(1e-4, 1e-1, 341)) == MAX_EPS_COUNT
+    grid = tuple(np.logspace(-1, -3, MAX_EPS_COUNT + 1))
+    assert len(StudyConfig(problem="2d-kite", eps=grid[1:]).eps) \
+        == MAX_EPS_COUNT
+    with pytest.raises(ConfigError, match="at most"):
+        StudyConfig(problem="2d-kite", eps=grid)
+
+    # a count that numpy could not allocate, or that no float holds, is
+    # refused before any grid is made
+    def no_grid(*args, **kwargs):
+        raise AssertionError("allocated an eps grid above the cap")
+
+    monkeypatch.setattr(np, "logspace", no_grid)
+    for lo, hi, per in ((1e-4, 1e-1, 342), (1e-6, 1e-1, 10**11),
+                        (1e-6, 1e-1, 10**400), (5e-324, 1e300, 2)):
+        with pytest.raises(ConfigError, match="more than"):
+            eps_grid(lo, hi, per)
 
 
 def test_parse_eps_range():
@@ -332,17 +354,17 @@ def test_targets_naming_one_point_are_evaluated_once(tmp_path, config):
 
 def test_run_fits_recover_known_orders(kite_result):
     lbl = repr(np.pi/4)
-    assert abs(kite_result.fit_for(lbl, "sub").slope - 1.0) < 0.15
-    assert abs(kite_result.fit_for(lbl, "asym2").slope - 2.0) < 0.15
-    assert abs(kite_result.fit_for(lbl, "asym3").slope - 3.0) < 0.15
+    assert abs(fit_for(kite_result, lbl, "sub").slope - 1.0) < 0.15
+    assert abs(fit_for(kite_result, lbl, "asym2").slope - 2.0) < 0.15
+    assert abs(fit_for(kite_result, lbl, "asym3").slope - 3.0) < 0.15
 
 
 def test_errors_for_ordering(kite_result):
-    eps, err = kite_result.errors_for(repr(np.pi/4), "sub")
+    eps, err = errors_for(kite_result, repr(np.pi/4), "sub")
     assert len(eps) == len(kite_result.config.eps)
     assert all(a > b for a, b in zip(eps, eps[1:]))
     with pytest.raises(KeyError):
-        kite_result.fit_for("nowhere", "sub")
+        fit_for(kite_result, "nowhere", "sub")
 
 
 @pytest.mark.parametrize("config,methods", [
@@ -528,7 +550,7 @@ def test_run_hg_study_slope_and_rejections():
     res = run_error_map(cfg)
     assert [r.method for r in res.rows] == ["hg_asym"]*11
     assert len(res.rejections) == 1 and res.rejections[0].eps == 0.7
-    assert abs(res.fit_for("hg", "hg_asym").slope - 3.0) < 0.3
+    assert abs(fit_for(res, "hg", "hg_asym").slope - 3.0) < 0.3
 
 
 def test_run_hg_study_rejecting_every_eps_keeps_no_block(tmp_path):
