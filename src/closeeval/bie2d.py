@@ -35,14 +35,17 @@ _POINT_BLOCK = 32
 
 @dataclass(frozen=True, eq=False)
 class DensityGrid2D:
-    """Density samples on the N-node periodic grid, with the data that
+    """Density samples on the n-node periodic grid, with the data that
     produced them and the curve geometry at the nodes."""
 
     curve: Curve2D
-    n: int
     mu: np.ndarray
     f: np.ndarray
     geometry: CurvePoint2D
+
+    @property
+    def n(self) -> int:
+        return self.mu.size
 
     @cached_property
     def derivatives(self):
@@ -107,17 +110,19 @@ def assemble_nystrom(curve: Curve2D, n: int) -> np.ndarray:
     return kernel_matrix(curve, n)/n - 0.5*np.eye(n)
 
 
-def solve_density(curve: Curve2D, f: np.ndarray, n: int) -> DensityGrid2D:
-    """Direct dense solve of the Nystrom system."""
+def solve_density(curve: Curve2D, f: np.ndarray) -> DensityGrid2D:
+    """Direct dense solve of the Nystrom system at the n nodes of the data
+    samples f."""
     f = np.asarray(f, dtype=float)
-    if f.shape != (n,):
-        raise ValueError("data samples must match the node count")
+    if f.ndim != 1:
+        raise ValueError("data samples must be a vector")
+    n = f.size
     A = assemble_nystrom(curve, n)
     mu = np.linalg.solve(A, f)
     resid = np.max(np.abs(A @ mu - f))
     if resid > 1e-12*max(np.max(np.abs(f)), 1.0):
         raise RuntimeError(f"Nystrom solve residual too large: {resid:.3e}")
-    return DensityGrid2D(curve, n, mu, f, curve_grid(curve, n))
+    return DensityGrid2D(curve, mu, f, curve_grid(curve, n))
 
 
 def dlp_sum(geometry: CurvePoint2D, x, mu):

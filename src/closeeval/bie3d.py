@@ -412,8 +412,7 @@ def _from_real(parts: list, N: int) -> np.ndarray:
 def project_boundary_data(f: Callable, n: int) -> SphericalCoeffs:
     """Spherical analysis of boundary data sampled on the projection grid."""
     theta, _, phi = analysis_grid(n)
-    return sph_analysis(np.asarray(f(*np.meshgrid(theta, phi,
-                                                  indexing="ij"))), n)
+    return sph_analysis(f(*np.meshgrid(theta, phi, indexing="ij")))
 
 
 def solve_density3d(surface: Surface3D, f: Callable, n: int) -> Density3D:
@@ -436,7 +435,7 @@ def solve_density3d(surface: Surface3D, f: Callable, n: int) -> Density3D:
             raise RuntimeError(f"Galerkin solve residual too large: "
                                f"{resid:.3e}")
         parts.append(x[:, 0] + 1j*x[:, 1])
-    return Density3D(surface, SphericalCoeffs(n, _from_real(parts, n)), f)
+    return Density3D(surface, SphericalCoeffs(_from_real(parts, n)), f)
 
 
 def harmonic_point_source_3d(surface: Surface3D, source) -> Callable:
@@ -444,10 +443,9 @@ def harmonic_point_source_3d(surface: Surface3D, source) -> Callable:
     A source inside the surface, or on it (within 1e-12 in the stretched
     radial coordinate of Surface3D.contains), is refused."""
     src = np.asarray(source, dtype=float)
-    with np.errstate(over="ignore"):  # a far source is at radius inf
-        if surface.contains(src):
-            raise ValueError("source point must lie outside the surface")
-        r, P, _ = surface._radii(src)
+    if surface.contains(src):
+        raise ValueError("source point must lie outside the surface")
+    r, P, _ = surface._radii(src)
     if r - P < 1e-12:
         raise ValueError("source point lies on the surface")
 

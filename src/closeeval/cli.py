@@ -8,12 +8,11 @@ written is one), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
 from .bie3d import _atomic_write
-from .harness import (ConfigError, NumericalError, _make_dir,
+from .harness import (ConfigError, NumericalError, _check_window, _make_dir,
                       apply_overrides, dump_fits, fit_results, load_config,
                       read_results_csv, run_error_map)
 
@@ -75,8 +74,7 @@ def _fit_window(text: str) -> tuple:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ConfigError(f"bad fit window {text!r}: {exc}") from None
-    if not (math.isfinite(hi) and 0 < lo < hi):
-        raise ConfigError("fit window needs finite 0 < LO < HI")
+    _check_window("fit window", lo, hi)
     return lo, hi
 
 

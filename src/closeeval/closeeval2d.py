@@ -4,19 +4,20 @@ quadrature, and two asymptotic approximations in the distance parameter.
 close_eval_2d gives every method's value at one target, over one eps or a
 vector of them.
 
-The evaluation point is x = y* - eps*ell*nu* for a boundary target
-y* = y(t_k) at a quadrature node, with nu* the outward normal, so that
-u(x) ~ f(y*) + eps U1 + eps^2 U2.  Writing y_d = y* - y(t), the first
-coefficient U1 = -ell d_nu u is the corrected trapezoid sum of
+The evaluation point is x = y* - eps*nu* for a boundary target
+y* = y(t_k) at a quadrature node, with nu* the outward normal, so that eps
+is the distance and u(x) ~ f(y*) + eps U1 + eps^2 U2.  Writing
+y_d = y* - y(t), the first coefficient U1 = -d_nu u is the corrected
+trapezoid sum of
 
-    K1 = ell * [2 (nu . y_d)(nu* . y_d) - (nu . nu*) |y_d|^2] / |y_d|^4
+    K1 = [2 (nu . y_d)(nu* . y_d) - (nu . nu*) |y_d|^2] / |y_d|^4
 
 times mu - mu*, whose singular cell at t_k is replaced by its analytic
 limit, a local term in mu''.  The second coefficient is the normal Taylor
-coefficient (ell^2/2) d_nu^2 u.  In normal coordinates Laplace's equation
+coefficient (1/2) d_nu^2 u.  In normal coordinates Laplace's equation
 reads d_nu^2 u = -f_ss - kappa d_nu u on the boundary, so
 
-    U2 = -(ell^2/2) f_ss + (ell/2) kappa U1,
+    U2 = -f_ss/2 + kappa U1/2,
 
 with f_ss the second arclength derivative of the Dirichlet data and kappa
 the signed curvature, +1 on the counterclockwise unit circle.
@@ -36,19 +37,18 @@ METHODS = ("ptr", "sub", "asym2", "asym3")
 
 @dataclass(frozen=True, eq=False)
 class CloseEvalRequest2D:
-    """One close-evaluation point, target node index k, distance eps and
-    scale ell, checked on construction: a point outside the curve is a
-    ValueError.  The study tests its 2D points with it; close_eval_2d
-    computes the methods' values."""
+    """One close-evaluation point, target node index k and distance eps,
+    checked on construction: a point outside the curve is a ValueError.
+    The study tests its 2D points with it; close_eval_2d computes the
+    methods' values."""
 
     density: DensityGrid2D
     k: int
     eps: float
-    ell: float = 1.0
 
     def __post_init__(self):
-        if self.eps <= 0 or self.ell <= 0:
-            raise ValueError("eps and ell must be positive")
+        if self.eps <= 0:
+            raise ValueError("eps must be positive")
         if not 0 <= self.k < self.density.n:
             raise ValueError("target index out of range")
         if not point_inside(self.density.curve, self.point()):
@@ -60,18 +60,18 @@ class CloseEvalRequest2D:
 
     def point(self) -> np.ndarray:
         ystar, nustar = self.target()
-        return ystar - self.eps*self.ell*nustar
+        return ystar - self.eps*nustar
 
 
-def _eval_points(density: DensityGrid2D, k: int, eps, ell: float):
-    """y* - eps*ell*nu* of target k at each eps, as point() gives it."""
+def _eval_points(density: DensityGrid2D, k: int, eps):
+    """y* - eps*nu* of target k at each eps, as point() gives it."""
     g = density.geometry
-    return g.position[k] - np.multiply.outer(eps*ell, g.normal[k])
+    return g.position[k] - np.multiply.outer(eps, g.normal[k])
 
 
-def close_eval_2d(density: DensityGrid2D, k: int, eps, ell: float = 1.0,
+def close_eval_2d(density: DensityGrid2D, k: int, eps,
                   methods=METHODS) -> dict:
-    """{method: value of u at y* - eps*ell*nu*} for target node k: a float
+    """{method: value of u at y* - eps*nu*} for target node k: a float
     per method for a number eps, an array over a vector of eps.  ptr and
     sub share one kernel sum over mu and mu - mu*; the asymptotic methods
     share the target's (f*, U1, U2).
@@ -79,8 +79,8 @@ def close_eval_2d(density: DensityGrid2D, k: int, eps, ell: float = 1.0,
     The points are not tested for interiority; the caller tests them
     (geometry2d.point_inside, as CloseEvalRequest2D does)."""
     eps = np.asarray(eps, dtype=float)
-    if np.any(eps <= 0) or ell <= 0:
-        raise ValueError("eps and ell must be positive")
+    if np.any(eps <= 0):
+        raise ValueError("eps must be positive")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown 2D methods {unknown}")
@@ -90,11 +90,11 @@ def close_eval_2d(density: DensityGrid2D, k: int, eps, ell: float = 1.0,
     if {"ptr", "sub"} & set(methods):
         mustar = density.mu[k]
         values["ptr"], dsub = dlp_sum(
-            density.geometry, _eval_points(density, k, eps, ell),
+            density.geometry, _eval_points(density, k, eps),
             np.stack([density.mu, density.mu - mustar]))
         values["sub"] = -mustar + dsub
     if {"asym2", "asym3"} & set(methods):
-        fstar, U1, U2 = asym_coefficients(density, k, ell)
+        fstar, U1, U2 = asym_coefficients(density, k)
         values["asym2"] = fstar + eps*U1
         values["asym3"] = fstar + eps*U1 + eps*eps*U2
     if eps.ndim == 0:
@@ -102,7 +102,7 @@ def close_eval_2d(density: DensityGrid2D, k: int, eps, ell: float = 1.0,
     return {m: values[m] for m in methods}
 
 
-def _kernel_K1(y, nu, ystar, nustar, ell: float):
+def _kernel_K1(y, nu, ystar, nustar):
     """K1 at boundary points y with normals nu for the target (y*, nu*);
     the arrays broadcast over leading axes."""
     yd = ystar - y
@@ -112,10 +112,10 @@ def _kernel_K1(y, nu, ystar, nustar, ell: float):
     nd = np.sum(nu*yd, axis=-1)
     nsd = np.sum(nustar*yd, axis=-1)
     ndot = np.sum(nu*nustar, axis=-1)
-    return ell*(2*nd*nsd - ndot*r2)/r2**2
+    return (2*nd*nsd - ndot*r2)/r2**2
 
 
-def asym_coefficients(density: DensityGrid2D, k: int, ell: float = 1.0):
+def asym_coefficients(density: DensityGrid2D, k: int):
     """(f*, U1, U2) for one target: the eps-independent pieces of both
     asymptotic methods.  U1 is the corrected trapezoid sum of K1 [mu - mu*]
     and U2 follows from f and U1 by Laplace's equation.
@@ -132,10 +132,10 @@ def asym_coefficients(density: DensityGrid2D, k: int, ell: float = 1.0):
 
     mask = np.arange(n) != k
     K1 = _kernel_K1(g.position[mask], g.normal[mask], g.position[k],
-                    g.normal[k], ell)
+                    g.normal[k])
     dmu = mu[mask] - mu[k]
-    U1 = np.sum(K1*g.jacobian[mask]*dmu)/n - ell*mupp[k]/(2*n*J_k)
+    U1 = np.sum(K1*g.jacobian[mask]*dmu)/n - mupp[k]/(2*n*J_k)
     ft, ftt = f_t[k], f_tt[k]
     fss = (ftt - np.dot(g.d1[k], g.d2[k])/J_k**2*ft)/J_k**2
-    U2 = -ell*ell*fss/2 + ell*g.curvature[k]*U1/2
+    U2 = -fss/2 + g.curvature[k]*U1/2
     return float(density.f[k]), float(U1), float(U2)

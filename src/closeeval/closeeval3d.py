@@ -3,7 +3,7 @@ three-step quadrature at interior points and the first asymptotic
 approximation in the distance parameter.  close_eval_3d gives every
 method's value at one target, over one eps or a vector of them.
 
-For a boundary target y* = y(theta*, phi*) and x = y* - eps*ell*nu*, the
+For a boundary target y* = y(theta*, phi*) and x = y* - eps*nu*, the
 numerical method uses the interior Gauss identity,
 
     u(x) = -mu(y*) + (1/4pi) oint K(x, y) [mu(y) - mu(y*)] dsigma,
@@ -11,7 +11,7 @@ numerical method uses the interior Gauss identity,
 and the asymptotic method is u ~ f(y*) + eps*U1 with U1 the rotated
 quadrature of K1 [mu - mu*], where, with y_d = y* - y(s, t),
 
-    K1 = ell * [3 (nu . y_d)(nu* . y_d) - |y_d|^2 (nu . nu*)] / |y_d|^5.
+    K1 = [3 (nu . y_d)(nu* . y_d) - |y_d|^2 (nu . nu*)] / |y_d|^5.
 
 Every integrand is assembled with the area element of the rotated
 parameterization, which absorbs the sin(s) pole factor, so the azimuthal
@@ -28,12 +28,12 @@ from .geometry3d import direction_angles, surface_point_and_normal
 METHODS = ("numerical", "asym2")
 
 
-def _points(ystar, nustar, eps, ell: float) -> np.ndarray:
-    """Evaluation points y* - eps*ell*nu*, one row per entry of eps."""
-    return ystar - np.multiply.outer(np.asarray(eps)*ell, nustar)
+def _points(ystar, nustar, eps) -> np.ndarray:
+    """Evaluation points y* - eps*nu*, one row per entry of eps."""
+    return ystar - np.multiply.outer(eps, nustar)
 
 
-def _kernel_K1(y, nu, ystar, nustar, ell: float):
+def _kernel_K1(y, nu, ystar, nustar):
     """K1 at boundary points y with normals nu for the target (y*, nu*).
     K1 is linear in nu, so the area-weighted normal gives K1 times the area
     element.  The x, y and z components are taken apart, so each dot
@@ -46,12 +46,12 @@ def _kernel_K1(y, nu, ystar, nustar, ell: float):
     nd = nx*dx + ny*dy + nz*dz
     nsd = nustar[0]*dx + nustar[1]*dy + nustar[2]*dz
     ndot = nx*nustar[0] + ny*nustar[1] + nz*nustar[2]
-    return ell*(3*nd*nsd - r2*ndot)/r2**2.5
+    return (3*nd*nsd - r2*ndot)/r2**2.5
 
 
 def close_eval_3d(density: Density3D, theta_star: float, phi_star: float,
-                  eps, ell: float = 1.0, methods=METHODS) -> dict:
-    """{method: value of u at y* - eps*ell*nu*} for the target
+                  eps, methods=METHODS) -> dict:
+    """{method: value of u at y* - eps*nu*} for the target
     y* = y(theta*, phi*): a float per method for a number eps, an array
     over a vector of eps.  One (y*, nu*), one rotated grid at the density
     degree, and mu* and mu - mu* on it serve every method; mu* and mu on
@@ -63,8 +63,8 @@ def close_eval_3d(density: Density3D, theta_star: float, phi_star: float,
     The points are not tested for interiority; the caller tests them
     (Surface3D.contains)."""
     eps = np.asarray(eps, dtype=float)
-    if np.any(eps <= 0) or ell <= 0:
-        raise ValueError("eps and ell must be positive")
+    if np.any(eps <= 0):
+        raise ValueError("eps must be positive")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown 3D methods {unknown}")
@@ -80,13 +80,13 @@ def close_eval_3d(density: Density3D, theta_star: float, phi_star: float,
     dmu = mu[:-1].reshape(theta.shape) - mu_star
     values = {}
     if "numerical" in methods:
-        x = _points(ystar, nustar, eps, ell)
+        x = _points(ystar, nustar, eps)
         w = dlp_weights(grid, x[..., None, None, :])
         values["numerical"] = -mu_star + (1.0/(4*n))*np.sum(w*dmu,
                                                             axis=(-2, -1))
     if "asym2" in methods:
         w, y, area_normal, _ = grid
-        K1W = _kernel_K1(y, area_normal, ystar, nustar, ell)
+        K1W = _kernel_K1(y, area_normal, ystar, nustar)
         U1 = float((1.0/(4*n))*np.sum(w*K1W*dmu))
         f_star = float(np.asarray(density.data(
             np.full(1, theta_star), np.full(1, phi_star))).ravel()[0])

@@ -81,7 +81,8 @@ class Surface3D:
         """|z| and the boundary radius P in the direction of z = x/axes,
         and where |z| is too small for a direction (taken as the pole)."""
         z = np.asarray(x, dtype=float)/self.axes
-        r = np.linalg.norm(z, axis=-1)
+        with np.errstate(over="ignore"):  # a far point is at radius inf
+            r = np.linalg.norm(z, axis=-1)
         centre = r < _POLE_TOL
         return r, self.profile(z[..., 2]/np.where(centre, 1.0, r)), centre
 

@@ -70,10 +70,15 @@ def _family(problem: str) -> str:
     return "hg"
 
 
+def _check_window(what: str, lo: float, hi: float) -> None:
+    """Refuse a window of eps that is not finite 0 < lo < hi."""
+    if not (math.isfinite(hi) and 0 < lo < hi):
+        raise ConfigError(f"{what} needs finite 0 < lo < hi")
+
+
 def eps_grid(lo: float, hi: float, per_decade: int) -> tuple:
     """Descending log-uniform grid with per_decade points per factor of 10."""
-    if not (math.isfinite(hi) and 0 < lo < hi):
-        raise ConfigError("eps range needs finite 0 < lo < hi")
+    _check_window("eps range", lo, hi)
     if per_decade < 1:
         raise ConfigError("per-decade count must be positive")
     try:
@@ -89,9 +94,10 @@ def eps_grid(lo: float, hi: float, per_decade: int) -> tuple:
 
 def parse_eps_range(text: str) -> tuple:
     """Parse 'lo:hi:per-decade' into a descending eps grid."""
-    parts = text.split(":")
+    parts = text.split(":") if isinstance(text, str) else ()
     if len(parts) != 3:
-        raise ConfigError("eps range must look like lo:hi:per-decade")
+        raise ConfigError(f"eps range must be a string lo:hi:per-decade, "
+                          f"not {text!r}")
     try:
         lo, hi, per = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
@@ -120,6 +126,12 @@ def _floats(values, size: int = None) -> tuple:
     if size is not None and len(out) != size:
         raise ValueError(f"must have {size} values, not {len(out)}")
     return out
+
+
+def _eps(values) -> tuple:
+    """A list of eps values as floats, sorted descending, the order the
+    sweep and the output take."""
+    return tuple(sorted(_floats(values), reverse=True))
 
 
 def _methods(value) -> tuple:
@@ -164,10 +176,10 @@ def _hg_row(row) -> tuple:
 # Each StudyConfig field's one conversion, which a value from a JSON
 # config, a flag or Python code goes through alike (targets also take
 # the family).
-_FIELDS = {"n": _integer, "methods": _methods, "eps": _floats,
+_FIELDS = {"n": _integer, "methods": _methods, "eps": _eps,
            "targets": _targets, "out_dir": os.fspath, "cache_dir": os.fspath,
            "x0": partial(_floats, size=2), "source": partial(_floats, size=3),
-           "ell": _real, "fit_lo": _real, "fit_hi": _real,
+           "fit_lo": _real, "fit_hi": _real,
            "slice_count": _integer,
            "hg_field": lambda rows: tuple(map(_hg_row, rows)),
            "hg_omega": partial(_floats, size=2)}
@@ -177,11 +189,11 @@ _FIELDS = {"n": _integer, "methods": _methods, "eps": _floats,
 _READS = {
     "2d": {"n": 128, "methods": METHODS_2D, "eps": eps_grid(1e-6, 1e-1, 25),
            "targets": "all-nodes", "out_dir": None, "x0": (1.85, 1.65),
-           "ell": 1.0, "fit_lo": 1e-6, "fit_hi": 1e-2},
+           "fit_lo": 1e-6, "fit_hi": 1e-2},
     "3d": {"n": 16, "methods": METHODS_3D, "eps": eps_grid(1e-4, 1e-1, 25),
            "targets": "all-nodes", "out_dir": None, "cache_dir": None,
-           "source": (5.0, 4.0, 3.0), "ell": 1.0, "fit_lo": 1e-4,
-           "fit_hi": 1e-1, "slice_count": 16},
+           "source": (5.0, 4.0, 3.0), "fit_lo": 1e-4, "fit_hi": 1e-1,
+           "slice_count": 16},
     "hg": {"methods": ("hg_asym",), "eps": eps_grid(1e-3, 1e-1, 25),
            "out_dir": None, "fit_lo": 1e-3, "fit_hi": 1e-1, "hg_field": (),
            "hg_omega": (1.0, 0.7)}}
@@ -190,15 +202,6 @@ _FIT_WINDOW = _READS["2d"]["fit_lo"], _READS["2d"]["fit_hi"]
 # The fields whose config key (and flag) has another name; an error about
 # a field names its key.
 _KEY_OF = {"out_dir": "out", "cache_dir": "cache"}
-
-
-def _checked(key: str, convert, value):
-    """convert(value); a value of the wrong type or form is a ConfigError
-    that names its config key."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -216,7 +219,6 @@ class StudyConfig:
     cache_dir: str = None
     x0: tuple = None
     source: tuple = None
-    ell: float = None
     fit_lo: float = None
     fit_hi: float = None
     slice_count: int = None
@@ -236,9 +238,14 @@ class StudyConfig:
         for name, default in reads.items():
             value = getattr(self, name)
             if value is not None:
+                key = _KEY_OF.get(name, name)
                 convert = (partial(_targets, family=fam) if name == "targets"
                            else _FIELDS[name])
-                value = _checked(_KEY_OF.get(name, name), convert, value)
+                try:
+                    value = convert(value)
+                except (TypeError, ValueError, OverflowError) as exc:
+                    # a value of the wrong type or form names its key
+                    raise ConfigError(f"{key} {exc}") from None
             if value is None or name == "eps" and not value:
                 value = default
             object.__setattr__(self, name, value)
@@ -252,8 +259,8 @@ class StudyConfig:
                               f"{MAX_EPS_COUNT}")
         if any(e <= 0 for e in self.eps):
             raise ConfigError("eps values must be positive")
-        if any(a <= b for a, b in zip(self.eps, self.eps[1:])):
-            raise ConfigError("eps values must be strictly descending")
+        if any(a == b for a, b in zip(self.eps, self.eps[1:])):
+            raise ConfigError("eps values must be distinct")
         if fam == "2d" and not (MIN_NODES <= self.n <= MAX_NODES
                                 and self.n % 2 == 0):
             raise ConfigError(f"2D resolution n must be even and in "
@@ -261,44 +268,21 @@ class StudyConfig:
         if fam == "3d" and not 4 <= self.n <= MAX_DEGREE:
             raise ConfigError(f"3D resolution n must be in [4, {MAX_DEGREE}]"
                               " (n = 96: a 19 s, 345 MB mushroom solve)")
-        if fam != "hg" and self.ell <= 0:
-            raise ConfigError("ell must be positive")
         if fam == "3d" and not 1 <= self.slice_count <= MAX_SLICE_COUNT:
             raise ConfigError(f"slice_count must be in [1, {MAX_SLICE_COUNT}]")
-        if self.fit_lo >= self.fit_hi:
-            raise ConfigError("fit range needs lo < hi")
+        _check_window("fit window", self.fit_lo, self.fit_hi)
 
 
-def _eps_range(value) -> tuple:
-    """The grid of an eps_range key: 'lo:hi:per-decade' or an object with
-    lo, hi and per_decade."""
-    if isinstance(value, str):
-        return parse_eps_range(value)
-    if not (isinstance(value, dict) and value.keys() >= {"lo", "hi",
-                                                         "per_decade"}):
-        raise ValueError("must be 'lo:hi:per-decade' or an object with lo, "
-                         "hi and per_decade")
-    return eps_grid(_real(value["lo"]), _real(value["hi"]),
-                    _integer(value["per_decade"]))
-
-
-# Each config key (and command-line flag): the field it sets, and how its
-# value is reshaped before that field's conversion, if it is: a list of eps
-# is sorted, and an eps range becomes its grid.
-_KEYS = {_KEY_OF.get(name, name): (name, None)
-         for name in ("problem", *_FIELDS)}
-_KEYS.update(eps=("eps", partial(sorted, key=_real, reverse=True)),
-             eps_range=("eps", _eps_range))
+# Each config key (and command-line flag) and the field it sets; an eps
+# range sets eps to its grid.
+_KEYS = {_KEY_OF.get(name, name): name for name in ("problem", *_FIELDS)}
+_KEYS["eps_range"] = "eps"
 
 
 def _fields(values: dict) -> dict:
     """The StudyConfig fields that config keys (or flags) set."""
-    fields = {}
-    for key, value in values.items():
-        field, reshape = _KEYS[key]
-        fields[field] = value if reshape is None else _checked(key, reshape,
-                                                               value)
-    return fields
+    return {_KEYS[key]: parse_eps_range(value) if key == "eps_range"
+            else value for key, value in values.items()}
 
 
 def config_from_dict(data: dict) -> StudyConfig:
@@ -446,10 +430,11 @@ def _first_per_label(targets) -> list:
     return list(first.values())
 
 
-def _targets_2d(config: StudyConfig, n: int):
+def _targets_2d(config: StudyConfig):
     """(label, node index) pairs; free parameters, taken modulo 2*pi so
     that a huge one cannot overflow, snap to the nearest of the grid nodes
     t_j = -pi + 2*pi*j/n, and the label records the node."""
+    n = config.n
     if config.targets == "all-nodes":
         ks = range(n)
     else:
@@ -557,7 +542,7 @@ def _study_2d(config: StudyConfig):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     try:
-        density = solve_density(curve, f, config.n)
+        density = solve_density(curve, f)
     except RuntimeError as exc:
         raise NumericalError(str(exc)) from None
 
@@ -565,16 +550,14 @@ def _study_2d(config: StudyConfig):
         kept = np.ones(len(eps), dtype=bool)
         for i, e in enumerate(eps.tolist()):
             try:
-                CloseEvalRequest2D(density, k, e, config.ell)
+                CloseEvalRequest2D(density, k, e)
             except ValueError:
                 kept[i] = False
         eps = eps[kept]
-        exact = harmonic_source(_eval_points(density, k, eps, config.ell),
-                                config.x0)
-        return kept, exact, close_eval_2d(density, k, eps, config.ell,
-                                          config.methods)
+        exact = harmonic_source(_eval_points(density, k, eps), config.x0)
+        return kept, exact, close_eval_2d(density, k, eps, config.methods)
 
-    return _targets_2d(config, config.n), _OUTSIDE, sweep
+    return _targets_2d(config), _OUTSIDE, sweep
 
 
 def _study_3d(config: StudyConfig):
@@ -589,12 +572,10 @@ def _study_3d(config: StudyConfig):
     density = _solve_3d(config, surface, data)
 
     def sweep(angles, eps):
-        x = _points(*surface_point_and_normal(surface, *angles), eps,
-                    config.ell)
+        x = _points(*surface_point_and_normal(surface, *angles), eps)
         kept = surface.contains(x)
         return (kept, exact_point_source_3d(x[kept], config.source),
-                close_eval_3d(density, *angles, eps[kept], config.ell,
-                              config.methods))
+                close_eval_3d(density, *angles, eps[kept], config.methods))
 
     return _targets_3d(config), _OUTSIDE, sweep
 

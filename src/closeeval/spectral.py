@@ -14,6 +14,7 @@ symmetry c_{n,-m} = (-1)^m * conj(c_{nm}).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -148,13 +149,16 @@ class SphericalCoeffs:
     """Coefficients c_nm for degrees n < N, stored in the flat order
     (0,0), (1,-1), (1,0), (1,1), (2,-2), ... of length N^2."""
 
-    N: int
     c: np.ndarray
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=complex)
-        if self.c.shape != (self.N*self.N,):
+        if self.c.ndim != 1 or self.N*self.N != self.c.size:
             raise ValueError("coefficient vector must have length N^2")
+
+    @property
+    def N(self) -> int:
+        return math.isqrt(self.c.size)
 
     @staticmethod
     def index(n: int, m: int) -> int:
@@ -164,7 +168,7 @@ class SphericalCoeffs:
 
     @classmethod
     def zeros(cls, N: int) -> "SphericalCoeffs":
-        return cls(N, np.zeros(N*N, dtype=complex))
+        return cls(np.zeros(N*N, dtype=complex))
 
     def get(self, n: int, m: int) -> complex:
         return self.c[self.index(n, m)]
@@ -255,17 +259,18 @@ def analysis_grid(N: int):
     theta = np.arccos(rule.nodes[::-1])
     return theta, rule.weights[::-1].copy(), periodic_nodes(2*N)
 
-def sph_analysis(values: np.ndarray, N: int) -> SphericalCoeffs:
+def sph_analysis(values: np.ndarray) -> SphericalCoeffs:
     """Project samples on the analysis_grid(N) mesh onto Y_nm, n < N.
 
-    values has shape (N, 2N), theta index first.  Exact (to roundoff) for
-    fields band-limited below degree N.  phi_0 = -pi makes the longitude
-    sums an FFT times (-1)^m; each order m is one product of its Legendre
-    rows with its FFT bin (DECISIONS.md D11).
+    values has shape (N, 2N), theta index first; N is read from it.  Exact
+    (to roundoff) for fields band-limited below degree N.  phi_0 = -pi makes
+    the longitude sums an FFT times (-1)^m; each order m is one product of
+    its Legendre rows with its FFT bin (DECISIONS.md D11).
     """
     v = np.asarray(values)
-    if v.shape != (N, 2*N):
+    if v.ndim != 2 or v.shape[1] != 2*v.shape[0]:
         raise ValueError("values must be sampled on the (N, 2N) analysis grid")
+    N = len(v)
     theta, weights, _ = analysis_grid(N)
     spectra = np.fft.fft(v, axis=1)
     P = _legendre_table(np.cos(theta), np.sin(theta), N)*((np.pi/N)*weights)
@@ -275,7 +280,7 @@ def sph_analysis(values: np.ndarray, N: int) -> SphericalCoeffs:
         # conj(Y_nm) has a second (-1)^m when m < 0, so the signs cancel there
         sign = (-1.0)**m if m > 0 else 1.0
         out[n*n + n + m] = (sign*P[_tri(n) + abs(m)]) @ spectra[:, m % (2*N)]
-    return SphericalCoeffs(N, out)
+    return SphericalCoeffs(out)
 
 def sph_synthesis(coeffs: SphericalCoeffs, theta, phi) -> np.ndarray:
     """Evaluate the truncated expansion at arbitrary angles (complex output).

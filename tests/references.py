@@ -74,7 +74,7 @@ def degrees(coeffs: SphericalCoeffs) -> np.ndarray:
 def spherical_laplacian(coeffs: SphericalCoeffs) -> SphericalCoeffs:
     """Laplace-Beltrami operator on the sphere: multiplies c_nm by -n(n+1)."""
     n = degrees(coeffs)
-    return SphericalCoeffs(coeffs.N, coeffs.c*(-n*(n + 1.0)))
+    return SphericalCoeffs(coeffs.c*(-n*(n + 1.0)))
 
 
 def errors_for(result, target: str, method: str):
@@ -126,12 +126,12 @@ def dlp_weights_einsum(grid, x):
     return w*(_dot3(area_normal, diff)/(r2*np.sqrt(r2)))
 
 
-def kernel_K1_einsum(y, nu, ystar, nustar, ell: float):
+def kernel_K1_einsum(y, nu, ystar, nustar):
     """closeeval3d._kernel_K1 with einsum dot products."""
     yd = ystar - y
     r2 = _dot3(yd, yd)
-    return ell*(3*_dot3(nu, yd)*_dot3(nustar, yd)
-                - r2*_dot3(nu, nustar))/r2**2.5
+    return (3*_dot3(nu, yd)*_dot3(nustar, yd)
+            - r2*_dot3(nu, nustar))/r2**2.5
 
 
 def galerkin_matrix(blocks, n: int) -> np.ndarray:

@@ -178,8 +178,7 @@ def test_criterion_07_sphere_close_eval_and_mushroom_decay():
     grid = np.array(eps_grid(1e-3, 1e-1, 25))
 
     def asym_errors(ts2, ps2, eps):
-        points = _points(*surface_point_and_normal(surf, ts2, ps2), eps,
-                         1.0)
+        points = _points(*surface_point_and_normal(surf, ts2, ps2), eps)
         assert np.all(surf.contains(points))
         return np.abs(close_eval_3d(d32, ts2, ps2, eps)["asym2"]
                       - exact_point_source_3d(points, source))
@@ -266,7 +265,7 @@ def test_criterion_10_property_suite(tmp_path):
     # asymptotic forms return f(y*), the plain rule matches deep inside
     A = assemble_nystrom(kite(), 128)
     ones = np.ones(128)
-    d2 = DensityGrid2D(kite(), 128, ones, A @ ones, curve_grid(kite(), 128))
+    d2 = DensityGrid2D(kite(), ones, A @ ones, curve_grid(kite(), 128))
     k = 80
     v = close_eval_2d(d2, k, 1e-3)
     assert abs(v["sub"] + 1.0) <= 1e-13
@@ -299,7 +298,7 @@ def test_criterion_10_property_suite(tmp_path):
     coeffs = _random_real_field(rng, 12)
     theta_g, _, phi_g = analysis_grid(12)
     TH, PH = np.meshgrid(theta_g, phi_g, indexing="ij")
-    back = sph_analysis(sph_synthesis(coeffs, TH, PH), 12)
+    back = sph_analysis(sph_synthesis(coeffs, TH, PH))
     assert np.max(np.abs(back.c - coeffs.c)) <= 1e-10
 
     # bit-identical rerun of a full study

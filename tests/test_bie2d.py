@@ -14,7 +14,7 @@ X0 = np.array([1.85, 1.65])
 
 
 def _solved(curve, n, x0=X0):
-    return solve_density(curve, dirichlet_data(curve, x0, n), n)
+    return solve_density(curve, dirichlet_data(curve, x0, n))
 
 
 def test_dirichlet_data_values():
@@ -167,8 +167,11 @@ def test_blocked_dlp_sum_equals_one_block(monkeypatch, k):
 
 
 def test_solve_rejects_mismatched_data():
-    with pytest.raises(ValueError):
-        solve_density(kite(), np.zeros(64), 128)
+    # the node count is the data's length: data that are not a vector, or
+    # of an odd or too small length, are refused
+    for f in (np.zeros((8, 8)), np.zeros(63), np.zeros(8), 1.0):
+        with pytest.raises(ValueError):
+            solve_density(kite(), f)
 
 
 def test_density_grid_contents():

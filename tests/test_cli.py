@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -173,6 +174,58 @@ def test_far_3d_source_runs_without_a_warning(tmp_path, capsys):
     assert rows and all(r.exact == 0.0 for r in rows)
 
 
+@pytest.mark.parametrize("problem,far", [("3d-sphere", 1e300),
+                                         ("3d-mushroom", 1e200)])
+def test_far_3d_point_is_rejected_without_a_warning(tmp_path, capsys,
+                                                    problem, far):
+    # |x|^2 of the far point overflows, so its radius is inf and it is
+    # outside; numpy once warned of the overflow on the way
+    cfg = _write_config(tmp_path, {"problem": problem, "n": 8,
+                                   "targets": [[1.0, 0.5]], "eps": [far, 0.1]})
+    assert cli.main(["run", cfg]) == 0
+    assert "rows: 2  rejections: 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("lo", ["0", "-1"])
+def test_run_and_fit_refuse_a_fit_window_alike(tmp_path, capsys, lo):
+    # a config's fit_lo of 0 or -1 once ran, while closeeval fit refused
+    # the same window; both now take one check
+    cfg = _write_config(tmp_path, dict(_KITE, fit_lo=float(lo)))
+    assert cli.main(["run", cfg]) == 2
+    run_err = capsys.readouterr().err
+    assert cli.main(["fit", str(tmp_path/"results.csv"),
+                     f"--eps-range={lo}:1e-2"]) == 2
+    assert capsys.readouterr().err == run_err \
+        == "config error: fit window needs finite 0 < lo < hi\n"
+
+
+@pytest.mark.parametrize("payload,named", [
+    (dict(_KITE, ell=1.0), "'ell'"),
+    (dict(_KITE, eps_range={"lo": 1e-3, "hi": 1e-2, "per_decade": 2}),
+     "string lo:hi:per-decade"),
+], ids=["ell", "eps-range-object"])
+def test_deleted_input_form_exits_2(tmp_path, capsys, payload, named):
+    # eps is the distance, so there is no ell scale, and an eps range has
+    # one spelling
+    assert cli.main(["run", _write_config(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+
+
+def test_readme_study_configs_run(tmp_path, capsys):
+    readme = pathlib.Path(__file__).parents[1]/"README.md"
+    configs = [json.loads(block) for block in re.findall(
+        r"^```json\n(.*?)^```", readme.read_text(), re.M | re.S)]
+    assert len(configs) == 3
+    for i, config in enumerate(configs):
+        flags = ["--out", str(tmp_path/f"out{i}")]
+        if "cache" in config:
+            flags += ["--cache", str(tmp_path/"cache")]
+        cfg = _write_config(tmp_path, config, name=f"readme{i}.json")
+        assert cli.main(["run", cfg, *flags]) == 0, config
+        assert (tmp_path/f"out{i}"/"results.csv").exists()
+
+
 @pytest.mark.parametrize("payload", [
     dict(_KITE, targets=[]),
     dict(_SPHERE, targets="all-nodes", slice_count=0),
@@ -187,26 +240,29 @@ def test_empty_study_exits_2(tmp_path, capsys, payload):
 @pytest.mark.parametrize("payload", [
     dict(_KITE, methods=5),
     dict(_KITE, methods=[]),
-    dict(_KITE, eps_range={"lo": "a", "hi": 1, "per_decade": 1}),
+    dict(_KITE, eps_range="a:1:1"),
     dict(_KITE, n=float("inf")),
     dict(_KITE, targets=[float("nan")]),
     dict(_KITE, targets=[float("inf")]),
     dict(_SPHERE, targets=5),
     dict(_SPHERE, targets=[[float("inf"), 0.3]]),
     dict(_KITE, fit_lo=float("nan")),
+    dict(_KITE, fit_lo=0),
+    dict(_KITE, fit_lo=-1),
     dict(_KITE, out=5),
     dict(_KITE, n=64.7),
     dict(_KITE, n="64"),
     dict(_KITE, n=True),
     dict(_SPHERE, targets="all-nodes", slice_count=2.9),
-    dict(_KITE, eps_range={"lo": 1e-3, "hi": 1e-2, "per_decade": 2.5}),
-    dict(_KITE, eps_range={"lo": 1e-3, "hi": 1e-2, "per_decade": "2"}),
+    dict(_KITE, eps_range="1e-3:1e-2:2.5"),
+    dict(_KITE, eps_range="1e-3:1e-2:two"),
     dict(_HG, hg_field=[[1.5, 0.9, 1.0, 0.0]]),
     dict(_HG, hg_field=[[1, False, 1.0, 0.0]]),
     dict(_HG, hg_field=[[10**400, 0, 1.0, 0.0]]),
 ], ids=["methods-int", "methods-empty", "eps-range-text", "n-infinite",
         "target-nan", "target-infinite", "targets-int",
-        "target-pair-infinite", "fit-lo-nan", "out-int", "n-fraction",
+        "target-pair-infinite", "fit-lo-nan", "fit-lo-zero",
+        "fit-lo-negative", "out-int", "n-fraction",
         "n-string", "n-bool", "slice-count-fraction",
         "per-decade-fraction", "per-decade-string", "field-row-fraction",
         "field-row-bool", "field-row-huge"])
@@ -228,11 +284,7 @@ def test_bad_value_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("payload", [
     dict(_KITE_EPS, eps=[True, 0.5]),
     dict(_KITE_EPS, eps=["0.5", 0.1]),
-    dict(_KITE, eps_range={"lo": True, "hi": 2.0, "per_decade": 2}),
-    dict(_KITE, eps_range={"lo": 1e-3, "hi": "1e-2", "per_decade": 2}),
     dict(_KITE, x0=["1.85", True]),
-    dict(_KITE, ell=True),
-    dict(_KITE, ell="1"),
     dict(_KITE, fit_lo=False),
     dict(_KITE, fit_hi="1e-2"),
     dict(_KITE, targets=[True]),
@@ -241,8 +293,7 @@ def test_bad_value_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
     dict(_HG, hg_omega=[True, 0.7]),
     dict(_HG, hg_field=[[0, 0, True, "2"]]),
     dict(_HG, hg_field=[[1, 0, 10**400, 0.0]]),
-], ids=["eps-bool", "eps-string", "eps-range-lo-bool", "eps-range-hi-string",
-        "x0-string-and-bool", "ell-bool", "ell-string", "fit-lo-bool",
+], ids=["eps-bool", "eps-string", "x0-string-and-bool", "fit-lo-bool",
         "fit-hi-string", "target-bool", "source-bool", "target-pair-string",
         "omega-bool", "field-row-bool-and-string", "field-row-huge-real"])
 def test_float_key_refuses_bool_or_string(tmp_path, capsys, monkeypatch,
@@ -279,7 +330,7 @@ def test_slice_count_above_cap_exits_2_before_any_target(tmp_path, capsys,
 
 _UNREAD_VALUES = {"x0": [1.85, 1.65], "source": [5.0, 4.0, 3.0],
                   "slice_count": 4, "hg_field": [[1, 0, 1.0, 0.0]],
-                  "hg_omega": [1.0, 0.7], "targets": "all-nodes", "ell": 1.0}
+                  "hg_omega": [1.0, 0.7], "targets": "all-nodes"}
 
 
 @pytest.mark.parametrize("family,key", [
@@ -287,7 +338,7 @@ _UNREAD_VALUES = {"x0": [1.85, 1.65], "source": [5.0, 4.0, 3.0],
     ("2d", "slice_count"), ("2d", "hg_field"), ("2d", "hg_omega"),
     ("3d", "x0"), ("3d", "hg_field"), ("3d", "hg_omega"),
     ("hg", "cache"), ("hg", "x0"), ("hg", "source"), ("hg", "slice_count"),
-    ("hg", "targets"), ("hg", "ell")])
+    ("hg", "targets")])
 def test_key_the_family_never_reads_exits_2(tmp_path, capsys, monkeypatch,
                                             family, key):
     # each of these once ran as if the key were absent
@@ -366,7 +417,7 @@ def test_eps_count_above_cap_exits_2_without_an_out_directory(
     if source == "flag":
         flags = ["--eps-range", "1e-6:1e-1:100000000000"]
     elif source == "range-key":
-        payload["eps_range"] = {"lo": 1e-6, "hi": 1e-1, "per_decade": 10**11}
+        payload["eps_range"] = "1e-6:1e-1:100000000000"
     else:
         payload["eps"] = np.logspace(-1, -4, harness.MAX_EPS_COUNT
                                      + 1).tolist()

@@ -20,7 +20,7 @@ K_CONVEX = 80   # node t = pi/4, the convex-side reference target
 
 
 def _solved(curve, n):
-    return solve_density(curve, dirichlet_data(curve, X0, n), n)
+    return solve_density(curve, dirichlet_data(curve, X0, n))
 
 
 @pytest.fixture(scope="module")
@@ -28,17 +28,16 @@ def kite_density():
     return _solved(kite(), N)
 
 
-def _kernel_K1_2d(curve, t, t_star, ell=1.0):
+def _kernel_K1_2d(curve, t, t_star):
     # the first kernel of the distance expansion at parameters t for the
     # target y(t_star)
     gt = curve_eval(curve, t)
     gs = curve_eval(curve, np.asarray(t_star))
-    return _kernel_K1(gt.position, gt.normal, gs.position, gs.normal, ell)
+    return _kernel_K1(gt.position, gt.normal, gs.position, gs.normal)
 
 
 def _kernel_K2(y, nu, ystar, nustar):
-    # the second kernel of the distance expansion at ell = 1, with
-    # y_d = y* - y:
+    # the second kernel of the distance expansion, with y_d = y* - y:
     # K2 = [(nu . y_d)(4 (nu* . y_d)^2 - |y_d|^2)
     #       - 2 |y_d|^2 (nu . nu*)(nu* . y_d)] / |y_d|^6
     yd = ystar - y
@@ -50,7 +49,7 @@ def _kernel_K2(y, nu, ystar, nustar):
 
 
 def _k2_reference(density, k):
-    # U2 at ell = 1 the long way, independent of Laplace's equation: the
+    # U2 the long way, independent of Laplace's equation: the
     # corrected trapezoid sum of K2 [mu - mu*] and the local derivative
     # terms of its singular cell
     g = density.geometry
@@ -80,7 +79,7 @@ def _exact_U2(density, k):
 
 def _errors(density, k, eps):
     CloseEvalRequest2D(density, k, eps)  # the point is inside the kite
-    exact = harmonic_source(_eval_points(density, k, eps, 1.0), X0)
+    exact = harmonic_source(_eval_points(density, k, eps), X0)
     return {m: abs(v - exact)
             for m, v in close_eval_2d(density, k, eps).items()}
 
@@ -104,11 +103,6 @@ def test_kernels_shift_invariant_on_circle():
                         _kernel_K1_2d(unit_circle(), t, ts), atol=1e-12)
 
 
-def test_kernels_scale_with_ell():
-    k1 = _kernel_K1_2d(kite(), 1.0, 2.0, ell=1.0)
-    assert_allclose(_kernel_K1_2d(kite(), 1.0, 2.0, ell=3.0), 3*k1, rtol=1e-14)
-
-
 def test_kernel_coincidence_raises():
     with pytest.raises(ValueError):
         _kernel_K1_2d(kite(), 0.7, 0.7)
@@ -119,7 +113,7 @@ def test_constant_density_is_exact(kite_density):
     # rule reproduces it exactly and every other method hits the grid floor
     A = assemble_nystrom(kite(), N)
     ones = np.ones(N)
-    d = DensityGrid2D(kite(), N, ones, A @ ones, curve_grid(kite(), N))
+    d = DensityGrid2D(kite(), ones, A @ ones, curve_grid(kite(), N))
     for k in (K_CONCAVE, K_CONVEX):
         v = close_eval_2d(d, k, 1e-3)
         assert abs(v["sub"] + 1) < 1e-14
@@ -233,7 +227,7 @@ def test_shift_equivariance(kite_density):
                           np.roll(g.normal, s, axis=0),
                           np.roll(g.jacobian, s),
                           np.roll(g.curvature, s))
-    dr = DensityGrid2D(d.curve, d.n, np.roll(d.mu, s), np.roll(d.f, s), rolled)
+    dr = DensityGrid2D(d.curve, np.roll(d.mu, s), np.roll(d.f, s), rolled)
     for k in (K_CONCAVE, K_CONVEX):
         v = close_eval_2d(d, k, 1e-3)
         vr = close_eval_2d(dr, (k + s) % N, 1e-3)
@@ -275,17 +269,11 @@ def _fss(d, k):
 
 @pytest.mark.parametrize("curve,n", [(kite, 200), (star, 256)])
 def test_U2_is_the_normal_taylor_coefficient(curve, n):
-    # U2 = (ell^2/2) d_nu^2 u, here against the source's exact Hessian
+    # U2 = (1/2) d_nu^2 u, here against the source's exact Hessian
     d = _solved(curve(), n)
     err = [abs(asym_coefficients(d, k)[2] - _exact_U2(d, k))
            for k in range(n)]
     assert max(err) <= 5e-12
-
-
-def test_U2_scales_with_ell_squared(kite_density):
-    for k in (K_CONCAVE, K_CONVEX):
-        assert_allclose(asym_coefficients(kite_density, k, 2.0)[2],
-                        4*asym_coefficients(kite_density, k)[2], rtol=1e-13)
 
 
 @pytest.mark.parametrize("curve,n,tol", [(kite, 128, 2e-11),
@@ -299,7 +287,7 @@ def test_U2_matches_the_K2_sum(curve, n, tol):
 
 
 def test_request_geometry(kite_density):
-    r = CloseEvalRequest2D(kite_density, K_CONVEX, 1e-2, ell=2.0)
+    r = CloseEvalRequest2D(kite_density, K_CONVEX, 2e-2)
     ystar, nustar = r.target()
     assert_allclose(r.point(), ystar - 2e-2*nustar, atol=1e-16)
     assert_allclose(np.linalg.norm(r.point() - ystar), 2e-2, rtol=1e-13)
@@ -308,8 +296,6 @@ def test_request_geometry(kite_density):
 def test_request_validation(kite_density):
     with pytest.raises(ValueError):
         CloseEvalRequest2D(kite_density, K_CONVEX, 0.0)
-    with pytest.raises(ValueError):
-        CloseEvalRequest2D(kite_density, K_CONVEX, 1e-3, ell=-1.0)
     with pytest.raises(ValueError):
         CloseEvalRequest2D(kite_density, N, 1e-3)
     with pytest.raises(ValueError):
@@ -321,8 +307,8 @@ def test_request_validation(kite_density):
 def test_evaluator_validation(kite_density):
     # the evaluator refuses what CloseEvalRequest2D refuses, except a point
     # outside the curve: interiority is the caller's test
-    for kw in ({"eps": 0.0}, {"eps": [1e-2, -1e-3]}, {"ell": 0.0},
-               {"k": N}, {"k": -1}, {"methods": ("ptr", "asym4")}):
+    for kw in ({"eps": 0.0}, {"eps": [1e-2, -1e-3]}, {"k": N}, {"k": -1},
+               {"methods": ("ptr", "asym4")}):
         args = {"density": kite_density, "k": K_CONVEX, "eps": 1e-3, **kw}
         with pytest.raises(ValueError):
             close_eval_2d(**args)
@@ -332,12 +318,11 @@ def test_evaluator_validation(kite_density):
 def test_eps_vector_matches_scalar_requests(kite_density):
     # one call over several eps gives exactly the values of one call per
     # eps, as floats, for every method and any subset of them
-    eps = [1e-1, 1e-2, 1e-3, 1e-4]
+    eps = [2e-1, 2e-2, 2e-3, 2e-4]
     for methods in (METHODS, ("asym3", "ptr"), ("sub",)):
-        vec = close_eval_2d(kite_density, K_CONCAVE, np.array(eps), 2.0,
-                            methods)
+        vec = close_eval_2d(kite_density, K_CONCAVE, np.array(eps), methods)
         assert tuple(vec) == methods
         for i, e in enumerate(eps):
-            one = close_eval_2d(kite_density, K_CONCAVE, e, 2.0, methods)
+            one = close_eval_2d(kite_density, K_CONCAVE, e, methods)
             assert all(isinstance(v, float) for v in one.values())
             assert [vec[m][i] for m in methods] == list(one.values())

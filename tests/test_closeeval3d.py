@@ -19,17 +19,17 @@ from references import (kernel_K1_einsum, rotated_angles, single,
 SOURCE = (5.0, 4.0, 3.0)
 
 
-def _kernel_K1_3d(surface, s, t, theta_star, phi_star, ell=1.0):
+def _kernel_K1_3d(surface, s, t, theta_star, phi_star):
     # the first expansion kernel on the rotated grid about the target, with
     # the unit normal, which stays defined where the rotated grid meets a
     # parameter pole
     y, nu = surface_point_and_normal(
         surface, *rotated_angles(s, t, theta_star, phi_star))
     ystar, nustar = surface_point_and_normal(surface, theta_star, phi_star)
-    return _kernel_K1(y, nu, ystar, nustar, ell)
+    return _kernel_K1(y, nu, ystar, nustar)
 
 
-def _azimuthal_average_profile(density, theta_star, phi_star, ell=1.0):
+def _azimuthal_average_profile(density, theta_star, phi_star):
     # the azimuth-averaged integrand K1 W [mu - mu*] of U1 at each polar
     # node of the grid at the density degree, diagnostic for its
     # continuous extension to the pole
@@ -37,7 +37,7 @@ def _azimuthal_average_profile(density, theta_star, phi_star, ell=1.0):
                                         phi_star, density.N)
     ystar, nustar = surface_point_and_normal(density.surface, theta_star,
                                              phi_star)
-    K1W = _kernel_K1(y, area_normal, ystar, nustar, ell)
+    K1W = _kernel_K1(y, area_normal, ystar, nustar)
     mu_star = density(np.full(1, theta_star), np.full(1, phi_star))[0]
     dmu = density(*direction_angles(d, phi_star)) - mu_star
     return np.mean(K1W*dmu, axis=1)
@@ -48,12 +48,12 @@ def _padded(density, N):
     # evaluation grid has N polar nodes
     c = np.zeros(N*N, dtype=complex)
     c[:density.N**2] = density.coeffs.c
-    return Density3D(density.surface, SphericalCoeffs(N, c), density.data)
+    return Density3D(density.surface, SphericalCoeffs(c), density.data)
 
 
 def _target_points(surface, theta, phi, eps):
     """The evaluation points y* - eps*nu* of the target (theta, phi)."""
-    return _points(*surface_point_and_normal(surface, theta, phi), eps, 1.0)
+    return _points(*surface_point_and_normal(surface, theta, phi), eps)
 
 
 def sphere_kernel_closed_form(s):
@@ -95,12 +95,6 @@ def test_kernel_closed_form_on_sphere():
     s = np.linspace(0.2, 3.0, 15)
     v = _kernel_K1_3d(unit_sphere(), s, 0.0, 1.2, -0.6)
     assert_allclose(v, sphere_kernel_closed_form(s), atol=1e-13)
-
-
-def test_kernel_scales_with_ell():
-    v1 = _kernel_K1_3d(mushroom(), 1.0, 0.5, 0.8, 0.3, ell=1.0)
-    v3 = _kernel_K1_3d(mushroom(), 1.0, 0.5, 0.8, 0.3, ell=3.0)
-    assert_allclose(v3, 3*v1, rtol=1e-14)
 
 
 def test_kernel_finite_on_mushroom():
@@ -187,8 +181,8 @@ def test_request_defaults_and_validation(sphere_source_density):
     d = sphere_source_density
     v = close_eval_3d(d, 1.0, 0.5, 1e-2)
     assert tuple(v) == METHODS
-    assert v == close_eval_3d(d, 1.0, 0.5, 1e-2, 1.0, METHODS)
-    for kw in ({"eps": 0.0}, {"eps": [1e-2, -1e-3]}, {"ell": 0.0},
+    assert v == close_eval_3d(d, 1.0, 0.5, 1e-2, METHODS)
+    for kw in ({"eps": 0.0}, {"eps": [1e-2, -1e-3]},
                {"methods": ("numerical", "asym3")}):
         args = {"density": d, "theta_star": 1.0, "phi_star": 0.5,
                 "eps": 1e-2, **kw}
@@ -205,7 +199,7 @@ def test_eps_vector_matches_scalar_requests():
     # samples, and gives exactly the values of one call per eps
     surf = mushroom()
     rng = np.random.default_rng(3)
-    coeffs = SphericalCoeffs(8, rng.normal(size=64) + 1j*rng.normal(size=64))
+    coeffs = SphericalCoeffs(rng.normal(size=64) + 1j*rng.normal(size=64))
     d = Density3D(surf, coeffs, harmonic_point_source_3d(surf, SOURCE))
     eps = [1e-1, 1e-2, 1e-3, 1e-4]
     vec = close_eval_3d(d, 1.3, 0.9, np.array(eps))
@@ -260,12 +254,11 @@ def test_component_K1_matches_einsum_form(surface):
     # K1 with the components taken apart is the einsum form to a few ulps
     # of its largest value on the rotated grid
     s = surface()
-    for theta, phi, ell in [(0.3, 0.0, 1.0), (1.2, 2.0, 0.5),
-                            (2.9, -1.0, 2.0), (0.0, 0.4, 1.0)]:
+    for theta, phi in [(0.3, 0.0), (1.2, 2.0), (2.9, -1.0), (0.0, 0.4)]:
         _, y, area_normal, _ = rotated_grid(s, theta, phi, 12)
         ystar, nustar = surface_point_and_normal(s, theta, phi)
-        got = _kernel_K1(y, area_normal, ystar, nustar, ell)
-        want = kernel_K1_einsum(y, area_normal, ystar, nustar, ell)
+        got = _kernel_K1(y, area_normal, ystar, nustar)
+        want = kernel_K1_einsum(y, area_normal, ystar, nustar)
         assert np.max(np.abs(got - want)) <= 1e-15*np.max(np.abs(want))
 
 

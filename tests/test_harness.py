@@ -111,14 +111,15 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         _kite_config(n=MAX_NODES + 2)
     assert _kite_config(n=MAX_NODES).n == MAX_NODES
-    with pytest.raises(ConfigError):
-        _kite_config(ell=0.0)
-    with pytest.raises(ConfigError):
-        _kite_config(eps=(1e-3, 1e-2))  # ascending
+    assert _kite_config(eps=(1e-3, 1e-2)).eps == (1e-2, 1e-3)  # sorted
+    with pytest.raises(ConfigError, match="distinct"):
+        _kite_config(eps=(1e-2, 1e-3, 1e-2))
     with pytest.raises(ConfigError):
         _kite_config(eps=(1e-2, 0.0))
-    with pytest.raises(ConfigError):
-        _kite_config(fit_lo=1e-2, fit_hi=1e-4)
+    # the one fit-window check that closeeval fit's --eps-range also takes
+    for lo, hi in ((1e-2, 1e-4), (0.0, 1e-2), (-1.0, 1e-2)):
+        with pytest.raises(ConfigError, match="fit window needs finite"):
+            _kite_config(fit_lo=lo, fit_hi=hi)
     with pytest.raises(ConfigError):
         _kite_config(fit_lo=float("nan"))
     with pytest.raises(ConfigError):
@@ -160,8 +161,7 @@ def test_config_from_dict_defaults_are_study_config_defaults(problem):
     ("hg", "x0", (1.85, 1.65), "x0"),
     ("hg", "source", (5.0, 4.0, 3.0), "source"),
     ("hg", "slice_count", 16, "slice_count"),
-    ("hg", "targets", "all-nodes", "targets"),
-    ("hg", "ell", 1.0, "ell")])
+    ("hg", "targets", "all-nodes", "targets")])
 def test_study_config_refuses_field_its_family_never_reads(problem, field,
                                                            value, key):
     # a StudyConfig built directly once ignored each of these, even at its
@@ -173,14 +173,14 @@ def test_study_config_refuses_field_its_family_never_reads(problem, field,
 def test_study_config_fills_only_the_fields_its_family_reads():
     c2, c3, chg = (StudyConfig(problem=p) for p in ("2d-kite", "3d-sphere",
                                                     "hg"))
-    assert (c2.x0, c2.ell, c2.targets) == ((1.85, 1.65), 1.0, "all-nodes")
+    assert (c2.x0, c2.targets) == ((1.85, 1.65), "all-nodes")
     assert all(getattr(c2, f) is None for f in (
         "cache_dir", "source", "slice_count", "hg_field", "hg_omega"))
-    assert (c3.source, c3.slice_count, c3.ell) == ((5.0, 4.0, 3.0), 16, 1.0)
+    assert (c3.source, c3.slice_count) == ((5.0, 4.0, 3.0), 16)
     assert all(getattr(c3, f) is None for f in ("x0", "hg_field", "hg_omega"))
     assert (chg.hg_field, chg.hg_omega) == ((), (1.0, 0.7))
     assert all(getattr(chg, f) is None for f in (
-        "cache_dir", "x0", "source", "slice_count", "targets", "ell"))
+        "cache_dir", "x0", "source", "slice_count", "targets"))
     for c in (c2, c3, chg):
         assert replace(c) == c
 
@@ -210,29 +210,20 @@ def test_config_from_dict_rejections():
                           "eps_range": "1e-3:1e-1:5"})
     with pytest.raises(ConfigError):
         config_from_dict({"problem": "2d-kite", "eps": ["abc"]})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="string lo:hi:per-decade"):
         config_from_dict({"problem": "2d-kite", "eps_range": 7})
-    with pytest.raises(ConfigError):
-        config_from_dict({"problem": "2d-kite",
-                          "eps_range": {"lo": 1e-3, "hi": 1e-1}})
 
 
 def test_config_from_dict_integer_keys():
     # an integral number is taken as its int; a fraction, a bool or a
     # string is refused instead of truncated
     cfg = config_from_dict({"problem": "3d-sphere", "n": 8.0,
-                            "slice_count": 3.0,
-                            "eps_range": {"lo": 1e-3, "hi": 1e-1,
-                                          "per_decade": 2.0}})
+                            "slice_count": 3.0})
     assert (cfg.n, cfg.slice_count) == (8, 3) and type(cfg.n) is int
-    assert cfg.eps == eps_grid(1e-3, 1e-1, 2)
     assert config_from_dict({"problem": "2d-kite", "n": np.int64(64)}).n == 64
     for key, value in (("n", 64.7), ("n", "64"), ("n", True),
                        ("slice_count", 2.9), ("slice_count", "2"),
-                       ("eps_range", {"lo": 1e-3, "hi": 1e-1,
-                                      "per_decade": 2.5}),
-                       ("eps_range", {"lo": 1e-3, "hi": 1e-1,
-                                      "per_decade": True})):
+                       ("eps_range", "1e-3:1e-1:2.5")):
         with pytest.raises(ConfigError):
             config_from_dict({"problem": "3d-sphere", key: value})
 
@@ -240,10 +231,6 @@ def test_config_from_dict_integer_keys():
 def test_config_from_dict_eps_forms():
     c = config_from_dict({"problem": "2d-kite", "eps": [1e-3, 1e-1, 1e-2]})
     assert c.eps == (1e-1, 1e-2, 1e-3)  # sorted descending
-    c = config_from_dict({"problem": "2d-kite",
-                          "eps_range": {"lo": 1e-2, "hi": 1e-1,
-                                        "per_decade": 3}})
-    assert len(c.eps) == 4
     c = config_from_dict({"problem": "2d-kite", "eps_range": "1e-2:1e-1:3"})
     assert len(c.eps) == 4
 
@@ -400,18 +387,17 @@ def test_rejections_recorded_not_fatal():
 def test_2d_sweep_equals_per_request_methods():
     cfg = _kite_config(n=64, eps=(3.0, 1.2, 0.7) + EPS_2D)
     res = run_error_map(cfg)
-    density = solve_density(kite(), dirichlet_data(kite(), cfg.x0, cfg.n),
-                            cfg.n)
+    density = solve_density(kite(), dirichlet_data(kite(), cfg.x0, cfg.n))
     rows, rejections = [], []
-    for label, k in _targets_2d(cfg, cfg.n):
+    for label, k in _targets_2d(cfg):
         for eps in cfg.eps:
             try:
-                req = CloseEvalRequest2D(density, k, eps, cfg.ell)
+                req = CloseEvalRequest2D(density, k, eps)
             except ValueError as exc:
                 rejections += [(label, eps, m, str(exc)) for m in cfg.methods]
                 continue
             exact = float(harmonic_source(req.point(), cfg.x0))
-            values = close_eval_2d(density, k, eps, cfg.ell, cfg.methods)
+            values = close_eval_2d(density, k, eps, cfg.methods)
             for m in cfg.methods:
                 value = values[m]
                 rows.append((label, eps, m, value, exact, abs(value - exact)))
@@ -458,8 +444,7 @@ def test_directly_built_config_normalises_targets(problem, targets, want):
 
 
 # (problem, config key, JSON value, the same value as Python code may give
-# it) for every config key; eps is given descending, since a JSON eps list
-# is sorted first
+# it) for every config key; eps in any order is sorted descending alike
 _SAME_VALUES = [
     ("2d-kite", "problem", "2d-kite", "2d-kite"),
     ("2d-kite", "n", 64, np.int64(64)),
@@ -468,9 +453,9 @@ _SAME_VALUES = [
     ("2d-kite", "methods", "asym2,ptr", ["asym2", "ptr"]),
     ("2d-kite", "eps", [0.1, 0.01], np.array([0.1, 0.01])),
     ("hg", "eps", [0.5, 0.25], (np.float64(0.5), 0.25)),
+    ("2d-kite", "eps", [0.01, 0.1], (0.01, 0.1)),
     ("2d-kite", "eps_range", "1e-2:1e-1:2", eps_grid(1e-2, 1e-1, 2)),
-    ("3d-sphere", "eps_range", {"lo": 1e-2, "hi": 1e-1, "per_decade": 2},
-     list(eps_grid(1e-2, 1e-1, 2))),
+    ("3d-sphere", "eps_range", "1e-2:1e-1:2", list(eps_grid(1e-2, 1e-1, 2))),
     ("2d-kite", "targets", [1.0, 2], np.array([1.0, 2.0])),
     ("3d-mushroom", "targets", [[0.15, 0], "x1x2-slice"],
      (np.array([0.15, 0.0]), "x1x2-slice")),
@@ -479,7 +464,6 @@ _SAME_VALUES = [
     ("3d-sphere", "cache", "cache", pathlib.Path("cache")),
     ("2d-kite", "x0", [1.85, 1.65], np.array([1.85, 1.65])),
     ("3d-sphere", "source", [5, 4, 3], np.arange(5, 2, -1)),
-    ("2d-kite", "ell", 2, np.float64(2.0)),
     ("2d-kite", "fit_lo", 1e-5, np.float64(1e-5)),
     ("3d-sphere", "fit_hi", 1, np.int32(1)),
     ("3d-sphere", "slice_count", 4, 4.0),
@@ -495,7 +479,7 @@ def test_directly_built_config_is_the_json_config(problem, key, json_value,
                                                   value):
     # one conversion per field: a StudyConfig built in Python from lists,
     # numpy arrays or numpy scalars equals the config of the same JSON
-    field, _ = harness._KEYS[key]
+    field = harness._KEYS[key]
     want = config_from_dict(json.loads(json.dumps(
         {"problem": problem, key: json_value})))
     got = StudyConfig(**{"problem": problem, field: value})
@@ -517,8 +501,6 @@ def test_every_config_key_is_compared():
 @pytest.mark.parametrize("problem,key,value", [
     ("2d-kite", "x0", "ab"),
     ("2d-kite", "x0", [1.85]),
-    ("2d-kite", "ell", "1"),
-    ("2d-kite", "ell", float("inf")),
     ("2d-kite", "fit_lo", "1e-6"),
     ("2d-kite", "eps", ("0.1", "0.01")),
     ("2d-kite", "eps", (True,)),
@@ -540,7 +522,7 @@ def test_directly_built_config_refuses_what_json_refuses(problem, key, value):
     with pytest.raises(ConfigError):
         config_from_dict({"problem": problem, key: value})
     with pytest.raises(ConfigError, match=key):
-        StudyConfig(**{"problem": problem, harness._KEYS[key][0]: value})
+        StudyConfig(**{"problem": problem, harness._KEYS[key]: value})
 
 
 def test_run_hg_study_slope_and_rejections():

@@ -169,7 +169,7 @@ def test_degree_multipliers_match_rings_without_conjugate_symmetry():
     # real part of that degree's sum
     rng = np.random.default_rng(32)
     N = hgscatter.MAX_DEGREE + 1
-    psi = SphericalCoeffs(N, rng.standard_normal(N*N)
+    psi = SphericalCoeffs(rng.standard_normal(N*N)
                           + 1j*rng.standard_normal(N*N))
     parts = hgscatter._degree_values(psi, OMEGA)
     assert_allclose(parts.sum(), _at(psi), rtol=1e-13)
@@ -275,7 +275,7 @@ def test_poisson_matches_harmonic_extension():
     rng = np.random.default_rng(21)
     c = _random_band_limited(rng, 5)
     for eps in (0.05, 0.3):
-        scaled = SphericalCoeffs(5, c.c*(1 - eps)**degrees(c))
+        scaled = SphericalCoeffs(c.c*(1 - eps)**degrees(c))
         ref = _at(scaled)
         assert_allclose(poisson_close_eval(c, OMEGA, eps), ref, atol=1e-9)
 

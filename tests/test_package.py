@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import importlib
+import inspect
 import re
 import types
 from pathlib import Path
@@ -46,7 +48,8 @@ def test_no_module_names_the_deleted_duplicates():
     # vector components apart, so no einsum dot helper or call is left;
     # the constructors of shapes that no study runs on, and the public
     # rotated-grid wrapper, are deleted; the operators, coefficient helpers
-    # and result lookups that only tests call live in tests/references.py
+    # and result lookups that only tests call live in tests/references.py;
+    # eps is the distance, so no module names a scale ell
     deleted = {"rotated_angles", "sph_basis_matrix", "sph_harm_eval",
                "_ptr_and_sub", "_coord", "_descending", "run_hg_study",
                "_sweep_2d", "_sweep_3d", "_by_target", "_cmd_hg",
@@ -56,7 +59,7 @@ def test_no_module_names_the_deleted_duplicates():
                "evaluators", "_dot", "einsum", "circle", "fourier_custom",
                "load_curve", "custom_radial", "rotated_frame", "apply_L32",
                "poisson_close_eval", "spherical_laplacian", "degrees",
-               "single", "errors_for", "fit_for"}
+               "single", "errors_for", "fit_for", "ell"}
     for path in sorted(PACKAGE.glob("*.py")):
         names = set()
         for node in ast.walk(ast.parse(path.read_text())):
@@ -72,6 +75,29 @@ def test_no_module_names_the_deleted_duplicates():
                                                                str):
                 names.add(node.value)
         assert not names & deleted, (path.name, names & deleted)
+
+
+def _inputs(obj) -> set:
+    # the fields of a dataclass, or the parameters of any other callable
+    if dataclasses.is_dataclass(obj):
+        return {f.name for f in dataclasses.fields(obj)}
+    return set(inspect.signature(obj).parameters)
+
+
+def test_each_input_is_given_once():
+    # eps is the distance, so no public name takes a scale ell, and a size
+    # is read from the array that carries it
+    for name in closeeval.__all__:
+        obj = getattr(closeeval, name)
+        if isinstance(obj, types.FunctionType) or dataclasses.is_dataclass(
+                obj):
+            assert "ell" not in _inputs(obj), name
+    assert len(dataclasses.fields(closeeval.StudyConfig)) == 14
+    assert _inputs(closeeval.solve_density) == {"curve", "f"}
+    assert _inputs(closeeval.sph_analysis) == {"values"}
+    assert _inputs(closeeval.SphericalCoeffs) == {"c"}
+    assert _inputs(closeeval.DensityGrid2D) == {"curve", "mu", "f",
+                                                "geometry"}
 
 
 def test_curve_has_no_derivative_method():
@@ -128,7 +154,7 @@ def _array_dataclasses():
         closeeval.unit_sphere(), closeeval.SphericalCoeffs.zeros(2))
     kite_density = lambda: closeeval.solve_density(
         closeeval.kite(), closeeval.dirichlet_data(closeeval.kite(),
-                                                   (1.85, 1.65), 16), 16)
+                                                   (1.85, 1.65), 16))
     return {
         "Curve2D": closeeval.kite,
         "CurvePoint2D": lambda: closeeval.curve_eval(closeeval.kite(), 0.3),

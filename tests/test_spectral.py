@@ -196,7 +196,7 @@ def test_synthesis_of_complex_coefficients_matches_the_basis():
     # coefficients of no real field, so the m < 0 terms are independent
     rng = np.random.default_rng(5)
     N = 12
-    c = SphericalCoeffs(N, rng.standard_normal(N*N)
+    c = SphericalCoeffs(rng.standard_normal(N*N)
                         + 1j*rng.standard_normal(N*N))
     th, ph = _nodes_with_poles(rng, 30)
     ref = sph_basis_matrix(th, ph, N) @ c.c
@@ -224,7 +224,7 @@ def test_analysis_of_constant():
     N = 5
     th, _, ph = analysis_grid(N)
     TH, _PH = np.meshgrid(th, ph, indexing="ij")
-    coeffs = sph_analysis(np.ones_like(TH), N)
+    coeffs = sph_analysis(np.ones_like(TH))
     assert_allclose(coeffs.get(0, 0), np.sqrt(4*np.pi), atol=1e-12)
     rest = coeffs.c.copy()
     rest[SphericalCoeffs.index(0, 0)] = 0.0
@@ -236,7 +236,7 @@ def test_round_trip_single_harmonic():
     th, _, ph = analysis_grid(N)
     TH, PH = np.meshgrid(th, ph, indexing="ij")
     vals = sph_harm_eval(3, 2, TH, PH)
-    coeffs = sph_analysis(vals, N)
+    coeffs = sph_analysis(vals)
     back = sph_synthesis(coeffs, TH, PH)
     assert_allclose(back, vals, atol=1e-10)
 
@@ -249,7 +249,7 @@ def test_round_trip_random_field():
     TH, PH = np.meshgrid(th, ph, indexing="ij")
     vals = sph_synthesis(c, TH, PH)
     assert np.max(np.abs(vals.imag)) < 1e-11  # conjugate symmetry holds
-    got = sph_analysis(vals, N)
+    got = sph_analysis(vals)
     assert_allclose(got.c, c.c, atol=1e-10)
 
 
@@ -264,13 +264,14 @@ def test_analysis_matches_dense_projection(N):
     P = (np.conj(sph_basis_matrix(TH, PH, N))*w[:, None]).T
     rng = np.random.default_rng(N)
     vals = rng.standard_normal((N, 2*N)) + 1j*rng.standard_normal((N, 2*N))
-    got = sph_analysis(vals, N)
+    got = sph_analysis(vals)
     assert np.max(np.abs(got.c - P @ vals.ravel())) <= 1e-14
 
 
 def test_analysis_rejects_a_grid_of_the_wrong_shape():
-    with pytest.raises(ValueError):
-        sph_analysis(np.ones((4, 6)), 4)
+    for values in (np.ones((4, 6)), np.ones(8), np.ones((2, 4, 1)), 1.0):
+        with pytest.raises(ValueError):
+            sph_analysis(values)
 
 
 # ------------------------------------------------------------------ wigner
@@ -331,6 +332,15 @@ def test_coeff_index_layout():
     assert SphericalCoeffs.index(3, 0) == 12
     with pytest.raises(ValueError):
         SphericalCoeffs.index(1, 2)
+
+
+def test_coeffs_read_the_degree_bound_from_their_length():
+    # N is not given beside the coefficients: their length must be N^2
+    assert SphericalCoeffs(np.zeros(16)).N == 4
+    assert SphericalCoeffs.zeros(3).c.shape == (9,)
+    for c in (np.zeros(15), np.zeros((4, 4))):
+        with pytest.raises(ValueError):
+            SphericalCoeffs(c)
 
 
 # ---------------------------------------------------------------- laplacian
