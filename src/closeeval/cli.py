@@ -13,8 +13,8 @@ import sys
 
 from .bie3d import _atomic_write
 from .harness import (ConfigError, NumericalError, _check_window, _make_dir,
-                      apply_overrides, dump_fits, fit_results, load_config,
-                      read_results_csv, run_error_map)
+                      _run_window, apply_overrides, dump_fits, fit_results,
+                      load_config, read_results_csv, run_error_map)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,8 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("csv", help="results.csv written by a previous run")
     fit_p.add_argument("--eps-range", metavar="LO:HI[:K]",
                        help="fit window (per-decade part ignored); default "
-                            "1e-6:1e-2, the 2D study's: give 3D and hg "
-                            "results their run's window")
+                            "the window of the run that wrote the CSV")
     fit_p.add_argument("--out", metavar="DIR",
                        help="write fits.json here instead of stdout")
     fit_p.set_defaults(handler=_cmd_fit)
@@ -79,9 +78,10 @@ def _fit_window(text: str) -> tuple:
 
 
 def _cmd_fit(args) -> int:
-    window = _fit_window(args.eps_range) if args.eps_range else ()
+    window = _fit_window(args.eps_range) if args.eps_range else None
+    rows = read_results_csv(args.csv)
     # fit_results keeps the file's order, the order the run wrote its fits in
-    fits = fit_results(read_results_csv(args.csv), *window)
+    fits = fit_results(rows, *(window or _run_window(rows)))
     if args.out:
         _make_dir(args.out)
         path = os.path.join(args.out, "fits.json")

@@ -54,19 +54,17 @@ class CloseEvalRequest2D:
         if not point_inside(self.density.curve, self.point()):
             raise ValueError("evaluation point falls outside the domain")
 
-    def target(self):
-        g = self.density.geometry
-        return g.position[self.k], g.normal[self.k]
-
     def point(self) -> np.ndarray:
-        ystar, nustar = self.target()
-        return ystar - self.eps*nustar
+        return _eval_points(self.density, self.k, self.eps)
 
 
 def _eval_points(density: DensityGrid2D, k: int, eps):
-    """y* - eps*nu* of target k at each eps, as point() gives it."""
+    """y* - eps*nu* of target k at each eps of an array, or at a number
+    eps without an array step (each 2D request calls this once)."""
     g = density.geometry
-    return g.position[k] - np.multiply.outer(eps, g.normal[k])
+    if isinstance(eps, np.ndarray):
+        eps = eps[..., None]
+    return g.position[k] - eps*g.normal[k]
 
 
 def close_eval_2d(density: DensityGrid2D, k: int, eps,

@@ -42,7 +42,7 @@ class NumericalError(Exception):
 
 
 class InsufficientDataError(NumericalError):
-    """Fewer than four points survive the fit filters."""
+    """Fewer than four points, or all at one eps, survive the fit filters."""
 
 
 PROBLEMS_2D = ("2d-kite", "2d-star")
@@ -50,10 +50,8 @@ PROBLEMS_3D = ("3d-sphere", "3d-mushroom")
 ASYM_METHODS = frozenset({"asym2", "asym3", "hg_asym"})
 ERROR_FLOOR = 1e-14
 SLICES_3D = ("x1x3-slice", "x1x2-slice")
-# Largest slice_count: each of the two 3D slices sweeps this many targets.
-# A mushroom target at n = 16 and 76 eps costs about 2.8 ms (256 of them:
-# 0.7 s on a 2-core host, one BLAS thread), so the cap's 2048 take ~6 s.
-MAX_SLICE_COUNT = 1024
+# Targets each 3D slice sweeps, evenly spaced around its circle.
+SLICE_TARGETS = 16
 # Largest number of eps values, from a list or a range; the largest grid
 # in use, the 2D default, has 126.  Time and output grow with the count: on
 # a 2-core host, one BLAS thread, an all-nodes 2d-kite study at n = 128
@@ -179,8 +177,6 @@ def _hg_row(row) -> tuple:
 _FIELDS = {"n": _integer, "methods": _methods, "eps": _eps,
            "targets": _targets, "out_dir": os.fspath, "cache_dir": os.fspath,
            "x0": partial(_floats, size=2), "source": partial(_floats, size=3),
-           "fit_lo": _real, "fit_hi": _real,
-           "slice_count": _integer,
            "hg_field": lambda rows: tuple(map(_hg_row, rows)),
            "hg_omega": partial(_floats, size=2)}
 # The fields each family's study reads, with their defaults. A field left
@@ -188,17 +184,16 @@ _FIELDS = {"n": _integer, "methods": _methods, "eps": _eps,
 # listed must be left None. The methods listed are every method allowed.
 _READS = {
     "2d": {"n": 128, "methods": METHODS_2D, "eps": eps_grid(1e-6, 1e-1, 25),
-           "targets": "all-nodes", "out_dir": None, "x0": (1.85, 1.65),
-           "fit_lo": 1e-6, "fit_hi": 1e-2},
+           "targets": "all-nodes", "out_dir": None, "x0": (1.85, 1.65)},
     "3d": {"n": 16, "methods": METHODS_3D, "eps": eps_grid(1e-4, 1e-1, 25),
            "targets": "all-nodes", "out_dir": None, "cache_dir": None,
-           "source": (5.0, 4.0, 3.0), "fit_lo": 1e-4, "fit_hi": 1e-1,
-           "slice_count": 16},
+           "source": (5.0, 4.0, 3.0)},
     "hg": {"methods": ("hg_asym",), "eps": eps_grid(1e-3, 1e-1, 25),
-           "out_dir": None, "fit_lo": 1e-3, "fit_hi": 1e-1, "hg_field": (),
-           "hg_omega": (1.0, 0.7)}}
+           "out_dir": None, "hg_field": (), "hg_omega": (1.0, 0.7)}}
+# Each family's eps window for the order fits of its studies.
+FIT_WINDOWS = {"2d": (1e-6, 1e-2), "3d": (1e-4, 1e-1), "hg": (1e-3, 1e-1)}
 # The fit window of fit_order and fit_results: the 2D study's.
-_FIT_WINDOW = _READS["2d"]["fit_lo"], _READS["2d"]["fit_hi"]
+_FIT_WINDOW = FIT_WINDOWS["2d"]
 # The fields whose config key (and flag) has another name; an error about
 # a field names its key.
 _KEY_OF = {"out_dir": "out", "cache_dir": "cache"}
@@ -219,9 +214,6 @@ class StudyConfig:
     cache_dir: str = None
     x0: tuple = None
     source: tuple = None
-    fit_lo: float = None
-    fit_hi: float = None
-    slice_count: int = None
     hg_field: tuple = None
     hg_omega: tuple = None
 
@@ -268,9 +260,6 @@ class StudyConfig:
         if fam == "3d" and not 4 <= self.n <= MAX_DEGREE:
             raise ConfigError(f"3D resolution n must be in [4, {MAX_DEGREE}]"
                               " (n = 96: a 19 s, 345 MB mushroom solve)")
-        if fam == "3d" and not 1 <= self.slice_count <= MAX_SLICE_COUNT:
-            raise ConfigError(f"slice_count must be in [1, {MAX_SLICE_COUNT}]")
-        _check_window("fit window", self.fit_lo, self.fit_hi)
 
 
 # Each config key (and command-line flag) and the field it sets; an eps
@@ -395,7 +384,7 @@ def fit_order(eps_values, errors, method: str, lo: float = _FIT_WINDOW[0],
     Points outside [lo, hi], and errors that are zero or not finite, are
     dropped; asymptotic methods additionally drop errors at or below the
     roundoff floor so the fit reflects the convergent regime.  Requires
-    at least four surviving points.
+    at least four surviving points, at two eps values or more.
     """
     eps = np.asarray(eps_values, dtype=float)
     err = np.asarray(errors, dtype=float)
@@ -411,6 +400,9 @@ def fit_order(eps_values, errors, method: str, lo: float = _FIT_WINDOW[0],
             f"only {count} points survive filtering for {method!r}")
     # the least-squares line's slope, in closed form about the centroid
     x = np.log10(eps[sel])
+    if (x == x[0]).all():
+        raise InsufficientDataError(
+            f"the {count} points for {method!r} share one eps")
     y = np.log10(err[sel])
     x -= x.mean()
     slope = (x @ (y - y.mean()))/(x @ x)
@@ -446,7 +438,6 @@ def _targets_2d(config: StudyConfig):
 
 def _targets_3d(config: StudyConfig):
     """(label, (theta, phi)) pairs from slices or explicit angle pairs."""
-    count = config.slice_count
     specs = config.targets
     if specs == "all-nodes":
         specs = SLICES_3D
@@ -455,14 +446,14 @@ def _targets_3d(config: StudyConfig):
     out = []
     for spec in specs:
         if spec == "x1x3-slice":
-            for j in range(count):
+            for j in range(SLICE_TARGETS):
                 # the circle through both poles in the x1-x3 plane
-                s0 = (j + 0.5)*2*np.pi/count
+                s0 = (j + 0.5)*2*np.pi/SLICE_TARGETS
                 out.append((f"x1x3:{_fmt(s0)}", (s0, 0.0) if s0 <= np.pi
                             else (2*np.pi - s0, np.pi)))
         elif spec == "x1x2-slice":
-            for j in range(count):
-                t0 = (j + 0.5)*2*np.pi/count
+            for j in range(SLICE_TARGETS):
+                t0 = (j + 0.5)*2*np.pi/SLICE_TARGETS
                 out.append((f"x1x2:{_fmt(t0)}", (np.pi/2, t0)))
         else:
             out.append((f"{_fmt(spec[0])};{_fmt(spec[1])}", spec))
@@ -767,11 +758,19 @@ def fit_results(rows, lo: float = _FIT_WINDOW[0],
                        lo, hi)
 
 
+def _run_window(rows) -> tuple:
+    """The fit window of the family whose study wrote rows, read from the
+    first target label: 'hg', 3D (with ':' or ';') or a 2D parameter."""
+    label = rows[0].target if rows else ""
+    return FIT_WINDOWS["hg" if label == "hg" else
+                       "3d" if ":" in label or ";" in label else "2d"]
+
+
 def _fit_blocks(blocks, config: StudyConfig) -> list:
     """fit_results of the blocks' rows, read from their columns."""
     return _fit_groups(((b.target, m, b.eps, np.abs(value - b.exact))
                         for b in blocks for m, value in b.values.items()),
-                       config.fit_lo, config.fit_hi)
+                       *FIT_WINDOWS[_family(config.problem)])
 
 
 def _fit_groups(groups, lo: float, hi: float) -> list:

@@ -186,30 +186,23 @@ def test_far_3d_point_is_rejected_without_a_warning(tmp_path, capsys,
     assert "rows: 2  rejections: 2" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("lo", ["0", "-1"])
-def test_run_and_fit_refuse_a_fit_window_alike(tmp_path, capsys, lo):
-    # a config's fit_lo of 0 or -1 once ran, while closeeval fit refused
-    # the same window; both now take one check
-    cfg = _write_config(tmp_path, dict(_KITE, fit_lo=float(lo)))
-    assert cli.main(["run", cfg]) == 2
-    run_err = capsys.readouterr().err
-    assert cli.main(["fit", str(tmp_path/"results.csv"),
-                     f"--eps-range={lo}:1e-2"]) == 2
-    assert capsys.readouterr().err == run_err \
-        == "config error: fit window needs finite 0 < lo < hi\n"
-
-
 @pytest.mark.parametrize("payload,named", [
     (dict(_KITE, ell=1.0), "'ell'"),
     (dict(_KITE, eps_range={"lo": 1e-3, "hi": 1e-2, "per_decade": 2}),
      "string lo:hi:per-decade"),
-], ids=["ell", "eps-range-object"])
+    (dict(_KITE, fit_lo=1e-5), "'fit_lo'"),
+    (dict(_HG, fit_hi=1e-2), "'fit_hi'"),
+    (dict(_SPHERE, targets="x1x3-slice", slice_count=16), "'slice_count'"),
+], ids=["ell", "eps-range-object", "fit_lo", "fit_hi", "slice_count"])
 def test_deleted_input_form_exits_2(tmp_path, capsys, payload, named):
-    # eps is the distance, so there is no ell scale, and an eps range has
-    # one spelling
-    assert cli.main(["run", _write_config(tmp_path, payload)]) == 2
+    # eps is the distance, so there is no ell scale; an eps range has one
+    # spelling; the fit window is the family's, and a slice has 16 targets
+    out = tmp_path/"out"
+    cfg = _write_config(tmp_path, dict(payload, out=str(out)))
+    assert cli.main(["run", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and named in err
+    assert not out.exists()
 
 
 def test_readme_study_configs_run(tmp_path, capsys):
@@ -228,6 +221,7 @@ def test_readme_study_configs_run(tmp_path, capsys):
 
 @pytest.mark.parametrize("payload", [
     dict(_KITE, targets=[]),
+    # slice_count is no config key: a slice has 16 targets
     dict(_SPHERE, targets="all-nodes", slice_count=0),
     dict(_SPHERE, targets="all-nodes", slice_count=-3),
 ], ids=["no-targets", "slice-count-0", "slice-count-negative"])
@@ -246,6 +240,7 @@ def test_empty_study_exits_2(tmp_path, capsys, payload):
     dict(_KITE, targets=[float("inf")]),
     dict(_SPHERE, targets=5),
     dict(_SPHERE, targets=[[float("inf"), 0.3]]),
+    # fit_lo and slice_count are no config keys, whatever their value
     dict(_KITE, fit_lo=float("nan")),
     dict(_KITE, fit_lo=0),
     dict(_KITE, fit_lo=-1),
@@ -285,6 +280,7 @@ def test_bad_value_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
     dict(_KITE_EPS, eps=[True, 0.5]),
     dict(_KITE_EPS, eps=["0.5", 0.1]),
     dict(_KITE, x0=["1.85", True]),
+    # fit_lo and fit_hi are no config keys, whatever their value
     dict(_KITE, fit_lo=False),
     dict(_KITE, fit_hi="1e-2"),
     dict(_KITE, targets=[True]),
@@ -312,33 +308,16 @@ def test_float_key_refuses_bool_or_string(tmp_path, capsys, monkeypatch,
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("count", [harness.MAX_SLICE_COUNT + 1, 1e9])
-def test_slice_count_above_cap_exits_2_before_any_target(tmp_path, capsys,
-                                                         monkeypatch, count):
-    # 1e9 once ran without end; the refusal comes before any target is made
-    def no_study(*args):
-        raise AssertionError("began a study above the slice_count cap")
-
-    monkeypatch.setattr(harness, "_targets_3d", no_study)
-    monkeypatch.setattr(harness, "_solve_3d", no_study)
-    cfg = _write_config(tmp_path, dict(_SPHERE, targets="all-nodes",
-                                       slice_count=count))
-    assert cli.main(["run", cfg]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "slice_count" in err
-
-
 _UNREAD_VALUES = {"x0": [1.85, 1.65], "source": [5.0, 4.0, 3.0],
-                  "slice_count": 4, "hg_field": [[1, 0, 1.0, 0.0]],
-                  "hg_omega": [1.0, 0.7], "targets": "all-nodes"}
+                  "hg_field": [[1, 0, 1.0, 0.0]], "hg_omega": [1.0, 0.7],
+                  "targets": "all-nodes"}
 
 
 @pytest.mark.parametrize("family,key", [
     ("2d", "cache"), ("2d", "--cache"), ("2d", "source"),
-    ("2d", "slice_count"), ("2d", "hg_field"), ("2d", "hg_omega"),
+    ("2d", "hg_field"), ("2d", "hg_omega"),
     ("3d", "x0"), ("3d", "hg_field"), ("3d", "hg_omega"),
-    ("hg", "cache"), ("hg", "x0"), ("hg", "source"), ("hg", "slice_count"),
-    ("hg", "targets")])
+    ("hg", "cache"), ("hg", "x0"), ("hg", "source"), ("hg", "targets")])
 def test_key_the_family_never_reads_exits_2(tmp_path, capsys, monkeypatch,
                                             family, key):
     # each of these once ran as if the key were absent
@@ -558,6 +537,15 @@ def test_fit_drops_non_finite_errors(tmp_path, capsys):
     assert json.loads(text, parse_constant=not_json) == {"fits": []}
 
 
+def test_fit_of_rows_at_one_eps_gives_no_slope(tmp_path, capsys):
+    # four rows at one eps once gave "slope": NaN and a numpy warning
+    csv = tmp_path/"results.csv"
+    csv.write_text(harness.CSV_HEADER + "\n" + "".join(
+        f"x,0.001,sub,1.0,1.0,{err!r}\n" for err in (1e-3, 2e-3, 3e-3, 4e-3)))
+    assert cli.main(["fit", str(csv)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"fits": []}
+
+
 def test_fit_to_directory(tmp_path, capsys):
     out = tmp_path/"out"
     cfg = _write_config(tmp_path, _kite_payload(str(out)))
@@ -659,11 +647,19 @@ def test_run_and_hg_are_one_command(tmp_path, capsys, payload):
           eps_range="1e-3:1e-1:4"), "1e-4:1e-1"),
     (dict(_HG, hg_field=[[3, 1, 1.0, 0.0], [2, 0, 0.5, 0.0]],
           eps_range="1e-3:1e-1:4"), "1e-3:1e-1"),
-], ids=["2d", "3d", "hg"])
+    (dict(_SPHERE, targets=["x1x3-slice", [0.9, 0.4]],
+          eps_range="1e-6:1e-1:4"), None),
+    (dict(_SPHERE, targets=[[1.2, 0.4], [0.9, 0.4]],
+          eps_range="1e-6:1e-1:4"), None),
+    (dict(_HG, hg_field=[[3, 1, 1.0, 0.0], [2, 0, 0.5, 0.0]],
+          eps_range="1e-6:1e-1:4"), None),
+], ids=["2d", "3d", "hg", "3d-slice-no-flag", "3d-pairs-no-flag",
+        "hg-no-flag"])
 def test_fit_of_a_run_reproduces_its_fits(tmp_path, capsys, payload, window):
     # fits come back in the order the run wrote them, its targets in sweep
-    # order, not sorted by label; over the run's window, since the default
-    # is the 2D study's
+    # order, not sorted by label; over the run's window, given as a flag or
+    # read from the labels' family (the 2D window once served every file,
+    # so 3D and hg refits without a flag differed from the run's fits)
     cfg = _write_config(tmp_path, dict(payload, out=str(tmp_path/"run")))
     assert cli.main(["run", cfg]) == 0
     argv = ["fit", str(tmp_path/"run"/"results.csv"), "--out",

@@ -116,25 +116,17 @@ def test_config_validation():
         _kite_config(eps=(1e-2, 1e-3, 1e-2))
     with pytest.raises(ConfigError):
         _kite_config(eps=(1e-2, 0.0))
-    # the one fit-window check that closeeval fit's --eps-range also takes
-    for lo, hi in ((1e-2, 1e-4), (0.0, 1e-2), (-1.0, 1e-2)):
-        with pytest.raises(ConfigError, match="fit window needs finite"):
-            _kite_config(fit_lo=lo, fit_hi=hi)
-    with pytest.raises(ConfigError):
-        _kite_config(fit_lo=float("nan"))
     with pytest.raises(ConfigError):
         _kite_config(targets=(0.5, float("inf")))
 
 
 def test_config_defaults_per_family():
     c2 = _kite_config(eps=())
-    assert c2.fit_lo == 1e-6 and c2.fit_hi == 1e-2
     assert len(c2.eps) == 126  # five decades at 25 per decade
     c3 = StudyConfig(problem="3d-sphere", n=8, methods=("numerical",))
-    assert c3.fit_lo == 1e-4 and c3.fit_hi == 1e-1
     assert c3.eps[0] == pytest.approx(1e-1)
     chg = StudyConfig(problem="hg", hg_field=((1, 0, 1.0, 0.0),))
-    assert chg.fit_lo == 1e-3 and chg.fit_hi == 1e-1
+    assert chg.eps[0] == pytest.approx(1e-1)
 
 
 @pytest.mark.parametrize("problem", PROBLEMS_2D + PROBLEMS_3D + ("hg",))
@@ -151,7 +143,7 @@ def test_config_from_dict_defaults_are_study_config_defaults(problem):
 @pytest.mark.parametrize("problem,field,value,key", [
     ("2d-kite", "cache_dir", "c", "cache"),
     ("2d-kite", "source", (1.0, 2.0, 3.0), "source"),
-    ("2d-kite", "slice_count", 4, "slice_count"),
+    ("hg", "n", 16, "n"),
     ("2d-kite", "hg_field", ((1, 0, 1.0, 0.0),), "hg_field"),
     ("2d-kite", "hg_omega", (1.0, 0.7), "hg_omega"),
     ("3d-sphere", "x0", (1.85, 1.65), "x0"),
@@ -160,7 +152,6 @@ def test_config_from_dict_defaults_are_study_config_defaults(problem):
     ("hg", "cache_dir", "c", "cache"),
     ("hg", "x0", (1.85, 1.65), "x0"),
     ("hg", "source", (5.0, 4.0, 3.0), "source"),
-    ("hg", "slice_count", 16, "slice_count"),
     ("hg", "targets", "all-nodes", "targets")])
 def test_study_config_refuses_field_its_family_never_reads(problem, field,
                                                            value, key):
@@ -175,22 +166,14 @@ def test_study_config_fills_only_the_fields_its_family_reads():
                                                     "hg"))
     assert (c2.x0, c2.targets) == ((1.85, 1.65), "all-nodes")
     assert all(getattr(c2, f) is None for f in (
-        "cache_dir", "source", "slice_count", "hg_field", "hg_omega"))
-    assert (c3.source, c3.slice_count) == ((5.0, 4.0, 3.0), 16)
+        "cache_dir", "source", "hg_field", "hg_omega"))
+    assert c3.source == (5.0, 4.0, 3.0)
     assert all(getattr(c3, f) is None for f in ("x0", "hg_field", "hg_omega"))
     assert (chg.hg_field, chg.hg_omega) == ((), (1.0, 0.7))
     assert all(getattr(chg, f) is None for f in (
-        "cache_dir", "x0", "source", "slice_count", "targets"))
+        "cache_dir", "x0", "source", "targets"))
     for c in (c2, c3, chg):
         assert replace(c) == c
-
-
-def test_slice_count_cap():
-    cap = harness.MAX_SLICE_COUNT
-    assert StudyConfig(problem="3d-sphere", slice_count=cap).slice_count == cap
-    for count in (0, cap + 1, 10**9):
-        with pytest.raises(ConfigError, match="slice_count"):
-            StudyConfig(problem="3d-sphere", slice_count=count)
 
 
 def test_config_from_dict_minimal():
@@ -217,12 +200,10 @@ def test_config_from_dict_rejections():
 def test_config_from_dict_integer_keys():
     # an integral number is taken as its int; a fraction, a bool or a
     # string is refused instead of truncated
-    cfg = config_from_dict({"problem": "3d-sphere", "n": 8.0,
-                            "slice_count": 3.0})
-    assert (cfg.n, cfg.slice_count) == (8, 3) and type(cfg.n) is int
+    cfg = config_from_dict({"problem": "3d-sphere", "n": 8.0})
+    assert cfg.n == 8 and type(cfg.n) is int
     assert config_from_dict({"problem": "2d-kite", "n": np.int64(64)}).n == 64
     for key, value in (("n", 64.7), ("n", "64"), ("n", True),
-                       ("slice_count", 2.9), ("slice_count", "2"),
                        ("eps_range", "1e-3:1e-1:2.5")):
         with pytest.raises(ConfigError):
             config_from_dict({"problem": "3d-sphere", key: value})
@@ -464,9 +445,6 @@ _SAME_VALUES = [
     ("3d-sphere", "cache", "cache", pathlib.Path("cache")),
     ("2d-kite", "x0", [1.85, 1.65], np.array([1.85, 1.65])),
     ("3d-sphere", "source", [5, 4, 3], np.arange(5, 2, -1)),
-    ("2d-kite", "fit_lo", 1e-5, np.float64(1e-5)),
-    ("3d-sphere", "fit_hi", 1, np.int32(1)),
-    ("3d-sphere", "slice_count", 4, 4.0),
     ("hg", "hg_field", [[1, 0, 1, 0.5]], np.array([[1, 0, 1.0, 0.5]])),
     ("hg", "hg_omega", [1, 0.7], np.array([1.0, 0.7])),
 ]
@@ -501,12 +479,10 @@ def test_every_config_key_is_compared():
 @pytest.mark.parametrize("problem,key,value", [
     ("2d-kite", "x0", "ab"),
     ("2d-kite", "x0", [1.85]),
-    ("2d-kite", "fit_lo", "1e-6"),
     ("2d-kite", "eps", ("0.1", "0.01")),
     ("2d-kite", "eps", (True,)),
     ("2d-kite", "eps", (0.1, float("nan"))),
     ("2d-kite", "n", 64.5),
-    ("3d-sphere", "slice_count", 2.5),
     ("3d-sphere", "targets", [[0.5, 1.0, 2.0]]),
     ("hg", "hg_field", [[33, 0, 1.0, 0.0]]),
     ("hg", "hg_field", [[1, 2, 1.0, 0.0]]),
@@ -674,8 +650,8 @@ def _row_by_row_outputs(result, out):
         for r in rows:
             fh.write(",".join([r.target, fmt(r.eps), r.method, fmt(r.value),
                                fmt(r.exact), fmt(r.abs_error)]) + "\n")
-    fits = fit_results(result.rows, result.config.fit_lo,
-                       result.config.fit_hi)
+    fits = fit_results(result.rows, *harness.FIT_WINDOWS[
+        harness._family(result.config.problem)])
     fits.sort(key=lambda f: (order[f.target], f.method))
     with open(os.path.join(out, "fits.json"), "w") as fh:
         json.dump({"fits": [vars(f) for f in fits]}, fh, indent=2)
@@ -704,7 +680,7 @@ _WRITER_STUDIES = {
     # rejections at eps = 2.5 (3D) and 0.7 (hg)
     "3d-sphere": lambda: StudyConfig(
         problem="3d-sphere", n=8, eps=(2.5, 1e-1, 1e-2, 1e-3, 1e-4),
-        targets=((0.9, 0.4), "x1x2-slice"), slice_count=3),
+        targets=((0.9, 0.4), "x1x2-slice")),
     "hg": lambda: StudyConfig(
         problem="hg", hg_field=((3, 1, 1.0, 0.0), (1, 0, 0.5, 0.0)),
         eps=(0.7,) + tuple(np.logspace(-1, -3, 11))),
@@ -766,7 +742,7 @@ def test_results_csv_round_trip(tmp_path, kite_result):
     assert len(rows) == len(res.rows)
     assert set(rows) == set(res.rows)
     refit = {(f.target, f.method): f.slope
-             for f in fit_results(rows, lo=cfg.fit_lo, hi=cfg.fit_hi)}
+             for f in fit_results(rows)}
     for f in res.fits:
         assert_allclose(refit[(f.target, f.method)], f.slope, atol=1e-12)
 
@@ -902,10 +878,10 @@ def test_3d_sweep_rejects_points_outside():
 
 def test_3d_slice_targets():
     cfg = StudyConfig(problem="3d-sphere", n=8, methods=("asym2",),
-                      eps=(1e-2,), slice_count=4)
+                      eps=(1e-2,))
     res = run_error_map(cfg)
     labels = {r.target for r in res.rows}
-    assert len(labels) == 8
+    assert len(labels) == 2*harness.SLICE_TARGETS
     assert all(l.startswith(("x1x3:", "x1x2:")) for l in labels)
 
 
@@ -925,7 +901,7 @@ def test_mushroom_slice_error_band():
     # the numerical method's error along the x1x3 slice sits in one
     # resolution-limited band rather than blowing up anywhere
     cfg = StudyConfig(problem="3d-mushroom", n=16, methods=("numerical",),
-                      eps=(1e-2,), targets=("x1x3-slice",), slice_count=16)
+                      eps=(1e-2,), targets=("x1x3-slice",))
     res = run_error_map(cfg)
     errs = np.array([r.abs_error for r in res.rows])
     assert errs.shape == (16,)

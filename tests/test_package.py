@@ -92,7 +92,7 @@ def test_each_input_is_given_once():
         if isinstance(obj, types.FunctionType) or dataclasses.is_dataclass(
                 obj):
             assert "ell" not in _inputs(obj), name
-    assert len(dataclasses.fields(closeeval.StudyConfig)) == 14
+    assert len(dataclasses.fields(closeeval.StudyConfig)) == 11
     assert _inputs(closeeval.solve_density) == {"curve", "f"}
     assert _inputs(closeeval.sph_analysis) == {"values"}
     assert _inputs(closeeval.SphericalCoeffs) == {"c"}
