@@ -152,9 +152,3 @@ def dlp_sum(geometry: CurvePoint2D, x, mu):
         out[..., part] = np.sum(_kernel(geometry, points[part])*mu, axis=-1)
     out = (out/geometry.jacobian.size).reshape(lead + x.shape[:-1])
     return float(out) if out.ndim == 0 else out
-
-
-def gauss_interior_value(curve: Curve2D, x, n: int) -> float:
-    """PTR quadrature of the unit-density double-layer potential at x;
-    equals -1 for interior points, up to quadrature error."""
-    return dlp_sum(curve_grid(curve, n), x, 1.0)

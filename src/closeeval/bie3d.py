@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry3d import (Surface3D, _rotated_frame, direction,
-                         direction_angles, surface_point_and_normal)
+                         surface_point_and_normal)
 from .spectral import (SphericalCoeffs, _jy_eigenvectors, _legendre_table,
                        _tri, _wigner_d, analysis_grid, mapped_rule,
                        periodic_nodes, sph_analysis, sph_synthesis)
@@ -214,21 +214,6 @@ def subtracted_weights(surface: Surface3D, theta0, phi0, n: int):
     y0, _ = surface_point_and_normal(surface, theta0, phi0)
     kw = (1.0/(4*n))*dlp_weights(grid, y0[..., None, None, :])
     return kw, grid[3]
-
-
-def apply_K_subtracted(surface: Surface3D, g: Callable, theta0: float,
-                       phi0: float, n: int) -> float:
-    """Boundary double-layer operator applied to g at (theta0, phi0).
-
-    g(theta, phi) must be evaluable at arbitrary parameters.  The subtracted
-    integrand vanishes when g is constant, so constants map to -g/2 exactly
-    up to roundoff.
-    """
-    kw, d = subtracted_weights(surface, theta0, phi0, n)
-    g0 = complex(np.asarray(g(np.full(1, theta0), np.full(1, phi0))).ravel()[0])
-    vals = np.asarray(g(*direction_angles(d, phi0)))
-    out = np.sum(kw*(vals - g0)) - 0.5*g0
-    return out if np.iscomplexobj(vals) else float(np.real(out))
 
 
 def assemble_galerkin(surface: Surface3D, n: int) -> tuple:
@@ -460,11 +445,3 @@ def exact_point_source_3d(x, source) -> np.ndarray:
     r = np.asarray(x, dtype=float) - np.asarray(source, dtype=float)
     with np.errstate(over="ignore"):  # u = 1/inf = 0 at a far source
         return 1.0/np.linalg.norm(r, axis=-1)
-
-
-def gauss_interior_value_3d(surface: Surface3D, x, n: int) -> float:
-    """Three-step quadrature of the unit-density double-layer potential at
-    an interior point, on the grid with its pole at (1.0, 0.5); equals -1
-    up to quadrature error."""
-    w = dlp_weights(rotated_grid(surface, 1.0, 0.5, n), x)
-    return float((1.0/(4*n))*np.sum(w))

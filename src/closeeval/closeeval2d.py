@@ -77,8 +77,8 @@ def close_eval_2d(density: DensityGrid2D, k: int, eps,
     The points are not tested for interiority; the caller tests them
     (geometry2d.point_inside, as CloseEvalRequest2D does)."""
     eps = np.asarray(eps, dtype=float)
-    if np.any(eps <= 0):
-        raise ValueError("eps must be positive")
+    if not np.all(np.isfinite(eps) & (eps > 0)):
+        raise ValueError("eps must be finite and positive")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown 2D methods {unknown}")

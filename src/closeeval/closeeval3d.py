@@ -63,8 +63,8 @@ def close_eval_3d(density: Density3D, theta_star: float, phi_star: float,
     The points are not tested for interiority; the caller tests them
     (Surface3D.contains)."""
     eps = np.asarray(eps, dtype=float)
-    if np.any(eps <= 0):
-        raise ValueError("eps must be positive")
+    if not np.all(np.isfinite(eps) & (eps > 0)):
+        raise ValueError("eps must be finite and positive")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown 3D methods {unknown}")

@@ -538,15 +538,17 @@ def _study_2d(config: StudyConfig):
         raise NumericalError(str(exc)) from None
 
     def sweep(k, eps):
-        kept = np.ones(len(eps), dtype=bool)
+        # a point that rounds onto y* lies on the boundary, so it is outside
+        x = _eval_points(density, k, eps)
+        kept = (x != density.geometry.position[k]).any(axis=-1)
         for i, e in enumerate(eps.tolist()):
             try:
                 CloseEvalRequest2D(density, k, e)
             except ValueError:
                 kept[i] = False
-        eps = eps[kept]
-        exact = harmonic_source(_eval_points(density, k, eps), config.x0)
-        return kept, exact, close_eval_2d(density, k, eps, config.methods)
+        exact = harmonic_source(x[kept], config.x0)
+        return kept, exact, close_eval_2d(density, k, eps[kept],
+                                          config.methods)
 
     return _targets_2d(config), _OUTSIDE, sweep
 

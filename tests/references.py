@@ -21,14 +21,21 @@ apply_L32 and poisson_close_eval are hgscatter's leading-order operator and
 the Poisson-kernel harmonic extension, from its degree multipliers.
 errors_for and fit_for pick one target and method's errors and fit out of
 a study result.
+gauss_interior_value and gauss_interior_value_3d are the unit-density
+potentials at a point, -1 inside by the Gauss identity, and
+apply_K_subtracted the 3D boundary operator applied to a callable, on one
+target's subtracted quadrature row.
 """
 
 import warnings
+from typing import Callable
 
 import numpy as np
 
-from closeeval.bie3d import _from_real, _to_real
-from closeeval.geometry2d import Curve2D
+from closeeval.bie2d import dlp_sum
+from closeeval.bie3d import (_from_real, _to_real, dlp_weights, rotated_grid,
+                             subtracted_weights)
+from closeeval.geometry2d import Curve2D, curve_grid
 from closeeval.geometry3d import (Surface3D, _rotated_frame, direction,
                                   direction_angles, unit_sphere)
 from closeeval.hgscatter import (_L32_POLAR_NODES, _degree_values,
@@ -92,6 +99,35 @@ def fit_for(result, target: str, method: str):
         if f.target == target and f.method == method:
             return f
     raise KeyError(f"no fit for {target!r}/{method!r}")
+
+
+def gauss_interior_value(curve: Curve2D, x, n: int) -> float:
+    """PTR quadrature of the unit-density double-layer potential at x;
+    equals -1 for interior points, up to quadrature error."""
+    return dlp_sum(curve_grid(curve, n), x, 1.0)
+
+
+def gauss_interior_value_3d(surface: Surface3D, x, n: int) -> float:
+    """Three-step quadrature of the unit-density double-layer potential at
+    an interior point, on the grid with its pole at (1.0, 0.5); equals -1
+    up to quadrature error."""
+    w = dlp_weights(rotated_grid(surface, 1.0, 0.5, n), x)
+    return float((1.0/(4*n))*np.sum(w))
+
+
+def apply_K_subtracted(surface: Surface3D, g: Callable, theta0: float,
+                       phi0: float, n: int) -> float:
+    """Boundary double-layer operator applied to g at (theta0, phi0).
+
+    g(theta, phi) must be evaluable at arbitrary parameters.  The subtracted
+    integrand vanishes when g is constant, so constants map to -g/2 exactly
+    up to roundoff.
+    """
+    kw, d = subtracted_weights(surface, theta0, phi0, n)
+    g0 = complex(np.asarray(g(np.full(1, theta0), np.full(1, phi0))).ravel()[0])
+    vals = np.asarray(g(*direction_angles(d, phi0)))
+    out = np.sum(kw*(vals - g0)) - 0.5*g0
+    return out if np.iscomplexobj(vals) else float(np.real(out))
 
 
 def rotated_frame(surface: Surface3D, theta_star, phi_star, s, t):

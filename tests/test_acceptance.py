@@ -10,10 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from closeeval.bie2d import (DensityGrid2D, assemble_nystrom,
-                             gauss_interior_value)
-from closeeval.bie3d import (Density3D, apply_K_subtracted,
-                             exact_point_source_3d, gauss_interior_value_3d,
+from closeeval.bie2d import DensityGrid2D, assemble_nystrom
+from closeeval.bie3d import (Density3D, exact_point_source_3d,
                              harmonic_point_source_3d, solve_density3d)
 from closeeval.closeeval2d import close_eval_2d
 from closeeval.closeeval3d import _points, close_eval_3d
@@ -25,7 +23,9 @@ from closeeval.hgscatter import apply_L_asymptotic
 from closeeval.spectral import (SphericalCoeffs, analysis_grid, sph_analysis,
                                 sph_synthesis)
 
-from references import (apply_L_direct, errors_for, fit_for,
+from references import (apply_K_subtracted, apply_L_direct, errors_for,
+                        fit_for, gauss_interior_value,
+                        gauss_interior_value_3d,
                         pole_second_derivative_average, rotated_angles,
                         single, sph_harm_eval, spherical_laplacian)
 

@@ -4,11 +4,11 @@ from numpy.testing import assert_allclose
 
 from closeeval import bie2d
 from closeeval.bie2d import (MAX_NODES, DensityGrid2D, assemble_nystrom,
-                             dirichlet_data, dlp_sum, gauss_interior_value,
-                             harmonic_source, kernel_matrix, solve_density)
+                             dirichlet_data, dlp_sum, harmonic_source,
+                             kernel_matrix, solve_density)
 from closeeval.geometry2d import curve_grid, kite, star
 
-from references import unit_circle
+from references import gauss_interior_value, unit_circle
 
 X0 = np.array([1.85, 1.65])
 

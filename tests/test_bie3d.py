@@ -5,17 +5,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from closeeval import bie3d
-from closeeval.bie3d import (Density3D, apply_K_subtracted, assemble_galerkin,
-                             dlp_weights, exact_point_source_3d,
-                             gauss_interior_value_3d,
-                             harmonic_point_source_3d, project_boundary_data,
-                             rotated_grid, solve_density3d,
-                             subtracted_weights)
+from closeeval.bie3d import (Density3D, assemble_galerkin, dlp_weights,
+                             exact_point_source_3d, harmonic_point_source_3d,
+                             project_boundary_data, rotated_grid,
+                             solve_density3d, subtracted_weights)
 from closeeval.geometry3d import direction_angles, mushroom, unit_sphere
 from closeeval.spectral import SphericalCoeffs, analysis_grid
 
-from references import (dlp_weights_einsum, galerkin_matrix, radial_surface,
-                        sph_basis_matrix, sph_harm_eval)
+from references import (apply_K_subtracted, dlp_weights_einsum,
+                        galerkin_matrix, gauss_interior_value_3d,
+                        radial_surface, sph_basis_matrix, sph_harm_eval)
 
 SOURCE = (5.0, 4.0, 3.0)
 

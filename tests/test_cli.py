@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import pathlib
@@ -80,6 +81,38 @@ def test_run_nan_eps_exits_2(tmp_path, capsys):
                                    "eps": [1e-2, float("nan"), 1e-3]})
     assert cli.main(["run", cfg]) == 2
     assert "eps values must be finite" in capsys.readouterr().err
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("payload", [
+    {"problem": "2d-kite", "n": 128, "eps": [1e-300]},
+    {"problem": "2d-star", "n": 128, "eps": [1e-300, 5e-324]},
+    {"problem": "2d-kite", "n": 128, "targets": [-np.pi, 0.0, 1.0],
+     "eps": [1e-100, 1e-300]},
+])
+def test_2d_point_that_rounds_onto_its_node_is_a_rejection(tmp_path,
+                                                           payload):
+    # y* - eps*nu* equal to y* in floating point lies on the boundary: it
+    # is rejected, not evaluated as a 0/0 kernel sum (which wrote nan rows
+    # and warned)
+    out = tmp_path/"out"
+    cfg = _write_config(tmp_path, dict(payload, out=str(out)))
+    assert cli.main(["run", cfg]) == 0
+    rows = _csv_rows(out/"results.csv")
+    rejected = _csv_rows(out/"rejections.csv")
+    assert np.all(np.isfinite([float(r[c]) for r in rows
+                               for c in ("value", "exact", "abs_error")]))
+    # every (target, eps, method) is a row or a rejection, never both
+    keys = [(r["target_param"], float(r["eps"]), r["method"])
+            for r in rows + rejected]
+    config = harness.load_config(cfg)
+    assert sorted(keys) == sorted(
+        (label, eps, m) for label, _ in harness._targets_2d(config)
+        for eps in config.eps for m in config.methods)
 
 
 def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
@@ -700,7 +733,7 @@ def test_python_m_closeeval_help():
 
 _SCIPY_LOADED = """
 import runpy, sys
-import closeeval
+import closeeval.cli
 loaded = ["scipy" in sys.modules]
 for argv in (["run", sys.argv[1]], ["hg", sys.argv[2]]):
     sys.argv = ["closeeval", *argv]
@@ -714,8 +747,9 @@ print(loaded)
 
 
 def test_no_study_imports_scipy(tmp_path):
-    # closeeval needs numpy alone: importing it and running a study of each
-    # family, as ``python -m closeeval`` does, loads no scipy
+    # closeeval needs numpy alone: importing its CLI, which loads every
+    # module, and running a study of each family, as ``python -m closeeval``
+    # does, loads no scipy
     sphere = _write_config(tmp_path, dict(_SPHERE, out=str(tmp_path/"3d")),
                            "sphere.json")
     hg = _write_config(tmp_path, dict(_HG, out=str(tmp_path/"hg")),

@@ -17,7 +17,7 @@ from closeeval.bie3d import SOLVER_REVISION
 from closeeval import closeeval2d, closeeval3d
 from closeeval.closeeval2d import CloseEvalRequest2D, close_eval_2d
 from closeeval.geometry2d import kite
-from closeeval.geometry3d import Surface3D
+from closeeval.geometry3d import Surface3D, unit_sphere
 from closeeval.harness import (PROBLEMS_2D, PROBLEMS_3D, ConfigError,
                                InsufficientDataError,
                                NumericalError, StudyConfig, apply_overrides,
@@ -499,6 +499,25 @@ def test_directly_built_config_refuses_what_json_refuses(problem, key, value):
         config_from_dict({"problem": problem, key: value})
     with pytest.raises(ConfigError, match=key):
         StudyConfig(**{"problem": problem, harness._KEYS[key]: value})
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, [1e-2, np.nan, 1e-3]],
+                         ids=["nan", "inf", "array-with-nan"])
+@pytest.mark.parametrize("family", ["2d", "3d"])
+def test_evaluators_refuse_eps_that_is_not_finite(family, eps):
+    # a config refuses these eps when it is read; the evaluators called
+    # directly refuse them too, instead of returning nan values
+    if family == "2d":
+        density = solve_density(kite(), dirichlet_data(kite(), (1.85, 1.65),
+                                                       16))
+        evaluate = functools.partial(close_eval_2d, density, 3)
+    else:
+        density = bie3d.Density3D(unit_sphere(),
+                                  spectral.SphericalCoeffs.zeros(2))
+        evaluate = functools.partial(closeeval3d.close_eval_3d, density,
+                                     1.0, 0.5, methods=("numerical",))
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        evaluate(eps)
 
 
 def test_run_hg_study_slope_and_rejections():

@@ -10,18 +10,20 @@ import numpy as np
 import pytest
 
 import closeeval
+import closeeval.cli
+from closeeval import (bie2d, bie3d, closeeval2d, geometry2d, geometry3d,
+                       spectral)
+from closeeval.harness import ResultBlock, StudyConfig
 
 
-def test_all_lists_public_objects_not_modules():
-    assert len(set(closeeval.__all__)) == len(closeeval.__all__)
-    for name in closeeval.__all__:
-        obj = getattr(closeeval, name)
-        assert not isinstance(obj, types.ModuleType), name
-    # every public object bound in the package is listed, and no more
-    bound = {name for name, obj in vars(closeeval).items()
-             if not name.startswith("_")
-             and not isinstance(obj, types.ModuleType)}
-    assert bound == set(closeeval.__all__)
+def test_package_binds_only_submodules():
+    # each name has one import path, its module: once every module is
+    # loaded, the package's public attributes are those modules alone
+    public = {name: obj for name, obj in vars(closeeval).items()
+              if not name.startswith("_")}
+    assert public and all(isinstance(obj, types.ModuleType)
+                          for obj in public.values()), public
+    assert not hasattr(closeeval, "__all__")
 
 
 PACKAGE = Path(closeeval.__file__).parent
@@ -49,7 +51,8 @@ def test_no_module_names_the_deleted_duplicates():
     # the constructors of shapes that no study runs on, and the public
     # rotated-grid wrapper, are deleted; the operators, coefficient helpers
     # and result lookups that only tests call live in tests/references.py;
-    # eps is the distance, so no module names a scale ell
+    # eps is the distance, so no module names a scale ell; the package
+    # re-exports nothing, so no __all__ is left
     deleted = {"rotated_angles", "sph_basis_matrix", "sph_harm_eval",
                "_ptr_and_sub", "_coord", "_descending", "run_hg_study",
                "_sweep_2d", "_sweep_3d", "_by_target", "_cmd_hg",
@@ -59,7 +62,9 @@ def test_no_module_names_the_deleted_duplicates():
                "evaluators", "_dot", "einsum", "circle", "fourier_custom",
                "load_curve", "custom_radial", "rotated_frame", "apply_L32",
                "poisson_close_eval", "spherical_laplacian", "degrees",
-               "single", "errors_for", "fit_for", "ell"}
+               "single", "errors_for", "fit_for", "ell",
+               "gauss_interior_value", "gauss_interior_value_3d",
+               "apply_K_subtracted", "__all__"}
     for path in sorted(PACKAGE.glob("*.py")):
         names = set()
         for node in ast.walk(ast.parse(path.read_text())):
@@ -84,24 +89,35 @@ def _inputs(obj) -> set:
     return set(inspect.signature(obj).parameters)
 
 
+def _modules():
+    return [importlib.import_module(f"closeeval.{path.stem}")
+            for path in sorted(PACKAGE.glob("*.py"))
+            if not path.stem.startswith("_")]
+
+
 def test_each_input_is_given_once():
-    # eps is the distance, so no public name takes a scale ell, and a size
-    # is read from the array that carries it
-    for name in closeeval.__all__:
-        obj = getattr(closeeval, name)
-        if isinstance(obj, types.FunctionType) or dataclasses.is_dataclass(
-                obj):
-            assert "ell" not in _inputs(obj), name
-    assert len(dataclasses.fields(closeeval.StudyConfig)) == 11
-    assert _inputs(closeeval.solve_density) == {"curve", "f"}
-    assert _inputs(closeeval.sph_analysis) == {"values"}
-    assert _inputs(closeeval.SphericalCoeffs) == {"c"}
-    assert _inputs(closeeval.DensityGrid2D) == {"curve", "mu", "f",
-                                                "geometry"}
+    # eps is the distance, so no public function or dataclass of any module
+    # takes a scale ell, and a size is read from the array that carries it
+    checked = 0
+    for mod in _modules():
+        for name, obj in vars(mod).items():
+            if (name.startswith("_")
+                    or getattr(obj, "__module__", None) != mod.__name__):
+                continue
+            if isinstance(obj, types.FunctionType) or (
+                    dataclasses.is_dataclass(obj) and isinstance(obj, type)):
+                assert "ell" not in _inputs(obj), f"{mod.__name__}.{name}"
+                checked += 1
+    assert checked >= 60
+    assert len(dataclasses.fields(StudyConfig)) == 11
+    assert _inputs(bie2d.solve_density) == {"curve", "f"}
+    assert _inputs(spectral.sph_analysis) == {"values"}
+    assert _inputs(spectral.SphericalCoeffs) == {"c"}
+    assert _inputs(bie2d.DensityGrid2D) == {"curve", "mu", "f", "geometry"}
 
 
 def test_curve_has_no_derivative_method():
-    assert not hasattr(closeeval.Curve2D, "derivative")
+    assert not hasattr(geometry2d.Curve2D, "derivative")
 
 
 def _harness_imports(module: str) -> set:
@@ -150,22 +166,22 @@ def test_version_matches_pyproject():
 
 def _array_dataclasses():
     # one factory per dataclass whose fields hold arrays
-    sphere_density = lambda: closeeval.Density3D(
-        closeeval.unit_sphere(), closeeval.SphericalCoeffs.zeros(2))
-    kite_density = lambda: closeeval.solve_density(
-        closeeval.kite(), closeeval.dirichlet_data(closeeval.kite(),
-                                                   (1.85, 1.65), 16))
+    kite = geometry2d.kite
+    sphere_density = lambda: bie3d.Density3D(
+        geometry3d.unit_sphere(), spectral.SphericalCoeffs.zeros(2))
+    kite_density = lambda: bie2d.solve_density(
+        kite(), bie2d.dirichlet_data(kite(), (1.85, 1.65), 16))
     return {
-        "Curve2D": closeeval.kite,
-        "CurvePoint2D": lambda: closeeval.curve_eval(closeeval.kite(), 0.3),
-        "Surface3D": closeeval.unit_sphere,
-        "QuadratureRule1D": lambda: closeeval.mapped_rule(4),
-        "SphericalCoeffs": lambda: closeeval.SphericalCoeffs.zeros(2),
+        "Curve2D": kite,
+        "CurvePoint2D": lambda: geometry2d.curve_eval(kite(), 0.3),
+        "Surface3D": geometry3d.unit_sphere,
+        "QuadratureRule1D": lambda: spectral.mapped_rule(4),
+        "SphericalCoeffs": lambda: spectral.SphericalCoeffs.zeros(2),
         "DensityGrid2D": kite_density,
         "Density3D": sphere_density,
-        "CloseEvalRequest2D": lambda: closeeval.CloseEvalRequest2D(
+        "CloseEvalRequest2D": lambda: closeeval2d.CloseEvalRequest2D(
             kite_density(), 3, 1e-2),
-        "ResultBlock": lambda: closeeval.ResultBlock(
+        "ResultBlock": lambda: ResultBlock(
             "t", np.ones(2), np.ones(2), {"ptr": np.ones(2)}),
     }
 
