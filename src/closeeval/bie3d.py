@@ -29,6 +29,11 @@ N polar nodes), turned to global harmonics by the Wigner matrices
 d^l(theta_i), built per degree for a block of colatitudes at once, and
 phased by e^{im phi_j}; the basis is evaluated only at the N row poles
 (theta_i, 0) (DECISIONS.md D14).
+
+Close evaluation reaches a density on a target's rotated grid by the
+transpose: the density's coefficients are rotated to the target, and the
+same Legendre table and one product with a table of the azimuthal waves
+give its values (DECISIONS.md D30).
 """
 
 from __future__ import annotations
@@ -46,14 +51,17 @@ import numpy as np
 from .geometry3d import (Surface3D, _rotated_frame, direction,
                          surface_point_and_normal)
 from .spectral import (SphericalCoeffs, _jy_eigenvectors, _legendre_table,
-                       _tri, _wigner_d, analysis_grid, mapped_rule,
-                       periodic_nodes, sph_analysis, sph_synthesis)
+                       _rotated_coefficients, _tri, _wigner_d, analysis_grid,
+                       mapped_rule, periodic_nodes, sph_analysis)
 
 # Largest Galerkin degree.  Assembly builds N^2(N/2 + 1) rotated grids of
 # 2N^2 nodes (O(N^4) geometry) and reaches the basis through local
 # harmonics and Wigner rotations (O(N^5) flops); it holds the four real
 # blocks, N^4/4 values.  A mushroom solve on one BLAS thread takes about
-# 3.2 s and 144 MB at n = 64, and 19 s and 345 MB at n = 96.
+# 3.2 s and 144 MB at n = 64, and 19 s and 345 MB at n = 96.  A whole
+# default-slice mushroom study at n = 64 (the solve, then 32 targets x 76
+# eps) took 2.4 s with a 146 MB peak in one run on a 2-core host, where
+# the solve alone took 2.1 s: the solve sets the peak, not the targets.
 MAX_DEGREE = 96
 # Revision of the Galerkin solver that saved densities record; raise it
 # whenever the assembled matrix changes, so that densities solved by
@@ -106,10 +114,6 @@ class Density3D:
     def N(self) -> int:
         return self.coeffs.N
 
-    def __call__(self, theta, phi) -> np.ndarray:
-        """Real density values at arbitrary parameters."""
-        return np.real(sph_synthesis(self.coeffs, theta, phi))
-
     def save(self, path: str, record: dict = None) -> None:
         """Write the coefficients as JSON, atomically: a temporary file in
         the same directory replaces path only once it is complete.  A record
@@ -124,7 +128,7 @@ class Density3D:
         if record is not None:
             payload["record"] = dict(record, solver=SOLVER_REVISION)
         with _atomic_write(path) as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))
 
     @classmethod
     def load(cls, path: str, surface: Surface3D, data: Callable = None,
@@ -161,13 +165,28 @@ class Density3D:
 
 @lru_cache(maxsize=8)
 def _local_grid(n: int):
-    """rotated_grid's polar weights, shape (n, 1), and the directions
-    d(s, t) and area factor sin(s) of its unrotated (n, 2n) grid, built once
-    per n; read-only, since every call shares them."""
+    """rotated_grid's polar weights, shape (n, 1), the directions d(s, t)
+    and area factor sin(s) of its unrotated (n, 2n) grid, the Legendre
+    table at its n polar nodes s_j, and the azimuthal table of
+    _rotated_synthesis, built once per n; read-only, since every call
+    shares them.
+
+    Row 2m' of the azimuthal table is a_m' cos(m't_q) and row 2m' + 1 is
+    -a_m' sin(m't_q) at the 2n azimuths t_q = -pi + pi q/n, with a_0 = 1
+    and a_m' = 2 for m' > 0: a row of interleaved (Re G_m', Im G_m') times
+    it is Re sum_m' a_m' G_m' e^{im't_q}.  The phase m't_q is taken as
+    pi (m'q mod 2n)/n plus m'pi, which is exact in the integers, so no
+    rounding of the angle grows with m'."""
     rule = mapped_rule(n)
-    S, T = np.broadcast_arrays(rule.nodes[:, None],
-                               periodic_nodes(2*n)[None, :])
-    out = (rule.weights[:, None], direction(S, T), np.sin(S))
+    t = periodic_nodes(2*n)
+    S, T = np.broadcast_arrays(rule.nodes[:, None], t[None, :])
+    order = np.arange(n)[:, None]
+    phase = np.pi*((order*np.arange(2*n)) % (2*n))/n
+    scale = np.where(order > 0, 2.0, 1.0)*(-1.0)**order
+    waves = np.stack([scale*np.cos(phase), -scale*np.sin(phase)],
+                     axis=1).reshape(2*n, 2*n)
+    out = (rule.weights[:, None], direction(S, T), np.sin(S),
+           _legendre_table(np.cos(rule.nodes), np.sin(rule.nodes), n), waves)
     for a in out:
         a.setflags(write=False)
     return out
@@ -176,12 +195,41 @@ def _local_grid(n: int):
 def rotated_grid(surface: Surface3D, theta0, phi0, n: int):
     """The three-step quadrature grid whose pole sits at (theta0, phi0):
     the polar weights, shape (n, 1), then _rotated_frame's (y, area-weighted
-    normal, direction) on the mapped Gauss-Legendre x 2n-azimuth nodes.
-    Stacked poles (theta0, phi0 of shape (k,)) give k grids along a leading
-    axis.  The unrotated grid's directions are built once per n."""
-    weights, local, jacobian = _local_grid(n)
+    normal) on the mapped Gauss-Legendre x 2n-azimuth nodes.  Stacked poles
+    (theta0, phi0 of shape (k,)) give k grids along a leading axis.  The
+    unrotated grid's directions are built once per n."""
+    weights, local, jacobian, _, _ = _local_grid(n)
     return (weights,) + _rotated_frame(surface, theta0, phi0, local,
                                        jacobian)
+
+
+def _rotated_synthesis(coeffs: SphericalCoeffs, theta0: float,
+                       phi0: float):
+    """(mu*, mu): the real part of the expansion coeffs at the pole
+    (theta0, phi0) and at the nodes of rotated_grid about it at the degree
+    N = coeffs.N, shape (N, 2N).
+
+    The transpose of _rotated_sums.  The grid is the local (s, t) grid
+    turned by R = rotation_matrix(theta0, phi0), so mu(R d(s_j, t_q)) is
+    the local expansion with the rotated coefficients b_lm'
+    (spectral._rotated_coefficients), a real function: b_l0 Y_l0 plus
+    2 Re sum_m'>0 b_lm' Y_lm'.  One product per order m' with the Legendre
+    table at the polar nodes sums it over l, into G_jm', and one product
+    with the azimuthal table of _local_grid sums it over m' at the 2N
+    azimuths.  At the pole s = 0 only m' = 0 is left:
+    mu* = sum_l b_l0 sqrt((2l+1)/4pi) (DECISIONS.md D30)."""
+    N = coeffs.N
+    _, _, _, local, waves = _local_grid(N)
+    b = _rotated_coefficients(coeffs, theta0, phi0)
+    degree = np.arange(N)
+    mu_star = float(b[_tri(degree)].real @ np.sqrt((2*degree + 1)/(4*np.pi)))
+    # (polar node j, order m', re/im)
+    G = np.empty((N, N, 2))
+    parts = b.view(float).reshape(-1, 2)
+    for mp in range(N):
+        slots = _tri(np.arange(mp, N)) + mp
+        G[:, mp] = local[slots].T @ parts[slots]
+    return mu_star, G.reshape(N, 2*N) @ waves
 
 
 def dlp_weights(grid, x):
@@ -193,27 +241,41 @@ def dlp_weights(grid, x):
     callers apply the 1/4n factor to their own sums, so no rounding is added
     when 4n is not a power of two.  The x, y and z components are taken
     apart, as in the 2D kernel, so each dot product is two additions.
+
+    The temporaries, the largest arrays for stacked x, are one workspace
+    filled in place, with the row as scratch before it is written, in the
+    order of (nu . d)/(r^2 sqrt(r^2)) with r^2 = (dx dx + dy dy) + dz dz.
+    One allocation per call, larger than any other of a 3D sweep, makes
+    glibc's malloc keep the heap between targets; five separate ones were
+    returned to the system and faulted in again on every target
+    (DECISIONS.md D30).
     """
-    w, y, area_normal, _ = grid
+    w, y, area_normal = grid
     x = np.asarray(x, dtype=float)
-    dx, dy, dz = (x[..., i] - y[..., i] for i in range(3))
-    r2 = dx*dx + dy*dy + dz*dz
-    kern = (area_normal[..., 0]*dx + area_normal[..., 1]*dy
-            + area_normal[..., 2]*dz)/(r2*np.sqrt(r2))
-    # the largest arrays for stacked x: let the row reuse them
-    del dx, dy, dz, r2
-    return w*kern
+    shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    dx, dy, dz, r2 = np.empty((4,) + shape)
+    row = np.empty(shape)
+    for i, d in enumerate((dx, dy, dz)):
+        np.subtract(x[..., i], y[..., i], out=d)
+    np.multiply(dx, dx, out=r2)
+    r2 += np.multiply(dy, dy, out=row)
+    r2 += np.multiply(dz, dz, out=row)
+    kern = np.multiply(area_normal[..., 0], dx, out=dx)
+    kern += np.multiply(area_normal[..., 1], dy, out=dy)
+    kern += np.multiply(area_normal[..., 2], dz, out=dz)
+    r2 *= np.sqrt(r2, out=dy)
+    kern /= r2
+    return np.multiply(w, kern, out=row)
 
 
 def subtracted_weights(surface: Surface3D, theta0, phi0, n: int):
     """Kernel-times-area quadrature row for the rotated grid about a
-    boundary target: entries (1/4pi) w_j dt K(y0, y_jk) W_jk, plus the node
-    directions, where a density is sampled.  Stacked targets (theta0, phi0
-    of shape (k,)) give one row each along a leading axis."""
+    boundary target: entries (1/4pi) w_j dt K(y0, y_jk) W_jk.  Stacked
+    targets (theta0, phi0 of shape (k,)) give one row each along a leading
+    axis."""
     grid = rotated_grid(surface, theta0, phi0, n)
     y0, _ = surface_point_and_normal(surface, theta0, phi0)
-    kw = (1.0/(4*n))*dlp_weights(grid, y0[..., None, None, :])
-    return kw, grid[3]
+    return (1.0/(4*n))*dlp_weights(grid, y0[..., None, None, :])
 
 
 def assemble_galerkin(surface: Surface3D, n: int) -> tuple:
@@ -242,8 +304,7 @@ def assemble_galerkin(surface: Surface3D, n: int) -> tuple:
     # (theta_i, phi_j) is the grid about (theta_i, 0) turned by phi_j, where
     # Y_nm gains e^{im phi_j}
     turn = np.exp(1j*np.outer(quarter, order))
-    rule = mapped_rule(n)
-    local = _legendre_table(np.cos(rule.nodes), np.sin(rule.nodes), n)
+    local = _local_grid(n)[3]
     # the m >= 0 harmonics at the row poles (theta_i, 0) are the Legendre
     # values there, which the analysis also weighs
     P = _legendre_table(np.cos(th), np.sin(th), n)
@@ -252,7 +313,8 @@ def assemble_galerkin(surface: Surface3D, n: int) -> tuple:
     # rows of each order (the functions run by order, then by degree)
     basis = []
     for dn, dm in _real_basis(n):
-        orders = np.unique(dm)
+        # dm is sorted and m >= 0, so its distinct orders are where it steps
+        orders = dm[np.diff(dm, prepend=-1) != 0]
         basis.append((_tri(dn) + dm, orders,
                        np.append(np.searchsorted(dm, orders), dm.size)))
     blocks = [np.zeros((cols.size, cols.size)) for cols, _, _ in basis]
@@ -268,7 +330,7 @@ def assemble_galerkin(surface: Surface3D, n: int) -> tuple:
             for k in range(0, quarter.size, step):
                 phi = quarter[k:k + step]
                 KW[k:k + step] = subtracted_weights(
-                    surface, np.full(phi.size, th[i]), phi, n)[0]
+                    surface, np.full(phi.size, th[i]), phi, n)
             # operator applied to every m >= 0 harmonic at once:
             # sum kw (Y - Y0)  -  Y0/2  -  Y0/2, with Y0 turned like the grid
             V = turn*(_rotated_sums(KW, local, [r[c] for r in rotations]).T

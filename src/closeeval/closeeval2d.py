@@ -75,7 +75,9 @@ def close_eval_2d(density: DensityGrid2D, k: int, eps,
     share the target's (f*, U1, U2).
 
     The points are not tested for interiority; the caller tests them
-    (geometry2d.point_inside, as CloseEvalRequest2D does)."""
+    (geometry2d.point_inside, as CloseEvalRequest2D does).  An eps so small
+    that a point's squared distance to y* is 0 in floating point is
+    refused: that point is y*, on the boundary, where the kernel is 0/0."""
     eps = np.asarray(eps, dtype=float)
     if not np.all(np.isfinite(eps) & (eps > 0)):
         raise ValueError("eps must be finite and positive")
@@ -84,12 +86,15 @@ def close_eval_2d(density: DensityGrid2D, k: int, eps,
         raise ValueError(f"unknown 2D methods {unknown}")
     if not 0 <= k < density.n:
         raise ValueError("target index out of range")
+    x = _eval_points(density, k, eps)
+    gap = x - density.geometry.position[k]
+    if np.any(gap[..., 0]*gap[..., 0] + gap[..., 1]*gap[..., 1] == 0):
+        raise ValueError("eps is so small that y* - eps*nu* rounds onto y*")
     values = {}
     if {"ptr", "sub"} & set(methods):
         mustar = density.mu[k]
         values["ptr"], dsub = dlp_sum(
-            density.geometry, _eval_points(density, k, eps),
-            np.stack([density.mu, density.mu - mustar]))
+            density.geometry, x, np.stack([density.mu, density.mu - mustar]))
         values["sub"] = -mustar + dsub
     if {"asym2", "asym3"} & set(methods):
         fstar, U1, U2 = asym_coefficients(density, k)

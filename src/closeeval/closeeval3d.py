@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bie3d import Density3D, dlp_weights, rotated_grid
-from .geometry3d import direction_angles, surface_point_and_normal
+from .bie3d import Density3D, _rotated_synthesis, dlp_weights, rotated_grid
+from .geometry3d import surface_point_and_normal
 
 METHODS = ("numerical", "asym2")
 
@@ -55,7 +55,8 @@ def close_eval_3d(density: Density3D, theta_star: float, phi_star: float,
     y* = y(theta*, phi*): a float per method for a number eps, an array
     over a vector of eps.  One (y*, nu*), one rotated grid at the density
     degree, and mu* and mu - mu* on it serve every method; mu* and mu on
-    the grid come from one density synthesis.  numerical is the subtracted
+    the grid come from one synthesis of the density's coefficients rotated
+    to the target (bie3d._rotated_synthesis).  numerical is the subtracted
     three-step quadrature; asym2 is f(y*) + eps*U1, with f(y*) read from
     the data sampler attached to the density and U1 the rotated quadrature
     of K1 [mu - mu*], whose pole cell the subtraction regularizes.
@@ -73,11 +74,8 @@ def close_eval_3d(density: Density3D, theta_star: float, phi_star: float,
     surface, n = density.surface, density.N
     ystar, nustar = surface_point_and_normal(surface, theta_star, phi_star)
     grid = rotated_grid(surface, theta_star, phi_star, n)
-    # one synthesis: the grid's angles with the target's appended last
-    theta, phi = direction_angles(grid[3], phi_star)
-    mu = density(np.append(theta, theta_star), np.append(phi, phi_star))
-    mu_star = float(mu[-1])
-    dmu = mu[:-1].reshape(theta.shape) - mu_star
+    mu_star, mu = _rotated_synthesis(density.coeffs, theta_star, phi_star)
+    dmu = mu - mu_star
     values = {}
     if "numerical" in methods:
         x = _points(ystar, nustar, eps)
@@ -85,7 +83,7 @@ def close_eval_3d(density: Density3D, theta_star: float, phi_star: float,
         values["numerical"] = -mu_star + (1.0/(4*n))*np.sum(w*dmu,
                                                             axis=(-2, -1))
     if "asym2" in methods:
-        w, y, area_normal, _ = grid
+        w, y, area_normal = grid
         K1W = _kernel_K1(y, area_normal, ystar, nustar)
         U1 = float((1.0/(4*n))*np.sum(w*K1W*dmu))
         f_star = float(np.asarray(density.data(

@@ -113,17 +113,6 @@ def direction(theta, phi) -> np.ndarray:
                      np.cos(th)], axis=-1)
 
 
-def direction_angles(d, phi_pole: float):
-    """Angles (theta, phi) of the unit directions d, the inverse of
-    direction: quadrant-aware arctangents keep theta in [0, pi] and phi in
-    (-pi, pi], and phi falls back to phi_pole where d is a coordinate pole.
-    """
-    rho = np.hypot(d[..., 0], d[..., 1])
-    theta = np.arctan2(rho, d[..., 2])
-    phi = np.where(rho < _POLE_TOL, phi_pole, np.arctan2(d[..., 1], d[..., 0]))
-    return theta, phi
-
-
 def rotation_matrix(theta_star, phi_star) -> np.ndarray:
     """Proper rotation with third column d(theta*, phi*).
 
@@ -141,21 +130,21 @@ def rotation_matrix(theta_star, phi_star) -> np.ndarray:
 
 def _rotated_frame(surface: Surface3D, theta_star, phi_star, local,
                    jacobian):
-    """(position, area-weighted normal, direction) at each node of the grid
-    whose pole sits at (theta*, phi*), from the directions local = d(s, t)
-    of the unrotated grid and its area factor jacobian = sin(s).
+    """(position, area-weighted normal) at each node of the grid whose pole
+    sits at (theta*, phi*), from the directions local = d(s, t) of the
+    unrotated grid and its area factor jacobian = sin(s).
 
     The area-weighted normal is the outward unit normal times the area
     element of the rotated parameterization, which absorbs the sin(s) pole
-    factor; a density is sampled at the direction R(theta*, phi*) d(s, t).
-    Stacked poles (theta*, phi* of shape (k,)) give one grid per pole along
-    a leading axis.
+    factor.  The node directions R(theta*, phi*) d(s, t) are formed here
+    and not returned: a density reaches the grid through its rotated
+    coefficients (DECISIONS.md D30).  Stacked poles (theta*, phi* of shape
+    (k,)) give one grid per pole along a leading axis.
     """
     R = rotation_matrix(theta_star, phi_star)
     d = (local.reshape(-1, 3) @ np.swapaxes(R, -1, -2)).reshape(
         R.shape[:-2] + local.shape)
-    y, area_normal = surface.area_normal(d, jacobian)
-    return y, area_normal, d
+    return surface.area_normal(d, jacobian)
 
 
 def surface_point_and_normal(surface: Surface3D, theta_star, phi_star):

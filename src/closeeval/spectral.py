@@ -282,19 +282,7 @@ def sph_analysis(values: np.ndarray) -> SphericalCoeffs:
         out[n*n + n + m] = (sign*P[_tri(n) + abs(m)]) @ spectra[:, m % (2*N)]
     return SphericalCoeffs(out)
 
-def sph_synthesis(coeffs: SphericalCoeffs, theta, phi) -> np.ndarray:
-    """Evaluate the truncated expansion at arbitrary angles (complex output).
-
-    Sums over sph_half_basis alone: the m < 0 terms are
-    b conj(Y_nm) = conj(conj(b) Y_nm) (_half_coefficients).
-    """
-    th = np.asarray(theta, dtype=float)
-    _, a, b = _half_coefficients(coeffs)
-    both = sph_half_basis(theta, phi, coeffs.N) @ np.stack([a, np.conj(b)],
-                                                           axis=1)
-    return (both[:, 0] + np.conj(both[:, 1])).reshape(th.shape)
-
-
+@lru_cache(maxsize=None)
 def _jy_eigenvectors(l: int) -> np.ndarray:
     """Real orthogonal eigenvectors of J_y for degree l, in the order
     m = -l..l, with eigenvalues -l..l ascending.
@@ -302,10 +290,14 @@ def _jy_eigenvectors(l: int) -> np.ndarray:
     J_y = (J_+ - J_-)/2i is Hermitian and purely imaginary; with
     T = diag(i^m), T^-1 J_y T is the real symmetric tridiagonal matrix with
     off-diagonal -sqrt(l(l+1) - m(m+1))/2, whose eigenvectors U are real.
-    The eigenvectors of J_y are T U (DECISIONS.md D14)."""
+    The eigenvectors of J_y are T U (DECISIONS.md D14).  Built once per
+    degree and read-only, since the Galerkin assembly and every 3D target
+    share them (DECISIONS.md D30)."""
     m = np.arange(-l, l)
     off = -0.5*np.sqrt(l*(l + 1.0) - m*(m + 1.0))
-    return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))[1]
+    U = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))[1]
+    U.setflags(write=False)
+    return U
 
 def _wigner_d(U: np.ndarray, beta, rows: int = 0) -> np.ndarray:
     """Wigner d^l(beta) = exp(-i beta J_y) from U = _jy_eigenvectors(l):
@@ -326,3 +318,35 @@ def _wigner_d(U: np.ndarray, beta, rows: int = 0) -> np.ndarray:
     gap = (k[rows:, None] - k[None, :]) % 4
     return np.choose(gap, (C, S, -C, -S))
 
+
+
+def _rotated_coefficients(coeffs: SphericalCoeffs, theta: float,
+                          phi: float) -> np.ndarray:
+    """The coefficients b_lm' with 0 <= m' <= l < N, in _legendre_table's
+    row order _tri(l) + m', of p -> Re f(R p) for f = sum c_lm Y_lm and
+    R = rotation_matrix(theta, phi) = R_z(phi) R_y(theta).  That function
+    is real, so its m' < 0 coefficients are (-1)^m' conj(b_lm').
+
+    Re f has the coefficients e_lm = (c_lm + (-1)^m conj(c_{l,-m}))/2, and
+    Y_lm(R_z(phi) R_y(theta) p) = e^{im phi} sum_m' d_mm'(theta) Y_lm'(p)
+    (_wigner_d), so b_lm' = sum_m e_lm e^{im phi} d_mm'(theta).  With
+    T = diag(i^m), U = _jy_eigenvectors(l) and E = diag(e^{-ik theta}),
+    d = T U E U^T T^-1, so b = T^-1 U E U^T T w for w_m = e_lm e^{im phi}:
+    two products with U per degree and no Wigner matrix formed
+    (DECISIONS.md D30)."""
+    N = coeffs.N
+    n = np.repeat(np.arange(N), 2*np.arange(N) + 1)
+    m = np.arange(N*N) - n*n - n
+    e = 0.5*(coeffs.c + (-1.0)**m*np.conj(coeffs.c[n*n + n - m]))
+    k = np.arange(1 - N, N)
+    # i^k, exactly, for every order k = 1 - N .. N - 1
+    power = np.array([1, 1j, -1, -1j])[k % 4]
+    phase = np.exp(1j*k*phi)*power
+    turn = np.exp(-1j*k*theta)
+    out = np.empty(_tri(N), dtype=complex)
+    for l in range(N):
+        U = _jy_eigenvectors(l)
+        orders = slice(N - 1 - l, N + l)
+        x = ((e[l*l:(l + 1)**2]*phase[orders]) @ U)*turn[orders]
+        out[_tri(l):_tri(l + 1)] = (U[l:] @ x)*np.conj(power[N - 1:N + l])
+    return out

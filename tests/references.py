@@ -8,8 +8,13 @@ rotated rings about omega, the checks of hgscatter's degree multipliers.
 pole_second_derivative_average is the finite-difference pole curvature
 that the two-term expansion's Laplacian term is checked against.
 sph_harm_eval and sph_basis_matrix give the harmonics one at a time and as
-the dense basis with the m < 0 columns, rotated_frame a rotated grid's
-geometry at any (s, t), and rotated_angles the angles of its nodes.
+the dense basis with the m < 0 columns, and sph_synthesis and
+density_values the expansion and a density at scattered angles, the
+check of the rotated synthesis that close evaluation uses, with
+synthesis_bound the scale of its tolerance.
+direction_angles converts directions back to angles, rotated_frame gives a
+rotated grid's geometry and node directions at any (s, t), and
+rotated_angles and grid_angles the angles of its nodes.
 unit_circle and radial_surface build shapes that no study runs on.
 galerkin_matrix turns the Galerkin assembly's real blocks back into the
 complex n^2 x n^2 matrix.  dlp_weights_einsum and kernel_K1_einsum are
@@ -36,12 +41,13 @@ from closeeval.bie2d import dlp_sum
 from closeeval.bie3d import (_from_real, _to_real, dlp_weights, rotated_grid,
                              subtracted_weights)
 from closeeval.geometry2d import Curve2D, curve_grid
-from closeeval.geometry3d import (Surface3D, _rotated_frame, direction,
-                                  direction_angles, unit_sphere)
+from closeeval.geometry3d import (_POLE_TOL, Surface3D, _rotated_frame,
+                                  direction, rotation_matrix, unit_sphere)
 from closeeval.hgscatter import (_L32_POLAR_NODES, _degree_values,
                                  _l32_multipliers)
-from closeeval.spectral import (SphericalCoeffs, _legendre_table, _tri,
-                                mapped_rule, periodic_nodes, sph_synthesis)
+from closeeval.spectral import (SphericalCoeffs, _half_coefficients,
+                                _legendre_table, _tri, mapped_rule,
+                                periodic_nodes, sph_half_basis)
 
 # Largest polar rule of apply_L_direct.  Its default count 8/(1 - |g|),
 # rounded up to a power of two, reaches it at |g| = 0.999.  The rule build is
@@ -123,11 +129,47 @@ def apply_K_subtracted(surface: Surface3D, g: Callable, theta0: float,
     integrand vanishes when g is constant, so constants map to -g/2 exactly
     up to roundoff.
     """
-    kw, d = subtracted_weights(surface, theta0, phi0, n)
+    kw = subtracted_weights(surface, theta0, phi0, n)
     g0 = complex(np.asarray(g(np.full(1, theta0), np.full(1, phi0))).ravel()[0])
-    vals = np.asarray(g(*direction_angles(d, phi0)))
+    vals = np.asarray(g(*grid_angles(theta0, phi0, n)))
     out = np.sum(kw*(vals - g0)) - 0.5*g0
     return out if np.iscomplexobj(vals) else float(np.real(out))
+
+
+def direction_angles(d, phi_pole: float):
+    """Angles (theta, phi) of the unit directions d, the inverse of
+    direction: quadrant-aware arctangents keep theta in [0, pi] and phi in
+    (-pi, pi], and phi falls back to phi_pole where d is a coordinate pole.
+    """
+    rho = np.hypot(d[..., 0], d[..., 1])
+    theta = np.arctan2(rho, d[..., 2])
+    phi = np.where(rho < _POLE_TOL, phi_pole, np.arctan2(d[..., 1], d[..., 0]))
+    return theta, phi
+
+
+def sph_synthesis(coeffs: SphericalCoeffs, theta, phi) -> np.ndarray:
+    """Evaluate the truncated expansion at arbitrary angles (complex output).
+
+    Sums over sph_half_basis alone: the m < 0 terms are
+    b conj(Y_nm) = conj(conj(b) Y_nm) (_half_coefficients).
+    """
+    th = np.asarray(theta, dtype=float)
+    _, a, b = _half_coefficients(coeffs)
+    both = sph_half_basis(theta, phi, coeffs.N) @ np.stack([a, np.conj(b)],
+                                                           axis=1)
+    return (both[:, 0] + np.conj(both[:, 1])).reshape(th.shape)
+
+
+def density_values(density, theta, phi) -> np.ndarray:
+    """Real values of a Density3D at arbitrary parameters."""
+    return np.real(sph_synthesis(density.coeffs, theta, phi))
+
+
+def synthesis_bound(coeffs: SphericalCoeffs) -> float:
+    """sum |c_lm| sqrt((2l+1)/4pi), a bound on the expansion's modulus,
+    since |Y_lm| <= sqrt((2l+1)/4pi) everywhere."""
+    n = degrees(coeffs)
+    return float(np.abs(coeffs.c) @ np.sqrt((2*n + 1)/(4*np.pi)))
 
 
 def rotated_frame(surface: Surface3D, theta_star, phi_star, s, t):
@@ -136,9 +178,21 @@ def rotated_frame(surface: Surface3D, theta_star, phi_star, s, t):
     stacked poles give one grid per pole along a leading axis."""
     S, T = np.broadcast_arrays(np.asarray(s, dtype=float),
                                np.asarray(t, dtype=float))
+    local = direction(S, T)
+    R = rotation_matrix(theta_star, phi_star)
+    d = (local.reshape(-1, 3) @ np.swapaxes(R, -1, -2)).reshape(
+        R.shape[:-2] + local.shape)
     # the rotated tangents d_s and d_t have d_s x d_t = sin(s) d
-    return _rotated_frame(surface, theta_star, phi_star, direction(S, T),
-                          np.sin(S))
+    return _rotated_frame(surface, theta_star, phi_star, local,
+                          np.sin(S)) + (d,)
+
+
+def grid_angles(theta0: float, phi0: float, n: int):
+    """Angles (theta, phi) of the nodes of rotated_grid(., theta0, phi0, n);
+    phi is phi0 where a node is a coordinate pole.  On the unit sphere a
+    node's position is its direction."""
+    return direction_angles(rotated_grid(unit_sphere(), theta0, phi0, n)[1],
+                            phi0)
 
 
 def rotated_angles(s, t, theta_star: float, phi_star: float):
@@ -156,7 +210,7 @@ def _dot3(a, b):
 
 def dlp_weights_einsum(grid, x):
     """bie3d.dlp_weights with einsum dot products."""
-    w, y, area_normal, _ = grid
+    w, y, area_normal = grid
     diff = np.asarray(x, dtype=float) - y
     r2 = _dot3(diff, diff)
     return w*(_dot3(area_normal, diff)/(r2*np.sqrt(r2)))

@@ -5,6 +5,7 @@ per criterion.  The single strict-xfail marks a target that is defective
 by construction; the decision ledger holds the measured analysis.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -20,14 +21,14 @@ from closeeval.geometry3d import (direction, mushroom, rotation_matrix,
                                   surface_point_and_normal, unit_sphere)
 from closeeval.harness import StudyConfig, eps_grid, fit_order, run_error_map
 from closeeval.hgscatter import apply_L_asymptotic
-from closeeval.spectral import (SphericalCoeffs, analysis_grid, sph_analysis,
-                                sph_synthesis)
+from closeeval.spectral import SphericalCoeffs, analysis_grid, sph_analysis
 
-from references import (apply_K_subtracted, apply_L_direct, errors_for,
-                        fit_for, gauss_interior_value,
+from references import (apply_K_subtracted, apply_L_direct, density_values,
+                        errors_for, fit_for, gauss_interior_value,
                         gauss_interior_value_3d,
                         pole_second_derivative_average, rotated_angles,
-                        single, sph_harm_eval, spherical_laplacian)
+                        single, sph_harm_eval, sph_synthesis,
+                        spherical_laplacian)
 
 EPS_FINE = eps_grid(1e-6, 1e-1, 25)
 TARGETS_2D = (5*np.pi/4, np.pi/4)  # concave-side and convex-side targets
@@ -152,8 +153,9 @@ def test_criterion_07_sphere_close_eval_and_mushroom_decay():
     # (spectral eigenrelation); checked pointwise before use
     density = Density3D(sphere, single(24, 2, 0, -5.0/3.0),
                         data)
-    mu0 = float(density(np.full(1, 1.1), np.full(1, 0.6))[0])
-    resid = (apply_K_subtracted(sphere, density, 1.1, 0.6, 24)
+    mu = functools.partial(density_values, density)
+    mu0 = float(mu(np.full(1, 1.1), np.full(1, 0.6))[0])
+    resid = (apply_K_subtracted(sphere, mu, 1.1, 0.6, 24)
              - 0.5*mu0 - float(data(1.1, 0.6)))
     assert abs(resid) <= 1e-7
 

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -9,12 +10,14 @@ from closeeval.bie3d import (Density3D, assemble_galerkin, dlp_weights,
                              exact_point_source_3d, harmonic_point_source_3d,
                              project_boundary_data, rotated_grid,
                              solve_density3d, subtracted_weights)
-from closeeval.geometry3d import direction_angles, mushroom, unit_sphere
+from closeeval.geometry3d import mushroom, unit_sphere
 from closeeval.spectral import SphericalCoeffs, analysis_grid
 
-from references import (apply_K_subtracted, dlp_weights_einsum,
-                        galerkin_matrix, gauss_interior_value_3d,
-                        radial_surface, sph_basis_matrix, sph_harm_eval)
+from references import (apply_K_subtracted, density_values,
+                        dlp_weights_einsum, galerkin_matrix,
+                        gauss_interior_value_3d, grid_angles, radial_surface,
+                        sph_basis_matrix, sph_harm_eval, sph_synthesis,
+                        synthesis_bound)
 
 SOURCE = (5.0, 4.0, 3.0)
 
@@ -88,8 +91,8 @@ def _per_row_galerkin(surface, n):
     P = (np.conj(G)*(np.repeat(wth, 2*n)*(np.pi/n))[:, None]).T
     V = np.empty((2*n*n, n*n), dtype=complex)
     for row, (th, ph) in enumerate(zip(TH.ravel(), PH.ravel())):
-        kw, d = subtracted_weights(surface, th, ph, n)
-        B = sph_basis_matrix(*direction_angles(d, ph), n)
+        kw = subtracted_weights(surface, th, ph, n)
+        B = sph_basis_matrix(*grid_angles(th, ph, n), n)
         V[row] = kw.ravel() @ B - G[row]*(np.sum(kw) + 1.0)
     return P @ V
 
@@ -143,9 +146,13 @@ def test_galerkin_evaluates_basis_only_at_row_poles(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(bie3d, name, counted(name))
+    # a local grid cache of its own, so the local table is built here
+    monkeypatch.setattr(bie3d, "_local_grid",
+                        functools.lru_cache(bie3d._local_grid.__wrapped__))
     A = assemble_galerkin(mushroom(), 8)
-    # the Legendre table once at the 8 local polar nodes and once at the 8
-    # row poles (theta_i, 0), where it is the m >= 0 basis: the rows' grids
+    # the Legendre table once at the 8 local polar nodes, with the local
+    # grid, and once at the 8 row poles (theta_i, 0), where it is the m >= 0
+    # basis: the rows' grids
     # reach the basis through local harmonics and Wigner rotation.  Per
     # colatitude of the 8 x 16 analysis grid, only the 5 rows at
     # 0 <= phi <= pi/2 are computed (the reflections give the others), and
@@ -241,11 +248,63 @@ def test_solve_equivariant_under_azimuth_shift():
 
 
 def test_density_synthesis_is_real():
+    # a density is synthesised on a target's rotated grid: mu* is a float
+    # and mu a real array on the (N, 2N) grid
     f = harmonic_point_source_3d(unit_sphere(), SOURCE)
     d = solve_density3d(unit_sphere(), f, 8)
-    th = np.linspace(0.1, 3.0, 7)
-    vals = d(th, 0.5*th)
-    assert vals.dtype == np.float64 and vals.shape == (7,)
+    mu_star, mu = bie3d._rotated_synthesis(d.coeffs, 1.1, 0.5)
+    assert isinstance(mu_star, float)
+    assert mu.dtype == np.float64 and mu.shape == (8, 16)
+
+
+def _complex_coeffs(rng, N):
+    # coefficients of no real field, so the real part that the synthesis
+    # gives differs from the expansion
+    return SphericalCoeffs(rng.standard_normal(N*N)
+                           + 1j*rng.standard_normal(N*N))
+
+
+def _scattered(coeffs, theta, phi, nodes):
+    # Re f at the chosen nodes of the rotated grid, then at the target,
+    # from one synthesis at their directions
+    th, ph = grid_angles(theta, phi, coeffs.N)
+    return np.real(sph_synthesis(coeffs, np.append(th[nodes], theta),
+                                 np.append(ph[nodes], phi)))
+
+
+@pytest.mark.parametrize("N", [1, 2, 9, 16, 32])
+def test_rotated_synthesis_matches_scattered_synthesis(N):
+    # mu* and mu on the whole rotated grid, from the coefficients rotated to
+    # the target, against a synthesis at the grid's node directions, to
+    # 1e-14 of the bound on |f|; at the poles theta* = 0 and pi and at
+    # random targets
+    rng = np.random.default_rng(N)
+    coeffs = _complex_coeffs(rng, N)
+    scale = synthesis_bound(coeffs)
+    targets = [(0.0, 0.7), (np.pi, -2.0)] + list(zip(
+        rng.uniform(0, np.pi, 3), rng.uniform(-np.pi, np.pi, 3)))
+    for theta, phi in targets:
+        mu_star, mu = bie3d._rotated_synthesis(coeffs, theta, phi)
+        ref = _scattered(coeffs, theta, phi, np.s_[:])
+        assert isinstance(mu_star, float) and mu.shape == (N, 2*N)
+        assert abs(mu_star - ref[-1]) <= 1e-14*scale
+        assert np.max(np.abs(mu.ravel() - ref[:-1])) <= 1e-14*scale
+
+
+def test_rotated_synthesis_at_max_degree_matches_at_a_few_nodes():
+    # a synthesis on the whole grid would need a basis of more than 1 GB at
+    # MAX_DEGREE; a few nodes, the first and last polar ones among them,
+    # and the target check the rotation up to its highest degree
+    N = bie3d.MAX_DEGREE
+    rng = np.random.default_rng(N)
+    coeffs = _complex_coeffs(rng, N)
+    scale = synthesis_bound(coeffs)
+    nodes = (np.array([0, 7, 48, N - 1]), np.array([0, 101, 150, 2*N - 1]))
+    for theta, phi in [(0.0, 1.0), (np.pi, 2.0), (2.2, -0.4)]:
+        mu_star, mu = bie3d._rotated_synthesis(coeffs, theta, phi)
+        ref = _scattered(coeffs, theta, phi, nodes)
+        assert abs(mu_star - ref[-1]) <= 1e-14*scale
+        assert np.max(np.abs(mu[nodes] - ref[:-1])) <= 1e-14*scale
 
 
 def test_density_save_load_round_trip(tmp_path):
@@ -271,7 +330,7 @@ def _dlp_far_3d(density, x, n=32):
     # interior point well separated from the boundary (any grid pole
     # serves; this one is fixed at (0.9, 0.3))
     grid = rotated_grid(density.surface, 0.9, 0.3, n)
-    mu = density(*direction_angles(grid[3], 0.3))
+    mu = density_values(density, *grid_angles(0.9, 0.3, n))
     return float((1.0/(4*n))*np.sum(dlp_weights(grid, x)*mu))
 
 
@@ -302,6 +361,24 @@ def test_gauss_identity_3d():
     # exterior points integrate to zero
     assert abs(gauss_interior_value_3d(unit_sphere(), (3.0, 0.0, 0.0), 16)) \
         < 1e-6
+
+
+def test_workspace_kernel_is_the_plain_expression_bitwise():
+    # dlp_weights fills one workspace in place, in the order of the plain
+    # component expression, so its weights are bitwise those of the plain
+    # expression, for stacked points and for stacked grids
+    surface = mushroom()
+    eps = np.array([1e-1, 1e-4])
+    for theta, phi in [(1.2, 2.0), (np.full(3, 0.4), np.arange(3.0))]:
+        grid = rotated_grid(surface, theta, phi, 12)
+        y0, nu0 = bie3d.surface_point_and_normal(surface, theta, phi)
+        x = (y0 - np.multiply.outer(eps, nu0))[..., None, None, :]
+        w, y, an = grid
+        dx, dy, dz = (x[..., i] - y[..., i] for i in range(3))
+        r2 = dx*dx + dy*dy + dz*dz
+        plain = w*((an[..., 0]*dx + an[..., 1]*dy + an[..., 2]*dz)
+                   /(r2*np.sqrt(r2)))
+        assert dlp_weights(grid, x).tolist() == plain.tolist()
 
 
 @pytest.mark.parametrize("name", sorted(SURFACES))

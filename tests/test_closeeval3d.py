@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from closeeval import closeeval3d
-from closeeval.bie3d import (Density3D, assemble_galerkin,
+from closeeval import closeeval3d, spectral
+from closeeval.bie3d import (Density3D, _rotated_synthesis,
                              exact_point_source_3d,
                              harmonic_point_source_3d, rotated_grid,
                              solve_density3d)
 from closeeval.closeeval3d import (METHODS, _kernel_K1, _points,
                                    close_eval_3d)
-from closeeval.geometry3d import (direction_angles, mushroom,
-                                  surface_point_and_normal, unit_sphere)
+from closeeval.geometry3d import (mushroom, surface_point_and_normal,
+                                  unit_sphere)
 from closeeval.spectral import SphericalCoeffs
 
-from references import (kernel_K1_einsum, rotated_angles, single,
-                        sph_harm_eval)
+from references import (density_values, grid_angles, kernel_K1_einsum,
+                        rotated_angles, single, sph_harm_eval)
 
 SOURCE = (5.0, 4.0, 3.0)
 
@@ -33,13 +33,13 @@ def _azimuthal_average_profile(density, theta_star, phi_star):
     # the azimuth-averaged integrand K1 W [mu - mu*] of U1 at each polar
     # node of the grid at the density degree, diagnostic for its
     # continuous extension to the pole
-    _, y, area_normal, d = rotated_grid(density.surface, theta_star,
-                                        phi_star, density.N)
+    _, y, area_normal = rotated_grid(density.surface, theta_star, phi_star,
+                                     density.N)
     ystar, nustar = surface_point_and_normal(density.surface, theta_star,
                                              phi_star)
     K1W = _kernel_K1(y, area_normal, ystar, nustar)
-    mu_star = density(np.full(1, theta_star), np.full(1, phi_star))[0]
-    dmu = density(*direction_angles(d, phi_star)) - mu_star
+    mu_star, mu = _rotated_synthesis(density.coeffs, theta_star, phi_star)
+    dmu = mu - mu_star
     return np.mean(K1W*dmu, axis=1)
 
 
@@ -222,26 +222,26 @@ def test_asym_requires_data_or_override():
 
 
 def test_request_builds_one_grid_for_every_method(monkeypatch):
-    # one call builds the grid once and makes one density synthesis, at
-    # the grid's nodes and the target together, for both methods; its
-    # values are those of one call per method
+    # one call builds the grid once and makes one rotated synthesis, which
+    # gives mu* and mu on the grid together, for both methods; its values
+    # are those of one call per method
     d = _y10_density(8)
     eps = np.array([1e-1, 1e-3])
     expected = [close_eval_3d(d, 0.9, 0.4, eps, methods=(m,))[m]
                 for m in METHODS]
     calls = {"grid": 0, "synthesis": 0}
-    grid, synthesis = closeeval3d.rotated_grid, Density3D.__call__
+    grid, synthesis = closeeval3d.rotated_grid, closeeval3d._rotated_synthesis
 
     def counted_grid(*args):
         calls["grid"] += 1
         return grid(*args)
 
-    def counted_synthesis(self, theta, phi):
+    def counted_synthesis(*args):
         calls["synthesis"] += 1
-        return synthesis(self, theta, phi)
+        return synthesis(*args)
 
     monkeypatch.setattr(closeeval3d, "rotated_grid", counted_grid)
-    monkeypatch.setattr(Density3D, "__call__", counted_synthesis)
+    monkeypatch.setattr(closeeval3d, "_rotated_synthesis", counted_synthesis)
     values = close_eval_3d(d, 0.9, 0.4, eps)
     assert calls == {"grid": 1, "synthesis": 1}
     for method, want in zip(METHODS, expected):
@@ -255,7 +255,7 @@ def test_component_K1_matches_einsum_form(surface):
     # of its largest value on the rotated grid
     s = surface()
     for theta, phi in [(0.3, 0.0), (1.2, 2.0), (2.9, -1.0), (0.0, 0.4)]:
-        _, y, area_normal, _ = rotated_grid(s, theta, phi, 12)
+        _, y, area_normal = rotated_grid(s, theta, phi, 12)
         ystar, nustar = surface_point_and_normal(s, theta, phi)
         got = _kernel_K1(y, area_normal, ystar, nustar)
         want = kernel_K1_einsum(y, area_normal, ystar, nustar)
@@ -265,29 +265,34 @@ def test_component_K1_matches_einsum_form(surface):
 @pytest.mark.parametrize("theta,phi", [(0.9, 0.4), (0.0, 1.3), (np.pi, 0.0),
                                        (2.2, -2.5)])
 def test_joint_synthesis_matches_two_separate_calls(theta, phi):
-    # the grid's nodes with the target appended give, bitwise, the grid
-    # values of a synthesis at the nodes alone; the target's value is the
-    # one-point synthesis to rounding (a lone row's matrix product may sum
-    # in another order), and close_eval_3d reads mu* and mu - mu* from
-    # the joint call
+    # the one rotated synthesis gives mu on the grid and mu* at the target
+    # jointly; two scattered syntheses, at the grid's node directions and
+    # at the target, give them to rounding (1e-15 of sum |c_lm|), and
+    # close_eval_3d reads mu* and mu - mu* from the joint one
     d = solve_density3d(mushroom(), harmonic_point_source_3d(
         mushroom(), SOURCE), 10)
-    grid = rotated_grid(d.surface, theta, phi, d.N)
-    th, ph = direction_angles(grid[3], phi)
-    joint = d(np.append(th, theta), np.append(ph, phi))
-    assert joint[:-1].tolist() == d(th, ph).ravel().tolist()
-    single = d(np.full(1, theta), np.full(1, phi))[0]
+    mu_star, mu = _rotated_synthesis(d.coeffs, theta, phi)
     scale = np.sum(np.abs(d.coeffs.c))
-    assert abs(joint[-1] - single) <= 1e-15*scale
+    on_grid = density_values(d, *grid_angles(theta, phi, d.N))
+    single = density_values(d, np.full(1, theta), np.full(1, phi))[0]
+    assert np.max(np.abs(mu - on_grid)) <= 1e-15*scale
+    assert abs(mu_star - single) <= 1e-15*scale
     eps = np.array([1e-1, 1e-2, 1e-3])
     x = _target_points(d.surface, theta, phi, eps)
+    grid = rotated_grid(d.surface, theta, phi, d.N)
     w = closeeval3d.dlp_weights(grid, x[..., None, None, :])
+    numerical = -mu_star + (1.0/(4*d.N))*np.sum(w*(mu - mu_star),
+                                                axis=(-2, -1))
     got = close_eval_3d(d, theta, phi, eps, methods=("numerical",))
-    for mu_star, exact in ((float(joint[-1]), True), (float(single), False)):
-        dmu = d(th, ph) - mu_star
-        numerical = -mu_star + (1.0/(4*d.N))*np.sum(w*dmu, axis=(-2, -1))
-        if exact:
-            assert got["numerical"].tolist() == numerical.tolist()
-        else:
-            assert_allclose(got["numerical"], numerical, rtol=0,
-                            atol=2e-15*scale)
+    assert got["numerical"].tolist() == numerical.tolist()
+
+
+def test_no_table_grows_with_the_targets():
+    # the rotation reads the J_y eigenvectors, one table per degree; more
+    # targets, at new colatitudes, add none
+    d = _y10_density(12)
+    close_eval_3d(d, 0.9, 0.4, 1e-2)
+    held = spectral._jy_eigenvectors.cache_info().currsize
+    for theta in np.linspace(0.0, np.pi, 9):
+        close_eval_3d(d, theta, 2*theta, 1e-2)
+    assert spectral._jy_eigenvectors.cache_info().currsize == held

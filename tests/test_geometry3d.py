@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from closeeval.geometry3d import (Surface3D, direction, direction_angles,
-                                  mushroom, rotation_matrix,
-                                  surface_point_and_normal, unit_sphere)
+from closeeval.geometry3d import (Surface3D, direction, mushroom,
+                                  rotation_matrix, surface_point_and_normal,
+                                  unit_sphere)
 from closeeval.spectral import mapped_rule, periodic_nodes
 
-from references import radial_surface, rotated_angles, rotated_frame
+from references import (direction_angles, radial_surface, rotated_angles,
+                        rotated_frame)
 
 SURFACES = {"sphere": unit_sphere(), "mushroom": mushroom()}
 

@@ -501,22 +501,34 @@ def test_directly_built_config_refuses_what_json_refuses(problem, key, value):
         StudyConfig(**{"problem": problem, harness._KEYS[key]: value})
 
 
-@pytest.mark.parametrize("eps", [np.nan, np.inf, [1e-2, np.nan, 1e-3]],
-                         ids=["nan", "inf", "array-with-nan"])
-@pytest.mark.parametrize("family", ["2d", "3d"])
-def test_evaluators_refuse_eps_that_is_not_finite(family, eps):
+_NOT_FINITE = "eps must be finite and positive"
+_ONTO_TARGET = "rounds onto y"
+
+
+@pytest.mark.parametrize("family,eps,message", [
+    ("2d", np.nan, _NOT_FINITE), ("2d", np.inf, _NOT_FINITE),
+    ("2d", [1e-2, np.nan, 1e-3], _NOT_FINITE), ("3d", np.nan, _NOT_FINITE),
+    ("3d", np.inf, _NOT_FINITE), ("3d", [1e-2, np.nan, 1e-3], _NOT_FINITE),
+    ("2d", 1e-300, _ONTO_TARGET), ("2d", [1e-2, 1e-300], _ONTO_TARGET),
+    ("2d", 1e-17, _ONTO_TARGET)],
+    ids=["2d-nan", "2d-inf", "2d-array-with-nan", "3d-nan", "3d-inf",
+         "3d-array-with-nan", "2d-onto-target", "2d-array-onto-target",
+         "2d-below-an-ulp-onto-target"])
+def test_evaluators_refuse_eps_that_is_not_finite(family, eps, message):
     # a config refuses these eps when it is read; the evaluators called
-    # directly refuse them too, instead of returning nan values
+    # directly refuse them too, instead of returning nan values.  A 2D point
+    # y* - eps*nu* that rounds onto y* is the target node itself, where the
+    # kernel is 0/0
     if family == "2d":
         density = solve_density(kite(), dirichlet_data(kite(), (1.85, 1.65),
-                                                       16))
+                                                       128))
         evaluate = functools.partial(close_eval_2d, density, 3)
     else:
         density = bie3d.Density3D(unit_sphere(),
                                   spectral.SphericalCoeffs.zeros(2))
         evaluate = functools.partial(closeeval3d.close_eval_3d, density,
                                      1.0, 0.5, methods=("numerical",))
-    with pytest.raises(ValueError, match="eps must be finite and positive"):
+    with pytest.raises(ValueError, match=message):
         evaluate(eps)
 
 

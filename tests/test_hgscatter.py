@@ -7,12 +7,12 @@ from numpy.testing import assert_allclose
 import references
 from closeeval import hgscatter, spectral
 from closeeval.hgscatter import apply_L_asymptotic, apply_L_spectral
-from closeeval.spectral import SphericalCoeffs, mapped_rule, sph_synthesis
+from closeeval.spectral import SphericalCoeffs, mapped_rule
 
 from references import (MAX_POLAR_NODES, apply_L32, apply_L32_rings,
                         apply_L_direct, degrees, p_hg, poisson_close_eval,
-                        single, sph_harm_eval, spherical_laplacian,
-                        _polar_default, _ring_average)
+                        single, sph_harm_eval, sph_synthesis,
+                        spherical_laplacian, _polar_default, _ring_average)
 
 OMEGA = (1.1, 0.7)
 

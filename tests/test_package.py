@@ -52,7 +52,10 @@ def test_no_module_names_the_deleted_duplicates():
     # rotated-grid wrapper, are deleted; the operators, coefficient helpers
     # and result lookups that only tests call live in tests/references.py;
     # eps is the distance, so no module names a scale ell; the package
-    # re-exports nothing, so no __all__ is left
+    # re-exports nothing, so no __all__ is left; a density reaches a
+    # target's grid through its rotated coefficients, so neither the
+    # scattered synthesis, the density's call nor the conversion of
+    # directions to angles is left
     deleted = {"rotated_angles", "sph_basis_matrix", "sph_harm_eval",
                "_ptr_and_sub", "_coord", "_descending", "run_hg_study",
                "_sweep_2d", "_sweep_3d", "_by_target", "_cmd_hg",
@@ -64,7 +67,8 @@ def test_no_module_names_the_deleted_duplicates():
                "poisson_close_eval", "spherical_laplacian", "degrees",
                "single", "errors_for", "fit_for", "ell",
                "gauss_interior_value", "gauss_interior_value_3d",
-               "apply_K_subtracted", "__all__"}
+               "apply_K_subtracted", "__all__", "sph_synthesis",
+               "direction_angles", "__call__"}
     for path in sorted(PACKAGE.glob("*.py")):
         names = set()
         for node in ast.walk(ast.parse(path.read_text())):

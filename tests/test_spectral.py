@@ -7,12 +7,11 @@ from closeeval.spectral import (SphericalCoeffs, _jy_eigenvectors,
                                 _tri, _wigner_d,
                                 analysis_grid, gauss_legendre,
                                 mapped_rule, periodic_derivative,
-                                periodic_nodes, sph_analysis, sph_half_basis,
-                                sph_synthesis)
+                                periodic_nodes, sph_analysis, sph_half_basis)
 
 from references import (degrees, pole_second_derivative_average,
                         rotated_angles, single, sph_basis_matrix,
-                        sph_harm_eval, spherical_laplacian)
+                        sph_harm_eval, sph_synthesis, spherical_laplacian)
 
 
 def _random_band_limited(rng, N):
