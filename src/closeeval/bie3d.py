@@ -25,15 +25,15 @@ the reflections give the others, and a row enters the longitude sums once
 per point of its orbit.  Every row's grid is the same local (s, t) grid,
 rotated by R_z(phi_j) R_y(theta_i).  So a row's kernel weights are
 projected onto local harmonics (an FFT over t and one Legendre table at the
-N polar nodes), turned to global harmonics by the Wigner matrices
-d^l(theta_i), built per degree for a block of colatitudes at once, and
-phased by e^{im phi_j}; the basis is evaluated only at the N row poles
-(theta_i, 0) (DECISIONS.md D14).
+N polar nodes), turned to global harmonics by d^l(theta_i) (_rotated_rows,
+once per degree for a block of colatitudes; DECISIONS.md D31) and phased by
+e^{im phi_j}; the basis is evaluated only at the N row poles (theta_i, 0)
+(DECISIONS.md D14).
 
 Close evaluation reaches a density on a target's rotated grid by the
-transpose: the density's coefficients are rotated to the target, and the
-same Legendre table and one product with a table of the azimuthal waves
-give its values (DECISIONS.md D30).
+transpose: the density's coefficients are rotated to the target by the
+same _rotated_rows, and the same Legendre table and one product with a
+table of the azimuthal waves give its values (DECISIONS.md D30).
 """
 
 from __future__ import annotations
@@ -50,28 +50,28 @@ import numpy as np
 
 from .geometry3d import (Surface3D, _rotated_frame, direction,
                          surface_point_and_normal)
-from .spectral import (SphericalCoeffs, _jy_eigenvectors, _legendre_table,
-                       _rotated_coefficients, _tri, _wigner_d, analysis_grid,
-                       mapped_rule, periodic_nodes, sph_analysis)
+from .spectral import (SphericalCoeffs, _legendre_table, _rotated_coefficients,
+                       _rotated_rows, _tri, analysis_grid, mapped_rule,
+                       periodic_nodes, sph_analysis)
 
 # Largest Galerkin degree.  Assembly builds N^2(N/2 + 1) rotated grids of
 # 2N^2 nodes (O(N^4) geometry) and reaches the basis through local
-# harmonics and Wigner rotations (O(N^5) flops); it holds the four real
-# blocks, N^4/4 values.  A mushroom solve on one BLAS thread takes about
-# 3.2 s and 144 MB at n = 64, and 19 s and 345 MB at n = 96.  A whole
+# harmonics and their rotation (O(N^5) flops); it holds the four real
+# blocks, N^4/4 values.  A mushroom solve on one BLAS thread took 2.2 s
+# and 109 MB at n = 64, and 11 s and 318 MB at n = 96.  A whole
 # default-slice mushroom study at n = 64 (the solve, then 32 targets x 76
-# eps) took 2.4 s with a 146 MB peak in one run on a 2-core host, where
-# the solve alone took 2.1 s: the solve sets the peak, not the targets.
+# eps) took 2.6 s with a 110 MB peak in one run on a 2-core host: the
+# solve sets the peak, not the targets.
 MAX_DEGREE = 96
 # Revision of the Galerkin solver that saved densities record; raise it
 # whenever the assembled matrix changes, so that densities solved by
 # earlier code are solved again instead of trusted.
-SOLVER_REVISION = 3
+SOLVER_REVISION = 4
 # Quadrature nodes per stacked block of Galerkin rows (see _row_block).
 _BLOCK_NODES = 2**14
-# Wigner-table and longitude-sum values per block of colatitudes (see
-# _colatitude_block).
-_COLATITUDE_VALUES = 2**22
+# Local-coefficient and longitude-sum values per block of colatitudes (see
+# _colatitude_block): 16 MB, every colatitude at once up to n = 38.
+_COLATITUDE_VALUES = 2**21
 
 
 @contextmanager
@@ -209,7 +209,8 @@ def _rotated_synthesis(coeffs: SphericalCoeffs, theta0: float,
     (theta0, phi0) and at the nodes of rotated_grid about it at the degree
     N = coeffs.N, shape (N, 2N).
 
-    The transpose of _rotated_sums.  The grid is the local (s, t) grid
+    The transpose of the assembly's rotated sums (_local_coefficients,
+    _rotate_block).  The grid is the local (s, t) grid
     turned by R = rotation_matrix(theta0, phi0), so mu(R d(s_j, t_q)) is
     the local expansion with the rotated coefficients b_lm'
     (spectral._rotated_coefficients), a real function: b_l0 Y_l0 plus
@@ -323,18 +324,24 @@ def assemble_galerkin(surface: Surface3D, n: int) -> tuple:
     chunk = _colatitude_block(n)
     for first in range(0, n, chunk):
         part = slice(first, min(first + chunk, n))
-        rotations = _wigner_tables(th[part], n)
-        sums = [np.empty((orders.size, part.stop - first, cols.size))
-                for cols, orders, _ in basis]
+        # by (harmonic, row, colatitude): a degree's rows are stacked columns
+        X = np.empty((_tri(n), quarter.size, part.stop - first),
+                     dtype=complex)
+        total = np.empty(X.shape[1:])
         for c, i in enumerate(range(first, part.stop)):
             for k in range(0, quarter.size, step):
                 phi = quarter[k:k + step]
                 KW[k:k + step] = subtracted_weights(
                     surface, np.full(phi.size, th[i]), phi, n)
+            X[..., c] = _local_coefficients(KW, local)
+            total[:, c] = KW.sum(axis=(1, 2))
+        _rotate_block(X, th[part], n)
+        sums = [np.empty((orders.size, X.shape[2], cols.size))
+                for cols, orders, _ in basis]
+        for c, i in enumerate(range(first, part.stop)):
             # operator applied to every m >= 0 harmonic at once:
             # sum kw (Y - Y0)  -  Y0/2  -  Y0/2, with Y0 turned like the grid
-            V = turn*(_rotated_sums(KW, local, [r[c] for r in rotations]).T
-                      - poles[i]*(KW.sum(axis=(1, 2)) + 1.0)[:, None])
+            V = turn*(X[..., c].T - poles[i]*(total[:, c] + 1.0)[:, None])
             # longitude sums of Re V (cos functions) and Im V (sin
             # functions) against cos m'phi and sin m'phi
             for (cols, orders, _), T, weights, field in zip(
@@ -353,36 +360,14 @@ def assemble_galerkin(surface: Surface3D, n: int) -> tuple:
     return tuple(blocks)
 
 
-def _wigner_tables(theta, n: int) -> list:
-    """Per degree l < n, the Wigner matrices d^l(theta_i) of every
-    colatitude folded for _rotated_sums, shape (len(theta), 2, l+1, l+1).
-
-    A row's local coefficients c_lm' are X_m' = sum_j Pbar rfft(kw) with
-    c_lm' = (-1)^m' conj(X_m') and c_{l,-m'} = X_m'.  With d_+ the columns
-    m' >= 0 of d^l, d_- the columns -m' <= 0 with m' = 0 zeroed, and
-    S = diag((-1)^m'), the rows m >= 0 of the rotation are
-    sum_m' d_mm' c_lm' = (d_+ S + d_-) Re X - i (d_+ S - d_-) Im X; the two
-    matrices are stacked."""
-    out = []
-    for l in range(n):
-        d = _wigner_d(_jy_eigenvectors(l), theta, l)
-        plus, minus = d[..., l:]*(-1.0)**np.arange(l + 1), d[..., l::-1]
-        minus[..., 0] = 0.0
-        out.append(np.stack([plus + minus, plus - minus], axis=1))
-    return out
-
-
-def _rotated_sums(KW, local, rotation):
-    """sum_jq kw_jq Y_lm(R_y(beta) d(s_j, t_q)) for every row kw of KW
-    (rows, n, 2n) and every 0 <= m <= l < n, shape (n(n+1)/2, rows), with
-    rotation the _wigner_tables of beta, one (2, l+1, l+1) array per l.
-
-    Each row's local coefficients c_lm' = sum_jq kw_jq Y_lm'(s_j, t_q) come
-    from an FFT over the 2n azimuths t_q = -pi + pi q/n, where
-    sum_q kw_q e^{im't_q} = (-1)^m' conj(rfft(kw)[m']), and one product per
-    order m' with the Legendre table local at the polar nodes s_j.  kw is
-    real, so c_{l,-m'} = (-1)^m' conj(c_lm').  The Wigner matrices d^l(beta)
-    carry them to Y_lm(R_y(beta) .) (DECISIONS.md D14)."""
+def _local_coefficients(KW, local):
+    """X_m' = sum_j Pbar_lm'(s_j) rfft(kw_j)[m'] for every row kw of KW
+    (rows, n, 2n) and 0 <= m' <= l < n, shape (n(n+1)/2, rows), with local
+    the Legendre table at the polar nodes s_j.  A row's local sums
+    c_lm' = sum_jq kw_jq Y_lm'(s_j, t_q) are c_lm' = (-1)^m' conj(X_m') and
+    c_{l,-m'} = X_m', since sum_q kw_q e^{im't_q} = (-1)^m'
+    conj(rfft(kw)[m']) at t_q = -pi + pi q/n and kw is real
+    (DECISIONS.md D14)."""
     rows, n = KW.shape[0], KW.shape[1]
     # (m', j, row), contiguous, so each order is one real product
     F = np.ascontiguousarray(np.fft.rfft(KW)[..., :n].transpose(2, 1, 0))
@@ -390,20 +375,30 @@ def _rotated_sums(KW, local, rotation):
     for mp in range(n):
         slots = _tri(np.arange(mp, n)) + mp
         out[slots] = (local[slots] @ F[mp].view(float)).view(complex)
-    for l, (even, odd) in enumerate(rotation):
-        X = out[_tri(l):_tri(l + 1)]
-        re = even @ X.real
-        im = odd @ X.imag
-        X.real, X.imag = re, -im
     return out
 
 
+def _rotate_block(X, theta, n: int):
+    """Turn X (n(n+1)/2, rows, colatitudes) of _local_coefficients in place
+    into sum_jq kw_jq Y_lm(R_y(theta_c) d(s_j, t_q)) for each row kw at
+    colatitude theta_c, one _rotated_rows call per degree (D31)."""
+    sign = (-1.0)**np.arange(n)[:, None]
+    # e^{-ik theta_c} for k = 1-n..n-1 and each column (row, colatitude)
+    k = np.arange(1 - n, n)[:, None]
+    turn = np.exp(-1j*k*np.tile(theta, X.shape[1]))
+    for l in range(n):
+        Xl = X[_tri(l):_tri(l + 1)].reshape(l + 1, -1)
+        c = np.concatenate((Xl[::-1], sign[1:l + 1]*np.conj(Xl[1:])))
+        Xl[:] = _rotated_rows(c, turn[n - 1 - l:n + l])
+
+
 def _colatitude_block(n: int) -> int:
-    """Colatitudes whose Wigner tables and longitude sums the assembly
-    holds at once, about 7n^3/6 values each: equal blocks of at most
-    _COLATITUDE_VALUES values, so they stay small beside the four blocks
-    (n^4/4 values) at high degree (DECISIONS.md D19)."""
-    blocks = -(-n*(7*n**3//6)//_COLATITUDE_VALUES)
+    """Colatitudes whose local coefficients (n(n+1)/2 complex values for
+    each of n/2 + 1 rows) and longitude sums the assembly holds at once,
+    about n^3 values each: equal blocks of at most _COLATITUDE_VALUES
+    values, so they stay small beside the four blocks (n^4/4 values) at
+    high degree (DECISIONS.md D19, D31)."""
+    blocks = -(-n*n**3//_COLATITUDE_VALUES)
     return -(-n//blocks)
 
 

@@ -94,6 +94,13 @@ def _cmd_fit(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a range such as "-1:1e-1:5" joins its flag, or argparse reads an option
+    for i in range(len(argv) - 1, 0, -1):
+        flag, value = argv[i - 1], argv[i]
+        if ("--eps-range".startswith(flag) and len(flag) > 2 and ":" in value
+                and value.startswith("-") and not value.startswith("--")):
+            argv[i - 1:i + 1] = [f"{flag}={value}"]
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)

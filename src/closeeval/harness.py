@@ -259,7 +259,7 @@ class StudyConfig:
                               f"[{MIN_NODES}, {MAX_NODES}]")
         if fam == "3d" and not 4 <= self.n <= MAX_DEGREE:
             raise ConfigError(f"3D resolution n must be in [4, {MAX_DEGREE}]"
-                              " (n = 96: a 19 s, 345 MB mushroom solve)")
+                              " (n = 96: an 11 s, 318 MB mushroom solve)")
 
 
 # Each config key (and command-line flag) and the field it sets; an eps

@@ -299,25 +299,30 @@ def _jy_eigenvectors(l: int) -> np.ndarray:
     U.setflags(write=False)
     return U
 
-def _wigner_d(U: np.ndarray, beta, rows: int = 0) -> np.ndarray:
-    """Wigner d^l(beta) = exp(-i beta J_y) from U = _jy_eigenvectors(l):
-    the rows m = rows - l .. l and every column m' = -l .. l.  An array of
-    angles gives one matrix per angle along leading axes.
+@lru_cache(maxsize=None)
+def _rotation_factors(l: int) -> tuple:
+    """_rotated_rows' read-only factors for degree l: U^T, the rows m >= 0
+    of U = _jy_eigenvectors(l), and exact columns i^-m and i^m (m >= 0)."""
+    U = _jy_eigenvectors(l)
+    power = np.array([1, 1j, -1, -1j])[np.arange(-l, l + 1) % 4][:, None]
+    power.setflags(write=False)
+    return U.T, U[l:], power[::-1], power[l:]
 
-    Y_lm(R_y(beta) p) = sum_m' d_mm' Y_lm'(p), with R_y = rotation_matrix(
-    beta, 0).  d_mm' = Re(i^(m-m') sum_k U_mk U_m'k e^{-ik beta}), and the
-    eigenvalues k = -l..l are used exactly."""
-    l = (len(U) - 1)//2
-    k = np.arange(-l, l + 1)
-    top = U[rows:]
-    angle = np.asarray(beta, dtype=float)[..., None, None]*k
-    C = (top*np.cos(angle)) @ U.T
-    S = (top*np.sin(angle)) @ U.T
-    # i^(m-m') (C - iS) is real: C where m - m' is even, S where it is odd,
-    # with the sign of the power of i
-    gap = (k[rows:, None] - k[None, :]) % 4
-    return np.choose(gap, (C, S, -C, -S))
+def _rotated_rows(x: np.ndarray, turn: np.ndarray) -> np.ndarray:
+    """The rows m = 0..l of d^l(beta) x, shape (l+1, K), for stacked
+    complex columns x (2l+1, K) in the order m' = -l..l, with
+    turn[k + l] = e^{-ik beta} (k = -l..l) of each column's beta, shape
+    (2l+1, K), or (2l+1, 1) for one angle.
 
+    Y_lm(R_y(beta) p) = sum_m' d_mm'(beta) Y_lm'(p) for R_y(beta) =
+    rotation_matrix(beta, 0), and d^l(beta) = T U E U^T T^-1 with
+    T = diag(i^m), U = _jy_eigenvectors(l) and E = diag(e^{-ik beta})
+    (DECISIONS.md D14); d^l(beta)^T = d^l(-beta), so conj(turn) applies
+    the transpose.  U multiplies the real and imaginary parts as two real
+    columns, and no Wigner matrix is formed (DECISIONS.md D31)."""
+    columns, rows, inverse, power = _rotation_factors((len(x) - 1)//2)
+    y = (columns @ (inverse*x).view(float)).view(complex)*turn
+    return (rows @ y.view(float)).view(complex)*power
 
 
 def _rotated_coefficients(coeffs: SphericalCoeffs, theta: float,
@@ -329,24 +334,16 @@ def _rotated_coefficients(coeffs: SphericalCoeffs, theta: float,
 
     Re f has the coefficients e_lm = (c_lm + (-1)^m conj(c_{l,-m}))/2, and
     Y_lm(R_z(phi) R_y(theta) p) = e^{im phi} sum_m' d_mm'(theta) Y_lm'(p)
-    (_wigner_d), so b_lm' = sum_m e_lm e^{im phi} d_mm'(theta).  With
-    T = diag(i^m), U = _jy_eigenvectors(l) and E = diag(e^{-ik theta}),
-    d = T U E U^T T^-1, so b = T^-1 U E U^T T w for w_m = e_lm e^{im phi}:
-    two products with U per degree and no Wigner matrix formed
-    (DECISIONS.md D30)."""
+    (_rotated_rows), so b = d^l(theta)^T w = d^l(-theta) w for
+    w_m = e_lm e^{im phi} (DECISIONS.md D30, D31)."""
     N = coeffs.N
     n = np.repeat(np.arange(N), 2*np.arange(N) + 1)
     m = np.arange(N*N) - n*n - n
     e = 0.5*(coeffs.c + (-1.0)**m*np.conj(coeffs.c[n*n + n - m]))
-    k = np.arange(1 - N, N)
-    # i^k, exactly, for every order k = 1 - N .. N - 1
-    power = np.array([1, 1j, -1, -1j])[k % 4]
-    phase = np.exp(1j*k*phi)*power
-    turn = np.exp(-1j*k*theta)
-    out = np.empty(_tri(N), dtype=complex)
+    w = (e*np.exp(1j*m*phi))[:, None]
+    turn = np.exp(1j*np.arange(1 - N, N)*theta)[:, None]
+    out = np.empty((_tri(N), 1), dtype=complex)
     for l in range(N):
-        U = _jy_eigenvectors(l)
-        orders = slice(N - 1 - l, N + l)
-        x = ((e[l*l:(l + 1)**2]*phase[orders]) @ U)*turn[orders]
-        out[_tri(l):_tri(l + 1)] = (U[l:] @ x)*np.conj(power[N - 1:N + l])
-    return out
+        out[_tri(l):_tri(l + 1)] = _rotated_rows(w[l*l:(l + 1)**2],
+                                                 turn[N - 1 - l:N + l])
+    return out[:, 0]

@@ -17,7 +17,8 @@ rotated grid's geometry and node directions at any (s, t), and
 rotated_angles and grid_angles the angles of its nodes.
 unit_circle and radial_surface build shapes that no study runs on.
 galerkin_matrix turns the Galerkin assembly's real blocks back into the
-complex n^2 x n^2 matrix.  dlp_weights_einsum and kernel_K1_einsum are
+complex n^2 x n^2 matrix.  _wigner_d forms the Wigner matrices d^l(beta)
+that spectral._rotated_rows applies without forming them.  dlp_weights_einsum and kernel_K1_einsum are
 the 3D kernels with their dot products taken by einsum, the form the
 component-wise kernels replaced.
 single, degrees and spherical_laplacian build a one-harmonic field, list
@@ -391,3 +392,23 @@ def pole_second_derivative_average(sampler, h: float = 1e-3,
 
     a1, a2 = avg(h), avg(h/2)
     return (4.0*a2 - a1)/3.0
+
+
+def _wigner_d(U: np.ndarray, beta, rows: int = 0) -> np.ndarray:
+    """Wigner d^l(beta) = exp(-i beta J_y) from U = _jy_eigenvectors(l):
+    the rows m = rows - l .. l and every column m' = -l .. l.  An array of
+    angles gives one matrix per angle along leading axes.
+
+    Y_lm(R_y(beta) p) = sum_m' d_mm' Y_lm'(p), with R_y = rotation_matrix(
+    beta, 0).  d_mm' = Re(i^(m-m') sum_k U_mk U_m'k e^{-ik beta}), and the
+    eigenvalues k = -l..l are used exactly."""
+    l = (len(U) - 1)//2
+    k = np.arange(-l, l + 1)
+    top = U[rows:]
+    angle = np.asarray(beta, dtype=float)[..., None, None]*k
+    C = (top*np.cos(angle)) @ U.T
+    S = (top*np.sin(angle)) @ U.T
+    # i^(m-m') (C - iS) is real: C where m - m' is even, S where it is odd,
+    # with the sign of the power of i
+    gap = (k[rows:, None] - k[None, :]) % 4
+    return np.choose(gap, (C, S, -C, -S))

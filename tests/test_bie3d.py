@@ -169,23 +169,25 @@ def test_galerkin_evaluates_basis_only_at_row_poles(monkeypatch):
 
 def test_galerkin_colatitude_blocks_change_the_pattern_not_the_matrix(
         monkeypatch):
-    # at high degree the Wigner tables and longitude sums are built for a
-    # block of colatitudes at a time; a small budget splits the 8
-    # colatitudes of n = 8 into blocks of 3, 3 and 2
-    angles = []
-    wigner_d = bie3d._wigner_d
+    # at high degree the local coefficients and longitude sums are held
+    # for a block of colatitudes at a time, and each degree's rows of a
+    # block are rotated in one batch; a small budget splits the 8
+    # colatitudes of n = 8 into blocks of 3, 3 and 2, whose 5 rows each
+    # give batches of 15, 15 and 10 columns
+    columns = []
+    rotated_rows = bie3d._rotated_rows
 
-    def counted(U, beta, rows=0):
-        angles.append(np.size(beta))
-        return wigner_d(U, beta, rows)
+    def counted(x, turn):
+        columns.append(x.shape[1])
+        return rotated_rows(x, turn)
 
-    monkeypatch.setattr(bie3d, "_wigner_d", counted)
+    monkeypatch.setattr(bie3d, "_rotated_rows", counted)
     A = assemble_galerkin(mushroom(), 8)
-    assert angles == [8]*8
-    angles.clear()
+    assert columns == [40]*8
+    columns.clear()
     monkeypatch.setattr(bie3d, "_COLATITUDE_VALUES", 2000)
     blocked = assemble_galerkin(mushroom(), 8)
-    assert angles == [3]*8 + [3]*8 + [2]*8
+    assert columns == [15]*8 + [15]*8 + [10]*8
     assert max(np.max(np.abs(b - a)) for a, b in zip(A, blocked)) <= 1e-15
 
 
@@ -202,6 +204,20 @@ def test_solve_holds_no_dense_analysis_operator():
         tracemalloc.stop()
     assert peak < 7*2**20
     assert d.N == 16
+
+
+def test_galerkin_assembly_holds_no_formed_rotation():
+    # with its caches warm, an n = 24 assembly peaks at about 4.0 MB; with
+    # a folded Wigner table of every degree and colatitude, and the
+    # temporaries of forming it, it peaked at 5.7 MB
+    assemble_galerkin(mushroom(), 24)
+    tracemalloc.start()
+    try:
+        assemble_galerkin(mushroom(), 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5*2**20
 
 
 def test_galerkin_degree_cap():

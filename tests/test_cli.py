@@ -556,6 +556,28 @@ def test_fit_bad_window_exits_2(tmp_path, capsys, window):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--eps-range", "--eps"])
+@pytest.mark.parametrize("command, value, message", [
+    ("run", "-1:1e-1:5", "eps range needs finite 0 < lo < hi"),
+    ("fit", "-1:1e-2", "fit window needs finite 0 < lo < hi"),
+])
+def test_negative_eps_range_is_a_config_error(tmp_path, capsys, command,
+                                              value, message, flag):
+    # a range that starts with "-", given as a separate argument after the
+    # flag or an abbreviation of it, reaches the range check, and no
+    # directory is made
+    out = tmp_path/"out"
+    if command == "run":
+        source = _write_config(tmp_path, _kite_payload(str(out)))
+    else:
+        source = tmp_path/"results.csv"
+        source.write_text(harness.CSV_HEADER + "\n")
+    assert cli.main([command, str(source), flag, value,
+                     "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_drops_non_finite_errors(tmp_path, capsys):
     # four infinite errors once gave "slope": NaN, which is not JSON
     csv = tmp_path/"results.csv"

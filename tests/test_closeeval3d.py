@@ -288,11 +288,13 @@ def test_joint_synthesis_matches_two_separate_calls(theta, phi):
 
 
 def test_no_table_grows_with_the_targets():
-    # the rotation reads the J_y eigenvectors, one table per degree; more
-    # targets, at new colatitudes, add none
+    # the rotation reads the J_y eigenvectors and its factors, one entry of
+    # each per degree; more targets, at new colatitudes, add none
     d = _y10_density(12)
     close_eval_3d(d, 0.9, 0.4, 1e-2)
-    held = spectral._jy_eigenvectors.cache_info().currsize
+    caches = (spectral._jy_eigenvectors, spectral._rotation_factors)
+    held = [cache.cache_info().currsize for cache in caches]
+    assert held[1] >= 12
     for theta in np.linspace(0.0, np.pi, 9):
         close_eval_3d(d, theta, 2*theta, 1e-2)
-    assert spectral._jy_eigenvectors.cache_info().currsize == held
+    assert [cache.cache_info().currsize for cache in caches] == held

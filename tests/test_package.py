@@ -55,7 +55,9 @@ def test_no_module_names_the_deleted_duplicates():
     # re-exports nothing, so no __all__ is left; a density reaches a
     # target's grid through its rotated coefficients, so neither the
     # scattered synthesis, the density's call nor the conversion of
-    # directions to angles is left
+    # directions to angles is left; the Wigner matrices are applied through
+    # the J_y eigenvectors and never formed, so no formed or folded table
+    # is left
     deleted = {"rotated_angles", "sph_basis_matrix", "sph_harm_eval",
                "_ptr_and_sub", "_coord", "_descending", "run_hg_study",
                "_sweep_2d", "_sweep_3d", "_by_target", "_cmd_hg",
@@ -68,7 +70,8 @@ def test_no_module_names_the_deleted_duplicates():
                "single", "errors_for", "fit_for", "ell",
                "gauss_interior_value", "gauss_interior_value_3d",
                "apply_K_subtracted", "__all__", "sph_synthesis",
-               "direction_angles", "__call__"}
+               "direction_angles", "__call__", "_wigner_d",
+               "_wigner_tables"}
     for path in sorted(PACKAGE.glob("*.py")):
         names = set()
         for node in ast.walk(ast.parse(path.read_text())):

@@ -4,12 +4,12 @@ from numpy.testing import assert_allclose
 
 from closeeval.spectral import (SphericalCoeffs, _jy_eigenvectors,
                                 _legendre_coefficients, _legendre_table,
-                                _tri, _wigner_d,
+                                _rotated_rows, _tri,
                                 analysis_grid, gauss_legendre,
                                 mapped_rule, periodic_derivative,
                                 periodic_nodes, sph_analysis, sph_half_basis)
 
-from references import (degrees, pole_second_derivative_average,
+from references import (_wigner_d, degrees, pole_second_derivative_average,
                         rotated_angles, single, sph_basis_matrix,
                         sph_harm_eval, sph_synthesis, spherical_laplacian)
 
@@ -273,55 +273,82 @@ def test_analysis_rejects_a_grid_of_the_wrong_shape():
             sph_analysis(values)
 
 
-# ------------------------------------------------------------------ wigner
+# ---------------------------------------------------------------- rotation
 
 WIGNER_DEGREES = 64
 
 
-def test_wigner_d_at_zero_is_the_identity():
+def _turn(l, betas):
+    """e^{-ik beta} for k = -l..l (rows) and each angle (columns)."""
+    return np.exp(-1j*np.outer(np.arange(-l, l + 1), betas))
+
+
+def test_rotated_rows_at_zero_is_the_identity():
     for l in range(WIGNER_DEGREES):
-        d = _wigner_d(_jy_eigenvectors(l), 0.0)
-        assert np.max(np.abs(d - np.eye(2*l + 1))) <= 1e-14
+        eye = np.eye(2*l + 1, dtype=complex)
+        d = _rotated_rows(eye, _turn(l, [0.0]))
+        assert np.max(np.abs(d - eye[l:])) <= 1e-14
 
 
-@pytest.mark.parametrize("beta", [0.3, 1.7, np.pi])
-def test_wigner_d_is_orthogonal(beta):
-    for l in range(WIGNER_DEGREES):
-        d = _wigner_d(_jy_eigenvectors(l), beta)
-        assert np.max(np.abs(d @ d.T - np.eye(2*l + 1))) <= 1e-14
-
-
-@pytest.mark.parametrize("beta", [0.4, 1.9, 2.9])
-def test_wigner_d_rotates_the_harmonics(beta):
+def test_rotated_rows_of_stacked_angles_match_the_wigner_matrices():
+    # one column per (angle, m'), as the Galerkin assembly stacks a block
+    # of colatitudes; conj(turn) applies the transpose, as close
+    # evaluation does.  The formed matrices rotate the harmonics:
     # Y_lm(R_y(beta) p) = sum_m' d_mm'(beta) Y_lm'(p) at random points p,
-    # with R_y(beta) = rotation_matrix(beta, 0); the m >= 0 columns of
-    # sph_basis_matrix are sph_half_basis
-    rng = np.random.default_rng(int(10*beta))
+    # with R_y(beta) = rotation_matrix(beta, 0)
+    betas = np.array([0.0, 0.4, 1.9, 2.9, np.pi])
+    rng = np.random.default_rng(4)
     th = np.arccos(rng.uniform(-1, 1, 40))
     ph = rng.uniform(-np.pi, np.pi, 40)
     N = WIGNER_DEGREES
     B = sph_basis_matrix(th, ph, N)
-    rotated = sph_basis_matrix(*rotated_angles(th, ph, beta, 0.0), N)
+    rotated = [sph_basis_matrix(*rotated_angles(th, ph, beta, 0.0), N)
+               for beta in betas]
     for l in range(N):
         U = _jy_eigenvectors(l)
-        d = _wigner_d(U, beta)
+        d = _wigner_d(U, betas)
+        eye = np.eye(2*l + 1, dtype=complex)
+        turn = np.repeat(_turn(l, betas), 2*l + 1, axis=1)
+        got = _rotated_rows(np.tile(eye, betas.size), turn)
+        back = _rotated_rows(np.tile(eye, betas.size), np.conj(turn))
         cols = slice(l*l, (l + 1)**2)
-        assert np.max(np.abs(rotated[:, cols] - B[:, cols] @ d.T)) <= 1e-13
-        # the rows m >= 0 alone, as the Galerkin assembly asks for them
-        # (the same sums, blocked differently)
-        assert np.max(np.abs(_wigner_d(U, beta, l) - d[l:])) <= 1e-15
+        for j, beta in enumerate(betas):
+            block = slice(j*(2*l + 1), (j + 1)*(2*l + 1))
+            assert np.max(np.abs(got[:, block] - d[j, l:])) <= 1e-14
+            assert np.max(np.abs(back[:, block] - d[j][:, l:].T)) <= 1e-14
+            assert np.max(np.abs(rotated[j][:, cols]
+                                 - B[:, cols] @ d[j].T)) <= 1e-13
 
 
-def test_wigner_d_of_stacked_angles_is_each_angle_alone():
-    # the Galerkin assembly builds a degree's matrices for a block of
-    # colatitudes in one call (the same sums, blocked differently)
-    betas = np.array([0.4, 1.9, 2.9])
+@pytest.mark.parametrize("beta", [0.3, 1.7, np.pi])
+def test_rotated_rows_keep_the_norm_of_a_real_field(beta):
+    # d^l is orthogonal and real, so it keeps the norm of a real field's
+    # coefficients c_{l,-m} = (-1)^m conj(c_lm), and of the rotated field,
+    # whose rows m >= 0 give the rest
+    rng = np.random.default_rng(int(10*beta))
     for l in range(WIGNER_DEGREES):
-        U = _jy_eigenvectors(l)
-        stacked = _wigner_d(U, betas, l)
-        assert stacked.shape == (3, l + 1, 2*l + 1)
-        for beta, d in zip(betas, stacked):
-            assert np.max(np.abs(d - _wigner_d(U, beta, l))) <= 1e-15
+        m = np.arange(-l, l + 1)
+        c = rng.standard_normal((2*l + 1, 3)) + 1j*rng.standard_normal(
+            (2*l + 1, 3))
+        c = (c + (-1.0)**m[:, None]*np.conj(c[::-1]))/2
+        b = _rotated_rows(c, _turn(l, [beta]))
+        kept = np.abs(b[0])**2 + 2*np.sum(np.abs(b[1:])**2, axis=0)
+        assert np.max(np.abs(kept - np.sum(np.abs(c)**2, axis=0))
+                      / np.sum(np.abs(c)**2, axis=0)) <= 1e-14
+
+
+def test_rotated_rows_at_the_largest_galerkin_degree():
+    # l = MAX_DEGREE - 1, the largest degree that the assembly rotates
+    l = 95
+    betas = np.array([0.2, 1.3, 2.6])
+    U = _jy_eigenvectors(l)
+    d = _wigner_d(U, betas, l)
+    eye = np.eye(2*l + 1, dtype=complex)
+    got = _rotated_rows(np.tile(eye, betas.size),
+                        np.repeat(_turn(l, betas), 2*l + 1, axis=1))
+    for j in range(betas.size):
+        block = got[:, j*(2*l + 1):(j + 1)*(2*l + 1)]
+        assert np.max(np.abs(block - d[j])) <= 1e-14
 
 
 def test_coeff_index_layout():
