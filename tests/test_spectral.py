@@ -351,6 +351,55 @@ def test_rotated_rows_at_the_largest_galerkin_degree():
         assert np.max(np.abs(block - d[j])) <= 1e-14
 
 
+# The reference matrices (tests/references.py) that the rotation tests
+# above compare against are themselves checked here against the rotated
+# harmonics, so the comparison is to an independent truth.
+
+def test_wigner_d_at_zero_is_the_identity():
+    for l in range(WIGNER_DEGREES):
+        d = _wigner_d(_jy_eigenvectors(l), 0.0)
+        assert np.max(np.abs(d - np.eye(2*l + 1))) <= 1e-14
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.7, np.pi])
+def test_wigner_d_is_orthogonal(beta):
+    for l in range(WIGNER_DEGREES):
+        d = _wigner_d(_jy_eigenvectors(l), beta)
+        assert np.max(np.abs(d @ d.T - np.eye(2*l + 1))) <= 1e-14
+
+
+@pytest.mark.parametrize("beta", [0.4, 1.9, 2.9])
+def test_wigner_d_rotates_the_harmonics(beta):
+    # Y_lm(R_y(beta) p) = sum_m' d_mm'(beta) Y_lm'(p) at random points p,
+    # with R_y(beta) = rotation_matrix(beta, 0); the m >= 0 columns of
+    # sph_basis_matrix are sph_half_basis
+    rng = np.random.default_rng(int(10*beta))
+    th = np.arccos(rng.uniform(-1, 1, 40))
+    ph = rng.uniform(-np.pi, np.pi, 40)
+    N = WIGNER_DEGREES
+    B = sph_basis_matrix(th, ph, N)
+    rotated = sph_basis_matrix(*rotated_angles(th, ph, beta, 0.0), N)
+    for l in range(N):
+        U = _jy_eigenvectors(l)
+        d = _wigner_d(U, beta)
+        cols = slice(l*l, (l + 1)**2)
+        assert np.max(np.abs(rotated[:, cols] - B[:, cols] @ d.T)) <= 1e-13
+        # the rows m >= 0 alone (the same sums, blocked differently)
+        assert np.max(np.abs(_wigner_d(U, beta, l) - d[l:])) <= 1e-15
+
+
+def test_wigner_d_of_stacked_angles_is_each_angle_alone():
+    # an array of angles gives one matrix per angle (the same sums,
+    # blocked differently)
+    betas = np.array([0.4, 1.9, 2.9])
+    for l in range(WIGNER_DEGREES):
+        U = _jy_eigenvectors(l)
+        stacked = _wigner_d(U, betas, l)
+        assert stacked.shape == (3, l + 1, 2*l + 1)
+        for beta, d in zip(betas, stacked):
+            assert np.max(np.abs(d - _wigner_d(U, beta, l))) <= 1e-15
+
+
 def test_coeff_index_layout():
     assert SphericalCoeffs.index(0, 0) == 0
     assert SphericalCoeffs.index(1, -1) == 1
