@@ -23,9 +23,11 @@ The rows are the nodes (theta_i, phi_j) of that grid, each with its own
 rotated quadrature grid, but only those at 0 <= phi_j <= pi/2 are computed:
 the reflections give the others, and a row enters the longitude sums once
 per point of its orbit.  Every row's grid is the same local (s, t) grid,
-rotated by R_z(phi_j) R_y(theta_i).  So a row's kernel weights are
-projected onto local harmonics (an FFT over t and one Legendre table at the
-N polar nodes), turned to global harmonics by d^l(theta_i) (_rotated_rows,
+rotated by R_z(phi_j) R_y(theta_i), and a linear map of the grid about
+(theta_i, 0), from which a colatitude's rows are built (DECISIONS.md D32).
+So a row's kernel weights are projected onto local harmonics (an FFT over
+t and one Legendre table at the N polar nodes), turned to global harmonics
+by d^l(theta_i) (_rotated_rows,
 once per degree for a block of colatitudes; DECISIONS.md D31) and phased by
 e^{im phi_j}; the basis is evaluated only at the N row poles (theta_i, 0)
 (DECISIONS.md D14).
@@ -54,21 +56,19 @@ from .spectral import (SphericalCoeffs, _legendre_table, _rotated_coefficients,
                        _rotated_rows, _tri, analysis_grid, mapped_rule,
                        periodic_nodes, sph_analysis)
 
-# Largest Galerkin degree.  Assembly builds N^2(N/2 + 1) rotated grids of
-# 2N^2 nodes (O(N^4) geometry) and reaches the basis through local
-# harmonics and their rotation (O(N^5) flops); it holds the four real
-# blocks, N^4/4 values.  A mushroom solve on one BLAS thread took 2.2 s
-# and 109 MB at n = 64, and 11 s and 318 MB at n = 96.  A whole
+# Largest Galerkin degree.  Assembly builds N rotated grids of 2N^2 nodes
+# and N^2(N/2 + 1) kernel rows from them (O(N^4)), reaches the basis through
+# local harmonics and their rotation (O(N^5) flops) and holds the four real
+# blocks, N^4/4 values.  A mushroom solve on one BLAS thread took 0.6 s
+# and 107 MB at n = 64, and 3.8 s and 300 MB at n = 96.  A whole
 # default-slice mushroom study at n = 64 (the solve, then 32 targets x 76
-# eps) took 2.6 s with a 110 MB peak in one run on a 2-core host: the
+# eps) took 0.87 s with a 108 MB peak in one run on a 2-core host: the
 # solve sets the peak, not the targets.
 MAX_DEGREE = 96
 # Revision of the Galerkin solver that saved densities record; raise it
 # whenever the assembled matrix changes, so that densities solved by
 # earlier code are solved again instead of trusted.
-SOLVER_REVISION = 4
-# Quadrature nodes per stacked block of Galerkin rows (see _row_block).
-_BLOCK_NODES = 2**14
+SOLVER_REVISION = 5
 # Local-coefficient and longitude-sum values per block of colatitudes (see
 # _colatitude_block): 16 MB, every colatitude at once up to n = 38.
 _COLATITUDE_VALUES = 2**21
@@ -264,19 +264,46 @@ def dlp_weights(grid, x):
     kern = np.multiply(area_normal[..., 0], dx, out=dx)
     kern += np.multiply(area_normal[..., 1], dy, out=dy)
     kern += np.multiply(area_normal[..., 2], dz, out=dz)
-    r2 *= np.sqrt(r2, out=dy)
-    kern /= r2
-    return np.multiply(w, kern, out=row)
+    return _kernel(w, kern, r2, dy, row)
 
 
-def subtracted_weights(surface: Surface3D, theta0, phi0, n: int):
-    """Kernel-times-area quadrature row for the rotated grid about a
-    boundary target: entries (1/4pi) w_j dt K(y0, y_jk) W_jk.  Stacked
-    targets (theta0, phi0 of shape (k,)) give one row each along a leading
-    axis."""
-    grid = rotated_grid(surface, theta0, phi0, n)
-    y0, _ = surface_point_and_normal(surface, theta0, phi0)
-    return (1.0/(4*n))*dlp_weights(grid, y0[..., None, None, :])
+def _kernel(w, num, r2, root, out):
+    """The tail of both 3D kernels: w num/(r^2 sqrt(r^2)) written to out,
+    with r2 overwritten and root, of r2's shape, as scratch."""
+    r2 *= np.sqrt(r2, out=root)
+    np.divide(num, r2, out=out)
+    return np.multiply(w, out, out=out)
+
+
+def subtracted_weights(surface: Surface3D, theta0: float, phi0, n: int):
+    """Kernel-times-area quadrature rows for the rotated grids about the
+    boundary targets (theta0, phi0): entries (1/4pi) w_j dt K(y0, y_jk) W_jk,
+    shape (n, 2n), or one row per entry of a vector phi0.  All come from
+    the grid about (theta0, 0), which the turn by phi maps by
+    A = S R_z(phi) S^-1 (Surface3D): the numerator W . (y0 - y) is the same
+    for every phi, and r^2 is (y0 - y)^T A^T A (y0 - y) (DECISIONS.md D32).
+    """
+    w, y, area_normal = rotated_grid(surface, theta0, 0.0, n)
+    y0, _ = surface_point_and_normal(surface, theta0, 0.0)
+    c, s, q = np.cos(phi0), np.sin(phi0), surface.axes[1]/surface.axes[0]
+    g = np.stack([c*c + (s*q)**2, c*c + (s/q)**2, np.ones_like(c),
+                  2*c*s*(q - 1/q)], axis=-1).reshape(-1, 4)
+    # one workspace, filled in place: the rows, then dx, dy, dz (squared
+    # for the product with g), dx dy and the numerator
+    work = np.empty((len(g) + 5,) + y.shape[:-1])
+    out, terms, num = work[:-5], work[-5:-1], work[-1]
+    dx, dy, dz, dxy = terms
+    np.subtract(y0, y, out=np.moveaxis(terms[:3], 0, -1))
+    np.multiply(area_normal[..., 0], dx, out=num)
+    num += np.multiply(area_normal[..., 1], dy, out=dxy)
+    num += np.multiply(area_normal[..., 2], dz, out=dxy)
+    np.multiply(dx, dy, out=dxy)
+    np.square(terms[:3], out=terms[:3])
+    np.matmul(g, terms.reshape(4, -1), out=out.reshape(len(g), -1))
+    w = (1.0/(4*n))*w
+    for r2 in out:  # the tail row by row, with dx dy as scratch
+        _kernel(w, num, r2, dxy, r2)
+    return out.reshape(np.shape(phi0) + y.shape[:-1])
 
 
 def assemble_galerkin(surface: Surface3D, n: int) -> tuple:
@@ -319,8 +346,6 @@ def assemble_galerkin(surface: Surface3D, n: int) -> tuple:
         basis.append((_tri(dn) + dm, orders,
                        np.append(np.searchsorted(dm, orders), dm.size)))
     blocks = [np.zeros((cols.size, cols.size)) for cols, _, _ in basis]
-    step = _row_block(quarter.size, n)
-    KW = np.empty((quarter.size, n, 2*n))
     chunk = _colatitude_block(n)
     for first in range(0, n, chunk):
         part = slice(first, min(first + chunk, n))
@@ -329,12 +354,10 @@ def assemble_galerkin(surface: Surface3D, n: int) -> tuple:
                      dtype=complex)
         total = np.empty(X.shape[1:])
         for c, i in enumerate(range(first, part.stop)):
-            for k in range(0, quarter.size, step):
-                phi = quarter[k:k + step]
-                KW[k:k + step] = subtracted_weights(
-                    surface, np.full(phi.size, th[i]), phi, n)
+            KW = subtracted_weights(surface, th[i], quarter, n)
             X[..., c] = _local_coefficients(KW, local)
             total[:, c] = KW.sum(axis=(1, 2))
+            del KW  # freed before the next colatitude's rows are allocated
         _rotate_block(X, th[part], n)
         sums = [np.empty((orders.size, X.shape[2], cols.size))
                 for cols, orders, _ in basis]
@@ -400,15 +423,6 @@ def _colatitude_block(n: int) -> int:
     high degree (DECISIONS.md D19, D31)."""
     blocks = -(-n*n**3//_COLATITUDE_VALUES)
     return -(-n//blocks)
-
-
-def _row_block(rows: int, n: int) -> int:
-    """Rows of one colatitude whose quadrature grids one stacked
-    subtracted_weights call builds: equal blocks of at most _BLOCK_NODES
-    grid nodes, so the geometry temporaries stay small beside the blocks
-    that the assembly holds (DECISIONS.md D10)."""
-    blocks = -(-rows*2*n*n//_BLOCK_NODES)
-    return -(-rows//blocks)
 
 
 def _real_basis(N: int) -> list:

@@ -40,6 +40,11 @@ class Surface3D:
     both reflections: it computes a quarter of the rows and splits the
     matrix into four real blocks (DECISIONS.md D19).  A surface class
     without them would need the full assembly back.
+
+    For the same reason the grid about (theta, phi) is A = S R_z(phi) S^-1,
+    S = diag(axes), times the grid about (theta, 0), and its area normals
+    A^-T times theirs, so the solver builds a colatitude's rows from one
+    grid (DECISIONS.md D32).
     """
 
     profile: Callable[[np.ndarray], np.ndarray]

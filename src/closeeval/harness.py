@@ -259,7 +259,7 @@ class StudyConfig:
                               f"[{MIN_NODES}, {MAX_NODES}]")
         if fam == "3d" and not 4 <= self.n <= MAX_DEGREE:
             raise ConfigError(f"3D resolution n must be in [4, {MAX_DEGREE}]"
-                              " (n = 96: an 11 s, 318 MB mushroom solve)")
+                              " (n = 96: a 4 s, 300 MB mushroom solve)")
 
 
 # Each config key (and command-line flag) and the field it sets; an eps
@@ -584,16 +584,20 @@ def _hg_field(config: StudyConfig) -> SphericalCoeffs:
 
 def _study_hg(config: StudyConfig):
     """The hg hook: one target, whose eps in (0, 0.5) are kept, and the
-    expansion against the exact operator (its eigen-action on the field)."""
-    psi, omega = _hg_field(config), config.hg_omega
-
-    def sweep(_, eps):
-        kept = (0 < eps) & (eps < 0.5)
-        eps = eps[kept]
-        return (kept, apply_L_spectral(psi, omega, eps),
-                {"hg_asym": apply_L_asymptotic(psi, omega, eps)})
-
-    return [("hg", None)], "eps outside (0, 0.5)", sweep
+    expansion against the exact operator (its eigen-action on the field),
+    both evaluated here, so that a field whose values overflow is a
+    ConfigError before the sweep."""
+    eps = np.array(config.eps)
+    kept = (0 < eps) & (eps < 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        psi, omega = _hg_field(config), config.hg_omega
+        exact = apply_L_spectral(psi, omega, eps[kept])
+        asym = apply_L_asymptotic(psi, omega, eps[kept])
+    if not np.all(np.isfinite(exact) & np.isfinite(asym)):
+        raise ConfigError("hg_field too large: the operator values overflow")
+    # the one target's sweep is over config.eps
+    return ([("hg", None)], "eps outside (0, 0.5)",
+            lambda _, all_eps: (kept, exact, {"hg_asym": asym}))
 
 
 # Each family's setup checks the config and solves, then returns the hook

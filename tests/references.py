@@ -30,7 +30,9 @@ a study result.
 gauss_interior_value and gauss_interior_value_3d are the unit-density
 potentials at a point, -1 inside by the Gauss identity, and
 apply_K_subtracted the 3D boundary operator applied to a callable, on one
-target's subtracted quadrature row.
+target's subtracted quadrature row.  direct_subtracted_weights builds that
+row from the target's own rotated grid, the construction that
+bie3d.subtracted_weights replaced by a map of the grid about (theta0, 0).
 """
 
 import warnings
@@ -39,11 +41,11 @@ from typing import Callable
 import numpy as np
 
 from closeeval.bie2d import dlp_sum
-from closeeval.bie3d import (_from_real, _to_real, dlp_weights, rotated_grid,
-                             subtracted_weights)
+from closeeval.bie3d import _from_real, _to_real, dlp_weights, rotated_grid
 from closeeval.geometry2d import Curve2D, curve_grid
 from closeeval.geometry3d import (_POLE_TOL, Surface3D, _rotated_frame,
-                                  direction, rotation_matrix, unit_sphere)
+                                  direction, rotation_matrix,
+                                  surface_point_and_normal, unit_sphere)
 from closeeval.hgscatter import (_L32_POLAR_NODES, _degree_values,
                                  _l32_multipliers)
 from closeeval.spectral import (SphericalCoeffs, _half_coefficients,
@@ -122,6 +124,16 @@ def gauss_interior_value_3d(surface: Surface3D, x, n: int) -> float:
     return float((1.0/(4*n))*np.sum(w))
 
 
+def direct_subtracted_weights(surface: Surface3D, theta0, phi0, n: int):
+    """Kernel-times-area quadrature row for the rotated grid about a
+    boundary target: entries (1/4pi) w_j dt K(y0, y_jk) W_jk.  Stacked
+    targets (theta0, phi0 of shape (k,)) give one row each along a leading
+    axis."""
+    grid = rotated_grid(surface, theta0, phi0, n)
+    y0, _ = surface_point_and_normal(surface, theta0, phi0)
+    return (1.0/(4*n))*dlp_weights(grid, y0[..., None, None, :])
+
+
 def apply_K_subtracted(surface: Surface3D, g: Callable, theta0: float,
                        phi0: float, n: int) -> float:
     """Boundary double-layer operator applied to g at (theta0, phi0).
@@ -130,7 +142,7 @@ def apply_K_subtracted(surface: Surface3D, g: Callable, theta0: float,
     integrand vanishes when g is constant, so constants map to -g/2 exactly
     up to roundoff.
     """
-    kw = subtracted_weights(surface, theta0, phi0, n)
+    kw = direct_subtracted_weights(surface, theta0, phi0, n)
     g0 = complex(np.asarray(g(np.full(1, theta0), np.full(1, phi0))).ravel()[0])
     vals = np.asarray(g(*grid_angles(theta0, phi0, n)))
     out = np.sum(kw*(vals - g0)) - 0.5*g0

@@ -14,10 +14,10 @@ from closeeval.geometry3d import mushroom, unit_sphere
 from closeeval.spectral import SphericalCoeffs, analysis_grid
 
 from references import (apply_K_subtracted, density_values,
-                        dlp_weights_einsum, galerkin_matrix,
-                        gauss_interior_value_3d, grid_angles, radial_surface,
-                        sph_basis_matrix, sph_harm_eval, sph_synthesis,
-                        synthesis_bound)
+                        direct_subtracted_weights, dlp_weights_einsum,
+                        galerkin_matrix, gauss_interior_value_3d, grid_angles,
+                        radial_surface, sph_basis_matrix, sph_harm_eval,
+                        sph_synthesis, synthesis_bound)
 
 SOURCE = (5.0, 4.0, 3.0)
 
@@ -91,7 +91,7 @@ def _per_row_galerkin(surface, n):
     P = (np.conj(G)*(np.repeat(wth, 2*n)*(np.pi/n))[:, None]).T
     V = np.empty((2*n*n, n*n), dtype=complex)
     for row, (th, ph) in enumerate(zip(TH.ravel(), PH.ravel())):
-        kw = subtracted_weights(surface, th, ph, n)
+        kw = direct_subtracted_weights(surface, th, ph, n)
         B = sph_basis_matrix(*grid_angles(th, ph, n), n)
         V[row] = kw.ravel() @ B - G[row]*(np.sum(kw) + 1.0)
     return P @ V
@@ -122,6 +122,52 @@ def test_per_row_galerkin_has_the_mirror_symmetry():
 
 
 @pytest.mark.parametrize("name", sorted(SURFACES))
+def test_grid_about_a_longitude_is_a_map_of_the_grid_about_zero(name):
+    # the premise of building a colatitude's rows from one grid: the grid
+    # about (theta, phi) is A = S R_z(phi) S^-1 times the grid about
+    # (theta, 0), S = diag(axes), and its area normals are A^-T times
+    # theirs; three_axis has a1 != a0, so A^T A has an xy entry
+    surface = SURFACES[name]()
+    S = np.diag(surface.axes)
+    for theta in (0.0, 0.4, 1.3, 2.9):
+        w0, y0, an0 = rotated_grid(surface, theta, 0.0, 12)
+        for phi in (0.7, np.pi/2, 2.0, -2.5):
+            c, s = np.cos(phi), np.sin(phi)
+            A = S @ np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]) \
+                @ np.linalg.inv(S)
+            w, y, an = rotated_grid(surface, theta, phi, 12)
+            assert np.array_equal(w, w0)
+            assert np.max(np.abs(y - y0 @ A.T)) <= 1e-15*np.max(np.abs(y))
+            assert np.max(np.abs(an - an0 @ np.linalg.inv(A))) \
+                <= 1e-15*np.max(np.abs(an))
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+@pytest.mark.parametrize("n,bound", [(8, 1e-13), (16, 5e-13), (24, 2e-12)])
+def test_mapped_rows_match_the_direct_construction(name, n, bound):
+    # every row of every colatitude of the analysis grid, built from the
+    # grid about (theta, 0), against the row built on its own grid about
+    # (theta, phi); they differ by the rounding of y0 - y near the pole
+    # (largest differences 3.7e-14, 2.5e-13 and 1.1e-12 of the row's
+    # largest weight at n = 8, 16 and 24)
+    surface = SURFACES[name]()
+    theta, _, phi = analysis_grid(n)
+    for th in theta:
+        got = subtracted_weights(surface, th, phi, n)
+        want = direct_subtracted_weights(surface, np.full(phi.size, th),
+                                         phi, n)
+        assert got.shape == want.shape == (2*n, n, 2*n)
+        scale = np.max(np.abs(want), axis=(1, 2))
+        assert np.all(np.max(np.abs(got - want), axis=(1, 2))
+                      <= bound*scale)
+    # a number phi gives one row
+    row = subtracted_weights(surface, theta[1], 0.3, n)
+    assert row.shape == (n, 2*n)
+    want = direct_subtracted_weights(surface, theta[1], 0.3, n)
+    assert np.max(np.abs(row - want)) <= bound*np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
 @pytest.mark.parametrize("n", [8, 9])
 def test_per_row_galerkin_is_real_and_keeps_the_order_parity(name, n):
     # the premise of the four real blocks, checked on the reference, which
@@ -134,13 +180,17 @@ def test_per_row_galerkin_is_real_and_keeps_the_order_parity(name, n):
 
 
 def test_galerkin_evaluates_basis_only_at_row_poles(monkeypatch):
-    calls = {"subtracted_weights": [], "_legendre_table": []}
+    # per function, the size of the argument that counts its points
+    calls = {"subtracted_weights": [], "rotated_grid": [],
+             "_legendre_table": []}
+    points = {"subtracted_weights": 2, "rotated_grid": 2,
+              "_legendre_table": 1}
 
     def counted(name):
         fn = getattr(bie3d, name)
 
         def wrapper(*args, **kwargs):
-            calls[name].append(np.size(args[1]))
+            calls[name].append(np.size(args[points[name]]))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -149,22 +199,16 @@ def test_galerkin_evaluates_basis_only_at_row_poles(monkeypatch):
     # a local grid cache of its own, so the local table is built here
     monkeypatch.setattr(bie3d, "_local_grid",
                         functools.lru_cache(bie3d._local_grid.__wrapped__))
-    A = assemble_galerkin(mushroom(), 8)
+    assemble_galerkin(mushroom(), 8)
     # the Legendre table once at the 8 local polar nodes, with the local
     # grid, and once at the 8 row poles (theta_i, 0), where it is the m >= 0
-    # basis: the rows' grids
-    # reach the basis through local harmonics and Wigner rotation.  Per
-    # colatitude of the 8 x 16 analysis grid, only the 5 rows at
-    # 0 <= phi <= pi/2 are computed (the reflections give the others), and
-    # they (640 grid nodes) fit in one stacked geometry call
-    assert calls == {"subtracted_weights": [5]*8,
+    # basis: the rows' grids reach the basis through local harmonics and
+    # Wigner rotation.  Per colatitude of the 8 x 16 analysis grid, only the
+    # 5 rows at 0 <= phi <= pi/2 are computed (the reflections give the
+    # others), in one subtracted_weights call that builds one rotated grid,
+    # about (theta_i, 0)
+    assert calls == {"subtracted_weights": [5]*8, "rotated_grid": [1]*8,
                      "_legendre_table": [8, 8]}
-    # smaller blocks change the call pattern, not the matrix
-    calls["subtracted_weights"].clear()
-    monkeypatch.setattr(bie3d, "_BLOCK_NODES", 400)
-    blocked = assemble_galerkin(mushroom(), 8)
-    assert calls["subtracted_weights"] == [3, 2]*8
-    assert max(np.max(np.abs(b - a)) for a, b in zip(A, blocked)) <= 1e-15
 
 
 def test_galerkin_colatitude_blocks_change_the_pattern_not_the_matrix(

@@ -170,10 +170,17 @@ _KITE_EPS = {k: v for k, v in _KITE.items() if k != "eps_range"}
     ("hg", {"problem": "hg", "hg_field": [[33, 0, 1.0, 0.0]],
             "eps": [0.1]}),
     ("hg", {"problem": "hg", "eps": [0.1]}),  # no field
+    # the L32 sum over degrees overflows: every value was -inf
+    ("hg", {"problem": "hg", "hg_field": [[3, 0, 1e308, 0]],
+            "eps": [0.1, 0.01, 0.001, 0.0001]}),
+    # two rows of one (n, m) sum to an infinite coefficient
+    ("hg", {"problem": "hg", "hg_field": [[3, 0, 1.7e308, 0]]*2,
+            "eps": [0.1, 0.01, 0.001, 0.0001]}),
 ], ids=["x0-length", "x0-inside", "x0-overflow", "source-length",
         "source-inside", "source-on-sphere-axis", "source-on-sphere",
         "source-on-mushroom", "omega-length", "field-nan", "field-int",
-        "field-row-int", "field-degree-33", "field-empty"])
+        "field-row-int", "field-degree-33", "field-empty", "field-overflow",
+        "field-sum-overflow"])
 def test_bad_source_or_field_exits_2(tmp_path, capsys, command, payload):
     # whether refused when the config is loaded or by the study's setup,
     # the run leaves no output or cache directory, nor their parents

@@ -839,11 +839,12 @@ def test_3d_cache_file_from_another_solver_is_solved_again(tmp_path, record,
 def test_3d_cache_file_of_solver_revision_1_is_solved_again(tmp_path,
                                                            monkeypatch):
     # revision 1 assembled the complex matrix; the real blocks of revision
-    # 2, the component-form kernel of revision 3 and the eigenvector
-    # rotation of revision 4 move it at rounding level, so a density saved
-    # by revision 1 is a miss: the study solves it again and rewrites it
-    # with the current revision
-    assert SOLVER_REVISION == 4
+    # 2, the component-form kernel of revision 3, the eigenvector rotation
+    # of revision 4 and the rows mapped from one grid per colatitude of
+    # revision 5 move it at rounding level, so a density saved by revision
+    # 1 is a miss: the study solves it again and rewrites it with the
+    # current revision
+    assert SOLVER_REVISION == 5
     cfg = StudyConfig(problem="3d-sphere", n=6, methods=("numerical",),
                       eps=(1e-1, 1e-2), targets=((0.9, 0.4),),
                       cache_dir=str(tmp_path))
@@ -860,7 +861,7 @@ def test_3d_cache_file_of_solver_revision_1_is_solved_again(tmp_path,
     assert run_error_map(cfg).rows == res.rows
     assert len(solves) == 1
     with open(path) as fh:
-        assert json.load(fh)["record"]["solver"] == 4
+        assert json.load(fh)["record"]["solver"] == 5
 
 
 @pytest.mark.parametrize("edit", ["slot-twice", "fractional-n", "bool-m"])

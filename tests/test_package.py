@@ -57,7 +57,8 @@ def test_no_module_names_the_deleted_duplicates():
     # scattered synthesis, the density's call nor the conversion of
     # directions to angles is left; the Wigner matrices are applied through
     # the J_y eigenvectors and never formed, so no formed or folded table
-    # is left
+    # is left; a colatitude's Galerkin rows come from one grid, so no
+    # stacked row blocks are left
     deleted = {"rotated_angles", "sph_basis_matrix", "sph_harm_eval",
                "_ptr_and_sub", "_coord", "_descending", "run_hg_study",
                "_sweep_2d", "_sweep_3d", "_by_target", "_cmd_hg",
@@ -71,7 +72,7 @@ def test_no_module_names_the_deleted_duplicates():
                "gauss_interior_value", "gauss_interior_value_3d",
                "apply_K_subtracted", "__all__", "sph_synthesis",
                "direction_angles", "__call__", "_wigner_d",
-               "_wigner_tables"}
+               "_wigner_tables", "_row_block", "_BLOCK_NODES"}
     for path in sorted(PACKAGE.glob("*.py")):
         names = set()
         for node in ast.walk(ast.parse(path.read_text())):
