@@ -24,7 +24,7 @@ from .spectral import periodic_derivative
 
 MIN_NODES = 16  # smallest (even) Nystrom node count
 # Largest Nystrom node count.  Assembly holds five (n, n) arrays, 40 n^2
-# bytes: a one-target 2d-kite run peaks at 687 MB (VmHWM) at n = 4096.
+# bytes.
 MAX_NODES = 4096
 # Points per block of a stacked dlp_sum.  A block's kernel temporaries,
 # a few times 8*32*n bytes, then stay below glibc's mmap threshold at the

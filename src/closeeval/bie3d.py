@@ -50,20 +50,16 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry3d import (Surface3D, _rotated_frame, direction,
+from .geometry3d import (Surface3D, direction, rotation_matrix,
                          surface_point_and_normal)
 from .spectral import (SphericalCoeffs, _legendre_table, _rotated_coefficients,
                        _rotated_rows, _tri, analysis_grid, mapped_rule,
                        periodic_nodes, sph_analysis)
 
 # Largest Galerkin degree.  Assembly builds N rotated grids of 2N^2 nodes
-# and N^2(N/2 + 1) kernel rows from them (O(N^4)), reaches the basis through
-# local harmonics and their rotation (O(N^5) flops) and holds the four real
-# blocks, N^4/4 values.  A mushroom solve on one BLAS thread took 0.6 s
-# and 107 MB at n = 64, and 3.8 s and 300 MB at n = 96.  A whole
-# default-slice mushroom study at n = 64 (the solve, then 32 targets x 76
-# eps) took 0.87 s with a 108 MB peak in one run on a 2-core host: the
-# solve sets the peak, not the targets.
+# and N^2(N/2 + 1) kernel rows from them, reaches the basis through local
+# harmonics and their rotation, and holds the four real blocks: O(N^5)
+# flops, N^4/4 stored values.
 MAX_DEGREE = 96
 # Revision of the Galerkin solver that saved densities record; raise it
 # whenever the assembled matrix changes, so that densities solved by
@@ -167,9 +163,10 @@ class Density3D:
 def _local_grid(n: int):
     """rotated_grid's polar weights, shape (n, 1), the directions d(s, t)
     and area factor sin(s) of its unrotated (n, 2n) grid, the Legendre
-    table at its n polar nodes s_j, and the azimuthal table of
-    _rotated_synthesis, built once per n; read-only, since every call
-    shares them.
+    table at its n polar nodes s_j as one pair per order m' (the slots
+    _tri(l) + m' for l = m'..n-1, the contiguous rows there), and the
+    azimuthal table of _rotated_synthesis, built once per n; read-only,
+    since every call shares them.
 
     Row 2m' of the azimuthal table is a_m' cos(m't_q) and row 2m' + 1 is
     -a_m' sin(m't_q) at the 2n azimuths t_q = -pi + pi q/n, with a_0 = 1
@@ -185,22 +182,25 @@ def _local_grid(n: int):
     scale = np.where(order > 0, 2.0, 1.0)*(-1.0)**order
     waves = np.stack([scale*np.cos(phase), -scale*np.sin(phase)],
                      axis=1).reshape(2*n, 2*n)
-    out = (rule.weights[:, None], direction(S, T), np.sin(S),
-           _legendre_table(np.cos(rule.nodes), np.sin(rule.nodes), n), waves)
-    for a in out:
+    table = _legendre_table(np.cos(rule.nodes), np.sin(rule.nodes), n)
+    orders = tuple((slots, table[slots]) for slots in
+                   (_tri(np.arange(mp, n)) + mp for mp in range(n)))
+    out = (rule.weights[:, None], direction(S, T), np.sin(S), orders, waves)
+    for a in (*out[:3], *sum(orders, ()), waves):
         a.setflags(write=False)
     return out
 
 
-def rotated_grid(surface: Surface3D, theta0, phi0, n: int):
+def rotated_grid(surface: Surface3D, theta0: float, phi0: float, n: int):
     """The three-step quadrature grid whose pole sits at (theta0, phi0):
-    the polar weights, shape (n, 1), then _rotated_frame's (y, area-weighted
-    normal) on the mapped Gauss-Legendre x 2n-azimuth nodes.  Stacked poles
-    (theta0, phi0 of shape (k,)) give k grids along a leading axis.  The
-    unrotated grid's directions are built once per n."""
+    the polar weights, shape (n, 1), then the position and area-weighted
+    normal (the unit normal times the rotated area element, which absorbs
+    the sin(s) pole factor) at the directions R(theta0, phi0) d(s, t) of
+    the mapped Gauss-Legendre x 2n-azimuth nodes."""
     weights, local, jacobian, _, _ = _local_grid(n)
-    return (weights,) + _rotated_frame(surface, theta0, phi0, local,
-                                       jacobian)
+    R = rotation_matrix(theta0, phi0)
+    d = (local.reshape(-1, 3) @ R.T).reshape(local.shape)
+    return (weights,) + surface.area_normal(d, jacobian)
 
 
 def _rotated_synthesis(coeffs: SphericalCoeffs, theta0: float,
@@ -220,16 +220,15 @@ def _rotated_synthesis(coeffs: SphericalCoeffs, theta0: float,
     azimuths.  At the pole s = 0 only m' = 0 is left:
     mu* = sum_l b_l0 sqrt((2l+1)/4pi) (DECISIONS.md D30)."""
     N = coeffs.N
-    _, _, _, local, waves = _local_grid(N)
+    _, _, _, orders, waves = _local_grid(N)
     b = _rotated_coefficients(coeffs, theta0, phi0)
     degree = np.arange(N)
-    mu_star = float(b[_tri(degree)].real @ np.sqrt((2*degree + 1)/(4*np.pi)))
+    mu_star = float(b[orders[0][0]].real @ np.sqrt((2*degree + 1)/(4*np.pi)))
     # (polar node j, order m', re/im)
     G = np.empty((N, N, 2))
     parts = b.view(float).reshape(-1, 2)
-    for mp in range(N):
-        slots = _tri(np.arange(mp, N)) + mp
-        G[:, mp] = local[slots].T @ parts[slots]
+    for mp, (slots, table) in enumerate(orders):
+        G[:, mp] = table.T @ parts[slots]
     return mu_star, G.reshape(N, 2*N) @ waves
 
 
@@ -332,7 +331,7 @@ def assemble_galerkin(surface: Surface3D, n: int) -> tuple:
     # (theta_i, phi_j) is the grid about (theta_i, 0) turned by phi_j, where
     # Y_nm gains e^{im phi_j}
     turn = np.exp(1j*np.outer(quarter, order))
-    local = _local_grid(n)[3]
+    by_order = _local_grid(n)[3]
     # the m >= 0 harmonics at the row poles (theta_i, 0) are the Legendre
     # values there, which the analysis also weighs
     P = _legendre_table(np.cos(th), np.sin(th), n)
@@ -355,7 +354,7 @@ def assemble_galerkin(surface: Surface3D, n: int) -> tuple:
         total = np.empty(X.shape[1:])
         for c, i in enumerate(range(first, part.stop)):
             KW = subtracted_weights(surface, th[i], quarter, n)
-            X[..., c] = _local_coefficients(KW, local)
+            X[..., c] = _local_coefficients(KW, by_order)
             total[:, c] = KW.sum(axis=(1, 2))
             del KW  # freed before the next colatitude's rows are allocated
         _rotate_block(X, th[part], n)
@@ -383,10 +382,11 @@ def assemble_galerkin(surface: Surface3D, n: int) -> tuple:
     return tuple(blocks)
 
 
-def _local_coefficients(KW, local):
+def _local_coefficients(KW, orders):
     """X_m' = sum_j Pbar_lm'(s_j) rfft(kw_j)[m'] for every row kw of KW
-    (rows, n, 2n) and 0 <= m' <= l < n, shape (n(n+1)/2, rows), with local
-    the Legendre table at the polar nodes s_j.  A row's local sums
+    (rows, n, 2n) and 0 <= m' <= l < n, shape (n(n+1)/2, rows), with orders
+    the Legendre table at the polar nodes s_j by order (_local_grid).  A
+    row's local sums
     c_lm' = sum_jq kw_jq Y_lm'(s_j, t_q) are c_lm' = (-1)^m' conj(X_m') and
     c_{l,-m'} = X_m', since sum_q kw_q e^{im't_q} = (-1)^m'
     conj(rfft(kw)[m']) at t_q = -pi + pi q/n and kw is real
@@ -394,10 +394,9 @@ def _local_coefficients(KW, local):
     rows, n = KW.shape[0], KW.shape[1]
     # (m', j, row), contiguous, so each order is one real product
     F = np.ascontiguousarray(np.fft.rfft(KW)[..., :n].transpose(2, 1, 0))
-    out = np.empty((local.shape[0], rows), dtype=complex)
-    for mp in range(n):
-        slots = _tri(np.arange(mp, n)) + mp
-        out[slots] = (local[slots] @ F[mp].view(float)).view(complex)
+    out = np.empty((n*(n + 1)//2, rows), dtype=complex)
+    for Fm, (slots, table) in zip(F, orders):
+        out[slots] = (table @ Fm.view(float)).view(complex)
     return out
 
 

@@ -118,53 +118,26 @@ def direction(theta, phi) -> np.ndarray:
                      np.cos(th)], axis=-1)
 
 
-def rotation_matrix(theta_star, phi_star) -> np.ndarray:
-    """Proper rotation with third column d(theta*, phi*).
-
-    theta* and phi* broadcast against each other; their shape leads the
-    result, so stacked angles give stacked (..., 3, 3) matrices.
-    """
+def rotation_matrix(theta_star: float, phi_star: float) -> np.ndarray:
+    """Proper rotation with third column d(theta*, phi*), for one pole."""
     ct, st = np.cos(theta_star), np.sin(theta_star)
     cp, sp = np.cos(phi_star), np.sin(phi_star)
-    R = np.zeros(np.broadcast(ct, cp).shape + (3, 3))
-    R[..., 0, 0], R[..., 0, 1], R[..., 0, 2] = ct*cp, -sp, st*cp
-    R[..., 1, 0], R[..., 1, 1], R[..., 1, 2] = ct*sp, cp, st*sp
-    R[..., 2, 0], R[..., 2, 2] = -st, ct
-    return R
+    return np.array([[ct*cp, -sp, st*cp], [ct*sp, cp, st*sp], [-st, 0.0, ct]])
 
 
-def _rotated_frame(surface: Surface3D, theta_star, phi_star, local,
-                   jacobian):
-    """(position, area-weighted normal) at each node of the grid whose pole
-    sits at (theta*, phi*), from the directions local = d(s, t) of the
-    unrotated grid and its area factor jacobian = sin(s).
-
-    The area-weighted normal is the outward unit normal times the area
-    element of the rotated parameterization, which absorbs the sin(s) pole
-    factor.  The node directions R(theta*, phi*) d(s, t) are formed here
-    and not returned: a density reaches the grid through its rotated
-    coefficients (DECISIONS.md D30).  Stacked poles (theta*, phi* of shape
-    (k,)) give one grid per pole along a leading axis.
-    """
-    R = rotation_matrix(theta_star, phi_star)
-    d = (local.reshape(-1, 3) @ np.swapaxes(R, -1, -2)).reshape(
-        R.shape[:-2] + local.shape)
-    return surface.area_normal(d, jacobian)
-
-
-def surface_point_and_normal(surface: Surface3D, theta_star, phi_star):
-    """Position and outward unit normal at one surface point, or at each of
-    stacked points (leading axes of theta*, phi*).
+def surface_point_and_normal(surface: Surface3D, theta_star: float,
+                             phi_star: float):
+    """Position and outward unit normal at one surface point.
 
     The area-weighted normal is taken for the rotation frame's orthonormal
     tangent pair (u, v), whose u x v is the direction d itself, instead of
     the (theta, phi) coordinate basis, so the result is well defined at the
-    parameter poles too.  Raises ValueError when the frame degenerates at
-    any of the points.
+    parameter poles too.  Raises ValueError when the frame degenerates
+    there.
     """
     d = direction(theta_star, phi_star)
     y, area_normal = surface.area_normal(d, np.ones(d.shape[:-1]))
     W = np.linalg.norm(area_normal, axis=-1, keepdims=True)
-    if np.any(W < _POLE_TOL):
+    if W < _POLE_TOL:
         raise ValueError("degenerate surface frame")
     return y, area_normal/W

@@ -53,10 +53,8 @@ SLICES_3D = ("x1x3-slice", "x1x2-slice")
 # Targets each 3D slice sweeps, evenly spaced around its circle.
 SLICE_TARGETS = 16
 # Largest number of eps values, from a list or a range; the largest grid
-# in use, the 2D default, has 126.  Time and output grow with the count: on
-# a 2-core host, one BLAS thread, an all-nodes 2d-kite study at n = 128
-# takes 1.7 s and writes 524288 rows at the cap (0.3 s at 126), and a
-# default 3d-mushroom study 1.0 s (0.2 s at its 76).
+# in use, the 2D default, has 126.  Time and output grow linearly with the
+# count: an all-nodes 2d-kite study at n = 128 writes 524288 rows at the cap.
 MAX_EPS_COUNT = 1024
 
 
@@ -258,8 +256,7 @@ class StudyConfig:
             raise ConfigError(f"2D resolution n must be even and in "
                               f"[{MIN_NODES}, {MAX_NODES}]")
         if fam == "3d" and not 4 <= self.n <= MAX_DEGREE:
-            raise ConfigError(f"3D resolution n must be in [4, {MAX_DEGREE}]"
-                              " (n = 96: a 4 s, 300 MB mushroom solve)")
+            raise ConfigError(f"3D resolution n must be in [4, {MAX_DEGREE}]")
 
 
 # Each config key (and command-line flag) and the field it sets; an eps

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import (SphericalCoeffs, _half_coefficients,
-                       _legendre_minus_one, mapped_rule, sph_half_basis)
+from .spectral import (SphericalCoeffs, _legendre_minus_one, _legendre_table,
+                       _tri, mapped_rule)
 
 # Polar nodes of the L32 quadrature, whose pole-subtracted integrand is smooth.
 _L32_POLAR_NODES = 64
@@ -45,13 +45,24 @@ MAX_DEGREE = 32
 
 
 def _degree_values(coeffs: SphericalCoeffs, omega) -> np.ndarray:
-    """s_n = Re sum_{|m|<=n} c_nm Y_nm(omega) for n < N, from one
-    sph_half_basis row; they sum to the field's value at omega, whether or
-    not the coefficients are conjugate symmetric."""
-    n, a, b = _half_coefficients(coeffs)
-    y = sph_half_basis(np.full(1, omega[0]), np.full(1, omega[1]),
-                       coeffs.N)[0]
-    return np.bincount(n, np.real(a*y + b*np.conj(y)), coeffs.N)
+    """s_n = Re sum_{|m|<=n} c_nm Y_nm(omega) for n < N; they sum to the
+    field's value at omega, whether or not the coefficients are conjugate
+    symmetric.  Only the Y_nm with m >= 0 are formed, as Legendre values
+    times repeated products of the array e^{i phi} (DECISIONS.md D34), and
+    sum_{|m|<=n} c_nm Y_nm = sum_{m>=0} (a Y_nm + b conj(Y_nm)) with
+    a = c_nm and b = (-1)^m c_{n,-m} (0 when m = 0)."""
+    N = coeffs.N
+    theta, eip = np.full(1, omega[0]), np.exp(1j*np.full(1, omega[1]))
+    powers = np.empty((N, 1), dtype=complex)
+    powers[0] = 1.0
+    for m in range(1, N):
+        powers[m] = powers[m - 1]*eip
+    n = np.repeat(np.arange(N), np.arange(1, N + 1))
+    m = np.arange(n.size) - _tri(n)
+    y = _legendre_table(np.cos(theta), np.sin(theta), N)[:, 0]*powers[m, 0]
+    a = coeffs.c[n*n + n + m]
+    b = np.where(m > 0, (-1.0)**m*coeffs.c[n*n + n - m], 0.0)
+    return np.bincount(n, np.real(a*y + b*np.conj(y)), N)
 
 
 def _l32_multipliers(N: int) -> np.ndarray:

@@ -215,39 +215,6 @@ def _legendre_coefficients(nmax: int) -> tuple:
         out.append((-np.sqrt((2*n + 1)/(2.0*n)), np.sqrt(2*n + 1.0), a, b))
     return tuple(out)
 
-def sph_half_basis(theta, phi, N: int) -> np.ndarray:
-    """The Y_nm with 0 <= m <= n < N at the given angles, shape (npoints,
-    N(N+1)/2), in the order (0,0), (1,0), (1,1), (2,0), ...
-
-    The m < 0 harmonics follow as Y_{n,-m} = (-1)^m conj(Y_nm).  The result
-    is the transpose of a harmonic-major array, so .T gives each harmonic's
-    values contiguously without a copy.  e^{im phi} is the m-th repeated
-    product of e^{i phi}.
-    """
-    th = np.asarray(theta, dtype=float).ravel()
-    ph = np.asarray(phi, dtype=float).ravel()
-    powers = np.empty((N, th.size), dtype=complex)
-    powers[0] = 1.0
-    eip = np.exp(1j*ph)
-    for m in range(1, N):
-        powers[m] = powers[m - 1]*eip
-    P = _legendre_table(np.cos(th), np.sin(th), N)
-    out = np.empty(P.shape, dtype=complex)
-    for n in range(N):
-        rows = slice(_tri(n), _tri(n + 1))
-        np.multiply(P[rows], powers[:n + 1], out=out[rows])
-    return out.T
-
-def _half_coefficients(coeffs: SphericalCoeffs):
-    """The degree n of each sph_half_basis column and the two coefficients
-    a = c_nm and b = (-1)^m c_{n,-m} (0 when m = 0) that multiply it, so
-    that sum_{|m|<=n} c_nm Y_nm = sum_{m>=0} (a Y_nm + b conj(Y_nm))."""
-    n = np.repeat(np.arange(coeffs.N), np.arange(1, coeffs.N + 1))
-    m = np.arange(n.size) - n*(n + 1)//2
-    b = np.where(m > 0, (-1.0)**m*coeffs.c[n*n + n - m], 0.0)
-    return n, coeffs.c[n*n + n + m], b
-
-
 def analysis_grid(N: int):
     """Quadrature grid for spherical analysis: N Gauss-Legendre colatitudes
     (nodes in cos(theta), so the sin(theta) area factor is absorbed) crossed

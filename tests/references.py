@@ -8,12 +8,13 @@ rotated rings about omega, the checks of hgscatter's degree multipliers.
 pole_second_derivative_average is the finite-difference pole curvature
 that the two-term expansion's Laplacian term is checked against.
 sph_harm_eval and sph_basis_matrix give the harmonics one at a time and as
-the dense basis with the m < 0 columns, and sph_synthesis and
-density_values the expansion and a density at scattered angles, the
-check of the rotated synthesis that close evaluation uses, with
-synthesis_bound the scale of its tolerance.
+the dense basis with the m < 0 columns, and sph_synthesis (that dense
+basis times the coefficients) and density_values the expansion and a
+density at scattered angles, the check of the rotated synthesis that close
+evaluation uses, with synthesis_bound the scale of its tolerance.
 direction_angles converts directions back to angles, rotated_frame gives a
-rotated grid's geometry and node directions at any (s, t), and
+rotated grid's geometry and node directions at any (s, t), for one pole or
+for stacked poles, which the package's one-pole grids do not take, and
 rotated_angles and grid_angles the angles of its nodes.
 unit_circle and radial_surface build shapes that no study runs on.
 galerkin_matrix turns the Galerkin assembly's real blocks back into the
@@ -43,14 +44,13 @@ import numpy as np
 from closeeval.bie2d import dlp_sum
 from closeeval.bie3d import _from_real, _to_real, dlp_weights, rotated_grid
 from closeeval.geometry2d import Curve2D, curve_grid
-from closeeval.geometry3d import (_POLE_TOL, Surface3D, _rotated_frame,
-                                  direction, rotation_matrix,
-                                  surface_point_and_normal, unit_sphere)
+from closeeval.geometry3d import (_POLE_TOL, Surface3D, direction,
+                                  rotation_matrix, surface_point_and_normal,
+                                  unit_sphere)
 from closeeval.hgscatter import (_L32_POLAR_NODES, _degree_values,
                                  _l32_multipliers)
-from closeeval.spectral import (SphericalCoeffs, _half_coefficients,
-                                _legendre_table, _tri, mapped_rule,
-                                periodic_nodes, sph_half_basis)
+from closeeval.spectral import (SphericalCoeffs, _legendre_table, _tri,
+                                mapped_rule, periodic_nodes)
 
 # Largest polar rule of apply_L_direct.  Its default count 8/(1 - |g|),
 # rounded up to a power of two, reaches it at |g| = 0.999.  The rule build is
@@ -124,14 +124,13 @@ def gauss_interior_value_3d(surface: Surface3D, x, n: int) -> float:
     return float((1.0/(4*n))*np.sum(w))
 
 
-def direct_subtracted_weights(surface: Surface3D, theta0, phi0, n: int):
-    """Kernel-times-area quadrature row for the rotated grid about a
-    boundary target: entries (1/4pi) w_j dt K(y0, y_jk) W_jk.  Stacked
-    targets (theta0, phi0 of shape (k,)) give one row each along a leading
-    axis."""
+def direct_subtracted_weights(surface: Surface3D, theta0: float,
+                              phi0: float, n: int):
+    """Kernel-times-area quadrature row for the rotated grid about one
+    boundary target: entries (1/4pi) w_j dt K(y0, y_jk) W_jk."""
     grid = rotated_grid(surface, theta0, phi0, n)
     y0, _ = surface_point_and_normal(surface, theta0, phi0)
-    return (1.0/(4*n))*dlp_weights(grid, y0[..., None, None, :])
+    return (1.0/(4*n))*dlp_weights(grid, y0[None, None, :])
 
 
 def apply_K_subtracted(surface: Surface3D, g: Callable, theta0: float,
@@ -161,16 +160,10 @@ def direction_angles(d, phi_pole: float):
 
 
 def sph_synthesis(coeffs: SphericalCoeffs, theta, phi) -> np.ndarray:
-    """Evaluate the truncated expansion at arbitrary angles (complex output).
-
-    Sums over sph_half_basis alone: the m < 0 terms are
-    b conj(Y_nm) = conj(conj(b) Y_nm) (_half_coefficients).
-    """
+    """Evaluate the truncated expansion at arbitrary angles (complex output),
+    as the dense basis times the coefficients."""
     th = np.asarray(theta, dtype=float)
-    _, a, b = _half_coefficients(coeffs)
-    both = sph_half_basis(theta, phi, coeffs.N) @ np.stack([a, np.conj(b)],
-                                                           axis=1)
-    return (both[:, 0] + np.conj(both[:, 1])).reshape(th.shape)
+    return (sph_basis_matrix(th, phi, coeffs.N) @ coeffs.c).reshape(th.shape)
 
 
 def density_values(density, theta, phi) -> np.ndarray:
@@ -188,16 +181,18 @@ def synthesis_bound(coeffs: SphericalCoeffs) -> float:
 def rotated_frame(surface: Surface3D, theta_star, phi_star, s, t):
     """(position, area-weighted normal, direction) at the nodes (s, t),
     broadcast together, of the grid whose pole sits at (theta*, phi*);
-    stacked poles give one grid per pole along a leading axis."""
+    stacked poles (theta*, phi* broadcast together) give one grid per pole
+    along leading axes."""
     S, T = np.broadcast_arrays(np.asarray(s, dtype=float),
                                np.asarray(t, dtype=float))
     local = direction(S, T)
-    R = rotation_matrix(theta_star, phi_star)
+    poles = np.broadcast(np.asarray(theta_star), np.asarray(phi_star))
+    R = np.reshape([rotation_matrix(*pole) for pole in poles],
+                   poles.shape + (3, 3))
     d = (local.reshape(-1, 3) @ np.swapaxes(R, -1, -2)).reshape(
         R.shape[:-2] + local.shape)
     # the rotated tangents d_s and d_t have d_s x d_t = sin(s) d
-    return _rotated_frame(surface, theta_star, phi_star, local,
-                          np.sin(S)) + (d,)
+    return surface.area_normal(d, np.sin(S)) + (d,)
 
 
 def grid_angles(theta0: float, phi0: float, n: int):
@@ -263,9 +258,10 @@ def sph_harm_eval(n: int, m: int, theta, phi):
 
 def sph_basis_matrix(theta, phi, N: int) -> np.ndarray:
     """All Y_nm for n < N at the given angles, shape (npoints, N^2), in
-    SphericalCoeffs' column order.  Per degree, the m >= 0 slice is
-    sph_half_basis's, written in place, and the m < 0 slice its conjugate
-    copy.  The result is the transpose of a harmonic-major array."""
+    SphericalCoeffs' column order.  Per degree, the m >= 0 slice is the
+    Legendre rows times e^{im phi}, written in place, and the m < 0 slice
+    its conjugate copy.  The result is the transpose of a harmonic-major
+    array."""
     th = np.asarray(theta, dtype=float).ravel()
     ph = np.asarray(phi, dtype=float).ravel()
     powers = np.empty((N, th.size), dtype=complex)

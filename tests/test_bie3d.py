@@ -11,7 +11,8 @@ from closeeval.bie3d import (Density3D, assemble_galerkin, dlp_weights,
                              project_boundary_data, rotated_grid,
                              solve_density3d, subtracted_weights)
 from closeeval.geometry3d import mushroom, unit_sphere
-from closeeval.spectral import SphericalCoeffs, analysis_grid
+from closeeval.spectral import (SphericalCoeffs, _legendre_table,
+                                analysis_grid, mapped_rule)
 
 from references import (apply_K_subtracted, density_values,
                         direct_subtracted_weights, dlp_weights_einsum,
@@ -154,8 +155,8 @@ def test_mapped_rows_match_the_direct_construction(name, n, bound):
     theta, _, phi = analysis_grid(n)
     for th in theta:
         got = subtracted_weights(surface, th, phi, n)
-        want = direct_subtracted_weights(surface, np.full(phi.size, th),
-                                         phi, n)
+        want = np.stack([direct_subtracted_weights(surface, th, p, n)
+                         for p in phi])
         assert got.shape == want.shape == (2*n, n, 2*n)
         scale = np.max(np.abs(want), axis=(1, 2))
         assert np.all(np.max(np.abs(got - want), axis=(1, 2))
@@ -177,6 +178,24 @@ def test_per_row_galerkin_is_real_and_keeps_the_order_parity(name, n):
     m = np.concatenate([np.arange(-d, d + 1) for d in range(n)])
     assert np.max(np.abs(A.imag)) <= 1e-13
     assert np.max(np.abs(A[(m[:, None] - m[None, :]) % 2 == 1])) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 24])
+def test_local_grid_splits_the_legendre_table_by_order(n):
+    # _local_grid holds, for each order m', the slots _tri(l) + m'
+    # (l = m'..n-1) and the Legendre table's rows at the mapped polar nodes
+    # there, contiguous and read-only; together they are every row once
+    nodes = mapped_rule(n).nodes
+    table = _legendre_table(np.cos(nodes), np.sin(nodes), n)
+    orders = bie3d._local_grid(n)[3]
+    assert len(orders) == n
+    for mp, (slots, rows) in enumerate(orders):
+        assert slots.tolist() == [l*(l + 1)//2 + mp for l in range(mp, n)]
+        assert np.array_equal(rows, table[slots])
+        assert rows.flags.c_contiguous
+        assert not slots.flags.writeable and not rows.flags.writeable
+    every = np.concatenate([slots for slots, _ in orders])
+    assert sorted(every.tolist()) == list(range(len(table)))
 
 
 def test_galerkin_evaluates_basis_only_at_row_poles(monkeypatch):
@@ -426,10 +445,10 @@ def test_gauss_identity_3d():
 def test_workspace_kernel_is_the_plain_expression_bitwise():
     # dlp_weights fills one workspace in place, in the order of the plain
     # component expression, so its weights are bitwise those of the plain
-    # expression, for stacked points and for stacked grids
+    # expression, for stacked points
     surface = mushroom()
     eps = np.array([1e-1, 1e-4])
-    for theta, phi in [(1.2, 2.0), (np.full(3, 0.4), np.arange(3.0))]:
+    for theta, phi in [(1.2, 2.0), (0.4, 0.0), (0.4, 1.0), (0.4, 2.0)]:
         grid = rotated_grid(surface, theta, phi, 12)
         y0, nu0 = bie3d.surface_point_and_normal(surface, theta, phi)
         x = (y0 - np.multiply.outer(eps, nu0))[..., None, None, :]
@@ -444,11 +463,12 @@ def test_workspace_kernel_is_the_plain_expression_bitwise():
 @pytest.mark.parametrize("name", sorted(SURFACES))
 def test_component_kernel_matches_einsum_form(name):
     # the component-wise dot products move a weight by a few ulps of the
-    # row's largest entry, at interior points near the surface, at stacked
-    # boundary targets and on stacked grids
+    # row's largest entry, at interior points near the surface and at the
+    # boundary target of each grid
     surface = SURFACES[name]()
     eps = np.array([1e-1, 1e-3, 1e-6])
-    for theta, phi in [(0.3, 0.0), (1.2, 2.0), (2.9, -1.0), (0.0, 0.4)]:
+    for theta, phi in [(0.3, 0.0), (1.2, 2.0), (2.9, -1.0), (0.0, 0.4),
+                       (1.1, 0.0), (1.1, 0.7), (1.1, 1.5)]:
         grid = rotated_grid(surface, theta, phi, 12)
         y0, nu0 = bie3d.surface_point_and_normal(surface, theta, phi)
         x = (y0 - np.multiply.outer(eps, nu0))[:, None, None, :]
@@ -457,10 +477,3 @@ def test_component_kernel_matches_einsum_form(name):
             want = dlp_weights_einsum(grid, points)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-15*np.max(np.abs(want))
-    theta0, phi0 = np.full(3, 1.1), np.array([0.0, 0.7, 1.5])
-    grid = rotated_grid(surface, theta0, phi0, 12)
-    y0, _ = bie3d.surface_point_and_normal(surface, theta0, phi0)
-    got = dlp_weights(grid, y0[:, None, None, :])
-    want = dlp_weights_einsum(grid, y0[:, None, None, :])
-    for row, ref in zip(got, want):
-        assert np.max(np.abs(row - ref)) <= 1e-15*np.max(np.abs(ref))

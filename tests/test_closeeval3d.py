@@ -22,9 +22,11 @@ SOURCE = (5.0, 4.0, 3.0)
 def _kernel_K1_3d(surface, s, t, theta_star, phi_star):
     # the first expansion kernel on the rotated grid about the target, with
     # the unit normal, which stays defined where the rotated grid meets a
-    # parameter pole
-    y, nu = surface_point_and_normal(
-        surface, *rotated_angles(s, t, theta_star, phi_star))
+    # parameter pole; surface_point_and_normal takes one point at a time
+    th, ph = np.broadcast_arrays(*rotated_angles(s, t, theta_star, phi_star))
+    frames = [surface_point_and_normal(surface, *p)
+              for p in zip(th.flat, ph.flat)]
+    y, nu = (np.reshape(a, th.shape + (3,)) for a in zip(*frames))
     ystar, nustar = surface_point_and_normal(surface, theta_star, phi_star)
     return _kernel_K1(y, nu, ystar, nustar)
 

@@ -228,37 +228,21 @@ def test_rotated_frame_matches_rotated_angles():
     assert_allclose(wrapped, 0.0, atol=1e-12)
 
 
-# rows of a stack, poles included
+# poles of the stacked reference frames, parameter poles included
 STACKED_POLES = (np.array([0.0, 0.7, np.pi, 2.2, 1.5]),
                  np.array([0.4, -2.1, 1.0, 3.1, np.pi]))
-
-
-def test_stacked_rotation_matrix_matches_scalar_calls():
-    R = rotation_matrix(*STACKED_POLES)
-    assert R.shape == (5, 3, 3)
-    for r, (ts, ps) in enumerate(zip(*STACKED_POLES)):
-        assert_allclose(R[r], rotation_matrix(ts, ps), rtol=0, atol=1e-15)
-
-
-def test_stacked_point_and_normal_matches_scalar_calls():
-    y, nu = surface_point_and_normal(mushroom(), *STACKED_POLES)
-    assert y.shape == nu.shape == (5, 3)
-    for r, (ts, ps) in enumerate(zip(*STACKED_POLES)):
-        y1, nu1 = surface_point_and_normal(mushroom(), ts, ps)
-        assert_allclose(y[r], y1, rtol=0, atol=1e-15)
-        assert_allclose(nu[r], nu1, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("name", sorted(SURFACES))
 def test_point_and_normal_matches_the_pushed_tangents(name):
     # the rotation frame's (u, v) pushed forward, poles included
     surface = SURFACES[name]
-    R = rotation_matrix(*STACKED_POLES)
-    y_ref, cross = _pushed_cross(surface, R[..., 2], R[..., 0], R[..., 1])
-    y, nu = surface_point_and_normal(surface, *STACKED_POLES)
-    assert_allclose(y, y_ref, rtol=0, atol=1e-15)
-    assert_allclose(nu, cross/np.linalg.norm(cross, axis=-1, keepdims=True),
-                    rtol=0, atol=1e-15)
+    for ts, ps in zip(*STACKED_POLES):
+        R = rotation_matrix(ts, ps)
+        y_ref, cross = _pushed_cross(surface, R[:, 2], R[:, 0], R[:, 1])
+        y, nu = surface_point_and_normal(surface, ts, ps)
+        assert_allclose(y, y_ref, rtol=0, atol=1e-15)
+        assert_allclose(nu, cross/np.linalg.norm(cross), rtol=0, atol=1e-15)
 
 
 def test_stacked_rotated_frame_matches_scalar_calls():
@@ -272,12 +256,12 @@ def test_stacked_rotated_frame_matches_scalar_calls():
             assert_allclose(got[r], ref, rtol=0, atol=1e-15)
 
 
-def test_stacked_point_and_normal_raises_on_one_degenerate_frame():
+def test_point_and_normal_raises_on_a_degenerate_frame():
     # the profile 1 - c vanishes at the north pole, where the frame's two
     # pushed-forward tangents are parallel
     cone = Surface3D(lambda c: 1.0 - c, lambda c: -np.ones_like(c),
                      np.ones(3))
-    surface_point_and_normal(cone, np.array([0.5, 2.0]), np.zeros(2))
-    with pytest.raises(ValueError):
-        surface_point_and_normal(cone, np.array([0.5, 0.0, 2.0]),
-                                 np.zeros(3))
+    for ts in (0.5, 2.0):
+        surface_point_and_normal(cone, ts, 0.0)
+    with pytest.raises(ValueError, match="degenerate surface frame"):
+        surface_point_and_normal(cone, 0.0, 0.0)

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import re
 import types
 from pathlib import Path
@@ -13,7 +14,7 @@ import closeeval
 import closeeval.cli
 from closeeval import (bie2d, bie3d, closeeval2d, geometry2d, geometry3d,
                        spectral)
-from closeeval.harness import ResultBlock, StudyConfig
+from closeeval.harness import ResultBlock, StudyConfig, config_from_dict
 
 
 def test_package_binds_only_submodules():
@@ -58,7 +59,9 @@ def test_no_module_names_the_deleted_duplicates():
     # directions to angles is left; the Wigner matrices are applied through
     # the J_y eigenvectors and never formed, so no formed or folded table
     # is left; a colatitude's Galerkin rows come from one grid, so no
-    # stacked row blocks are left
+    # stacked row blocks are left; every 3D frame has one pole, so no
+    # stacked frame helper is left, and the HG operators form their own
+    # harmonic row, so no half basis or its coefficient split is left
     deleted = {"rotated_angles", "sph_basis_matrix", "sph_harm_eval",
                "_ptr_and_sub", "_coord", "_descending", "run_hg_study",
                "_sweep_2d", "_sweep_3d", "_by_target", "_cmd_hg",
@@ -72,7 +75,8 @@ def test_no_module_names_the_deleted_duplicates():
                "gauss_interior_value", "gauss_interior_value_3d",
                "apply_K_subtracted", "__all__", "sph_synthesis",
                "direction_angles", "__call__", "_wigner_d",
-               "_wigner_tables", "_row_block", "_BLOCK_NODES"}
+               "_wigner_tables", "_row_block", "_BLOCK_NODES",
+               "_rotated_frame", "sph_half_basis", "_half_coefficients"}
     for path in sorted(PACKAGE.glob("*.py")):
         names = set()
         for node in ast.walk(ast.parse(path.read_text())):
@@ -203,3 +207,17 @@ def test_array_dataclasses_compare_by_identity(name):
     assert type(a).__name__ == name
     assert (a == b) is False and (a == a) is True and (a != b) is True
     assert len({a, b, a}) == 2
+
+
+def _readme_json_blocks() -> list:
+    text = (Path(__file__).parents[1]/"README.md").read_text()
+    return re.findall(r"^```json\n(.*?)^```$", text, re.M | re.S)
+
+
+def test_readme_json_examples_are_valid_configs():
+    # every configuration README shows is one that config_from_dict
+    # accepts, so an example naming a deleted key fails here
+    blocks = _readme_json_blocks()
+    assert len(blocks) >= 3
+    for block in blocks:
+        config_from_dict(json.loads(block))

@@ -7,7 +7,7 @@ from closeeval.spectral import (SphericalCoeffs, _jy_eigenvectors,
                                 _rotated_rows, _tri,
                                 analysis_grid, gauss_legendre,
                                 mapped_rule, periodic_derivative,
-                                periodic_nodes, sph_analysis, sph_half_basis)
+                                periodic_nodes, sph_analysis)
 
 from references import (_wigner_d, degrees, pole_second_derivative_average,
                         rotated_angles, single, sph_basis_matrix,
@@ -178,17 +178,6 @@ def test_basis_matrix_matches_scipy_with_poles():
     m = np.concatenate([np.arange(-d, d + 1) for d in range(N)])
     ref = sph_harm_y(n[None, :], m[None, :], th[:, None], ph[:, None])
     assert_allclose(sph_basis_matrix(th, ph, N), ref, rtol=0, atol=1e-12)
-
-
-def test_basis_matrix_m_nonnegative_columns_are_the_half_basis():
-    N = 32
-    th, ph = _nodes_with_poles(np.random.default_rng(4), 40)
-    B = sph_basis_matrix(th, ph, N)
-    half = sph_half_basis(th, ph, N)
-    assert half.shape == (th.size, N*(N + 1)//2)
-    cols = [SphericalCoeffs.index(n, m) for n in range(N)
-            for m in range(n + 1)]
-    assert np.array_equal(B[:, cols], half)
 
 
 def test_synthesis_of_complex_coefficients_matches_the_basis():
@@ -371,8 +360,7 @@ def test_wigner_d_is_orthogonal(beta):
 @pytest.mark.parametrize("beta", [0.4, 1.9, 2.9])
 def test_wigner_d_rotates_the_harmonics(beta):
     # Y_lm(R_y(beta) p) = sum_m' d_mm'(beta) Y_lm'(p) at random points p,
-    # with R_y(beta) = rotation_matrix(beta, 0); the m >= 0 columns of
-    # sph_basis_matrix are sph_half_basis
+    # with R_y(beta) = rotation_matrix(beta, 0)
     rng = np.random.default_rng(int(10*beta))
     th = np.arccos(rng.uniform(-1, 1, 40))
     ph = rng.uniform(-np.pi, np.pi, 40)
